@@ -48,34 +48,45 @@ type Allreduce struct {
 // Run starts the network schedule; it returns immediately and progresses
 // event-driven as contributions become ready.
 func (a *Allreduce) Run() {
+	rootID := a.M.Geom.NodeID(a.Root)
 	offs, lens := geometry.SplitAligned(a.Bytes, len(a.Colors), data.Float64Len)
+	runs := make([]*colorReduce, len(a.Colors))
+	chunks := 0
 	for i, color := range a.Colors {
-		chunks := a.M.Cfg.Params.Chunks(lens[i])
+		spans := a.M.Cfg.Params.Chunks(lens[i])
 		ar := &colorReduce{
 			a:        a,
 			color:    color,
 			colorIdx: i,
 			lane:     a.Lane0 + i,
 		}
-		ar.init(chunks, offs[i])
+		ar.init(spans, offs[i])
 		// The down phase reuses the rectangle broadcast machinery, gated
 		// chunk by chunk on reduction completion at the root.
-		ar.down = newColorRun(a.M, a.Root, color, a.Lane0+len(a.Colors)+i, chunks, offs[i])
+		ar.down = newColorRun(a.M, a.Root, color, a.Lane0+len(a.Colors)+i, spans, offs[i])
 		ar.down.deliver = func(node int, span hw.Span, t sim.Time) {
-			rootID := a.M.Geom.NodeID(a.Root)
-			if node != rootID && a.ResultBufs[node].Len() > 0 && span.Len > 0 {
-				dst, src := a.ResultBufs[node], a.ResultBufs[rootID]
-				a.M.K.At(t, func() {
-					data.Copy(dst.Slice(span.Off, span.Len), src.Slice(span.Off, span.Len))
-				})
+			if node != rootID {
+				copyAt(a.M.K, t, a.ResultBufs[node], a.ResultBufs[rootID], span)
 			}
 			a.Deliveries[node].Deliver(a.M.K, t, span)
 		}
+		runs[i] = ar
+		chunks += len(spans)
+	}
+	if a.ReduceOnly {
+		presize(a.Deliveries[rootID:rootID+1], chunks)
+	} else {
+		presize(a.Deliveries, chunks)
+	}
+	for _, ar := range runs {
 		ar.start()
 	}
 }
 
-// colorReduce drives one color's reduce chains.
+// colorReduce drives one color's reduce chains. Like colorRun, every step
+// is a stage handler bound once per color and scheduled with HookAt (or
+// OnGEHook) carrying (node, chunk), so the chains allocate nothing per
+// chunk.
 type colorReduce struct {
 	a        *Allreduce
 	color    geometry.Color
@@ -91,7 +102,22 @@ type colorReduce struct {
 	need  []int // input streams per node (own contribution + chains ending here)
 
 	down *colorRun
+
+	contribH contribStage
+	releaseH releaseStage
+	injectH  hopInjectStage
+	arriveH  hopArriveStage
+	receiveH hopReceiveStage
 }
+
+// The reduce chains' stage handlers. Each RunPost is one scheduled step.
+type (
+	contribStage    struct{ cr *colorReduce }
+	releaseStage    struct{ cr *colorReduce }
+	hopInjectStage  struct{ cr *colorReduce }
+	hopArriveStage  struct{ cr *colorReduce }
+	hopReceiveStage struct{ cr *colorReduce }
+)
 
 type chunkState struct {
 	arrived int
@@ -124,6 +150,11 @@ func (cr *colorReduce) init(chunks []hw.Span, baseOff int) {
 			cr.need[m.Geom.NodeID(succ)]++
 		}
 	}
+	cr.contribH = contribStage{cr}
+	cr.releaseH = releaseStage{cr}
+	cr.injectH = hopInjectStage{cr}
+	cr.arriveH = hopArriveStage{cr}
+	cr.receiveH = hopReceiveStage{cr}
 }
 
 // lastDiffer returns the index in dims of the last dimension in which v
@@ -162,24 +193,23 @@ func (cr *colorReduce) succ(v geometry.Coord) (geometry.Coord, geometry.Dim, boo
 
 // start subscribes to every node's contribution counter, chunk by chunk.
 func (cr *colorReduce) start() {
-	m := cr.a.M
-	for n := 0; n < m.Geom.Nodes(); n++ {
-		coord := m.Geom.CoordOf(n)
+	for n := 0; n < cr.a.M.Geom.Nodes(); n++ {
 		for c, span := range cr.spans {
 			// Thresholds are relative to this color's partition.
 			threshold := int64(span.Off + span.Len - cr.baseOff)
-			cr.a.Contrib[n][cr.colorIdx].OnGE(threshold, func() {
-				// The node's own contribution for this chunk is ready;
-				// functionally, fold it into the root's accumulator once.
-				cr.foldContribution(n, span)
-				cr.streamArrived(coord, c, m.K.Now(), 0)
-			})
+			cr.a.Contrib[n][cr.colorIdx].OnGEHook(threshold, &cr.contribH, int64(n), int64(c))
 		}
-		_ = n
 	}
-	if len(cr.spans) == 0 {
-		return
-	}
+}
+
+// RunPost runs when node's own contribution for chunk is ready;
+// functionally, it is folded into the root's accumulator once.
+//
+//bgplint:hot
+func (s *contribStage) RunPost(node, chunk int64) {
+	cr := s.cr
+	cr.foldContribution(int(node), cr.spans[chunk])
+	cr.streamArrived(int(node), int(chunk), cr.a.M.K.Now(), 0)
 }
 
 // foldContribution adds node n's local vector for span into the root's
@@ -196,12 +226,12 @@ func (cr *colorReduce) foldContribution(n int, span hw.Span) {
 	data.AddFloats(res.Slice(span.Off, span.Len), contrib.Slice(span.Off, span.Len))
 }
 
-// streamArrived records one input stream's chunk at node v. combineCost is
+// streamArrived records one input stream's chunk at node n. combineCost is
 // the payload size to charge the protocol core (zero for the node's own
 // contribution, which seeds the accumulator).
-func (cr *colorReduce) streamArrived(v geometry.Coord, chunk int, at sim.Time, combineCost int) {
-	m := cr.a.M
-	n := m.Geom.NodeID(v)
+//
+//bgplint:hot
+func (cr *colorReduce) streamArrived(n, chunk int, at sim.Time, combineCost int) {
 	st := &cr.state[n][chunk]
 	ready := at
 	if combineCost > 0 {
@@ -215,54 +245,68 @@ func (cr *colorReduce) streamArrived(v geometry.Coord, chunk int, at sim.Time, c
 		panic("ccmi: allreduce stream overflow")
 	}
 	if st.arrived == cr.need[n] {
-		cr.chunkReady(v, chunk, st.readyAt)
+		cr.chunkReady(n, chunk, st.readyAt)
 	}
 }
 
-// chunkReady fires when node v has fully combined chunk: it forwards the
+// chunkReady fires when node n has fully combined chunk: it forwards the
 // partial down its chain, or — at the root — releases the chunk for the
 // broadcast-down phase.
-func (cr *colorReduce) chunkReady(v geometry.Coord, chunk int, at sim.Time) {
+//
+//bgplint:hot
+func (cr *colorReduce) chunkReady(n, chunk int, at sim.Time) {
 	m := cr.a.M
-	next, d, ok := cr.succ(v)
-	if !ok { // root: reduction of this chunk complete
-		m.Trace.Addf(at, trace.Proto, m.Geom.NodeID(v),
-			"allreduce %v chunk %d reduced at root", cr.color, chunk)
-		if cr.a.ReduceOnly {
-			rootID := m.Geom.NodeID(cr.a.Root)
-			cr.a.Deliveries[rootID].Deliver(m.K, at, cr.spans[chunk])
-			return
-		}
-		m.K.At(at, func() {
-			// Chunks complete in order along each chain, but guard anyway:
-			// allow everything up to this chunk.
-			cr.down.allowChunks(chunk + 1)
-		})
+	if n != m.Geom.NodeID(cr.a.Root) {
+		m.K.HookAt(at, &cr.injectH, int64(n), int64(chunk))
 		return
 	}
-	span := cr.spans[chunk]
-	wire := m.Torus.WireBytes(span.Len)
-	m.K.At(at, func() {
-		injDone := m.NodeAt(v).DMA.Inject(m.K.Now(), wire)
-		// The partial travels one hop toward the root on the
-		// reversed-direction link.
-		to, arriveAt := m.Torus.NeighborSend(injDone, v, d, -cr.color.Dir, cr.lane, span.Len)
-		if to != next {
-			panic("ccmi: reduce hop mismatch")
-		}
-		m.K.At(arriveAt, func() {
-			rx := m.NodeAt(to).DMA.Receive(m.K.Now(), wire)
-			m.K.At(rx, func() {
-				cr.streamArrived(to, chunk, m.K.Now(), span.Len)
-			})
-		})
-	})
+	// Root: reduction of this chunk complete.
+	if m.Trace.Enabled() {
+		m.Trace.Addf(at, trace.Proto, n, "allreduce %v chunk %d reduced at root", cr.color, chunk)
+	}
+	if cr.a.ReduceOnly {
+		cr.a.Deliveries[n].Deliver(m.K, at, cr.spans[chunk])
+		return
+	}
+	m.K.HookAt(at, &cr.releaseH, int64(chunk), 0)
 }
 
-func directedDistance(t geometry.Torus, from, to geometry.Coord, d geometry.Dim, dir geometry.Dir) int {
-	n := t.Size(d)
-	if dir == geometry.Plus {
-		return ((to.Get(d)-from.Get(d))%n + n) % n
-	}
-	return ((from.Get(d)-to.Get(d))%n + n) % n
+// RunPost opens chunk to the broadcast-down phase. Chunks complete in order
+// along each chain, but guard anyway: allow everything up to this chunk.
+//
+//bgplint:hot
+func (s *releaseStage) RunPost(chunk, _ int64) { s.cr.down.allowChunks(int(chunk) + 1) }
+
+// RunPost injects node's combined partial of chunk, which travels one hop
+// toward the root on the reversed-direction link.
+//
+//bgplint:hot
+func (s *hopInjectStage) RunPost(node, chunk int64) {
+	cr := s.cr
+	m := cr.a.M
+	v := m.Geom.CoordOf(int(node))
+	_, d, _ := cr.succ(v)
+	payload := cr.spans[chunk].Len
+	injDone := m.Node(int(node)).DMA.Inject(m.K.Now(), m.Torus.WireBytes(payload))
+	to, at := m.Torus.NeighborSend(injDone, v, d, -cr.color.Dir, cr.lane, payload)
+	m.K.HookAt(at, &cr.arriveH, int64(m.Geom.NodeID(to)), chunk)
+}
+
+// RunPost processes a partial's network arrival at node: DMA reception.
+//
+//bgplint:hot
+func (s *hopArriveStage) RunPost(node, chunk int64) {
+	cr := s.cr
+	m := cr.a.M
+	rx := m.Node(int(node)).DMA.Receive(m.K.Now(), m.Torus.WireBytes(cr.spans[chunk].Len))
+	m.K.HookAt(rx, &cr.receiveH, node, chunk)
+}
+
+// RunPost runs when node's DMA has received a partial of chunk: one more
+// input stream to combine.
+//
+//bgplint:hot
+func (s *hopReceiveStage) RunPost(node, chunk int64) {
+	cr := s.cr
+	cr.streamArrived(int(node), int(chunk), cr.a.M.K.Now(), cr.spans[chunk].Len)
 }

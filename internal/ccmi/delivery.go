@@ -1,6 +1,9 @@
 package ccmi
 
 import (
+	"slices"
+
+	"bgpcoll/internal/data"
 	"bgpcoll/internal/hw"
 	"bgpcoll/internal/sim"
 )
@@ -22,9 +25,35 @@ func NewDelivery(k *sim.Kernel, name string) *Delivery {
 // Deliver schedules the arrival of span at time t: the span is appended to
 // the log and the byte counter advances.
 func (d *Delivery) Deliver(k *sim.Kernel, t sim.Time, span hw.Span) {
+	k.HookAt(t, d, int64(span.Off), int64(span.Len))
+}
+
+// RunPost implements sim.PostHandler: the scheduled arrival of the span
+// (off, n).
+//
+//bgplint:hot
+func (d *Delivery) RunPost(off, n int64) {
+	d.Spans = append(d.Spans, hw.Span{Off: int(off), Len: int(n)})
+	d.Counter.Add(n)
+}
+
+// presize grows every log's capacity by spans, the number of chunks a
+// schedule is about to deliver to each node, so logging never reallocates.
+func presize(dels []*Delivery, spans int) {
+	for _, d := range dels {
+		d.Spans = slices.Grow(d.Spans, spans)
+	}
+}
+
+// copyAt schedules the payload copy of span from src to dst at t. Only
+// functional runs, where both buffers hold real bytes, schedule anything:
+// on phantom buffers the copy would be a no-op event.
+func copyAt(k *sim.Kernel, t sim.Time, dst, src data.Buf, span hw.Span) {
+	if span.Len == 0 || dst.Len() == 0 || !dst.IsReal() || !src.IsReal() {
+		return
+	}
 	k.At(t, func() {
-		d.Spans = append(d.Spans, span)
-		d.Counter.Add(int64(span.Len))
+		data.Copy(dst.Slice(span.Off, span.Len), src.Slice(span.Off, span.Len))
 	})
 }
 

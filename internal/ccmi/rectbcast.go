@@ -8,6 +8,7 @@ import (
 	"bgpcoll/internal/hw"
 	"bgpcoll/internal/machine"
 	"bgpcoll/internal/sim"
+	"bgpcoll/internal/torus"
 	"bgpcoll/internal/trace"
 )
 
@@ -41,21 +42,26 @@ func (b *Bcast) Run() {
 	if len(b.Deliveries) != b.M.Geom.Nodes() {
 		panic("ccmi: Bcast needs one Delivery per node")
 	}
+	rootID := b.M.Geom.NodeID(b.Root)
 	offs, lens := geometry.SplitColors(b.Src.Len(), len(b.Colors))
+	runs := make([]*colorRun, len(b.Colors))
+	chunks := 0
 	for i, color := range b.Colors {
 		cr := newColorRun(b.M, b.Root, color, b.Lane0+i, b.M.Cfg.Params.Chunks(lens[i]), offs[i])
 		cr.deliver = func(node int, span hw.Span, t sim.Time) {
 			if b.Hook != nil {
 				b.Hook(node, span, t)
 			}
-			if node != b.M.Geom.NodeID(b.Root) && b.Bufs[node].Len() > 0 && span.Len > 0 {
-				dst, src := b.Bufs[node], b.Src
-				b.M.K.At(t, func() {
-					data.Copy(dst.Slice(span.Off, span.Len), src.Slice(span.Off, span.Len))
-				})
+			if node != rootID {
+				copyAt(b.M.K, t, b.Bufs[node], b.Src, span)
 			}
 			b.Deliveries[node].Deliver(b.M.K, t, span)
 		}
+		runs[i] = cr
+		chunks += len(cr.spans)
+	}
+	presize(b.Deliveries, chunks)
+	for _, cr := range runs {
 		cr.readyChunks = len(cr.spans) // plain broadcast: everything ready now
 		cr.pump()
 	}
@@ -64,6 +70,10 @@ func (b *Bcast) Run() {
 // colorRun drives one color's spanning tree. It is shared between Bcast and
 // the down-phase of Allreduce (which gates chunk injection on reduction
 // completion via readyChunks).
+//
+// Every step of the pipeline is a stage handler bound once per run and
+// scheduled with sim.Kernel.HookAt, its (node, chunk) identity carried in
+// the hook's operands, so the schedule allocates nothing per chunk.
 type colorRun struct {
 	m     *machine.Machine
 	root  geometry.Coord
@@ -79,8 +89,28 @@ type colorRun struct {
 	gate        sim.Time  // pacing: next injection may not precede this
 	pumping     bool
 
+	arrivals []torus.Arrival // LineBcast scratch, reused by every injection
+
 	deliver func(node int, span hw.Span, t sim.Time)
+
+	pumpH    pumpStage
+	injectH  rootInjectStage
+	arriveH  arriveStage
+	receiveH receiveStage
+	lineH    [geometry.NumDims]lineStage
 }
+
+// The color run's stage handlers. Each RunPost is one scheduled step.
+type (
+	pumpStage       struct{ cr *colorRun }
+	rootInjectStage struct{ cr *colorRun }
+	arriveStage     struct{ cr *colorRun }
+	receiveStage    struct{ cr *colorRun }
+	lineStage       struct {
+		cr *colorRun
+		d  geometry.Dim
+	}
+)
 
 func newColorRun(m *machine.Machine, root geometry.Coord, color geometry.Color, lane int, chunks []hw.Span, baseOff int) *colorRun {
 	cr := &colorRun{m: m, root: root, color: color, lane: lane}
@@ -96,6 +126,13 @@ func newColorRun(m *machine.Machine, root geometry.Coord, color geometry.Color, 
 	if len(cr.dims) > 0 {
 		cr.w = m.Geom.Neighbor(root, cr.dims[0], -color.Dir)
 	}
+	cr.pumpH = pumpStage{cr}
+	cr.injectH = rootInjectStage{cr}
+	cr.arriveH = arriveStage{cr}
+	cr.receiveH = receiveStage{cr}
+	for d := range cr.lineH {
+		cr.lineH[d] = lineStage{cr, geometry.Dim(d)}
+	}
 	return cr
 }
 
@@ -109,86 +146,129 @@ func (cr *colorRun) allowChunks(n int) {
 
 // pump injects the next permitted chunk. Re-entrant safe: only one injection
 // chain is in flight at a time; pacing continues from the link drain.
+//
+//bgplint:hot
 func (cr *colorRun) pump() {
 	if cr.pumping || cr.next >= len(cr.spans) || cr.next >= cr.readyChunks {
 		return
 	}
 	cr.pumping = true
-	span := cr.spans[cr.next]
+	chunk := cr.next
+	span := cr.spans[chunk]
 	cr.next++
 	k := cr.m.K
 
-	start := cr.gate
-	if now := k.Now(); now > start {
-		start = now
+	start := maxTime(cr.gate, k.Now())
+	rootID := cr.m.Geom.NodeID(cr.root)
+	if cr.m.Trace.Enabled() {
+		cr.m.Trace.Addf(start, trace.Proto, rootID,
+			"bcast %v pump chunk [%d:%d)", cr.color, span.Off, span.Off+span.Len)
 	}
-	cr.m.Trace.Addf(start, trace.Proto, cr.m.Geom.NodeID(cr.root),
-		"bcast %v pump chunk [%d:%d)", cr.color, span.Off, span.Off+span.Len)
 	// The root's master sees the chunk locally as it is injected, pacing
 	// the root node's own intra-node pipeline with the network.
-	cr.deliver(cr.m.Geom.NodeID(cr.root), span, start)
+	cr.deliver(rootID, span, start)
 
 	if len(cr.dims) == 0 { // single-node partition: nothing to send
 		cr.pumping = false
-		k.At(start, cr.pump)
+		k.HookAt(start, &cr.pumpH, 0, 0)
 		return
 	}
 
-	wire := cr.m.Torus.WireBytes(span.Len)
-	injDone := cr.m.NodeAt(cr.root).DMA.Inject(start, wire)
-	k.At(injDone, func() {
-		arrivals, firstStart := cr.m.Torus.LineBcast(k.Now(), cr.root, cr.dims[0], cr.color.Dir, cr.lane, span.Len)
-		for _, a := range arrivals {
-			cr.arrive(a.Node, span, a.At)
-		}
-		// Next chunk may inject once this one has entered the first link.
-		cr.gate = firstStart
-		cr.pumping = false
-		k.At(maxTime(firstStart, k.Now()), cr.pump)
-	})
+	injDone := cr.m.NodeAt(cr.root).DMA.Inject(start, cr.m.Torus.WireBytes(span.Len))
+	k.HookAt(injDone, &cr.injectH, int64(chunk), 0)
 }
 
-// arrive processes the network arrival of span at node v: DMA reception,
-// delivery, and the node's forwarding duties in the spanning tree.
-func (cr *colorRun) arrive(v geometry.Coord, span hw.Span, netAt sim.Time) {
+// RunPost retries the pump once pacing allows the next injection.
+//
+//bgplint:hot
+func (s *pumpStage) RunPost(_, _ int64) { s.cr.pump() }
+
+// RunPost runs when the root's DMA has injected chunk: the chunk enters the
+// root's d0 line, and the next chunk may inject once this one has entered
+// the first link.
+//
+//bgplint:hot
+func (s *rootInjectStage) RunPost(chunk, _ int64) {
+	cr := s.cr
 	k := cr.m.K
-	wire := cr.m.Torus.WireBytes(span.Len)
-	k.At(netAt, func() {
-		rx := cr.m.NodeAt(v).DMA.Receive(k.Now(), wire)
-		k.At(rx, func() {
-			cr.m.Trace.Addf(k.Now(), trace.Net, cr.m.Geom.NodeID(v),
-				"bcast %v chunk [%d:%d) delivered", cr.color, span.Off, span.Off+span.Len)
-			cr.deliver(cr.m.Geom.NodeID(v), span, k.Now())
-			cr.forward(v, span)
-		})
-	})
+	var firstStart sim.Time
+	cr.arrivals, firstStart = cr.m.Torus.LineBcast(cr.arrivals[:0], k.Now(), cr.root, cr.dims[0], cr.color.Dir, cr.lane, cr.spans[chunk].Len)
+	for _, a := range cr.arrivals {
+		cr.arrive(a.Node, chunk, a.At)
+	}
+	cr.gate = firstStart
+	cr.pumping = false
+	k.HookAt(maxTime(firstStart, k.Now()), &cr.pumpH, 0, 0)
+}
+
+// arrive schedules the network arrival of chunk at node v.
+//
+//bgplint:hot
+func (cr *colorRun) arrive(v geometry.Coord, chunk int64, netAt sim.Time) {
+	cr.m.K.HookAt(netAt, &cr.arriveH, int64(cr.m.Geom.NodeID(v)), chunk)
+}
+
+// RunPost processes the network arrival of chunk at node: DMA reception.
+//
+//bgplint:hot
+func (s *arriveStage) RunPost(node, chunk int64) {
+	cr := s.cr
+	k := cr.m.K
+	rx := cr.m.Node(int(node)).DMA.Receive(k.Now(), cr.m.Torus.WireBytes(cr.spans[chunk].Len))
+	k.HookAt(rx, &cr.receiveH, node, chunk)
+}
+
+// RunPost runs when node's DMA has received chunk: delivery, then the
+// node's forwarding duties in the spanning tree.
+//
+//bgplint:hot
+func (s *receiveStage) RunPost(node, chunk int64) {
+	cr := s.cr
+	now := cr.m.K.Now()
+	span := cr.spans[chunk]
+	if cr.m.Trace.Enabled() {
+		cr.m.Trace.Addf(now, trace.Net, int(node),
+			"bcast %v chunk [%d:%d) delivered", cr.color, span.Off, span.Off+span.Len)
+	}
+	cr.deliver(int(node), span, now)
+	cr.forward(cr.m.Geom.CoordOf(int(node)), chunk)
 }
 
 // forward executes v's spanning-tree duties for one chunk: an optional
 // one-hop mirror patch toward the root column, then deposit-bit line
 // broadcasts along each later dimension. Successive injections serialize on
 // v's DMA engine.
-func (cr *colorRun) forward(v geometry.Coord, span hw.Span) {
+//
+//bgplint:hot
+func (cr *colorRun) forward(v geometry.Coord, chunk int64) {
 	lines, patch := cr.duties(v)
-	k := cr.m.K
+	span := cr.spans[chunk]
 	wire := cr.m.Torus.WireBytes(span.Len)
-	t := k.Now()
+	t := cr.m.K.Now()
 	dma := cr.m.NodeAt(v).DMA
 	if patch {
 		injDone := dma.Inject(t, wire)
 		to, at := cr.m.Torus.NeighborSend(injDone, v, cr.dims[0], cr.color.Dir, cr.lane, span.Len)
-		cr.arrive(to, span, at)
+		cr.arrive(to, chunk, at)
 		t = injDone
 	}
+	node := int64(cr.m.Geom.NodeID(v))
 	for _, d := range lines {
 		injDone := dma.Inject(t, wire)
-		k.At(injDone, func() {
-			arrivals, _ := cr.m.Torus.LineBcast(k.Now(), v, d, cr.color.Dir, cr.lane, span.Len)
-			for _, a := range arrivals {
-				cr.arrive(a.Node, span, a.At)
-			}
-		})
+		cr.m.K.HookAt(injDone, &cr.lineH[d], node, chunk)
 		t = injDone
+	}
+}
+
+// RunPost runs when node's DMA has injected chunk into its line along s.d:
+// the deposit-bit broadcast reaches every other node on the line.
+//
+//bgplint:hot
+func (s *lineStage) RunPost(node, chunk int64) {
+	cr := s.cr
+	cr.arrivals, _ = cr.m.Torus.LineBcast(cr.arrivals[:0], cr.m.K.Now(), cr.m.Geom.CoordOf(int(node)), s.d, cr.color.Dir, cr.lane, cr.spans[chunk].Len)
+	for _, a := range cr.arrivals {
+		cr.arrive(a.Node, chunk, a.At)
 	}
 }
 

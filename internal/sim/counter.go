@@ -114,7 +114,7 @@ func (c *Counter) release() {
 		// would have produced).
 		buf := sh.arena.wakeBuf[:0]
 		for _, w := range c.waiters[:n] {
-			if w.e.kind != eFn {
+			if w.e.parked() {
 				p := sh.procAt(w.e.idx)
 				sh.blocked--
 				p.waitEv, p.waitC = nil, nil
@@ -141,4 +141,18 @@ func (c *Counter) OnGE(v int64, fn func()) {
 		return
 	}
 	c.wait(v, entry{kind: eFn, idx: c.sh.newCb(fn)})
+}
+
+// OnGEHook is the closure-free OnGE: h.RunPost(a, b) is scheduled once the
+// counter reaches at least v, at exactly the (time, seq) position OnGE's
+// callback would take.
+//
+//bgplint:hot
+func (c *Counter) OnGEHook(v int64, h PostHandler, a, b int64) {
+	c.check()
+	if c.v >= v {
+		c.sh.HookAt(c.sh.now, h, a, b)
+		return
+	}
+	c.wait(v, entry{kind: eHook, idx: c.sh.newHook(h, a, b)})
 }

@@ -53,9 +53,9 @@ const (
 	xHook              // h.RunPost(a, b) at t
 )
 
-// PostHandler receives delivered PostHook messages: the closure-free
-// cross-shard call for high-volume paths (one handler object, two integer
-// operands, no allocation per post beyond the lane slot).
+// PostHandler is the closure-free callback of HookAt, Counter.OnGEHook and
+// cross-shard PostHook, for high-volume paths: one handler object bound
+// once, two integer operands, no allocation per event beyond its table slot.
 type PostHandler interface {
 	RunPost(a, b int64)
 }
@@ -130,16 +130,7 @@ func (sh *Shard) deliver(m *xmsg) {
 	case xCall:
 		sh.queue.push(m.t, entry{kind: eFn, idx: sh.newCb(m.fn)})
 	case xHook:
-		var i uint32
-		if n := len(sh.hookFree); n > 0 {
-			i = sh.hookFree[n-1]
-			sh.hookFree = sh.hookFree[:n-1]
-			sh.hooks[i] = postHook{h: m.h, a: m.a, b: m.b}
-		} else {
-			sh.hooks = append(sh.hooks, postHook{h: m.h, a: m.a, b: m.b})
-			i = uint32(len(sh.hooks) - 1)
-		}
-		sh.queue.push(m.t, entry{kind: eHook, idx: i})
+		sh.queue.push(m.t, entry{kind: eHook, idx: sh.newHook(m.h, m.a, m.b)})
 	}
 }
 

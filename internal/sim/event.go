@@ -83,7 +83,7 @@ func (e *Event) Fire() {
 	}
 	sh := e.sh
 	for _, w := range e.waiters {
-		if w.kind != eFn {
+		if w.parked() {
 			p := sh.procAt(w.idx)
 			sh.blocked--
 			p.waitEv, p.waitC = nil, nil

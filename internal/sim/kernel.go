@@ -13,13 +13,17 @@ import (
 // dense arena index (everything else).
 //
 // In a waiter list (Event.waiters, Counter.waiters) every kind other than eFn
-// identifies a parked process, so Shard.wake and the batch-wake loops do the
-// blocked bookkeeping exactly for those kinds — the same split the old
-// (fn, p) pair expressed with p != nil.
+// and eHook identifies a parked process, so Shard.wake and the batch-wake
+// loops do the blocked bookkeeping exactly for those kinds — the same split
+// the old (fn, p) pair expressed with p != nil.
 type entry struct {
 	kind uint8
 	idx  uint32
 }
+
+// parked reports whether a released waiter entry resumes a blocked process
+// (as opposed to running a callback or hook).
+func (e entry) parked() bool { return e.kind != eFn && e.kind != eHook }
 
 // entry kinds. The zero value (eNone) is never scheduled; popping one would
 // indicate ring/heap corruption.
@@ -31,7 +35,7 @@ const (
 	eCont         // run process idx's program continuation (program.go)
 	eProg         // step process idx's program-mode plan (program.go)
 	eAdd          // apply add-table slot idx: a scheduled Counter.Add (AddAt)
-	eHook         // run hook-table slot idx: a delivered cross-shard PostHook
+	eHook         // run hook-table slot idx: HookAt, OnGEHook, or a delivered PostHook
 )
 
 // Kernel is a deterministic discrete-event scheduler. The zero value is not
@@ -227,6 +231,12 @@ type addAt struct {
 //
 //bgplint:hot
 func (k *Kernel) AddAt(t Time, c *Counter, n int64) { c.sh.AddAt(t, c, n) }
+
+// HookAt schedules h.RunPost(a, b) on the root shard at absolute virtual
+// time t: the closure-free At (see Shard.HookAt).
+//
+//bgplint:hot
+func (k *Kernel) HookAt(t Time, h PostHandler, a, b int64) { k.s0.HookAt(t, h, a, b) }
 
 // Run executes events until the queues drain or a process fails. It returns
 // an error if a process panicked or if processes remain blocked with no

@@ -53,6 +53,48 @@ func BenchmarkAtFuture(b *testing.B) {
 	}
 }
 
+// BenchmarkAddAtFuture is BenchmarkAtFuture through the closure-free
+// scheduled-add path (AddAt), the form the DMA completion sites use.
+func BenchmarkAddAtFuture(b *testing.B) {
+	k := New()
+	b.ReportAllocs()
+	const batch = 1024
+	c := k.NewCounter("c")
+	for n := 0; n < b.N; n += batch {
+		m := min(batch, b.N-n)
+		base := k.Now()
+		for i := 0; i < m; i++ {
+			k.AddAt(base+Time(i+1)*Nanosecond, c, 1)
+		}
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+type nopHook struct{}
+
+func (nopHook) RunPost(_, _ int64) {}
+
+// BenchmarkHookAtFuture is BenchmarkAtFuture through the closure-free hook
+// path (HookAt), the form the torus network schedules use.
+func BenchmarkHookAtFuture(b *testing.B) {
+	k := New()
+	var h nopHook
+	b.ReportAllocs()
+	const batch = 1024
+	for n := 0; n < b.N; n += batch {
+		m := min(batch, b.N-n)
+		base := k.Now()
+		for i := 0; i < m; i++ {
+			k.HookAt(base+Time(i+1)*Nanosecond, h, int64(i), 0)
+		}
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAtMixed interleaves same-time and future scheduling the way a
 // pipelined collective does: each popped event reschedules one future hop and
 // fans out two same-time wakeups.

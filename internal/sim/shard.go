@@ -72,10 +72,11 @@ type Shard struct {
 	adds    []addAt
 	addFree []uint32
 
-	// hooks is the delivered-post table: an eHook entry names a slot holding
-	// a (handler, a, b) triple from a cross-shard PostHook — the pointer-lean
-	// path for high-volume cross-shard traffic (e.g. one post per broadcast
-	// chunk per node). Slots recycle LIFO like the other tables.
+	// hooks is the hook table: an eHook entry names a slot holding a
+	// (handler, a, b) triple from HookAt, OnGEHook, or a delivered
+	// cross-shard PostHook — the pointer-lean path for high-volume traffic
+	// (e.g. one event per broadcast chunk per node). Slots recycle LIFO like
+	// the other tables.
 	hooks    []postHook
 	hookFree []uint32
 
@@ -271,14 +272,47 @@ func (sh *Shard) runAdd(i uint32) {
 	a.c.Add(a.n)
 }
 
-// postHook is one delivered cross-shard PostHook: handler object plus two
-// integer operands, so high-volume cross-shard traffic carries no closures.
+// postHook is one scheduled hook — a local HookAt or OnGEHook, or a delivered
+// cross-shard PostHook: handler object plus two integer operands, so
+// high-volume traffic carries no closures.
 type postHook struct {
 	h    PostHandler
 	a, b int64
 }
 
-// runHook dispatches a delivered PostHook, releasing its slot first.
+// HookAt schedules h.RunPost(a, b) at absolute virtual time t on this shard,
+// occupying exactly the (time, seq) position the equivalent At callback
+// would: the closure-free At. Handlers are bound once and the operands
+// carry the per-event identity, so a per-chunk schedule allocates nothing.
+// Like At, scheduling in the past panics.
+//
+//bgplint:hot
+func (sh *Shard) HookAt(t Time, h PostHandler, a, b int64) {
+	if t <= sh.now {
+		if t < sh.now {
+			panic(fmt.Sprintf("sim: schedule at %v before now %v", t, sh.now))
+		}
+		sh.ring.push(entry{kind: eHook, idx: sh.newHook(h, a, b)})
+		return
+	}
+	sh.queue.push(t, entry{kind: eHook, idx: sh.newHook(h, a, b)})
+}
+
+// newHook carves a hook-table slot (LIFO recycling, like newCb).
+//
+//bgplint:hot
+func (sh *Shard) newHook(h PostHandler, a, b int64) uint32 {
+	if n := len(sh.hookFree); n > 0 {
+		i := sh.hookFree[n-1]
+		sh.hookFree = sh.hookFree[:n-1]
+		sh.hooks[i] = postHook{h: h, a: a, b: b}
+		return i
+	}
+	sh.hooks = append(sh.hooks, postHook{h: h, a: a, b: b})
+	return uint32(len(sh.hooks) - 1)
+}
+
+// runHook dispatches a scheduled hook, releasing its slot first.
 //
 //bgplint:hot
 func (sh *Shard) runHook(i uint32) {
@@ -320,7 +354,7 @@ func (sh *Shard) schedStep(t Time, p *Proc) {
 //
 //bgplint:hot
 func (sh *Shard) wake(w entry) {
-	if w.kind != eFn {
+	if w.parked() {
 		p := sh.procAt(w.idx)
 		sh.blocked--
 		p.waitEv, p.waitC = nil, nil

@@ -72,15 +72,16 @@ type Arrival struct {
 
 // LineBcast injects one chunk at node `from` no earlier than `start`, with
 // the deposit bit set, along dimension d in direction dir: every other node
-// on the line receives the chunk (paper §III-A). The returned arrivals are in
-// hop order; firstStart is when the chunk actually entered the first link
-// (used by callers to pace injection against link drain). Cut-through: the
-// transfer on hop k starts one hop latency after hop k-1's start and each
-// link is occupied for the full wire time.
-func (n *Network) LineBcast(start sim.Time, from geometry.Coord, d geometry.Dim, dir geometry.Dir, lane, payload int) (arrivals []Arrival, firstStart sim.Time) {
+// on the line receives the chunk (paper §III-A). The arrivals are appended to
+// dst in hop order, so a caller that passes its own scratch (dst[:0])
+// allocates nothing per chunk; firstStart is when the chunk actually entered
+// the first link (used by callers to pace injection against link drain).
+// Cut-through: the transfer on hop k starts one hop latency after hop k-1's
+// start and each link is occupied for the full wire time.
+func (n *Network) LineBcast(dst []Arrival, start sim.Time, from geometry.Coord, d geometry.Dim, dir geometry.Dir, lane, payload int) (arrivals []Arrival, firstStart sim.Time) {
 	wire := n.WireBytes(payload)
 	size := n.geom.Size(d)
-	arrivals = make([]Arrival, 0, size-1)
+	arrivals = dst
 	cur := from
 	hopStart := start
 	firstStart = start

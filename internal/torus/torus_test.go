@@ -39,7 +39,7 @@ func TestLinkIdentity(t *testing.T) {
 func TestLineBcastArrivals(t *testing.T) {
 	k, net, p := newNet(t, 8, 4, 4)
 	from := geometry.XYZ(0, 0, 0)
-	arr, _ := net.LineBcast(0, from, geometry.X, geometry.Plus, 0, 240)
+	arr, _ := net.LineBcast(nil, 0, from, geometry.X, geometry.Plus, 0, 240)
 	if len(arr) != 7 {
 		t.Fatalf("arrivals = %d, want 7", len(arr))
 	}
@@ -67,8 +67,8 @@ func TestLineBcastBackToBackChunksPipeline(t *testing.T) {
 	// one wire time per chunk.
 	_, net, p := newNet(t, 8, 2, 2)
 	from := geometry.XYZ(0, 0, 0)
-	a1, _ := net.LineBcast(0, from, geometry.X, geometry.Plus, 0, 240)
-	a2, _ := net.LineBcast(0, from, geometry.X, geometry.Plus, 0, 240)
+	a1, _ := net.LineBcast(nil, 0, from, geometry.X, geometry.Plus, 0, 240)
+	a2, _ := net.LineBcast(nil, 0, from, geometry.X, geometry.Plus, 0, 240)
 	per := sim.TransferTime(p.TorusWireBytes(240), p.TorusLinkBps)
 	last1 := a1[len(a1)-1].At
 	last2 := a2[len(a2)-1].At
@@ -79,7 +79,7 @@ func TestLineBcastBackToBackChunksPipeline(t *testing.T) {
 
 func TestLineBcastWraps(t *testing.T) {
 	_, net, _ := newNet(t, 4, 2, 2)
-	arr, _ := net.LineBcast(0, geometry.XYZ(2, 0, 0), geometry.X, geometry.Plus, 0, 100)
+	arr, _ := net.LineBcast(nil, 0, geometry.XYZ(2, 0, 0), geometry.X, geometry.Plus, 0, 100)
 	wantX := []int{3, 0, 1}
 	for i, a := range arr {
 		if a.Node.X != wantX[i] {
@@ -149,7 +149,7 @@ func TestBandwidthSteadyState(t *testing.T) {
 	const payload = 16 << 10
 	var last sim.Time
 	for i := 0; i < chunks; i++ {
-		arr, _ := net.LineBcast(0, from, geometry.X, geometry.Plus, 0, payload)
+		arr, _ := net.LineBcast(nil, 0, from, geometry.X, geometry.Plus, 0, payload)
 		last = arr[len(arr)-1].At
 	}
 	bytes := float64(chunks * payload)
