@@ -231,28 +231,28 @@ func (s *receiveStage) RunPost(node, chunk int64) {
 			"bcast %v chunk [%d:%d) delivered", cr.color, span.Off, span.Off+span.Len)
 	}
 	cr.deliver(int(node), span, now)
-	cr.forward(cr.m.Geom.CoordOf(int(node)), chunk)
+	cr.forward(node, chunk)
 }
 
-// forward executes v's spanning-tree duties for one chunk: an optional
+// forward executes node's spanning-tree duties for one chunk: an optional
 // one-hop mirror patch toward the root column, then deposit-bit line
 // broadcasts along each later dimension. Successive injections serialize on
-// v's DMA engine.
+// the node's DMA engine.
 //
 //bgplint:hot
-func (cr *colorRun) forward(v geometry.Coord, chunk int64) {
+func (cr *colorRun) forward(node, chunk int64) {
+	v := cr.m.Geom.CoordOf(int(node))
 	lines, patch := cr.duties(v)
 	span := cr.spans[chunk]
 	wire := cr.m.Torus.WireBytes(span.Len)
 	t := cr.m.K.Now()
-	dma := cr.m.NodeAt(v).DMA
+	dma := cr.m.Node(int(node)).DMA
 	if patch {
 		injDone := dma.Inject(t, wire)
 		to, at := cr.m.Torus.NeighborSend(injDone, v, cr.dims[0], cr.color.Dir, cr.lane, span.Len)
 		cr.arrive(to, chunk, at)
 		t = injDone
 	}
-	node := int64(cr.m.Geom.NodeID(v))
 	for _, d := range lines {
 		injDone := dma.Inject(t, wire)
 		cr.m.K.HookAt(injDone, &cr.lineH[d], node, chunk)
