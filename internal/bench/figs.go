@@ -117,11 +117,13 @@ type scaleCell struct {
 // accounting brackets construction with GC'd HeapInuse snapshots, which is
 // why the sweep runs its points serially on the calling goroutine —
 // concurrent kernel runs would pollute the deltas (Options.Workers is
-// ignored). The world is returned still live so the caller can use it as the
+// ignored). The peak is the HeapInuse high water sampled through the run,
+// not one reading at its end, which would land at an arbitrary point of the
+// GC cycle. The world is returned still live so the caller can use it as the
 // growth donor for the next point.
 func measureScalePoint(cfg hw.Config, msg, iters int, mode RunMode) (scaleCell, *mpi.World, error) {
 	runtime.GC()
-	var before, settled, after runtime.MemStats
+	var before, settled runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
 	w, err := mpi.NewWorld(cfg)
@@ -134,6 +136,8 @@ func measureScalePoint(cfg hw.Config, msg, iters int, mode RunMode) (scaleCell, 
 	if settled.HeapInuse > before.HeapInuse {
 		cell.perRankBytes = float64(settled.HeapInuse-before.HeapInuse) / float64(cfg.Ranks())
 	}
+	sampler := StartHeapSampler()
+	defer sampler.Peak() // joins the sampler on the error returns too
 	t0 = time.Now()
 	cell.bcast, err = measureBcastOn(w, mpi.BcastTreeShaddr, msg, iters, mode)
 	if err != nil {
@@ -145,17 +149,9 @@ func measureScalePoint(cfg hw.Config, msg, iters int, mode RunMode) (scaleCell, 
 		return cell, nil, err
 	}
 	cell.runWall = time.Since(t0)
-	runtime.ReadMemStats(&after) // no GC: capture the run's high-water spans
-	cell.peakHeapMB = float64(maxU64(settled.HeapInuse, after.HeapInuse)) / float64(1<<20)
+	cell.peakHeapMB = float64(max(sampler.Peak(), settled.HeapInuse)) / float64(1<<20)
 	resetBetweenRuns(w)
 	return cell, w, nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FigScale runs the capacity sweep. The Sizes axis is the rank count; the

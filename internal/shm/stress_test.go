@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -139,10 +140,10 @@ func TestPtPFIFORaceStress(t *testing.T) {
 }
 
 // counterT is a tiny atomic ticket counter for the consumer side of the
-// stress test (kept local to avoid polluting the package API).
-type counterT struct{ c MsgCounter }
+// stress test (kept local to avoid polluting the package API). add is one
+// fetch-and-add, so every consumer draws a distinct ticket; a separate add
+// and load would let two consumers read the same ticket and skip one, and
+// the consumers would stop one item short.
+type counterT struct{ c atomic.Int64 }
 
-func (t *counterT) add(n int) int64 {
-	t.c.Publish(n)
-	return t.c.Loaded()
-}
+func (t *counterT) add(n int) int64 { return t.c.Add(int64(n)) }

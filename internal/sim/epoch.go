@@ -17,14 +17,14 @@
 // order and stable-sorted by timestamp, so equal-time messages keep (src id,
 // lane position) order — a pure function of the simulation, independent of
 // which goroutine ran which shard when. Delivered messages enter the
-// destination's heap through the normal push path, acquiring per-shard seqs
-// in delivery order; since every delivered timestamp is strictly after the
+// destination's queue behind every entry already pending at their instant,
+// in delivery order; since no delivered timestamp is before the
 // destination's clock (the window-edge invariant below), delivery never
 // races the destination's same-instant ring.
 //
 // Window-edge invariant: when a shard finishes a window bounded by W, its
-// ring is empty, every heap entry is at t >= W, and its clock is < W. Mail
-// delivered for the next window therefore always lands in the future of the
+// ring is empty, every queue entry is at t >= W, and its clock is < W. Mail
+// delivered for the next window therefore never lands before the
 // destination's clock.
 package sim
 
@@ -117,21 +117,24 @@ func (sh *Shard) PostHook(t Time, dst *Shard, h PostHandler, a, b int64) {
 	*lane = append(*lane, xmsg{t: t, kind: xHook, h: h, a: a, b: b})
 }
 
-// deliver enqueues one merged message on the shard's heap. The caller (the
-// controller, between phases) guarantees t > sh.now, so the entry always
-// belongs in the future queue, never the same-instant ring.
+// deliver enqueues one merged message on the shard's queue. The caller (the
+// controller, between phases) guarantees t >= sh.now, so the entry always
+// belongs in the queue, never the same-instant ring: only a hub that has not
+// run yet can receive mail at its own clock (time zero), and that mail runs
+// ahead of the hub's ring, as an earlier-seq entry at the instant would.
 func (sh *Shard) deliver(m *xmsg) {
+	var e entry
 	switch m.kind {
 	case xAdd:
-		sh.queue.push(m.t, entry{kind: eAdd, idx: sh.newAdd(m.c, m.n)})
+		e = entry{kind: eAdd, idx: sh.newAdd(m.c, m.n)}
 	case xFire:
-		e := m.e
-		sh.queue.push(m.t, entry{kind: eFn, idx: sh.newCb(e.Fire)})
+		e = entry{kind: eFn, idx: sh.newCb(m.e.Fire)}
 	case xCall:
-		sh.queue.push(m.t, entry{kind: eFn, idx: sh.newCb(m.fn)})
+		e = entry{kind: eFn, idx: sh.newCb(m.fn)}
 	case xHook:
-		sh.queue.push(m.t, entry{kind: eHook, idx: sh.newHook(m.h, m.a, m.b)})
+		e = entry{kind: eHook, idx: sh.newHook(m.h, m.a, m.b)}
 	}
+	sh.queue.pushMail(m.t, e)
 }
 
 // deliverMail drains every (src, dst) lane: for each destination, lanes are
@@ -168,19 +171,18 @@ func (k *Kernel) deliverMail() {
 
 // minPending returns the earliest runnable instant across all shards: the
 // shard's clock if its same-instant ring holds work (Spawn seeds resumes on
-// the ring before the first Run), else its heap top. ok is false when no
-// shard has anything pending — with empty lanes (always true between
-// epochs) that means the simulation is finished or deadlocked.
+// the ring before the first Run), else its queue's earliest instant. ok is
+// false when no shard has anything pending — with empty lanes (always true
+// between epochs) that means the simulation is finished or deadlocked.
 func (k *Kernel) minPending() (Time, bool) {
 	var t Time
 	ok := false
 	for _, sh := range k.shards {
-		var st Time
+		st, pending := sh.queue.peek()
 		if !sh.ring.empty() {
-			st = sh.now
-		} else if len(sh.queue.s) > 0 {
-			st = sh.queue.s[0].t
-		} else {
+			st, pending = sh.now, true
+		}
+		if !pending {
 			continue
 		}
 		if !ok || st < t {

@@ -2,12 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
 
 // entry is one schedulable unit, encoded without pointers so the run ring,
-// the event heap, and every waiter list are memory the GC never has to scan.
+// the event queue, and every waiter list are memory the GC never has to scan.
 // kind selects the dispatch and idx names the target: a slot in the shard's
 // callback table (eFn), hook table (eHook), add table (eAdd), or a process's
 // dense arena index (everything else).
@@ -26,7 +27,7 @@ type entry struct {
 func (e entry) parked() bool { return e.kind != eFn && e.kind != eHook }
 
 // entry kinds. The zero value (eNone) is never scheduled; popping one would
-// indicate ring/heap corruption.
+// indicate ring/queue corruption.
 const (
 	eNone   uint8 = iota
 	eFn           // run callback-table slot idx
@@ -305,8 +306,8 @@ func (k *Kernel) deadlockError() error {
 type runRing struct {
 	buf  []entry
 	head int
-	tail int // one past the last element; buf is full when len == cap-1 slots used
-	n    int
+	tail int // one past the last element (== head when the ring is full)
+	n    int // element count; the ring is full when n == len(buf)
 }
 
 func (r *runRing) empty() bool { return r.n == 0 }
@@ -355,194 +356,166 @@ func (r *runRing) grow() {
 	r.buf, r.head, r.tail = next, 0, r.n
 }
 
-// scheduled is one future timestamp in the event heap: its firing time, the
-// sequence number of the first entry batched at that node (the same-time
-// FIFO tiebreak), and the index of the batch holding the entries themselves.
-// Pointer-free: a megabyte-scale heap of these contributes nothing to a GC
-// mark phase (the batch table's slice spines are the only headers scanned).
-type scheduled struct {
-	t   Time
-	seq int64
-	bi  int32
+// qitem is one pending future entry and the instant it fires at.
+type qitem struct {
+	t Time
+	e entry
 }
 
-// eventHeap is a monomorphic 4-ary min-heap of entry batches ordered by
-// (t, seq). A 4-ary layout halves the tree depth of a binary heap, and the
-// concrete element type avoids the interface boxing and indirect calls of
-// container/heap.
+// radixQueue is the shard's future-event queue: a monotone radix heap
+// (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990) over integer timestamps. It
+// relies on the kernel's monotonicity — no push ever lands at or before the
+// shard clock, which last always equals — so an item {t, e} can live in
+// bucket bits.Len64(t ^ last): every item in bucket i is earlier than every
+// item in bucket j > i. Bucket 0 holds the items at last itself and drains
+// FIFO through head.
 //
-// Entries scheduled at the same instant are batched into one heap node:
-// collective phases wake whole tree levels at one timestamp, so roughly half
-// of all pushes in a full sweep land at the time of an immediately preceding
-// push. Batching turns those pushes into a plain append (no sift-up) and —
-// the real win — pays the pop's full-depth sift-down once per distinct
-// timestamp instead of once per entry, on a heap with proportionally fewer
-// nodes.
+// advance moves last to the minimum of the lowest non-empty bucket (found
+// through mask and the per-bucket min) and redistributes only that bucket;
+// items elsewhere keep their bucket, because the new last agrees with the
+// old one on every bit they differ from it in. So all items at one instant
+// always share a bucket, in push order, through every redistribution, and
+// the drain order is exactly the per-shard (t, seq) FIFO with no sequence
+// numbers stored. Entries are pointer-free, so the GC never scans a bucket.
 //
-// The batch a push may join is tracked by a two-slot (time, batch) cache of
-// the most recently created batches. The cache only ever routes a push to
-// the *newest* batch at its timestamp: a hit appends (monotonically growing
-// seq), and a miss creates a fresh batch that supersedes any older one at
-// that time, whose node then drains first by (t, firstSeq) order. Batch
-// membership therefore never reorders entries — global execution order stays
-// exactly the per-shard (t, seq) FIFO of the unbatched heap — and the cache
-// influences only where entries are stored, never when they run.
-type eventHeap struct {
-	s   []scheduled
-	seq int64
-
-	// pos is the drain cursor into the root's batch: pop returns
-	// buckets[s[0].bi][pos] and removes the root node only once its batch is
-	// exhausted. A push may append to the root's batch mid-drain (it holds
-	// the newest seq and there is no younger batch at that time while the
-	// cache points there), which simply extends the current drain.
-	pos int
-
-	// buckets is the batch table; bfree recycles slots LIFO so a reused
-	// kernel assigns the same slot numbers as a fresh one.
-	buckets [][]entry
-	bfree   []int32
-
-	// The batch cache: up to two distinct (time, batch) pairs, LRU-evicted.
-	// Two slots cover the ping-pong of a transfer-completion time interleaved
-	// with same-instant wakeups that a single slot would thrash on.
-	cacheT   [2]Time
-	cacheB   [2]int32
-	cacheOK  [2]bool
-	cacheLRU uint8
+// The top bucket also takes every item whose bucket index would exceed it:
+// items that differ from last in bit 42 or above, i.e. lie across a 2^42 ps
+// (4.4 s) boundary from it. A redistribution of the top bucket may refile
+// items back into it, which costs time only, never order. Capping the count
+// at qBuckets rather than 64 keeps the queue, which every kernel embeds,
+// small enough that a Kernel stays in the 2 KB allocation size class.
+type radixQueue struct {
+	last Time
+	head int    // drain cursor into b[0]
+	mask uint64 // bit i set iff b[i] is non-empty, for i >= 1
+	b    [qBuckets][]qitem
+	min  [qBuckets]Time // earliest t in b[i]; meaningful only while mask bit i is set
 }
+
+const qBuckets = 44
 
 //bgplint:hot
-func (h *eventHeap) push(t Time, ent entry) {
-	h.seq++
-	if h.cacheOK[0] && h.cacheT[0] == t {
-		bi := h.cacheB[0]
-		h.buckets[bi] = append(h.buckets[bi], ent)
-		h.cacheLRU = 1
-		return
+func (q *radixQueue) push(t Time, e entry) {
+	if t <= q.last {
+		panic(fmt.Sprintf("sim: queue push at %v not after clock %v", t, q.last))
 	}
-	if h.cacheOK[1] && h.cacheT[1] == t {
-		bi := h.cacheB[1]
-		h.buckets[bi] = append(h.buckets[bi], ent)
-		h.cacheLRU = 0
-		return
-	}
-	// New batch at t.
-	var bi int32
-	if n := len(h.bfree); n > 0 {
-		bi = h.bfree[n-1]
-		h.bfree = h.bfree[:n-1]
-		h.buckets[bi] = append(h.buckets[bi][:0], ent)
-	} else {
-		bi = int32(len(h.buckets))
-		//bgplint:allow hotalloc -- one-time bucket-table growth; slots recycle through bfree across Reset, so a warmed kernel never reaches this branch
-		b := make([]entry, 1, 4)
-		b[0] = ent
-		h.buckets = append(h.buckets, b)
-	}
-	v := h.cacheLRU
-	h.cacheT[v], h.cacheB[v], h.cacheOK[v] = t, bi, true
-	h.cacheLRU = 1 - v
-	h.s = append(h.s, scheduled{t: t, seq: h.seq, bi: bi})
-	// Sift up.
-	s := h.s
-	i := len(s) - 1
-	e := s[i]
-	for i > 0 {
-		parent := (i - 1) >> 2
-		p := s[parent]
-		if e.t > p.t || (e.t == p.t && e.seq > p.seq) {
-			break
-		}
-		s[i] = p
-		i = parent
-	}
-	s[i] = e
+	q.put(qitem{t, e})
 }
 
+// pushMail is push for delivered cross-shard mail, which may also land at
+// last itself (see Shard.deliver): such an item joins bucket 0 behind the
+// items already there.
+func (q *radixQueue) pushMail(t Time, e entry) {
+	if t < q.last {
+		panic(fmt.Sprintf("sim: mail delivered at %v before clock %v", t, q.last))
+	}
+	q.put(qitem{t, e})
+}
+
+// put files an item at t >= last into its bucket.
+//
 //bgplint:hot
-func (h *eventHeap) pop() entry {
-	s := h.s
-	bi := s[0].bi
-	b := h.buckets[bi]
-	ent := b[h.pos]
-	if h.pos++; h.pos < len(b) {
-		return ent
+func (q *radixQueue) put(it qitem) {
+	i := min(bits.Len64(uint64(it.t^q.last)), qBuckets-1)
+	q.b[i] = append(q.b[i], it)
+	if i == 0 {
+		return
 	}
-	// Batch exhausted: recycle its slot (dropping it from the cache) and
-	// remove the root node.
-	h.pos = 0
-	h.bfree = append(h.bfree, bi)
-	if h.cacheOK[0] && h.cacheB[0] == bi {
-		h.cacheOK[0] = false
-	}
-	if h.cacheOK[1] && h.cacheB[1] == bi {
-		h.cacheOK[1] = false
-	}
-	n := len(s) - 1
-	e := s[n]
-	h.s = s[:n]
-	if n == 0 {
-		return ent
-	}
-	// Sift down from the root.
-	s = h.s
-	i := 0
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		// Find the smallest of up to four children.
-		min := first
-		m := s[first]
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			x := s[c]
-			if x.t < m.t || (x.t == m.t && x.seq < m.seq) {
-				min, m = c, x
-			}
-		}
-		if e.t < m.t || (e.t == m.t && e.seq < m.seq) {
-			break
-		}
-		s[i] = m
-		i = min
-	}
-	s[i] = e
-	return ent
-}
-
-// reset rewinds the heap for kernel reuse, rebuilding the batch freelist so
-// a reused heap assigns batch slots in the same order a fresh one would.
-func (h *eventHeap) reset() {
-	h.s = h.s[:0]
-	h.seq = 0
-	h.pos = 0
-	h.cacheOK[0], h.cacheOK[1] = false, false
-	h.cacheLRU = 0
-	h.bfree = h.bfree[:0]
-	for i := len(h.buckets) - 1; i >= 0; i-- {
-		h.buckets[i] = h.buckets[i][:0]
-		h.bfree = append(h.bfree, int32(i))
+	if bit := uint64(1) << i; q.mask&bit == 0 {
+		q.mask |= bit
+		q.min[i] = it.t
+	} else if it.t < q.min[i] {
+		q.min[i] = it.t
 	}
 }
 
-// shiftAll moves every pending node (and the batch cache's timestamps) by d:
-// the uniform time shift of a steady-state Forward. Relative order is
-// untouched.
-func (h *eventHeap) shiftAll(d Time) {
-	s := h.s
-	for i := range s {
-		s[i].t += d
+// ready reports whether items at last remain to be popped.
+func (q *radixQueue) ready() bool { return q.head < len(q.b[0]) }
+
+// pop returns the next item at last; the caller checks ready first.
+//
+//bgplint:hot
+func (q *radixQueue) pop() entry {
+	e := q.b[0][q.head].e
+	q.head++
+	return e
+}
+
+// advance moves last to the earliest pending instant if it lies before
+// wend, filling bucket 0 with exactly the items at that instant, and
+// reports whether it did. Otherwise it changes nothing. Bucket 0 must be
+// drained.
+//
+//bgplint:hot
+func (q *radixQueue) advance(wend Time) bool {
+	if q.mask == 0 {
+		return false
 	}
-	if h.cacheOK[0] {
-		h.cacheT[0] += d
+	i := bits.TrailingZeros64(q.mask)
+	if q.min[i] >= wend {
+		return false
 	}
-	if h.cacheOK[1] {
-		h.cacheT[1] += d
+	q.last = q.min[i]
+	q.b[0], q.head = q.b[0][:0], 0
+	// Refiling writes only into lower buckets, or — for the top bucket —
+	// back into b at or behind the item being read.
+	b := q.b[i]
+	q.b[i] = b[:0]
+	q.mask &^= 1 << i
+	for _, it := range b {
+		q.put(it)
+	}
+	return true
+}
+
+// peek returns the earliest pending instant without changing the queue.
+func (q *radixQueue) peek() (Time, bool) {
+	if q.ready() {
+		return q.last, true
+	}
+	if q.mask == 0 {
+		return 0, false
+	}
+	return q.min[bits.TrailingZeros64(q.mask)], true
+}
+
+// pending appends every pending item to dst in bucket order, bucket 0 from
+// its drain cursor. Within one instant the order is the drain order, so a
+// stable sort by t yields the exact (t, seq) sequence.
+func (q *radixQueue) pending(dst []qitem) []qitem {
+	dst = append(dst, q.b[0][q.head:]...)
+	for m := q.mask; m != 0; m &= m - 1 {
+		dst = append(dst, q.b[bits.TrailingZeros64(m)]...)
+	}
+	return dst
+}
+
+// reset empties the queue for kernel reuse, keeping bucket capacity.
+func (q *radixQueue) reset() {
+	for i := range q.b {
+		q.b[i] = q.b[i][:0]
+	}
+	q.last, q.head, q.mask = 0, 0, 0
+}
+
+// shiftAll moves last and every pending item by d > 0: the uniform time
+// shift of a steady-state Forward. Bucket 0 (the items at last) moves as a
+// block; the future buckets are refiled at the new last, bucket by bucket,
+// which keeps each instant's items together and in order.
+func (q *radixQueue) shiftAll(d Time) {
+	for i := q.head; i < len(q.b[0]); i++ {
+		q.b[0][i].t += d
+	}
+	var rest []qitem
+	for m := q.mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		rest = append(rest, q.b[i]...)
+		q.b[i] = q.b[i][:0]
+	}
+	q.mask = 0
+	q.last += d
+	for _, it := range rest {
+		it.t += d
+		q.put(it)
 	}
 }

@@ -119,6 +119,35 @@ func BenchmarkAtMixed(b *testing.B) {
 	}
 }
 
+// BenchmarkAtInterleaved is the future-event traffic of a collective on a
+// large partition: many producers each cycle over several target offsets, so
+// pushes to a handful of distinct pending instants arrive interleaved rather
+// than grouped by instant. The producers start out of phase and realign
+// every cycle, so every pending instant collects pushes from many of them.
+func BenchmarkAtInterleaved(b *testing.B) {
+	const producers = 4096
+	offsets := [...]Time{10 * Nanosecond, 17 * Nanosecond, 23 * Nanosecond, 40 * Nanosecond}
+	k := New()
+	left := b.N
+	b.ReportAllocs()
+	for p := 0; p < producers; p++ {
+		i := p
+		var step func()
+		step = func() {
+			if left <= 0 {
+				return
+			}
+			left--
+			k.After(offsets[i%len(offsets)], step)
+			i++
+		}
+		k.At(0, step)
+	}
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkEventFire measures one-shot event fan-out: W waiters parked on an
 // event, released by a single Fire.
 func BenchmarkEventFire(b *testing.B) {

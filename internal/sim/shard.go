@@ -2,7 +2,7 @@
 // conservative epochs.
 //
 // A Shard owns everything the serial kernel used to own globally: the clock,
-// the 4-ary event heap, the same-instant run ring, the callback/add/hook
+// the radix event queue, the same-instant run ring, the callback/add/hook
 // entry tables, the process registry, and an arena. Every Event, Counter,
 // Pipe, and Proc belongs to exactly one shard, and all of a shard's entries
 // execute under a single virtual-CPU token, so intra-shard code is exactly
@@ -46,7 +46,7 @@ type Shard struct {
 	// instead of advancing to an entry at or beyond it. maxWindow outside
 	// sharded runs.
 	wend  Time
-	queue eventHeap
+	queue radixQueue
 	ring  runRing
 
 	// sched returns the virtual CPU to the shard's scheduler loop. Whichever
@@ -374,17 +374,17 @@ func (sh *Shard) wake(w entry) {
 //bgplint:hot
 func (sh *Shard) next() *Proc {
 	for sh.failure == nil {
-		// Heap entries at the current instant predate (in seq order) every
+		// Queue entries at the current instant predate (in seq order) every
 		// ring entry, so they run first; otherwise the FIFO ring drains
-		// before the clock may advance to the heap's next timestamp — and
+		// before the clock may advance to the queue's next instant — and
 		// never to or past the window bound.
 		var e entry
-		if n := len(sh.queue.s); n > 0 && sh.queue.s[0].t <= sh.now {
+		if sh.queue.ready() {
 			e = sh.queue.pop()
 		} else if !sh.ring.empty() {
 			e = sh.ring.pop()
-		} else if len(sh.queue.s) > 0 && sh.queue.s[0].t < sh.wend {
-			sh.now = sh.queue.s[0].t
+		} else if sh.queue.advance(sh.wend) {
+			sh.now = sh.queue.last
 			e = sh.queue.pop()
 		} else {
 			break
@@ -444,7 +444,7 @@ func (sh *Shard) fail(err error) {
 }
 
 // runWindow executes the shard's entries strictly before bound under the
-// caller's goroutine: the exact loop the serial kernel runs, with the heap
+// caller's goroutine: the exact loop the serial kernel runs, with the queue
 // stopping at the window edge. The shard's ring is empty and its clock is
 // below bound when runWindow returns (unless the run failed).
 func (sh *Shard) runWindow(bound Time) {

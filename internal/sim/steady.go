@@ -11,7 +11,7 @@ package sim
 // The mechanism is a canonical fingerprint of the kernel's observable state,
 // taken at a caller-chosen iteration boundary (the measure loop's
 // barrier-release instant). The fingerprint is a byte stream over everything
-// that can influence future execution — pending ring and heap entries,
+// that can influence future execution — pending ring and queue entries,
 // parked processes and their waits and plans, event and counter waiter
 // lists, live pipe reservations, plus caller-supplied layer state — with
 // every virtual time encoded relative to the boundary instant, so two
@@ -20,7 +20,7 @@ package sim
 // first-appearance order, so per-iteration objects at different slab slots
 // compare equal when their contents do. State that is *not* observable in a
 // clean run is deliberately excluded: arena carve counts, free-list stacks,
-// table lengths, the heap's tie-break sequence counter, and names are all
+// table lengths, queue bucket placement, and names are all
 // invisible to simulation code, and hashing them would make warmup churn
 // (which permanently grows tables) look like perpetual change.
 //
@@ -31,7 +31,7 @@ package sim
 // including reaching boundary k+p in the same state shifted by another Δ.
 // Therefore the remaining iterations repeat that p-iteration cycle, and
 // Forward may apply the shift `whole-periods × Δ` at once: advance the
-// clock, shift every pending heap entry and live pipe reservation, and
+// clock, shift every pending queue entry and live pipe reservation, and
 // replay each registered monotone accumulator (per-iteration elapsed sums,
 // syscall counters, pipe statistics) by `whole-periods × its per-period
 // delta`. The in-flight iterations — fewer than one period — then execute
@@ -46,9 +46,10 @@ package sim
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -101,7 +102,7 @@ type fpIntern struct {
 	gen    uint64
 	nextID uint32
 
-	scratch   []scheduled
+	scratch   []qitem
 	laneDelta []int64
 }
 
@@ -386,7 +387,7 @@ func (f *FP) entryCanon(sh *Shard, e entry) {
 }
 
 // steadyWalk hashes the kernel's observable scheduling state: pending ring
-// entries in FIFO order, pending heap entries in (time, seq) order with
+// entries in FIFO order, pending queue entries in (time, seq) order with
 // boundary-relative times, every registered process, and the machine's base
 // pipes. Sharded kernels, failed shards and in-flight fused resumes refuse.
 func (k *Kernel) steadyWalk(f *FP) {
@@ -418,38 +419,19 @@ func (k *Kernel) steadyWalk(f *FP) {
 		}
 	}
 
-	f.in.scratch = append(f.in.scratch[:0], sh.queue.s...)
-	sort.Slice(f.in.scratch, func(i, j int) bool {
-		a, b := &f.in.scratch[i], &f.in.scratch[j]
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		return a.seq < b.seq
-	})
-	// Expand each node's batch in (t, seq) order, which is the heap's exact
-	// drain order, so the stream is independent of how entries happen to be
-	// grouped into batches. The root node may be mid-drain (the boundary
-	// callback itself came out of it): its already-consumed prefix is gone
-	// from the observable state and is skipped. The root is the heap minimum,
-	// so after sorting it is scratch[0].
-	skip := sh.queue.pos
-	total := -skip
-	for i := range f.in.scratch {
-		total += len(sh.queue.buckets[f.in.scratch[i].bi])
-	}
-	f.raw8(uint64(total))
-	for i := range f.in.scratch {
-		sc := &f.in.scratch[i]
-		b := sh.queue.buckets[sc.bi]
-		if i == 0 {
-			b = b[skip:]
-		}
-		for _, ent := range b {
-			f.Time(sc.t)
-			f.entryCanon(sh, ent)
-			if f.refused {
-				return
-			}
+	// Stable-sorting the pending items by time yields the queue's exact
+	// drain order (each instant's items share a bucket in seq order), so the
+	// stream is independent of how items happen to be bucketed. Bucket 0 may
+	// be mid-drain (the boundary callback itself came out of it): its
+	// consumed prefix is gone from the observable state and is not listed.
+	f.in.scratch = sh.queue.pending(f.in.scratch[:0])
+	slices.SortStableFunc(f.in.scratch, func(a, b qitem) int { return cmp.Compare(a.t, b.t) })
+	f.raw8(uint64(len(f.in.scratch)))
+	for _, it := range f.in.scratch {
+		f.Time(it.t)
+		f.entryCanon(sh, it.e)
+		if f.refused {
+			return
 		}
 	}
 
@@ -633,7 +615,7 @@ func (s *Steady) Delta() Time { return s.delta }
 func (s *Steady) Period() int { return s.period }
 
 // Forward extrapolates reps whole periods after a successful Capture: the
-// clock, every pending heap entry and every live pipe reservation advance by
+// clock, every pending queue entry and every live pipe reservation advance by
 // reps × Delta, and every monotone accumulator registered by the walk grows
 // by reps × its per-period delta. The caller's in-flight iterations — fewer
 // than one period of them — then execute live, landing the run in the exact
