@@ -214,19 +214,9 @@ func MeasureBcastRun(cfg hw.Config, algo string, msg, iters int, mode RunMode) (
 	w.M.K.SetNoProgram(mode.Reference || !mpi.HasProgBcast(algo))
 	w.M.K.SetNoShard(mode.NoShard)
 	w.M.K.SetNoExtrap(mode.NoExtrap)
-	ext := newExtrapolator(w, iters, mode.NoExtrap)
-	worsts := make([]sim.Time, w.M.K.ShardCount())
-	loops := make([]measureLoop, w.Size())
-	_, err = w.RunProgram(func(r *mpi.Rank) {
-		l := &loops[r.Rank()]
-		l.r, l.buf, l.iters, l.worst = r, r.NewBuf(msg), iters, &worsts[r.Shard().ID()]
-		l.afterBarrierFn = l.bcastAfterBarrier
-		l.afterOpFn = l.afterOp
-		ext.attach(l)
-		l.iter()
-	})
+	worst, err := runMeasure(w, opBcast, msg, iters, mode.NoExtrap)
 	releaseWorld(cfg, w, err)
-	return maxTime(worsts), err
+	return worst, err
 }
 
 // maxTime folds per-shard worst-rank slots into the global worst. Each slot
@@ -242,16 +232,26 @@ func maxTime(ts []sim.Time) sim.Time {
 	return worst
 }
 
+// measureOp is the collective a measure loop times.
+type measureOp uint8
+
+const (
+	opBcast     measureOp = iota // BcastThen of buf from rank 0
+	opAllreduce                  // AllreduceSumThen of send into recv
+	opBarrier                    // BarrierThen itself
+)
+
 // measureLoop is the Fig. 5 micro-benchmark loop (barrier; time one
 // collective; repeat) as a state machine: its continuations are method
-// values bound once per rank, where the closure form allocated two per
+// values bound once per slot, where the closure form allocated two per
 // iteration per rank — the dominant bench-side entry in the sweep
-// allocation profile. Loops are carved from one per-measurement slab
-// (indexed by rank) rather than allocated individually: at rack scale a
-// million tiny pointer-bearing objects per measurement is real GC mark and
-// sweep work.
+// allocation profile. Loops live in one per-world slab (measureLoops),
+// indexed by rank: at rack scale a million tiny pointer-bearing objects per
+// measurement is real GC mark and sweep work, and a pooled world re-arms the
+// slab it already has.
 type measureLoop struct {
 	r          *mpi.Rank
+	op         measureOp
 	buf        data.Buf // bcast payload
 	send, recv data.Buf // allreduce operands
 	iters      int
@@ -265,6 +265,63 @@ type measureLoop struct {
 	afterOpFn      func()
 }
 
+// measureKey names the measure-loop slab on every world.
+var measureKey = mpi.NewScratchKey("bench.measure")
+
+// measureSlab is a world's measure loops, one per rank.
+type measureSlab struct{ loops []measureLoop }
+
+func newMeasureSlab() any { return &measureSlab{} }
+
+// measureLoops returns w's measure-loop slab sized to its ranks. The slab
+// only grows, like the world's rank slab, so a pooled world moving between
+// partitions keeps its bound loops. It runs before Run, on the goroutine
+// driving w, so sharded worlds are safe too.
+func measureLoops(w *mpi.World) []measureLoop {
+	s := w.Scratch(measureKey, newMeasureSlab).(*measureSlab)
+	if len(s.loops) < w.Size() {
+		s.loops = make([]measureLoop, w.Size())
+	}
+	return s.loops[:w.Size()]
+}
+
+// runMeasure runs the Fig. 5 loop timing op on every rank of w, with
+// bytes-sized operands, and returns the slowest rank's average.
+func runMeasure(w *mpi.World, op measureOp, bytes, iters int, noExtrap bool) (sim.Time, error) {
+	ext := newExtrapolator(w, iters, noExtrap)
+	worsts := make([]sim.Time, w.M.K.ShardCount())
+	loops := measureLoops(w)
+	_, err := w.RunProgram(func(r *mpi.Rank) {
+		l := &loops[r.Rank()]
+		l.arm(r, op, iters, &worsts[r.Shard().ID()])
+		switch op {
+		case opBcast:
+			l.buf = r.NewBuf(bytes)
+		case opAllreduce:
+			l.send, l.recv = r.NewBuf(bytes), r.NewBuf(bytes)
+		}
+		ext.attach(l)
+		l.iter()
+	})
+	return maxTime(worsts), err
+}
+
+// arm resets a slab slot for one measurement, binding its continuations on
+// the slot's first use.
+func (l *measureLoop) arm(r *mpi.Rank, op measureOp, iters int, worst *sim.Time) {
+	if l.afterBarrierFn == nil {
+		l.afterBarrierFn, l.afterOpFn = l.afterBarrier, l.afterOp
+	}
+	*l = measureLoop{
+		r: r, op: op, iters: iters, worst: worst,
+		afterBarrierFn: l.afterBarrierFn, afterOpFn: l.afterOpFn,
+	}
+}
+
+// iter starts the next iteration, or folds the average into the shard's
+// worst once all are done (dropping the operands, which the slab would
+// otherwise keep alive until the next measurement).
+//
 //bgplint:hot
 func (l *measureLoop) iter() {
 	if l.i == l.iters {
@@ -272,40 +329,30 @@ func (l *measureLoop) iter() {
 		if avg > *l.worst {
 			*l.worst = avg
 		}
+		l.buf, l.send, l.recv = data.Buf{}, data.Buf{}, data.Buf{}
 		return
 	}
 	l.r.BarrierThen(l.afterBarrierFn)
 }
 
-// The after-barrier continuations consult the extrapolator before reading
-// the clock: the boundary hook may fast-forward virtual time, in which case
-// this iteration proceeds live as the final one.
-
+// afterBarrier consults the extrapolator before reading the clock: the
+// boundary hook may fast-forward virtual time, in which case this iteration
+// proceeds live as the final one.
+//
 //bgplint:hot
-func (l *measureLoop) bcastAfterBarrier() {
+func (l *measureLoop) afterBarrier() {
 	if l.ext != nil {
 		l.ext.boundary()
 	}
 	l.start = l.r.Now()
-	l.r.BcastThen(l.buf, 0, l.afterOpFn)
-}
-
-//bgplint:hot
-func (l *measureLoop) barrierAfterBarrier() {
-	if l.ext != nil {
-		l.ext.boundary()
+	switch l.op {
+	case opBcast:
+		l.r.BcastThen(l.buf, 0, l.afterOpFn)
+	case opAllreduce:
+		l.r.AllreduceSumThen(l.send, l.recv, l.afterOpFn)
+	default:
+		l.r.BarrierThen(l.afterOpFn)
 	}
-	l.start = l.r.Now()
-	l.r.BarrierThen(l.afterOpFn)
-}
-
-//bgplint:hot
-func (l *measureLoop) allreduceAfterBarrier() {
-	if l.ext != nil {
-		l.ext.boundary()
-	}
-	l.start = l.r.Now()
-	l.r.AllreduceSumThen(l.send, l.recv, l.afterOpFn)
 }
 
 //bgplint:hot
@@ -337,20 +384,9 @@ func MeasureAllreduceRun(cfg hw.Config, algo string, doubles, iters int, mode Ru
 	w.M.K.SetNoProgram(mode.Reference || !mpi.HasProgAllreduce(algo))
 	w.M.K.SetNoShard(mode.NoShard)
 	w.M.K.SetNoExtrap(mode.NoExtrap)
-	ext := newExtrapolator(w, iters, mode.NoExtrap)
-	bytes := doubles * data.Float64Len
-	worsts := make([]sim.Time, w.M.K.ShardCount())
-	loops := make([]measureLoop, w.Size())
-	_, err = w.RunProgram(func(r *mpi.Rank) {
-		l := &loops[r.Rank()]
-		l.r, l.send, l.recv, l.iters, l.worst = r, r.NewBuf(bytes), r.NewBuf(bytes), iters, &worsts[r.Shard().ID()]
-		l.afterBarrierFn = l.allreduceAfterBarrier
-		l.afterOpFn = l.afterOp
-		ext.attach(l)
-		l.iter()
-	})
+	worst, err := runMeasure(w, opAllreduce, doubles*data.Float64Len, iters, mode.NoExtrap)
 	releaseWorld(cfg, w, err)
-	return maxTime(worsts), err
+	return worst, err
 }
 
 // BandwidthMBs converts a message size and per-operation time to the

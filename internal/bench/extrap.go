@@ -50,7 +50,7 @@ func newExtrapolator(w *mpi.World, iters int, noExtrap bool) *extrapolator {
 	if noExtrap || iters < 4 || w.M.K.Sharded() || w.M.Trace != nil {
 		return nil
 	}
-	x := &extrapolator{iters: iters}
+	x := &extrapolator{iters: iters, loops: make([]*measureLoop, 0, w.Size())}
 	x.det = sim.NewSteady(w.M.K, func(f *sim.FP) {
 		w.SteadyState(f)
 		f.I64(int64(len(x.loops)))

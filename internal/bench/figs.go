@@ -70,18 +70,7 @@ func measureBcastOn(w *mpi.World, algo string, msg, iters int, mode RunMode) (si
 	w.Tunables.Bcast = algo
 	w.M.K.SetNoProgram(mode.Reference || !mpi.HasProgBcast(algo))
 	w.M.K.SetNoExtrap(mode.NoExtrap)
-	ext := newExtrapolator(w, iters, mode.NoExtrap)
-	worsts := make([]sim.Time, w.M.K.ShardCount())
-	loops := make([]measureLoop, w.Size())
-	_, err := w.RunProgram(func(r *mpi.Rank) {
-		l := &loops[r.Rank()]
-		l.r, l.buf, l.iters, l.worst = r, r.NewBuf(msg), iters, &worsts[r.Shard().ID()]
-		l.afterBarrierFn = l.bcastAfterBarrier
-		l.afterOpFn = l.afterOp
-		ext.attach(l)
-		l.iter()
-	})
-	return maxTime(worsts), err
+	return runMeasure(w, opBcast, msg, iters, mode.NoExtrap)
 }
 
 // measureBarrierOn runs the loop with MPI_Barrier itself as the timed
@@ -91,18 +80,7 @@ func measureBcastOn(w *mpi.World, algo string, msg, iters int, mode RunMode) (si
 func measureBarrierOn(w *mpi.World, iters int, mode RunMode) (sim.Time, error) {
 	w.M.K.SetNoProgram(mode.Reference)
 	w.M.K.SetNoExtrap(mode.NoExtrap)
-	ext := newExtrapolator(w, iters, mode.NoExtrap)
-	worsts := make([]sim.Time, w.M.K.ShardCount())
-	loops := make([]measureLoop, w.Size())
-	_, err := w.RunProgram(func(r *mpi.Rank) {
-		l := &loops[r.Rank()]
-		l.r, l.iters, l.worst = r, iters, &worsts[r.Shard().ID()]
-		l.afterBarrierFn = l.barrierAfterBarrier
-		l.afterOpFn = l.afterOp
-		ext.attach(l)
-		l.iter()
-	})
-	return maxTime(worsts), err
+	return runMeasure(w, opBarrier, 0, iters, mode.NoExtrap)
 }
 
 // scaleCell is everything figS reports about one partition size.

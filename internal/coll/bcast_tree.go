@@ -1,9 +1,9 @@
 package coll
 
 import (
-	"fmt"
-
+	"bgpcoll/internal/cnk"
 	"bgpcoll/internal/data"
+	"bgpcoll/internal/dma"
 	"bgpcoll/internal/hw"
 	"bgpcoll/internal/mpi"
 	"bgpcoll/internal/sim"
@@ -11,12 +11,21 @@ import (
 )
 
 // The collective-network broadcasts below are written in explicit-resume
-// (program) style: every loop is a recursive continuation closure and every
-// blocking primitive is its *Then form, so a rank running them needs no
-// goroutine. The same bodies ARE the blocking algorithms — on a
-// goroutine-backed rank each *Then operation blocks and calls its
-// continuation synchronously — so there is exactly one transcription of each
-// protocol (see sim/program.go and DESIGN.md §11).
+// (program) style: every blocking primitive is its *Then form, so a rank
+// running them needs no goroutine. The same bodies ARE the blocking
+// algorithms — on a goroutine-backed rank each *Then operation blocks and
+// calls its continuation synchronously — so there is exactly one
+// transcription of each protocol (see sim/program.go and DESIGN.md §11).
+//
+// They are also allocation-free in steady use (DESIGN.md §17). On a
+// single-shard world the per-call shared state is recycled through a
+// per-world free list and every rank's drivers — the chunk loops, the
+// master's reception step, the finish step — live in per-world role slabs
+// whose continuations are method values bound once per slot. The
+// registration sequence (which *Then runs, in what order, with what plan
+// contents) is the same one the per-call closures produced, so virtual times
+// are bit-for-bit unchanged. A sharded world keeps the per-call path: its
+// ranks run on parallel shard workers, which must not share the slabs.
 
 // injectWindow bounds how many chunks an injecting core may run ahead of
 // delivery, modeling the collective network's limited buffering.
@@ -32,101 +41,192 @@ const injectWindow = 4
 // reach i+1. The wait/inject helpers below hide the difference from the
 // chunk loops, and the single-shard branch of each is byte-for-byte the
 // pre-sharding protocol.
+//
+// A classic-world state is recycled: once every rank has released it, it
+// joins its world's free list and the next broadcast re-arms it. Its plain
+// Go arrays keep their capacity; its sim handles (counters, op events) are
+// carved afresh by every arm, so Kernel.Reset's epoch stamps police them
+// exactly as they police a freshly built state.
 type treeBcastState struct {
+	sc   *treeScratch // owning world scratch; nil for a sharded node state
+	seq  int64
+	root int
+	refs int // ranks that have not released the state yet (classic worlds)
+	ppn  int
+
 	src    data.Buf
 	spans  []hw.Span
-	ops    []*tree.Op   // single-shard: per-chunk combines
+	touch  []sim.Time   // per span: the core's packet-touch time, either way
+	ops    []tree.Op    // single-shard: per-chunk combines
 	stream *tree.Stream // sharded: this node's hub stream (nil otherwise)
 	base   int          // node id of slot 0 in the per-node arrays
 
 	sw    []*sim.Counter // per node: bytes received by the reception core
 	done  []*sim.Counter // per node: peers finished
 	fill  []*sim.Counter // per node: bytes copied into the injector's buffer
-	peer  [][]*sim.Counter
-	rxBuf []data.Buf // per node: reception rank's buffer (window keys)
-	r0Buf []data.Buf // per node: injector rank's buffer (window keys)
+	peer  []*sim.Counter // per node, per local rank (node-major; slot 0 unused)
+	rxBuf []data.Buf     // per node: reception rank's buffer (window keys)
+	r0Buf []data.Buf     // per node: injector rank's buffer (window keys)
 }
 
 const treeBcastKind = "bcast.tree"
 
-func getTreeBcastState(r *mpi.Rank, seq int64, total int) *treeBcastState {
-	if r.Sharded() {
-		return r.NodeShared(seq, treeBcastKind, func() any {
-			return newTreeBcastNodeState(r, seq, total)
-		}).(*treeBcastState)
+// fit returns s resized to n elements, reusing its backing array when it is
+// large enough. Callers overwrite every element they read.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return r.WorldShared(seq, treeBcastKind, func() any {
-		m := r.Machine()
-		nodes := m.Geom.Nodes()
-		ppn := r.LocalSize()
-		spans := m.Cfg.Params.Chunks(total)
-		st := &treeBcastState{
-			spans: spans,
-			ops:   make([]*tree.Op, len(spans)),
-			sw:    make([]*sim.Counter, nodes),
-			done:  make([]*sim.Counter, nodes),
-			fill:  make([]*sim.Counter, nodes),
-			peer:  make([][]*sim.Counter, nodes),
-			rxBuf: make([]data.Buf, nodes),
-			r0Buf: make([]data.Buf, nodes),
+	return s[:n]
+}
+
+// setSpans chunks a total-byte payload and tabulates each chunk's
+// packet-touch time once, instead of once per chunk per rank.
+func (st *treeBcastState) setSpans(r *mpi.Rank, total int) {
+	m := r.Machine()
+	st.spans = m.Cfg.Params.AppendChunks(st.spans[:0], total)
+	st.touch = fit(st.touch, len(st.spans))
+	for i, s := range st.spans {
+		st.touch[i] = m.Tree.TouchTime(s.Len)
+	}
+}
+
+// arm (re)initializes a classic-world state for broadcast seq: every field
+// is overwritten, and the counters and ops are carved in the order the
+// per-call constructor always used (ops by chunk, then per node sw, done,
+// fill and the peers), so names and arena slots match a fresh world's.
+func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int) {
+	m := r.Machine()
+	sh := m.K.RootShard()
+	nodes := m.Geom.Nodes()
+	ppn := r.LocalSize()
+	st.seq, st.root, st.refs, st.ppn = seq, root, r.Size(), ppn
+	st.src, st.stream, st.base = data.Buf{}, nil, 0
+	st.setSpans(r, total)
+	st.ops = fit(st.ops, len(st.spans))
+	for i, s := range st.spans {
+		m.Tree.InitOp(&st.ops[i], s.Len)
+	}
+	st.sw = fit(st.sw, nodes)
+	st.done = fit(st.done, nodes)
+	st.fill = fit(st.fill, nodes)
+	st.peer = fit(st.peer, nodes*ppn)
+	st.rxBuf = fit(st.rxBuf, nodes)
+	st.r0Buf = fit(st.r0Buf, nodes)
+	clear(st.rxBuf)
+	clear(st.r0Buf)
+	for n := 0; n < nodes; n++ {
+		st.sw[n] = sh.NewCounterf("treebc%d.sw%d", int32(seq), int32(n))
+		st.done[n] = sh.NewCounter("done")
+		st.fill[n] = sh.NewCounter("fill")
+		for p := 1; p < ppn; p++ {
+			st.peer[n*ppn+p] = sh.NewCounter("peer")
 		}
-		for i, s := range spans {
-			st.ops[i] = m.Tree.NewOp(s.Len)
-		}
-		for n := 0; n < nodes; n++ {
-			st.sw[n] = m.K.NewCounter(fmt.Sprintf("treebc%d.sw%d", seq, n))
-			st.done[n] = m.K.NewCounter("done")
-			st.fill[n] = m.K.NewCounter("fill")
-			st.peer[n] = make([]*sim.Counter, ppn)
-			for p := 1; p < ppn; p++ {
-				st.peer[n][p] = m.K.NewCounter("peer")
-			}
-		}
-		return st
-	}).(*treeBcastState)
+	}
 }
 
 // newTreeBcastNodeState builds one node's share of a sharded broadcast:
 // every counter on the node's own shard, and a hub stream in place of the
 // combine ops.
-func newTreeBcastNodeState(r *mpi.Rank, seq int64, total int) *treeBcastState {
+func newTreeBcastNodeState(r *mpi.Rank, seq int64, root, total int) *treeBcastState {
 	m := r.Machine()
 	sh := r.Shard()
 	node := r.NodeID()
 	ppn := r.LocalSize()
-	spans := m.Cfg.Params.Chunks(total)
 	st := &treeBcastState{
-		spans:  spans,
-		stream: m.Tree.NewStream(sh, seq, len(spans)),
-		base:   node,
-		sw:     make([]*sim.Counter, 1),
-		done:   make([]*sim.Counter, 1),
-		fill:   make([]*sim.Counter, 1),
-		peer:   make([][]*sim.Counter, 1),
-		rxBuf:  make([]data.Buf, 1),
-		r0Buf:  make([]data.Buf, 1),
+		seq:   seq,
+		root:  root,
+		ppn:   ppn,
+		base:  node,
+		sw:    make([]*sim.Counter, 1),
+		done:  make([]*sim.Counter, 1),
+		fill:  make([]*sim.Counter, 1),
+		peer:  make([]*sim.Counter, ppn),
+		rxBuf: make([]data.Buf, 1),
+		r0Buf: make([]data.Buf, 1),
 	}
-	st.sw[0] = sh.NewCounter(fmt.Sprintf("treebc%d.sw%d", seq, node))
+	st.setSpans(r, total)
+	st.stream = m.Tree.NewStream(sh, seq, len(st.spans))
+	st.sw[0] = sh.NewCounterf("treebc%d.sw%d", int32(seq), int32(node))
 	st.done[0] = sh.NewCounter("done")
 	st.fill[0] = sh.NewCounter("fill")
-	st.peer[0] = make([]*sim.Counter, ppn)
 	for p := 1; p < ppn; p++ {
-		st.peer[0][p] = sh.NewCounter("peer")
+		st.peer[p] = sh.NewCounter("peer")
 	}
 	return st
+}
+
+// acquireTreeBcast returns the shared state of broadcast seq, arming it on
+// the first rank to arrive: from the world scratch's in-flight list or free
+// list on a classic world, from the node-shared registry on a sharded one.
+// In-flight broadcasts are few — a rank can run ahead into the next
+// broadcast only while slower ranks finish this one — so a linear scan by
+// seq finds the state.
+func acquireTreeBcast(r *mpi.Rank, sc *treeScratch, seq int64, root, total int) *treeBcastState {
+	if sc == nil {
+		return r.NodeShared(seq, treeBcastKind, func() any {
+			return newTreeBcastNodeState(r, seq, root, total)
+		}).(*treeBcastState)
+	}
+	for _, st := range sc.live {
+		if st.seq == seq {
+			return st
+		}
+	}
+	var st *treeBcastState
+	if n := len(sc.free); n > 0 {
+		st = sc.free[n-1]
+		sc.free = sc.free[:n-1]
+	} else {
+		st = &treeBcastState{sc: sc}
+	}
+	st.arm(r, seq, root, total)
+	sc.live = append(sc.live, st)
+	return st
+}
+
+// release drops r's reference (the position the blocking form's defer ran
+// at). The last release on a classic world returns the state to the free
+// list; on a sharded world the node-shared registry reclaims it.
+func (st *treeBcastState) release(r *mpi.Rank) {
+	sc := st.sc
+	if sc == nil {
+		r.ReleaseNodeShared(st.seq, treeBcastKind)
+		return
+	}
+	st.refs--
+	if st.refs > 0 {
+		return
+	}
+	for i, s := range sc.live {
+		if s == st {
+			last := len(sc.live) - 1
+			sc.live[i] = sc.live[last]
+			sc.live[last] = nil
+			sc.live = sc.live[:last]
+			break
+		}
+	}
+	st.src = data.Buf{} // the payload belongs to the caller, not the free list
+	sc.free = append(sc.free, st)
 }
 
 // Per-node accessors: slot n-base, so single-shard code indexes the full
 // arrays while sharded code reaches its node's only slot — and indexing any
 // other node's slot (a cross-shard bug) panics out of range.
-func (st *treeBcastState) swAt(n int) *sim.Counter      { return st.sw[n-st.base] }
-func (st *treeBcastState) doneAt(n int) *sim.Counter    { return st.done[n-st.base] }
-func (st *treeBcastState) fillAt(n int) *sim.Counter    { return st.fill[n-st.base] }
-func (st *treeBcastState) peerAt(n int) []*sim.Counter  { return st.peer[n-st.base] }
-func (st *treeBcastState) rxBufAt(n int) data.Buf       { return st.rxBuf[n-st.base] }
-func (st *treeBcastState) setRxBuf(n int, b data.Buf)   { st.rxBuf[n-st.base] = b }
-func (st *treeBcastState) r0BufAt(n int) data.Buf       { return st.r0Buf[n-st.base] }
-func (st *treeBcastState) setR0Buf(n int, b data.Buf)   { st.r0Buf[n-st.base] = b }
+func (st *treeBcastState) swAt(n int) *sim.Counter    { return st.sw[n-st.base] }
+func (st *treeBcastState) doneAt(n int) *sim.Counter  { return st.done[n-st.base] }
+func (st *treeBcastState) fillAt(n int) *sim.Counter  { return st.fill[n-st.base] }
+func (st *treeBcastState) rxBufAt(n int) data.Buf     { return st.rxBuf[n-st.base] }
+func (st *treeBcastState) setRxBuf(n int, b data.Buf) { st.rxBuf[n-st.base] = b }
+func (st *treeBcastState) r0BufAt(n int) data.Buf     { return st.r0Buf[n-st.base] }
+func (st *treeBcastState) setR0Buf(n int, b data.Buf) { st.r0Buf[n-st.base] = b }
+
+// peersAt returns node n's per-local-rank peer counters (slot 0 unused).
+func (st *treeBcastState) peersAt(n int) []*sim.Counter {
+	i := (n - st.base) * st.ppn
+	return st.peer[i : i+st.ppn]
+}
 
 // inject records the calling node's contribution to chunk i at the current
 // instant.
@@ -163,33 +263,189 @@ func (st *treeBcastState) waitDelivered(p *sim.Proc, i int, pl *sim.Plan, cont f
 	p.WaitPlanThen(st.ops[i].Delivered(), pl, cont)
 }
 
-// treeFinish builds the completion continuation every tree broadcast ends
-// with: install the payload on non-root ranks, release the shared state (the
-// position the blocking form's defer ran at), then continue. On a sharded
-// world the payload install is vacuous (phantom buffers; st.src is set only
-// on the root's node) and the release is node-scoped.
-func treeFinish(r *mpi.Rank, st *treeBcastState, seq int64, buf data.Buf, root int, done func()) func() {
-	return func() {
-		if r.Rank() != root {
-			installPayload(buf, st.src)
-		}
-		if r.Sharded() {
-			r.ReleaseNodeShared(seq, treeBcastKind)
-		} else {
-			r.ReleaseWorldShared(seq, treeBcastKind)
-		}
-		done()
+// treeScratchKey names the tree broadcasts' per-world scratch.
+var treeScratchKey = mpi.NewScratchKey("coll.tree")
+
+// treeScratch is what the tree broadcasts keep on a single-shard world
+// across calls: the in-flight and released broadcast states, and one dense
+// slab per driver role. A role slab is indexed by node when each node has
+// one such driver and by rank otherwise, and only the roles an algorithm
+// uses are ever grown, so a 2^20-rank shaddr sweep pays for its four roles
+// and nothing else. Every slot is driven by one fixed rank (or that rank's
+// helper thread), whose broadcasts run one after another, so a slot is
+// never re-armed while it still runs. Slabs only grow, like the world's rank
+// slab: a pooled world moving between partitions keeps its bound slots, and
+// a slab is replaced only by the first call of a run on a larger partition,
+// when none of its slots is running.
+type treeScratch struct {
+	live []*treeBcastState // armed, not yet released by every rank
+	free []*treeBcastState // released, awaiting re-arm
+
+	finish    []treeFinisher   // by rank: every algorithm's completion step
+	pump      []masterPump     // by node: shmem and DMA masters
+	shmemPeer []peerCopyLoop   // by rank: shmem peers
+	dmaPeer   []dmaPeerLoop    // by rank: DMA peers
+	smp       []smpRank        // by node: SMP ranks and their helper threads
+	injector  []shaddrInjector // by node: shaddr local rank 0
+	receiver  []recvLoop       // by node: shaddr local rank 1, quad mode
+	dualRecv  []dualRecvLoop   // by node: shaddr local rank 1, dual mode
+	copier    []shaddrCopyLoop // by node: shaddr local rank 2
+	copyPeer  []shaddrPeer     // by node: shaddr local rank 3
+}
+
+func newTreeScratch() any { return &treeScratch{} }
+
+// SteadyState implements sim.Hasher for the world fingerprint: a broadcast
+// in flight at an iteration boundary refuses the capture, as its registry
+// entry did before states were recycled. Idle capacity hashes nothing.
+func (sc *treeScratch) SteadyState(f *sim.FP) {
+	if len(sc.live) > 0 {
+		f.Refuse("tree broadcast in flight")
 	}
 }
 
+// treeScratchOf returns r's world's tree scratch, or nil on a sharded world,
+// whose parallel shard workers must not share it.
+func treeScratchOf(r *mpi.Rank) *treeScratch {
+	if r.Sharded() {
+		return nil
+	}
+	return r.World().Scratch(treeScratchKey, newTreeScratch).(*treeScratch)
+}
+
+// slot returns element i of a role slab sized for a partition of n drivers,
+// first growing the slab to n elements when it is shorter. n is fixed for a
+// run, so only a run's first call can grow a slab. A grown slab starts
+// unbound; the old one is dropped whole (see treeScratch).
+func slot[T any](slab *[]T, i, n int) *T {
+	if len(*slab) < n {
+		*slab = make([]T, n)
+	}
+	return &(*slab)[i]
+}
+
+// The role accessors below return r's driver slot, or a fresh driver on a
+// sharded world (nil scratch).
+
+func (sc *treeScratch) finisherOf(r *mpi.Rank) *treeFinisher {
+	if sc == nil {
+		return new(treeFinisher)
+	}
+	return slot(&sc.finish, r.Rank(), r.Size())
+}
+
+func (sc *treeScratch) pumpOf(r *mpi.Rank) *masterPump {
+	if sc == nil {
+		return new(masterPump)
+	}
+	return slot(&sc.pump, r.NodeID(), r.Machine().Geom.Nodes())
+}
+
+func (sc *treeScratch) shmemPeerOf(r *mpi.Rank) *peerCopyLoop {
+	if sc == nil {
+		return new(peerCopyLoop)
+	}
+	return slot(&sc.shmemPeer, r.Rank(), r.Size())
+}
+
+func (sc *treeScratch) dmaPeerOf(r *mpi.Rank) *dmaPeerLoop {
+	if sc == nil {
+		return new(dmaPeerLoop)
+	}
+	return slot(&sc.dmaPeer, r.Rank(), r.Size())
+}
+
+func (sc *treeScratch) smpOf(r *mpi.Rank) *smpRank {
+	if sc == nil {
+		return new(smpRank)
+	}
+	return slot(&sc.smp, r.NodeID(), r.Machine().Geom.Nodes())
+}
+
+func (sc *treeScratch) injectorOf(r *mpi.Rank) *shaddrInjector {
+	if sc == nil {
+		return new(shaddrInjector)
+	}
+	return slot(&sc.injector, r.NodeID(), r.Machine().Geom.Nodes())
+}
+
+func (sc *treeScratch) receiverOf(r *mpi.Rank) *recvLoop {
+	if sc == nil {
+		return new(recvLoop)
+	}
+	return slot(&sc.receiver, r.NodeID(), r.Machine().Geom.Nodes())
+}
+
+func (sc *treeScratch) dualRecvOf(r *mpi.Rank) *dualRecvLoop {
+	if sc == nil {
+		return new(dualRecvLoop)
+	}
+	return slot(&sc.dualRecv, r.NodeID(), r.Machine().Geom.Nodes())
+}
+
+func (sc *treeScratch) copierOf(r *mpi.Rank) *shaddrCopyLoop {
+	if sc == nil {
+		return new(shaddrCopyLoop)
+	}
+	return slot(&sc.copier, r.NodeID(), r.Machine().Geom.Nodes())
+}
+
+func (sc *treeScratch) copyPeerOf(r *mpi.Rank) *shaddrPeer {
+	if sc == nil {
+		return new(shaddrPeer)
+	}
+	return slot(&sc.copyPeer, r.NodeID(), r.Machine().Geom.Nodes())
+}
+
+// startTreeBcast is every tree broadcast's prologue: take the collective
+// sequence number, acquire the shared state (publishing the payload on the
+// root), and arm the rank's finish step. It returns the scratch the rank's
+// drivers come from, the state, and the bound finish continuation.
+func startTreeBcast(r *mpi.Rank, buf data.Buf, root int, done func()) (*treeScratch, *treeBcastState, func()) {
+	seq := r.NextSeq()
+	sc := treeScratchOf(r)
+	st := acquireTreeBcast(r, sc, seq, root, buf.Len())
+	if r.Rank() == root {
+		st.src = buf
+	}
+	f := sc.finisherOf(r)
+	if f.fn == nil {
+		f.fn = f.finish
+	}
+	f.r, f.st, f.buf, f.done = r, st, buf, done
+	return sc, st, f.fn
+}
+
+// treeFinisher is the completion step every tree broadcast ends with:
+// install the payload on non-root ranks, release the shared state, then
+// continue with the caller's done.
+type treeFinisher struct {
+	r    *mpi.Rank
+	st   *treeBcastState
+	buf  data.Buf
+	done func()
+	fn   func() // bound finish
+}
+
+// finish runs once per rank per broadcast. The slot is cleared before done
+// runs: done may start this rank's next broadcast, which re-arms it.
+//
+//bgplint:hot
+func (f *treeFinisher) finish() {
+	r, st, done := f.r, f.st, f.done
+	if r.Rank() != st.root {
+		installPayload(f.buf, st.src)
+	}
+	f.st, f.buf, f.done = nil, data.Buf{}, nil
+	st.release(r)
+	done()
+}
+
 // The chunk loops below are explicit state machines rather than recursive
-// closures: each one is a small struct whose continuation is a method value
-// bound once per rank per broadcast. A closure-based loop allocates its
-// continuations once per *chunk*, and at 8192 ranks times tens of chunks the
-// continuation garbage dominated the sweep allocation profile. The
-// registration sequence (which *Then runs, in what order, with what plan
-// contents) is identical to the closure form, so virtual times are
-// bit-for-bit unchanged.
+// closures: each one is a small struct whose continuations are method values
+// bound once per slot. Each loop calls its continuation as its last action,
+// so a continuation that re-arms the loop's slot for the next broadcast
+// never races the loop's own frame.
 
 // injectLoop drives one node's injection side: the root's injector feeds
 // the payload, every other node's injector feeds zeros into the global OR
@@ -197,17 +453,18 @@ func treeFinish(r *mpi.Rank, st *treeBcastState, seq int64, buf data.Buf, root i
 // network's finite buffering.
 type injectLoop struct {
 	st      *treeBcastState
-	net     *tree.Network
 	p       *sim.Proc
 	i       int
 	cont    func()
-	afterFn func() // bound method value: after, allocated once
+	stepFn  func()
+	afterFn func()
 }
 
-func injectAllThen(r *mpi.Rank, st *treeBcastState, cont func()) {
-	l := &injectLoop{st: st, net: r.Machine().Tree, p: r.Proc(), cont: cont}
-	l.afterFn = l.after
-	l.step()
+func (l *injectLoop) arm(p *sim.Proc, st *treeBcastState, cont func()) {
+	if l.stepFn == nil {
+		l.stepFn, l.afterFn = l.step, l.after
+	}
+	l.st, l.p, l.i, l.cont = st, p, 0, cont
 }
 
 //bgplint:hot
@@ -216,7 +473,7 @@ func (l *injectLoop) step() {
 		l.cont()
 		return
 	}
-	touch := l.net.TouchTime(l.st.spans[l.i].Len)
+	touch := l.st.touch[l.i]
 	if l.i >= injectWindow {
 		pl := l.p.NewPlan()
 		pl.Sleep(touch)
@@ -235,11 +492,10 @@ func (l *injectLoop) after() {
 
 // recvLoop drives one node's reception side, paying the core packet-touch
 // cost per chunk and publishing progress to the node's software counter (sw
-// may be nil for observers that only pace delivery, like the SMP helper
+// is nil for observers that only pace delivery, like the SMP helper
 // thread).
 type recvLoop struct {
 	st      *treeBcastState
-	net     *tree.Network
 	sw      *sim.Counter
 	p       *sim.Proc
 	i       int
@@ -247,16 +503,11 @@ type recvLoop struct {
 	afterFn func()
 }
 
-func receiveAllThen(r *mpi.Rank, st *treeBcastState, cont func()) {
-	recvAllOn(r.Proc(), r.Machine().Tree, st, st.swAt(r.NodeID()), cont)
-}
-
-// recvAllOn is receiveAllThen for an explicit process (the SMP helper runs
-// it on a spawned communication thread rather than the rank's own process).
-func recvAllOn(p *sim.Proc, net *tree.Network, st *treeBcastState, sw *sim.Counter, cont func()) {
-	l := &recvLoop{st: st, net: net, sw: sw, p: p, cont: cont}
-	l.afterFn = l.after
-	l.step()
+func (l *recvLoop) arm(p *sim.Proc, st *treeBcastState, sw *sim.Counter, cont func()) {
+	if l.afterFn == nil {
+		l.afterFn = l.after
+	}
+	l.st, l.sw, l.p, l.i, l.cont = st, sw, p, 0, cont
 }
 
 //bgplint:hot
@@ -266,7 +517,7 @@ func (l *recvLoop) step() {
 		return
 	}
 	pl := l.p.NewPlan()
-	pl.Sleep(l.net.TouchTime(l.st.spans[l.i].Len))
+	pl.Sleep(l.st.touch[l.i])
 	l.st.waitDelivered(l.p, l.i, pl, l.afterFn)
 }
 
@@ -279,36 +530,40 @@ func (l *recvLoop) after() {
 	l.step()
 }
 
-// masterPumpThen drives both sides of the collective network on a single
-// core, the way the production quad-mode algorithms do: the core alternates
+// masterPump drives both sides of the collective network on a single core,
+// the way the production quad-mode algorithms do: the core alternates
 // between injecting the next chunk and draining any chunks the network has
 // delivered (paying a packet-touch each way), so chunk latency overlaps but
 // the core's throughput halves — the imbalance the shared-address core
-// specialization removes. onRecv runs after each chunk's reception cost and
-// must call k exactly once when its own work completes.
-func masterPumpThen(r *mpi.Rank, st *treeBcastState, onRecv func(i int, span hw.Span, k func()), cont func()) {
-	m := &masterPump{st: st, net: r.Machine().Tree, p: r.Proc(), onRecv: onRecv, cont: cont}
-	m.afterInjectFn = m.afterInject
-	m.enterRecvFn = m.enterRecv
-	m.afterRecvFn = m.afterRecv
-	m.inject()
-}
-
-// masterPump is masterPumpThen's state machine. phase records what the pump
-// was doing when it parked for a reception, so afterRecv can resume exactly
-// where the closure form's captured continuation would have: back into the
-// opportunistic drain loop, retrying a window-blocked injection, or draining
-// the tail.
+// specialization removes. After each chunk's reception cost the master hands
+// the chunk to its peers: through the shared-memory segment (shmem) or by
+// one DMA local put per peer (the DMA algorithms).
+//
+// phase records what the pump was doing when it parked for a reception, so
+// afterRecv resumes exactly where the closure form's captured continuation
+// would have: back into the opportunistic drain loop, retrying a
+// window-blocked injection, or draining the tail.
 type masterPump struct {
-	st     *treeBcastState
-	net    *tree.Network
-	p      *sim.Proc
-	onRecv func(i int, span hw.Span, k func())
-	cont   func()
+	st   *treeBcastState
+	p    *sim.Proc
+	cont func()
 
 	injIdx  int
 	recvIdx int
 	phase   uint8
+
+	// Shared-memory hand-off: publish to the software counter, then copy
+	// into the master's own buffer unless it is the root.
+	sw      *sim.Counter
+	node    *hw.Node
+	copyOut bool
+	cached  bool
+
+	// DMA hand-off: one local put per peer into its progress counter. peers
+	// is nil for the shared-memory hand-off.
+	dma   *dma.Engine
+	k     *sim.Kernel
+	peers []*sim.Counter
 
 	afterInjectFn func()
 	enterRecvFn   func()
@@ -320,6 +575,18 @@ const (
 	pumpRetry              // receive unblocked the window: retry the same injection
 	pumpTail               // injection done: keep receiving until all chunks land
 )
+
+// armPump arms r's node master pump for one broadcast; the caller sets the
+// hand-off fields.
+func armPump(sc *treeScratch, r *mpi.Rank, st *treeBcastState, cont func()) *masterPump {
+	m := sc.pumpOf(r)
+	if m.afterInjectFn == nil {
+		m.afterInjectFn, m.enterRecvFn, m.afterRecvFn = m.afterInject, m.enterRecv, m.afterRecv
+	}
+	m.st, m.p, m.cont = st, r.Proc(), cont
+	m.injIdx, m.recvIdx, m.phase = 0, 0, pumpDrain
+	return m
+}
 
 //bgplint:hot
 func (m *masterPump) inject() {
@@ -334,7 +601,7 @@ func (m *masterPump) inject() {
 		return
 	}
 	// Inject (data or zeros): one packet-touch on the pumping core.
-	m.p.SleepThen(m.net.TouchTime(m.st.spans[m.injIdx].Len), m.afterInjectFn)
+	m.p.SleepThen(m.st.touch[m.injIdx], m.afterInjectFn)
 }
 
 //bgplint:hot
@@ -351,7 +618,7 @@ func (m *masterPump) afterInject() {
 func (m *masterPump) drain() {
 	if m.recvIdx < len(m.st.spans) && m.st.deliveredNow(m.recvIdx) {
 		m.phase = pumpDrain
-		m.p.SleepThen(m.net.TouchTime(m.st.spans[m.recvIdx].Len), m.enterRecvFn)
+		m.p.SleepThen(m.st.touch[m.recvIdx], m.enterRecvFn)
 		return
 	}
 	m.inject()
@@ -374,14 +641,34 @@ func (m *masterPump) tail() {
 func (m *masterPump) recvBlocked() {
 	i := m.recvIdx
 	pl := m.p.NewPlan()
-	pl.Sleep(m.net.TouchTime(m.st.spans[i].Len))
+	pl.Sleep(m.st.touch[i])
 	m.st.waitDelivered(m.p, i, pl, m.enterRecvFn)
 }
 
+// enterRecv hands the just-received chunk to the node's peers.
+//
 //bgplint:hot
 func (m *masterPump) enterRecv() {
-	i := m.recvIdx
-	m.onRecv(i, m.st.spans[i], m.afterRecvFn)
+	n := m.st.spans[m.recvIdx].Len
+	if m.peers != nil {
+		for p := 1; p < len(m.peers); p++ {
+			// AddAt is the closure-free At(putDone, func() { cnt.Add(n) }):
+			// one scheduled add per (chunk, peer) was the sweep's single
+			// hottest allocation site.
+			putDone := m.dma.LocalCopy(m.p.Now(), n)
+			m.k.AddAt(putDone, m.peers[p], int64(n))
+		}
+		m.afterRecv()
+		return
+	}
+	m.sw.Add(int64(n))
+	if m.copyOut {
+		// The master's own buffer needs the data too: a third byte-touch on
+		// the same core.
+		m.node.CopyThen(m.p, n, m.cached, m.afterRecvFn)
+		return
+	}
+	m.afterRecv()
 }
 
 //bgplint:hot
@@ -397,55 +684,68 @@ func (m *masterPump) afterRecv() {
 	}
 }
 
+// smpRank drives one SMP-mode rank: the main thread's injection loop and the
+// helper communication thread's reception loop, joined by the helper's
+// completion event.
+type smpRank struct {
+	inj        injectLoop
+	rx         recvLoop
+	helperDone *sim.Event
+	fin        func()
+
+	spawnFn func(p *sim.Proc)
+	fireFn  func()
+	joinFn  func()
+}
+
 // bcastTreeSMP is the current SMP-mode algorithm (paper §V-B): the main
 // thread injects while a helper communication thread receives, together
 // saturating the collective network.
 func bcastTreeSMP(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	seq := r.NextSeq()
-	st := getTreeBcastState(r, seq, buf.Len())
-	if r.Rank() == root {
-		st.src = buf
+	sc, st, finish := startTreeBcast(r, buf, root, done)
+	d := sc.smpOf(r)
+	if d.spawnFn == nil {
+		d.spawnFn, d.fireFn, d.joinFn = d.spawnHelper, d.fire, d.join
 	}
 	sh := r.Shard()
-	helperDone := sh.NewEvent(fmt.Sprintf("treebc%d.helper%d", seq, r.Rank()))
-	sh.SpawnProgram(fmt.Sprintf("rank%d.comm", r.Rank()), func(p *sim.Proc) {
-		recvAllOn(p, r.Machine().Tree, st, nil, helperDone.Fire)
-	})
-	finish := treeFinish(r, st, seq, buf, root, done)
-	injectAllThen(r, st, func() {
-		r.Proc().WaitThen(helperDone, finish)
-	})
+	d.helperDone = sh.NewEventf("treebc%d.helper%d", int32(st.seq), int32(r.Rank()))
+	d.rx.arm(nil, st, nil, d.fireFn)
+	sh.SpawnProgramIdx("rank%d.comm", int32(r.Rank()), d.spawnFn)
+	d.fin = finish
+	d.inj.arm(r.Proc(), st, d.joinFn)
+	d.inj.step()
 }
+
+// spawnHelper is the helper thread's body: receive every chunk.
+func (d *smpRank) spawnHelper(p *sim.Proc) {
+	d.rx.p = p
+	d.rx.step()
+}
+
+//bgplint:hot
+func (d *smpRank) fire() { d.helperDone.Fire() }
+
+//bgplint:hot
+func (d *smpRank) join() { d.inj.p.WaitThen(d.helperDone, d.fin) }
 
 // bcastTreeShmem is the quad-mode latency algorithm (paper §V-B): the master
 // core injects and receives into a shared-memory segment, serialized on one
 // core; peers copy the data out of the segment.
 func bcastTreeShmem(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	seq := r.NextSeq()
-	st := getTreeBcastState(r, seq, buf.Len())
-	if r.Rank() == root {
-		st.src = buf
-	}
-
+	sc, st, finish := startTreeBcast(r, buf, root, done)
 	node := r.NodeID()
 	cached := quadBcastFootprint(r, buf.Len())
-	finish := treeFinish(r, st, seq, buf, root, done)
 
 	if r.IsNodeMaster() {
-		sw := st.swAt(node)
-		masterPumpThen(r, st, func(i int, span hw.Span, k func()) {
-			sw.Add(int64(span.Len))
-			if r.Rank() != root {
-				// The master's own buffer needs the data too: a third
-				// byte-touch on the same core.
-				r.Node().HW.CopyThen(r.Proc(), span.Len, cached, k)
-				return
-			}
-			k()
-		}, finish)
-	} else {
-		treePeerCopyThen(r, st, root, cached, finish)
+		m := armPump(sc, r, st, finish)
+		m.sw, m.node, m.copyOut, m.cached = st.swAt(node), r.Node().HW, r.Rank() != root, cached
+		m.dma, m.k, m.peers = nil, nil, nil
+		m.inject()
+		return
 	}
+	l := sc.shmemPeerOf(r)
+	l.arm(r, st, cached, finish)
+	l.step()
 }
 
 // peerCopyLoop is the peer-side copy loop shared by the shmem and shaddr
@@ -464,14 +764,13 @@ type peerCopyLoop struct {
 	stepFn func()
 }
 
-func treePeerCopyThen(r *mpi.Rank, st *treeBcastState, root int, cached bool, cont func()) {
-	n := r.NodeID()
-	l := &peerCopyLoop{
-		st: st, sw: st.swAt(n), done: st.doneAt(n), p: r.Proc(), node: r.Node().HW,
-		isRoot: r.Rank() == root, cached: cached, cont: cont,
+func (l *peerCopyLoop) arm(r *mpi.Rank, st *treeBcastState, cached bool, cont func()) {
+	if l.stepFn == nil {
+		l.stepFn = l.step
 	}
-	l.stepFn = l.step
-	l.step()
+	n := r.NodeID()
+	l.st, l.sw, l.done, l.p, l.node = st, st.swAt(n), st.doneAt(n), r.Proc(), r.Node().HW
+	l.isRoot, l.cached, l.i, l.got, l.cont = r.Rank() == st.root, cached, 0, 0, cont
 }
 
 //bgplint:hot
@@ -506,37 +805,24 @@ func bcastTreeDMADirect(r *mpi.Rank, buf data.Buf, root int, done func()) {
 }
 
 func treeDMACommon(r *mpi.Rank, buf data.Buf, root int, fifo bool, done func()) {
-	seq := r.NextSeq()
-	st := getTreeBcastState(r, seq, buf.Len())
-	if r.Rank() == root {
-		st.src = buf
-	}
-	m := r.Machine()
-
+	sc, st, finish := startTreeBcast(r, buf, root, done)
 	node := r.NodeID()
-	ppn := r.LocalSize()
-	cached := quadBcastFootprint(r, buf.Len())
-	finish := treeFinish(r, st, seq, buf, root, done)
 
 	if r.IsNodeMaster() {
-		masterPumpThen(r, st, func(i int, span hw.Span, k func()) {
-			for p := 1; p < ppn; p++ {
-				putDone := r.Node().DMA.LocalCopy(r.Now(), span.Len)
-				// AddAt is the closure-free At(putDone, func() { cnt.Add(n) }):
-				// one scheduled add per (chunk, peer) was the sweep's single
-				// hottest allocation site.
-				m.K.AddAt(putDone, st.peerAt(node)[p], int64(span.Len))
-			}
-			k()
-		}, finish)
-	} else {
-		l := &dmaPeerLoop{
-			st: st, cnt: st.peerAt(node)[r.LocalRank()], p: r.Proc(), node: r.Node().HW,
-			fifoCopy: fifo && r.Rank() != root, cached: cached, cont: finish,
-		}
-		l.stepFn = l.step
-		l.step()
+		m := armPump(sc, r, st, finish)
+		m.sw, m.node, m.copyOut, m.cached = nil, nil, false, false
+		m.dma, m.k, m.peers = r.Node().DMA, r.Machine().K, st.peersAt(node)
+		m.inject()
+		return
 	}
+	l := sc.dmaPeerOf(r)
+	if l.stepFn == nil {
+		l.stepFn = l.step
+	}
+	l.st, l.cnt, l.p, l.node = st, st.peersAt(node)[r.LocalRank()], r.Proc(), r.Node().HW
+	l.fifoCopy, l.cached = fifo && r.Rank() != root, quadBcastFootprint(r, buf.Len())
+	l.i, l.got, l.cont = 0, 0, finish
+	l.step()
 }
 
 // dmaPeerLoop is the peer-side reception loop of the DMA broadcasts: wait on
@@ -580,89 +866,133 @@ func (l *dmaPeerLoop) step() {
 // buffer — the injector has no cycles to copy, and memory bandwidth is at
 // least twice the collective network's.
 func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	seq := r.NextSeq()
-	st := getTreeBcastState(r, seq, buf.Len())
-	if r.Rank() == root {
-		st.src = buf
-	}
+	sc, st, finish := startTreeBcast(r, buf, root, done)
 	node := r.NodeID()
 	total := buf.Len()
 	cached := quadBcastFootprint(r, total)
-	rootRank := r.World().Rank(root)
-	rootOnNode := rootRank.NodeID() == node
-	finish := treeFinish(r, st, seq, buf, root, done)
+	// The injector's buffer needs filling unless the injector is the root.
+	fillInjector := r.RankOf(node, 0) != root
 
 	switch r.LocalRank() {
 	case 0: // injection process
 		st.setR0Buf(node, buf)
-		afterMap := func() {
-			injectAllThen(r, st, func() {
-				if r.Rank() != root {
-					// Wait for rank 2 to fill this buffer.
-					r.Proc().WaitGEThen(st.fillAt(node), int64(total), finish)
-					return
-				}
-				finish()
-			})
+		d := sc.injectorOf(r)
+		if d.injDoneFn == nil {
+			d.injDoneFn = d.injDone
 		}
-		if rootOnNode && root != r.Rank() {
+		d.fill, d.total, d.fin = nil, int64(total), finish
+		if r.Rank() != root {
+			// Wait for rank 2 to fill this buffer.
+			d.fill = st.fillAt(node)
+		}
+		d.inj.arm(r.Proc(), st, d.injDoneFn)
+		rootRank := r.World().Rank(root)
+		if rootRank.NodeID() == node && root != r.Rank() {
 			// Inject the payload out of the root rank's buffer through a
 			// process window.
-			r.CNK().MapThen(r.Proc(), windowKey(rootRank.LocalRank(), st.src), total, afterMap)
-		} else {
-			afterMap()
+			r.CNK().MapThen(r.Proc(), windowKey(rootRank.LocalRank(), st.src), total, d.inj.stepFn)
+			return
 		}
+		d.inj.step()
 
 	case 1: // reception process: directly into its application buffer
 		st.setRxBuf(node, buf)
 		if r.LocalSize() == 2 {
 			// Dual mode has no dedicated copy processes: the reception
 			// process also fills the injector's buffer.
-			fillInjector := r.RankOf(node, 0) != root
-			l := &dualRecvLoop{
-				st: st, net: r.Machine().Tree, sw: st.swAt(node), fill: st.fillAt(node),
-				p: r.Proc(), node: r.Node().HW,
-				fillInjector: fillInjector, cached: cached, cont: finish,
+			l := sc.dualRecvOf(r)
+			if l.stepFn == nil {
+				l.stepFn, l.afterFn = l.step, l.after
 			}
-			l.stepFn = l.step
-			l.afterFn = l.after
+			l.st, l.sw, l.fill, l.p, l.node = st, st.swAt(node), st.fillAt(node), r.Proc(), r.Node().HW
+			l.fillInjector, l.cached, l.i, l.cont = fillInjector, cached, 0, finish
 			if fillInjector {
 				r.CNK().MapThen(r.Proc(), windowKey(0, st.r0BufAt(node)), total, l.stepFn)
-			} else {
-				l.step()
+				return
 			}
+			l.step()
 			return
 		}
-		receiveAllThen(r, st, finish)
+		l := sc.receiverOf(r)
+		l.arm(r.Proc(), st, st.swAt(node), finish)
+		l.step()
 
 	case 2: // copy process, also responsible for the injector's buffer
-		sw := st.swAt(node)
-		r.Proc().WaitGEThen(sw, 1, func() {
-			r.CNK().MapThen(r.Proc(), windowKey(1, st.rxBufAt(node)), total, func() {
-				fillInjector := r.RankOf(node, 0) != root
-				l := &shaddrCopyLoop{
-					st: st, sw: sw, done: st.doneAt(node), fill: st.fillAt(node),
-					p: r.Proc(), node: r.Node().HW,
-					isRoot: r.Rank() == root, fillInjector: fillInjector,
-					cached: cached, cont: finish,
-				}
-				l.stepFn = l.step
-				if fillInjector {
-					r.CNK().MapThen(r.Proc(), windowKey(0, st.r0BufAt(node)), total, l.stepFn)
-				} else {
-					l.step()
-				}
-			})
-		})
+		l := sc.copierOf(r)
+		if l.stepFn == nil {
+			l.stepFn, l.mapInjFn = l.step, l.mapInjector
+		}
+		next := l.stepFn
+		if fillInjector {
+			next = l.mapInjFn
+		}
+		l.win.arm(r, st, total, next)
+		l.sw, l.done, l.fill, l.node = st.swAt(node), st.doneAt(node), st.fillAt(node), r.Node().HW
+		l.isRoot, l.fillInjector, l.cached = r.Rank() == root, fillInjector, cached
+		l.i, l.got, l.cont = 0, 0, finish
+		l.win.open()
 
 	case 3: // copy process
-		sw := st.swAt(node)
-		r.Proc().WaitGEThen(sw, 1, func() {
-			r.CNK().MapThen(r.Proc(), windowKey(1, st.rxBufAt(node)), total, func() {
-				treePeerCopyThen(r, st, root, cached, finish)
-			})
-		})
+		l := sc.copyPeerOf(r)
+		l.copy.arm(r, st, cached, finish)
+		l.win.arm(r, st, total, l.copy.stepFn)
+		l.win.open()
 	}
+}
+
+// shaddrInjector is the shaddr injection process: inject every chunk, then —
+// unless it is the root — wait for rank 2 to fill its buffer.
+type shaddrInjector struct {
+	inj       injectLoop
+	fill      *sim.Counter // nil on the root
+	total     int64
+	fin       func()
+	injDoneFn func()
+}
+
+//bgplint:hot
+func (d *shaddrInjector) injDone() {
+	if d.fill != nil {
+		d.inj.p.WaitGEThen(d.fill, d.total, d.fin)
+		return
+	}
+	d.fin()
+}
+
+// rxWindow is the shaddr copy processes' prologue: wait for the reception
+// rank's first published chunk — which also says that rank has arrived and
+// registered its buffer — map that buffer through a process window, then
+// continue with next.
+type rxWindow struct {
+	st    *treeBcastState
+	cnk   *cnk.Process
+	p     *sim.Proc
+	node  int
+	total int
+	next  func()
+	mapFn func()
+}
+
+func (w *rxWindow) arm(r *mpi.Rank, st *treeBcastState, total int, next func()) {
+	if w.mapFn == nil {
+		w.mapFn = w.mapRx
+	}
+	w.st, w.cnk, w.p, w.node, w.total, w.next = st, r.CNK(), r.Proc(), r.NodeID(), total, next
+}
+
+//bgplint:hot
+func (w *rxWindow) open() { w.p.WaitGEThen(w.st.swAt(w.node), 1, w.mapFn) }
+
+//bgplint:hot
+func (w *rxWindow) mapRx() {
+	w.cnk.MapThen(w.p, windowKey(1, w.st.rxBufAt(w.node)), w.total, w.next)
+}
+
+// shaddrPeer is the shaddr rank-3 copy process: the window prologue, then
+// the peer copy loop.
+type shaddrPeer struct {
+	win  rxWindow
+	copy peerCopyLoop
 }
 
 // dualRecvLoop is the dual-mode reception loop of the shaddr tree broadcast:
@@ -672,7 +1002,6 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 // plan.
 type dualRecvLoop struct {
 	st           *treeBcastState
-	net          *tree.Network
 	sw           *sim.Counter
 	fill         *sim.Counter
 	p            *sim.Proc
@@ -693,7 +1022,7 @@ func (l *dualRecvLoop) step() {
 	}
 	span := l.st.spans[l.i]
 	pl := l.p.NewPlan()
-	pl.Sleep(l.net.TouchTime(span.Len))
+	pl.Sleep(l.st.touch[l.i])
 	pl.Add(l.sw, int64(span.Len))
 	if l.fillInjector {
 		l.node.PlanCopy(pl, span.Len, l.cached)
@@ -710,17 +1039,17 @@ func (l *dualRecvLoop) after() {
 	l.step()
 }
 
-// shaddrCopyLoop is the shaddr rank-2 copy loop: poll the reception rank's
-// software counter, copy arrived chunks through the process window, and —
-// when the injector is not the root — fill rank 0's buffer too (the extra
+// shaddrCopyLoop is the shaddr rank-2 copy loop: after the window prologue
+// (and, when the injector is not the root, mapping the injector's buffer
+// too), poll the reception rank's software counter, copy arrived chunks
+// through the process window, and fill rank 0's buffer as well (the extra
 // copy rides the same plan; memory bandwidth exceeds the tree's, so it does
 // not throttle the flow).
 type shaddrCopyLoop struct {
-	st           *treeBcastState
+	win          rxWindow
 	sw           *sim.Counter
 	done         *sim.Counter
 	fill         *sim.Counter
-	p            *sim.Proc
 	node         *hw.Node
 	isRoot       bool
 	fillInjector bool
@@ -729,18 +1058,28 @@ type shaddrCopyLoop struct {
 	got          int64
 	cont         func()
 	stepFn       func()
+	mapInjFn     func()
+}
+
+// mapInjector maps the injector's buffer before the copy loop starts.
+//
+//bgplint:hot
+func (l *shaddrCopyLoop) mapInjector() {
+	w := &l.win
+	w.cnk.MapThen(w.p, windowKey(0, w.st.r0BufAt(w.node)), w.total, l.stepFn)
 }
 
 //bgplint:hot
 func (l *shaddrCopyLoop) step() {
-	if l.i == len(l.st.spans) {
+	st, p := l.win.st, l.win.p
+	if l.i == len(st.spans) {
 		l.done.Add(1)
 		l.cont()
 		return
 	}
-	span := l.st.spans[l.i]
+	span := st.spans[l.i]
 	l.got += int64(span.Len)
-	pl := l.p.NewPlan()
+	pl := p.NewPlan()
 	l.node.PlanPoll(pl)
 	if !l.isRoot {
 		l.node.PlanCopy(pl, span.Len, l.cached)
@@ -750,5 +1089,5 @@ func (l *shaddrCopyLoop) step() {
 		pl.Add(l.fill, int64(span.Len))
 	}
 	l.i++
-	l.p.WaitGEPlanThen(l.sw, l.got, pl, l.stepFn)
+	p.WaitGEPlanThen(l.sw, l.got, pl, l.stepFn)
 }

@@ -65,6 +65,19 @@ func TestBcastAllAlgorithmsQuadCorrect(t *testing.T) {
 	}
 }
 
+// TestBcastAllAlgorithmsDualCorrect runs the quad-mode algorithm set in
+// dual mode (two processes per node): the tree.shaddr dual-mode reception
+// loop, and every other algorithm's two-process node, are exercised nowhere
+// else.
+func TestBcastAllAlgorithmsDualCorrect(t *testing.T) {
+	cfg := testConfig(2, 2, 2, hw.Dual)
+	for _, algo := range quadBcastAlgos {
+		for _, msg := range []int{64, 8 << 10, 200 << 10} {
+			runBcast(t, cfg, algo, msg, 0)
+		}
+	}
+}
+
 func TestBcastSMPAlgorithmsCorrect(t *testing.T) {
 	cfg := testConfig(2, 2, 2, hw.SMP)
 	for _, algo := range []string{mpi.BcastTreeSMP, mpi.BcastTorusDirectPut} {
@@ -75,17 +88,21 @@ func TestBcastSMPAlgorithmsCorrect(t *testing.T) {
 }
 
 func TestBcastNonZeroRoot(t *testing.T) {
-	cfg := testConfig(2, 2, 2, hw.Quad)
-	for _, algo := range quadBcastAlgos {
-		runBcast(t, cfg, algo, 32<<10, 9) // node 2, local rank 1
+	for _, mode := range []hw.Mode{hw.Quad, hw.Dual} {
+		cfg := testConfig(2, 2, 2, mode)
+		for _, algo := range quadBcastAlgos {
+			runBcast(t, cfg, algo, 32<<10, 9) // quad: node 2, local rank 1; dual: node 4, local rank 1
+		}
 	}
 }
 
 func TestBcastAutoSelection(t *testing.T) {
-	cfg := testConfig(2, 2, 2, hw.Quad)
-	runBcast(t, cfg, "", 512, 0)     // tree.shmem range
-	runBcast(t, cfg, "", 32<<10, 0)  // tree.shaddr range
-	runBcast(t, cfg, "", 512<<10, 0) // torus.shaddr range
+	for _, mode := range []hw.Mode{hw.Quad, hw.Dual} {
+		cfg := testConfig(2, 2, 2, mode)
+		runBcast(t, cfg, "", 512, 0)     // tree.shmem range
+		runBcast(t, cfg, "", 32<<10, 0)  // tree.shaddr range
+		runBcast(t, cfg, "", 512<<10, 0) // torus.shaddr range
+	}
 }
 
 func TestBcastRepeatedCallsIndependent(t *testing.T) {

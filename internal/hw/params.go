@@ -150,15 +150,25 @@ func (p Params) Chunks(n int) []Span {
 		return nil
 	}
 	c := p.Chunk(n)
-	out := make([]Span, 0, (n+c-1)/c)
+	return p.AppendChunks(make([]Span, 0, (n+c-1)/c), n)
+}
+
+// AppendChunks appends Chunks(n) to dst and returns the extended slice, so
+// a caller that recycles its span list allocates nothing once it is large
+// enough.
+func (p Params) AppendChunks(dst []Span, n int) []Span {
+	if n <= 0 {
+		return dst
+	}
+	c := p.Chunk(n)
 	for off := 0; off < n; off += c {
 		l := c
 		if off+l > n {
 			l = n - off
 		}
-		out = append(out, Span{Off: off, Len: l})
+		dst = append(dst, Span{Off: off, Len: l})
 	}
-	return out
+	return dst
 }
 
 // Span is a contiguous byte range of a message buffer.

@@ -1,0 +1,48 @@
+package mpi
+
+// Per-world scratch: state a collective package keeps on a world across
+// calls — recycled per-call state, per-rank driver slabs — so that a repeat
+// collective on a warmed world allocates nothing. The world owns one slot
+// per key and never looks inside; Reset and Reconfigure leave the slots
+// alone, so their capacity survives pooling and growth.
+
+// ScratchKey names one owner's scratch value on every world. Declare one
+// package-level key per owner; keys compare by identity.
+type ScratchKey struct{ owner string }
+
+// NewScratchKey returns a fresh key; owner only documents who holds it.
+func NewScratchKey(owner string) *ScratchKey { return &ScratchKey{owner: owner} }
+
+// scratchSet is a world's scratch slots in first-use order: a handful of
+// owners at most, so a linear scan beats any map.
+type scratchSet struct {
+	keys []*ScratchKey
+	vals []any
+}
+
+// Scratch returns the value w holds under key, creating it with create on
+// first use. A value must not let a sim handle it kept from an earlier run
+// be used again: handles are re-carved on every run, and Reset's epoch
+// stamps make a stale one panic. A value that implements sim.Hasher joins
+// the world's steady-state fingerprint (SteadyState).
+//
+// Scratch is not safe for concurrent use. Call it from the goroutine that
+// drives the world, or from rank code on a single-shard world, whose ranks
+// run one at a time; never from the parallel shard workers of a sharded
+// world.
+func (w *World) Scratch(key *ScratchKey, create func() any) any {
+	s := w.scratch
+	if s == nil {
+		s = &scratchSet{}
+		w.scratch = s
+	}
+	for i, k := range s.keys {
+		if k == key {
+			return s.vals[i]
+		}
+	}
+	v := create()
+	s.keys = append(s.keys, key)
+	s.vals = append(s.vals, v)
+	return v
+}

@@ -3,9 +3,9 @@ package mpi
 // Steady-state fingerprinting of the MPI layer (see internal/sim/steady.go
 // for the mechanism and the induction argument). The kernel walk covers
 // everything schedulable; this walk covers the layer state above it that can
-// influence future execution: the shared-operation registry, per-rank
-// sequence numbers, point-to-point mailboxes and process-window (CNK)
-// residue. Everything time- or sequence-like is normalized so that two
+// influence future execution: the shared-operation registry, fingerprintable
+// scratch values, per-rank sequence numbers, point-to-point mailboxes and
+// process-window (CNK) residue. Everything time- or sequence-like is normalized so that two
 // iterations differing only by the uniform per-iteration shift hash
 // identically: virtual times are boundary-relative (sim.FP.Time) and
 // collective sequence numbers are relative to rank 0's, which advances by
@@ -60,6 +60,19 @@ func (w *World) SteadyState(f *sim.FP) {
 		h.SteadyState(f)
 		if f.Refused() {
 			return
+		}
+	}
+
+	// Scratch values that carry in-flight state fingerprint it; values that
+	// are pure capacity (driver slabs, free lists) hash nothing.
+	if s := w.scratch; s != nil {
+		for _, v := range s.vals {
+			if h, ok := v.(sim.Hasher); ok {
+				h.SteadyState(f)
+				if f.Refused() {
+					return
+				}
+			}
 		}
 	}
 

@@ -30,6 +30,11 @@ type World struct {
 	// protocol; see rank.go).
 	shardOps []map[opKey]*opEntry
 
+	// scratch holds the state collective packages keep on the world across
+	// calls (see Scratch). Nil until first use: NewWorld allocates nothing
+	// for it.
+	scratch *scratchSet
+
 	// hubBarrier is the hub-side state of the sharded barrier protocol,
 	// touched only by hub-shard callbacks during a run.
 	hubBarrier struct {
@@ -153,7 +158,7 @@ func (w *World) Sharded() bool { return w.M.Sharded() }
 func (w *World) Run(fn func(r *Rank)) (sim.Time, error) {
 	for id := range w.ranks {
 		r := &w.ranks[id]
-		r.proc = r.Shard().SpawnIdx("rank", int32(r.id), func(p *sim.Proc) {
+		r.proc = r.Shard().SpawnIdx("rank%d", int32(r.id), func(p *sim.Proc) {
 			fn(r)
 		})
 	}
@@ -171,7 +176,7 @@ func (w *World) Run(fn func(r *Rank)) (sim.Time, error) {
 func (w *World) RunProgram(fn func(r *Rank)) (sim.Time, error) {
 	for id := range w.ranks {
 		r := &w.ranks[id]
-		r.proc = r.Shard().SpawnProgramIdx("rank", int32(r.id), func(p *sim.Proc) {
+		r.proc = r.Shard().SpawnProgramIdx("rank%d", int32(r.id), func(p *sim.Proc) {
 			fn(r)
 		})
 	}

@@ -13,8 +13,9 @@ import "sort"
 // Shard.PostAdd.
 type Counter struct {
 	sh      *Shard
-	name    string
+	name    label
 	epoch   uint32
+	fpID    uint32 // see fpGen; packed beside epoch so the label costs no size
 	v       int64
 	waiters []counterWait // kept sorted by threshold
 
@@ -24,7 +25,6 @@ type Counter struct {
 	// stamp lives on the object so a rack-scale capture interns millions of
 	// objects with two word writes instead of a map insert.
 	fpGen uint64
-	fpID  uint32
 }
 
 type counterWait struct {
@@ -40,6 +40,17 @@ func (k *Kernel) NewCounter(name string) *Counter { return k.s0.NewCounter(name)
 // arena (see arena.go). Every field is reinitialized: after a Reset the slot
 // still holds a previous run's state (the waiter slice keeps its capacity).
 func (sh *Shard) NewCounter(name string) *Counter {
+	return sh.newCounter(plainLabel(name))
+}
+
+// NewCounterf is NewCounter with a lazily formatted name: the name renders
+// as fmt.Sprintf(format, ops...) (at most two non-negative operands) only
+// when shown, so per-call counters format nothing on the hot path.
+func (sh *Shard) NewCounterf(format string, ops ...int32) *Counter {
+	return sh.newCounter(formatLabel(format, ops))
+}
+
+func (sh *Shard) newCounter(name label) *Counter {
 	c := sh.arena.newCounter()
 	c.sh, c.name, c.epoch = sh, name, sh.k.epoch
 	c.v = 0
@@ -50,7 +61,7 @@ func (sh *Shard) NewCounter(name string) *Counter {
 // check panics when the handle predates the kernel's current epoch.
 func (c *Counter) check() {
 	if c.epoch != c.sh.k.epoch {
-		panic("sim: counter handle (" + c.name + ") used across Kernel.Reset")
+		panic("sim: counter handle (" + c.name.String() + ") used across Kernel.Reset")
 	}
 }
 
@@ -58,7 +69,7 @@ func (c *Counter) check() {
 func (c *Counter) Value() int64 { return c.v }
 
 // Name returns the counter's name.
-func (c *Counter) Name() string { return c.name }
+func (c *Counter) Name() string { return c.name.String() }
 
 // Shard returns the owning shard.
 func (c *Counter) Shard() *Shard { return c.sh }
@@ -69,7 +80,7 @@ func (c *Counter) Shard() *Shard { return c.sh }
 func (c *Counter) Add(n int64) {
 	c.check()
 	if n < 0 {
-		panic("sim: counter " + c.name + " decremented")
+		panic("sim: counter " + c.name.String() + " decremented")
 	}
 	c.v += n
 	c.release()
@@ -81,7 +92,7 @@ func (c *Counter) Add(n int64) {
 func (c *Counter) Reset() {
 	c.check()
 	if len(c.waiters) > 0 {
-		panic("sim: counter " + c.name + " reset with waiters")
+		panic("sim: counter " + c.name.String() + " reset with waiters")
 	}
 	c.v = 0
 }

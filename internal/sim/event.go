@@ -11,8 +11,9 @@ package sim
 // Shard.PostFire.
 type Event struct {
 	sh      *Shard
-	name    string
+	name    label
 	epoch   uint32
+	fpID    uint32 // see fpGen; packed beside epoch
 	fired   bool
 	waiters []entry // parked process resumes (Wait) and callbacks (OnFire)
 
@@ -22,7 +23,6 @@ type Event struct {
 	// stamp lives on the object so a rack-scale capture interns millions of
 	// objects with two word writes instead of a map insert.
 	fpGen uint64
-	fpID  uint32
 }
 
 // NewEvent returns an unfired event owned by the root shard; see
@@ -34,6 +34,17 @@ func (k *Kernel) NewEvent(name string) *Event { return k.s0.NewEvent(name) }
 // reinitialized here: after a Reset the slot still holds a previous run's
 // state (the waiter slice keeps its capacity on purpose).
 func (sh *Shard) NewEvent(name string) *Event {
+	return sh.newEvent(plainLabel(name))
+}
+
+// NewEventf is NewEvent with a lazily formatted name (see
+// Shard.NewCounterf): per-chunk and per-call events format nothing unless a
+// report shows them.
+func (sh *Shard) NewEventf(format string, ops ...int32) *Event {
+	return sh.newEvent(formatLabel(format, ops))
+}
+
+func (sh *Shard) newEvent(name label) *Event {
 	e := sh.arena.newEvent()
 	e.sh, e.name, e.epoch = sh, name, sh.k.epoch
 	e.fired = false
@@ -45,7 +56,7 @@ func (sh *Shard) NewEvent(name string) *Event {
 // slot belongs to the next lease now (or will shortly).
 func (e *Event) check() {
 	if e.epoch != e.sh.k.epoch {
-		panic("sim: event handle (" + e.name + ") used across Kernel.Reset")
+		panic("sim: event handle (" + e.name.String() + ") used across Kernel.Reset")
 	}
 }
 
@@ -75,7 +86,7 @@ func (e *Event) Reserve(n int) {
 func (e *Event) Fire() {
 	e.check()
 	if e.fired {
-		panic("sim: event " + e.name + " fired twice")
+		panic("sim: event " + e.name.String() + " fired twice")
 	}
 	e.fired = true
 	if len(e.waiters) == 0 {

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime/debug"
-	"strconv"
 )
 
 // Proc is a simulated process: a coroutine backed by a pooled goroutine
@@ -14,14 +13,13 @@ import (
 // process consumes virtual time only through Sleep, Wait, WaitGE, and
 // Transfer.
 type Proc struct {
-	k    *Kernel
-	sh   *Shard
-	name string
-	// nid is the flyweight name suffix (see Pipe.nid): SpawnIdx processes
-	// share one prefix string ("rank") and render "rank<nid>" lazily in
-	// Name(), so a million-rank world formats no per-process name unless a
-	// failure actually reports one. -1 for plainly named processes.
-	nid int32
+	k  *Kernel
+	sh *Shard
+	// name is the flyweight process name (see label): SpawnIdx processes
+	// share one format string ("rank%d") and render it lazily in Name(), so
+	// a million-rank world formats no per-process name unless a failure
+	// actually reports one.
+	name label
 
 	// self is the process's dense arena index (arena.go): the value queue
 	// entries carry instead of a *Proc, and stable for the kernel's lifetime.
@@ -59,6 +57,11 @@ type Proc struct {
 	inline bool
 	armed  bool
 	cont   func()
+
+	// body is a spawned program's entry point until its first activation,
+	// and startFn the slot's bound start method that runs it (program.go).
+	body    func(p *Proc)
+	startFn func()
 
 	// fpGen/fpID intern this process into a steady-state fingerprint walk
 	// (steady.go): when fpGen equals the walking capture's generation the
@@ -106,10 +109,11 @@ func (sh *Shard) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnIdx is Spawn for indexed process families: the process renders its
-// name lazily as "<prefix><id>" (id >= 0), so spawning a million ranks
-// formats no name strings. Scheduling is identical to Spawn.
-func (sh *Shard) SpawnIdx(prefix string, id int32, fn func(p *Proc)) *Proc {
-	p := sh.carveProc(prefix, id)
+// name lazily as fmt.Sprintf(format, id) (id >= 0; a negative id makes
+// format the plain name), so spawning a million ranks formats no name
+// strings. Scheduling is identical to Spawn.
+func (sh *Shard) SpawnIdx(format string, id int32, fn func(p *Proc)) *Proc {
+	p := sh.carveProc(format, id)
 	w := getWorker()
 	p.gate = w.gate
 	w.p, w.fn = p, fn
@@ -124,9 +128,9 @@ func (sh *Shard) SpawnIdx(prefix string, id int32, fn func(p *Proc)) *Proc {
 // Kernel.Reset). The program frame is cleared in resetFrame (program.go),
 // the one file allowed to touch those fields; the plan keeps its step-buffer
 // capacity.
-func (sh *Shard) carveProc(name string, nid int32) *Proc {
+func (sh *Shard) carveProc(format string, id int32) *Proc {
 	p, self := sh.arena.newProc()
-	p.k, p.sh, p.name, p.nid = sh.k, sh, name, nid
+	p.k, p.sh, p.name = sh.k, sh, label{s: format, a: id, b: -1}
 	p.self, p.epoch = self, sh.k.epoch
 	p.gate = nil
 	p.waitEv, p.waitC, p.waitGE = nil, nil, 0
@@ -187,21 +191,16 @@ func (p *Proc) yield() {
 func (p *Proc) blockedOn() string {
 	switch {
 	case p.waitEv != nil:
-		return "event:" + p.waitEv.name
+		return "event:" + p.waitEv.name.String()
 	case p.waitC != nil:
-		return fmt.Sprintf("counter:%s>=%d", p.waitC.name, p.waitGE)
+		return fmt.Sprintf("counter:%s>=%d", p.waitC.name.String(), p.waitGE)
 	}
 	return ""
 }
 
-// Name returns the process name given at Spawn, or "<prefix><id>" for a
-// SpawnIdx process (formatted on demand; see the nid field).
-func (p *Proc) Name() string {
-	if p.nid < 0 {
-		return p.name
-	}
-	return p.name + strconv.Itoa(int(p.nid))
-}
+// Name returns the process name given at Spawn, or the SpawnIdx format
+// applied to its id (formatted on demand; see the name field).
+func (p *Proc) Name() string { return p.name.String() }
 
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }

@@ -67,27 +67,44 @@ func (sh *Shard) SpawnProgram(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnProgramIdx is SpawnProgram for indexed process families (see
-// Shard.SpawnIdx): the name renders lazily as "<prefix><id>".
-func (sh *Shard) SpawnProgramIdx(prefix string, id int32, fn func(p *Proc)) *Proc {
+// Shard.SpawnIdx): the name renders lazily as fmt.Sprintf(format, id).
+//
+// The body's first activation is the slot's own start continuation, bound
+// once per arena slot (slots outlive Reset), so a spawn allocates nothing
+// beyond what fn itself captures.
+func (sh *Shard) SpawnProgramIdx(format string, id int32, fn func(p *Proc)) *Proc {
 	if sh.k.noProgram {
-		return sh.SpawnIdx(prefix, id, fn)
+		return sh.SpawnIdx(format, id, fn)
 	}
-	p := sh.carveProc(prefix, id)
+	p := sh.carveProc(format, id)
 	p.inline = true
 	p.idx = len(sh.procs)
 	sh.procs = append(sh.procs, p.self)
-	p.cont = func() { fn(p) }
+	if p.startFn == nil {
+		p.startFn = p.start
+	}
+	p.body = fn
+	p.cont = p.startFn
 	p.armed = true
 	sh.ring.push(entry{kind: eCont, idx: p.self})
 	return p
 }
 
+// start is a program's first continuation: run the spawned body.
+func (p *Proc) start() {
+	fn := p.body
+	p.body = nil
+	fn(p)
+}
+
 // resetFrame clears the program frame of a freshly carved process slot (see
 // Kernel.carveProc); a slot reused after Reset may hold a finished — or, on
-// a dropped failed kernel, parked — program's state.
+// a dropped failed kernel, parked — program's state. startFn stays bound:
+// it names the slot, not the program.
 func (p *Proc) resetFrame() {
 	p.inline, p.armed = false, false
 	p.cont = nil
+	p.body = nil
 }
 
 // Inline reports whether the process runs without a goroutine (program

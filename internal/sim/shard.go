@@ -234,7 +234,7 @@ func (sh *Shard) After(d Time, fn func()) { sh.At(sh.now+d, fn) }
 func (sh *Shard) AddAt(t Time, c *Counter, n int64) {
 	c.check()
 	if c.sh != sh {
-		panic("sim: AddAt on counter " + c.name + " of another shard; use PostAdd")
+		panic("sim: AddAt on counter " + c.name.String() + " of another shard; use PostAdd")
 	}
 	i := sh.newAdd(c, n)
 	if t <= sh.now {

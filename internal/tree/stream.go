@@ -58,7 +58,7 @@ func (n *Network) NewStream(sh *sim.Shard, key int64, chunks int) *Stream {
 		net:       n,
 		sh:        sh,
 		key:       key,
-		delivered: sh.NewCounter(fmt.Sprintf("tree.bc%d.delivered", key)),
+		delivered: sh.NewCounterf("tree.bc%d.delivered", int32(key)),
 	}
 	c := s.delivered
 	sh.PostCall(sh.Now(), n.sh, func() { n.join(key, c, chunks) })

@@ -34,7 +34,7 @@ type Network struct {
 	pipe  *sim.Pipe
 	depth int
 	nodes int
-	ops   int64
+	ops   int32
 
 	// bcasts is the hub-side combine state of sharded-mode broadcast
 	// streams, keyed by the collective sequence number. Touched only under
@@ -89,11 +89,11 @@ func (n *Network) TouchTime(payload int) sim.Time {
 }
 
 // Op is one chunk's global combine: every node injects once, then the
-// combined result is delivered to all nodes. Create one Op per chunk; the
+// combined result is delivered to all nodes. Arm one Op per chunk; the
 // per-chunk Ops of a pipelined stream share the channel in order.
 type Op struct {
 	net       *Network
-	name      string
+	id        int32 // operation number: names the op "tree.op<id>"
 	wire      int
 	expected  int
 	injected  int
@@ -103,13 +103,26 @@ type Op struct {
 
 // NewOp creates a combine operation for one chunk of the given payload size.
 func (n *Network) NewOp(payload int) *Op {
+	op := &Op{}
+	n.InitOp(op, payload)
+	return op
+}
+
+// InitOp arms a caller-owned op for one chunk of the given payload size —
+// NewOp without the allocation, for callers that recycle their per-chunk
+// ops. The op takes the next operation number and a freshly carved delivery
+// event, so an op must not be re-armed while its delivery is pending, nor
+// across a Reset.
+//
+//bgplint:hot
+func (n *Network) InitOp(op *Op, payload int) {
 	n.ops++
-	return &Op{
+	*op = Op{
 		net:       n,
-		name:      fmt.Sprintf("tree.op%d", n.ops),
+		id:        n.ops,
 		wire:      n.WireBytes(payload),
 		expected:  n.nodes,
-		delivered: n.sh.NewEvent(fmt.Sprintf("tree.op%d.delivered", n.ops)),
+		delivered: n.sh.NewEventf("tree.op%d.delivered", n.ops),
 	}
 }
 
@@ -117,18 +130,26 @@ func (n *Network) NewOp(payload int) *Op {
 // time (the caller has already consumed the injecting core's time). When the
 // last node injects, the chunk reserves the tree channel and the result is
 // delivered one traversal latency later.
+//
+//bgplint:hot
 func (op *Op) Inject() {
 	op.injected++
 	if op.injected > op.expected {
-		panic(op.name + ": more injections than nodes")
+		panic(fmt.Sprintf("tree.op%d: more injections than nodes", op.id))
 	}
 	if op.injected < op.expected {
 		return
 	}
 	done := op.net.pipe.Reserve(op.wire)
 	op.at = done + op.net.Latency()
-	op.net.sh.At(op.at, op.delivered.Fire)
+	op.net.sh.HookAt(op.at, op, 0, 0)
 }
+
+// RunPost implements sim.PostHandler: the delivery Inject scheduled, at the
+// (time, seq) position At(op.at, op.delivered.Fire) would take.
+//
+//bgplint:hot
+func (op *Op) RunPost(_, _ int64) { op.delivered.Fire() }
 
 // Delivered returns the event fired when the combined result has reached all
 // leaves.
@@ -137,7 +158,7 @@ func (op *Op) Delivered() *sim.Event { return op.delivered }
 // DeliveredAt returns the delivery time; valid once Delivered has fired.
 func (op *Op) DeliveredAt() sim.Time {
 	if !op.delivered.Fired() {
-		panic(op.name + ": DeliveredAt before delivery")
+		panic(fmt.Sprintf("tree.op%d: DeliveredAt before delivery", op.id))
 	}
 	return op.at
 }
