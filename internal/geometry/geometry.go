@@ -173,36 +173,18 @@ func (t Torus) HopDistance(a, b Coord) int {
 	return total
 }
 
-// Route returns the dimension-ordered (XYZ) shortest route from src to dst as
-// a hop list. Each hop identifies the node the packet leaves and the
-// direction it takes; the packet arrives at the next node in the list (or dst
-// after the final hop).
-func (t Torus) Route(src, dst Coord) []Hop {
-	var hops []Hop
-	cur := src
-	for d := X; d < NumDims; d++ {
-		n := t.Size(d)
-		for cur.Get(d) != dst.Get(d) {
-			fwd := (dst.Get(d) - cur.Get(d) + n) % n
-			dir := Plus
-			if fwd > n-fwd {
-				dir = Minus
-			}
-			hops = append(hops, Hop{From: cur, Dim: d, Dir: dir})
-			cur = t.Neighbor(cur, d, dir)
-		}
+// RouteLeg returns the dimension-d leg of the dimension-ordered (XYZ)
+// shortest route from cur to dst: its direction, the shorter way around the
+// ring (Plus on a tie), and its hop count. A route walks the X, Y and Z legs
+// in turn.
+func (t Torus) RouteLeg(cur, dst Coord, d Dim) (Dir, int) {
+	n := t.Size(d)
+	fwd := (dst.Get(d) - cur.Get(d) + n) % n
+	if fwd > n-fwd {
+		return Minus, n - fwd
 	}
-	return hops
+	return Plus, fwd
 }
-
-// Hop is a single link traversal: leaving node From along (Dim, Dir).
-type Hop struct {
-	From Coord
-	Dim  Dim
-	Dir  Dir
-}
-
-func (h Hop) String() string { return fmt.Sprintf("%v%v%v", h.From, h.Dir, h.Dim) }
 
 // XYZ is a convenience constructor for Coord used by cross-package callers.
 func XYZ(x, y, z int) Coord { return Coord{X: x, Y: y, Z: z} }

@@ -142,18 +142,45 @@ func TestRouteReachesDestination(t *testing.T) {
 	f := func(a, b uint16) bool {
 		src := tor.CoordOf(int(a) % tor.Nodes())
 		dst := tor.CoordOf(int(b) % tor.Nodes())
-		cur := src
-		hops := tor.Route(src, dst)
-		for _, h := range hops {
-			if h.From != cur {
+		cur, hops := src, 0
+		for d := X; d < NumDims; d++ {
+			dir, n := tor.RouteLeg(cur, dst, d)
+			for ; n > 0; n-- {
+				cur = tor.Neighbor(cur, d, dir)
+				hops++
+			}
+			if cur.Get(d) != dst.Get(d) {
 				return false
 			}
-			cur = tor.Neighbor(cur, h.Dim, h.Dir)
 		}
-		return cur == dst && len(hops) == tor.HopDistance(src, dst)
+		return cur == dst && hops == tor.HopDistance(src, dst)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRouteLeg(t *testing.T) {
+	tor := mustTorus(t, 4, 5, 1)
+	for _, tc := range []struct {
+		from, to Coord
+		d        Dim
+		dir      Dir
+		hops     int
+	}{
+		{XYZ(0, 0, 0), XYZ(1, 0, 0), X, Plus, 1},
+		{XYZ(0, 0, 0), XYZ(3, 0, 0), X, Minus, 1},
+		{XYZ(1, 0, 0), XYZ(3, 0, 0), X, Plus, 2}, // tie: Plus
+		{XYZ(3, 0, 0), XYZ(1, 0, 0), X, Plus, 2},
+		{XYZ(0, 4, 0), XYZ(0, 1, 0), Y, Plus, 2},
+		{XYZ(0, 1, 0), XYZ(0, 4, 0), Y, Minus, 2},
+		{XYZ(2, 2, 0), XYZ(2, 2, 0), Y, Plus, 0},
+		{XYZ(2, 2, 0), XYZ(1, 3, 0), Z, Plus, 0},
+	} {
+		dir, hops := tor.RouteLeg(tc.from, tc.to, tc.d)
+		if dir != tc.dir || hops != tc.hops {
+			t.Errorf("RouteLeg(%v, %v, %v) = %v%d, want %v%d", tc.from, tc.to, tc.d, dir, hops, tc.dir, tc.hops)
+		}
 	}
 }
 

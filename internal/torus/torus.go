@@ -26,43 +26,122 @@ import (
 type Network struct {
 	k    *sim.Kernel
 	geom geometry.Torus
-	p    hw.Params
 
-	links map[linkKey]*sim.Pipe
+	// The wire constants the per-hop path reads, copied out of hw.Params so
+	// a hop never copies the whole parameter set.
+	linkBps      float64
+	hopLatency   sim.Time
+	payloadBytes int // payload per packet
+	packetBytes  int // wire size of one packet
+
+	// links is the lane-major link table, links[lane][linkSlot(node, dim,
+	// dir)]. A lane's row is allocated on the lane's first use and each pipe
+	// on its link's first use, so construction allocates nothing and pipes
+	// register with the kernel in first-use order.
+	links [][]*sim.Pipe
 }
 
-type linkKey struct {
-	node int
-	dim  geometry.Dim
-	dir  geometry.Dir
-	lane int
-}
+// linksPerNode is the number of directed links leaving a node: one per
+// (dimension, direction).
+const linksPerNode = 2 * int(geometry.NumDims)
 
 // New creates the torus network for the given geometry and parameters.
 func New(k *sim.Kernel, geom geometry.Torus, p hw.Params) *Network {
-	return &Network{k: k, geom: geom, p: p, links: make(map[linkKey]*sim.Pipe)}
+	return &Network{
+		k:            k,
+		geom:         geom,
+		linkBps:      p.TorusLinkBps,
+		hopLatency:   p.TorusHopLatency,
+		payloadBytes: p.TorusPayloadBytes,
+		packetBytes:  p.TorusPacketBytes,
+	}
 }
 
 // Geometry returns the torus dimensions.
 func (n *Network) Geometry() geometry.Torus { return n.geom }
 
+// linkSlot is the index of the directed link leaving node along (dim, dir)
+// within a lane's row: Plus is even, Minus odd.
+func linkSlot(node int, dim geometry.Dim, dir geometry.Dir) int {
+	return node*linksPerNode + int(dim)*2 + (1-int(dir))>>1
+}
+
+// checkLink rejects a (dim, dir) pair outside the table's layout, which
+// would otherwise alias another link's slot.
+func checkLink(dim geometry.Dim, dir geometry.Dir) {
+	if uint(dim) >= uint(geometry.NumDims) || (dir != geometry.Plus && dir != geometry.Minus) {
+		badLink(dim, dir)
+	}
+}
+
+func badLink(dim geometry.Dim, dir geometry.Dir) {
+	panic(fmt.Sprintf("torus: bad link direction %d/%d", int(dim), int(dir)))
+}
+
 // Link returns the directed link leaving `from` along (dim, dir) on the given
 // color lane, creating it on first use.
+//
+//bgplint:hot
 func (n *Network) Link(from geometry.Coord, dim geometry.Dim, dir geometry.Dir, lane int) *sim.Pipe {
-	key := linkKey{node: n.geom.NodeID(from), dim: dim, dir: dir, lane: lane}
-	if l, ok := n.links[key]; ok {
+	checkLink(dim, dir)
+	return n.pipe(n.row(lane), linkSlot(n.geom.NodeID(from), dim, dir), lane)
+}
+
+// row returns the lane's row of the link table.
+//
+//bgplint:hot
+func (n *Network) row(lane int) []*sim.Pipe {
+	if uint(lane) < uint(len(n.links)) && n.links[lane] != nil {
+		return n.links[lane]
+	}
+	return n.newRow(lane)
+}
+
+// pipe returns the link at slot of the lane's row, creating it on first use.
+//
+//bgplint:hot
+func (n *Network) pipe(row []*sim.Pipe, slot, lane int) *sim.Pipe {
+	if l := row[slot]; l != nil {
 		return l
 	}
-	l := n.k.NewPipe(
-		fmt.Sprintf("torus.%d.%v%v.l%d", key.node, dim, dir, lane),
-		n.p.TorusLinkBps, 0,
-	)
-	n.links[key] = l
+	return n.newPipe(row, slot, lane)
+}
+
+// newRow is row's first-use path: it grows the table to the lane and gives
+// the lane its row, one slot per directed link of the partition.
+func (n *Network) newRow(lane int) []*sim.Pipe {
+	if lane < 0 {
+		panic(fmt.Sprintf("torus: negative lane %d", lane))
+	}
+	for len(n.links) <= lane {
+		n.links = append(n.links, nil)
+	}
+	n.links[lane] = make([]*sim.Pipe, n.geom.Nodes()*linksPerNode)
+	return n.links[lane]
+}
+
+// newPipe is pipe's first-use path: it creates the link's pipe, which
+// registers with the kernel, and files it in the row.
+func (n *Network) newPipe(row []*sim.Pipe, slot, lane int) *sim.Pipe {
+	node, dim, dir := slot/linksPerNode, geometry.Dim(slot%linksPerNode/2), geometry.Plus
+	if slot%2 == 1 {
+		dir = geometry.Minus
+	}
+	l := n.k.NewPipe(fmt.Sprintf("torus.%d.%v%v.l%d", node, dim, dir, lane), n.linkBps, 0)
+	row[slot] = l
 	return l
 }
 
-// WireBytes returns the on-wire size of a payload, including packet headers.
-func (n *Network) WireBytes(payload int) int { return n.p.TorusWireBytes(payload) }
+// WireBytes returns the on-wire size of a payload, including packet headers
+// (hw.Params.TorusWireBytes, computed from the copied constants).
+//
+//bgplint:hot
+func (n *Network) WireBytes(payload int) int {
+	if payload <= 0 {
+		return 0
+	}
+	return (payload + n.payloadBytes - 1) / n.payloadBytes * n.packetBytes
+}
 
 // Arrival describes one node's reception of a line broadcast or unicast.
 type Arrival struct {
@@ -78,24 +157,28 @@ type Arrival struct {
 // the first link (used by callers to pace injection against link drain).
 // Cut-through: the transfer on hop k starts one hop latency after hop k-1's
 // start and each link is occupied for the full wire time.
+//
+//bgplint:hot
 func (n *Network) LineBcast(dst []Arrival, start sim.Time, from geometry.Coord, d geometry.Dim, dir geometry.Dir, lane, payload int) (arrivals []Arrival, firstStart sim.Time) {
 	wire := n.WireBytes(payload)
 	size := n.geom.Size(d)
+	checkLink(d, dir)
+	row := n.row(lane)
 	arrivals = dst
 	cur := from
 	hopStart := start
 	firstStart = start
 	for hop := 1; hop < size; hop++ {
-		link := n.Link(cur, d, dir, lane)
+		link := n.pipe(row, linkSlot(n.geom.NodeID(cur), d, dir), lane)
 		var done sim.Time
 		hopStart, done = link.ReserveAt(hopStart, wire)
 		if hop == 1 {
 			firstStart = hopStart
 		}
-		done += n.p.TorusHopLatency
+		done += n.hopLatency
 		cur = n.geom.Neighbor(cur, d, dir)
 		arrivals = append(arrivals, Arrival{Node: cur, At: done})
-		hopStart += n.p.TorusHopLatency
+		hopStart += n.hopLatency
 	}
 	return arrivals, firstStart
 }
@@ -103,30 +186,39 @@ func (n *Network) LineBcast(dst []Arrival, start sim.Time, from geometry.Coord, 
 // Unicast sends one chunk from src to dst along the dimension-ordered route
 // (no deposit bit), starting no earlier than start, and returns the arrival
 // time at dst. Zero-hop transfers (src == dst) complete immediately at start.
+//
+//bgplint:hot
 func (n *Network) Unicast(start sim.Time, src, dst geometry.Coord, lane, payload int) sim.Time {
-	wire := n.WireBytes(payload)
-	hops := n.geom.Route(src, dst)
-	if len(hops) == 0 {
+	if src == dst {
 		return maxTime(start, n.k.Now())
 	}
+	wire := n.WireBytes(payload)
+	row := n.row(lane)
+	cur := src
 	hopStart := start
 	var done sim.Time
-	for _, h := range hops {
-		link := n.Link(h.From, h.Dim, h.Dir, lane)
-		hopStart, done = link.ReserveAt(hopStart, wire)
-		done += n.p.TorusHopLatency
-		hopStart += n.p.TorusHopLatency
+	for d := geometry.X; d < geometry.NumDims; d++ {
+		dir, hops := n.geom.RouteLeg(cur, dst, d)
+		for ; hops > 0; hops-- {
+			link := n.pipe(row, linkSlot(n.geom.NodeID(cur), d, dir), lane)
+			hopStart, done = link.ReserveAt(hopStart, wire)
+			done += n.hopLatency
+			hopStart += n.hopLatency
+			cur = n.geom.Neighbor(cur, d, dir)
+		}
 	}
 	return done
 }
 
 // NeighborSend sends one chunk to the adjacent node along (d, dir): the
 // single-hop special case used by chain reduce schedules.
+//
+//bgplint:hot
 func (n *Network) NeighborSend(start sim.Time, from geometry.Coord, d geometry.Dim, dir geometry.Dir, lane, payload int) (to geometry.Coord, at sim.Time) {
 	wire := n.WireBytes(payload)
 	link := n.Link(from, d, dir, lane)
 	_, done := link.ReserveAt(start, wire)
-	return n.geom.Neighbor(from, d, dir), done + n.p.TorusHopLatency
+	return n.geom.Neighbor(from, d, dir), done + n.hopLatency
 }
 
 func maxTime(a, b sim.Time) sim.Time {
@@ -139,13 +231,16 @@ func maxTime(a, b sim.Time) sim.Time {
 // Stats aggregates all link pipes: count, total bytes carried, and summed
 // busy time. Used by utilization reports.
 func (n *Network) Stats() (links int, bytes int64, busy sim.Time) {
-	//bgplint:allow maporder -- integer sums of a pure per-link getter commute
-	for _, l := range n.links {
-		b, bu, _ := l.Stats()
-		bytes += b
-		//bgplint:allow vtime -- report-only utilization sum; commutative and never fed back into scheduling
-		busy += bu
-		links++
+	for _, row := range n.links {
+		for _, l := range row {
+			if l == nil {
+				continue
+			}
+			b, bu, _ := l.Stats()
+			bytes += b
+			busy += bu
+			links++
+		}
 	}
 	return links, bytes, busy
 }
