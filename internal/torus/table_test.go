@@ -15,9 +15,9 @@ import (
 // fall inside that range.
 const lanesInUse = 18
 
-// TestLinkTableEquivalence pins the dense table to the keyed map it
-// replaced: Link returns one pipe per (node, dim, dir, lane), the same pipe
-// on every call, named as before, and Stats counts exactly the links made.
+// TestLinkTableEquivalence: Link returns one pipe per (node, dim, dir,
+// lane), the same pipe on every call, named after its key, and Stats counts
+// exactly the links made.
 func TestLinkTableEquivalence(t *testing.T) {
 	_, net, _ := newNet(t, 4, 3, 2)
 	geom := net.Geometry()
