@@ -77,12 +77,6 @@ type report struct {
 	GOGC       int    `json:"gogc"`
 	GOMemLimit int64  `json:"gomemlimit"`
 	PGO        string `json:"pgo"`
-	// Shards/NoShard are the kernel execution vehicle (zero values in
-	// reports from before bgpbench stamped them, which is also the classic
-	// single-shard vehicle). A vehicle mismatch shifts wall-clock without a
-	// code change, so benchdiff warns about it like the GC fields above.
-	Shards  int  `json:"shards"`
-	NoShard bool `json:"noshard"`
 	// ItersScale/NoExtrap are the run's iteration multiplier and whether
 	// steady-state extrapolation was disabled (zero values in older reports;
 	// a zero ItersScale means the pre-scale default of 1). Either changes
@@ -108,12 +102,6 @@ func (r *report) describe() string {
 	}
 	if r.PGO != "" {
 		s += " pgo=" + r.PGO
-	}
-	if r.Shards > 1 {
-		s += fmt.Sprintf(" shards=%d", r.Shards)
-		if r.NoShard {
-			s += " noshard"
-		}
 	}
 	if r.ItersScale > 1 {
 		s += fmt.Sprintf(" iters-scale=%d", r.ItersScale)
@@ -326,15 +314,6 @@ func envWarnings(base, cand *report) []string {
 		warns = append(warns, fmt.Sprintf(
 			"PGO differs: baseline built %s, candidate %s; compare same-profile builds",
 			describe(base.PGO), describe(cand.PGO)))
-	}
-	if base.Shards != cand.Shards {
-		warns = append(warns, fmt.Sprintf(
-			"shard count differs: baseline ran with shards=%d, candidate with shards=%d; wall-clock deltas reflect the kernel vehicle, not code",
-			base.Shards, cand.Shards))
-	} else if base.NoShard != cand.NoShard {
-		warns = append(warns, fmt.Sprintf(
-			"epoch vehicle differs: baseline noshard=%t, candidate noshard=%t; wall-clock deltas reflect the kernel vehicle, not code",
-			base.NoShard, cand.NoShard))
 	}
 	if itersScaleOf(base.ItersScale) != itersScaleOf(cand.ItersScale) {
 		warns = append(warns, fmt.Sprintf(

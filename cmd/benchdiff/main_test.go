@@ -144,36 +144,6 @@ func TestEnvWarnings(t *testing.T) {
 	}
 }
 
-func TestShardVehicleWarnings(t *testing.T) {
-	mk := func(shards int, noShard bool) *report {
-		return &report{GOGC: 100, GOMemLimit: math.MaxInt64, Shards: shards, NoShard: noShard}
-	}
-	cases := []struct {
-		name       string
-		base, cand *report
-		want       []string
-	}{
-		{"both classic", mk(0, false), mk(0, false), nil},
-		{"both sharded", mk(4, false), mk(4, false), nil},
-		{"shard count differs", mk(0, false), mk(4, false), []string{"shards=0, candidate with shards=4"}},
-		{"vehicle differs", mk(4, false), mk(4, true), []string{"baseline noshard=false, candidate noshard=true"}},
-		{"count trumps vehicle", mk(2, false), mk(4, true), []string{"shard count differs"}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			warns := envWarnings(tc.base, tc.cand)
-			if len(warns) != len(tc.want) {
-				t.Fatalf("got %d warnings, want %d: %v", len(warns), len(tc.want), warns)
-			}
-			for i, sub := range tc.want {
-				if !strings.Contains(warns[i], sub) {
-					t.Errorf("warning %d = %q, want substring %q", i, warns[i], sub)
-				}
-			}
-		})
-	}
-}
-
 func TestItersVehicleWarnings(t *testing.T) {
 	mk := func(scale int, noExtrap bool) *report {
 		return &report{GOGC: 100, GOMemLimit: math.MaxInt64, ItersScale: scale, NoExtrap: noExtrap}

@@ -36,16 +36,6 @@ type Options struct {
 	// execute on pooled goroutines instead of as inline programs. Virtual
 	// times are bit-identical either way; only wall-clock differs.
 	Reference bool
-	// Shards splits each collective-network partition into this many kernel
-	// shards whose epochs run in parallel (0 or 1 = classic single-shard
-	// runs). Virtual times are bit-identical either way; only wall-clock
-	// differs. The torus experiments ignore it: their collectives coordinate
-	// through job-wide shared state and are not shard-capable.
-	Shards int
-	// NoShard runs sharded kernels in the sequential-epoch reference vehicle
-	// (same window/mailbox algorithm, no goroutines). Meaningful only with
-	// Shards > 1; exists for overhead attribution and race-free baselines.
-	NoShard bool
 	// NoExtrap disables steady-state iteration extrapolation: every measure
 	// loop executes all of its iterations literally (the reference mode the
 	// extrapolation equivalence gates compare against). Results are
@@ -186,10 +176,6 @@ type RunMode struct {
 	// Reference puts the kernel in noProgram mode: rank bodies run on
 	// pooled goroutines instead of as inline programs.
 	Reference bool
-	// NoShard runs a sharded kernel's epochs sequentially on the calling
-	// goroutine instead of on per-shard workers. Ignored on single-shard
-	// configs.
-	NoShard bool
 	// NoExtrap runs every measure-loop iteration literally instead of
 	// extrapolating from the detected steady state (see extrap.go).
 	NoExtrap bool
@@ -212,24 +198,10 @@ func MeasureBcastRun(cfg hw.Config, algo string, msg, iters int, mode RunMode) (
 	}
 	w.Tunables.Bcast = algo
 	w.M.K.SetNoProgram(mode.Reference || !mpi.HasProgBcast(algo))
-	w.M.K.SetNoShard(mode.NoShard)
 	w.M.K.SetNoExtrap(mode.NoExtrap)
 	worst, err := runMeasure(w, opBcast, msg, iters, mode.NoExtrap)
 	releaseWorld(cfg, w, err)
 	return worst, err
-}
-
-// maxTime folds per-shard worst-rank slots into the global worst. Each slot
-// is written only under its shard's token during the run; the fold happens
-// after Run returns, when every worker has quiesced.
-func maxTime(ts []sim.Time) sim.Time {
-	var worst sim.Time
-	for _, t := range ts {
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
 }
 
 // measureOp is the collective a measure loop times.
@@ -258,7 +230,7 @@ type measureLoop struct {
 	i          int
 	elapsed    sim.Time
 	start      sim.Time
-	worst      *sim.Time     // this shard's slot, shared across its ranks; the shard token serializes access
+	worst      *sim.Time     // the slowest rank's average so far, shared by every rank's loop
 	ext        *extrapolator // steady-state detector, nil when extrapolation is off
 
 	afterBarrierFn func()
@@ -276,7 +248,7 @@ func newMeasureSlab() any { return &measureSlab{} }
 // measureLoops returns w's measure-loop slab sized to its ranks. The slab
 // only grows, like the world's rank slab, so a pooled world moving between
 // partitions keeps its bound loops. It runs before Run, on the goroutine
-// driving w, so sharded worlds are safe too.
+// driving w.
 func measureLoops(w *mpi.World) []measureLoop {
 	s := w.Scratch(measureKey, newMeasureSlab).(*measureSlab)
 	if len(s.loops) < w.Size() {
@@ -289,11 +261,11 @@ func measureLoops(w *mpi.World) []measureLoop {
 // bytes-sized operands, and returns the slowest rank's average.
 func runMeasure(w *mpi.World, op measureOp, bytes, iters int, noExtrap bool) (sim.Time, error) {
 	ext := newExtrapolator(w, iters, noExtrap)
-	worsts := make([]sim.Time, w.M.K.ShardCount())
+	var worst sim.Time
 	loops := measureLoops(w)
 	_, err := w.RunProgram(func(r *mpi.Rank) {
 		l := &loops[r.Rank()]
-		l.arm(r, op, iters, &worsts[r.Shard().ID()])
+		l.arm(r, op, iters, &worst)
 		switch op {
 		case opBcast:
 			l.buf = r.NewBuf(bytes)
@@ -303,7 +275,7 @@ func runMeasure(w *mpi.World, op measureOp, bytes, iters int, noExtrap bool) (si
 		ext.attach(l)
 		l.iter()
 	})
-	return maxTime(worsts), err
+	return worst, err
 }
 
 // arm resets a slab slot for one measurement, binding its continuations on
@@ -318,7 +290,7 @@ func (l *measureLoop) arm(r *mpi.Rank, op measureOp, iters int, worst *sim.Time)
 	}
 }
 
-// iter starts the next iteration, or folds the average into the shard's
+// iter starts the next iteration, or folds the average into the shared
 // worst once all are done (dropping the operands, which the slab would
 // otherwise keep alive until the next measurement).
 //
@@ -382,7 +354,6 @@ func MeasureAllreduceRun(cfg hw.Config, algo string, doubles, iters int, mode Ru
 	}
 	w.Tunables.Allreduce = algo
 	w.M.K.SetNoProgram(mode.Reference || !mpi.HasProgAllreduce(algo))
-	w.M.K.SetNoShard(mode.NoShard)
 	w.M.K.SetNoExtrap(mode.NoExtrap)
 	worst, err := runMeasure(w, opAllreduce, doubles*data.Float64Len, iters, mode.NoExtrap)
 	releaseWorld(cfg, w, err)
@@ -398,8 +369,7 @@ func BandwidthMBs(msg int, t sim.Time) float64 {
 	return float64(msg) / t.Seconds() / 1e6
 }
 
-// treeConfig returns the collective-network experiment partition, sharded
-// per Options (the tree broadcast family is shard-capable).
+// treeConfig returns the collective-network experiment partition.
 func treeConfig(o Options, mode hw.Mode) (hw.Config, error) {
 	racks := o.Racks
 	if racks == 0 {
@@ -410,24 +380,19 @@ func treeConfig(o Options, mode hw.Mode) (hw.Config, error) {
 		return cfg, err
 	}
 	cfg.Mode = mode
-	cfg.Shards = o.Shards
 	return cfg, nil
 }
 
 // torusConfig returns the torus experiment partition: a 512-node midplane by
 // default (steady-state torus bandwidth is scale-insensitive; see DESIGN.md),
-// or full racks when requested. Torus collectives coordinate through
-// job-wide shared state and are not shard-capable, so the partition is
-// always single-shard regardless of Options.Shards.
+// or full racks when requested.
 func torusConfig(o Options, mode hw.Mode) (hw.Config, error) {
 	if o.Racks == 0 {
 		cfg := hw.MidplaneConfig()
 		cfg.Mode = mode
 		return cfg, nil
 	}
-	cfg, err := treeConfig(o, mode)
-	cfg.Shards = 0
-	return cfg, err
+	return treeConfig(o, mode)
 }
 
 // sweep trims a full message-size list for quick runs, always retaining the

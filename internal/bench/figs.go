@@ -51,10 +51,7 @@ func scalePoints(quick bool) []scalePoint {
 }
 
 // scaleConfig is the partition for one capacity point: quad mode, phantom
-// buffers, single shard. The sweep always runs single-shard because growth
-// is measured through Reconfigure, which only single-shard worlds support
-// (the shard partition is fixed at kernel construction); Options.Shards is
-// ignored like the torus experiments ignore it.
+// buffers.
 func scaleConfig(p scalePoint) hw.Config {
 	cfg := hw.DefaultConfig()
 	cfg.Torus.DX, cfg.Torus.DY, cfg.Torus.DZ = p.torus[0], p.torus[1], p.torus[2]

@@ -47,10 +47,9 @@ var worldPool struct {
 // leaseWorld returns a pooled world for cfg, or constructs one when the pool
 // has none. The caller owns the world until releaseWorld.
 //
-// A miss prefers growing over building: single-shard worlds parked under a
-// *different* config are reconfigured in place (mpi.World.Reconfigure),
-// reusing the kernel's accumulated slabs and the node/rank backing arrays.
-// Sharded worlds cannot change shape and are left for their exact config.
+// A miss prefers growing over building: worlds parked under a *different*
+// config are reconfigured in place (mpi.World.Reconfigure), reusing the
+// kernel's accumulated slabs and the node/rank backing arrays.
 func leaseWorld(cfg hw.Config) (*mpi.World, error) {
 	worldPool.mu.Lock()
 	if ws := worldPool.free[cfg]; len(ws) > 0 {
@@ -61,17 +60,12 @@ func leaseWorld(cfg hw.Config) (*mpi.World, error) {
 		return w, nil
 	}
 	var donor *mpi.World
-	if cfg.Shards <= 1 {
-		for _, c := range worldPool.order {
-			if c.Shards > 1 {
-				continue
-			}
-			if ws := worldPool.free[c]; len(ws) > 0 {
-				donor = ws[len(ws)-1]
-				ws[len(ws)-1] = nil
-				worldPool.free[c] = ws[:len(ws)-1]
-				break
-			}
+	for _, c := range worldPool.order {
+		if ws := worldPool.free[c]; len(ws) > 0 {
+			donor = ws[len(ws)-1]
+			ws[len(ws)-1] = nil
+			worldPool.free[c] = ws[:len(ws)-1]
+			break
 		}
 	}
 	worldPool.mu.Unlock()

@@ -17,49 +17,38 @@ import (
 // calls its continuation synchronously — so there is exactly one
 // transcription of each protocol (see sim/program.go and DESIGN.md §11).
 //
-// They are also allocation-free in steady use (DESIGN.md §17). On a
-// single-shard world the per-call shared state is recycled through a
-// per-world free list and every rank's drivers — the chunk loops, the
-// master's reception step, the finish step — live in per-world role slabs
-// whose continuations are method values bound once per slot. The
-// registration sequence (which *Then runs, in what order, with what plan
-// contents) is the same one the per-call closures produced, so virtual times
-// are bit-for-bit unchanged. A sharded world keeps the per-call path: its
-// ranks run on parallel shard workers, which must not share the slabs.
+// They are also allocation-free in steady use (DESIGN.md §17). The per-call
+// shared state is recycled through a per-world free list and every rank's
+// drivers — the chunk loops, the master's reception step, the finish step —
+// live in per-world role slabs whose continuations are method values bound
+// once per slot. The registration sequence (which *Then runs, in what order,
+// with what plan contents) is the same one the per-call closures produced,
+// so virtual times are bit-for-bit unchanged.
 
 // injectWindow bounds how many chunks an injecting core may run ahead of
 // delivery, modeling the collective network's limited buffering.
 const injectWindow = 4
 
-// treeBcastState is the shared state of one collective-network broadcast.
-// On a classic world it is job-wide: the per-chunk combine operations plus
-// every node's intra-node counters. On a sharded world it is node-wide
-// (NodeShared): the per-node arrays hold exactly one slot (base = the node
-// id) created on the node's own shard, and the combine protocol runs through
-// a hub-shard stream instead of the per-chunk Op events — waiting on chunk
-// i's delivery becomes waiting for the node-local delivered-chunk counter to
-// reach i+1. The wait/inject helpers below hide the difference from the
-// chunk loops, and the single-shard branch of each is byte-for-byte the
-// pre-sharding protocol.
+// treeBcastState is the job-wide shared state of one collective-network
+// broadcast: the per-chunk combine operations plus every node's intra-node
+// counters.
 //
-// A classic-world state is recycled: once every rank has released it, it
-// joins its world's free list and the next broadcast re-arms it. Its plain
-// Go arrays keep their capacity; its sim handles (counters, op events) are
-// carved afresh by every arm, so Kernel.Reset's epoch stamps police them
-// exactly as they police a freshly built state.
+// A state is recycled: once every rank has released it, it joins its
+// world's free list and the next broadcast re-arms it. Its plain Go arrays
+// keep their capacity; its sim handles (counters, op events) are carved
+// afresh by every arm, so Kernel.Reset's epoch stamps police them exactly as
+// they police a freshly built state.
 type treeBcastState struct {
-	sc   *treeScratch // owning world scratch; nil for a sharded node state
+	sc   *treeScratch // owning world scratch
 	seq  int64
 	root int
-	refs int // ranks that have not released the state yet (classic worlds)
+	refs int // ranks that have not released the state yet
 	ppn  int
 
-	src    data.Buf
-	spans  []hw.Span
-	touch  []sim.Time   // per span: the core's packet-touch time, either way
-	ops    []tree.Op    // single-shard: per-chunk combines
-	stream *tree.Stream // sharded: this node's hub stream (nil otherwise)
-	base   int          // node id of slot 0 in the per-node arrays
+	src   data.Buf
+	spans []hw.Span
+	touch []sim.Time // per span: the core's packet-touch time, either way
+	ops   []tree.Op  // per-chunk combines
 
 	sw    []*sim.Counter // per node: bytes received by the reception core
 	done  []*sim.Counter // per node: peers finished
@@ -68,8 +57,6 @@ type treeBcastState struct {
 	rxBuf []data.Buf     // per node: reception rank's buffer (window keys)
 	r0Buf []data.Buf     // per node: injector rank's buffer (window keys)
 }
-
-const treeBcastKind = "bcast.tree"
 
 // fit returns s resized to n elements, reusing its backing array when it is
 // large enough. Callers overwrite every element they read.
@@ -91,17 +78,17 @@ func (st *treeBcastState) setSpans(r *mpi.Rank, total int) {
 	}
 }
 
-// arm (re)initializes a classic-world state for broadcast seq: every field
-// is overwritten, and the counters and ops are carved in the order the
-// per-call constructor always used (ops by chunk, then per node sw, done,
-// fill and the peers), so names and arena slots match a fresh world's.
+// arm (re)initializes a state for broadcast seq: every field is overwritten,
+// and the counters and ops are carved in the order the per-call constructor
+// always used (ops by chunk, then per node sw, done, fill and the peers), so
+// names and arena slots match a fresh world's.
 func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int) {
 	m := r.Machine()
-	sh := m.K.RootShard()
+	k := m.K
 	nodes := m.Geom.Nodes()
 	ppn := r.LocalSize()
 	st.seq, st.root, st.refs, st.ppn = seq, root, r.Size(), ppn
-	st.src, st.stream, st.base = data.Buf{}, nil, 0
+	st.src = data.Buf{}
 	st.setSpans(r, total)
 	st.ops = fit(st.ops, len(st.spans))
 	for i, s := range st.spans {
@@ -116,58 +103,21 @@ func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int) {
 	clear(st.rxBuf)
 	clear(st.r0Buf)
 	for n := 0; n < nodes; n++ {
-		st.sw[n] = sh.NewCounterf("treebc%d.sw%d", int32(seq), int32(n))
-		st.done[n] = sh.NewCounter("done")
-		st.fill[n] = sh.NewCounter("fill")
+		st.sw[n] = k.NewCounterf("treebc%d.sw%d", int32(seq), int32(n))
+		st.done[n] = k.NewCounter("done")
+		st.fill[n] = k.NewCounter("fill")
 		for p := 1; p < ppn; p++ {
-			st.peer[n*ppn+p] = sh.NewCounter("peer")
+			st.peer[n*ppn+p] = k.NewCounter("peer")
 		}
 	}
 }
 
-// newTreeBcastNodeState builds one node's share of a sharded broadcast:
-// every counter on the node's own shard, and a hub stream in place of the
-// combine ops.
-func newTreeBcastNodeState(r *mpi.Rank, seq int64, root, total int) *treeBcastState {
-	m := r.Machine()
-	sh := r.Shard()
-	node := r.NodeID()
-	ppn := r.LocalSize()
-	st := &treeBcastState{
-		seq:   seq,
-		root:  root,
-		ppn:   ppn,
-		base:  node,
-		sw:    make([]*sim.Counter, 1),
-		done:  make([]*sim.Counter, 1),
-		fill:  make([]*sim.Counter, 1),
-		peer:  make([]*sim.Counter, ppn),
-		rxBuf: make([]data.Buf, 1),
-		r0Buf: make([]data.Buf, 1),
-	}
-	st.setSpans(r, total)
-	st.stream = m.Tree.NewStream(sh, seq, len(st.spans))
-	st.sw[0] = sh.NewCounterf("treebc%d.sw%d", int32(seq), int32(node))
-	st.done[0] = sh.NewCounter("done")
-	st.fill[0] = sh.NewCounter("fill")
-	for p := 1; p < ppn; p++ {
-		st.peer[p] = sh.NewCounter("peer")
-	}
-	return st
-}
-
 // acquireTreeBcast returns the shared state of broadcast seq, arming it on
 // the first rank to arrive: from the world scratch's in-flight list or free
-// list on a classic world, from the node-shared registry on a sharded one.
-// In-flight broadcasts are few — a rank can run ahead into the next
+// list. In-flight broadcasts are few — a rank can run ahead into the next
 // broadcast only while slower ranks finish this one — so a linear scan by
 // seq finds the state.
 func acquireTreeBcast(r *mpi.Rank, sc *treeScratch, seq int64, root, total int) *treeBcastState {
-	if sc == nil {
-		return r.NodeShared(seq, treeBcastKind, func() any {
-			return newTreeBcastNodeState(r, seq, root, total)
-		}).(*treeBcastState)
-	}
 	for _, st := range sc.live {
 		if st.seq == seq {
 			return st
@@ -186,14 +136,9 @@ func acquireTreeBcast(r *mpi.Rank, sc *treeScratch, seq int64, root, total int) 
 }
 
 // release drops r's reference (the position the blocking form's defer ran
-// at). The last release on a classic world returns the state to the free
-// list; on a sharded world the node-shared registry reclaims it.
-func (st *treeBcastState) release(r *mpi.Rank) {
+// at). The last release returns the state to the free list.
+func (st *treeBcastState) release() {
 	sc := st.sc
-	if sc == nil {
-		r.ReleaseNodeShared(st.seq, treeBcastKind)
-		return
-	}
 	st.refs--
 	if st.refs > 0 {
 		return
@@ -211,63 +156,15 @@ func (st *treeBcastState) release(r *mpi.Rank) {
 	sc.free = append(sc.free, st)
 }
 
-// Per-node accessors: slot n-base, so single-shard code indexes the full
-// arrays while sharded code reaches its node's only slot — and indexing any
-// other node's slot (a cross-shard bug) panics out of range.
-func (st *treeBcastState) swAt(n int) *sim.Counter    { return st.sw[n-st.base] }
-func (st *treeBcastState) doneAt(n int) *sim.Counter  { return st.done[n-st.base] }
-func (st *treeBcastState) fillAt(n int) *sim.Counter  { return st.fill[n-st.base] }
-func (st *treeBcastState) rxBufAt(n int) data.Buf     { return st.rxBuf[n-st.base] }
-func (st *treeBcastState) setRxBuf(n int, b data.Buf) { st.rxBuf[n-st.base] = b }
-func (st *treeBcastState) r0BufAt(n int) data.Buf     { return st.r0Buf[n-st.base] }
-func (st *treeBcastState) setR0Buf(n int, b data.Buf) { st.r0Buf[n-st.base] = b }
-
 // peersAt returns node n's per-local-rank peer counters (slot 0 unused).
 func (st *treeBcastState) peersAt(n int) []*sim.Counter {
-	i := (n - st.base) * st.ppn
-	return st.peer[i : i+st.ppn]
-}
-
-// inject records the calling node's contribution to chunk i at the current
-// instant.
-//
-//bgplint:hot
-func (st *treeBcastState) inject(i int) {
-	if st.stream != nil {
-		st.stream.Inject(i, st.spans[i].Len)
-		return
-	}
-	st.ops[i].Inject()
-}
-
-// deliveredNow reports whether chunk i has already been delivered to the
-// calling node (the pump's opportunistic drain check).
-//
-//bgplint:hot
-func (st *treeBcastState) deliveredNow(i int) bool {
-	if st.stream != nil {
-		return st.stream.Delivered().Value() > int64(i)
-	}
-	return st.ops[i].Delivered().Fired()
-}
-
-// waitDelivered parks p behind chunk i's delivery to the calling node, runs
-// pl, then continues with cont.
-//
-//bgplint:hot
-func (st *treeBcastState) waitDelivered(p *sim.Proc, i int, pl *sim.Plan, cont func()) {
-	if st.stream != nil {
-		p.WaitGEPlanThen(st.stream.Delivered(), int64(i)+1, pl, cont)
-		return
-	}
-	p.WaitPlanThen(st.ops[i].Delivered(), pl, cont)
+	return st.peer[n*st.ppn : (n+1)*st.ppn]
 }
 
 // treeScratchKey names the tree broadcasts' per-world scratch.
 var treeScratchKey = mpi.NewScratchKey("coll.tree")
 
-// treeScratch is what the tree broadcasts keep on a single-shard world
-// across calls: the in-flight and released broadcast states, and one dense
+// treeScratch is what the tree broadcasts keep on a world across calls: the in-flight and released broadcast states, and one dense
 // slab per driver role. A role slab is indexed by node when each node has
 // one such driver and by rank otherwise, and only the roles an algorithm
 // uses are ever grown, so a 2^20-rank shaddr sweep pays for its four roles
@@ -304,12 +201,8 @@ func (sc *treeScratch) SteadyState(f *sim.FP) {
 	}
 }
 
-// treeScratchOf returns r's world's tree scratch, or nil on a sharded world,
-// whose parallel shard workers must not share it.
+// treeScratchOf returns r's world's tree scratch.
 func treeScratchOf(r *mpi.Rank) *treeScratch {
-	if r.Sharded() {
-		return nil
-	}
 	return r.World().Scratch(treeScratchKey, newTreeScratch).(*treeScratch)
 }
 
@@ -324,76 +217,45 @@ func slot[T any](slab *[]T, i, n int) *T {
 	return &(*slab)[i]
 }
 
-// The role accessors below return r's driver slot, or a fresh driver on a
-// sharded world (nil scratch).
+// The role accessors below return r's driver slot.
 
 func (sc *treeScratch) finisherOf(r *mpi.Rank) *treeFinisher {
-	if sc == nil {
-		return new(treeFinisher)
-	}
 	return slot(&sc.finish, r.Rank(), r.Size())
 }
 
 func (sc *treeScratch) pumpOf(r *mpi.Rank) *masterPump {
-	if sc == nil {
-		return new(masterPump)
-	}
 	return slot(&sc.pump, r.NodeID(), r.Machine().Geom.Nodes())
 }
 
 func (sc *treeScratch) shmemPeerOf(r *mpi.Rank) *peerCopyLoop {
-	if sc == nil {
-		return new(peerCopyLoop)
-	}
 	return slot(&sc.shmemPeer, r.Rank(), r.Size())
 }
 
 func (sc *treeScratch) dmaPeerOf(r *mpi.Rank) *dmaPeerLoop {
-	if sc == nil {
-		return new(dmaPeerLoop)
-	}
 	return slot(&sc.dmaPeer, r.Rank(), r.Size())
 }
 
 func (sc *treeScratch) smpOf(r *mpi.Rank) *smpRank {
-	if sc == nil {
-		return new(smpRank)
-	}
 	return slot(&sc.smp, r.NodeID(), r.Machine().Geom.Nodes())
 }
 
 func (sc *treeScratch) injectorOf(r *mpi.Rank) *shaddrInjector {
-	if sc == nil {
-		return new(shaddrInjector)
-	}
 	return slot(&sc.injector, r.NodeID(), r.Machine().Geom.Nodes())
 }
 
 func (sc *treeScratch) receiverOf(r *mpi.Rank) *recvLoop {
-	if sc == nil {
-		return new(recvLoop)
-	}
 	return slot(&sc.receiver, r.NodeID(), r.Machine().Geom.Nodes())
 }
 
 func (sc *treeScratch) dualRecvOf(r *mpi.Rank) *dualRecvLoop {
-	if sc == nil {
-		return new(dualRecvLoop)
-	}
 	return slot(&sc.dualRecv, r.NodeID(), r.Machine().Geom.Nodes())
 }
 
 func (sc *treeScratch) copierOf(r *mpi.Rank) *shaddrCopyLoop {
-	if sc == nil {
-		return new(shaddrCopyLoop)
-	}
 	return slot(&sc.copier, r.NodeID(), r.Machine().Geom.Nodes())
 }
 
 func (sc *treeScratch) copyPeerOf(r *mpi.Rank) *shaddrPeer {
-	if sc == nil {
-		return new(shaddrPeer)
-	}
 	return slot(&sc.copyPeer, r.NodeID(), r.Machine().Geom.Nodes())
 }
 
@@ -437,7 +299,7 @@ func (f *treeFinisher) finish() {
 		installPayload(f.buf, st.src)
 	}
 	f.st, f.buf, f.done = nil, data.Buf{}, nil
-	st.release(r)
+	st.release()
 	done()
 }
 
@@ -477,7 +339,7 @@ func (l *injectLoop) step() {
 	if l.i >= injectWindow {
 		pl := l.p.NewPlan()
 		pl.Sleep(touch)
-		l.st.waitDelivered(l.p, l.i-injectWindow, pl, l.afterFn)
+		l.p.WaitPlanThen(l.st.ops[l.i-injectWindow].Delivered(), pl, l.afterFn)
 	} else {
 		l.p.SleepThen(touch, l.afterFn)
 	}
@@ -485,7 +347,7 @@ func (l *injectLoop) step() {
 
 //bgplint:hot
 func (l *injectLoop) after() {
-	l.st.inject(l.i)
+	l.st.ops[l.i].Inject()
 	l.i++
 	l.step()
 }
@@ -518,7 +380,7 @@ func (l *recvLoop) step() {
 	}
 	pl := l.p.NewPlan()
 	pl.Sleep(l.st.touch[l.i])
-	l.st.waitDelivered(l.p, l.i, pl, l.afterFn)
+	l.p.WaitPlanThen(l.st.ops[l.i].Delivered(), pl, l.afterFn)
 }
 
 //bgplint:hot
@@ -606,7 +468,7 @@ func (m *masterPump) inject() {
 
 //bgplint:hot
 func (m *masterPump) afterInject() {
-	m.st.inject(m.injIdx)
+	m.st.ops[m.injIdx].Inject()
 	m.injIdx++
 	m.drain()
 }
@@ -616,7 +478,7 @@ func (m *masterPump) afterInject() {
 //
 //bgplint:hot
 func (m *masterPump) drain() {
-	if m.recvIdx < len(m.st.spans) && m.st.deliveredNow(m.recvIdx) {
+	if m.recvIdx < len(m.st.spans) && m.st.ops[m.recvIdx].Delivered().Fired() {
 		m.phase = pumpDrain
 		m.p.SleepThen(m.st.touch[m.recvIdx], m.enterRecvFn)
 		return
@@ -642,7 +504,7 @@ func (m *masterPump) recvBlocked() {
 	i := m.recvIdx
 	pl := m.p.NewPlan()
 	pl.Sleep(m.st.touch[i])
-	m.st.waitDelivered(m.p, i, pl, m.enterRecvFn)
+	m.p.WaitPlanThen(m.st.ops[i].Delivered(), pl, m.enterRecvFn)
 }
 
 // enterRecv hands the just-received chunk to the node's peers.
@@ -707,10 +569,10 @@ func bcastTreeSMP(r *mpi.Rank, buf data.Buf, root int, done func()) {
 	if d.spawnFn == nil {
 		d.spawnFn, d.fireFn, d.joinFn = d.spawnHelper, d.fire, d.join
 	}
-	sh := r.Shard()
-	d.helperDone = sh.NewEventf("treebc%d.helper%d", int32(st.seq), int32(r.Rank()))
+	k := r.Machine().K
+	d.helperDone = k.NewEventf("treebc%d.helper%d", int32(st.seq), int32(r.Rank()))
 	d.rx.arm(nil, st, nil, d.fireFn)
-	sh.SpawnProgramIdx("rank%d.comm", int32(r.Rank()), d.spawnFn)
+	k.SpawnProgramIdx("rank%d.comm", int32(r.Rank()), d.spawnFn)
 	d.fin = finish
 	d.inj.arm(r.Proc(), st, d.joinFn)
 	d.inj.step()
@@ -738,7 +600,7 @@ func bcastTreeShmem(r *mpi.Rank, buf data.Buf, root int, done func()) {
 
 	if r.IsNodeMaster() {
 		m := armPump(sc, r, st, finish)
-		m.sw, m.node, m.copyOut, m.cached = st.swAt(node), r.Node().HW, r.Rank() != root, cached
+		m.sw, m.node, m.copyOut, m.cached = st.sw[node], r.Node().HW, r.Rank() != root, cached
 		m.dma, m.k, m.peers = nil, nil, nil
 		m.inject()
 		return
@@ -769,7 +631,7 @@ func (l *peerCopyLoop) arm(r *mpi.Rank, st *treeBcastState, cached bool, cont fu
 		l.stepFn = l.step
 	}
 	n := r.NodeID()
-	l.st, l.sw, l.done, l.p, l.node = st, st.swAt(n), st.doneAt(n), r.Proc(), r.Node().HW
+	l.st, l.sw, l.done, l.p, l.node = st, st.sw[n], st.done[n], r.Proc(), r.Node().HW
 	l.isRoot, l.cached, l.i, l.got, l.cont = r.Rank() == st.root, cached, 0, 0, cont
 }
 
@@ -875,7 +737,7 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 
 	switch r.LocalRank() {
 	case 0: // injection process
-		st.setR0Buf(node, buf)
+		st.r0Buf[node] = buf
 		d := sc.injectorOf(r)
 		if d.injDoneFn == nil {
 			d.injDoneFn = d.injDone
@@ -883,7 +745,7 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		d.fill, d.total, d.fin = nil, int64(total), finish
 		if r.Rank() != root {
 			// Wait for rank 2 to fill this buffer.
-			d.fill = st.fillAt(node)
+			d.fill = st.fill[node]
 		}
 		d.inj.arm(r.Proc(), st, d.injDoneFn)
 		rootRank := r.World().Rank(root)
@@ -896,7 +758,7 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		d.inj.step()
 
 	case 1: // reception process: directly into its application buffer
-		st.setRxBuf(node, buf)
+		st.rxBuf[node] = buf
 		if r.LocalSize() == 2 {
 			// Dual mode has no dedicated copy processes: the reception
 			// process also fills the injector's buffer.
@@ -904,17 +766,17 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 			if l.stepFn == nil {
 				l.stepFn, l.afterFn = l.step, l.after
 			}
-			l.st, l.sw, l.fill, l.p, l.node = st, st.swAt(node), st.fillAt(node), r.Proc(), r.Node().HW
+			l.st, l.sw, l.fill, l.p, l.node = st, st.sw[node], st.fill[node], r.Proc(), r.Node().HW
 			l.fillInjector, l.cached, l.i, l.cont = fillInjector, cached, 0, finish
 			if fillInjector {
-				r.CNK().MapThen(r.Proc(), windowKey(0, st.r0BufAt(node)), total, l.stepFn)
+				r.CNK().MapThen(r.Proc(), windowKey(0, st.r0Buf[node]), total, l.stepFn)
 				return
 			}
 			l.step()
 			return
 		}
 		l := sc.receiverOf(r)
-		l.arm(r.Proc(), st, st.swAt(node), finish)
+		l.arm(r.Proc(), st, st.sw[node], finish)
 		l.step()
 
 	case 2: // copy process, also responsible for the injector's buffer
@@ -927,7 +789,7 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 			next = l.mapInjFn
 		}
 		l.win.arm(r, st, total, next)
-		l.sw, l.done, l.fill, l.node = st.swAt(node), st.doneAt(node), st.fillAt(node), r.Node().HW
+		l.sw, l.done, l.fill, l.node = st.sw[node], st.done[node], st.fill[node], r.Node().HW
 		l.isRoot, l.fillInjector, l.cached = r.Rank() == root, fillInjector, cached
 		l.i, l.got, l.cont = 0, 0, finish
 		l.win.open()
@@ -981,11 +843,11 @@ func (w *rxWindow) arm(r *mpi.Rank, st *treeBcastState, total int, next func()) 
 }
 
 //bgplint:hot
-func (w *rxWindow) open() { w.p.WaitGEThen(w.st.swAt(w.node), 1, w.mapFn) }
+func (w *rxWindow) open() { w.p.WaitGEThen(w.st.sw[w.node], 1, w.mapFn) }
 
 //bgplint:hot
 func (w *rxWindow) mapRx() {
-	w.cnk.MapThen(w.p, windowKey(1, w.st.rxBufAt(w.node)), w.total, w.next)
+	w.cnk.MapThen(w.p, windowKey(1, w.st.rxBuf[w.node]), w.total, w.next)
 }
 
 // shaddrPeer is the shaddr rank-3 copy process: the window prologue, then
@@ -1027,7 +889,7 @@ func (l *dualRecvLoop) step() {
 	if l.fillInjector {
 		l.node.PlanCopy(pl, span.Len, l.cached)
 	}
-	l.st.waitDelivered(l.p, l.i, pl, l.afterFn)
+	l.p.WaitPlanThen(l.st.ops[l.i].Delivered(), pl, l.afterFn)
 }
 
 //bgplint:hot
@@ -1066,7 +928,7 @@ type shaddrCopyLoop struct {
 //bgplint:hot
 func (l *shaddrCopyLoop) mapInjector() {
 	w := &l.win
-	w.cnk.MapThen(w.p, windowKey(0, w.st.r0BufAt(w.node)), w.total, l.stepFn)
+	w.cnk.MapThen(w.p, windowKey(0, w.st.r0Buf[w.node]), w.total, l.stepFn)
 }
 
 //bgplint:hot

@@ -17,15 +17,6 @@ type Config struct {
 	// allocating ranks x megabytes of real data would be prohibitive).
 	// Timing is identical either way.
 	Functional bool
-
-	// Shards partitions the simulation kernel: values above one split the
-	// nodes into that many contiguous blocks, each simulated by its own
-	// shard running conservative parallel epochs, with the collective
-	// network on a hub shard (see sim/epoch.go). Zero or one means the
-	// classic single-shard kernel. Sharded partitions are a benchmark
-	// vehicle: they require phantom buffers and support the collective-
-	// network broadcast family only.
-	Shards int
 }
 
 // Validate checks the configuration.
@@ -41,17 +32,6 @@ func (c Config) Validate() error {
 	if c.Params.TLBSlots < c.Mode.ProcsPerNode()-1 {
 		return fmt.Errorf("hw: %d TLB slots cannot map %d peers",
 			c.Params.TLBSlots, c.Mode.ProcsPerNode()-1)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("hw: negative shard count %d", c.Shards)
-	}
-	if c.Shards > 1 {
-		if c.Functional {
-			return fmt.Errorf("hw: sharded partitions require phantom buffers (Functional=false)")
-		}
-		if c.Shards > c.Nodes() {
-			return fmt.Errorf("hw: %d shards exceed %d nodes", c.Shards, c.Nodes())
-		}
 	}
 	return nil
 }

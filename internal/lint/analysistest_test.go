@@ -237,8 +237,8 @@ func TestScopingExemptsOtherPackages(t *testing.T) {
 }
 
 // TestSanctionedGoFileIsExactlyOne ensures the rawgoroutine exemption only
-// covers pool.go and epoch.go in the real sim package: the identical files
-// under another path are flagged.
+// covers pool.go in the real sim package: the identical file under another
+// path is flagged.
 func TestSanctionedGoFileIsExactlyOne(t *testing.T) {
 	pkg, err := testLoader(t).LoadFixture("testdata/rawgoroutine", "bgpcoll/internal/coll")
 	if err != nil {
@@ -248,11 +248,11 @@ func TestSanctionedGoFileIsExactlyOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// pool.go's and epoch.go's go statements lose their exemptions outside
+	// pool.go's go statement loses its exemption outside
 	// bgpcoll/internal/sim, joining the four always-flagged sites (the
 	// retired proc.go launch site and the program-execution file among them).
-	if len(diags) != 6 {
-		t.Errorf("got %d diagnostics, want 6 (pool.go/epoch.go exemptions must be path-specific):", len(diags))
+	if len(diags) != 5 {
+		t.Errorf("got %d diagnostics, want 5 (the pool.go exemption must be path-specific):", len(diags))
 		for _, d := range diags {
 			t.Logf("  %s", d)
 		}

@@ -34,8 +34,7 @@ type Machine struct {
 	Torus *torus.Network
 	Tree  *tree.Network
 
-	// Trace, when non-nil, records schedule and protocol events. Traces are
-	// a single-shard facility: a sharded machine must run untraced.
+	// Trace, when non-nil, records schedule and protocol events.
 	Trace *trace.Log
 
 	// prm is the partition's one shared, immutable parameter set; every
@@ -48,50 +47,17 @@ type Machine struct {
 	// their capacity when the new geometry fits.
 	hwNodes []hw.Node
 	engines []dma.Engine
-
-	// Sharded-partition state (nil/empty on a single-shard machine): the
-	// peer shards, the hub shard carrying the collective network, and the
-	// node-to-peer-shard map (contiguous blocks).
-	shards    []*sim.Shard
-	hub       *sim.Shard
-	nodeShard []int
 }
 
-// New validates cfg and builds the partition. With cfg.Shards > 1 the nodes
-// are split into that many contiguous blocks, each simulated by its own
-// kernel shard; the collective network lives on a hub shard and the kernel
-// lookahead — the parallel epoch width — is the smallest cross-shard
-// latency, min(BarrierLatency, tree traversal latency).
+// New validates cfg and builds the partition.
 func New(cfg hw.Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
 	k := sim.New()
 	m := &Machine{K: k, Cfg: cfg, Geom: cfg.Torus}
-	treeShard := k.RootShard()
-	if cfg.Shards > 1 {
-		m.shards = make([]*sim.Shard, cfg.Shards)
-		m.shards[0] = k.RootShard()
-		for i := 1; i < cfg.Shards; i++ {
-			m.shards[i] = k.NewShard()
-		}
-		m.hub = k.NewHubShard()
-		treeShard = m.hub
-		nodes := cfg.Nodes()
-		m.nodeShard = make([]int, nodes)
-		for id := range m.nodeShard {
-			m.nodeShard[id] = id * cfg.Shards / nodes
-		}
-	}
 	m.Torus = torus.New(k, cfg.Torus, cfg.Params)
-	m.Tree = tree.New(treeShard, cfg.Torus, cfg.Params)
-	if cfg.Shards > 1 {
-		la := cfg.Params.BarrierLatency
-		if tl := m.Tree.Latency(); tl < la {
-			la = tl
-		}
-		k.SetLookahead(la)
-	}
+	m.Tree = tree.New(k, cfg.Torus, cfg.Params)
 	m.prm = cfg.Params
 	m.buildNodes()
 	return m, nil
@@ -124,9 +90,8 @@ func (m *Machine) buildNodes() {
 //
 //bgplint:hot
 func (m *Machine) initNode(id int) {
-	sh := m.ShardOf(id)
-	hw.InitNode(&m.hwNodes[id], sh, id, m.Geom.CoordOf(id), &m.prm)
-	dma.Init(&m.engines[id], sh, &m.hwNodes[id])
+	hw.InitNode(&m.hwNodes[id], m.K, id, m.Geom.CoordOf(id), &m.prm)
+	dma.Init(&m.engines[id], m.K, &m.hwNodes[id])
 	m.Nodes[id] = Node{HW: &m.hwNodes[id], DMA: &m.engines[id]}
 }
 
@@ -142,22 +107,6 @@ func growSlab[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
-
-// Sharded reports whether the partition runs on a sharded kernel.
-func (m *Machine) Sharded() bool { return m.hub != nil }
-
-// ShardOf returns the shard simulating the given node: the kernel's root
-// shard on a single-shard machine.
-func (m *Machine) ShardOf(node int) *sim.Shard {
-	if m.nodeShard == nil {
-		return m.K.RootShard()
-	}
-	return m.shards[m.nodeShard[node]]
-}
-
-// HubShard returns the hub shard carrying the shared networks of a sharded
-// machine, nil on a single-shard one.
-func (m *Machine) HubShard() *sim.Shard { return m.hub }
 
 // Node returns the node with the given id.
 func (m *Machine) Node(id int) *Node { return &m.Nodes[id] }

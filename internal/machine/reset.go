@@ -38,10 +38,8 @@ func (m *Machine) Reset() {
 // The old generation's pipes are released and the torus/tree networks are
 // built fresh — their identity is per-configuration.
 //
-// Only single-shard partitions can be reconfigured: the kernel's shard
-// partition is fixed at New, so a sharded machine cannot change node-to-
-// shard assignment. Reconfigure panics (from sim.Kernel.Reset) if the last
-// run failed, exactly like Reset.
+// Reconfigure panics (from sim.Kernel.Reset) if the last run failed, exactly
+// like Reset.
 //
 // A reconfigured machine is bit-identical, in every kernel-observable way,
 // to a freshly built one: the bench equivalence tests pin grown-vs-fresh
@@ -50,14 +48,11 @@ func (m *Machine) Reconfigure(cfg hw.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("machine: %w", err)
 	}
-	if m.Sharded() || cfg.Shards > 1 {
-		return fmt.Errorf("machine: cannot reconfigure a sharded partition (shard count is fixed at New)")
-	}
 	m.K.Reset()
 	m.K.ReleasePipes()
 	m.Cfg, m.Geom, m.prm = cfg, cfg.Torus, cfg.Params
 	m.Torus = torus.New(m.K, cfg.Torus, cfg.Params)
-	m.Tree = tree.New(m.K.RootShard(), cfg.Torus, cfg.Params)
+	m.Tree = tree.New(m.K, cfg.Torus, cfg.Params)
 	m.buildNodes()
 	m.Trace = nil
 	return nil

@@ -27,9 +27,7 @@ type scratchSet struct {
 // the world's steady-state fingerprint (SteadyState).
 //
 // Scratch is not safe for concurrent use. Call it from the goroutine that
-// drives the world, or from rank code on a single-shard world, whose ranks
-// run one at a time; never from the parallel shard workers of a sharded
-// world.
+// drives the world, or from rank code, whose ranks run one at a time.
 func (w *World) Scratch(key *ScratchKey, create func() any) any {
 	s := w.scratch
 	if s == nil {

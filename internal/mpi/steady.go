@@ -21,18 +21,10 @@ package mpi
 
 import "bgpcoll/internal/sim"
 
-// SteadyState canonicalizes the world's residual state into f. Sharded
-// worlds, unknown operation types and pending point-to-point traffic refuse
-// the capture (extrapolation then falls back to full execution).
+// SteadyState canonicalizes the world's residual state into f. Unknown
+// operation types and pending point-to-point traffic refuse the capture
+// (extrapolation then falls back to full execution).
 func (w *World) SteadyState(f *sim.FP) {
-	if w.shardOps != nil {
-		f.Refuse("sharded world")
-		return
-	}
-	if len(w.hubBarrier.pending) != 0 {
-		f.Refuse("pending hub barrier")
-		return
-	}
 	var baseSeq int64
 	if len(w.ranks) > 0 {
 		baseSeq = w.ranks[0].seq
@@ -125,16 +117,9 @@ func (b *mailbox) idle() bool {
 	return true
 }
 
-// SteadyState canonicalizes the classic-world barrier op: the arrival count
-// and the release event with its waiter list.
+// SteadyState canonicalizes the barrier op: the arrival count and the
+// release event with its waiter list.
 func (st *barrierState) SteadyState(f *sim.FP) {
 	f.I64(int64(st.arrived))
 	f.Event(st.ev)
-}
-
-// SteadyState canonicalizes the node-scoped sharded-barrier op. Sharded
-// worlds refuse capture outright, so this exists for type completeness.
-func (st *nodeBarrier) SteadyState(f *sim.FP) {
-	f.I64(int64(st.arrived))
-	f.Counter(st.release)
 }

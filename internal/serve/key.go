@@ -27,19 +27,34 @@ import (
 
 // keyVersion prefixes every canonical form. Bump it when the meaning of a
 // measurement changes without any request field changing (e.g. a kernel
-// timing-model fix): stale persisted caches then miss instead of lying.
-const keyVersion = "bgpsimd/v1"
+// timing-model fix): stale persisted caches then miss instead of lying. v2:
+// hw.Config dropped its kernel-partition count along with the parallel
+// kernel, so every v1 form carries a config line no request can produce any
+// more.
+const keyVersion = "bgpsimd/v2"
 
 // CanonicalCell renders the cell's cache-relevant fields as one stable,
 // human-auditable string. Equal strings imply bit-identical virtual times.
-func CanonicalCell(c bench.Cell) string {
+func CanonicalCell(c bench.Cell) string { return canonHead(c) + canonConfig(c) }
+
+// canonHead renders the version and the cell's own fields: the part of the
+// canonical form that precedes the config walk.
+func canonHead(c bench.Cell) string {
 	var b strings.Builder
-	b.Grow(1 << 10)
+	b.Grow(128)
 	fmt.Fprintf(&b, "v=%s\n", keyVersion)
 	fmt.Fprintf(&b, "kind=%s\n", c.Kind)
 	fmt.Fprintf(&b, "algo=%s\n", c.Algo)
 	fmt.Fprintf(&b, "arg=%d\n", c.Arg)
 	fmt.Fprintf(&b, "iters=%d\n", c.Iters)
+	return b.String()
+}
+
+// canonConfig renders the cell's partition config: the reflective walk that
+// dominates the cost of a key.
+func canonConfig(c bench.Cell) string {
+	var b strings.Builder
+	b.Grow(1 << 10)
 	canonValue(&b, "cfg", reflect.ValueOf(c.Cfg))
 	return b.String()
 }
@@ -76,6 +91,24 @@ func canonValue(b *strings.Builder, path string, v reflect.Value) {
 // KeyCell digests the canonical form into the 16-hex-digit content address
 // used by the store, the coalescing table, and the persisted cache file.
 func KeyCell(c bench.Cell) string { return rederiveKey(CanonicalCell(c)) }
+
+// keyCells is KeyCell over a batch. A figure or sweep lists its cells config
+// by config, so the config walk runs once per run of equal configs instead
+// of once per cell; the digested bytes, and so the keys, are KeyCell's.
+// Configs compare with ==, under which a zero float equals its negative
+// while the two render differently; no request can set a parameter to -0,
+// since every config starts from the package's default parameter sets.
+func keyCells(cells []bench.Cell) []string {
+	keys := make([]string, len(cells))
+	var cfg string
+	for i, c := range cells {
+		if i == 0 || c.Cfg != cells[i-1].Cfg {
+			cfg = canonConfig(c)
+		}
+		keys[i] = rederiveKey(canonHead(c) + cfg)
+	}
+	return keys
+}
 
 // rederiveKey digests an already-canonical form; Store.Load uses it to check
 // persisted entries against their claimed keys.

@@ -58,7 +58,6 @@ func TestKeySensitivity(t *testing.T) {
 		"torus":      func(c *bench.Cell) { c.Cfg.Torus.DZ *= 2 },
 		"mode":       func(c *bench.Cell) { c.Cfg.Mode = hw.SMP },
 		"functional": func(c *bench.Cell) { c.Cfg.Functional = true },
-		"shards":     func(c *bench.Cell) { c.Cfg.Shards = 4 },
 		"param-int":  func(c *bench.Cell) { c.Cfg.Params.TLBSlots++ },
 		"param-f64":  func(c *bench.Cell) { c.Cfg.Params.TorusLinkBps *= 1.0000001 },
 		"param-bool": func(c *bench.Cell) { c.Cfg.Params.MapCacheEnabled = !c.Cfg.Params.MapCacheEnabled },
@@ -76,5 +75,41 @@ func TestRederiveKeyMatches(t *testing.T) {
 	c := testCell()
 	if rederiveKey(CanonicalCell(c)) != KeyCell(c) {
 		t.Fatal("rederiveKey disagrees with KeyCell")
+	}
+}
+
+// TestKeyCellsMatchKeyCell pins the batch path against the per-cell one on a
+// batch that changes config mid-run: a quick fig7 (several partitions) with
+// a two-mode sweep spliced into its middle. Every batch key must equal the
+// cell's own KeyCell.
+func TestKeyCellsMatchKeyCell(t *testing.T) {
+	plan, err := bench.PlanExperiment("fig7", bench.Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sweep []bench.Cell
+	for _, mode := range []string{"quad", "smp", "quad"} {
+		for _, size := range []string{"4K", "1M"} {
+			c, err := buildCell(runRequest{Algo: mpi.BcastTorusShaddr, Size: size, Torus: "4x4x4", Mode: mode, Iters: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweep = append(sweep, c)
+		}
+	}
+	half := len(plan.Cells) / 2
+	cells := append(append(append([]bench.Cell{}, plan.Cells[:half]...), sweep...), plan.Cells[half:]...)
+	configs := map[hw.Config]bool{}
+	for _, c := range cells {
+		configs[c.Cfg] = true
+	}
+	if len(configs) < 3 {
+		t.Fatalf("batch spans %d configs; want a mixed batch", len(configs))
+	}
+	keys := keyCells(cells)
+	for i, c := range cells {
+		if want := KeyCell(c); keys[i] != want {
+			t.Errorf("cell %d (%s %s @ %d): batch key %s, KeyCell %s", i, c.Series, c.Algo, c.Arg, keys[i], want)
+		}
 	}
 }

@@ -103,14 +103,15 @@ func (p *Pool) Submit(client string, cells []bench.Cell) ([]Entry, int, error) {
 	out := make([]Entry, len(cells))
 	waits := make([]*flight, len(cells))
 	hits := 0
+	// Keys depend on the cells alone, so they are derived before taking the
+	// lock that every concurrent request and worker contends for.
+	keys := keyCells(cells)
 
 	p.mu.Lock()
 	// Pass 1: classify without side effects, counting the distinct new
 	// flights this batch needs.
-	keys := make([]string, len(cells))
 	newKeys := make(map[string]bool)
-	for i, c := range cells {
-		keys[i] = KeyCell(c)
+	for i := range cells {
 		if _, ok := p.store.Get(keys[i]); ok {
 			continue
 		}

@@ -7,12 +7,8 @@ import "sort"
 // software message counters: a producer adds received byte counts, consumers
 // wait until the count reaches a threshold. Like events, counters must not
 // outlive a Kernel.Reset: stale handles panic via the epoch stamp.
-//
-// A counter belongs to the shard that created it: only that shard's code may
-// add to it, wait on it, or subscribe to it. Other shards reach it through
-// Shard.PostAdd.
 type Counter struct {
-	sh      *Shard
+	k       *Kernel
 	name    label
 	epoch   uint32
 	fpID    uint32 // see fpGen; packed beside epoch so the label costs no size
@@ -32,27 +28,23 @@ type counterWait struct {
 	e         entry
 }
 
-// NewCounter returns a counter starting at zero owned by the root shard; see
-// Shard.NewCounter.
-func (k *Kernel) NewCounter(name string) *Counter { return k.s0.NewCounter(name) }
-
-// NewCounter returns a counter starting at zero, carved from the shard's
+// NewCounter returns a counter starting at zero, carved from the kernel's
 // arena (see arena.go). Every field is reinitialized: after a Reset the slot
 // still holds a previous run's state (the waiter slice keeps its capacity).
-func (sh *Shard) NewCounter(name string) *Counter {
-	return sh.newCounter(plainLabel(name))
+func (k *Kernel) NewCounter(name string) *Counter {
+	return k.newCounter(plainLabel(name))
 }
 
 // NewCounterf is NewCounter with a lazily formatted name: the name renders
 // as fmt.Sprintf(format, ops...) (at most two non-negative operands) only
 // when shown, so per-call counters format nothing on the hot path.
-func (sh *Shard) NewCounterf(format string, ops ...int32) *Counter {
-	return sh.newCounter(formatLabel(format, ops))
+func (k *Kernel) NewCounterf(format string, ops ...int32) *Counter {
+	return k.newCounter(formatLabel(format, ops))
 }
 
-func (sh *Shard) newCounter(name label) *Counter {
-	c := sh.arena.newCounter()
-	c.sh, c.name, c.epoch = sh, name, sh.k.epoch
+func (k *Kernel) newCounter(name label) *Counter {
+	c := k.arena.newCounter()
+	c.k, c.name, c.epoch = k, name, k.epoch
 	c.v = 0
 	c.waiters = c.waiters[:0]
 	return c
@@ -60,7 +52,7 @@ func (sh *Shard) newCounter(name label) *Counter {
 
 // check panics when the handle predates the kernel's current epoch.
 func (c *Counter) check() {
-	if c.epoch != c.sh.k.epoch {
+	if c.epoch != c.k.epoch {
 		panic("sim: counter handle (" + c.name.String() + ") used across Kernel.Reset")
 	}
 }
@@ -70,9 +62,6 @@ func (c *Counter) Value() int64 { return c.v }
 
 // Name returns the counter's name.
 func (c *Counter) Name() string { return c.name.String() }
-
-// Shard returns the owning shard.
-func (c *Counter) Shard() *Shard { return c.sh }
 
 // Add increases the counter by n (n must be non-negative; the structures the
 // counter models only count up) and releases any waiters whose threshold is
@@ -114,26 +103,26 @@ func (c *Counter) release() {
 	if n == 0 {
 		return
 	}
-	sh := c.sh
+	k := c.k
 	if n == 1 {
-		sh.wake(c.waiters[0].e)
+		k.wake(c.waiters[0].e)
 	} else {
 		// A threshold crossing that releases several waiters at one instant
 		// wakes them as a single run-ring batch: the per-waiter blocked
 		// bookkeeping runs first, then one bulk append in threshold order
 		// (ties in registration order — the same order wake-by-wake pushes
 		// would have produced).
-		buf := sh.arena.wakeBuf[:0]
+		buf := k.arena.wakeBuf[:0]
 		for _, w := range c.waiters[:n] {
 			if w.e.parked() {
-				p := sh.procAt(w.e.idx)
-				sh.blocked--
+				p := k.procAt(w.e.idx)
+				k.blocked--
 				p.waitEv, p.waitC = nil, nil
 			}
 			buf = append(buf, w.e)
 		}
-		sh.ring.pushBatch(buf)
-		sh.arena.wakeBuf = buf[:0]
+		k.ring.pushBatch(buf)
+		k.arena.wakeBuf = buf[:0]
 	}
 	// Compact in place rather than re-slicing the front away: waking repeatedly
 	// would otherwise shrink capacity to zero and reallocate on every wait.
@@ -143,15 +132,14 @@ func (c *Counter) release() {
 }
 
 // OnGE schedules fn once the counter reaches at least v. If it already has,
-// fn is scheduled at the current time. Like Add, it must be called from the
-// owning shard.
+// fn is scheduled at the current time.
 func (c *Counter) OnGE(v int64, fn func()) {
 	c.check()
 	if c.v >= v {
-		c.sh.At(c.sh.now, fn)
+		c.k.At(c.k.now, fn)
 		return
 	}
-	c.wait(v, entry{kind: eFn, idx: c.sh.newCb(fn)})
+	c.wait(v, entry{kind: eFn, idx: c.k.newCb(fn)})
 }
 
 // OnGEHook is the closure-free OnGE: h.RunPost(a, b) is scheduled once the
@@ -162,8 +150,8 @@ func (c *Counter) OnGE(v int64, fn func()) {
 func (c *Counter) OnGEHook(v int64, h PostHandler, a, b int64) {
 	c.check()
 	if c.v >= v {
-		c.sh.HookAt(c.sh.now, h, a, b)
+		c.k.HookAt(c.k.now, h, a, b)
 		return
 	}
-	c.wait(v, entry{kind: eHook, idx: c.sh.newHook(h, a, b)})
+	c.wait(v, entry{kind: eHook, idx: c.k.newHook(h, a, b)})
 }

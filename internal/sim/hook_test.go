@@ -85,8 +85,8 @@ func TestHookAtOrderMatchesClosures(t *testing.T) {
 }
 
 // slotOf returns the hook-table slot holding the pending hook tagged a.
-func slotOf(sh *Shard, a int64) int {
-	for i, hk := range sh.hooks {
+func slotOf(k *Kernel, a int64) int {
+	for i, hk := range k.hooks {
 		if hk.h != nil && hk.a == a {
 			return i
 		}
@@ -106,7 +106,7 @@ func (h *cascadeHook) schedule(t Time, depth int64) {
 	h.next++
 	tag := h.next<<8 | depth
 	h.k.HookAt(t, h, tag, 0)
-	h.slots = append(h.slots, slotOf(h.k.RootShard(), tag))
+	h.slots = append(h.slots, slotOf(h.k, tag))
 }
 
 func (h *cascadeHook) RunPost(tag, _ int64) {
@@ -151,7 +151,7 @@ func TestHookSlotsRecycleLIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.HookAt(k.Now()+1, h, 9, 0)
-	if got := slotOf(k.RootShard(), 9); got != 2 {
+	if got := slotOf(k, 9); got != 2 {
 		t.Fatalf("carved slot %d after releasing 0,1,2; want 2 (LIFO)", got)
 	}
 }

@@ -9,12 +9,12 @@ import (
 
 // entry is one schedulable unit, encoded without pointers so the run ring,
 // the event queue, and every waiter list are memory the GC never has to scan.
-// kind selects the dispatch and idx names the target: a slot in the shard's
+// kind selects the dispatch and idx names the target: a slot in the kernel's
 // callback table (eFn), hook table (eHook), add table (eAdd), or a process's
 // dense arena index (everything else).
 //
 // In a waiter list (Event.waiters, Counter.waiters) every kind other than eFn
-// and eHook identifies a parked process, so Shard.wake and the batch-wake
+// and eHook identifies a parked process, so Kernel.wake and the batch-wake
 // loops do the blocked bookkeeping exactly for those kinds — the same split
 // the old (fn, p) pair expressed with p != nil.
 type entry struct {
@@ -36,32 +36,69 @@ const (
 	eCont         // run process idx's program continuation (program.go)
 	eProg         // step process idx's program-mode plan (program.go)
 	eAdd          // apply add-table slot idx: a scheduled Counter.Add (AddAt)
-	eHook         // run hook-table slot idx: HookAt, OnGEHook, or a delivered PostHook
+	eHook         // run hook-table slot idx: HookAt or OnGEHook
 )
 
 // Kernel is a deterministic discrete-event scheduler. The zero value is not
 // usable; create kernels with New.
-//
-// All scheduling state lives in shards (see shard.go). A fresh kernel has
-// exactly one — the root shard, embedded by value so the serial path pays no
-// extra indirection — and every Kernel-level scheduling method delegates to
-// it. NewShard/NewHubShard partition the simulation for parallel conservative
-// epochs (see epoch.go); with more than one shard Run becomes the epoch
-// controller instead of the single-queue loop.
 type Kernel struct {
-	s0     Shard
-	shards []*Shard
+	now   Time
+	queue radixQueue
+	ring  runRing
 
-	// lookahead is the conservative-PDES window width: the minimum virtual
-	// latency of any cross-shard interaction. Cross-shard posts destined for
-	// a peer shard must land at least this far in the future (see
-	// Shard.postTo); posts into a hub shard only need t >= now, because hubs
-	// run strictly after the peer phase within each window.
-	lookahead Time
+	// sched returns the virtual CPU to the scheduler loop. Whichever process
+	// ends a direct-handoff chain sends here; Run receives once per process
+	// resume it initiated.
+	sched chan struct{}
+
+	// fused is a process whose plan just completed on an instant step: next()
+	// resumes it before popping any further entry, preserving the queue
+	// position its unfused slice would have occupied.
+	fused *Proc
+
+	// cbs is the callback table: eFn entries name a slot here instead of
+	// carrying the func value, keeping queue memory pointer-free. Slots are
+	// recycled through cbFree in LIFO order — a deterministic policy, so a
+	// reused kernel assigns the same slot numbers as a fresh one.
+	cbs    []func()
+	cbFree []uint32
+
+	// adds is the scheduled-add table: eAdd entries name a slot here holding
+	// a (counter, amount) pair, so a deferred Counter.Add costs no closure.
+	// Slots recycle LIFO through addFree, like cbs.
+	adds    []addAt
+	addFree []uint32
+
+	// hooks is the hook table: an eHook entry names a slot holding a
+	// (handler, a, b) triple from HookAt or OnGEHook — the pointer-lean path
+	// for high-volume traffic (e.g. one event per broadcast chunk per node).
+	// Slots recycle LIFO like the other tables.
+	hooks    []postHook
+	hookFree []uint32
+
+	// procs lists every live process by dense arena index; each tracks its
+	// own registry position (Proc.idx) for O(1) removal. blocked counts
+	// processes currently waiting on an Event or Counter threshold (not a
+	// timed sleep). If all events drain while blocked > 0 the simulation is
+	// deadlocked.
+	procs   []uint32
+	blocked int
+
+	failure error
+
+	// cbPanic holds the value of a callback panic captured on a process
+	// goroutine (see handoff); Run re-panics with it so callback panics
+	// crash Run exactly as they do when the scheduler goroutine runs them.
+	cbPanic any
+
+	// arena holds the kernel's slab allocator for events, counters, and
+	// processes (see arena.go). Everything carved from it lives exactly as
+	// long as the kernel — or until Reset rewinds it.
+	arena arena
 
 	running bool
 
-	// noHandoff forces every yield through the shard's scheduler loop (the
+	// noHandoff forces every yield through the scheduler loop (the
 	// pre-handoff two-rendezvous protocol). It exists for the determinism
 	// stress tests, which compare event orderings with and without the
 	// direct-handoff fast path.
@@ -79,13 +116,6 @@ type Kernel struct {
 	// against.
 	noProgram bool
 
-	// noShard runs a sharded kernel's epochs sequentially on the calling
-	// goroutine — same windows, same mailbox merges, same committed order,
-	// no worker goroutines. It is the reference vehicle the determinism
-	// stress tests compare the parallel execution against, mirroring
-	// noHandoff/noFuse/noProgram.
-	noShard bool
-
 	// noExtrap disables steady-state iteration extrapolation (steady.go):
 	// Steady.Capture refuses on a noExtrap kernel, so every measure-loop
 	// iteration executes. The full-execution reference vehicle, mirroring
@@ -101,46 +131,21 @@ type Kernel struct {
 	// panics deterministically instead of corrupting the next run (the slab
 	// slot may already belong to someone else).
 	epoch uint32
-
-	// mergeBuf is the epoch controller's reusable mailbox merge scratch.
-	mergeBuf []xmsg
 }
 
-// New returns a kernel with the clock at zero and a single root shard.
+// New returns a kernel with the clock at zero.
 func New() *Kernel {
-	k := &Kernel{}
-	k.s0.init(k, 0, false)
-	k.shards = append(k.shards, &k.s0)
-	return k
+	return &Kernel{sched: make(chan struct{})}
 }
 
-// Now returns the current virtual time: the root shard's clock, or — on a
-// sharded kernel, where shards advance independently inside a window — the
-// maximum over all shards (the horizon every committed event is behind).
-func (k *Kernel) Now() Time {
-	if len(k.shards) == 1 {
-		return k.s0.now
-	}
-	var t Time
-	for _, sh := range k.shards {
-		if sh.now > t {
-			t = sh.now
-		}
-	}
-	return t
-}
+// Now returns the current virtual time.
+func (k *Kernel) Now() Time { return k.now }
 
 // SetNoProgram toggles the goroutine-backed reference mode for SpawnProgram
 // (see program.go). It must be called before any process is spawned; the two
 // modes produce bit-identical event orderings, so this exists for the
 // determinism stress tests and the program-vs-reference benchmark runs.
 func (k *Kernel) SetNoProgram(v bool) { k.noProgram = v }
-
-// SetNoShard toggles the sequential-epoch reference vehicle for sharded
-// kernels (see epoch.go). It may be set any time before Run; both vehicles
-// execute the identical window/mailbox algorithm, so every trace, failure,
-// and deadlock report is bit-identical between them.
-func (k *Kernel) SetNoShard(v bool) { k.noShard = v }
 
 // SetNoExtrap toggles the full-execution reference vehicle for the steady-
 // state extrapolation detector (steady.go): captures on a noExtrap kernel
@@ -152,37 +157,13 @@ func (k *Kernel) SetNoExtrap(v bool) { k.noExtrap = v }
 // NoExtrap reports whether steady-state extrapolation is disabled.
 func (k *Kernel) NoExtrap() bool { return k.noExtrap }
 
-// SetLookahead declares the conservative window width for sharded runs: no
-// cross-shard interaction may take effect sooner than this after it is
-// posted. The machine layer computes it as the minimum cross-node latency of
-// the networks in play. Sharded Run panics without a positive lookahead.
-func (k *Kernel) SetLookahead(d Time) {
-	if d <= 0 {
-		panic("sim: non-positive lookahead")
-	}
-	k.lookahead = d
-}
-
-// Lookahead returns the configured conservative window width.
-func (k *Kernel) Lookahead() Time { return k.lookahead }
-
-// Sharded reports whether the kernel has more than one shard.
-func (k *Kernel) Sharded() bool { return len(k.shards) > 1 }
-
-// ShardCount returns the number of shards (1 for a fresh kernel).
-func (k *Kernel) ShardCount() int { return len(k.shards) }
-
-// RootShard returns the kernel's always-present shard 0, the one every
-// Kernel-level scheduling method operates on.
-func (k *Kernel) RootShard() *Shard { return &k.s0 }
-
 // Reset returns the kernel to its post-New state while keeping every
 // allocation it has accumulated: arena slabs, queue and ring capacity, the
-// callback tables, grown waiter lists, the shard partition, and the pipes
-// created on it. Pipes survive with their identity intact (their reservation
-// state rewinds to zero); events, counters, and processes do not — their
-// slab slots will be recarved, so handles from before the Reset are poison,
-// and the epoch stamp makes using one panic deterministically.
+// callback tables, grown waiter lists, and the pipes created on it. Pipes
+// survive with their identity intact (their reservation state rewinds to
+// zero); events, counters, and processes do not — their slab slots will be
+// recarved, so handles from before the Reset are poison, and the epoch stamp
+// makes using one panic deterministically.
 //
 // Reset panics if called during Run or while processes are still live: a
 // failed run (deadlock, process panic) leaves parked processes behind, and
@@ -192,57 +173,305 @@ func (k *Kernel) Reset() {
 	if k.running {
 		panic("sim: Reset during Run")
 	}
-	for _, sh := range k.shards {
-		if len(sh.procs) > 0 || sh.blocked != 0 {
-			panic("sim: Reset with live processes; only a cleanly finished kernel can be reset")
-		}
+	if len(k.procs) > 0 || k.blocked != 0 {
+		panic("sim: Reset with live processes; only a cleanly finished kernel can be reset")
 	}
-	for _, sh := range k.shards {
-		sh.reset()
-	}
+	k.now = 0
+	k.queue.reset()
+	k.ring.head, k.ring.tail, k.ring.n = 0, 0, 0
+	k.fused = nil
+	k.failure = nil
+	k.cbPanic = nil
+	// Callback slots hold closures whose captures would otherwise keep the
+	// previous run's garbage alive for the whole next lease.
+	clear(k.cbs)
+	k.cbs = k.cbs[:0]
+	k.cbFree = k.cbFree[:0]
+	clear(k.adds)
+	k.adds = k.adds[:0]
+	k.addFree = k.addFree[:0]
+	clear(k.hooks)
+	k.hooks = k.hooks[:0]
+	k.hookFree = k.hookFree[:0]
+	k.arena.reset()
 	for _, p := range k.pipes {
 		p.free, p.totalBytes, p.busy, p.transfers = 0, 0, 0, 0
 	}
 	k.epoch++
 }
 
-// At schedules fn to run on the root shard at absolute virtual time t.
-// Scheduling in the past panics: it indicates a broken cost model rather
-// than a recoverable state. Code running inside a peer shard of a sharded
-// kernel must use Shard.At (or the object-routed AddAt) instead.
-func (k *Kernel) At(t Time, fn func()) { k.s0.At(t, fn) }
-
-// After schedules fn to run d after the root shard's current time.
-func (k *Kernel) After(d Time, fn func()) { k.s0.After(d, fn) }
-
 // addAt is one scheduled counter add: the pointer-lean form of
-// At(t, func() { c.Add(n) }), stored in the shard's add table so the hot
+// At(t, func() { c.Add(n) }), stored in the kernel's add table so the hot
 // DMA-completion paths schedule no closures.
 type addAt struct {
 	c *Counter
 	n int64
 }
 
-// AddAt schedules c.Add(n) at absolute virtual time t, occupying exactly the
-// (time, seq) position the equivalent At callback would. The entry lands on
-// the counter's own shard, which on a sharded kernel must also be the
-// calling shard; cross-shard adds go through Shard.PostAdd. Like At,
-// scheduling in the past panics; like every counter operation, a handle from
-// before a Reset panics at registration.
-//
-//bgplint:hot
-func (k *Kernel) AddAt(t Time, c *Counter, n int64) { c.sh.AddAt(t, c, n) }
+// newCb stores fn in the callback table and returns its slot. Slots recycle
+// LIFO so the mapping from schedule order to slot numbers is a pure function
+// of the run, fresh or reused.
+func (k *Kernel) newCb(fn func()) uint32 {
+	if n := len(k.cbFree); n > 0 {
+		i := k.cbFree[n-1]
+		k.cbFree = k.cbFree[:n-1]
+		k.cbs[i] = fn
+		return i
+	}
+	k.cbs = append(k.cbs, fn)
+	return uint32(len(k.cbs) - 1)
+}
 
-// HookAt schedules h.RunPost(a, b) on the root shard at absolute virtual
-// time t: the closure-free At (see Shard.HookAt).
+// runCb runs a callback slot, releasing it first so the table holds no
+// reference while (and after) the callback executes.
+func (k *Kernel) runCb(i uint32) {
+	fn := k.cbs[i]
+	k.cbs[i] = nil
+	k.cbFree = append(k.cbFree, i)
+	fn()
+}
+
+// procAt resolves a dense process index.
+func (k *Kernel) procAt(i uint32) *Proc { return k.arena.procAt(i) }
+
+// At schedules fn to run at absolute virtual time t.
+// Scheduling in the past panics: it indicates a broken cost model rather
+// than a recoverable state.
+func (k *Kernel) At(t Time, fn func()) {
+	if t <= k.now {
+		if t < k.now {
+			panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
+		}
+		k.ring.push(entry{kind: eFn, idx: k.newCb(fn)})
+		return
+	}
+	k.queue.push(t, entry{kind: eFn, idx: k.newCb(fn)})
+}
+
+// After schedules fn to run d after the current time.
+func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
+
+// AddAt schedules c.Add(n) at absolute virtual time t, occupying exactly the
+// (time, seq) position the equivalent At callback would. Like At, scheduling
+// in the past panics; like every counter operation, a handle from before a
+// Reset panics at registration.
 //
 //bgplint:hot
-func (k *Kernel) HookAt(t Time, h PostHandler, a, b int64) { k.s0.HookAt(t, h, a, b) }
+func (k *Kernel) AddAt(t Time, c *Counter, n int64) {
+	c.check()
+	i := k.newAdd(c, n)
+	if t <= k.now {
+		if t < k.now {
+			panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
+		}
+		k.ring.push(entry{kind: eAdd, idx: i})
+		return
+	}
+	k.queue.push(t, entry{kind: eAdd, idx: i})
+}
+
+// newAdd carves an add-table slot (LIFO recycling, like newCb).
+//
+//bgplint:hot
+func (k *Kernel) newAdd(c *Counter, n int64) uint32 {
+	if m := len(k.addFree); m > 0 {
+		i := k.addFree[m-1]
+		k.addFree = k.addFree[:m-1]
+		k.adds[i] = addAt{c, n}
+		return i
+	}
+	k.adds = append(k.adds, addAt{c, n})
+	return uint32(len(k.adds) - 1)
+}
+
+// runAdd applies a scheduled add, releasing its table slot first (mirroring
+// runCb's discipline).
+//
+//bgplint:hot
+func (k *Kernel) runAdd(i uint32) {
+	a := k.adds[i]
+	k.adds[i] = addAt{}
+	k.addFree = append(k.addFree, i)
+	a.c.Add(a.n)
+}
+
+// PostHandler is the closure-free callback of HookAt and Counter.OnGEHook,
+// for high-volume paths: one handler object bound once, two integer
+// operands, no allocation per event beyond its table slot.
+type PostHandler interface {
+	RunPost(a, b int64)
+}
+
+// postHook is one scheduled hook — a HookAt or OnGEHook: handler object plus
+// two integer operands, so high-volume traffic carries no closures.
+type postHook struct {
+	h    PostHandler
+	a, b int64
+}
+
+// HookAt schedules h.RunPost(a, b) at absolute virtual time t, occupying exactly the (time, seq) position the equivalent At callback
+// would: the closure-free At. Handlers are bound once and the operands
+// carry the per-event identity, so a per-chunk schedule allocates nothing.
+// Like At, scheduling in the past panics.
+//
+//bgplint:hot
+func (k *Kernel) HookAt(t Time, h PostHandler, a, b int64) {
+	if t <= k.now {
+		if t < k.now {
+			panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
+		}
+		k.ring.push(entry{kind: eHook, idx: k.newHook(h, a, b)})
+		return
+	}
+	k.queue.push(t, entry{kind: eHook, idx: k.newHook(h, a, b)})
+}
+
+// newHook carves a hook-table slot (LIFO recycling, like newCb).
+//
+//bgplint:hot
+func (k *Kernel) newHook(h PostHandler, a, b int64) uint32 {
+	if n := len(k.hookFree); n > 0 {
+		i := k.hookFree[n-1]
+		k.hookFree = k.hookFree[:n-1]
+		k.hooks[i] = postHook{h: h, a: a, b: b}
+		return i
+	}
+	k.hooks = append(k.hooks, postHook{h: h, a: a, b: b})
+	return uint32(len(k.hooks) - 1)
+}
+
+// runHook dispatches a scheduled hook, releasing its slot first.
+//
+//bgplint:hot
+func (k *Kernel) runHook(i uint32) {
+	hk := k.hooks[i]
+	k.hooks[i] = postHook{}
+	k.hookFree = append(k.hookFree, i)
+	hk.h.RunPost(hk.a, hk.b)
+}
+
+// schedProc schedules p's next resume at absolute time t (>= now; timed
+// sleeps clamp negative durations before calling).
+//
+//bgplint:hot
+func (k *Kernel) schedProc(t Time, p *Proc) {
+	if t <= k.now {
+		k.ring.push(entry{kind: eResume, idx: p.self})
+		return
+	}
+	k.queue.push(t, entry{kind: eResume, idx: p.self})
+}
+
+// schedStep schedules the continuation of p's plan (see plan.go) at absolute
+// time t, using the same now-vs-future placement rule as schedProc so the
+// entry lands exactly where the process's own resume would have.
+//
+//bgplint:hot
+func (k *Kernel) schedStep(t Time, p *Proc) {
+	if t <= k.now {
+		k.ring.push(entry{kind: eStep, idx: p.self})
+		return
+	}
+	k.queue.push(t, entry{kind: eStep, idx: p.self})
+}
+
+// wake makes a released waiter runnable at the current instant. For process
+// waiters the blocked bookkeeping happens here, eagerly, so the queued entry
+// is a bare resume that any token holder may execute; the caller (Event.Fire,
+// Counter.release) always holds the token.
+//
+//bgplint:hot
+func (k *Kernel) wake(w entry) {
+	if w.parked() {
+		p := k.procAt(w.idx)
+		k.blocked--
+		p.waitEv, p.waitC = nil, nil
+	}
+	k.ring.push(w)
+}
+
+// next drives the scheduler under the caller's virtual-CPU token: it pops
+// entries in exact (time, seq) order, runs callbacks inline, advances the
+// clock when the current instant is exhausted, and returns the first process
+// resume it reaches. nil means no runnable work remains (queues drained, or
+// the simulation failed). Both the scheduler loop (Run) and a yielding
+// process (handoff) use this one decision sequence, so who holds the token
+// never changes what executes next.
+//
+//bgplint:hot
+func (k *Kernel) next() *Proc {
+	for k.failure == nil {
+		// Queue entries at the current instant predate (in seq order) every
+		// ring entry, so they run first; otherwise the FIFO ring drains
+		// before the clock may advance to the queue's next instant.
+		var e entry
+		if k.queue.ready() {
+			e = k.queue.pop()
+		} else if !k.ring.empty() {
+			e = k.ring.pop()
+		} else if k.queue.advance() {
+			k.now = k.queue.last
+			e = k.queue.pop()
+		} else {
+			break
+		}
+		switch e.kind {
+		case eResume:
+			return k.procAt(e.idx)
+		case eFn:
+			k.runCb(e.idx)
+		case eStep:
+			k.procAt(e.idx).advance()
+		case eCont:
+			k.procAt(e.idx).runCont()
+		case eProg:
+			k.procAt(e.idx).runProg()
+		case eAdd:
+			k.runAdd(e.idx)
+		case eHook:
+			k.runHook(e.idx)
+		}
+		// A callback that completed a process's plan resumes that process
+		// immediately: its slice belongs at this exact queue position.
+		if p := k.fused; p != nil {
+			k.fused = nil
+			return p
+		}
+	}
+	return nil
+}
+
+// handoff is next() as invoked by a process (or an exiting pool worker)
+// still holding the token: one rendezvous hands the CPU straight to the
+// returned process, and the scheduler goroutine stays parked. Disabled in
+// noHandoff mode. A callback panic is captured here rather than allowed to
+// unwind simulated process code (whose defers must not run for an unrelated
+// callback's bug): the simulation fails, the token returns to the scheduler,
+// and Run re-panics with the original value.
+func (k *Kernel) handoff() (q *Proc) {
+	if k.noHandoff || k.failure != nil {
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			k.cbPanic = r
+			k.fail(fmt.Errorf("sim: callback panicked: %v", r))
+			q = nil
+		}
+	}()
+	return k.next()
+}
+
+// fail records a fatal simulation error (process panic).
+func (k *Kernel) fail(err error) {
+	if k.failure == nil {
+		k.failure = err
+	}
+}
 
 // Run executes events until the queues drain or a process fails. It returns
 // an error if a process panicked or if processes remain blocked with no
-// pending events (virtual deadlock). On a sharded kernel Run is the
-// conservative epoch controller (epoch.go).
+// pending events (virtual deadlock).
 func (k *Kernel) Run() error {
 	if k.running {
 		return fmt.Errorf("sim: Run called reentrantly")
@@ -250,49 +479,41 @@ func (k *Kernel) Run() error {
 	k.running = true
 	defer func() { k.running = false }()
 
-	if len(k.shards) > 1 {
-		return k.runSharded()
+	for k.failure == nil {
+		p := k.next()
+		if p == nil {
+			break
+		}
+		// Hand the virtual CPU to the process and park until some process —
+		// not necessarily this one, if the token travelled a direct-handoff
+		// chain — returns it.
+		p.gate <- struct{}{}
+		<-k.sched
 	}
-	s := &k.s0
-	s.runWindow(maxWindow)
-	if err := k.checkFailure(); err != nil {
-		return err
+	if k.failure != nil {
+		// Callback panics re-panic: they must crash Run, as they do when
+		// the scheduler loop runs the callback. Process panics return as
+		// errors.
+		if r := k.cbPanic; r != nil {
+			k.cbPanic = nil
+			panic(r)
+		}
+		return k.failure
 	}
-	if s.blocked > 0 {
+	if k.blocked > 0 {
 		return k.deadlockError()
 	}
 	return nil
 }
 
-// checkFailure surfaces the first recorded failure in shard order: callback
-// panics re-panic (they must crash Run, as they do when the scheduler loop
-// runs the callback), and process panics return as errors. Shard order makes
-// the choice deterministic when a parallel phase fails in several shards at
-// once.
-func (k *Kernel) checkFailure() error {
-	for _, sh := range k.shards {
-		if sh.failure != nil {
-			if r := sh.cbPanic; r != nil {
-				sh.cbPanic = nil
-				panic(r)
-			}
-			return sh.failure
-		}
-	}
-	return nil
-}
-
 func (k *Kernel) deadlockError() error {
-	// Sort the report so the error text depends neither on discovery order
-	// nor on the shard partition (determinism tests compare failure output
-	// across all kernel modes, sharded included).
+	// Sort the report so the error text does not depend on discovery order
+	// (determinism tests compare failure output across all kernel modes).
 	var blocked []string
-	for _, sh := range k.shards {
-		for _, pi := range sh.procs {
-			p := sh.procAt(pi)
-			if what := p.blockedOn(); what != "" {
-				blocked = append(blocked, fmt.Sprintf("%s(%s)", p.Name(), what))
-			}
+	for _, pi := range k.procs {
+		p := k.procAt(pi)
+		if what := p.blockedOn(); what != "" {
+			blocked = append(blocked, fmt.Sprintf("%s(%s)", p.Name(), what))
 		}
 	}
 	sort.Strings(blocked)
@@ -362,10 +583,10 @@ type qitem struct {
 	e entry
 }
 
-// radixQueue is the shard's future-event queue: a monotone radix heap
+// radixQueue is the kernel's future-event queue: a monotone radix heap
 // (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990) over integer timestamps. It
 // relies on the kernel's monotonicity — no push ever lands at or before the
-// shard clock, which last always equals — so an item {t, e} can live in
+// kernel clock, which last always equals — so an item {t, e} can live in
 // bucket bits.Len64(t ^ last): every item in bucket i is earlier than every
 // item in bucket j > i. Bucket 0 holds the items at last itself and drains
 // FIFO through head.
@@ -375,7 +596,7 @@ type qitem struct {
 // items elsewhere keep their bucket, because the new last agrees with the
 // old one on every bit they differ from it in. So all items at one instant
 // always share a bucket, in push order, through every redistribution, and
-// the drain order is exactly the per-shard (t, seq) FIFO with no sequence
+// the drain order is exactly the (t, seq) FIFO with no sequence
 // numbers stored. Entries are pointer-free, so the GC never scans a bucket.
 //
 // The top bucket also takes every item whose bucket index would exceed it:
@@ -398,16 +619,6 @@ const qBuckets = 44
 func (q *radixQueue) push(t Time, e entry) {
 	if t <= q.last {
 		panic(fmt.Sprintf("sim: queue push at %v not after clock %v", t, q.last))
-	}
-	q.put(qitem{t, e})
-}
-
-// pushMail is push for delivered cross-shard mail, which may also land at
-// last itself (see Shard.deliver): such an item joins bucket 0 behind the
-// items already there.
-func (q *radixQueue) pushMail(t Time, e entry) {
-	if t < q.last {
-		panic(fmt.Sprintf("sim: mail delivered at %v before clock %v", t, q.last))
 	}
 	q.put(qitem{t, e})
 }
@@ -441,20 +652,16 @@ func (q *radixQueue) pop() entry {
 	return e
 }
 
-// advance moves last to the earliest pending instant if it lies before
-// wend, filling bucket 0 with exactly the items at that instant, and
-// reports whether it did. Otherwise it changes nothing. Bucket 0 must be
-// drained.
+// advance moves last to the earliest pending instant, filling bucket 0 with
+// exactly the items at that instant, and reports whether there was one.
+// Bucket 0 must be drained.
 //
 //bgplint:hot
-func (q *radixQueue) advance(wend Time) bool {
+func (q *radixQueue) advance() bool {
 	if q.mask == 0 {
 		return false
 	}
 	i := bits.TrailingZeros64(q.mask)
-	if q.min[i] >= wend {
-		return false
-	}
 	q.last = q.min[i]
 	q.b[0], q.head = q.b[0][:0], 0
 	// Refiling writes only into lower buckets, or — for the top bucket —
@@ -466,17 +673,6 @@ func (q *radixQueue) advance(wend Time) bool {
 		q.put(it)
 	}
 	return true
-}
-
-// peek returns the earliest pending instant without changing the queue.
-func (q *radixQueue) peek() (Time, bool) {
-	if q.ready() {
-		return q.last, true
-	}
-	if q.mask == 0 {
-		return 0, false
-	}
-	return q.min[bits.TrailingZeros64(q.mask)], true
 }
 
 // pending appends every pending item to dst in bucket order, bucket 0 from

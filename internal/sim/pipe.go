@@ -14,10 +14,8 @@ import "fmt"
 // and the pipe becomes free for the next reservation at start + n/bandwidth:
 // the fixed latency models wire/forwarding delay that does not occupy the
 // channel.
-// A pipe belongs to the shard that created it: reservations read the owning
-// shard's clock, so only that shard's code may reserve on it.
 type Pipe struct {
-	sh   *Shard
+	k    *Kernel
 	name string
 	// nid is the flyweight name suffix: a per-device index formatted into
 	// Name() only when a name is actually rendered (panics, reports). -1
@@ -43,20 +41,15 @@ type Pipe struct {
 	fpID  uint32
 }
 
-// NewPipe creates a pipe owned by the root shard; see Shard.NewPipe.
-func (k *Kernel) NewPipe(name string, bytesPerSecond float64, latency Time) *Pipe {
-	return k.s0.NewPipe(name, bytesPerSecond, latency)
-}
-
 // NewPipe creates a pipe with the given bandwidth in bytes/second and fixed
 // per-transfer latency. Unlike events and counters, pipes keep their identity
 // across Kernel.Reset (the machine's networks hold them for the partition's
 // lifetime); the kernel registers each pipe so Reset can rewind its
 // reservation state and statistics along with the clock.
-func (sh *Shard) NewPipe(name string, bytesPerSecond float64, latency Time) *Pipe {
+func (k *Kernel) NewPipe(name string, bytesPerSecond float64, latency Time) *Pipe {
 	p := &Pipe{}
-	sh.InitPipe(p, name, -1, bytesPerSecond, latency)
-	sh.k.AdoptPipe(p)
+	k.InitPipe(p, name, -1, bytesPerSecond, latency)
+	k.AdoptPipe(p)
 	return p
 }
 
@@ -66,11 +59,11 @@ func (sh *Shard) NewPipe(name string, bytesPerSecond float64, latency Time) *Pip
 // parallel blocks); the caller must register every pipe with AdoptPipe from
 // a single goroutine before the kernel runs, or Reset will not rewind it.
 // nid >= 0 appends "[nid]" to the rendered name (see Pipe.nid).
-func (sh *Shard) InitPipe(p *Pipe, name string, nid int32, bytesPerSecond float64, latency Time) {
+func (k *Kernel) InitPipe(p *Pipe, name string, nid int32, bytesPerSecond float64, latency Time) {
 	if bytesPerSecond <= 0 {
 		panic("sim: pipe " + name + " with non-positive bandwidth")
 	}
-	*p = Pipe{sh: sh, name: name, nid: nid, ppb: float64(Second) / bytesPerSecond, lat: latency}
+	*p = Pipe{k: k, name: name, nid: nid, ppb: float64(Second) / bytesPerSecond, lat: latency}
 }
 
 // AdoptPipe registers a pipe initialized with InitPipe so Reset rewinds its
@@ -106,7 +99,7 @@ func (p *Pipe) Name() string {
 
 // Reserve occupies the pipe for n bytes starting no earlier than now and
 // returns the completion time (including latency).
-func (p *Pipe) Reserve(n int) Time { return p.ReserveFrom(p.sh.now, n) }
+func (p *Pipe) Reserve(n int) Time { return p.ReserveFrom(p.k.now, n) }
 
 // ReserveFrom occupies the pipe for n bytes starting no earlier than t
 // (clamped to now) and returns the completion time. It is used to chain
@@ -124,7 +117,7 @@ func (p *Pipe) ReserveAt(t Time, n int) (start, done Time) {
 	if n < 0 {
 		panic("sim: pipe " + p.Name() + " negative transfer")
 	}
-	start = maxTime(maxTime(t, p.sh.now), p.free)
+	start = maxTime(maxTime(t, p.k.now), p.free)
 	cost := Time(float64(n) * p.ppb)
 	p.free = start + cost
 	p.totalBytes += int64(n)
@@ -134,7 +127,7 @@ func (p *Pipe) ReserveAt(t Time, n int) (start, done Time) {
 }
 
 // NextFree returns the earliest time a new reservation could start.
-func (p *Pipe) NextFree() Time { return maxTime(p.free, p.sh.now) }
+func (p *Pipe) NextFree() Time { return maxTime(p.free, p.k.now) }
 
 // Latency returns the pipe's fixed per-transfer latency.
 func (p *Pipe) Latency() Time { return p.lat }

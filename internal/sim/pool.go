@@ -88,11 +88,11 @@ func (w *worker) loop() {
 		p, fn := w.p, w.fn
 		w.p, w.fn = nil, nil
 		p.exec(fn)
-		sh := p.sh
-		if q := sh.handoff(); q != nil {
+		k := p.k
+		if q := k.handoff(); q != nil {
 			q.gate <- struct{}{}
 		} else {
-			sh.sched <- struct{}{}
+			k.sched <- struct{}{}
 		}
 		if !putWorker(w) {
 			return

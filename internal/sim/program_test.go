@@ -25,8 +25,8 @@ func TestProgramRunsWithoutGoroutine(t *testing.T) {
 	if done != 3*Nanosecond {
 		t.Fatalf("program finished at %v, want 3ns", done)
 	}
-	if len(k.s0.procs) != 0 {
-		t.Fatalf("%d procs left registered after completion", len(k.s0.procs))
+	if len(k.procs) != 0 {
+		t.Fatalf("%d procs left registered after completion", len(k.procs))
 	}
 }
 

@@ -54,10 +54,9 @@ func queueOffset(rng *rand.Rand, shape int, offsets []Time) Time {
 
 // TestRadixQueueMatchesModel drives the queue and the reference model with
 // the same seeded random operation stream — interleaved pushes and pops,
-// cross-shard mail at the current instant, bounded advances, peeks, uniform
-// shifts with bucket 0 half drained, and resets — and requires every popped
-// item, every advance decision, every peek, and the pending-item listing to
-// agree.
+// pending-item listings, uniform shifts with bucket 0 half drained, and
+// resets — and requires every popped item, every advance decision, and the
+// pending-item listing to agree.
 func TestRadixQueueMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -70,19 +69,9 @@ func TestRadixQueueMatchesModel(t *testing.T) {
 		shape := rng.Intn(5)
 		pops := 0
 
-		checkPeek := func(op int) {
-			got, ok := q.peek()
-			if len(m.items) == 0 {
-				if ok {
-					t.Fatalf("seed %d op %d: peek = %v on an empty queue", seed, op, got)
-				}
-				return
-			}
-			if want := m.items[0].t; !ok || got != want {
-				t.Fatalf("seed %d op %d: peek = %v,%v want %v", seed, op, got, ok, want)
-			}
-			// The fingerprint walk's view: pending items stable-sorted by
-			// time list exactly the model's (t, seq) sequence.
+		// The fingerprint walk's view: pending items stable-sorted by time
+		// list exactly the model's (t, seq) sequence.
+		checkPending := func(op int) {
 			p := q.pending(nil)
 			slices.SortStableFunc(p, func(a, b qitem) int { return cmp.Compare(a.t, b.t) })
 			if len(p) != len(m.items) {
@@ -116,33 +105,16 @@ func TestRadixQueueMatchesModel(t *testing.T) {
 					tt := q.last + queueOffset(rng, shape, offsets)
 					q.push(tt, entry{kind: eFn, idx: m.push(tt)})
 				}
-			case r < 48:
-				// Mail may land at the clock itself, behind bucket 0.
-				q.pushMail(q.last, entry{kind: eFn, idx: m.push(q.last)})
 			case r < 80:
 				if q.ready() {
 					popOne(op)
-				} else if q.advance(maxWindow) {
+				} else if q.advance() {
 					popOne(op)
 				} else if len(m.items) != 0 {
 					t.Fatalf("seed %d op %d: advance refused with %d items pending", seed, op, len(m.items))
 				}
-			case r < 88:
-				if q.ready() || len(m.items) == 0 {
-					break
-				}
-				min := m.items[0].t
-				wend := min + Time(rng.Intn(5)) - 2
-				before := q.last
-				if got, want := q.advance(wend), min < wend; got != want {
-					t.Fatalf("seed %d op %d: advance(%v) = %v with min %v", seed, op, wend, got, min)
-				} else if !got && q.last != before {
-					t.Fatalf("seed %d op %d: refused advance moved the clock", seed, op)
-				} else if got {
-					popOne(op)
-				}
 			case r < 95:
-				checkPeek(op)
+				checkPending(op)
 			case r < 98:
 				d := Time(1 + rng.Int63n(1<<30))
 				q.shiftAll(d)
@@ -153,7 +125,7 @@ func TestRadixQueueMatchesModel(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					// Reset only ever follows a drained run; a reused
 					// queue must then behave like a fresh one.
-					for q.ready() || q.advance(maxWindow) {
+					for q.ready() || q.advance() {
 						popOne(op)
 					}
 					if len(m.items) != 0 {
@@ -164,7 +136,7 @@ func TestRadixQueueMatchesModel(t *testing.T) {
 				}
 			}
 		}
-		for q.ready() || q.advance(maxWindow) {
+		for q.ready() || q.advance() {
 			popOne(-1)
 		}
 		if len(m.items) != 0 {
@@ -177,15 +149,13 @@ func TestRadixQueueMatchesModel(t *testing.T) {
 }
 
 // TestRadixQueuePushNotAfterClockPanics checks the monotone precondition is
-// enforced: a local push at or before the clock belongs on the run ring, and
-// mail may not land before the clock.
+// enforced: a push at or before the clock belongs on the run ring.
 func TestRadixQueuePushNotAfterClockPanics(t *testing.T) {
 	var q radixQueue
 	q.push(10, entry{kind: eFn})
-	if !q.advance(maxWindow) {
+	if !q.advance() {
 		t.Fatal("advance refused")
 	}
-	mustPanic(t, "not after clock", func() { q.push(10, entry{kind: eFn}) })
-	mustPanic(t, "not after clock", func() { q.push(9, entry{kind: eFn}) })
-	mustPanic(t, "before clock", func() { q.pushMail(9, entry{kind: eFn}) })
+	expectPanic(t, "not after clock", func() { q.push(10, entry{kind: eFn}) })
+	expectPanic(t, "not after clock", func() { q.push(9, entry{kind: eFn}) })
 }

@@ -231,8 +231,8 @@ func TestSteadyNeverSteadyFallsBack(t *testing.T) {
 }
 
 // TestSteadyCaptureRefusals pins the refusal guards: closures the
-// fingerprint cannot see through, the noExtrap flag, and sharded kernels
-// all void the capture instead of guessing.
+// fingerprint cannot see through, the noExtrap flag, and layer refusals all
+// void the capture instead of guessing.
 func TestSteadyCaptureRefusals(t *testing.T) {
 	t.Run("pending callback", func(t *testing.T) {
 		k := New()
@@ -252,16 +252,6 @@ func TestSteadyCaptureRefusals(t *testing.T) {
 		det.Capture()
 		if det.LastRefusal() == "" {
 			t.Fatal("noExtrap kernel did not refuse the capture")
-		}
-	})
-	t.Run("sharded", func(t *testing.T) {
-		k := New()
-		k.SetLookahead(100)
-		k.NewShard()
-		det := NewSteady(k, nil)
-		det.Capture()
-		if det.LastRefusal() == "" {
-			t.Fatal("sharded kernel did not refuse the capture")
 		}
 	})
 	t.Run("layer refusal", func(t *testing.T) {

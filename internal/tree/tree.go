@@ -29,30 +29,22 @@ import (
 
 // Network is the collective network of one partition.
 type Network struct {
-	sh    *sim.Shard
+	k     *sim.Kernel
 	p     hw.Params
 	pipe  *sim.Pipe
 	depth int
 	nodes int
 	ops   int32
-
-	// bcasts is the hub-side combine state of sharded-mode broadcast
-	// streams, keyed by the collective sequence number. Touched only under
-	// the owning shard's token: by hub callbacks during a run, by the
-	// controller in Reset.
-	bcasts map[int64]*hubBcast
 }
 
-// New creates the collective network on the given shard: the root shard of a
-// single-shard kernel, or the hub shard of a sharded partition, whose windows
-// then serialize every combine the way the physical tree serializes chunks.
-// The tree's traversal depth follows the physical wiring along the torus
-// dimensions: DX+DY+DZ hops.
-func New(sh *sim.Shard, geom geometry.Torus, p hw.Params) *Network {
+// New creates the collective network on kernel k. The tree's traversal
+// depth follows the physical wiring along the torus dimensions: DX+DY+DZ
+// hops.
+func New(k *sim.Kernel, geom geometry.Torus, p hw.Params) *Network {
 	return &Network{
-		sh:    sh,
+		k:     k,
 		p:     p,
-		pipe:  sh.NewPipe("tree.channel", p.TreeBps, 0),
+		pipe:  k.NewPipe("tree.channel", p.TreeBps, 0),
 		depth: geom.DX + geom.DY + geom.DZ,
 		nodes: geom.Nodes(),
 	}
@@ -62,13 +54,8 @@ func New(sh *sim.Shard, geom geometry.Torus, p hw.Params) *Network {
 // partition (machine.Machine.Reset). The counter names every Op and its
 // delivered event ("tree.opN"), so a reused world must restart it at zero to
 // reproduce a fresh world's names — deadlock reports and traces compare
-// them. The channel pipe itself is rewound by the kernel. Hub-side stream
-// state is dropped too: an interrupted run may leave partially combined
-// chunks behind.
-func (n *Network) Reset() {
-	n.ops = 0
-	clear(n.bcasts)
-}
+// them. The channel pipe itself is rewound by the kernel.
+func (n *Network) Reset() { n.ops = 0 }
 
 // Depth returns the traversal hop count of the tree.
 func (n *Network) Depth() int { return n.depth }
@@ -122,7 +109,7 @@ func (n *Network) InitOp(op *Op, payload int) {
 		id:        n.ops,
 		wire:      n.WireBytes(payload),
 		expected:  n.nodes,
-		delivered: n.sh.NewEventf("tree.op%d.delivered", n.ops),
+		delivered: n.k.NewEventf("tree.op%d.delivered", n.ops),
 	}
 }
 
@@ -142,7 +129,7 @@ func (op *Op) Inject() {
 	}
 	done := op.net.pipe.Reserve(op.wire)
 	op.at = done + op.net.Latency()
-	op.net.sh.HookAt(op.at, op, 0, 0)
+	op.net.k.HookAt(op.at, op, 0, 0)
 }
 
 // RunPost implements sim.PostHandler: the delivery Inject scheduled, at the
