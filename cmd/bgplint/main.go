@@ -5,8 +5,7 @@
 //	go run ./cmd/bgplint ./...            # the whole module (CI gate)
 //	go run ./cmd/bgplint ./internal/shm   # one package
 //	go run ./cmd/bgplint -only maporder ./...
-//	go run ./cmd/bgplint -json -cache ./...
-//	go run ./cmd/bgplint -sarif lint.sarif ./...
+//	go run ./cmd/bgplint -json ./...
 //	go run ./cmd/bgplint -as bgpcoll/internal/coll ./internal/lint/testdata/progframe_bad
 //
 // Exit status: 0 when no error-severity findings (advisories alone do not
@@ -31,11 +30,9 @@ func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	sarifOut := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	useCache := flag.Bool("cache", false, "cache per-package results keyed by content hash ($BGPLINT_CACHE or the user cache dir)")
-	asPath := flag.String("as", "", "analyze a single directory argument under this import path (fixture mode; disables -cache)")
+	asPath := flag.String("as", "", "analyze a single directory argument under this import path (fixture mode)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: bgplint [-only names] [-json] [-sarif file] [-cache] [-as importpath] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: bgplint [-only names] [-json] [-as importpath] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -91,7 +88,7 @@ func main() {
 			fatalf("bgplint: %v", err)
 		}
 	} else {
-		diags = runPatterns(loader, analyzers, patterns, *useCache)
+		diags = runPatterns(loader, analyzers, patterns)
 	}
 
 	if *jsonOut {
@@ -105,18 +102,6 @@ func main() {
 			} else {
 				fmt.Println(d)
 			}
-		}
-	}
-	if *sarifOut != "" {
-		f, err := os.Create(*sarifOut)
-		if err != nil {
-			fatalf("bgplint: %v", err)
-		}
-		if err := lint.WriteSARIF(f, diags, loader.Root); err != nil {
-			fatalf("bgplint: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("bgplint: %v", err)
 		}
 	}
 
@@ -136,57 +121,25 @@ func main() {
 	}
 }
 
-// runPatterns analyzes every package directory the patterns expand to,
-// consulting the content-hash cache when enabled. Cache failures degrade to
-// uncached runs; they never fail the lint.
-func runPatterns(loader *lint.Loader, analyzers []*lint.Analyzer, patterns []string, useCache bool) []lint.Diagnostic {
+// runPatterns analyzes every package directory the patterns expand to.
+func runPatterns(loader *lint.Loader, analyzers []*lint.Analyzer, patterns []string) []lint.Diagnostic {
 	dirs, err := loader.Dirs(patterns)
 	if err != nil {
 		fatalf("bgplint: %v", err)
 	}
-	var cache *lint.Cache
-	if useCache {
-		cache, err = lint.NewCache("", loader)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bgplint: cache disabled: %v\n", err)
-			cache = nil
-		}
-	}
-
 	var diags []lint.Diagnostic
 	for _, dir := range dirs {
-		var key string
-		if cache != nil {
-			key, err = cache.Key(dir, analyzers)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bgplint: cache key for %s: %v\n", dir, err)
-				key = ""
-			}
-			if key != "" {
-				if cached, ok := cache.Get(key); ok {
-					diags = append(diags, cached...)
-					continue
-				}
-			}
-		}
 		pkgs, err := loader.LoadDir(dir)
 		if err != nil {
 			fatalf("bgplint: %v", err)
 		}
-		var dirDiags []lint.Diagnostic
 		for _, pkg := range pkgs {
 			ds, err := lint.Run(pkg, analyzers)
 			if err != nil {
 				fatalf("bgplint: %v", err)
 			}
-			dirDiags = append(dirDiags, ds...)
+			diags = append(diags, ds...)
 		}
-		if cache != nil && key != "" {
-			if err := cache.Put(key, dirDiags); err != nil {
-				fmt.Fprintf(os.Stderr, "bgplint: cache write for %s: %v\n", dir, err)
-			}
-		}
-		diags = append(diags, dirDiags...)
 	}
 	return diags
 }

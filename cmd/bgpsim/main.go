@@ -84,18 +84,9 @@ func main() {
 		if *algo == "" {
 			w.Tunables = mpi.DefaultTunables()
 		}
-		_, err = w.Run(func(r *mpi.Rank) {
+		elapsed, err = timeOp(w, *iters, func(r *mpi.Rank) func(done func()) {
 			buf := r.NewBuf(msg)
-			var sum bgpcoll.Time
-			for i := 0; i < *iters; i++ {
-				r.Barrier()
-				start := r.Now()
-				r.Bcast(buf, *root)
-				sum += r.Now() - start
-			}
-			if avg := sum / bgpcoll.Time(*iters); avg > elapsed {
-				elapsed = avg
-			}
+			return func(done func()) { r.BcastThen(buf, *root, done) }
 		})
 	case "allreduce":
 		if *algo != "" {
@@ -105,19 +96,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bgpsim: allreduce size must be a multiple of 8")
 			os.Exit(2)
 		}
-		_, err = w.Run(func(r *mpi.Rank) {
+		elapsed, err = timeOp(w, *iters, func(r *mpi.Rank) func(done func()) {
 			send := r.NewBuf(msg)
 			recv := r.NewBuf(msg)
-			var sum bgpcoll.Time
-			for i := 0; i < *iters; i++ {
-				r.Barrier()
-				start := r.Now()
-				r.AllreduceSum(send, recv)
-				sum += r.Now() - start
-			}
-			if avg := sum / bgpcoll.Time(*iters); avg > elapsed {
-				elapsed = avg
-			}
+			return func(done func()) { r.AllreduceSumThen(send, recv, done) }
 		})
 	default:
 		fmt.Fprintf(os.Stderr, "bgpsim: unknown op %q\n", *op)
@@ -138,6 +120,38 @@ func main() {
 		fmt.Println()
 		w.M.Trace.Dump(os.Stdout, *traceN)
 	}
+}
+
+// timeOp runs the Fig. 5 loop on every rank of w as a program: iters times
+// a barrier, then one timed operation. setup allocates a rank's operands and
+// returns its operation. It returns the slowest rank's average.
+func timeOp(w *mpi.World, iters int, setup func(r *mpi.Rank) func(done func())) (bgpcoll.Time, error) {
+	var worst bgpcoll.Time
+	_, err := w.RunProgram(func(r *mpi.Rank) {
+		op := setup(r)
+		var sum, start bgpcoll.Time
+		i := 0
+		var iter, timed func()
+		timed = func() {
+			sum += r.Now() - start
+			i++
+			iter()
+		}
+		iter = func() {
+			if i == iters {
+				if avg := sum / bgpcoll.Time(iters); avg > worst {
+					worst = avg
+				}
+				return
+			}
+			r.BarrierThen(func() {
+				start = r.Now()
+				op(timed)
+			})
+		}
+		iter()
+	})
+	return worst, err
 }
 
 func orAuto(algo string) string {

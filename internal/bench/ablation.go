@@ -16,25 +16,15 @@ import (
 // large-message point).
 const ablationMsg = 2 << 20
 
-// measureTorusBcast is a helper running one quad torus broadcast on a pooled
-// world (worldpool.go).
-func measureTorusBcast(cfg hw.Config, algo string, colors int) (sim.Time, error) {
+// measureTorusBcast times one quad torus broadcast of ablationMsg with the
+// Fig. 5 loop on a pooled world (worldpool.go).
+func measureTorusBcast(cfg hw.Config, algo string, colors int, mode RunMode) (sim.Time, error) {
 	w, err := leaseWorld(cfg)
 	if err != nil {
 		return 0, err
 	}
-	w.Tunables.Bcast = algo
 	w.Tunables.TorusColors = colors
-	var worst sim.Time
-	_, err = w.Run(func(r *mpi.Rank) {
-		buf := r.NewBuf(ablationMsg)
-		r.Barrier()
-		start := r.Now()
-		r.Bcast(buf, 0)
-		if d := r.Now() - start; d > worst {
-			worst = d
-		}
-	})
+	worst, err := measureBcastOn(w, algo, ablationMsg, 1, mode)
 	releaseWorld(cfg, w, err)
 	return worst, err
 }
@@ -63,7 +53,7 @@ func AblationColors(o Options) (*Figure, error) {
 	}
 	s := Series{Label: "Torus+Shaddr(2M)", Values: make([]float64, len(counts))}
 	err = parallelEach(o.Workers, len(counts), func(i int) error {
-		t, err := measureTorusBcast(cfg, mpi.BcastTorusShaddr, counts[i])
+		t, err := measureTorusBcast(cfg, mpi.BcastTorusShaddr, counts[i], o.runMode())
 		if err != nil {
 			return err
 		}
@@ -103,7 +93,7 @@ func AblationChunk(o Options) (*Figure, error) {
 		cfg := base
 		cfg.Params.MinChunk = widths[i]
 		cfg.Params.MaxChunk = widths[i]
-		t, err := measureTorusBcast(cfg, mpi.BcastTorusShaddr, 0)
+		t, err := measureTorusBcast(cfg, mpi.BcastTorusShaddr, 0, o.runMode())
 		if err != nil {
 			return err
 		}
@@ -142,7 +132,7 @@ func AblationFIFO(o Options) (*Figure, error) {
 	err = parallelEach(o.Workers, len(slotCounts), func(i int) error {
 		cfg := base
 		cfg.Params.FIFOSlots = slotCounts[i]
-		t, err := measureTorusBcast(cfg, mpi.BcastTorusFIFO, 0)
+		t, err := measureTorusBcast(cfg, mpi.BcastTorusFIFO, 0, o.runMode())
 		if err != nil {
 			return err
 		}

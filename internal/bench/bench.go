@@ -48,6 +48,11 @@ type Options struct {
 	ItersScale int
 }
 
+// runMode is the execution vehicle o selects for every measurement.
+func (o Options) runMode() RunMode {
+	return RunMode{Reference: o.Reference, NoExtrap: o.NoExtrap}
+}
+
 func (o Options) iters(def int) int {
 	it := o.Iters
 	if it <= 0 {
@@ -181,12 +186,6 @@ type RunMode struct {
 	NoExtrap bool
 }
 
-// MeasureBcastMode is MeasureBcast with an explicit reference toggle, kept
-// for older callers; MeasureBcastRun is the full-mode form.
-func MeasureBcastMode(cfg hw.Config, algo string, msg, iters int, reference bool) (sim.Time, error) {
-	return MeasureBcastRun(cfg, algo, msg, iters, RunMode{Reference: reference})
-}
-
 // MeasureBcastRun is MeasureBcast with an explicit execution vehicle. The
 // world comes from the pool (worldpool.go) and returns to it reset, so a
 // sweep constructs one partition per distinct config rather than per cell;
@@ -197,7 +196,7 @@ func MeasureBcastRun(cfg hw.Config, algo string, msg, iters int, mode RunMode) (
 		return 0, err
 	}
 	w.Tunables.Bcast = algo
-	w.M.K.SetNoProgram(mode.Reference || !mpi.HasProgBcast(algo))
+	w.M.K.SetNoProgram(mode.Reference)
 	w.M.K.SetNoExtrap(mode.NoExtrap)
 	worst, err := runMeasure(w, opBcast, msg, iters, mode.NoExtrap)
 	releaseWorld(cfg, w, err)
@@ -339,12 +338,6 @@ func MeasureAllreduce(cfg hw.Config, algo string, doubles, iters int) (sim.Time,
 	return MeasureAllreduceRun(cfg, algo, doubles, iters, RunMode{})
 }
 
-// MeasureAllreduceMode is MeasureAllreduce with an explicit reference
-// toggle, kept for older callers; MeasureAllreduceRun is the full-mode form.
-func MeasureAllreduceMode(cfg hw.Config, algo string, doubles, iters int, reference bool) (sim.Time, error) {
-	return MeasureAllreduceRun(cfg, algo, doubles, iters, RunMode{Reference: reference})
-}
-
 // MeasureAllreduceRun is MeasureAllreduce with an explicit execution vehicle
 // (see MeasureBcastRun); the world is pooled the same way.
 func MeasureAllreduceRun(cfg hw.Config, algo string, doubles, iters int, mode RunMode) (sim.Time, error) {
@@ -353,7 +346,7 @@ func MeasureAllreduceRun(cfg hw.Config, algo string, doubles, iters int, mode Ru
 		return 0, err
 	}
 	w.Tunables.Allreduce = algo
-	w.M.K.SetNoProgram(mode.Reference || !mpi.HasProgAllreduce(algo))
+	w.M.K.SetNoProgram(mode.Reference)
 	w.M.K.SetNoExtrap(mode.NoExtrap)
 	worst, err := runMeasure(w, opAllreduce, doubles*data.Float64Len, iters, mode.NoExtrap)
 	releaseWorld(cfg, w, err)

@@ -65,7 +65,7 @@ func scaleConfig(p scalePoint) hw.Config {
 // and footprint are attributable per point.
 func measureBcastOn(w *mpi.World, algo string, msg, iters int, mode RunMode) (sim.Time, error) {
 	w.Tunables.Bcast = algo
-	w.M.K.SetNoProgram(mode.Reference || !mpi.HasProgBcast(algo))
+	w.M.K.SetNoProgram(mode.Reference)
 	w.M.K.SetNoExtrap(mode.NoExtrap)
 	return runMeasure(w, opBcast, msg, iters, mode.NoExtrap)
 }
@@ -190,7 +190,7 @@ func FigScale(o Options) (*Figure, error) {
 			grow = time.Since(t0)
 			donor = nil // grown world becomes garbage before the fresh build
 		}
-		cell, w, err := measureScalePoint(cfg, ScaleBcastMsg, iters, RunMode{Reference: o.Reference, NoExtrap: o.NoExtrap})
+		cell, w, err := measureScalePoint(cfg, ScaleBcastMsg, iters, o.runMode())
 		if err != nil {
 			return nil, fmt.Errorf("figS @ %d ranks: %w", pt.ranks, err)
 		}

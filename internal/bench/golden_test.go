@@ -204,11 +204,11 @@ func TestGoldenProgramReferenceAgree(t *testing.T) {
 		if algo == mpi.BcastTreeSMP {
 			c = smp
 		}
-		prog, err := MeasureBcastMode(c, algo, 64<<10, 2, false)
+		prog, err := MeasureBcastRun(c, algo, 64<<10, 2, RunMode{})
 		if err != nil {
 			t.Fatalf("%s program mode: %v", algo, err)
 		}
-		ref, err := MeasureBcastMode(c, algo, 64<<10, 2, true)
+		ref, err := MeasureBcastRun(c, algo, 64<<10, 2, RunMode{Reference: true})
 		if err != nil {
 			t.Fatalf("%s reference mode: %v", algo, err)
 		}
@@ -217,11 +217,11 @@ func TestGoldenProgramReferenceAgree(t *testing.T) {
 		}
 	}
 	for _, algo := range []string{mpi.AllreduceTorusNew, mpi.AllreduceTorusCurrent} {
-		prog, err := MeasureAllreduceMode(cfg, algo, 4096, 1, false)
+		prog, err := MeasureAllreduceRun(cfg, algo, 4096, 1, RunMode{})
 		if err != nil {
 			t.Fatalf("%s program mode: %v", algo, err)
 		}
-		ref, err := MeasureAllreduceMode(cfg, algo, 4096, 1, true)
+		ref, err := MeasureAllreduceRun(cfg, algo, 4096, 1, RunMode{Reference: true})
 		if err != nil {
 			t.Fatalf("%s reference mode: %v", algo, err)
 		}

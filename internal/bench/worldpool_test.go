@@ -35,15 +35,15 @@ func poolCells() []poolCell {
 		for _, algo := range []string{mpi.BcastTreeShaddr, mpi.BcastTreeDMAFIFO, mpi.BcastTreeDMADirect} {
 			algo := algo
 			add(fmt.Sprintf("%s/%s", algo, tag), quad, func() (sim.Time, error) {
-				return MeasureBcastMode(quad, algo, 64<<10, 2, reference)
+				return MeasureBcastRun(quad, algo, 64<<10, 2, RunMode{Reference: reference})
 			})
 		}
 		smp := goldenConfig(hw.SMP)
 		add(fmt.Sprintf("%s/%s", mpi.BcastTreeSMP, tag), smp, func() (sim.Time, error) {
-			return MeasureBcastMode(smp, mpi.BcastTreeSMP, 64<<10, 2, reference)
+			return MeasureBcastRun(smp, mpi.BcastTreeSMP, 64<<10, 2, RunMode{Reference: reference})
 		})
 		add(fmt.Sprintf("%s/%s", mpi.AllreduceTorusNew, tag), quad, func() (sim.Time, error) {
-			return MeasureAllreduceMode(quad, mpi.AllreduceTorusNew, 1024, 1, reference)
+			return MeasureAllreduceRun(quad, mpi.AllreduceTorusNew, 1024, 1, RunMode{Reference: reference})
 		})
 	}
 	return cells
@@ -93,7 +93,7 @@ func TestFailedRunsAreNotPooled(t *testing.T) {
 
 	// Baseline: the cell's answer starting from a pristine pool.
 	DrainWorldPool()
-	want, err := MeasureBcastMode(cfg, mpi.BcastTreeShaddr, 64<<10, 2, false)
+	want, err := MeasureBcastRun(cfg, mpi.BcastTreeShaddr, 64<<10, 2, RunMode{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFailedRunsAreNotPooled(t *testing.T) {
 			t.Fatalf("%s: %d pooled worlds after a failed run, want 0 (failed kernels hold parked processes)", tc.name, n)
 		}
 
-		got, err := MeasureBcastMode(cfg, mpi.BcastTreeShaddr, 64<<10, 2, false)
+		got, err := MeasureBcastRun(cfg, mpi.BcastTreeShaddr, 64<<10, 2, RunMode{})
 		if err != nil {
 			t.Fatalf("%s: measurement after the failed run: %v", tc.name, err)
 		}

@@ -37,8 +37,8 @@ type Process struct {
 
 	// Stats.
 	Syscalls  int64 // total system calls issued
-	MapCalls  int64 // Map invocations
-	CacheHits int64 // Map invocations fully served by resident mappings
+	MapCalls  int64 // MapThen invocations
+	CacheHits int64 // MapThen invocations fully served by resident mappings
 	Evictions int64 // TLB slot evictions
 }
 
@@ -84,24 +84,15 @@ func (w *Process) SteadyState(f *sim.FP) {
 	f.MonoI64(&w.Evictions)
 }
 
-// Map establishes (or refreshes) the process windows needed for this process
-// to access `bytes` bytes of the peer buffer identified by key, advancing p
-// by the system-call cost of any regions that are not already resident. It
-// returns the number of system calls issued.
+// MapThen establishes (or refreshes) the process windows needed for this
+// process to access `bytes` bytes of the peer buffer identified by key,
+// advancing p by the system-call cost of any regions that are not already
+// resident, then continues with cont (immediately when every region is
+// already resident). Syscalls counts the system calls issued.
 //
 // With the mapping cache disabled (Params.MapCacheEnabled == false), every
 // call pays the full system-call cost again, reproducing the "nocaching"
 // curve of Fig. 8.
-func (w *Process) Map(p *sim.Proc, key BufferKey, bytes int) int {
-	calls := w.mapRegions(key, bytes)
-	if calls > 0 {
-		p.Sleep(sim.Time(calls) * w.node.P.SyscallTime)
-	}
-	return calls
-}
-
-// MapThen is the explicit-resume form of Map: cont runs after the system-call
-// cost (immediately when every region is already resident).
 func (w *Process) MapThen(p *sim.Proc, key BufferKey, bytes int, cont func()) {
 	calls := w.mapRegions(key, bytes)
 	if calls > 0 {
@@ -111,7 +102,7 @@ func (w *Process) MapThen(p *sim.Proc, key BufferKey, bytes int, cont func()) {
 	cont()
 }
 
-// mapRegions performs the TLB-slot bookkeeping of Map — residency checks,
+// mapRegions performs the TLB-slot bookkeeping of MapThen — residency checks,
 // LRU updates, insertions, statistics — and returns the system calls issued,
 // without consuming the virtual time they cost.
 func (w *Process) mapRegions(key BufferKey, bytes int) int {

@@ -30,13 +30,21 @@ func run(t *testing.T, k *sim.Kernel, fn func(p *sim.Proc)) sim.Time {
 	return elapsed
 }
 
+// mapSync runs MapThen on a goroutine process, where it blocks, and returns
+// the system calls it issued.
+func mapSync(w *Process, p *sim.Proc, key BufferKey, bytes int) int {
+	before := w.Syscalls
+	w.MapThen(p, key, bytes, func() {})
+	return int(w.Syscalls - before)
+}
+
 func TestFirstMapPaysTwoSyscalls(t *testing.T) {
 	params := hw.DefaultParams()
 	k, node := newProc(t, params)
 	w := NewProcess(node, 0)
 	key := BufferKey{OwnerLocalRank: 1, Tag: 7}
 	elapsed := run(t, k, func(p *sim.Proc) {
-		if calls := w.Map(p, key, 4096); calls != 2 {
+		if calls := mapSync(w, p, key, 4096); calls != 2 {
 			t.Errorf("first map issued %d syscalls, want 2", calls)
 		}
 	})
@@ -50,9 +58,9 @@ func TestMappingCacheHitIsFree(t *testing.T) {
 	w := NewProcess(node, 0)
 	key := BufferKey{OwnerLocalRank: 1, Tag: 7}
 	elapsed := run(t, k, func(p *sim.Proc) {
-		w.Map(p, key, 4096)
+		mapSync(w, p, key, 4096)
 		mark := p.Now()
-		if calls := w.Map(p, key, 4096); calls != 0 {
+		if calls := mapSync(w, p, key, 4096); calls != 0 {
 			t.Errorf("cached map issued %d syscalls", calls)
 		}
 		if p.Now() != mark {
@@ -73,7 +81,7 @@ func TestNoCachingAlwaysPays(t *testing.T) {
 	key := BufferKey{OwnerLocalRank: 1, Tag: 7}
 	elapsed := run(t, k, func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			if calls := w.Map(p, key, 4096); calls != 2 {
+			if calls := mapSync(w, p, key, 4096); calls != 2 {
 				t.Fatalf("iteration %d issued %d syscalls, want 2", i, calls)
 			}
 		}
@@ -87,7 +95,7 @@ func TestOwnMemoryNeedsNoWindow(t *testing.T) {
 	k, node := newProc(t, hw.DefaultParams())
 	w := NewProcess(node, 2)
 	run(t, k, func(p *sim.Proc) {
-		if calls := w.Map(p, BufferKey{OwnerLocalRank: 2, Tag: 1}, 1<<20); calls != 0 {
+		if calls := mapSync(w, p, BufferKey{OwnerLocalRank: 2, Tag: 1}, 1<<20); calls != 0 {
 			t.Errorf("self map issued %d syscalls", calls)
 		}
 	})
@@ -104,7 +112,7 @@ func TestLargeBufferSpansRegions(t *testing.T) {
 	w := NewProcess(node, 0)
 	run(t, k, func(p *sim.Proc) {
 		// 2.5 MB buffer needs 3 regions -> 6 syscalls.
-		if calls := w.Map(p, BufferKey{OwnerLocalRank: 1, Tag: 1}, 5<<19); calls != 6 {
+		if calls := mapSync(w, p, BufferKey{OwnerLocalRank: 1, Tag: 1}, 5<<19); calls != 6 {
 			t.Errorf("spanning map issued %d syscalls, want 6", calls)
 		}
 	})
@@ -125,18 +133,18 @@ func TestTLBEvictionLRU(t *testing.T) {
 	}
 	run(t, k, func(p *sim.Proc) {
 		for _, key := range keys {
-			w.Map(p, key, 4096)
+			mapSync(w, p, key, 4096)
 		}
 		if w.Evictions != 1 {
 			t.Errorf("evictions = %d, want 1", w.Evictions)
 		}
 		// keys[0] was least recently used and must have been evicted:
 		// remapping it costs syscalls again.
-		if calls := w.Map(p, keys[0], 4096); calls != 2 {
+		if calls := mapSync(w, p, keys[0], 4096); calls != 2 {
 			t.Errorf("remap after eviction issued %d syscalls, want 2", calls)
 		}
 		// keys[2] stayed resident.
-		if calls := w.Map(p, keys[2], 4096); calls != 0 {
+		if calls := mapSync(w, p, keys[2], 4096); calls != 0 {
 			t.Errorf("resident map issued %d syscalls", calls)
 		}
 	})
@@ -150,15 +158,15 @@ func TestTouchRefreshesLRU(t *testing.T) {
 	c := BufferKey{OwnerLocalRank: 3, Tag: 1}
 	d := BufferKey{OwnerLocalRank: 3, Tag: 2}
 	run(t, k, func(p *sim.Proc) {
-		w.Map(p, a, 64)
-		w.Map(p, b, 64)
-		w.Map(p, c, 64)
-		w.Map(p, a, 64) // touch a: b becomes LRU
-		w.Map(p, d, 64) // evicts b
-		if calls := w.Map(p, a, 64); calls != 0 {
+		mapSync(w, p, a, 64)
+		mapSync(w, p, b, 64)
+		mapSync(w, p, c, 64)
+		mapSync(w, p, a, 64) // touch a: b becomes LRU
+		mapSync(w, p, d, 64) // evicts b
+		if calls := mapSync(w, p, a, 64); calls != 0 {
 			t.Error("touched mapping was evicted")
 		}
-		if calls := w.Map(p, b, 64); calls == 0 {
+		if calls := mapSync(w, p, b, 64); calls == 0 {
 			t.Error("LRU mapping survived eviction")
 		}
 	})
@@ -168,7 +176,7 @@ func TestStatsString(t *testing.T) {
 	k, node := newProc(t, hw.DefaultParams())
 	w := NewProcess(node, 1)
 	run(t, k, func(p *sim.Proc) {
-		w.Map(p, BufferKey{OwnerLocalRank: 0, Tag: 1}, 64)
+		mapSync(w, p, BufferKey{OwnerLocalRank: 0, Tag: 1}, 64)
 	})
 	if s := w.String(); s == "" {
 		t.Error("empty String")

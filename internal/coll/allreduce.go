@@ -100,13 +100,14 @@ func newAllreduceShared(r *mpi.Rank, seq int64, bytes int, protoCores float64) *
 	}
 }
 
-// startAllreduceNetwork launches the network schedule. Exactly one rank
-// (global rank 0, the schedule root's master) starts it.
-func startAllreduceNetwork(r *mpi.Rank, st *allreduceState, bytes int) {
+// startAllreduceNetwork launches the network schedule rooted at r's node.
+// Exactly one rank starts it: global rank 0 for an allreduce, the root for a
+// reduce (reduceOnly), whose reduced chunks are delivered to its node only.
+func startAllreduceNetwork(r *mpi.Rank, st *allreduceState, bytes int, reduceOnly bool) {
 	m := r.Machine()
 	st.exec = &ccmi.Allreduce{
 		M:           m,
-		Root:        m.Geom.CoordOf(0),
+		Root:        r.Coord(),
 		Bytes:       bytes,
 		Colors:      geometry.Colors(allreduceColors),
 		Lane0:       6,
@@ -115,6 +116,7 @@ func startAllreduceNetwork(r *mpi.Rank, st *allreduceState, bytes int) {
 		ResultBufs:  st.result,
 		Deliveries:  st.dels,
 		ProtoPipes:  st.proto,
+		ReduceOnly:  reduceOnly,
 	}
 	st.exec.Run()
 }
@@ -136,6 +138,15 @@ func allreduceFinish(r *mpi.Rank, st *allreduceState, seq int64, recv data.Buf, 
 // pipeline chunk by chunk, and later copy the full result into their own
 // buffers.
 func allreduceShaddr(r *mpi.Rank, send, recv data.Buf, done func()) {
+	reduceShaddr(r, send, recv, -1, done)
+}
+
+// reduceShaddr is the shared-address allreduce for root < 0. For root >= 0
+// it implements MPI_Reduce (the paper's future work, §VII) with the same
+// state machine and a reduce-only ending: the root's rank starts the
+// schedule without the broadcast-down phase, and only the root waits for
+// and drains the result.
+func reduceShaddr(r *mpi.Rank, send, recv data.Buf, root int, done func()) {
 	seq := r.NextSeq()
 	bytes := send.Len()
 	st := getAllreduceState(r, seq, bytes, 1)
@@ -143,17 +154,24 @@ func allreduceShaddr(r *mpi.Rank, send, recv data.Buf, done func()) {
 	node := r.NodeID()
 	ppn := r.LocalSize()
 	cached := r.Node().HW.Cached((2*ppn + 2) * bytes)
+	starter, takes := 0, true
+	if root >= 0 {
+		starter, takes = root, r.Rank() == root
+	}
+	if !takes {
+		recv = data.Buf{}
+	}
 	finish := allreduceFinish(r, st, seq, recv, done)
 
 	st.sends[r.Rank()] = send
 	st.ready[node].Add(1)
 
-	if r.Rank() == 0 {
-		startAllreduceNetwork(r, st, bytes)
+	if r.Rank() == starter {
+		startAllreduceNetwork(r, st, bytes, root >= 0)
 	}
 
 	if ppn == 1 {
-		allreduceSMPRankThen(r, st, bytes, send, finish)
+		allreduceSMPRankThen(r, st, bytes, send, takes, finish)
 		return
 	}
 
@@ -164,6 +182,10 @@ func allreduceShaddr(r *mpi.Rank, send, recv data.Buf, done func()) {
 	case 0:
 		// Protocol core: the ccmi schedule charges its combine work to
 		// st.proto[node]; the rank just owns the result buffer and waits.
+		if !takes {
+			finish()
+			return
+		}
 		r.Proc().WaitGEThen(del.Counter, int64(bytes), finish)
 
 	default:
@@ -175,7 +197,7 @@ func allreduceShaddr(r *mpi.Rank, send, recv data.Buf, done func()) {
 			st: st, r: r, p: r.Proc(), node: node, hwNode: r.Node().HW,
 			params: m.Cfg.Params, del: del, lr: lr, ppn: ppn, bytes: bytes,
 			cached: cached, offs: offs, lens: lens, ownColor: color,
-			cont: finish,
+			drain: takes, cont: finish,
 		}
 		l.mapFn = l.mapNext
 		l.reducedFn = l.reduced
@@ -191,8 +213,8 @@ func allreduceShaddr(r *mpi.Rank, send, recv data.Buf, done func()) {
 // shaddrReduceLoop drives one non-protocol core of the shaddr allreduce
 // (paper §V-C) through its three phases: map the peer send buffers through
 // process windows, pipeline the owned color partition(s) chunk by chunk into
-// the network schedule, then copy the full reduced result out of the
-// master's receive buffer as it arrives.
+// the network schedule, then — if it takes the result (drain) — copy the
+// full reduced result out of the master's receive buffer as it arrives.
 type shaddrReduceLoop struct {
 	st       *allreduceState
 	r        *mpi.Rank
@@ -208,6 +230,7 @@ type shaddrReduceLoop struct {
 	offs     []int
 	lens     []int
 	ownColor int
+	drain    bool
 	cont     func()
 
 	mapIdx int
@@ -301,7 +324,7 @@ func (l *shaddrReduceLoop) colorDone() {
 //
 //bgplint:hot
 func (l *shaddrReduceLoop) drainOuter() {
-	if l.seen >= l.bytes {
+	if !l.drain || l.seen >= l.bytes {
 		l.cont()
 		return
 	}
@@ -375,11 +398,11 @@ func allreduceCurrent(r *mpi.Rank, send, recv data.Buf, done func()) {
 	st.ready[node].Add(1)
 
 	if r.Rank() == 0 {
-		startAllreduceNetwork(r, st, bytes)
+		startAllreduceNetwork(r, st, bytes, false)
 	}
 
 	if ppn == 1 {
-		allreduceSMPRankThen(r, st, bytes, send, finish)
+		allreduceSMPRankThen(r, st, bytes, send, true, finish)
 		return
 	}
 
@@ -593,10 +616,11 @@ func feedContribAbsolute(st *allreduceState, node, done int, offs, lens []int) {
 	}
 }
 
-// allreduceSMPRankThen is the SMP-mode path shared by both algorithms: one
-// rank per node contributes its buffer directly and waits for the result.
-// finish installs the payload and releases the shared state.
-func allreduceSMPRankThen(r *mpi.Rank, st *allreduceState, bytes int, send data.Buf, finish func()) {
+// allreduceSMPRankThen is the SMP-mode path shared by every algorithm: one
+// rank per node contributes its buffer directly and, if it takes the
+// result, waits for it. finish installs the payload and releases the shared
+// state.
+func allreduceSMPRankThen(r *mpi.Rank, st *allreduceState, bytes int, send data.Buf, takes bool, finish func()) {
 	node := r.NodeID()
 	_, lens := geometry.SplitAligned(bytes, allreduceColors, data.Float64Len)
 	// The node contribution is the send buffer itself; install it and
@@ -606,6 +630,10 @@ func allreduceSMPRankThen(r *mpi.Rank, st *allreduceState, bytes int, send data.
 	}
 	for c := 0; c < allreduceColors; c++ {
 		st.contrib[node][c].Add(int64(lens[c]))
+	}
+	if !takes {
+		finish()
+		return
 	}
 	r.Proc().WaitGEThen(st.dels[node].Counter, int64(bytes), finish)
 }

@@ -8,9 +8,8 @@ import (
 )
 
 // Register installs every algorithm in the mpi registries. The facade calls
-// it once at startup. The broadcast and allreduce families register in
-// program form, which also derives their blocking entry points; the
-// extension collectives remain goroutine-only.
+// it once at startup. Each algorithm registers its one program-form body;
+// the mpi layer derives the blocking entry points from it.
 func Register() {
 	mpi.RegisterProgBcast(mpi.BcastTorusDirectPut, bcastTorusDirectPut)
 	mpi.RegisterProgBcast(mpi.BcastTorusShaddr, bcastTorusShaddr)
@@ -22,12 +21,12 @@ func Register() {
 	mpi.RegisterProgBcast(mpi.BcastTreeShaddr, bcastTreeShaddr)
 	mpi.RegisterProgAllreduce(mpi.AllreduceTorusCurrent, allreduceCurrent)
 	mpi.RegisterProgAllreduce(mpi.AllreduceTorusNew, allreduceShaddr)
-	mpi.RegisterGather(mpi.GatherTorus, gatherTorus)
-	mpi.RegisterAllgather(mpi.AllgatherTorus, allgatherTorus)
-	mpi.RegisterAllgather(mpi.AllgatherRing, allgatherRing)
-	mpi.RegisterReduce(mpi.ReduceTorus, reduceTorus)
-	mpi.RegisterScatter(mpi.ScatterTorus, scatterTorus)
-	mpi.RegisterAlltoall(mpi.AlltoallTorus, alltoallTorus)
+	mpi.RegisterProgGather(mpi.GatherTorus, gatherTorus)
+	mpi.RegisterProgAllgather(mpi.AllgatherTorus, allgatherTorus)
+	mpi.RegisterProgAllgather(mpi.AllgatherRing, allgatherRing)
+	mpi.RegisterProgReduce(mpi.ReduceTorus, reduceShaddr)
+	mpi.RegisterProgScatter(mpi.ScatterTorus, scatterTorus)
+	mpi.RegisterProgAlltoall(mpi.AlltoallTorus, alltoallTorus)
 }
 
 // windowKey builds the CNK buffer key for mapping a peer's buffer.

@@ -37,8 +37,20 @@
 //	                   process windows; core 0 runs only the network
 //	                   protocol.
 //
-// Gather and Allgather over the torus implement the paper's future-work
-// extension using the same point-to-point substrate.
+// Extensions (the paper's future work, §VII):
+//
+//	gather.torus     every rank sends its block to the root over the
+//	                 point-to-point substrate.
+//	allgather.torus  gather to rank 0, then the optimized broadcast.
+//	allgather.ring   P-1 ring Sendrecv steps.
+//	reduce.torus     the allreduce.shaddr state machine with a reduce-only
+//	                 ending: no broadcast-down phase, only the root drains.
+//	scatter.torus    the root streams each block with nonblocking sends.
+//	alltoall.torus   pairwise-exchange ring of Sendrecv steps.
+//
+// Every algorithm is one explicit-resume (program) body registered through
+// mpi.RegisterProg*; the blocking entry points are derived from it, so
+// inline program ranks and goroutine-backed ranks run the same code.
 //
 // Functional correctness is handled uniformly: timing-relevant copies are
 // charged where the paper's design performs them, while each rank installs

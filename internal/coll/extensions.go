@@ -1,159 +1,52 @@
 package coll
 
 import (
-	"bgpcoll/internal/ccmi"
 	"bgpcoll/internal/data"
-	"bgpcoll/internal/geometry"
 	"bgpcoll/internal/mpi"
 )
 
 // Extension collectives beyond the paper's evaluation, built from the same
-// substrates (the paper's future work, §VII): Reduce reuses the allreduce
-// machinery without the broadcast-down phase; Scatter and Alltoall use the
-// point-to-point layer.
+// substrates (the paper's future work, §VII): Reduce runs the shared-address
+// allreduce without the broadcast-down phase (reduceShaddr in allreduce.go);
+// Scatter and Alltoall use the point-to-point layer.
 
 const (
 	scatterTagBase  = 2 << 20
 	alltoallTagBase = 3 << 20
 )
 
-const reduceKind = "reduce"
-
-// reduceTorus implements MPI_Reduce with the shared-address local reduction
-// and the multi-color chain schedule, delivering only to the root's node.
-func reduceTorus(r *mpi.Rank, send, recv data.Buf, root int) {
-	seq := r.NextSeq()
-	bytes := send.Len()
-	st := r.WorldShared(seq, reduceKind, func() any {
-		return newAllreduceShared(r, seq, bytes, 1)
-	}).(*allreduceState)
-	defer r.ReleaseWorldShared(seq, reduceKind)
-	m := r.Machine()
-	node := r.NodeID()
-	ppn := r.LocalSize()
-	cached := r.Node().HW.Cached((2*ppn + 2) * bytes)
-	rootRank := r.World().Rank(root)
-
-	st.sends[r.Rank()] = send
-	st.ready[node].Add(1)
-
-	if r.Rank() == root {
-		st.exec = &ccmi.Allreduce{
-			M:           m,
-			Root:        rootRank.Coord(),
-			Bytes:       bytes,
-			Colors:      geometry.Colors(allreduceColors),
-			Lane0:       6,
-			Contrib:     st.contrib,
-			ContribBufs: st.scratch,
-			ResultBufs:  st.result,
-			Deliveries:  st.dels,
-			ProtoPipes:  st.proto,
-			ReduceOnly:  true,
-		}
-		st.exec.Run()
-	}
-
-	offs, lens := geometry.SplitAligned(bytes, allreduceColors, data.Float64Len)
-	if ppn == 1 {
-		// SMP mode: the node's contribution is the send buffer itself.
-		if st.scratch[node].IsReal() && send.IsReal() && st.scratch[node].Len() == send.Len() {
-			data.Copy(st.scratch[node], send)
-		}
-		for c := 0; c < allreduceColors; c++ {
-			st.contrib[node][c].Add(int64(lens[c]))
-		}
-	} else if lr := r.LocalRank(); lr > 0 {
-		// Cores 1..3: local reduce, one color partition each (as in the
-		// shared-address allreduce).
-		r.Proc().WaitGE(st.ready[node], int64(ppn))
-		for p := 0; p < ppn; p++ {
-			if p != lr {
-				r.CNK().Map(r.Proc(), windowKey(p, st.sends[r.RankOf(node, p)]), bytes)
-			}
-		}
-		color := lr - 1
-		if color >= allreduceColors {
-			color = allreduceColors - 1
-		}
-		for _, chunk := range m.Cfg.Params.Chunks(lens[color]) {
-			r.Node().HW.Reduce(r.Proc(), 2*chunk.Len, cached)
-			foldLocal(st, r, node, offs[color]+chunk.Off, chunk.Len)
-			st.contrib[node][color].Add(int64(chunk.Len))
-		}
-		if lr == ppn-1 {
-			for c := ppn - 1; c < allreduceColors; c++ {
-				for _, chunk := range m.Cfg.Params.Chunks(lens[c]) {
-					r.Node().HW.Reduce(r.Proc(), 2*chunk.Len, cached)
-					foldLocal(st, r, node, offs[c]+chunk.Off, chunk.Len)
-					st.contrib[node][c].Add(int64(chunk.Len))
-				}
-			}
-		}
-	}
-
-	// Only the root rank waits for and takes the result.
-	if r.Rank() == root {
-		rootNode := rootRank.NodeID()
-		r.Proc().WaitGE(st.dels[rootNode].Counter, int64(bytes))
-		if !r.IsNodeMaster() {
-			// The result landed in the node master's receive buffer; pull
-			// it through a process window.
-			r.CNK().Map(r.Proc(), windowKey(0, st.result[rootNode]), bytes)
-			r.Node().HW.Copy(r.Proc(), bytes, cached)
-		}
-		if recv.Len() == bytes {
-			installPayload(recv, st.result[rootNode])
-		}
-	}
-}
-
 // scatterTorus implements MPI_Scatter: the root streams each rank's block
 // with nonblocking sends so the transfers pipeline; receivers simply post.
-func scatterTorus(r *mpi.Rank, send, recv data.Buf, root int) {
+func scatterTorus(r *mpi.Rank, send, recv data.Buf, root int, done func()) {
 	seq := r.NextSeq()
 	tag := scatterTagBase + int(seq%scatterTagBase)
 	block := recv.Len()
 	if r.Rank() != root {
-		r.Recv(root, recv, tag)
+		r.RecvThen(root, recv, tag, done)
 		return
 	}
 	if send.Len() != block*r.Size() {
 		panic("coll: scatter send buffer must hold Size() blocks")
 	}
-	reqs := make([]*mpi.Request, 0, r.Size()-1)
-	for dst := 0; dst < r.Size(); dst++ {
-		if dst == root {
-			r.Node().HW.Copy(r.Proc(), block, r.Node().HW.Cached(2*block))
-			data.Copy(recv, send.Slice(root*block, block))
-			continue
-		}
-		reqs = append(reqs, r.Isend(dst, send.Slice(dst*block, block), tag))
-	}
-	r.WaitAll(reqs...)
+	fanAtRoot(r, recv, send.Slice(root*block, block),
+		func(dst int) *mpi.Request { return r.Isend(dst, send.Slice(dst*block, block), tag) },
+		done)
 }
 
 // alltoallTorus implements MPI_Alltoall with the pairwise-exchange ring: in
 // step s every rank sends its block for rank (me+s) while receiving from
 // (me-s). Sendrecv keeps each step deadlock-free regardless of protocol.
-func alltoallTorus(r *mpi.Rank, send, recv data.Buf) {
+func alltoallTorus(r *mpi.Rank, send, recv data.Buf, done func()) {
 	seq := r.NextSeq()
 	size := r.Size()
 	if send.Len()%size != 0 || recv.Len() != send.Len() {
 		panic("coll: alltoall buffers must hold Size() equal blocks")
 	}
 	block := send.Len() / size
-	me := r.Rank()
-	base := alltoallTagBase + int(seq%alltoallTagBase)
-
-	// Own block.
-	r.Node().HW.Copy(r.Proc(), block, r.Node().HW.Cached(2*block))
-	data.Copy(recv.Slice(me*block, block), send.Slice(me*block, block))
-
-	for s := 1; s < size; s++ {
-		dst := (me + s) % size
-		src := (me - s + size) % size
-		r.Sendrecv(dst, send.Slice(dst*block, block), base+s,
-			src, recv.Slice(src*block, block), base+s)
+	l := &ringLoop{
+		r: r, send: send, recv: recv, block: block,
+		base: alltoallTagBase + int(seq%alltoallTagBase),
+		s:    1, last: size, pairwise: true, done: done,
 	}
+	l.ownBlock(send.Slice(r.Rank()*block, block))
 }

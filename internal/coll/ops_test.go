@@ -12,15 +12,16 @@ import (
 )
 
 // opCase is one point-to-point or extension-collective configuration. setup
-// allocates and fills rank r's operands; block runs the operation through
-// the blocking API. The buffers left in operands.out are the ones whose
-// contents the case pins.
+// allocates and fills rank r's operands. block runs the operation through
+// the blocking API; then runs it through the explicit-resume (*Then) form.
+// The buffers left in operands.out are the ones whose contents the case pins.
 type opCase struct {
 	name  string
 	cfg   hw.Config
 	tune  func(t *mpi.Tunables)
 	setup func(r *mpi.Rank) *operands
 	block func(r *mpi.Rank, o *operands)
+	then  func(r *mpi.Rank, o *operands, done func())
 }
 
 // operands is one rank's buffers for an opCase.
@@ -49,7 +50,7 @@ func floats(r *mpi.Rank, n int, v float64) data.Buf {
 
 // pairCase is a point-to-point case between ranks src and dst: src's send
 // buffer travels to dst's receive buffer.
-func pairCase(name string, cfg hw.Config, src, dst, n int, block func(r *mpi.Rank, o *operands, peer int)) opCase {
+func pairCase(name string, cfg hw.Config, src, dst, n int, block func(r *mpi.Rank, o *operands, peer int), then func(r *mpi.Rank, o *operands, peer int, done func())) opCase {
 	return opCase{
 		name: name, cfg: cfg,
 		setup: func(r *mpi.Rank) *operands {
@@ -63,12 +64,18 @@ func pairCase(name string, cfg hw.Config, src, dst, n int, block func(r *mpi.Ran
 			return nil
 		},
 		block: func(r *mpi.Rank, o *operands) {
-			switch r.Rank() {
-			case src:
+			if r.Rank() == src {
 				block(r, o, dst)
-			case dst:
-				block(r, o, src)
+				return
 			}
+			block(r, o, src)
+		},
+		then: func(r *mpi.Rank, o *operands, done func()) {
+			if r.Rank() == src {
+				then(r, o, dst, done)
+				return
+			}
+			then(r, o, src, done)
 		},
 	}
 }
@@ -82,6 +89,15 @@ func blockingSend(r *mpi.Rank, o *operands, peer int) {
 	r.Recv(peer, o.recv, 7)
 }
 
+// thenSend is the pairCase body for SendThen/RecvThen.
+func thenSend(r *mpi.Rank, o *operands, peer int, done func()) {
+	if o.recv.Len() == 0 {
+		r.SendThen(peer, o.send, 7, done)
+		return
+	}
+	r.RecvThen(peer, o.recv, 7, done)
+}
+
 // blockingIsend is the pairCase body for Isend/Irecv + Wait.
 func blockingIsend(r *mpi.Rank, o *operands, peer int) {
 	if o.recv.Len() == 0 {
@@ -89,6 +105,15 @@ func blockingIsend(r *mpi.Rank, o *operands, peer int) {
 		return
 	}
 	r.Irecv(peer, o.recv, 7).Wait()
+}
+
+// thenIsend is the pairCase body for Isend/Irecv + WaitThen.
+func thenIsend(r *mpi.Rank, o *operands, peer int, done func()) {
+	if o.recv.Len() == 0 {
+		r.Isend(peer, o.send, 7).WaitThen(done)
+		return
+	}
+	r.Irecv(peer, o.recv, 7).WaitThen(done)
 }
 
 // reduceCase reduces doubles elements of value rank+1 to root.
@@ -104,6 +129,7 @@ func reduceCase(name string, cfg hw.Config, doubles, root int) opCase {
 			return o
 		},
 		block: func(r *mpi.Rank, o *operands) { r.ReduceSum(o.send, o.recv, root) },
+		then:  func(r *mpi.Rank, o *operands, done func()) { r.ReduceSumThen(o.send, o.recv, root, done) },
 	}
 }
 
@@ -113,12 +139,12 @@ func opCases() []opCase {
 	quad221 := testConfig(2, 2, 1, hw.Quad)
 	quad222 := testConfig(2, 2, 2, hw.Quad)
 	cases := []opCase{
-		pairCase("send/eager", quad221, 0, 12, 1<<10, blockingSend),
-		pairCase("send/rendezvous", quad221, 0, 12, 256<<10, blockingSend),
-		pairCase("send/intranode", quad221, 1, 2, 32<<10, blockingSend),
-		pairCase("isend/eager", quad221, 0, 8, 512, blockingIsend),
-		pairCase("isend/rendezvous", quad221, 0, 8, 128<<10, blockingIsend),
-		pairCase("isend/intranode", quad221, 1, 2, 1<<10, blockingIsend),
+		pairCase("send/eager", quad221, 0, 12, 1<<10, blockingSend, thenSend),
+		pairCase("send/rendezvous", quad221, 0, 12, 256<<10, blockingSend, thenSend),
+		pairCase("send/intranode", quad221, 1, 2, 32<<10, blockingSend, thenSend),
+		pairCase("isend/eager", quad221, 0, 8, 512, blockingIsend, thenIsend),
+		pairCase("isend/rendezvous", quad221, 0, 8, 128<<10, blockingIsend, thenIsend),
+		pairCase("isend/intranode", quad221, 1, 2, 1<<10, blockingIsend, thenIsend),
 		{
 			name: "sendrecv", cfg: quad221,
 			setup: func(r *mpi.Rank) *operands {
@@ -132,6 +158,10 @@ func opCases() []opCase {
 				peer := 1 - r.Rank()
 				r.Sendrecv(peer, o.send, 5, peer, o.recv, 5)
 			},
+			then: func(r *mpi.Rank, o *operands, done func()) {
+				peer := 1 - r.Rank()
+				r.SendrecvThen(peer, o.send, 5, peer, o.recv, 5, done)
+			},
 		},
 		{
 			name: "gather", cfg: quad221,
@@ -144,6 +174,7 @@ func opCases() []opCase {
 				return o
 			},
 			block: func(r *mpi.Rank, o *operands) { r.Gather(o.send, o.recv, 3) },
+			then:  func(r *mpi.Rank, o *operands, done func()) { r.GatherThen(o.send, o.recv, 3, done) },
 		},
 	}
 	for _, c := range []struct {
@@ -159,6 +190,7 @@ func opCases() []opCase {
 				return &operands{send: filled(r, block, uint64(r.Rank())+7), recv: recv, out: []data.Buf{recv}}
 			},
 			block: func(r *mpi.Rank, o *operands) { r.Allgather(o.send, o.recv) },
+			then:  func(r *mpi.Rank, o *operands, done func()) { r.AllgatherThen(o.send, o.recv, done) },
 		})
 	}
 	for _, root := range []int{0, 5, 31} {
@@ -182,6 +214,7 @@ func opCases() []opCase {
 				return o
 			},
 			block: func(r *mpi.Rank, o *operands) { r.Scatter(o.send, o.recv, 7) },
+			then:  func(r *mpi.Rank, o *operands, done func()) { r.ScatterThen(o.send, o.recv, 7, done) },
 		},
 		alltoallCase("alltoall", quad221, 1<<10),
 		alltoallCase("alltoall/rendezvous", rdv, 64<<10),
@@ -198,6 +231,9 @@ func opCases() []opCase {
 			block: func(r *mpi.Rank, o *operands) {
 				r.Bcast(o.out[0], 0)
 				r.AllreduceSum(o.send, o.recv)
+			},
+			then: func(r *mpi.Rank, o *operands, done func()) {
+				r.BcastThen(o.out[0], 0, func() { r.AllreduceSumThen(o.send, o.recv, done) })
 			},
 		},
 	)
@@ -217,6 +253,7 @@ func alltoallCase(name string, cfg hw.Config, block int) opCase {
 			return &operands{send: send, recv: recv, out: []data.Buf{recv}}
 		},
 		block: func(r *mpi.Rank, o *operands) { r.Alltoall(o.send, o.recv) },
+		then:  func(r *mpi.Rank, o *operands, done func()) { r.AlltoallThen(o.send, o.recv, done) },
 	}
 }
 
@@ -265,6 +302,8 @@ func runOpCase(t *testing.T, c opCase, run func(w *mpi.World, fn func(r *mpi.Ran
 
 func blockingRun(w *mpi.World, fn func(r *mpi.Rank)) (sim.Time, error) { return w.Run(fn) }
 
+func programRun(w *mpi.World, fn func(r *mpi.Rank)) (sim.Time, error) { return w.RunProgram(fn) }
+
 // opPins holds each opCase's end virtual time (ps) and buffer digest.
 var opPins = map[string]opResult{
 	"send/eager":          {4422435, 0x8286121f9425ddd},
@@ -277,9 +316,9 @@ var opPins = map[string]opResult{
 	"gather":              {15358344, 0xc501dcf20b3ded4d},
 	"allgather.torus":     {33062957, 0xd1245a84cb13bf75},
 	"allgather.ring":      {28330358, 0xa6ca567a7671cd03},
-	"reduce/quad/root0":   {56837765, 0x2def4b8a03b82fe7},
-	"reduce/quad/root5":   {63399504, 0x746af886f4047dc4},
-	"reduce/quad/root31":  {63399504, 0xdfec35e83570f605},
+	"reduce/quad/root0":   {58442471, 0x2def4b8a03b82fe7},
+	"reduce/quad/root5":   {59882036, 0x746af886f4047dc4},
+	"reduce/quad/root31":  {59882036, 0xdfec35e83570f605},
 	"reduce/smp":          {17746216, 0x3ca11ab4811d036},
 	"scatter":             {45597660, 0x1c2db819ace2920f},
 	"alltoall":            {134615809, 0x12d4523950f8f64},
@@ -295,6 +334,20 @@ func TestOpCasesPinned(t *testing.T) {
 		want, ok := opPins[c.name]
 		if !ok || got != want {
 			t.Errorf("%s: got {%d, %#x}, pinned {%d, %#x}", c.name, int64(got.end), got.digest, int64(want.end), want.digest)
+		}
+	}
+}
+
+// TestOpCasesProgramMatchesBlocking is the reference check for the
+// explicit-resume transcriptions: every case run as inline programs through
+// the *Then forms must end at the same virtual time with the same buffers
+// as the blocking forms on goroutine-backed ranks.
+func TestOpCasesProgramMatchesBlocking(t *testing.T) {
+	for _, c := range opCases() {
+		block := runOpCase(t, c, blockingRun, c.block)
+		prog := runOpCase(t, c, programRun, func(r *mpi.Rank, o *operands) { c.then(r, o, func() {}) })
+		if prog != block {
+			t.Errorf("%s: program {%d, %#x}, blocking {%d, %#x}", c.name, int64(prog.end), prog.digest, int64(block.end), block.digest)
 		}
 	}
 }

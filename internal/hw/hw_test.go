@@ -184,7 +184,7 @@ func TestNodeCopyAdvancesProcess(t *testing.T) {
 	n := NewNode(k, 0, geometry.Coord{}, DefaultParams())
 	var done sim.Time
 	k.Spawn("copier", func(p *sim.Proc) {
-		n.Copy(p, 1<<20, true)
+		n.CopyThen(p, 1<<20, true, func() {})
 		done = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -205,7 +205,7 @@ func TestConcurrentCopiesShareBus(t *testing.T) {
 	var last sim.Time
 	for i := 0; i < 2; i++ {
 		k.Spawn("copier", func(pr *sim.Proc) {
-			n.Copy(pr, 1<<20, true)
+			n.CopyThen(pr, 1<<20, true, func() {})
 			if pr.Now() > last {
 				last = pr.Now()
 			}
@@ -226,8 +226,8 @@ func TestZeroByteOpsFree(t *testing.T) {
 	k := sim.New()
 	n := NewNode(k, 0, geometry.Coord{}, DefaultParams())
 	k.Spawn("p", func(p *sim.Proc) {
-		n.Copy(p, 0, true)
-		n.Reduce(p, 0, true)
+		n.CopyThen(p, 0, true, func() {})
+		n.ReduceThen(p, 0, true, func() {})
 		if p.Now() != 0 {
 			t.Errorf("zero-byte ops consumed %v", p.Now())
 		}

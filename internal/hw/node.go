@@ -107,18 +107,6 @@ func (n *Node) reduceRate(cached bool) float64 {
 	return n.P.ReduceDRAMBps
 }
 
-// Copy advances p by the time one core needs to copy n bytes, also charging
-// the node's memory bus. It returns the completion time.
-func (n *Node) Copy(p *sim.Proc, bytes int, cached bool) sim.Time {
-	return n.coreMemOp(p, bytes, n.copyRate(cached))
-}
-
-// Reduce advances p by the time one core needs to stream-sum n bytes of
-// doubles from another buffer into its own, also charging the memory bus.
-func (n *Node) Reduce(p *sim.Proc, bytes int, cached bool) sim.Time {
-	return n.coreMemOp(p, bytes, n.reduceRate(cached))
-}
-
 // CopyTime returns the core-only cost of copying n bytes without executing
 // it; used by analytic paths and tests.
 func (n *Node) CopyTime(bytes int, cached bool) sim.Time {
@@ -130,41 +118,23 @@ func (n *Node) ReduceTime(bytes int, cached bool) sim.Time {
 	return sim.TransferTime(bytes, n.reduceRate(cached))
 }
 
-// coreMemOp models a core-driven streaming memory operation: the core is
-// busy for bytes/rate, and the same bytes occupy the shared bus. The
-// operation finishes at whichever is later.
-func (n *Node) coreMemOp(p *sim.Proc, bytes int, rate float64) sim.Time {
-	if bytes <= 0 {
-		return p.Now()
-	}
-	busDone := n.Bus.Reserve(bytes)
-	coreDone := p.Now() + sim.TransferTime(bytes, rate)
-	done := busDone
-	if coreDone > done {
-		done = coreDone
-	}
-	p.SleepUntil(done)
-	return done
-}
-
-// Poll advances p by the shared-memory poll/notify latency: the time for a
-// flag or counter update by one core to become visible to another.
-func (n *Node) Poll(p *sim.Proc) { p.Sleep(n.P.PollLatency) }
-
-// CopyThen is the explicit-resume form of Copy: cont runs at the completion
-// time Copy would have returned at.
+// CopyThen occupies p for the time one core needs to copy bytes, also
+// charging the node's memory bus, then continues with cont.
 func (n *Node) CopyThen(p *sim.Proc, bytes int, cached bool, cont func()) {
 	n.coreMemOpThen(p, bytes, n.copyRate(cached), cont)
 }
 
-// ReduceThen is the explicit-resume form of Reduce.
+// ReduceThen occupies p for the time one core needs to stream-sum bytes of
+// doubles from another buffer into its own, also charging the memory bus,
+// then continues with cont.
 func (n *Node) ReduceThen(p *sim.Proc, bytes int, cached bool, cont func()) {
 	n.coreMemOpThen(p, bytes, n.reduceRate(cached), cont)
 }
 
-// coreMemOpThen mirrors coreMemOp: a non-positive size continues immediately
-// without touching the bus; otherwise the bus reservation and the core
-// occupation overlap, finishing at whichever is later.
+// coreMemOpThen models a core-driven streaming memory operation: the core is
+// busy for bytes/rate, and the same bytes occupy the shared bus; the
+// operation finishes at whichever is later. A non-positive size continues
+// immediately without touching the bus.
 func (n *Node) coreMemOpThen(p *sim.Proc, bytes int, rate float64, cont func()) {
 	if bytes <= 0 {
 		cont()
@@ -173,10 +143,12 @@ func (n *Node) coreMemOpThen(p *sim.Proc, bytes int, rate float64, cont func()) 
 	p.BusyThen(n.Bus, bytes, sim.TransferTime(bytes, rate), cont)
 }
 
-// PollThen is the explicit-resume form of Poll.
+// PollThen advances p by the shared-memory poll/notify latency — the time
+// for a flag or counter update by one core to become visible to another —
+// then continues with cont.
 func (n *Node) PollThen(p *sim.Proc, cont func()) { p.SleepThen(n.P.PollLatency, cont) }
 
-// PlanCopy appends Copy to a fused step plan: the same bus reservation and
+// PlanCopy appends CopyThen's work to a fused step plan: the same bus reservation and
 // core occupation, executed while the process stays parked.
 func (n *Node) PlanCopy(pl *sim.Plan, bytes int, cached bool) {
 	if bytes <= 0 {
@@ -185,5 +157,5 @@ func (n *Node) PlanCopy(pl *sim.Plan, bytes int, cached bool) {
 	pl.Busy(n.Bus, bytes, sim.TransferTime(bytes, n.copyRate(cached)))
 }
 
-// PlanPoll appends Poll to a fused step plan.
+// PlanPoll appends PollThen's latency to a fused step plan.
 func (n *Node) PlanPoll(pl *sim.Plan) { pl.Sleep(n.P.PollLatency) }

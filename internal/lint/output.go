@@ -7,9 +7,8 @@ import (
 )
 
 // Machine-readable output for the driver: a flat JSON array for scripting
-// (`bgplint -json`) and a minimal SARIF 2.1.0 log for code-scanning upload
-// (`bgplint -sarif`). Both live here rather than in cmd/bgplint so the
-// encodings are unit-testable.
+// (`bgplint -json`). It lives here rather than in cmd/bgplint so the
+// encoding is unit-testable.
 
 // jsonDiagnostic is the -json element shape.
 type jsonDiagnostic struct {
@@ -38,123 +37,6 @@ func WriteJSON(w io.Writer, diags []Diagnostic, root string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// SARIF 2.1.0 skeleton, just the fields code-scanning consumers require.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifText    `json:"shortDescription"`
-	DefaultConfig    sarifRuleCfg `json:"defaultConfiguration"`
-}
-
-type sarifRuleCfg struct {
-	Level string `json:"level"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// sarifLevel maps bgplint severities onto the SARIF level vocabulary.
-func sarifLevel(s Severity) string {
-	if s == SevAdvisory {
-		return "note"
-	}
-	return "error"
-}
-
-// WriteSARIF writes diags as a single-run SARIF 2.1.0 log. The rules table
-// lists the full analyzer suite plus the allow-audit pseudo-rule, whether or
-// not they fired, so consumers can render suppressed-to-zero runs.
-func WriteSARIF(w io.Writer, diags []Diagnostic, root string) error {
-	var rules []sarifRule
-	for _, a := range Analyzers() {
-		rules = append(rules, sarifRule{
-			ID:               a.Name,
-			ShortDescription: sarifText{Text: a.Doc},
-			DefaultConfig:    sarifRuleCfg{Level: sarifLevel(a.severity())},
-		})
-	}
-	rules = append(rules, sarifRule{
-		ID:               allowAuditName,
-		ShortDescription: sarifText{Text: "audit //bgplint:allow suppressions: rule-scoped, justified, and still suppressing something"},
-		DefaultConfig:    sarifRuleCfg{Level: "error"},
-	})
-
-	results := make([]sarifResult, 0, len(diags))
-	for _, d := range diags {
-		results = append(results, sarifResult{
-			RuleID:  d.Analyzer,
-			Level:   sarifLevel(d.Severity),
-			Message: sarifText{Text: d.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: relPath(root, d.Position.Filename)},
-					Region: sarifRegion{
-						StartLine:   d.Position.Line,
-						StartColumn: d.Position.Column,
-					},
-				},
-			}},
-		})
-	}
-
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "bgplint", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }
 
 // relPath makes path relative to root with forward slashes; on failure the

@@ -3,9 +3,15 @@
 // substrates the way the paper's implementation is glued over DCMF/CCMI.
 //
 // A World launches one simulated process per MPI rank (quad mode: four ranks
-// per node, each owning one PowerPC core). Rank programs are ordinary Go
-// functions receiving a *Rank, whose methods provide the MPI surface:
-// Bcast, AllreduceSum, Barrier, Send/Recv, Gather, Allgather.
+// per node, each owning one PowerPC core). Rank programs are Go functions
+// receiving a *Rank, whose methods provide the MPI surface: Bcast,
+// AllreduceSum, Barrier, Send/Recv/Sendrecv, Isend/Irecv, Gather,
+// Allgather, ReduceSum, Scatter, Alltoall. Every operation has an
+// explicit-resume form (BcastThen, SendThen, Request.WaitThen, ...) that
+// takes the rest of the rank's body as a continuation; World.RunProgram
+// runs such bodies inline, without a goroutine per rank. The blocking
+// methods, for World.Run bodies on goroutine-backed ranks, are the *Then
+// forms called with a no-op continuation.
 //
 // Collective algorithm implementations live in package coll and register
 // themselves by name; Tunables select an algorithm explicitly or leave the

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bgpcoll/internal/data"
@@ -213,5 +215,49 @@ func TestRequestDoneFlag(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecvSizeMismatchFails checks that a receive buffer of the wrong size
+// fails the run with an error naming the receiving rank, whichever protocol
+// carries the message and whichever receive form posts it — including the
+// rendezvous path, whose direct put used to skip the copy silently.
+func TestRecvSizeMismatchFails(t *testing.T) {
+	forms := []struct {
+		name    string
+		program bool
+		recv    func(r *Rank, src int, buf data.Buf)
+	}{
+		{"Recv", false, func(r *Rank, src int, buf data.Buf) { r.Recv(src, buf, 1) }},
+		{"Irecv+Wait", false, func(r *Rank, src int, buf data.Buf) { r.Irecv(src, buf, 1).Wait() }},
+		{"RecvThen", true, func(r *Rank, src int, buf data.Buf) { r.RecvThen(src, buf, 1, func() {}) }},
+	}
+	for _, proto := range []struct {
+		name   string
+		src, n int
+	}{
+		{"eager", 0, 1 << 10},
+		{"rendezvous", 0, 64 << 10},
+		{"intranode", 13, 1 << 10},
+	} {
+		for _, form := range forms {
+			w := newWorld(t, smallConfig())
+			run := w.Run
+			if form.program {
+				run = w.RunProgram
+			}
+			_, err := run(func(r *Rank) {
+				switch r.Rank() {
+				case proto.src:
+					r.SendThen(12, r.NewBuf(proto.n), 1, func() {})
+				case 12:
+					form.recv(r, proto.src, r.NewBuf(proto.n/2))
+				}
+			})
+			want := fmt.Sprintf("process rank12 panicked: mpi: recv buffer %d bytes, message %d bytes", proto.n/2, proto.n)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %s: err = %v, want %q", proto.name, form.name, err, want)
+			}
+		}
 	}
 }

@@ -19,6 +19,15 @@ import (
 //
 // Intra-node messages skip the torus and are copied by the receiving core
 // through shared memory.
+//
+// The network side of a transfer is driven by the DMA engine and needs no
+// core, so Isend and Irecv issue their reservations event-driven and return
+// a Request immediately. Core-side costs — the receiving core's copy-out for
+// eager and intra-node messages — are charged when the owning rank waits on
+// the request, which is where the MPI progress engine performs them on the
+// real machine. Isend/Irecv plus WaitThen is the only transcription of both
+// protocols: Send, Recv and Sendrecv and their blocking forms are derived
+// from it.
 
 const ctrlBytes = 32 // control packet payload (RTS/CTS)
 
@@ -92,38 +101,151 @@ func (r *Rank) deliver(src, tag int, arr *arrival) {
 	box.arrived[key] = append(box.arrived[key], arr)
 }
 
-// takeArrival removes a matching arrival or registers a posted receive.
-func (r *Rank) takeArrival(src, tag int) *arrival {
-	key := matchKey{src: src, tag: tag}
-	box := r.box()
-	if arrs := box.arrived[key]; len(arrs) > 0 {
-		arr := arrs[0]
-		box.arrived[key] = arrs[1:]
-		return arr
+// Request tracks one outstanding nonblocking operation. It completes when
+// its event fires; waiting on it additionally runs the deferred core-side
+// work in the waiting rank's own context.
+type Request struct {
+	owner *Rank
+	ev    *sim.Event
+
+	// Receive side: buf is the posted buffer and msgLen the size of the
+	// message matched to it. copyOut marks an eager or intra-node payload
+	// the waiting core still has to copy out (sends and rendezvous
+	// receives are completed by the DMA); local marks an intra-node one.
+	buf     data.Buf
+	msgLen  int
+	payload data.Buf
+	copyOut bool
+	local   bool
+}
+
+// Wait blocks the owning rank until the operation completes.
+func (q *Request) Wait() { q.WaitThen(nop) }
+
+// WaitThen continues with done once the operation has completed on the
+// owning rank, including the receiving core's copy-out. A receive whose
+// buffer does not match the message size fails here, in the receiving
+// rank's context, whichever protocol carried the message.
+func (q *Request) WaitThen(done func()) {
+	q.owner.proc.WaitThen(q.ev, func() { q.complete(done) })
+}
+
+// complete runs the core-side completion work of a fired request.
+func (q *Request) complete(done func()) {
+	if q.buf.Len() != q.msgLen {
+		panic(fmt.Sprintf("mpi: recv buffer %d bytes, message %d bytes", q.buf.Len(), q.msgLen))
 	}
-	req := &recvReq{ev: r.w.M.K.NewEvent(fmt.Sprintf("recv.%d.%d.%d", r.id, src, tag))}
-	box.posted[key] = append(box.posted[key], req)
-	r.proc.Wait(req.ev)
-	return req.arr
+	if !q.copyOut {
+		done()
+		return
+	}
+	q.copyOut = false
+	if q.local {
+		q.owner.node.HW.PollThen(q.owner.proc, func() { q.copyThen(done) })
+		return
+	}
+	q.copyThen(done)
+}
+
+// copyThen copies the payload out with the owning rank's core.
+func (q *Request) copyThen(done func()) {
+	hw, n := q.owner.node.HW, q.buf.Len()
+	hw.CopyThen(q.owner.proc, n, hw.Cached(2*n), func() {
+		data.Copy(q.buf, q.payload)
+		done()
+	})
+}
+
+// Done reports whether the operation has completed (waiting may still have
+// deferred completion work to run).
+func (q *Request) Done() bool { return q.ev.Fired() }
+
+// WaitAll completes a set of requests.
+func (r *Rank) WaitAll(reqs ...*Request) { r.WaitAllThen(reqs, nop) }
+
+// WaitAllThen completes reqs in order, then continues with done.
+func (r *Rank) WaitAllThen(reqs []*Request, done func()) {
+	for _, q := range reqs {
+		if q.owner != r {
+			panic("mpi: WaitAll on another rank's request")
+		}
+	}
+	a := &waitAll{reqs: reqs, done: done}
+	a.nextFn = a.next
+	a.next()
+}
+
+// waitAll steps through a request list, one bound continuation per call.
+type waitAll struct {
+	reqs   []*Request
+	i      int
+	done   func()
+	nextFn func()
+}
+
+func (a *waitAll) next() {
+	if a.i == len(a.reqs) {
+		a.done()
+		return
+	}
+	q := a.reqs[a.i]
+	a.i++
+	q.WaitThen(a.nextFn)
 }
 
 // Send transmits buf to global rank dst with the given tag. Eager sends
 // return once the payload is injected; rendezvous sends return when the
 // direct put has completed.
-func (r *Rank) Send(dst int, buf data.Buf, tag int) {
+func (r *Rank) Send(dst int, buf data.Buf, tag int) { r.SendThen(dst, buf, tag, nop) }
+
+// SendThen is the explicit-resume form of Send.
+func (r *Rank) SendThen(dst int, buf data.Buf, tag int, done func()) {
+	r.Isend(dst, buf, tag).WaitThen(done)
+}
+
+// Recv receives a message from global rank src with the given tag into buf,
+// blocking until the payload is in place.
+func (r *Rank) Recv(src int, buf data.Buf, tag int) { r.RecvThen(src, buf, tag, nop) }
+
+// RecvThen is the explicit-resume form of Recv.
+func (r *Rank) RecvThen(src int, buf data.Buf, tag int, done func()) {
+	r.Irecv(src, buf, tag).WaitThen(done)
+}
+
+// Sendrecv exchanges messages with two (possibly different) peers without
+// deadlock: both transfers progress concurrently, as MPI_Sendrecv requires.
+func (r *Rank) Sendrecv(dst int, sendBuf data.Buf, sendTag int, src int, recvBuf data.Buf, recvTag int) {
+	r.SendrecvThen(dst, sendBuf, sendTag, src, recvBuf, recvTag, nop)
+}
+
+// SendrecvThen is the explicit-resume form of Sendrecv.
+func (r *Rank) SendrecvThen(dst int, sendBuf data.Buf, sendTag int, src int, recvBuf data.Buf, recvTag int, done func()) {
+	rq := r.Irecv(src, recvBuf, recvTag)
+	sq := r.Isend(dst, sendBuf, sendTag)
+	r.WaitAllThen([]*Request{rq, sq}, done)
+}
+
+// Isend starts sending buf to dst and returns immediately. The request
+// completes when the local buffer may be reused (eager: injected;
+// rendezvous: the remote direct put finished).
+func (r *Rank) Isend(dst int, buf data.Buf, tag int) *Request {
 	if dst == r.id {
 		panic("mpi: send to self")
 	}
 	to := &r.w.ranks[dst]
 	k := r.w.M.K
 	n := buf.Len()
+	req := &Request{owner: r, ev: k.NewEvent(fmt.Sprintf("isend.%d.%d.%d", r.id, dst, tag))}
 
 	if to.nodeID == r.nodeID {
-		// Intra-node: publish through shared memory; the receiver's core
-		// performs the copy.
-		r.node.HW.Poll(r.proc)
-		to.deliver(r.id, tag, &arrival{buf: buf, availableAt: k.Now(), local: true})
-		return
+		// Intra-node: publish through shared memory; complete after the
+		// flag propagates.
+		arr := &arrival{buf: buf, availableAt: k.Now() + r.node.HW.P.PollLatency, local: true}
+		k.After(r.node.HW.P.PollLatency, func() {
+			to.deliver(r.id, tag, arr)
+			req.ev.Fire()
+		})
+		return req
 	}
 
 	if n <= r.w.Tunables.EagerLimit {
@@ -137,65 +259,84 @@ func (r *Rank) Send(dst int, buf data.Buf, tag int) {
 			arr := &arrival{buf: buf, availableAt: rxDone}
 			k.At(rxDone, func() { to.deliver(r.id, tag, arr) })
 		})
-		r.proc.SleepUntil(injDone)
-		return
+		k.At(injDone, req.ev.Fire)
+		return req
 	}
 
-	// Rendezvous: RTS control, wait for CTS, direct put into the posted
-	// application buffer.
+	// Rendezvous, event-driven: RTS now; once the receiver posts (CTS), the
+	// DMA direct put is reserved and both sides complete at its end.
 	rdv := &rendezvous{
 		src:     r,
-		cts:     k.NewEvent(fmt.Sprintf("cts.%d.%d", r.id, dst)),
-		putDone: k.NewEvent(fmt.Sprintf("put.%d.%d", r.id, dst)),
+		cts:     k.NewEvent(fmt.Sprintf("icts.%d.%d", r.id, dst)),
+		putDone: k.NewEvent(fmt.Sprintf("iput.%d.%d", r.id, dst)),
 	}
 	rtsAt := r.w.M.Torus.Unicast(k.Now(), r.Coord(), to.Coord(), ctrlLane, ctrlBytes)
 	k.At(rtsAt, func() {
 		to.deliver(r.id, tag, &arrival{buf: buf, availableAt: rtsAt, rdv: rdv})
 	})
-	r.proc.Wait(rdv.cts)
-	wire := r.w.M.Torus.WireBytes(n)
-	injDone := r.node.DMA.Inject(k.Now(), wire)
-	netAt := r.w.M.Torus.Unicast(injDone, r.Coord(), to.Coord(), ptpLane, n)
-	dst2 := rdv.dstBuf
-	k.At(netAt, func() {
-		rxDone := to.node.DMA.Receive(k.Now(), wire)
-		k.At(rxDone, func() {
-			if dst2.Len() == buf.Len() {
-				data.Copy(dst2, buf)
-			}
-			rdv.putDone.Fire()
+	rdv.cts.OnFire(func() {
+		wire := r.w.M.Torus.WireBytes(n)
+		injDone := r.node.DMA.Inject(k.Now(), wire)
+		netAt := r.w.M.Torus.Unicast(injDone, r.Coord(), to.Coord(), ptpLane, n)
+		dst2 := rdv.dstBuf
+		k.At(netAt, func() {
+			rxDone := to.node.DMA.Receive(k.Now(), wire)
+			k.At(rxDone, func() {
+				// A wrong-size receive buffer gets no bytes; the receiver's
+				// wait reports the mismatch.
+				if dst2.Len() == buf.Len() {
+					data.Copy(dst2, buf)
+				}
+				rdv.putDone.Fire()
+			})
 		})
 	})
-	r.proc.Wait(rdv.putDone)
+	rdv.putDone.OnFire(req.ev.Fire)
+	return req
 }
 
-// Recv receives a message from global rank src with the given tag into buf,
-// blocking until the payload is in place.
-func (r *Rank) Recv(src int, buf data.Buf, tag int) {
-	arr := r.takeArrival(src, tag)
+// Irecv starts receiving a message from src with the given tag into buf and
+// returns immediately. The receiving core's copy (eager and intra-node
+// paths) is charged when the request is waited on.
+func (r *Rank) Irecv(src int, buf data.Buf, tag int) *Request {
 	k := r.w.M.K
+	req := &Request{owner: r, ev: k.NewEvent(fmt.Sprintf("irecv.%d.%d.%d", r.id, src, tag)), buf: buf}
 
-	if arr.rdv != nil {
-		// Answer the RTS with a CTS carrying the destination buffer, then
-		// wait for the direct put. No core copy: zero-copy reception.
-		rdv := arr.rdv
-		rdv.dstBuf = buf
-		ctsAt := r.w.M.Torus.Unicast(k.Now(), r.Coord(), rdv.src.Coord(), ctrlLane, ctrlBytes)
-		k.At(ctsAt, rdv.cts.Fire)
-		r.proc.Wait(rdv.putDone)
-		return
+	handle := func(arr *arrival) {
+		req.msgLen = arr.buf.Len()
+		if arr.rdv != nil {
+			rdv := arr.rdv
+			rdv.dstBuf = buf
+			ctsAt := r.w.M.Torus.Unicast(k.Now(), r.Coord(), rdv.src.Coord(), ctrlLane, ctrlBytes)
+			k.At(ctsAt, rdv.cts.Fire)
+			rdv.putDone.OnFire(req.ev.Fire)
+			return
+		}
+		req.payload, req.copyOut, req.local = arr.buf, true, arr.local
+		if arr.availableAt > k.Now() {
+			k.At(arr.availableAt, req.ev.Fire)
+		} else {
+			req.ev.Fire()
+		}
 	}
 
-	// Eager or intra-node: wait for the payload and copy it out with this
-	// rank's core.
-	r.proc.SleepUntil(arr.availableAt)
-	if arr.local {
-		r.node.HW.Poll(r.proc)
+	// Match an already-arrived message or register an event-driven posted
+	// receive.
+	key := matchKey{src: src, tag: tag}
+	box := r.box()
+	if arrs := box.arrived[key]; len(arrs) > 0 {
+		arr := arrs[0]
+		box.arrived[key] = arrs[1:]
+		handle(arr)
+		return req
 	}
-	if buf.Len() != arr.buf.Len() {
-		panic(fmt.Sprintf("mpi: recv buffer %d bytes, message %d bytes", buf.Len(), arr.buf.Len()))
-	}
-	cached := r.node.HW.Cached(2 * buf.Len())
-	r.node.HW.Copy(r.proc, buf.Len(), cached)
-	data.Copy(buf, arr.buf)
+	pr := &recvReq{ev: k.NewEvent(fmt.Sprintf("ipost.%d.%d.%d", r.id, src, tag))}
+	box.posted[key] = append(box.posted[key], pr)
+	pr.ev.OnFire(func() { handle(pr.arr) })
+	return req
 }
+
+// nop is the continuation that turns an explicit-resume operation into its
+// blocking form: on a goroutine-backed rank every *Then operation blocks
+// before calling its continuation.
+func nop() {}

@@ -113,18 +113,7 @@ func (r *Rank) ReleaseWorldShared(seq int64, kind string) {
 }
 
 // Barrier synchronizes all ranks over the global interrupt network.
-func (r *Rank) Barrier() {
-	seq := r.NextSeq()
-	st := r.WorldShared(seq, "barrier", func() any {
-		return &barrierState{ev: r.w.M.K.NewEvent(fmt.Sprintf("barrier%d", seq))}
-	}).(*barrierState)
-	st.arrived++
-	if st.arrived == r.Size() {
-		r.w.M.K.After(r.w.M.Cfg.Params.BarrierLatency, st.ev.Fire)
-	}
-	r.proc.Wait(st.ev)
-	r.ReleaseWorldShared(seq, "barrier")
-}
+func (r *Rank) Barrier() { r.BarrierThen(nop) }
 
 // BarrierThen is the explicit-resume form of Barrier: done runs once all
 // ranks have arrived and the interrupt-network latency has elapsed.

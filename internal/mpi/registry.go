@@ -36,156 +36,104 @@ const (
 	AlltoallTorus  = "alltoall.torus"
 )
 
-// BcastFn broadcasts buf (the full message buffer on every rank; the root's
-// holds the payload) from global rank root.
-type BcastFn func(r *Rank, buf data.Buf, root int)
+// Every collective is registered once, in explicit-resume (program) form:
+// the body is written against the sim *Then operations and calls done when
+// the collective completes on this rank. On a goroutine-backed rank the
+// operations block, so calling the body with a no-op continuation IS the
+// blocking algorithm; on an inline program rank the body parks and the
+// kernel resumes it. Either way done runs exactly once, at the same virtual
+// time, so one transcription serves both execution modes.
 
-// AllreduceFn reduces send element-wise (float64 sum) across all ranks into
-// recv on every rank.
-type AllreduceFn func(r *Rank, send, recv data.Buf)
-
-// ProgBcastFn is the explicit-resume (program) form of BcastFn: the body is
-// written against the sim *Then operations and calls done when the collective
-// completes on this rank. On a goroutine-backed rank the operations block, so
-// the call is synchronous; on an inline program rank the body parks and the
-// kernel resumes it — either way done runs exactly once, at the virtual-time
-// position the blocking form would have returned.
+// ProgBcastFn broadcasts buf (the full message buffer on every rank; the
+// root's holds the payload) from global rank root.
 type ProgBcastFn func(r *Rank, buf data.Buf, root int, done func())
 
-// ProgAllreduceFn is the explicit-resume form of AllreduceFn.
-type ProgAllreduceFn func(r *Rank, send, recv data.Buf, done func())
+// ProgFn is a collective over every rank's send and recv buffers: allreduce
+// (float64 sum into every recv), allgather (every send into every recv, in
+// rank order) and alltoall (rank i's j-th send block lands in rank j's i-th
+// recv block).
+type ProgFn func(r *Rank, send, recv data.Buf, done func())
 
-// GatherFn gathers each rank's send buffer into the root's recv buffer
-// (rank i's data at offset i*send.Len()).
-type GatherFn func(r *Rank, send, recv data.Buf, root int)
+// ProgRootedFn is a collective with a root rank: gather (every send into the
+// root's recv, rank i's data at offset i*send.Len()), reduce (float64 sum
+// into the root's recv) and scatter (the root's send block i into rank i's
+// recv).
+type ProgRootedFn func(r *Rank, send, recv data.Buf, root int, done func())
 
-// AllgatherFn gathers each rank's send buffer into every rank's recv buffer.
-type AllgatherFn func(r *Rank, send, recv data.Buf)
-
-// ReduceFn reduces send element-wise (float64 sum) across all ranks into the
-// root's recv buffer.
-type ReduceFn func(r *Rank, send, recv data.Buf, root int)
-
-// ScatterFn distributes the root's send buffer block-wise: rank i receives
-// the i-th block into recv.
-type ScatterFn func(r *Rank, send, recv data.Buf, root int)
-
-// AlltoallFn exchanges blocks: rank i's j-th send block lands in rank j's
-// i-th recv block.
-type AlltoallFn func(r *Rank, send, recv data.Buf)
-
-var (
-	bcastAlgos         = map[string]BcastFn{}
-	progBcastAlgos     = map[string]ProgBcastFn{}
-	allreduceAlgos     = map[string]AllreduceFn{}
-	progAllreduceAlgos = map[string]ProgAllreduceFn{}
-	gatherAlgos        = map[string]GatherFn{}
-	allgatherAlgos     = map[string]AllgatherFn{}
-	reduceAlgos        = map[string]ReduceFn{}
-	scatterAlgos       = map[string]ScatterFn{}
-	alltoallAlgos      = map[string]AlltoallFn{}
-)
-
-// RegisterBcast installs a broadcast implementation under name.
-func RegisterBcast(name string, fn BcastFn) { bcastAlgos[name] = fn }
-
-// RegisterProgBcast installs a program-form broadcast under name, and derives
-// the blocking BcastFn from it: with a goroutine-backed rank every *Then
-// operation blocks, so calling the program body with a no-op continuation IS
-// the blocking algorithm. One transcription serves both execution modes.
-func RegisterProgBcast(name string, fn ProgBcastFn) {
-	progBcastAlgos[name] = fn
-	bcastAlgos[name] = func(r *Rank, buf data.Buf, root int) { fn(r, buf, root, func() {}) }
+// registry maps algorithm names to one operation's program-form bodies.
+type registry[F any] struct {
+	op  string
+	fns map[string]F
 }
 
-// RegisterAllreduce installs an allreduce implementation under name.
-func RegisterAllreduce(name string, fn AllreduceFn) { allreduceAlgos[name] = fn }
-
-// RegisterProgAllreduce installs a program-form allreduce under name and
-// derives the blocking AllreduceFn from it (see RegisterProgBcast).
-func RegisterProgAllreduce(name string, fn ProgAllreduceFn) {
-	progAllreduceAlgos[name] = fn
-	allreduceAlgos[name] = func(r *Rank, send, recv data.Buf) { fn(r, send, recv, func() {}) }
+func newRegistry[F any](op string) *registry[F] {
+	return &registry[F]{op: op, fns: map[string]F{}}
 }
 
-// HasProgBcast reports whether the named broadcast has a program form, i.e.
-// whether ranks running it can execute without goroutines.
-func HasProgBcast(name string) bool {
-	_, ok := progBcastAlgos[name]
-	return ok
-}
-
-// HasProgAllreduce reports whether the named allreduce has a program form.
-func HasProgAllreduce(name string) bool {
-	_, ok := progAllreduceAlgos[name]
-	return ok
-}
-
-// RegisterGather installs a gather implementation under name.
-func RegisterGather(name string, fn GatherFn) { gatherAlgos[name] = fn }
-
-// RegisterAllgather installs an allgather implementation under name.
-func RegisterAllgather(name string, fn AllgatherFn) { allgatherAlgos[name] = fn }
-
-// RegisterReduce installs a reduce implementation under name.
-func RegisterReduce(name string, fn ReduceFn) { reduceAlgos[name] = fn }
-
-// RegisterScatter installs a scatter implementation under name.
-func RegisterScatter(name string, fn ScatterFn) { scatterAlgos[name] = fn }
-
-// RegisterAlltoall installs an alltoall implementation under name.
-func RegisterAlltoall(name string, fn AlltoallFn) { alltoallAlgos[name] = fn }
-
-// BcastAlgorithms lists the registered broadcast algorithm names.
-func BcastAlgorithms() []string {
-	names := make([]string, 0, len(bcastAlgos))
-	for n := range bcastAlgos {
+// names lists the registered algorithm names in sorted order.
+func (g *registry[F]) names() []string {
+	names := make([]string, 0, len(g.fns))
+	for n := range g.fns {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
 }
 
-func lookupBcast(name string) BcastFn {
-	fn, ok := bcastAlgos[name]
+func (g *registry[F]) lookup(name string) F {
+	fn, ok := g.fns[name]
 	if !ok {
-		panic(fmt.Sprintf("mpi: no bcast algorithm %q registered (have %v)", name, BcastAlgorithms()))
+		panic(fmt.Sprintf("mpi: no %s algorithm %q registered (have %v)", g.op, name, g.names()))
 	}
 	return fn
 }
 
-func lookupAllreduce(name string) AllreduceFn {
-	fn, ok := allreduceAlgos[name]
-	if !ok {
-		panic(fmt.Sprintf("mpi: no allreduce algorithm %q registered", name))
-	}
-	return fn
-}
+var (
+	bcastAlgos     = newRegistry[ProgBcastFn]("bcast")
+	allreduceAlgos = newRegistry[ProgFn]("allreduce")
+	gatherAlgos    = newRegistry[ProgRootedFn]("gather")
+	allgatherAlgos = newRegistry[ProgFn]("allgather")
+	reduceAlgos    = newRegistry[ProgRootedFn]("reduce")
+	scatterAlgos   = newRegistry[ProgRootedFn]("scatter")
+	alltoallAlgos  = newRegistry[ProgFn]("alltoall")
+)
+
+// RegisterProgBcast installs a broadcast under name.
+func RegisterProgBcast(name string, fn ProgBcastFn) { bcastAlgos.fns[name] = fn }
+
+// RegisterProgAllreduce installs a float64-sum allreduce under name.
+func RegisterProgAllreduce(name string, fn ProgFn) { allreduceAlgos.fns[name] = fn }
+
+// RegisterProgGather installs a gather under name.
+func RegisterProgGather(name string, fn ProgRootedFn) { gatherAlgos.fns[name] = fn }
+
+// RegisterProgAllgather installs an allgather under name.
+func RegisterProgAllgather(name string, fn ProgFn) { allgatherAlgos.fns[name] = fn }
+
+// RegisterProgReduce installs a float64-sum reduce under name.
+func RegisterProgReduce(name string, fn ProgRootedFn) { reduceAlgos.fns[name] = fn }
+
+// RegisterProgScatter installs a scatter under name.
+func RegisterProgScatter(name string, fn ProgRootedFn) { scatterAlgos.fns[name] = fn }
+
+// RegisterProgAlltoall installs an alltoall under name.
+func RegisterProgAlltoall(name string, fn ProgFn) { alltoallAlgos.fns[name] = fn }
+
+// BcastAlgorithms lists the registered broadcast algorithm names.
+func BcastAlgorithms() []string { return bcastAlgos.names() }
 
 // Bcast broadcasts buf from the given root using the configured or
 // automatically selected algorithm.
-func (r *Rank) Bcast(buf data.Buf, root int) {
-	name := r.w.Tunables.Bcast
-	if name == "" {
-		name = r.autoBcast(buf.Len())
-	}
-	lookupBcast(name)(r, buf, root)
-}
+func (r *Rank) Bcast(buf data.Buf, root int) { r.BcastThen(buf, root, nop) }
 
 // BcastThen is the explicit-resume form of Bcast: done runs when the
-// collective completes on this rank. Algorithms without a program form fall
-// back to the blocking implementation, which requires a goroutine-backed rank.
+// collective completes on this rank.
 func (r *Rank) BcastThen(buf data.Buf, root int, done func()) {
 	name := r.w.Tunables.Bcast
 	if name == "" {
 		name = r.autoBcast(buf.Len())
 	}
-	if fn, ok := progBcastAlgos[name]; ok {
-		fn(r, buf, root, done)
-		return
-	}
-	lookupBcast(name)(r, buf, root)
-	done()
+	bcastAlgos.lookup(name)(r, buf, root, done)
 }
 
 // autoBcast mirrors the production protocol selection: the collective
@@ -211,16 +159,7 @@ func (r *Rank) autoBcast(n int) string {
 }
 
 // AllreduceSum performs a float64 sum allreduce of send into recv.
-func (r *Rank) AllreduceSum(send, recv data.Buf) {
-	if send.Len() != recv.Len() {
-		panic("mpi: allreduce buffer length mismatch")
-	}
-	if send.Len()%data.Float64Len != 0 {
-		panic("mpi: allreduce payload is not whole float64 elements")
-	}
-	name := r.allreduceName()
-	lookupAllreduce(name)(r, send, recv)
-}
+func (r *Rank) AllreduceSum(send, recv data.Buf) { r.AllreduceSumThen(send, recv, nop) }
 
 // AllreduceSumThen is the explicit-resume form of AllreduceSum.
 func (r *Rank) AllreduceSumThen(send, recv data.Buf, done func()) {
@@ -230,13 +169,7 @@ func (r *Rank) AllreduceSumThen(send, recv data.Buf, done func()) {
 	if send.Len()%data.Float64Len != 0 {
 		panic("mpi: allreduce payload is not whole float64 elements")
 	}
-	name := r.allreduceName()
-	if fn, ok := progAllreduceAlgos[name]; ok {
-		fn(r, send, recv, done)
-		return
-	}
-	lookupAllreduce(name)(r, send, recv)
-	done()
+	allreduceAlgos.lookup(r.allreduceName())(r, send, recv, done)
 }
 
 // allreduceName resolves the configured or default allreduce algorithm.
@@ -252,58 +185,53 @@ func (r *Rank) allreduceName() string {
 }
 
 // Gather gathers each rank's send into the root's recv.
-func (r *Rank) Gather(send, recv data.Buf, root int) {
+func (r *Rank) Gather(send, recv data.Buf, root int) { r.GatherThen(send, recv, root, nop) }
+
+// GatherThen is the explicit-resume form of Gather.
+func (r *Rank) GatherThen(send, recv data.Buf, root int, done func()) {
 	name := r.w.Tunables.Gather
 	if name == "" {
 		name = GatherTorus
 	}
-	fn, ok := gatherAlgos[name]
-	if !ok {
-		panic(fmt.Sprintf("mpi: no gather algorithm %q registered", name))
-	}
-	fn(r, send, recv, root)
+	gatherAlgos.lookup(name)(r, send, recv, root, done)
 }
 
 // Allgather gathers every rank's send into every rank's recv.
-func (r *Rank) Allgather(send, recv data.Buf) {
+func (r *Rank) Allgather(send, recv data.Buf) { r.AllgatherThen(send, recv, nop) }
+
+// AllgatherThen is the explicit-resume form of Allgather.
+func (r *Rank) AllgatherThen(send, recv data.Buf, done func()) {
 	name := r.w.Tunables.Allgather
 	if name == "" {
 		name = AllgatherTorus
 	}
-	fn, ok := allgatherAlgos[name]
-	if !ok {
-		panic(fmt.Sprintf("mpi: no allgather algorithm %q registered", name))
-	}
-	fn(r, send, recv)
+	allgatherAlgos.lookup(name)(r, send, recv, done)
 }
 
 // ReduceSum performs a float64 sum reduction of send into the root's recv.
-func (r *Rank) ReduceSum(send, recv data.Buf, root int) {
+func (r *Rank) ReduceSum(send, recv data.Buf, root int) { r.ReduceSumThen(send, recv, root, nop) }
+
+// ReduceSumThen is the explicit-resume form of ReduceSum.
+func (r *Rank) ReduceSumThen(send, recv data.Buf, root int, done func()) {
 	if send.Len()%data.Float64Len != 0 {
 		panic("mpi: reduce payload is not whole float64 elements")
 	}
-	fn, ok := reduceAlgos[ReduceTorus]
-	if !ok {
-		panic("mpi: no reduce algorithm registered")
-	}
-	fn(r, send, recv, root)
+	reduceAlgos.lookup(ReduceTorus)(r, send, recv, root, done)
 }
 
 // Scatter distributes the root's send buffer block-wise into every rank's
 // recv buffer.
-func (r *Rank) Scatter(send, recv data.Buf, root int) {
-	fn, ok := scatterAlgos[ScatterTorus]
-	if !ok {
-		panic("mpi: no scatter algorithm registered")
-	}
-	fn(r, send, recv, root)
+func (r *Rank) Scatter(send, recv data.Buf, root int) { r.ScatterThen(send, recv, root, nop) }
+
+// ScatterThen is the explicit-resume form of Scatter.
+func (r *Rank) ScatterThen(send, recv data.Buf, root int, done func()) {
+	scatterAlgos.lookup(ScatterTorus)(r, send, recv, root, done)
 }
 
 // Alltoall exchanges equal-size blocks among all ranks.
-func (r *Rank) Alltoall(send, recv data.Buf) {
-	fn, ok := alltoallAlgos[AlltoallTorus]
-	if !ok {
-		panic("mpi: no alltoall algorithm registered")
-	}
-	fn(r, send, recv)
+func (r *Rank) Alltoall(send, recv data.Buf) { r.AlltoallThen(send, recv, nop) }
+
+// AlltoallThen is the explicit-resume form of Alltoall.
+func (r *Rank) AlltoallThen(send, recv data.Buf, done func()) {
+	alltoallAlgos.lookup(AlltoallTorus)(r, send, recv, done)
 }
