@@ -37,7 +37,6 @@ func main() {
 	queue := flag.Int("queue", 64, "max cells queued for execution (excess requests get 429)")
 	perClient := flag.Int("per-client", 32, "max outstanding cells per client host")
 	cacheFile := flag.String("cache-file", "", "persist/load the result store as JSON at this path")
-	reference := flag.Bool("reference", false, "run kernels in the reference vehicle (identical virtual times)")
 	flag.Parse()
 
 	coll.Register()
@@ -55,7 +54,6 @@ func main() {
 		Workers:   *workers,
 		QueueCap:  *queue,
 		ClientCap: *perClient,
-		Reference: *reference,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 

@@ -15,8 +15,8 @@ import (
 // each chunk loop is a small state machine whose continuations are method
 // values bound once per rank per operation (see the note in bcast_tree.go),
 // so program-mode ranks run them without goroutines or per-chunk closure
-// garbage while goroutine-backed ranks execute the identical bodies
-// synchronously.
+// garbage while goroutine-backed ranks execute the identical bodies on
+// their own stacks.
 
 // allreduceColors is the color count of the torus allreduce: the reduce
 // phase runs on the reversed-direction links of each color's broadcast tree,

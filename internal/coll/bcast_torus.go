@@ -15,7 +15,7 @@ import (
 // continuations are method values bound once per rank per broadcast (see the
 // note in bcast_tree.go), so program-mode ranks run them without goroutines
 // or per-chunk closure garbage while goroutine-backed ranks execute the
-// identical bodies synchronously.
+// identical bodies on their own stacks.
 
 // torusBcastState is the job-wide shared state of one torus broadcast: the
 // per-node network delivery logs plus the intra-node coordination counters

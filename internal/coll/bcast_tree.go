@@ -11,11 +11,12 @@ import (
 )
 
 // The collective-network broadcasts below are written in explicit-resume
-// (program) style: every blocking primitive is its *Then form, so a rank
+// (program) style: every blocking step is a *Then operation, so a rank
 // running them needs no goroutine. The same bodies ARE the blocking
-// algorithms — on a goroutine-backed rank each *Then operation blocks and
-// calls its continuation synchronously — so there is exactly one
-// transcription of each protocol (see sim/program.go and DESIGN.md §11).
+// algorithms — on a goroutine-backed rank each *Then operation parks the
+// goroutine and then runs its continuation on the rank's stack — so there
+// is exactly one transcription of each protocol (see sim/program.go and
+// DESIGN.md §11).
 //
 // They are also allocation-free in steady use (DESIGN.md §17). The per-call
 // shared state is recycled through a per-world free list and every rank's

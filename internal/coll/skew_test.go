@@ -31,7 +31,7 @@ func TestBcastWithArrivalSkew(t *testing.T) {
 		const msg = 48 << 10
 		if _, err := w.Run(func(r *mpi.Rank) {
 			for round := 0; round < 3; round++ {
-				r.Proc().Sleep(skew(r.Rank(), round, 200))
+				r.Proc().SleepThen(skew(r.Rank(), round, 200), func() {})
 				buf := r.NewBuf(msg)
 				if r.Rank() == 0 {
 					buf.Fill(uint64(round) + 11)
@@ -61,7 +61,7 @@ func TestAllreduceWithArrivalSkew(t *testing.T) {
 		const doubles = 512
 		size := cfg.Ranks()
 		if _, err := w.Run(func(r *mpi.Rank) {
-			r.Proc().Sleep(skew(r.Rank(), 7, 300))
+			r.Proc().SleepThen(skew(r.Rank(), 7, 300), func() {})
 			send := r.NewBuf(doubles * data.Float64Len)
 			recv := r.NewBuf(doubles * data.Float64Len)
 			vals := make([]float64, doubles)
@@ -94,7 +94,7 @@ func TestStragglerDominatesLatency(t *testing.T) {
 	w.Tunables.Allreduce = mpi.AllreduceTorusNew
 	elapsed, err := w.Run(func(r *mpi.Rank) {
 		if r.Rank() == 5 {
-			r.Proc().Sleep(late)
+			r.Proc().SleepThen(late, func() {})
 		}
 		send := r.NewBuf(1024 * data.Float64Len)
 		recv := r.NewBuf(1024 * data.Float64Len)

@@ -73,7 +73,7 @@ func TestCounterCompletion(t *testing.T) {
 	e.CompleteInto(c, 7*sim.Microsecond, 4096)
 	var sawAt sim.Time
 	k.Spawn("poller", func(p *sim.Proc) {
-		p.WaitGE(c, 8192)
+		p.WaitGEThen(c, 8192, func() {})
 		sawAt = p.Now()
 	})
 	if err := k.Run(); err != nil {

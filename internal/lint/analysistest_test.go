@@ -23,10 +23,16 @@ var (
 )
 
 // testLoader shares one Loader (and so one type-checked stdlib) across tests.
+// It is anchored at the module root, so "./..." covers the whole module, as
+// it does for the CLI run from the root; fixture directories still resolve
+// against the test's working directory.
 func testLoader(t *testing.T) *Loader {
 	t.Helper()
 	loaderOnce.Do(func() {
 		loaderVal, loaderErr = NewLoader(".")
+		if loaderErr == nil {
+			loaderVal, loaderErr = NewLoader(loaderVal.Root)
+		}
 	})
 	if loaderErr != nil {
 		t.Fatalf("loader: %v", loaderErr)
@@ -416,9 +422,10 @@ func TestAllowAudit(t *testing.T) {
 	}
 }
 
-// TestRepoClean runs the full suite over the whole module: the tree must
-// stay lint-clean, making the determinism guarantee mechanical. This is the
-// same gate CI applies via `go run ./cmd/bgplint ./...`.
+// TestRepoClean runs the full suite over the whole module (the loader is
+// anchored at the module root): the tree must stay lint-clean, making the
+// determinism guarantee mechanical. This is the same gate CI applies via
+// `go run ./cmd/bgplint ./...` from the root.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping whole-module lint in -short mode")

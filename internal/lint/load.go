@@ -109,8 +109,8 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 }
 
 // Dirs resolves patterns to the package directories Load would visit, in
-// the same order. The caching driver uses it to hash a directory before
-// deciding whether to load it at all.
+// the same order. The CLI uses it to load and analyze one directory at a
+// time (LoadDir).
 func (l *Loader) Dirs(patterns []string) ([]string, error) {
 	return l.expand(patterns)
 }

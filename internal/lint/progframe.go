@@ -26,8 +26,8 @@ import (
 //     once per chunk; continuations must be method values bound once per
 //     rank on a reusable state struct.
 //   - Single transcription: RegisterProg* takes a named package-level
-//     function (the one transcription serving both modes), and collective
-//     bodies never branch on Proc.Inline().
+//     function (the one transcription serving both modes). Code outside sim
+//     cannot branch on the mode at all: Proc exposes no accessor for it.
 //
 // sim/program.go is exempt from the tail and bound-once checks: it is the
 // implementation the contract is written against (runCont legitimately
@@ -608,8 +608,7 @@ func isNullaryFunc(t types.Type) bool {
 }
 
 // checkRegisterProg enforces the single-transcription discipline at
-// registration sites: RegisterProg* takes a named package-level function,
-// and collective bodies do not branch on Proc.Inline().
+// registration sites: RegisterProg* takes a named package-level function.
 func checkRegisterProg(pass *Pass, file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -631,12 +630,6 @@ func checkRegisterProg(pass *Pass, file *ast.File) {
 			if !isNamedFuncRef(pass, call.Args[1]) {
 				pass.Reportf(call.Args[1].Pos(),
 					"%s argument must be a named package-level function: the derived blocking form must reference the same single transcription", fn.Name())
-			}
-		}
-		if fn.Name() == "Inline" {
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				pass.Reportf(call.Pos(),
-					"collective bodies must not branch on Proc.Inline(); the *Then operations are mode-agnostic by construction")
 			}
 		}
 		return true

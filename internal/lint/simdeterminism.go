@@ -22,13 +22,11 @@ var SimDeterminism = &Analyzer{
 }
 
 // progFrameFields is the resumable-program state of sim.Proc: the pending
-// continuation, its pre-bound trampolines, and the armed/inline markers. The
-// kernel maintains the invariant that exactly one resume is in flight per
-// armed frame; any assignment outside sim/program.go breaks it silently.
+// continuation and the armed/inline markers. The kernel maintains the
+// invariant that exactly one resume is in flight per armed frame; any
+// assignment outside sim/program.go breaks it silently.
 var progFrameFields = map[string]bool{
 	"cont":   true,
-	"contFn": true,
-	"progFn": true,
 	"armed":  true,
 	"inline": true,
 }

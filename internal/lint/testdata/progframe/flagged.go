@@ -73,12 +73,3 @@ func flaggedRearm(p *Proc) {
 func flaggedRegistration() {
 	RegisterProgBcast("scratch", func(p *Proc) {}) // want `RegisterProgBcast argument must be a named package-level function`
 }
-
-// Collective bodies never branch on the execution mode.
-func flaggedModeBranch(p *Proc, c *Counter, done func()) {
-	if p.Inline() { // want `collective bodies must not branch on Proc.Inline`
-		done()
-		return
-	}
-	p.WaitThen(c, done)
-}

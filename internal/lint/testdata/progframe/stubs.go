@@ -15,9 +15,8 @@ func (c *Counter) Add(n int64) { c.v += n }
 
 // Proc carries the resumable program frame.
 type Proc struct {
-	cont   func()
-	armed  bool
-	inline bool
+	cont  func()
+	armed bool
 }
 
 // WaitThen parks the program until c changes, then resumes fn.
@@ -25,9 +24,6 @@ func (p *Proc) WaitThen(c *Counter, fn func()) {
 	p.cont = fn
 	p.armed = true
 }
-
-// Inline reports which execution mode the proc runs in.
-func (p *Proc) Inline() bool { return p.inline }
 
 // RegisterProgBcast registers a program-mode transcription.
 func RegisterProgBcast(name string, fn func(*Proc)) { _, _ = name, fn }

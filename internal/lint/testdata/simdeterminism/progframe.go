@@ -5,21 +5,17 @@ package coll
 // fixture does not need to import the real kernel.
 type Proc struct {
 	cont   func()
-	contFn func()
-	progFn func()
 	armed  bool
 	inline bool
 }
 
-// Reading frame state is fine — the kernel's own Inline() accessor does.
+// Reading frame state is fine — the kernel's fingerprint walk does.
 func cleanFrameRead(p *Proc) bool { return p.inline && p.armed }
 
 // Writing it outside sim/program.go detaches a pending resume from the queue
 // position the kernel owes it.
 func flaggedFrameWrites(p *Proc, k func()) {
 	p.cont = k      // want `direct mutation of Proc program frame field cont outside kernel execution`
-	p.contFn = k    // want `direct mutation of Proc program frame field contFn outside kernel execution`
-	p.progFn = k    // want `direct mutation of Proc program frame field progFn outside kernel execution`
 	p.armed = true  // want `direct mutation of Proc program frame field armed outside kernel execution`
 	p.inline = true // want `direct mutation of Proc program frame field inline outside kernel execution`
 }

@@ -58,7 +58,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	w := newWorld(t, smallConfig())
 	var exitTimes []sim.Time
 	_, err := w.Run(func(r *Rank) {
-		r.Proc().Sleep(sim.Time(r.Rank()) * sim.Microsecond) // staggered arrival
+		r.Proc().SleepThen(sim.Time(r.Rank())*sim.Microsecond, nop) // staggered arrival
 		r.Barrier()
 		exitTimes = append(exitTimes, r.Now())
 	})
@@ -188,7 +188,7 @@ func TestRecvBeforeSend(t *testing.T) {
 			buf := r.NewBuf(64)
 			r.Recv(4, buf, 5) // posted before the send happens
 		case 4:
-			r.Proc().Sleep(10 * sim.Microsecond)
+			r.Proc().SleepThen(10*sim.Microsecond, nop)
 			r.Send(0, r.NewBuf(64), 5)
 		}
 	})
@@ -254,7 +254,7 @@ func TestSharedStateRendezvous(t *testing.T) {
 		seq := r.NextSeq()
 		st := r.NodeShared(seq, "test", func() any { return new(int) }).(*int)
 		*st++
-		r.Proc().Sleep(sim.Microsecond)
+		r.Proc().SleepThen(sim.Microsecond, nop)
 		if r.LocalRank() == 0 && *st != r.LocalSize() {
 			// All local ranks saw the same instance.
 			t.Errorf("node %d shared state = %d", r.NodeID(), *st)

@@ -164,7 +164,7 @@ func TestIrecvPostedBeforeIsend(t *testing.T) {
 			req := r.Irecv(4, buf, 9)
 			req.Wait()
 		case 4:
-			r.Proc().Sleep(20 * sim.Microsecond)
+			r.Proc().SleepThen(20*sim.Microsecond, nop)
 			r.Isend(0, r.NewBuf(64), 9).Wait()
 		}
 	})

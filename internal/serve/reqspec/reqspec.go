@@ -8,6 +8,7 @@ package reqspec
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -16,8 +17,10 @@ import (
 )
 
 // ParseSize parses a byte count with the benchmark axes' K/M suffixes
-// ("512", "64K", "2M", case-insensitive, surrounding whitespace ignored).
+// ("512", "64K", "2M", case-insensitive, surrounding whitespace ignored). A
+// count whose suffix multiply overflows an int is an error.
 func ParseSize(s string) (int, error) {
+	in := s
 	s = strings.TrimSpace(strings.ToUpper(s))
 	mult := 1
 	switch {
@@ -29,6 +32,9 @@ func ParseSize(s string) (int, error) {
 	n, err := strconv.Atoi(s)
 	if err != nil {
 		return 0, fmt.Errorf("invalid size %q", s)
+	}
+	if n > math.MaxInt/mult || n < math.MinInt/mult {
+		return 0, fmt.Errorf("size %q overflows", in)
 	}
 	return n * mult, nil
 }

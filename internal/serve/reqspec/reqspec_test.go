@@ -66,6 +66,19 @@ func TestParseSizeValues(t *testing.T) {
 	}
 }
 
+// TestParseSizeOverflow checks a suffix multiply past the int range is an
+// error rather than a wrapped count: (2^44+1)M would wrap to exactly 1M.
+func TestParseSizeOverflow(t *testing.T) {
+	for _, in := range []string{"17592186044417M", "8796093022208M", "-8796093022209M", "9007199254740992K", "9223372036854775807K"} {
+		if n, err := ParseSize(in); err == nil {
+			t.Errorf("ParseSize(%q) = %d, want overflow error", in, n)
+		}
+	}
+	if n, err := ParseSize("8796093022207M"); err != nil || n != 8796093022207<<20 {
+		t.Errorf("ParseSize(largest M count) = %d, %v", n, err)
+	}
+}
+
 func TestParseTorus(t *testing.T) {
 	dx, dy, dz, err := ParseTorus("8x8x16")
 	if err != nil || dx != 8 || dy != 8 || dz != 16 {

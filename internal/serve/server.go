@@ -24,13 +24,12 @@ import (
 
 // Config sizes a server.
 type Config struct {
-	Workers   int  // pool workers (0 = 1)
-	QueueCap  int  // max cells waiting for a worker (0 = 64)
-	ClientCap int  // max outstanding cells per client (0 = QueueCap)
-	Reference bool // run kernels in the reference vehicle (bit-identical times)
+	Workers   int // pool workers (0 = 1)
+	QueueCap  int // max cells waiting for a worker (0 = 64)
+	ClientCap int // max outstanding cells per client (0 = QueueCap)
 
 	// RunCell overrides cell execution; tests inject counters or blockers
-	// here. nil = Cell.Run under the vehicle chosen by Reference.
+	// here. nil = Cell.Run in the production vehicle.
 	RunCell func(bench.Cell) (sim.Time, error)
 }
 
@@ -56,8 +55,7 @@ func New(store *Store, cfg Config) *Server {
 	}
 	run := cfg.RunCell
 	if run == nil {
-		mode := bench.RunMode{Reference: cfg.Reference}
-		run = func(c bench.Cell) (sim.Time, error) { return c.Run(mode) }
+		run = func(c bench.Cell) (sim.Time, error) { return c.Run(bench.RunMode{}) }
 	}
 	s := &Server{store: store, metrics: NewMetrics()}
 	// Feed the fingerprint-latency histogram from the bench extrapolator.
@@ -166,6 +164,14 @@ func resultOf(c bench.Cell, e Entry) cellResult {
 	return cellResult{Series: c.Series, Bytes: c.Bytes(), PS: e.PS, US: sim.Time(e.PS).Microseconds()}
 }
 
+// Request bounds, so that no single cell can exhaust the server's memory:
+// maxRanks is figS's largest partition (64x64x64 nodes in quad mode) and
+// maxSize is 1 GiB of payload.
+const (
+	maxRanks = 1 << 20
+	maxSize  = 1 << 30
+)
+
 // buildCell validates one runRequest into a Cell.
 func buildCell(q runRequest) (bench.Cell, error) {
 	if q.Op == "" {
@@ -187,8 +193,8 @@ func buildCell(q runRequest) (bench.Cell, error) {
 	if err != nil {
 		return bench.Cell{}, err
 	}
-	if size <= 0 {
-		return bench.Cell{}, fmt.Errorf("size must be positive, got %d", size)
+	if size <= 0 || size > maxSize {
+		return bench.Cell{}, fmt.Errorf("size must be in 1..%d bytes, got %d", maxSize, size)
 	}
 	dx, dy, dz, err := reqspec.ParseTorus(q.Torus)
 	if err != nil {
@@ -204,6 +210,10 @@ func buildCell(q runRequest) (bench.Cell, error) {
 	cfg.Functional = false
 	if err := cfg.Validate(); err != nil {
 		return bench.Cell{}, err
+	}
+	// Each dimension is checked first so the rank product cannot overflow.
+	if dx > maxRanks || dy > maxRanks || dz > maxRanks || cfg.Ranks() > maxRanks {
+		return bench.Cell{}, fmt.Errorf("partition %s has more than %d ranks", q.Torus, maxRanks)
 	}
 	c := bench.Cell{Experiment: "adhoc", Series: q.Algo, Cfg: cfg, Algo: q.Algo, Iters: q.Iters}
 	switch q.Op {

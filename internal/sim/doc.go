@@ -7,11 +7,14 @@
 //
 //   - Callback events, scheduled with Kernel.At or Kernel.After. These are
 //     cheap and are used on hot paths such as per-chunk network arrivals.
-//   - Processes (Proc), goroutine-backed coroutines spawned with
-//     Kernel.Spawn. Exactly one process runs at a time; a process yields the
-//     virtual CPU by sleeping, waiting on an Event, or waiting on a Counter
-//     threshold. Processes make sequential protocol code (an MPI rank, a DMA
-//     engine, a communication thread) read like the pseudo-code in the paper.
+//   - Processes (Proc): inline programs spawned with Kernel.SpawnProgram, or
+//     goroutine-backed coroutines spawned with Kernel.Spawn. Exactly one
+//     process runs at a time; a process yields the virtual CPU by sleeping,
+//     waiting on an Event, or waiting on a Counter threshold, through one set
+//     of explicit-resume operations (SleepThen, WaitThen, WaitGEThen, ...)
+//     shared by both kinds. Processes make sequential protocol code (an MPI
+//     rank, a DMA engine, a communication thread) read like the pseudo-code
+//     in the paper.
 //
 // Shared hardware resources with finite bandwidth (a torus link, the DMA
 // engine, the collective tree, a memory bus) are modeled as Pipes: serialized

@@ -1,7 +1,7 @@
 package sim
 
 // Event is a one-shot occurrence in virtual time. Processes block on it with
-// Proc.Wait; callbacks subscribe with OnFire. Firing an event releases all
+// Proc.WaitThen; callbacks subscribe with OnFire. Firing an event releases all
 // current and future waiters. Events are not reusable; allocate a new one per
 // occurrence — and not retainable across Kernel.Reset: the epoch stamp makes
 // a stale handle panic instead of aliasing whatever now occupies its slot.
@@ -11,7 +11,7 @@ type Event struct {
 	epoch   uint32
 	fpID    uint32 // see fpGen; packed beside epoch
 	fired   bool
-	waiters []entry // parked process resumes (Wait) and callbacks (OnFire)
+	waiters []entry // parked process resumes (WaitThen) and callbacks (OnFire)
 
 	// fpGen/fpID intern this object into a steady-state fingerprint walk
 	// (steady.go): when fpGen equals the walking capture's generation the

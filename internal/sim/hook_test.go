@@ -48,7 +48,7 @@ func hookOrderScenario(t *testing.T, hooks bool) []string {
 	onGE(2, 1)
 	onGE(1, 2)
 	k.Spawn("p", func(p *Proc) {
-		p.WaitGE(c, 2)
+		p.WaitGEThen(c, 2, nop)
 		note("p")()
 	})
 	onGE(2, 3)

@@ -29,14 +29,12 @@ func (e entry) parked() bool { return e.kind != eFn && e.kind != eHook }
 // entry kinds. The zero value (eNone) is never scheduled; popping one would
 // indicate ring/queue corruption.
 const (
-	eNone   uint8 = iota
-	eFn           // run callback-table slot idx
-	eResume       // resume goroutine-backed process idx (returned by next)
-	eStep         // advance process idx's fused plan (plan.go)
-	eCont         // run process idx's program continuation (program.go)
-	eProg         // step process idx's program-mode plan (program.go)
-	eAdd          // apply add-table slot idx: a scheduled Counter.Add (AddAt)
-	eHook         // run hook-table slot idx: HookAt or OnGEHook
+	eNone uint8 = iota
+	eFn         // run callback-table slot idx
+	eCont       // resume process idx's continuation (program.go)
+	eProg       // step process idx's plan (program.go)
+	eAdd        // apply add-table slot idx: a scheduled Counter.Add (AddAt)
+	eHook       // run hook-table slot idx: HookAt or OnGEHook
 )
 
 // Kernel is a deterministic discrete-event scheduler. The zero value is not
@@ -51,9 +49,9 @@ type Kernel struct {
 	// resume it initiated.
 	sched chan struct{}
 
-	// fused is a process whose plan just completed on an instant step: next()
-	// resumes it before popping any further entry, preserving the queue
-	// position its unfused slice would have occupied.
+	// fused is a goroutine process whose plan just ran out on an instant
+	// step (program.go): next() returns it before popping any further entry,
+	// so it continues at exactly that queue position.
 	fused *Proc
 
 	// cbs is the callback table: eFn entries name a slot here instead of
@@ -104,14 +102,15 @@ type Kernel struct {
 	// direct-handoff fast path.
 	noHandoff bool
 
-	// noFuse makes plan-attached waits run their steps through the ordinary
-	// process primitives instead of fused callbacks (see plan.go) — the
-	// reference semantics the determinism stress tests compare against.
+	// noFuse makes a goroutine process's plan-attached waits run their steps
+	// one operation at a time instead of as queue callbacks (see
+	// Plan.runInline) — the reference semantics the determinism stress tests
+	// compare against.
 	noFuse bool
 
 	// noProgram makes SpawnProgram fall back to goroutine-backed processes
-	// (see program.go): the same process bodies run through the blocking
-	// primitives instead of inline continuations — the reference mode the
+	// (see program.go): the same process bodies park their goroutines
+	// instead of running as queue callbacks — the reference mode the
 	// determinism stress tests and the CI program-vs-reference bench compare
 	// against.
 	noProgram bool
@@ -350,31 +349,6 @@ func (k *Kernel) runHook(i uint32) {
 	hk.h.RunPost(hk.a, hk.b)
 }
 
-// schedProc schedules p's next resume at absolute time t (>= now; timed
-// sleeps clamp negative durations before calling).
-//
-//bgplint:hot
-func (k *Kernel) schedProc(t Time, p *Proc) {
-	if t <= k.now {
-		k.ring.push(entry{kind: eResume, idx: p.self})
-		return
-	}
-	k.queue.push(t, entry{kind: eResume, idx: p.self})
-}
-
-// schedStep schedules the continuation of p's plan (see plan.go) at absolute
-// time t, using the same now-vs-future placement rule as schedProc so the
-// entry lands exactly where the process's own resume would have.
-//
-//bgplint:hot
-func (k *Kernel) schedStep(t Time, p *Proc) {
-	if t <= k.now {
-		k.ring.push(entry{kind: eStep, idx: p.self})
-		return
-	}
-	k.queue.push(t, entry{kind: eStep, idx: p.self})
-}
-
 // wake makes a released waiter runnable at the current instant. For process
 // waiters the blocked bookkeeping happens here, eagerly, so the queued entry
 // is a bare resume that any token holder may execute; the caller (Event.Fire,
@@ -392,8 +366,9 @@ func (k *Kernel) wake(w entry) {
 
 // next drives the scheduler under the caller's virtual-CPU token: it pops
 // entries in exact (time, seq) order, runs callbacks inline, advances the
-// clock when the current instant is exhausted, and returns the first process
-// resume it reaches. nil means no runnable work remains (queues drained, or
+// clock when the current instant is exhausted, and returns the first
+// goroutine process due to resume: its eCont entry came up, or its plan ran
+// out (Kernel.fused). nil means no runnable work remains (queues drained, or
 // the simulation failed). Both the scheduler loop (Run) and a yielding
 // process (handoff) use this one decision sequence, so who holds the token
 // never changes what executes next.
@@ -416,14 +391,14 @@ func (k *Kernel) next() *Proc {
 			break
 		}
 		switch e.kind {
-		case eResume:
-			return k.procAt(e.idx)
 		case eFn:
 			k.runCb(e.idx)
-		case eStep:
-			k.procAt(e.idx).advance()
 		case eCont:
-			k.procAt(e.idx).runCont()
+			p := k.procAt(e.idx)
+			if !p.inline {
+				return p // a goroutine process runs its continuation itself
+			}
+			p.runCont()
 		case eProg:
 			k.procAt(e.idx).runProg()
 		case eAdd:
@@ -431,8 +406,8 @@ func (k *Kernel) next() *Proc {
 		case eHook:
 			k.runHook(e.idx)
 		}
-		// A callback that completed a process's plan resumes that process
-		// immediately: its slice belongs at this exact queue position.
+		// A callback that completed a goroutine process's plan resumes that
+		// process immediately: its slice belongs at this exact queue position.
 		if p := k.fused; p != nil {
 			k.fused = nil
 			return p

@@ -101,7 +101,6 @@ func BenchmarkHookAtFuture(b *testing.B) {
 func BenchmarkAtMixed(b *testing.B) {
 	k := New()
 	b.ReportAllocs()
-	nop := func() {}
 	left := b.N
 	var step func()
 	step = func() {
@@ -153,7 +152,6 @@ func BenchmarkAtInterleaved(b *testing.B) {
 func BenchmarkEventFire(b *testing.B) {
 	const waiters = 16
 	k := New()
-	nop := func() {}
 	b.ReportAllocs()
 	for n := 0; n < b.N; n += waiters {
 		ev := k.NewEvent("e")
@@ -172,7 +170,6 @@ func BenchmarkEventFire(b *testing.B) {
 func BenchmarkCounterWake(b *testing.B) {
 	k := New()
 	c := k.NewCounter("bytes")
-	nop := func() {}
 	b.ReportAllocs()
 	const batch = 1024
 	total := int64(0)
@@ -202,7 +199,7 @@ func BenchmarkProcYield(b *testing.B) {
 	b.ReportAllocs()
 	k.Spawn("yielder", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Sleep(0)
+			p.SleepThen(0, nop)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -218,13 +215,13 @@ func BenchmarkProcWaitGE(b *testing.B) {
 	b.ReportAllocs()
 	k.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.WaitGE(c, int64(i+1))
+			p.WaitGEThen(c, int64(i+1), nop)
 		}
 	})
 	k.Spawn("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			c.Add(1)
-			p.Sleep(0)
+			p.SleepThen(0, nop)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -293,7 +290,7 @@ func BenchmarkProgramWaitGE(b *testing.B) {
 	k.Spawn("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			c.Add(1)
-			p.Sleep(0)
+			p.SleepThen(0, nop)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -338,7 +335,6 @@ func BenchmarkArenaAlloc(b *testing.B) {
 func BenchmarkBatchedCounterWake(b *testing.B) {
 	const waiters = 32
 	k := New()
-	nop := func() {}
 	b.ReportAllocs()
 	for n := 0; n < b.N; n += waiters {
 		c := k.NewCounter("bytes")

@@ -61,9 +61,9 @@ func TestProcSleep(t *testing.T) {
 	var times []Time
 	k.Spawn("sleeper", func(p *Proc) {
 		times = append(times, p.Now())
-		p.Sleep(Microsecond)
+		p.SleepThen(Microsecond, nop)
 		times = append(times, p.Now())
-		p.Sleep(2 * Microsecond)
+		p.SleepThen(2*Microsecond, nop)
 		times = append(times, p.Now())
 	})
 	if err := k.Run(); err != nil {
@@ -82,14 +82,14 @@ func TestProcInterleaving(t *testing.T) {
 	var trace []string
 	k.Spawn("a", func(p *Proc) {
 		trace = append(trace, "a0")
-		p.Sleep(10 * Nanosecond)
+		p.SleepThen(10*Nanosecond, nop)
 		trace = append(trace, "a1")
-		p.Sleep(20 * Nanosecond)
+		p.SleepThen(20*Nanosecond, nop)
 		trace = append(trace, "a2")
 	})
 	k.Spawn("b", func(p *Proc) {
 		trace = append(trace, "b0")
-		p.Sleep(15 * Nanosecond)
+		p.SleepThen(15*Nanosecond, nop)
 		trace = append(trace, "b1")
 	})
 	if err := k.Run(); err != nil {
@@ -107,7 +107,7 @@ func TestEventWaitAndFire(t *testing.T) {
 	ev := k.NewEvent("go")
 	var woke Time = -1
 	k.Spawn("waiter", func(p *Proc) {
-		p.Wait(ev)
+		p.WaitThen(ev, nop)
 		woke = p.Now()
 	})
 	k.At(7*Microsecond, ev.Fire)
@@ -125,8 +125,8 @@ func TestWaitOnFiredEventReturnsImmediately(t *testing.T) {
 	ev.Fire()
 	var woke Time = -1
 	k.Spawn("late", func(p *Proc) {
-		p.Sleep(3 * Nanosecond)
-		p.Wait(ev)
+		p.SleepThen(3*Nanosecond, nop)
+		p.WaitThen(ev, nop)
 		woke = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -152,7 +152,7 @@ func TestEventDoubleFirePanics(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	k := New()
 	ev := k.NewEvent("never")
-	k.Spawn("stuck", func(p *Proc) { p.Wait(ev) })
+	k.Spawn("stuck", func(p *Proc) { p.WaitThen(ev, nop) })
 	err := k.Run()
 	if err == nil {
 		t.Fatal("deadlock not reported")
@@ -165,7 +165,7 @@ func TestDeadlockDetection(t *testing.T) {
 func TestProcPanicSurfacesAsError(t *testing.T) {
 	k := New()
 	k.Spawn("bad", func(p *Proc) {
-		p.Sleep(Nanosecond)
+		p.SleepThen(Nanosecond, nop)
 		panic("boom")
 	})
 	err := k.Run()
@@ -180,7 +180,7 @@ func TestCounterThresholds(t *testing.T) {
 	var wokeAt []Time
 	for _, th := range []int64{100, 50, 150} {
 		k.Spawn("w", func(p *Proc) {
-			p.WaitGE(c, th)
+			p.WaitGEThen(c, th, nop)
 			wokeAt = append(wokeAt, p.Now())
 		})
 	}
@@ -207,7 +207,7 @@ func TestCounterWaitAlreadySatisfied(t *testing.T) {
 	c.Add(10)
 	done := false
 	k.Spawn("w", func(p *Proc) {
-		p.WaitGE(c, 5)
+		p.WaitGEThen(c, 5, nop)
 		done = true
 		if p.Now() != 0 {
 			t.Errorf("satisfied wait consumed time: %v", p.Now())
@@ -347,7 +347,7 @@ func TestProcTransfer(t *testing.T) {
 	pipe := k.NewPipe("p", 1e9, 0)
 	var at Time
 	k.Spawn("mover", func(p *Proc) {
-		p.Transfer(pipe, 2000)
+		p.BusyThen(pipe, 2000, 0, nop)
 		at = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -365,8 +365,8 @@ func TestDeterminism(t *testing.T) {
 		var finish []Time
 		for i := 0; i < 8; i++ {
 			k.Spawn("p", func(p *Proc) {
-				p.Sleep(Time(i) * 10 * Nanosecond)
-				p.Transfer(pipe, 4096)
+				p.SleepThen(Time(i)*10*Nanosecond, nop)
+				p.BusyThen(pipe, 4096, 0, nop)
 				finish = append(finish, p.Now())
 			})
 		}

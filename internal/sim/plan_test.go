@@ -32,11 +32,11 @@ func TestWaitPlanRunsStepsWhileParked(t *testing.T) {
 		pl.Sleep(30 * Nanosecond)
 		pl.Add(c, 1)
 		pl.Sleep(10 * Nanosecond)
-		p.WaitPlan(ev, pl)
+		p.WaitPlanThen(ev, pl, nop)
 		resumedAt = p.Now()
 	})
 	k.Spawn("obs", func(p *Proc) {
-		p.WaitGE(c, 1)
+		p.WaitGEThen(c, 1, nop)
 		addedAt = p.Now()
 	})
 	k.At(100*Nanosecond, ev.Fire)
@@ -56,7 +56,7 @@ func TestWaitPlanEmptyIsWait(t *testing.T) {
 	ev := k.NewEvent("go")
 	var at Time
 	k.Spawn("w", func(p *Proc) {
-		p.WaitPlan(ev, p.NewPlan())
+		p.WaitPlanThen(ev, p.NewPlan(), nop)
 		at = p.Now()
 	})
 	k.At(5*Nanosecond, ev.Fire)
@@ -76,7 +76,7 @@ func TestWaitPlanFiredEventRunsInline(t *testing.T) {
 	k.Spawn("w", func(p *Proc) {
 		pl := p.NewPlan()
 		pl.Sleep(7 * Nanosecond)
-		p.WaitPlan(ev, pl)
+		p.WaitPlanThen(ev, pl, nop)
 		at = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -97,7 +97,7 @@ func TestWaitGEPlanSatisfiedRunsInline(t *testing.T) {
 		pl := p.NewPlan()
 		pl.Sleep(4 * Nanosecond)
 		pl.Add(sig, 2)
-		p.WaitGEPlan(c, 2, pl)
+		p.WaitGEPlanThen(c, 2, pl, nop)
 		at = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -122,11 +122,11 @@ func TestPlanInstantFinalResumeOrder(t *testing.T) {
 		k.Spawn("planner", func(p *Proc) {
 			pl := p.NewPlan()
 			pl.Add(c, 1) // instant final step: no timed tail
-			p.WaitPlan(ev, pl)
+			p.WaitPlanThen(ev, pl, nop)
 			order = append(order, "planner")
 		})
 		k.Spawn("later", func(p *Proc) {
-			p.Wait(ev)
+			p.WaitThen(ev, nop)
 			order = append(order, "later")
 		})
 		k.At(Nanosecond, ev.Fire)
@@ -148,12 +148,12 @@ func TestPlanBusyMatchesUnfused(t *testing.T) {
 		pipe := k.NewPipe("bus", 2e9, 0)
 		c := k.NewCounter("chunks")
 		// A feeder adds chunks over time; two consumers occupy the shared
-		// pipe per chunk, once fused and once via a contending Transfer, so
+		// pipe per chunk, once fused and once via a contending BusyThen, so
 		// Reserve order (and thus completion times) depends on exact
 		// scheduling instants.
 		k.Spawn("feeder", func(p *Proc) {
 			for i := 0; i < 8; i++ {
-				p.Sleep(20 * Nanosecond)
+				p.SleepThen(20*Nanosecond, nop)
 				c.Add(1)
 			}
 		})
@@ -161,13 +161,13 @@ func TestPlanBusyMatchesUnfused(t *testing.T) {
 			for i := int64(1); i <= 8; i++ {
 				pl := p.NewPlan()
 				pl.Busy(pipe, 4096, 10*Nanosecond)
-				p.WaitGEPlan(c, i, pl)
+				p.WaitGEPlanThen(c, i, pl, nop)
 			}
 		})
 		k.Spawn("rival", func(p *Proc) {
 			for i := 0; i < 8; i++ {
-				p.Sleep(15 * Nanosecond)
-				p.Transfer(pipe, 2048)
+				p.SleepThen(15*Nanosecond, nop)
+				p.BusyThen(pipe, 2048, 0, nop)
 			}
 		})
 	}
@@ -185,7 +185,7 @@ func TestPlanStepPanicFailsSimulation(t *testing.T) {
 		pl := p.NewPlan()
 		pl.Sleep(Nanosecond)
 		pl.Add(c, -1) // Counter.Add panics on negative n
-		p.WaitPlan(ev, pl)
+		p.WaitPlanThen(ev, pl, nop)
 	})
 	k.At(Nanosecond, ev.Fire)
 	err := k.Run()
@@ -203,7 +203,7 @@ func TestPlanDeadlockNamesParkedProc(t *testing.T) {
 	k.Spawn("stuckplan", func(p *Proc) {
 		pl := p.NewPlan()
 		pl.Sleep(Nanosecond)
-		p.WaitPlan(ev, pl)
+		p.WaitPlanThen(ev, pl, nop)
 	})
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "stuckplan") || !strings.Contains(err.Error(), "never") {

@@ -5,25 +5,31 @@ import (
 	"runtime/debug"
 )
 
-// Proc is a simulated process: a coroutine backed by a pooled goroutine
-// (see pool.go) and scheduled by its kernel. Exactly one process body
+// Proc is a simulated process scheduled by its kernel: a coroutine backed by
+// a pooled goroutine (Spawn, see pool.go) or an inline program with no
+// goroutine (SpawnProgram, see program.go). Exactly one process body
 // executes at a time per kernel, so process code may freely touch simulation
-// state without locking. A process consumes virtual time only through Sleep, Wait, WaitGE, and
-// Transfer.
+// state without locking. A process consumes virtual time only through the
+// explicit-resume operations in program.go (SleepThen, WaitThen, ...).
 type Proc struct {
 	k *Kernel
-	// name is the flyweight process name (see label): SpawnIdx processes
-	// share one format string ("rank%d") and render it lazily in Name(), so
-	// a million-rank world formats no per-process name unless a failure
-	// actually reports one.
-	name label
-
 	// self is the process's dense arena index (arena.go): the value queue
 	// entries carry instead of a *Proc, and stable for the kernel's lifetime.
 	// epoch stamps the lease the process belongs to; like events and
 	// counters, a Proc handle must not be used across Kernel.Reset.
 	self  uint32
 	epoch uint32
+
+	// Program frame (see program.go), placed beside k and self because every
+	// operation and dispatch touches all of them. inline marks a process
+	// with no backing goroutine: its continuations run as queue callbacks.
+	// cont holds the continuation pending behind the current sleep, wait,
+	// or plan; armed records that a resume (an eCont or eProg entry naming
+	// self) is pending somewhere in the queues or waiter lists, so the
+	// activation wrapper can tell "parked" from "finished".
+	inline bool
+	armed  bool
+	cont   func()
 
 	// gate receives the virtual-CPU token: the kernel (or a directly
 	// handing-off peer process) sends to resume the process. The channel is
@@ -41,24 +47,20 @@ type Proc struct {
 
 	idx int // position in k.procs, for O(1) removal on exit
 
-	// plan is the reusable fused-step buffer (see plan.go). Its continuation
-	// is scheduled as an eStep entry naming self — no pre-bound closure.
+	// plan is the reusable fused-step buffer (see plan.go). Its next step is
+	// scheduled as an eProg entry naming self — no pre-bound closure.
 	plan Plan
-
-	// Program-mode state (see program.go). inline marks a process with no
-	// backing goroutine: its continuations run as queue callbacks (eCont and
-	// eProg entries naming self). cont holds the continuation pending behind
-	// the current sleep, wait, or plan; armed records that a resume is
-	// pending somewhere in the queues or waiter lists, so the activation
-	// wrapper can tell "parked" from "finished".
-	inline bool
-	armed  bool
-	cont   func()
 
 	// body is a spawned program's entry point until its first activation,
 	// and startFn the slot's bound start method that runs it (program.go).
 	body    func(p *Proc)
 	startFn func()
+
+	// name is the flyweight process name (see label): SpawnIdx processes
+	// share one format string ("rank%d") and render it lazily in Name(), so
+	// a million-rank world formats no per-process name unless a failure
+	// actually reports one.
+	name label
 
 	// fpGen/fpID intern this process into a steady-state fingerprint walk
 	// (steady.go): when fpGen equals the walking capture's generation the
@@ -104,7 +106,7 @@ func (k *Kernel) SpawnIdx(format string, id int32, fn func(p *Proc)) *Proc {
 	w.p, w.fn = p, fn
 	p.idx = len(k.procs)
 	k.procs = append(k.procs, p.self)
-	k.ring.push(entry{kind: eResume, idx: p.self})
+	k.ring.push(entry{kind: eCont, idx: p.self})
 	return p
 }
 
@@ -119,7 +121,6 @@ func (k *Kernel) carveProc(format string, id int32) *Proc {
 	p.self, p.epoch = self, k.epoch
 	p.gate = nil
 	p.waitEv, p.waitC, p.waitGE = nil, nil, 0
-	p.plan.p = p
 	p.plan.steps = p.plan.steps[:0]
 	p.plan.i = 0
 	p.resetFrame()
@@ -151,14 +152,11 @@ func (p *Proc) exec(fn func(p *Proc)) {
 // (handoff): callbacks due before the next process resume run right here,
 // the clock advances if needed, and the token then goes straight to the next
 // runnable process — one rendezvous, scheduler goroutine not involved. If
-// that process is this one (e.g. a Sleep(0) queued behind nothing), yield
+// that process is this one (e.g. a SleepThen(0) queued behind nothing), yield
 // keeps the CPU and returns immediately. Only when no process is runnable
 // (queues drained, noHandoff mode, or failure) does the token return to
 // the kernel's scheduler loop.
 func (p *Proc) yield() {
-	if p.inline {
-		panic("sim: blocking primitive called on program process " + p.Name())
-	}
 	q := p.k.handoff()
 	if q == p {
 		return
@@ -192,60 +190,3 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the kernel's current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
-
-// Sleep advances the process by d of virtual time. Negative durations are
-// treated as zero.
-func (p *Proc) Sleep(d Time) {
-	p.check()
-	if d < 0 {
-		d = 0
-	}
-	p.k.schedProc(p.k.now+d, p)
-	p.yield()
-}
-
-// SleepUntil blocks the process until absolute virtual time t. Times in the
-// past return immediately.
-func (p *Proc) SleepUntil(t Time) {
-	p.check()
-	if t <= p.k.now {
-		return
-	}
-	p.k.schedProc(t, p)
-	p.yield()
-}
-
-// Wait blocks the process until ev fires. If ev has already fired it returns
-// immediately without consuming virtual time.
-func (p *Proc) Wait(ev *Event) {
-	p.check()
-	ev.check()
-	if ev.fired {
-		return
-	}
-	p.waitEv = ev
-	p.k.blocked++
-	ev.waiters = append(ev.waiters, entry{kind: eResume, idx: p.self})
-	p.yield()
-}
-
-// WaitGE blocks the process until c reaches at least v.
-func (p *Proc) WaitGE(c *Counter, v int64) {
-	p.check()
-	c.check()
-	if c.v >= v {
-		return
-	}
-	p.waitC, p.waitGE = c, v
-	p.k.blocked++
-	c.wait(v, entry{kind: eResume, idx: p.self})
-	p.yield()
-}
-
-// Transfer reserves n bytes on pipe and sleeps until the transfer (including
-// the pipe's latency) completes. It returns the completion time.
-func (p *Proc) Transfer(pipe *Pipe, n int) Time {
-	done := pipe.Reserve(n)
-	p.SleepUntil(done)
-	return done
-}

@@ -1,47 +1,43 @@
-// Program-mode processes: full-lifecycle resumable state machines executed
-// by the kernel itself, with no backing goroutine.
+// Process operations: sleeping, waiting and plan stepping in explicit-resume
+// style, for both process kinds.
 //
-// A Plan (plan.go) fuses the step chain behind one wait; the process still
-// owns a goroutine and still pays a channel rendezvous every time that chain
-// ends. A program goes the rest of the way: the whole process body is
-// written in explicit-resume style — every blocking operation takes the rest
-// of the body as a continuation — so parking is storing a func and resuming
-// is an ordinary queue callback run inline under whichever goroutine holds
-// the virtual-CPU token. A rank whose body is program-expressible never
-// touches a channel, a pool worker, or the Go scheduler.
+// Every operation that consumes virtual time takes the rest of the body as a
+// continuation. Parking is storing that func and arming exactly one
+// pointer-free queue entry naming the process: an eCont entry (run the
+// continuation) or an eProg entry (step the attached plan). The two process
+// kinds differ only in where the continuation runs:
 //
-// Determinism: each operation here is a mechanical transcription of the
-// blocking primitive it replaces and pushes exactly the queue entries that
-// primitive would have pushed, at the same instants, in the same order:
+//   - An inline (program) process has no goroutine. The kernel runs its
+//     body and every continuation as queue callbacks under whichever
+//     goroutine holds the virtual-CPU token, so a rank whose body is
+//     program-expressible never touches a channel, a pool worker, or the Go
+//     scheduler.
+//   - A goroutine process (Kernel.Spawn, or SpawnProgram in noProgram mode)
+//     arms the identical entry and then parks its goroutine. When the entry
+//     is dispatched, next() returns the process (directly for an eCont
+//     entry, through Kernel.fused when a plan runs out) and the process runs
+//     the stored continuation on its own stack. Blocking code passes a no-op
+//     continuation and carries on after the call.
 //
-//   - SleepThen schedules its continuation where Sleep would have scheduled
-//     the process resume (always scheduling, even for zero durations);
-//     SleepUntilThen and BusyThen keep the respective "already satisfied"
-//     fast paths that return without scheduling.
-//   - WaitThen/WaitGEThen append a waiter at the same list position Wait/
-//     WaitGE would have; the fired/satisfied fast paths run the continuation
-//     inline exactly where the blocking call would have returned without
-//     yielding.
-//   - WaitPlanThen/WaitGEPlanThen step the attached plan with the same
-//     placement rules as Plan.advance, and a plan that exhausts on instant
-//     steps calls the continuation at that exact queue position — the
-//     program analog of Kernel.fused.
+// Determinism: the entries land at the same instants and positions for both
+// kinds, so the kind never changes what executes when:
+//
+//   - SleepThen always schedules, even for zero durations; SleepUntilThen
+//     and BusyThen return without scheduling when the deadline has passed.
+//   - WaitThen/WaitGEThen append a waiter; the fired/satisfied fast paths
+//     run the continuation in place.
+//   - WaitPlanThen/WaitGEPlanThen step the attached plan from its waiter
+//     entry. Instant steps run in place, a timed step schedules the next
+//     step, and the last timed step schedules the continuation. A plan that
+//     runs out on instant steps continues the body at that exact queue
+//     position: in place for an inline process, through Kernel.fused for a
+//     goroutine.
 //
 // Callbacks run inline inside Kernel.next and the ring drains in FIFO order,
 // so a continuation executing at its pop position is observationally
 // identical to a goroutine resuming at that position: both run their slice
 // of process code to the next park before the kernel pops another entry.
 // DESIGN.md §11 gives the full argument.
-//
-// The queue entries a parked program leaves behind are pointer-free: an
-// eCont (continuation) or eProg (plan step) entry names the process by its
-// arena index, and the kernel dispatches to runCont/runProg below — the
-// per-spawn trampoline closures those entries used to carry are gone.
-//
-// The same operations also run on ordinary goroutine processes (each has a
-// blocking fallback that calls the continuation synchronously), which is how
-// the noProgram reference mode executes the identical collective bodies —
-// there is exactly one transcription of each protocol, not two.
 //
 // Contract for program bodies: operations may only be called from the
 // process's own body or continuations (never from unrelated callbacks), and
@@ -54,8 +50,7 @@ package sim
 // the same queue position Spawn would have used. In program mode (default)
 // the process is inline: no goroutine is attached and the kernel runs the
 // body and every continuation as queue callbacks. In noProgram reference
-// mode the identical body runs on an ordinary goroutine process, with each
-// operation falling back to its blocking primitive.
+// mode the identical body runs on an ordinary goroutine process.
 func (k *Kernel) SpawnProgram(name string, fn func(p *Proc)) *Proc {
 	return k.SpawnProgramIdx(name, -1, fn)
 }
@@ -101,42 +96,47 @@ func (p *Proc) resetFrame() {
 	p.body = nil
 }
 
-// Inline reports whether the process runs without a goroutine (program
-// mode). Collective code does not branch on this — the operations below are
-// mode-agnostic — but spawn-time setup occasionally wants to know.
-func (p *Proc) Inline() bool { return p.inline }
-
-// progRecover converts a panic in program code into the same simulation
-// failure a goroutine process body panic produces.
+// progRecover converts a panic in code the kernel runs on a process's
+// behalf into the same simulation failure a goroutine body panic produces.
 func (p *Proc) progRecover() {
 	if r := recover(); r != nil {
 		p.k.fail(procPanicError(p.Name(), r))
 	}
 }
 
-// runCont is the kernel's dispatch for an eCont entry: disarm, run the
-// pending continuation, and retire the program if it parked nowhere new.
+// runCont is the kernel's dispatch for an inline process's eCont entry:
+// disarm, run the pending continuation, and retire the program if it parked
+// nowhere new. (next() returns a goroutine process instead, which runs the
+// continuation on its own stack after park returns.)
 //
 //bgplint:hot
 func (p *Proc) runCont() {
 	defer p.progRecover()
 	p.armed = false
-	c := p.cont
-	p.cont = nil
-	c()
+	p.resume()
 	if !p.armed {
 		p.finishProgram()
 	}
 }
 
-// runProg is the kernel's dispatch for an eProg entry: disarm, step the
-// program's plan, and retire the program if it parked nowhere new.
+// runProg is the kernel's dispatch for an eProg entry: disarm and step the
+// process's plan. A plan that runs out on instant steps continues the body
+// at this queue position — in place for an inline process (which retires if
+// it parked nowhere new), through Kernel.fused for a goroutine. A panicking
+// step fails the simulation like a process panic.
 //
 //bgplint:hot
 func (p *Proc) runProg() {
 	defer p.progRecover()
 	p.armed = false
-	p.stepProg()
+	if p.stepPlan() {
+		return
+	}
+	if !p.inline {
+		p.k.fused = p
+		return
+	}
+	p.resume()
 	if !p.armed {
 		p.finishProgram()
 	}
@@ -153,9 +153,32 @@ func (p *Proc) finishProgram() {
 	k.procs = k.procs[:last]
 }
 
+// resume runs the stored continuation, clearing the slot first so the
+// continuation may park again.
+//
+//bgplint:hot
+func (p *Proc) resume() {
+	c := p.cont
+	p.cont = nil
+	c()
+}
+
+// park gives a goroutine process's virtual CPU away until the kernel
+// dispatches the resume its operation just armed, then disarms. The
+// operation calls the continuation itself afterwards, from its own frame,
+// so a goroutine's stack grows by one frame per parked step. Inline
+// processes never park: the kernel runs their continuations.
+//
+//bgplint:hot
+func (p *Proc) park() {
+	p.yield()
+	p.armed = false
+	p.cont = nil
+}
+
 // checkIdle guards the tail-call contract: arming a second resume while one
 // is pending means the body kept executing past a parking operation. It also
-// carries the epoch check for every inline program operation.
+// carries the epoch check for every process operation.
 func (p *Proc) checkIdle() {
 	p.check()
 	if p.armed {
@@ -163,9 +186,8 @@ func (p *Proc) checkIdle() {
 	}
 }
 
-// schedContAt schedules the stored continuation at absolute time t, using
-// the same now-vs-future placement rule as schedProc so the entry lands
-// exactly where the process's own resume would have.
+// schedContAt schedules the stored continuation at absolute time t: on the
+// run ring for the current instant, in the queue for a later one.
 //
 //bgplint:hot
 func (p *Proc) schedContAt(t Time) {
@@ -177,36 +199,33 @@ func (p *Proc) schedContAt(t Time) {
 	p.k.queue.push(t, entry{kind: eCont, idx: p.self})
 }
 
+// nop is the continuation of a blocking call: the caller carries on after
+// the operation returns.
+func nop() {}
+
 // SleepThen advances the process by d of virtual time and then continues
-// with cont — the explicit-resume form of Proc.Sleep. Like Sleep it always
+// with cont. Negative durations are treated as zero, and it always
 // schedules, even for zero durations.
 //
 //bgplint:hot
 func (p *Proc) SleepThen(d Time, cont func()) {
-	if !p.inline {
-		p.Sleep(d)
-		cont()
-		return
-	}
 	p.checkIdle()
 	if d < 0 {
 		d = 0
 	}
 	p.cont = cont
 	p.schedContAt(p.k.now + d)
+	if !p.inline {
+		p.park()
+		cont()
+	}
 }
 
-// SleepUntilThen continues with cont at absolute virtual time t — the
-// explicit-resume form of Proc.SleepUntil, including its already-elapsed
-// fast path (cont runs inline, nothing is scheduled).
+// SleepUntilThen continues with cont at absolute virtual time t. A time
+// already reached runs cont in place without scheduling.
 //
 //bgplint:hot
 func (p *Proc) SleepUntilThen(t Time, cont func()) {
-	if !p.inline {
-		p.SleepUntil(t)
-		cont()
-		return
-	}
 	p.checkIdle()
 	if t <= p.k.now {
 		cont()
@@ -214,25 +233,27 @@ func (p *Proc) SleepUntilThen(t Time, cont func()) {
 	}
 	p.cont = cont
 	p.schedContAt(t)
+	if !p.inline {
+		p.park()
+		cont()
+	}
 }
 
 // BusyThen reserves bytes on pipe, occupies the process until both the
 // serialized reservation and the concurrent fixed cost complete, then
-// continues with cont — the explicit-resume form of the Plan.Busy /
-// hw core-memory-operation pattern:
+// continues with cont — the pattern hw uses for core-driven memory
+// operations, where the same bytes occupy both the core and the shared bus:
 //
-//	done := pipe.Reserve(bytes); p.SleepUntil(max(done, now+concurrent))
+//	done := pipe.Reserve(bytes); SleepUntilThen(max(done, now+concurrent), cont)
+//
+// It repeats SleepUntilThen's body rather than calling it, so a goroutine
+// process's stack grows by one frame per step, not two.
 //
 //bgplint:hot
 func (p *Proc) BusyThen(pipe *Pipe, bytes int, concurrent Time, cont func()) {
 	done := pipe.Reserve(bytes)
 	if c := p.k.now + concurrent; c > done {
 		done = c
-	}
-	if !p.inline {
-		p.SleepUntil(done)
-		cont()
-		return
 	}
 	p.checkIdle()
 	if done <= p.k.now {
@@ -241,19 +262,17 @@ func (p *Proc) BusyThen(pipe *Pipe, bytes int, concurrent Time, cont func()) {
 	}
 	p.cont = cont
 	p.schedContAt(done)
+	if !p.inline {
+		p.park()
+		cont()
+	}
 }
 
-// WaitThen continues with cont once ev fires — the explicit-resume form of
-// Proc.Wait. If ev has already fired cont runs inline, exactly where Wait
-// would have returned without yielding.
+// WaitThen continues with cont once ev fires. If ev has already fired cont
+// runs in place, consuming no virtual time and no queue entry.
 //
 //bgplint:hot
 func (p *Proc) WaitThen(ev *Event, cont func()) {
-	if !p.inline {
-		p.Wait(ev)
-		cont()
-		return
-	}
 	p.checkIdle()
 	ev.check()
 	if ev.fired {
@@ -265,18 +284,17 @@ func (p *Proc) WaitThen(ev *Event, cont func()) {
 	p.cont = cont
 	p.armed = true
 	ev.waiters = append(ev.waiters, entry{kind: eCont, idx: p.self})
+	if !p.inline {
+		p.park()
+		cont()
+	}
 }
 
-// WaitGEThen continues with cont once c reaches at least v — the
-// explicit-resume form of Proc.WaitGE.
+// WaitGEThen continues with cont once c reaches at least v; a threshold
+// already reached runs cont in place.
 //
 //bgplint:hot
 func (p *Proc) WaitGEThen(c *Counter, v int64, cont func()) {
-	if !p.inline {
-		p.WaitGE(c, v)
-		cont()
-		return
-	}
 	p.checkIdle()
 	c.check()
 	if c.v >= v {
@@ -288,75 +306,92 @@ func (p *Proc) WaitGEThen(c *Counter, v int64, cont func()) {
 	p.cont = cont
 	p.armed = true
 	c.wait(v, entry{kind: eCont, idx: p.self})
+	if !p.inline {
+		p.park()
+		cont()
+	}
 }
 
-// WaitPlanThen blocks on ev, runs pl, then continues with cont — the
-// explicit-resume form of Proc.WaitPlan followed by the rest of the body.
+// WaitPlanThen blocks on ev, runs pl while the process stays parked, then
+// continues with cont. With no plan steps it is exactly WaitThen. If ev has
+// already fired the plan steps from here, scheduling exactly where the
+// unfused slice would have; a plan that runs out on instant steps continues
+// in place.
 //
 //bgplint:hot
 func (p *Proc) WaitPlanThen(ev *Event, pl *Plan, cont func()) {
-	if !p.inline {
-		p.WaitPlan(ev, pl)
-		cont()
-		return
-	}
 	if len(pl.steps) == 0 {
 		p.WaitThen(ev, cont)
 		return
 	}
-	p.checkIdle()
-	ev.check()
-	if ev.fired {
-		// Wait would have returned without yielding; the plan steps from
-		// here, scheduling exactly where the unfused slice would have.
-		p.cont = cont
-		p.stepProg()
-		return
-	}
-	p.waitEv = ev
-	p.k.blocked++
-	p.cont = cont
-	p.armed = true
-	ev.waiters = append(ev.waiters, entry{kind: eProg, idx: p.self})
-}
-
-// WaitGEPlanThen blocks until c reaches at least v, runs pl, then continues
-// with cont — the explicit-resume form of Proc.WaitGEPlan followed by the
-// rest of the body.
-//
-//bgplint:hot
-func (p *Proc) WaitGEPlanThen(c *Counter, v int64, pl *Plan, cont func()) {
-	if !p.inline {
-		p.WaitGEPlan(c, v, pl)
+	if p.k.noFuse && !p.inline {
+		p.WaitThen(ev, nop)
+		pl.runInline(p)
 		cont()
 		return
 	}
+	p.checkIdle()
+	ev.check()
+	p.cont = cont
+	if !ev.fired {
+		p.waitEv = ev
+		p.k.blocked++
+		p.armed = true
+		ev.waiters = append(ev.waiters, entry{kind: eProg, idx: p.self})
+	} else if !p.stepPlan() {
+		p.cont = nil
+		cont()
+		return
+	}
+	if !p.inline {
+		p.park()
+		cont()
+	}
+}
+
+// WaitGEPlanThen blocks until c reaches at least v, runs pl while the
+// process stays parked, then continues with cont. With no plan steps it is
+// exactly WaitGEThen.
+//
+//bgplint:hot
+func (p *Proc) WaitGEPlanThen(c *Counter, v int64, pl *Plan, cont func()) {
 	if len(pl.steps) == 0 {
 		p.WaitGEThen(c, v, cont)
 		return
 	}
-	p.checkIdle()
-	c.check()
-	if c.v >= v {
-		p.cont = cont
-		p.stepProg()
+	if p.k.noFuse && !p.inline {
+		p.WaitGEThen(c, v, nop)
+		pl.runInline(p)
+		cont()
 		return
 	}
-	p.waitC, p.waitGE = c, v
-	p.k.blocked++
+	p.checkIdle()
+	c.check()
 	p.cont = cont
-	p.armed = true
-	c.wait(v, entry{kind: eProg, idx: p.self})
+	if c.v < v {
+		p.waitC, p.waitGE = c, v
+		p.k.blocked++
+		p.armed = true
+		c.wait(v, entry{kind: eProg, idx: p.self})
+	} else if !p.stepPlan() {
+		p.cont = nil
+		cont()
+		return
+	}
+	if !p.inline {
+		p.park()
+		cont()
+	}
 }
 
-// stepProg is Plan.advance for inline processes: instant steps execute in
-// place, a timed step schedules the plan's continuation — or, for the last
-// step, the stored body continuation itself — at its completion time, and a
-// plan that exhausts on instant steps runs the continuation right here, at
-// the exact queue position Kernel.fused would have resumed the goroutine.
+// stepPlan runs plan steps from the current position and reports whether it
+// armed a resume. Instant steps execute in place; a timed step schedules the
+// plan's next step — or, for the last step, the stored continuation — at its
+// completion time. false means the plan ran out on instant steps and the
+// caller continues the body at this position.
 //
 //bgplint:hot
-func (p *Proc) stepProg() {
+func (p *Proc) stepPlan() bool {
 	k := p.k
 	pl := &p.plan
 	for pl.i < len(pl.steps) {
@@ -372,7 +407,7 @@ func (p *Proc) stepProg() {
 				done = c
 			}
 			if done <= k.now {
-				continue // mirrors the unfused SleepUntil fast path
+				continue // mirrors BusyThen's already-elapsed fast path
 			}
 		case stepAdd:
 			s.c.Add(s.n)
@@ -388,9 +423,25 @@ func (p *Proc) stepProg() {
 				k.queue.push(done, entry{kind: eProg, idx: p.self})
 			}
 		}
-		return
+		return true
 	}
-	c := p.cont
-	p.cont = nil
-	c()
+	return false
+}
+
+// runInline executes the plan step by step through the operations above
+// with no-op continuations — the literal unfused sequence the fused path
+// transcribes. Goroutine processes use it in noFuse reference mode.
+func (pl *Plan) runInline(p *Proc) {
+	for i := range pl.steps {
+		s := &pl.steps[i]
+		switch s.kind {
+		case stepSleep:
+			p.SleepThen(s.d, nop)
+		case stepBusy:
+			p.BusyThen(s.pipe, s.bytes, s.d, nop)
+		case stepAdd:
+			s.c.Add(s.n)
+		}
+	}
+	pl.i = len(pl.steps)
 }

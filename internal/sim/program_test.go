@@ -31,8 +31,8 @@ func TestProgramRunsWithoutGoroutine(t *testing.T) {
 }
 
 // TestProgramZeroSleepQueuesBehindPending verifies SleepThen(0) schedules
-// (never runs inline), exactly like Proc.Sleep(0): a callback already queued
-// at the same instant runs first.
+// (never runs in place): a callback already queued at the same instant runs
+// first.
 func TestProgramZeroSleepQueuesBehindPending(t *testing.T) {
 	k := New()
 	var order []string
@@ -100,17 +100,6 @@ func TestProgramTailCallViolationPanics(t *testing.T) {
 	}
 }
 
-// TestProgramBlockingPrimitivePanics checks a blocking primitive on an
-// inline process fails loudly instead of corrupting the token protocol.
-func TestProgramBlockingPrimitivePanics(t *testing.T) {
-	k := New()
-	k.SpawnProgram("bad", func(p *Proc) { p.Sleep(Nanosecond) })
-	err := k.Run()
-	if err == nil || !strings.Contains(err.Error(), "blocking primitive called on program process") {
-		t.Fatalf("got %v, want blocking-primitive panic", err)
-	}
-}
-
 // TestProgramReferenceModeUsesGoroutines checks noProgram routes the same
 // body through Spawn and produces the same result.
 func TestProgramReferenceModeUsesGoroutines(t *testing.T) {
@@ -121,8 +110,8 @@ func TestProgramReferenceModeUsesGoroutines(t *testing.T) {
 		p := k.SpawnProgram("prog", func(p *Proc) {
 			p.SleepThen(2*Nanosecond, func() { at = p.Now() })
 		})
-		if p.Inline() == noProgram {
-			t.Fatalf("noProgram=%v: Inline()=%v", noProgram, p.Inline())
+		if p.inline == noProgram {
+			t.Fatalf("noProgram=%v: inline=%v", noProgram, p.inline)
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -147,8 +136,8 @@ func TestBatchedWakeOrder(t *testing.T) {
 		switch i % 3 {
 		case 0:
 			k.Spawn(name, func(p *Proc) {
-				p.Wait(ev)
-				p.WaitGE(c, 1)
+				p.WaitThen(ev, nop)
+				p.WaitGEThen(c, 1, nop)
 				order = append(order, name)
 			})
 		case 1:
@@ -166,9 +155,9 @@ func TestBatchedWakeOrder(t *testing.T) {
 		}
 	}
 	k.Spawn("firer", func(p *Proc) {
-		p.Sleep(Nanosecond)
+		p.SleepThen(Nanosecond, nop)
 		ev.Fire()
-		p.Sleep(Nanosecond)
+		p.SleepThen(Nanosecond, nop)
 		c.Add(1)
 	})
 	if err := k.Run(); err != nil {

@@ -59,10 +59,10 @@ func TestResetDeadlockReportMatchesFresh(t *testing.T) {
 		ev := k.NewEvent("missing")
 		c := k.NewCounter("starved")
 		k.Spawn("waiter.ev", func(p *Proc) {
-			p.Sleep(Nanosecond)
-			p.Wait(ev)
+			p.SleepThen(Nanosecond, nop)
+			p.WaitThen(ev, nop)
 		})
-		k.Spawn("waiter.ge", func(p *Proc) { p.WaitGE(c, 3) })
+		k.Spawn("waiter.ge", func(p *Proc) { p.WaitGEThen(c, 3, nop) })
 		k.SpawnProgram("waiter.prog", func(p *Proc) {
 			p.WaitThen(ev, func() { t.Error("waiter.prog resumed") })
 		})
@@ -77,7 +77,7 @@ func TestResetDeadlockReportMatchesFresh(t *testing.T) {
 	reused := New()
 	c := reused.NewCounter("warmup")
 	reused.Spawn("warm", func(p *Proc) {
-		p.Sleep(Nanosecond)
+		p.SleepThen(Nanosecond, nop)
 		c.Add(1)
 	})
 	if err := reused.Run(); err != nil {
@@ -100,7 +100,7 @@ func TestResetStaleHandlesPanic(t *testing.T) {
 	var p *Proc
 	k.SpawnProgram("stale.p", func(q *Proc) { p = q })
 	k.Spawn("fire", func(q *Proc) {
-		q.Sleep(Nanosecond)
+		q.SleepThen(Nanosecond, nop)
 		ev.Fire()
 		c.Add(1)
 	})
@@ -153,7 +153,7 @@ func TestResetDropsPendingEntries(t *testing.T) {
 func TestResetRefusesLiveProcs(t *testing.T) {
 	k := New()
 	ev := k.NewEvent("never")
-	k.Spawn("stuck", func(p *Proc) { p.Wait(ev) })
+	k.Spawn("stuck", func(p *Proc) { p.WaitThen(ev, nop) })
 	if err := k.Run(); err == nil {
 		t.Fatal("expected deadlock")
 	}

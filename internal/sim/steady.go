@@ -375,7 +375,7 @@ func (f *FP) entryCanon(k *Kernel, e entry) {
 	}
 	f.buf = append(f.buf, e.kind)
 	switch e.kind {
-	case eResume, eStep, eCont, eProg:
+	case eCont, eProg:
 		f.procRef(k, e.idx)
 	case eAdd:
 		a := k.adds[e.idx]

@@ -13,7 +13,8 @@ import (
 //   - direct handoff + fused plans + inline programs (the production
 //     configuration)
 //   - noHandoff: every yield through the kernel goroutine (two rendezvous)
-//   - noFuse: plan-attached waits run through the ordinary primitives
+//   - noFuse: a goroutine process's plan-attached waits run their steps one
+//     operation at a time
 //   - noProgram: SpawnProgram bodies run on goroutine-backed processes
 //   - every combination of the three reference modes
 //
@@ -79,7 +80,7 @@ var stressModes = func() []stressMode {
 // token per round (with random sleeps and pipe transfers in between), and
 // each later proc waits for its predecessor's token — randomly via a counter
 // threshold or a per-round event, randomly with a fused plan of random steps
-// or via the plain primitives — then performs its own random body and signals
+// or via plain operations — then performs its own random body and signals
 // its successor. Every random choice is drawn up-front from the seeded
 // source, so all modes execute the same program.
 func stressTrace(t *testing.T, seed int64, mode stressMode) []stressRec {
@@ -175,8 +176,8 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 
 	var trace []stressRec
 	for i := 0; i < procs; i++ {
-		// blockingBody is the original transcription: ordinary blocking
-		// primitives on a goroutine-backed process.
+		// blockingBody is the blocking-style transcription: the operations
+		// with no-op continuations, on a goroutine-backed process.
 		blockingBody := func(p *Proc) {
 			for r := 0; r < rounds; r++ {
 				pr := &prog[i][r]
@@ -185,36 +186,36 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 						pl := p.NewPlan()
 						pl.steps = append(pl.steps, pr.steps...)
 						if pr.useEvent {
-							p.WaitPlan(evs[i][r], pl)
+							p.WaitPlanThen(evs[i][r], pl, nop)
 						} else {
-							p.WaitGEPlan(tokens[i-1], int64(r+1), pl)
+							p.WaitGEPlanThen(tokens[i-1], int64(r+1), pl, nop)
 						}
 					} else {
 						if pr.useEvent {
-							p.Wait(evs[i][r])
+							p.WaitThen(evs[i][r], nop)
 						} else {
-							p.WaitGE(tokens[i-1], int64(r+1))
+							p.WaitGEThen(tokens[i-1], int64(r+1), nop)
 						}
 						for s := range pr.steps {
 							st := &pr.steps[s]
 							switch st.kind {
 							case stepSleep:
-								p.Sleep(st.d)
+								p.SleepThen(st.d, nop)
 							case stepBusy:
 								done := st.pipe.Reserve(st.bytes)
 								if c := p.Now() + st.d; c > done {
 									done = c
 								}
-								p.SleepUntil(done)
+								p.SleepUntilThen(done, nop)
 							case stepAdd:
 								st.c.Add(st.n)
 							}
 						}
 					}
 				}
-				p.Sleep(pr.bodySleep)
+				p.SleepThen(pr.bodySleep, nop)
 				if pr.bodyPipe >= 0 {
-					p.Transfer(pipes[pr.bodyPipe], pr.bodyBytes)
+					p.BusyThen(pipes[pr.bodyPipe], pr.bodyBytes, 0, nop)
 				}
 				if i == 0 && det != nil && det.Capture() {
 					t.Fatalf("seed %d mode %s: aperiodic workload fingerprinted as steady", seed, mode.name)
@@ -367,14 +368,14 @@ func TestDeadlockReportIdenticalAcrossModes(t *testing.T) {
 		c := k.NewCounter("starved")
 		ev := k.NewEvent("missing")
 		k.Spawn("waiter.ev", func(p *Proc) {
-			p.Sleep(Nanosecond)
-			p.Wait(ev)
+			p.SleepThen(Nanosecond, nop)
+			p.WaitThen(ev, nop)
 		})
-		k.Spawn("waiter.ge", func(p *Proc) { p.WaitGE(c, 7) })
+		k.Spawn("waiter.ge", func(p *Proc) { p.WaitGEThen(c, 7, nop) })
 		k.Spawn("waiter.plan", func(p *Proc) {
 			pl := p.NewPlan()
 			pl.Sleep(Nanosecond)
-			p.WaitGEPlan(c, 9, pl)
+			p.WaitGEPlanThen(c, 9, pl, nop)
 		})
 		k.SpawnProgram("waiter.prog", func(p *Proc) {
 			p.SleepThen(Nanosecond, func() {
@@ -387,7 +388,7 @@ func TestDeadlockReportIdenticalAcrossModes(t *testing.T) {
 			p.WaitGEPlanThen(c, 11, pl, func() { t.Error("waiter.progplan resumed") })
 		})
 		k.Spawn("finisher", func(p *Proc) {
-			p.Sleep(5 * Nanosecond)
+			p.SleepThen(5*Nanosecond, nop)
 			c.Add(1)
 		})
 		return k.Run()
@@ -420,11 +421,11 @@ func TestPooledProcReuseAcrossKernels(t *testing.T) {
 		c := k.NewCounter("c")
 		for j := 0; j < 20; j++ {
 			k.Spawn(fmt.Sprintf("s%d", j), func(p *Proc) {
-				p.Sleep(Time(j) * Nanosecond)
+				p.SleepThen(Time(j)*Nanosecond, nop)
 				c.Add(1)
 			})
 		}
-		k.Spawn("sink", func(p *Proc) { p.WaitGE(c, 20) })
+		k.Spawn("sink", func(p *Proc) { p.WaitGEThen(c, 20, nop) })
 		if err := k.Run(); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
@@ -434,7 +435,7 @@ func TestPooledProcReuseAcrossKernels(t *testing.T) {
 	}
 	k := New()
 	ev := k.NewEvent("nope")
-	k.Spawn("reused.stuck", func(p *Proc) { p.Wait(ev) })
+	k.Spawn("reused.stuck", func(p *Proc) { p.WaitThen(ev, nop) })
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "reused.stuck(event:nope)") {
 		t.Fatalf("deadlock on a pooled proc misreported: %v", err)
