@@ -31,8 +31,8 @@ import (
 const injectWindow = 4
 
 // treeBcastState is the job-wide shared state of one collective-network
-// broadcast: the per-chunk combine operations plus every node's intra-node
-// counters.
+// broadcast: the per-chunk combine operations plus the per-node intra-node
+// counters its algorithm reads (treeCounters).
 //
 // A state is recycled: once every rank has released it, it joins its
 // world's free list and the next broadcast re-arms it. Its plain Go arrays
@@ -52,12 +52,21 @@ type treeBcastState struct {
 	ops   []tree.Op  // per-chunk combines
 
 	sw    []*sim.Counter // per node: bytes received by the reception core
-	done  []*sim.Counter // per node: peers finished
 	fill  []*sim.Counter // per node: bytes copied into the injector's buffer
 	peer  []*sim.Counter // per node, per local rank (node-major; slot 0 unused)
 	rxBuf []data.Buf     // per node: reception rank's buffer (window keys)
 	r0Buf []data.Buf     // per node: injector rank's buffer (window keys)
 }
+
+// treeCounters selects the per-node counters a tree broadcast algorithm
+// reads; arm carves only those, and leaves the other slices empty.
+type treeCounters uint8
+
+const (
+	needSW    treeCounters = 1 << iota // sw: shmem and shaddr
+	needFill                           // fill: shaddr
+	needPeers                          // peer: the two DMA algorithms
+)
 
 // fit returns s resized to n elements, reusing its backing array when it is
 // large enough. Callers overwrite every element they read.
@@ -80,10 +89,10 @@ func (st *treeBcastState) setSpans(r *mpi.Rank, total int) {
 }
 
 // arm (re)initializes a state for broadcast seq: every field is overwritten,
-// and the counters and ops are carved in the order the per-call constructor
-// always used (ops by chunk, then per node sw, done, fill and the peers), so
-// names and arena slots match a fresh world's.
-func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int) {
+// and the ops and the counters need selects are carved in a fixed order (ops
+// by chunk, then per node sw, fill and the peers), so names and arena slots
+// match a fresh world's.
+func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int, need treeCounters) {
 	m := r.Machine()
 	k := m.K
 	nodes := m.Geom.Nodes()
@@ -95,20 +104,31 @@ func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int) {
 	for i, s := range st.spans {
 		m.Tree.InitOp(&st.ops[i], s.Len)
 	}
-	st.sw = fit(st.sw, nodes)
-	st.done = fit(st.done, nodes)
-	st.fill = fit(st.fill, nodes)
-	st.peer = fit(st.peer, nodes*ppn)
+	st.sw, st.fill, st.peer = st.sw[:0], st.fill[:0], st.peer[:0]
+	if need&needSW != 0 {
+		st.sw = fit(st.sw, nodes)
+	}
+	if need&needFill != 0 {
+		st.fill = fit(st.fill, nodes)
+	}
+	if need&needPeers != 0 {
+		st.peer = fit(st.peer, nodes*ppn)
+	}
 	st.rxBuf = fit(st.rxBuf, nodes)
 	st.r0Buf = fit(st.r0Buf, nodes)
 	clear(st.rxBuf)
 	clear(st.r0Buf)
 	for n := 0; n < nodes; n++ {
-		st.sw[n] = k.NewCounterf("treebc%d.sw%d", int32(seq), int32(n))
-		st.done[n] = k.NewCounter("done")
-		st.fill[n] = k.NewCounter("fill")
-		for p := 1; p < ppn; p++ {
-			st.peer[n*ppn+p] = k.NewCounter("peer")
+		if need&needSW != 0 {
+			st.sw[n] = k.NewCounterf("treebc%d.sw%d", int32(seq), int32(n))
+		}
+		if need&needFill != 0 {
+			st.fill[n] = k.NewCounter("fill")
+		}
+		if need&needPeers != 0 {
+			for p := 1; p < ppn; p++ {
+				st.peer[n*ppn+p] = k.NewCounter("peer")
+			}
 		}
 	}
 }
@@ -118,7 +138,7 @@ func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int) {
 // list. In-flight broadcasts are few — a rank can run ahead into the next
 // broadcast only while slower ranks finish this one — so a linear scan by
 // seq finds the state.
-func acquireTreeBcast(r *mpi.Rank, sc *treeScratch, seq int64, root, total int) *treeBcastState {
+func acquireTreeBcast(r *mpi.Rank, sc *treeScratch, seq int64, root, total int, need treeCounters) *treeBcastState {
 	for _, st := range sc.live {
 		if st.seq == seq {
 			return st
@@ -131,7 +151,7 @@ func acquireTreeBcast(r *mpi.Rank, sc *treeScratch, seq int64, root, total int) 
 	} else {
 		st = &treeBcastState{sc: sc}
 	}
-	st.arm(r, seq, root, total)
+	st.arm(r, seq, root, total, need)
 	sc.live = append(sc.live, st)
 	return st
 }
@@ -261,13 +281,14 @@ func (sc *treeScratch) copyPeerOf(r *mpi.Rank) *shaddrPeer {
 }
 
 // startTreeBcast is every tree broadcast's prologue: take the collective
-// sequence number, acquire the shared state (publishing the payload on the
-// root), and arm the rank's finish step. It returns the scratch the rank's
-// drivers come from, the state, and the bound finish continuation.
-func startTreeBcast(r *mpi.Rank, buf data.Buf, root int, done func()) (*treeScratch, *treeBcastState, func()) {
+// sequence number, acquire the shared state with the counters need selects
+// (publishing the payload on the root), and arm the rank's finish step. It
+// returns the scratch the rank's drivers come from, the state, and the bound
+// finish continuation.
+func startTreeBcast(r *mpi.Rank, buf data.Buf, root int, need treeCounters, done func()) (*treeScratch, *treeBcastState, func()) {
 	seq := r.NextSeq()
 	sc := treeScratchOf(r)
-	st := acquireTreeBcast(r, sc, seq, root, buf.Len())
+	st := acquireTreeBcast(r, sc, seq, root, buf.Len(), need)
 	if r.Rank() == root {
 		st.src = buf
 	}
@@ -565,7 +586,7 @@ type smpRank struct {
 // thread injects while a helper communication thread receives, together
 // saturating the collective network.
 func bcastTreeSMP(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	sc, st, finish := startTreeBcast(r, buf, root, done)
+	sc, st, finish := startTreeBcast(r, buf, root, 0, done)
 	d := sc.smpOf(r)
 	if d.spawnFn == nil {
 		d.spawnFn, d.fireFn, d.joinFn = d.spawnHelper, d.fire, d.join
@@ -595,7 +616,7 @@ func (d *smpRank) join() { d.inj.p.WaitThen(d.helperDone, d.fin) }
 // core injects and receives into a shared-memory segment, serialized on one
 // core; peers copy the data out of the segment.
 func bcastTreeShmem(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	sc, st, finish := startTreeBcast(r, buf, root, done)
+	sc, st, finish := startTreeBcast(r, buf, root, needSW, done)
 	node := r.NodeID()
 	cached := quadBcastFootprint(r, buf.Len())
 
@@ -616,7 +637,6 @@ func bcastTreeShmem(r *mpi.Rank, buf data.Buf, root int, done func()) {
 type peerCopyLoop struct {
 	st     *treeBcastState
 	sw     *sim.Counter
-	done   *sim.Counter
 	p      *sim.Proc
 	node   *hw.Node
 	isRoot bool
@@ -632,14 +652,13 @@ func (l *peerCopyLoop) arm(r *mpi.Rank, st *treeBcastState, cached bool, cont fu
 		l.stepFn = l.step
 	}
 	n := r.NodeID()
-	l.st, l.sw, l.done, l.p, l.node = st, st.sw[n], st.done[n], r.Proc(), r.Node().HW
+	l.st, l.sw, l.p, l.node = st, st.sw[n], r.Proc(), r.Node().HW
 	l.isRoot, l.cached, l.i, l.got, l.cont = r.Rank() == st.root, cached, 0, 0, cont
 }
 
 //bgplint:hot
 func (l *peerCopyLoop) step() {
 	if l.i == len(l.st.spans) {
-		l.done.Add(1)
 		l.cont()
 		return
 	}
@@ -668,7 +687,7 @@ func bcastTreeDMADirect(r *mpi.Rank, buf data.Buf, root int, done func()) {
 }
 
 func treeDMACommon(r *mpi.Rank, buf data.Buf, root int, fifo bool, done func()) {
-	sc, st, finish := startTreeBcast(r, buf, root, done)
+	sc, st, finish := startTreeBcast(r, buf, root, needPeers, done)
 	node := r.NodeID()
 
 	if r.IsNodeMaster() {
@@ -729,7 +748,7 @@ func (l *dmaPeerLoop) step() {
 // buffer — the injector has no cycles to copy, and memory bandwidth is at
 // least twice the collective network's.
 func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	sc, st, finish := startTreeBcast(r, buf, root, done)
+	sc, st, finish := startTreeBcast(r, buf, root, needSW|needFill, done)
 	node := r.NodeID()
 	total := buf.Len()
 	cached := quadBcastFootprint(r, total)
@@ -790,7 +809,7 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 			next = l.mapInjFn
 		}
 		l.win.arm(r, st, total, next)
-		l.sw, l.done, l.fill, l.node = st.sw[node], st.done[node], st.fill[node], r.Node().HW
+		l.sw, l.fill, l.node = st.sw[node], st.fill[node], r.Node().HW
 		l.isRoot, l.fillInjector, l.cached = r.Rank() == root, fillInjector, cached
 		l.i, l.got, l.cont = 0, 0, finish
 		l.win.open()
@@ -911,7 +930,6 @@ func (l *dualRecvLoop) after() {
 type shaddrCopyLoop struct {
 	win          rxWindow
 	sw           *sim.Counter
-	done         *sim.Counter
 	fill         *sim.Counter
 	node         *hw.Node
 	isRoot       bool
@@ -936,7 +954,6 @@ func (l *shaddrCopyLoop) mapInjector() {
 func (l *shaddrCopyLoop) step() {
 	st, p := l.win.st, l.win.p
 	if l.i == len(st.spans) {
-		l.done.Add(1)
 		l.cont()
 		return
 	}

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 
 	"bgpcoll/internal/data"
 	"bgpcoll/internal/geometry"
@@ -290,5 +292,46 @@ func TestAutoBcastSelection(t *testing.T) {
 	}
 	if got := ws.Rank(0).autoBcast(1 << 20); got != BcastTorusDirectPut {
 		t.Errorf("SMP 1M -> %s", got)
+	}
+}
+
+// TestWorldSizeClass pins World at 144 bytes, one allocation size class:
+// per-world state belongs behind the lazily allocated scratch pointer.
+func TestWorldSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(World{}); got > 144 {
+		t.Fatalf("World is %d bytes, want at most 144", got)
+	}
+}
+
+// TestResolvedDispatchFollowsRegistry checks a world's resolved broadcast
+// dispatch follows the Tunables name and picks up a re-registration under
+// a name it has already resolved.
+func TestResolvedDispatchFollowsRegistry(t *testing.T) {
+	var calls []string
+	body := func(tag string) ProgBcastFn {
+		return func(r *Rank, buf data.Buf, root int, done func()) {
+			if r.Rank() == 0 {
+				calls = append(calls, tag)
+			}
+			done()
+		}
+	}
+	RegisterProgBcast("test.a", body("a"))
+	RegisterProgBcast("test.b", body("b1"))
+	w := newWorld(t, smallConfig())
+	bcast := func(name string) {
+		t.Helper()
+		w.Tunables.Bcast = name
+		if _, err := w.RunProgram(func(r *Rank) { r.BcastThen(data.Buf{}, 0, nop) }); err != nil {
+			t.Fatal(err)
+		}
+		w.Reset()
+	}
+	bcast("test.a")
+	bcast("test.b")
+	RegisterProgBcast("test.b", body("b2"))
+	bcast("test.b")
+	if got, want := strings.Join(calls, " "), "a b1 b2"; got != want {
+		t.Fatalf("dispatched %q, want %q", got, want)
 	}
 }

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"bgpcoll/internal/cnk"
 	"bgpcoll/internal/data"
 	"bgpcoll/internal/geometry"
@@ -110,37 +108,4 @@ func (r *Rank) WorldShared(seq int64, kind string, create func() any) any {
 // ReleaseWorldShared drops the rank's reference from WorldShared state.
 func (r *Rank) ReleaseWorldShared(seq int64, kind string) {
 	r.w.release(worldScope, seq, kind)
-}
-
-// Barrier synchronizes all ranks over the global interrupt network.
-func (r *Rank) Barrier() { r.BarrierThen(nop) }
-
-// BarrierThen is the explicit-resume form of Barrier: done runs once all
-// ranks have arrived and the interrupt-network latency has elapsed.
-//
-// The shared arrival state is released at arrival rather than at release
-// time: the op registry refcounts a fixed party count, so arrive/release
-// order is immaterial, and releasing here lets done pass straight to the
-// wait — the wrapper closure this used to allocate per rank per barrier was
-// the largest single bench-side entry in the rack-scale sweep's allocation
-// profile.
-func (r *Rank) BarrierThen(done func()) {
-	seq := r.NextSeq()
-	st := r.WorldShared(seq, "barrier", func() any {
-		ev := r.w.M.K.NewEvent(fmt.Sprintf("barrier%d", seq))
-		ev.Reserve(r.Size())
-		return &barrierState{ev: ev}
-	}).(*barrierState)
-	st.arrived++
-	if st.arrived == r.Size() {
-		r.w.M.K.After(r.w.M.Cfg.Params.BarrierLatency, st.ev.Fire)
-	}
-	ev := st.ev
-	r.ReleaseWorldShared(seq, "barrier")
-	r.proc.WaitThen(ev, done)
-}
-
-type barrierState struct {
-	arrived int
-	ev      *sim.Event
 }

@@ -61,13 +61,21 @@ type ProgFn func(r *Rank, send, recv data.Buf, done func())
 type ProgRootedFn func(r *Rank, send, recv data.Buf, root int, done func())
 
 // registry maps algorithm names to one operation's program-form bodies.
+// gen counts registrations, starting at 1, so a resolved lookup can tell
+// that the name it cached may now map to another body.
 type registry[F any] struct {
 	op  string
 	fns map[string]F
+	gen uint64
 }
 
 func newRegistry[F any](op string) *registry[F] {
-	return &registry[F]{op: op, fns: map[string]F{}}
+	return &registry[F]{op: op, fns: map[string]F{}, gen: 1}
+}
+
+func (g *registry[F]) register(name string, fn F) {
+	g.fns[name] = fn
+	g.gen++
 }
 
 // names lists the registered algorithm names in sorted order.
@@ -88,6 +96,27 @@ func (g *registry[F]) lookup(name string) F {
 	return fn
 }
 
+// resolved is one world's last lookup in a registry: the per-call dispatch
+// of BcastThen and AllreduceSumThen compares a name and a generation
+// instead of hashing the name into the registry map on every rank's call.
+// The zero value (gen 0) resolves on first use.
+type resolved[F any] struct {
+	name string
+	gen  uint64
+	fn   F
+}
+
+// get returns name's body in g, looking it up again only when the name or
+// the registry changed since the last call.
+//
+//bgplint:hot
+func (c *resolved[F]) get(g *registry[F], name string) F {
+	if c.gen != g.gen || c.name != name {
+		c.fn, c.name, c.gen = g.lookup(name), name, g.gen
+	}
+	return c.fn
+}
+
 var (
 	bcastAlgos     = newRegistry[ProgBcastFn]("bcast")
 	allreduceAlgos = newRegistry[ProgFn]("allreduce")
@@ -99,25 +128,25 @@ var (
 )
 
 // RegisterProgBcast installs a broadcast under name.
-func RegisterProgBcast(name string, fn ProgBcastFn) { bcastAlgos.fns[name] = fn }
+func RegisterProgBcast(name string, fn ProgBcastFn) { bcastAlgos.register(name, fn) }
 
 // RegisterProgAllreduce installs a float64-sum allreduce under name.
-func RegisterProgAllreduce(name string, fn ProgFn) { allreduceAlgos.fns[name] = fn }
+func RegisterProgAllreduce(name string, fn ProgFn) { allreduceAlgos.register(name, fn) }
 
 // RegisterProgGather installs a gather under name.
-func RegisterProgGather(name string, fn ProgRootedFn) { gatherAlgos.fns[name] = fn }
+func RegisterProgGather(name string, fn ProgRootedFn) { gatherAlgos.register(name, fn) }
 
 // RegisterProgAllgather installs an allgather under name.
-func RegisterProgAllgather(name string, fn ProgFn) { allgatherAlgos.fns[name] = fn }
+func RegisterProgAllgather(name string, fn ProgFn) { allgatherAlgos.register(name, fn) }
 
 // RegisterProgReduce installs a float64-sum reduce under name.
-func RegisterProgReduce(name string, fn ProgRootedFn) { reduceAlgos.fns[name] = fn }
+func RegisterProgReduce(name string, fn ProgRootedFn) { reduceAlgos.register(name, fn) }
 
 // RegisterProgScatter installs a scatter under name.
-func RegisterProgScatter(name string, fn ProgRootedFn) { scatterAlgos.fns[name] = fn }
+func RegisterProgScatter(name string, fn ProgRootedFn) { scatterAlgos.register(name, fn) }
 
 // RegisterProgAlltoall installs an alltoall under name.
-func RegisterProgAlltoall(name string, fn ProgFn) { alltoallAlgos.fns[name] = fn }
+func RegisterProgAlltoall(name string, fn ProgFn) { alltoallAlgos.register(name, fn) }
 
 // BcastAlgorithms lists the registered broadcast algorithm names.
 func BcastAlgorithms() []string { return bcastAlgos.names() }
@@ -133,7 +162,7 @@ func (r *Rank) BcastThen(buf data.Buf, root int, done func()) {
 	if name == "" {
 		name = r.autoBcast(buf.Len())
 	}
-	bcastAlgos.lookup(name)(r, buf, root, done)
+	r.w.state().bcast.get(bcastAlgos, name)(r, buf, root, done)
 }
 
 // autoBcast mirrors the production protocol selection: the collective
@@ -169,7 +198,7 @@ func (r *Rank) AllreduceSumThen(send, recv data.Buf, done func()) {
 	if send.Len()%data.Float64Len != 0 {
 		panic("mpi: allreduce payload is not whole float64 elements")
 	}
-	allreduceAlgos.lookup(r.allreduceName())(r, send, recv, done)
+	r.w.state().allreduce.get(allreduceAlgos, r.allreduceName())(r, send, recv, done)
 }
 
 // allreduceName resolves the configured or default allreduce algorithm.

@@ -4,7 +4,8 @@ package mpi
 // calls — recycled per-call state, per-rank driver slabs — so that a repeat
 // collective on a warmed world allocates nothing. The world owns one slot
 // per key and never looks inside; Reset and Reconfigure leave the slots
-// alone, so their capacity survives pooling and growth.
+// alone, so their capacity survives pooling and growth. The same lazily
+// allocated struct holds mpi's own per-world state (worldScratch).
 
 // ScratchKey names one owner's scratch value on every world. Declare one
 // package-level key per owner; keys compare by identity.
@@ -13,11 +14,31 @@ type ScratchKey struct{ owner string }
 // NewScratchKey returns a fresh key; owner only documents who holds it.
 func NewScratchKey(owner string) *ScratchKey { return &ScratchKey{owner: owner} }
 
-// scratchSet is a world's scratch slots in first-use order: a handful of
-// owners at most, so a linear scan beats any map.
-type scratchSet struct {
+// worldScratch is the per-world state allocated on a world's first use of
+// any of it, so NewWorld allocates none of it and World keeps its size
+// class: the collective packages' scratch slots (Scratch), the barrier
+// states (barrier.go), and the resolved algorithm dispatch (registry.go).
+type worldScratch struct {
+	// keys and vals are the scratch slots in first-use order: a handful of
+	// owners at most, so a linear scan beats any map.
 	keys []*ScratchKey
 	vals []any
+
+	barriers    []*barrierState // some rank has not arrived yet
+	barrierFree []*barrierState // released, awaiting the next barrier
+
+	bcast     resolved[ProgBcastFn]
+	allreduce resolved[ProgFn]
+}
+
+// state returns w's scratch, allocating it on first use.
+func (w *World) state() *worldScratch {
+	s := w.scratch
+	if s == nil {
+		s = &worldScratch{}
+		w.scratch = s
+	}
+	return s
 }
 
 // Scratch returns the value w holds under key, creating it with create on
@@ -29,11 +50,7 @@ type scratchSet struct {
 // Scratch is not safe for concurrent use. Call it from the goroutine that
 // drives the world, or from rank code, whose ranks run one at a time.
 func (w *World) Scratch(key *ScratchKey, create func() any) any {
-	s := w.scratch
-	if s == nil {
-		s = &scratchSet{}
-		w.scratch = s
-	}
+	s := w.state()
 	for i, k := range s.keys {
 		if k == key {
 			return s.vals[i]

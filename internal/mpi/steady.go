@@ -3,20 +3,20 @@ package mpi
 // Steady-state fingerprinting of the MPI layer (see internal/sim/steady.go
 // for the mechanism and the induction argument). The kernel walk covers
 // everything schedulable; this walk covers the layer state above it that can
-// influence future execution: the shared-operation registry, fingerprintable
-// scratch values, per-rank sequence numbers, point-to-point mailboxes and
-// process-window (CNK) residue. Everything time- or sequence-like is normalized so that two
+// influence future execution: the shared-operation registry, live barriers
+// (which refuse), fingerprintable scratch values, per-rank sequence numbers,
+// point-to-point mailboxes and process-window (CNK) residue. Everything time- or sequence-like is normalized so that two
 // iterations differing only by the uniform per-iteration shift hash
 // identically: virtual times are boundary-relative (sim.FP.Time) and
 // collective sequence numbers are relative to rank 0's, which advances by
 // the same per-iteration count as every key in a steady loop.
 //
 // Sequence numbers and the registry keys are deliberately NOT shifted by
-// extrapolation: pending barrier-release continuations capture their seq by
-// value (Rank.BarrierThen), so the final live iteration keeps running with
-// the sequence numbers it was issued — the extrapolated run's observable
-// results are bit-identical to full execution, while diagnostic-only values
-// (sequence numbers reached, event names) may differ. The fingerprint never
+// extrapolation: the state live at a boundary is keyed by the seq it was
+// issued, so the final live iteration keeps running with those numbers.
+// The extrapolated run's observable results are bit-identical to full
+// execution, while diagnostic-only values (sequence numbers reached, event
+// names) may differ. The fingerprint never
 // hashes those, so the induction stays sound.
 
 import "bgpcoll/internal/sim"
@@ -56,8 +56,14 @@ func (w *World) SteadyState(f *sim.FP) {
 	}
 
 	// Scratch values that carry in-flight state fingerprint it; values that
-	// are pure capacity (driver slabs, free lists) hash nothing.
+	// are pure capacity (driver slabs, free lists) hash nothing. A barrier
+	// some rank has not reached yet refuses: the measure loops capture at a
+	// barrier's release, when none is live.
 	if s := w.scratch; s != nil {
+		if len(s.barriers) > 0 {
+			f.Refuse("barrier half-arrived")
+			return
+		}
 		for _, v := range s.vals {
 			if h, ok := v.(sim.Hasher); ok {
 				h.SteadyState(f)
@@ -115,11 +121,4 @@ func (b *mailbox) idle() bool {
 		}
 	}
 	return true
-}
-
-// SteadyState canonicalizes the barrier op: the arrival count and the
-// release event with its waiter list.
-func (st *barrierState) SteadyState(f *sim.FP) {
-	f.I64(int64(st.arrived))
-	f.Event(st.ev)
 }

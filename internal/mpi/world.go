@@ -22,10 +22,10 @@ type World struct {
 
 	ops map[opKey]*opEntry
 
-	// scratch holds the state collective packages keep on the world across
-	// calls (see Scratch). Nil until first use: NewWorld allocates nothing
+	// scratch holds the state collectives keep on the world across calls
+	// (see worldScratch). Nil until first use: NewWorld allocates nothing
 	// for it.
-	scratch *scratchSet
+	scratch *worldScratch
 }
 
 // Tunables select collective algorithm implementations, mirroring the

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+
+	"bgpcoll/internal/bench"
 )
 
 // TestBuildCellBounds checks buildCell rejects payloads and partitions past
@@ -28,6 +31,9 @@ func TestBuildCellBounds(t *testing.T) {
 		{"product overflows", runRequest{Algo: "torus.shaddr", Torus: "4294967296x4294967296x4", Mode: "smp"}, false},
 		{"allreduce at bound", runRequest{Op: "allreduce", Algo: "allreduce.shaddr", Size: "1024M", Torus: "2x2x2"}, true},
 		{"allreduce past bound", runRequest{Op: "allreduce", Algo: "allreduce.shaddr", Size: "1048577K", Torus: "2x2x2"}, false},
+		{"iters at bound", runRequest{Algo: "tree.shaddr", Torus: "2x2x2", Iters: maxIters}, true},
+		{"iters past bound", runRequest{Algo: "tree.shaddr", Torus: "2x2x2", Iters: maxIters + 1}, false},
+		{"iters max int", runRequest{Algo: "tree.shaddr", Torus: "2x2x2", Iters: int(^uint(0) >> 1)}, false},
 	} {
 		cell, err := buildCell(c.q)
 		if (err == nil) != c.ok {
@@ -35,7 +41,39 @@ func TestBuildCellBounds(t *testing.T) {
 			continue
 		}
 		if err == nil {
-			checkCellBounds(t, cell.Cfg.Ranks(), cell.Bytes())
+			checkCellBounds(t, cell)
+		}
+	}
+}
+
+// TestBuildSweepBounds checks buildSweep rejects a grid past maxSweepCells,
+// including lengths whose product would overflow, and accepts the bound.
+func TestBuildSweepBounds(t *testing.T) {
+	names := func(n int, name string) []string {
+		s := make([]string, n)
+		for i := range s {
+			s[i] = name
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name         string
+		algos, sizes int
+		ok           bool
+	}{
+		{"empty", 0, 4, false},
+		{"at bound", 32, maxSweepCells / 32, true},
+		{"past bound", 33, maxSweepCells / 32, false},
+		{"one long axis", maxSweepCells + 1, 1, false},
+	} {
+		q := sweepRequest{Algos: names(c.algos, "torus.shaddr"), Sizes: names(c.sizes, "4K"), Torus: "2x2x2"}
+		cells, err := buildSweep(q)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: buildSweep(%d x %d) err = %v, want ok=%v", c.name, c.algos, c.sizes, err, c.ok)
+			continue
+		}
+		if err == nil && len(cells) != c.algos*c.sizes {
+			t.Errorf("%s: %d cells, want %d", c.name, len(cells), c.algos*c.sizes)
 		}
 	}
 }
@@ -46,6 +84,7 @@ func TestRunRejectsOversizedRequests(t *testing.T) {
 	for _, body := range []string{
 		`{"algo":"torus.shaddr","size":"4398046511104M","torus":"2x2x2"}`,
 		`{"algo":"torus.shaddr","size":"64K","torus":"4096x4096x4096"}`,
+		`{"algo":"tree.shaddr","size":"64K","torus":"2x2x2","iters":1000000000}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -58,25 +97,54 @@ func TestRunRejectsOversizedRequests(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsOversizedGrid checks the grid bound reaches clients as a
+// 400.
+func TestSweepRejectsOversizedGrid(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	sizes := strings.Repeat(`"4K",`, maxSweepCells)
+	body := fmt.Sprintf(`{"op":"bcast","algos":["torus.shaddr","torus.fifo"],"sizes":[%s"8K"],"torus":"2x2x2"}`, sizes)
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized sweep: status %d, want 400", resp.StatusCode)
+	}
+}
+
 // FuzzBuildCell drives buildCell with arbitrary request fields (seed corpus
-// in testdata/fuzz/FuzzBuildCell). It must never panic, and every cell it
-// accepts must lie inside the request bounds.
+// in testdata/fuzz/FuzzBuildCell), and buildSweep with the grid the
+// comma-separated algo and size fields list. Neither may panic, and every
+// cell they accept must lie inside the request bounds.
 func FuzzBuildCell(f *testing.F) {
 	f.Fuzz(func(t *testing.T, op, algo, size, torus, mode string, iters int) {
-		cell, err := buildCell(runRequest{Op: op, Algo: algo, Size: size, Torus: torus, Mode: mode, Iters: iters})
+		if cell, err := buildCell(runRequest{Op: op, Algo: algo, Size: size, Torus: torus, Mode: mode, Iters: iters}); err == nil {
+			checkCellBounds(t, cell)
+		}
+		q := sweepRequest{Op: op, Algos: strings.Split(algo, ","), Sizes: strings.Split(size, ","), Torus: torus, Mode: mode, Iters: iters}
+		cells, err := buildSweep(q)
 		if err != nil {
 			return
 		}
-		checkCellBounds(t, cell.Cfg.Ranks(), cell.Bytes())
+		if len(cells) > maxSweepCells {
+			t.Errorf("accepted a sweep of %d cells, bound %d", len(cells), maxSweepCells)
+		}
+		for _, c := range cells {
+			checkCellBounds(t, c)
+		}
 	})
 }
 
-func checkCellBounds(t *testing.T, ranks, bytes int) {
+func checkCellBounds(t *testing.T, c bench.Cell) {
 	t.Helper()
-	if ranks < 1 || ranks > maxRanks {
+	if ranks := c.Cfg.Ranks(); ranks < 1 || ranks > maxRanks {
 		t.Errorf("accepted cell with %d ranks, bound %d", ranks, maxRanks)
 	}
-	if bytes < 1 || bytes > maxSize {
+	if bytes := c.Bytes(); bytes < 1 || bytes > maxSize {
 		t.Errorf("accepted cell with %d bytes, bound %d", bytes, maxSize)
+	}
+	if c.Iters < 1 || c.Iters > maxIters {
+		t.Errorf("accepted cell with %d iters, bound %d", c.Iters, maxIters)
 	}
 }

@@ -164,12 +164,17 @@ func resultOf(c bench.Cell, e Entry) cellResult {
 	return cellResult{Series: c.Series, Bytes: c.Bytes(), PS: e.PS, US: sim.Time(e.PS).Microseconds()}
 }
 
-// Request bounds, so that no single cell can exhaust the server's memory:
-// maxRanks is figS's largest partition (64x64x64 nodes in quad mode) and
-// maxSize is 1 GiB of payload.
+// Request bounds, so that no single request can exhaust the server's memory
+// or a worker's time: maxRanks is figS's largest partition (64x64x64 nodes
+// in quad mode), maxSize is 1 GiB of payload, maxIters caps a cell's
+// micro-benchmark repetitions (extrapolation skips steady iterations, but
+// tree cells bypass it and run every one), and maxSweepCells caps a sweep's
+// algos x sizes grid.
 const (
-	maxRanks = 1 << 20
-	maxSize  = 1 << 30
+	maxRanks      = 1 << 20
+	maxSize       = 1 << 30
+	maxIters      = 1024
+	maxSweepCells = 1024
 )
 
 // buildCell validates one runRequest into a Cell.
@@ -188,6 +193,9 @@ func buildCell(q runRequest) (bench.Cell, error) {
 	}
 	if q.Iters <= 0 {
 		q.Iters = 1
+	}
+	if q.Iters > maxIters {
+		return bench.Cell{}, fmt.Errorf("iters must be at most %d, got %d", maxIters, q.Iters)
 	}
 	size, err := reqspec.ParseSize(q.Size)
 	if err != nil {
@@ -267,6 +275,30 @@ type sweepRequest struct {
 	Iters int      `json:"iters"`
 }
 
+// buildSweep validates a sweepRequest into its cells, algorithm-major. The
+// grid's size is checked before anything is allocated for it.
+func buildSweep(q sweepRequest) ([]bench.Cell, error) {
+	na, ns := len(q.Algos), len(q.Sizes)
+	if na == 0 || ns == 0 {
+		return nil, fmt.Errorf("sweep needs algos and sizes")
+	}
+	// Each length is checked first so the product cannot overflow.
+	if na > maxSweepCells || ns > maxSweepCells || na*ns > maxSweepCells {
+		return nil, fmt.Errorf("sweep grid of %d algos x %d sizes has more than %d cells", na, ns, maxSweepCells)
+	}
+	cells := make([]bench.Cell, 0, na*ns)
+	for _, algo := range q.Algos {
+		for _, size := range q.Sizes {
+			c, err := buildCell(runRequest{Op: q.Op, Algo: algo, Size: size, Torus: q.Torus, Mode: q.Mode, Iters: q.Iters})
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, c)
+		}
+	}
+	return cells, nil
+}
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -277,20 +309,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if len(q.Algos) == 0 || len(q.Sizes) == 0 {
-		httpError(w, http.StatusBadRequest, "sweep needs algos and sizes")
+	cells, err := buildSweep(q)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	cells := make([]bench.Cell, 0, len(q.Algos)*len(q.Sizes))
-	for _, algo := range q.Algos {
-		for _, size := range q.Sizes {
-			c, err := buildCell(runRequest{Op: q.Op, Algo: algo, Size: size, Torus: q.Torus, Mode: q.Mode, Iters: q.Iters})
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			cells = append(cells, c)
-		}
 	}
 	s.respond(w, r, cells, func(entries []Entry) any {
 		out := struct {

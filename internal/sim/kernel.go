@@ -54,6 +54,11 @@ type Kernel struct {
 	// so it continues at exactly that queue position.
 	fused *Proc
 
+	// cur is the process whose continuation or plan next() is running on
+	// its behalf, nil between dispatches. A panic escaping next() while cur
+	// is set is that process's panic (see recoverNext).
+	cur *Proc
+
 	// cbs is the callback table: eFn entries name a slot here instead of
 	// carrying the func value, keeping queue memory pointer-free. Slots are
 	// recycled through cbFree in LIFO order — a deterministic policy, so a
@@ -84,9 +89,9 @@ type Kernel struct {
 
 	failure error
 
-	// cbPanic holds the value of a callback panic captured on a process
-	// goroutine (see handoff); Run re-panics with it so callback panics
-	// crash Run exactly as they do when the scheduler goroutine runs them.
+	// cbPanic holds the value of a callback panic caught by recoverNext;
+	// Run re-panics with it, so a callback panic crashes Run whether the
+	// scheduler goroutine or a handing-off process ran the callback.
 	cbPanic any
 
 	// arena holds the kernel's slab allocator for events, counters, and
@@ -179,6 +184,7 @@ func (k *Kernel) Reset() {
 	k.queue.reset()
 	k.ring.head, k.ring.tail, k.ring.n = 0, 0, 0
 	k.fused = nil
+	k.cur = nil
 	k.failure = nil
 	k.cbPanic = nil
 	// Callback slots hold closures whose captures would otherwise keep the
@@ -398,9 +404,14 @@ func (k *Kernel) next() *Proc {
 			if !p.inline {
 				return p // a goroutine process runs its continuation itself
 			}
+			k.cur = p
 			p.runCont()
+			k.cur = nil
 		case eProg:
-			k.procAt(e.idx).runProg()
+			p := k.procAt(e.idx)
+			k.cur = p
+			p.runProg()
+			k.cur = nil
 		case eAdd:
 			k.runAdd(e.idx)
 		case eHook:
@@ -419,22 +430,37 @@ func (k *Kernel) next() *Proc {
 // handoff is next() as invoked by a process (or an exiting pool worker)
 // still holding the token: one rendezvous hands the CPU straight to the
 // returned process, and the scheduler goroutine stays parked. Disabled in
-// noHandoff mode. A callback panic is captured here rather than allowed to
-// unwind simulated process code (whose defers must not run for an unrelated
-// callback's bug): the simulation fails, the token returns to the scheduler,
-// and Run re-panics with the original value.
-func (k *Kernel) handoff() (q *Proc) {
+// noHandoff mode. A panic escaping next() stops here rather than unwinding
+// the yielding process's own code (whose defers must not run for another
+// process's or a callback's bug): recoverNext fails the simulation and the
+// token returns to the scheduler.
+func (k *Kernel) handoff() *Proc {
 	if k.noHandoff || k.failure != nil {
 		return nil
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			k.cbPanic = r
-			k.fail(fmt.Errorf("sim: callback panicked: %v", r))
-			q = nil
-		}
-	}()
+	defer k.recoverNext()
 	return k.next()
+}
+
+// recoverNext is the one recover frame around each caller of next(): Run's
+// loop and handoff. Code next() runs on a process's behalf (k.cur) fails
+// the run as that process's panic, the error a goroutine body's panic
+// produces. Any other panic came from a callback (eFn, eHook, eAdd): the
+// simulation fails and Run re-panics with the original value, so a callback
+// panic crashes Run whichever goroutine held the token. Either way the
+// interrupted caller gets the zero result: no process to resume.
+func (k *Kernel) recoverNext() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if p := k.cur; p != nil {
+		k.cur = nil
+		k.fail(procPanicError(p.Name(), r))
+		return
+	}
+	k.cbPanic = r
+	k.fail(fmt.Errorf("sim: callback panicked: %v", r))
 }
 
 // fail records a fatal simulation error (process panic).
@@ -454,21 +480,11 @@ func (k *Kernel) Run() error {
 	k.running = true
 	defer func() { k.running = false }()
 
-	for k.failure == nil {
-		p := k.next()
-		if p == nil {
-			break
-		}
-		// Hand the virtual CPU to the process and park until some process —
-		// not necessarily this one, if the token travelled a direct-handoff
-		// chain — returns it.
-		p.gate <- struct{}{}
-		<-k.sched
-	}
+	k.loop()
 	if k.failure != nil {
-		// Callback panics re-panic: they must crash Run, as they do when
-		// the scheduler loop runs the callback. Process panics return as
-		// errors.
+		// Callback panics re-panic: they must crash Run, whichever
+		// goroutine held the token when the callback ran. Process panics
+		// return as errors.
 		if r := k.cbPanic; r != nil {
 			k.cbPanic = nil
 			panic(r)
@@ -479,6 +495,22 @@ func (k *Kernel) Run() error {
 		return k.deadlockError()
 	}
 	return nil
+}
+
+// loop is Run's scheduler loop: dispatch until no process is due, handing
+// the virtual CPU to each goroutine process next() returns and parking until
+// some process — not necessarily that one, if the token travelled a
+// direct-handoff chain — returns it.
+func (k *Kernel) loop() {
+	defer k.recoverNext()
+	for k.failure == nil {
+		p := k.next()
+		if p == nil {
+			return
+		}
+		p.gate <- struct{}{}
+		<-k.sched
+	}
 }
 
 func (k *Kernel) deadlockError() error {

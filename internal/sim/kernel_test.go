@@ -3,6 +3,7 @@ package sim
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -397,5 +398,13 @@ func TestTimeString(t *testing.T) {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("(%d).String() = %q, want %q", int64(c.t), got, c.want)
 		}
+	}
+}
+
+// TestKernelSizeClass pins Kernel inside the 2 KB allocation size class,
+// the bound radixQueue caps its bucket count for.
+func TestKernelSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Kernel{}); got > 2048 {
+		t.Fatalf("Kernel is %d bytes, want at most 2048", got)
 	}
 }

@@ -189,9 +189,10 @@ func TestPlanStepPanicFailsSimulation(t *testing.T) {
 	})
 	k.At(Nanosecond, ev.Fire)
 	err := k.Run()
-	if err == nil || !strings.Contains(err.Error(), "bad") {
+	if err == nil || !strings.Contains(err.Error(), "process bad panicked") {
 		t.Fatalf("step panic not surfaced as process failure, err = %v", err)
 	}
+	expectPanic(t, "Reset with live processes", k.Reset)
 }
 
 // TestPlanDeadlockNamesParkedProc checks that a process parked on a

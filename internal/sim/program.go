@@ -96,14 +96,6 @@ func (p *Proc) resetFrame() {
 	p.body = nil
 }
 
-// progRecover converts a panic in code the kernel runs on a process's
-// behalf into the same simulation failure a goroutine body panic produces.
-func (p *Proc) progRecover() {
-	if r := recover(); r != nil {
-		p.k.fail(procPanicError(p.Name(), r))
-	}
-}
-
 // runCont is the kernel's dispatch for an inline process's eCont entry:
 // disarm, run the pending continuation, and retire the program if it parked
 // nowhere new. (next() returns a goroutine process instead, which runs the
@@ -111,7 +103,6 @@ func (p *Proc) progRecover() {
 //
 //bgplint:hot
 func (p *Proc) runCont() {
-	defer p.progRecover()
 	p.armed = false
 	p.resume()
 	if !p.armed {
@@ -123,11 +114,11 @@ func (p *Proc) runCont() {
 // process's plan. A plan that runs out on instant steps continues the body
 // at this queue position — in place for an inline process (which retires if
 // it parked nowhere new), through Kernel.fused for a goroutine. A panicking
-// step fails the simulation like a process panic.
+// step fails the simulation like a process panic: next() names the process
+// in Kernel.cur, and the caller's recover frame reports it.
 //
 //bgplint:hot
 func (p *Proc) runProg() {
-	defer p.progRecover()
 	p.armed = false
 	if p.stepPlan() {
 		return

@@ -74,7 +74,8 @@ func TestProgramWaitFastPathsInline(t *testing.T) {
 }
 
 // TestProgramPanicFailsRun checks a panic in a continuation aborts the
-// simulation with the same process-panic error a goroutine body produces.
+// simulation with the same process-panic error a goroutine body produces,
+// and leaves a kernel that refuses Reset.
 func TestProgramPanicFailsRun(t *testing.T) {
 	k := New()
 	k.SpawnProgram("bad", func(p *Proc) {
@@ -84,6 +85,7 @@ func TestProgramPanicFailsRun(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "process bad panicked: boom") {
 		t.Fatalf("got %v, want process-panic failure", err)
 	}
+	expectPanic(t, "Reset with live processes", k.Reset)
 }
 
 // TestProgramTailCallViolationPanics checks the contract guard: arming two
