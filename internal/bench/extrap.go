@@ -23,7 +23,12 @@ import (
 // exactly once per iteration — at the first rank's release, the instant the
 // loop state is most uniform: the remaining ranks' continuations are queued
 // same-instant entries and every loop's counters agree.
+//
+// A world keeps one extrapolator in its scratch and re-arms it per
+// measurement, so the detector's capture window, lane buffers and loop list
+// are grown once per pooled world rather than once per cell.
 type extrapolator struct {
+	w     *mpi.World
 	det   *sim.Steady
 	iters int
 	loops []*measureLoop
@@ -32,10 +37,14 @@ type extrapolator struct {
 	done  bool
 }
 
-// newExtrapolator returns a controller for one measurement on w, or nil when
-// extrapolation cannot apply: the reference mode asked for full execution,
-// the loop is too short to amortize a fingerprint, or a trace is attached (extrapolated iterations emit no trace records, so
-// tracing runs execute fully).
+// extrapKey names the per-world extrapolator.
+var extrapKey = mpi.NewScratchKey("bench.extrap")
+
+// newExtrapolator returns w's controller armed for one measurement, or nil
+// when extrapolation cannot apply: the reference mode asked for full
+// execution, the loop is too short to amortize a fingerprint, or a trace is
+// attached (extrapolated iterations emit no trace records, so tracing runs
+// execute fully).
 //
 // The iteration floor is an economics gate, not a correctness one. A
 // detection needs two matching boundaries, and the first iteration is warmed
@@ -49,16 +58,38 @@ func newExtrapolator(w *mpi.World, iters int, noExtrap bool) *extrapolator {
 	if noExtrap || iters < 4 || w.M.Trace != nil {
 		return nil
 	}
-	x := &extrapolator{iters: iters, loops: make([]*measureLoop, 0, w.Size())}
-	x.det = sim.NewSteady(w.M.K, func(f *sim.FP) {
-		w.SteadyState(f)
-		f.I64(int64(len(x.loops)))
-		for _, l := range x.loops {
-			f.MonoTime(&l.elapsed)
-			f.MonoInt(&l.i)
-		}
-	})
+	x := w.Scratch(extrapKey, func() any {
+		x := &extrapolator{w: w}
+		x.det = sim.NewSteady(w.M.K, x.walk)
+		return x
+	}).(*extrapolator)
+	x.arm(iters)
 	return x
+}
+
+// arm readies x for a measurement of iters iterations. The detector
+// re-takes its base-pipe snapshot: pipes adopted since the last measurement
+// (an allreduce's recycled protocol pipes) join the extrapolated set, and a
+// Reconfigure's new device graph replaces it.
+func (x *extrapolator) arm(iters int) {
+	clear(x.loops)
+	x.loops = x.loops[:0]
+	if cap(x.loops) < x.w.Size() {
+		x.loops = make([]*measureLoop, 0, x.w.Size())
+	}
+	x.iters, x.calls, x.k, x.done = iters, 0, 0, false
+	x.det.Rearm()
+}
+
+// walk is the detector's layer walk: the world's state, then every loop's
+// accumulators.
+func (x *extrapolator) walk(f *sim.FP) {
+	x.w.SteadyState(f)
+	f.I64(int64(len(x.loops)))
+	for _, l := range x.loops {
+		f.MonoTime(&l.elapsed)
+		f.MonoInt(&l.i)
+	}
 }
 
 // attach registers one rank's measure loop. Loops are registered in

@@ -122,3 +122,59 @@ func TestExtrapolationItersScaleFidelity(t *testing.T) {
 		t.Fatalf("32x-iters run skipped only %d of %d iterations", skipped, iters)
 	}
 }
+
+// TestExtrapolatorReusedPerWorld runs alternating allreduce and broadcast
+// measurements on one world: every measurement re-arms the same per-world
+// detector, engages it, and skips exactly as many iterations, at exactly
+// the virtual time, that a fresh world's fresh detector does. The
+// allreduces adopt protocol pipes after the first detector was armed, so
+// later measurements also cover the re-taken base-pipe snapshot.
+func TestExtrapolatorReusedPerWorld(t *testing.T) {
+	cfg := goldenConfig(hw.Quad)
+	measure := func(w *mpi.World, op measureOp) (sim.Time, int64) {
+		t.Helper()
+		switch op {
+		case opAllreduce:
+			w.Tunables.Allreduce = mpi.AllreduceTorusNew
+		default:
+			w.Tunables.Bcast = mpi.BcastTreeShaddr
+		}
+		before := ExtrapolatedIters()
+		got, err := runMeasure(w, op, 4<<10, 8, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, ExtrapolatedIters() - before
+	}
+	fresh := func(op measureOp) (sim.Time, int64) {
+		w, err := mpi.NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return measure(w, op)
+	}
+	w, err := mpi.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var x *extrapolator
+	for i, op := range []measureOp{opAllreduce, opBcast, opAllreduce, opAllreduce, opBcast} {
+		if i > 0 {
+			w.Reset()
+		}
+		got, skipped := measure(w, op)
+		want, wantSkipped := fresh(op)
+		if got != want || skipped != wantSkipped {
+			t.Errorf("measurement %d: %v with %d iterations skipped, fresh world %v with %d",
+				i, got, skipped, want, wantSkipped)
+		}
+		if skipped == 0 {
+			t.Errorf("measurement %d: extrapolation never engaged", i)
+		}
+		sx := w.Scratch(extrapKey, func() any { return nil }).(*extrapolator)
+		if x != nil && sx != x {
+			t.Errorf("measurement %d built a new extrapolator", i)
+		}
+		x = sx
+	}
+}

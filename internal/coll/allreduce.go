@@ -32,15 +32,84 @@ type allreduceState struct {
 	scratch []data.Buf       // node contribution vector (master-owned)
 	result  []data.Buf       // master's receive buffer (the network target)
 	dels    []*ccmi.Delivery
-	proto   []*sim.Pipe    // the master core as protocol processor
 	ready   []*sim.Counter // local ranks that registered their send buffers
 	peer    [][]*sim.Counter
 	stage   [][]*sim.Counter // [node][lrank]: staged bytes DMA-delivered to that core
 
 	sends []data.Buf // per rank: registered send buffers
+
+	// protos are the master cores as protocol processors, one pipe per
+	// node, taken from sc; the last of refs ranks to finish returns them.
+	sc     *allreduceScratch
+	protos *protoSet
+	refs   int
 }
 
 const allreduceKind = "allreduce"
+
+// allreduceScratchKey names the allreduces' per-world scratch.
+var allreduceScratchKey = mpi.NewScratchKey("coll.allreduce")
+
+// allreduceScratch is what the allreduces keep on a world across calls: the
+// released per-node protocol pipe sets. A set is adopted by the kernel once,
+// when it is made, and re-initialized in place by every call that takes it,
+// so a long-lived pooled world registers one set per allreduce in flight at
+// once instead of one per call. Reconfigure drops every registered pipe
+// (Kernel.ReleasePipes); the first call after it sees a new pipe epoch and
+// drops the sets with them.
+type allreduceScratch struct {
+	free  []*protoSet
+	epoch uint32 // the kernel pipe epoch the free sets were adopted under
+}
+
+// protoSet is one allreduce's protocol pipes, one per node, with the
+// pointer view ccmi.Allreduce takes.
+type protoSet struct {
+	pipes []sim.Pipe
+	ptrs  []*sim.Pipe
+}
+
+func newAllreduceScratch() any { return &allreduceScratch{} }
+
+// takeProtos returns a protocol pipe set for this call, every pipe re-
+// initialized at rate: idle, statistics zeroed, exactly as NewPipe leaves a
+// fresh one, so virtual times cannot tell a recycled set from a new one.
+// Names are flyweights ("ar.proto[n]") rendered only on demand.
+func (sc *allreduceScratch) takeProtos(k *sim.Kernel, nodes int, rate float64) *protoSet {
+	if e := k.PipeEpoch(); e != sc.epoch {
+		clear(sc.free)
+		sc.free, sc.epoch = sc.free[:0], e
+	}
+	var ps *protoSet
+	fresh := len(sc.free) == 0
+	if fresh {
+		ps = &protoSet{pipes: make([]sim.Pipe, nodes), ptrs: make([]*sim.Pipe, nodes)}
+	} else {
+		last := len(sc.free) - 1
+		ps = sc.free[last]
+		sc.free[last] = nil
+		sc.free = sc.free[:last]
+	}
+	for n := range ps.pipes {
+		p := &ps.pipes[n]
+		k.InitPipe(p, "ar.proto", int32(n), rate, 0)
+		if fresh {
+			ps.ptrs[n] = p
+			k.AdoptPipe(p)
+		}
+	}
+	return ps
+}
+
+// finish drops one rank's claim on the state; the last one returns its
+// protocol pipes to the world scratch.
+func (st *allreduceState) finish() {
+	st.refs--
+	if st.refs == 0 {
+		st.sc.free = append(st.sc.free, st.protos)
+		st.protos = nil
+	}
+}
 
 // getAllreduceState builds the shared state. protoCores scales the protocol
 // pipe: the current algorithm spreads network combining over the node's MPI
@@ -66,16 +135,20 @@ func newAllreduceShared(r *mpi.Rank, seq int64, bytes int, protoCores float64) *
 			rate = m.Cfg.Params.ReduceDRAMBps
 		}
 		rate *= protoCores
+		sc := r.World().Scratch(allreduceScratchKey, newAllreduceScratch).(*allreduceScratch)
+		protos := sc.takeProtos(m.K, nodes, rate)
 		st := &allreduceState{
 			contrib: make([][]*sim.Counter, nodes),
 			scratch: make([]data.Buf, nodes),
 			result:  make([]data.Buf, nodes),
 			dels:    make([]*ccmi.Delivery, nodes),
-			proto:   make([]*sim.Pipe, nodes),
 			ready:   make([]*sim.Counter, nodes),
 			peer:    make([][]*sim.Counter, nodes),
 			stage:   make([][]*sim.Counter, nodes),
 			sends:   make([]data.Buf, m.Cfg.Ranks()),
+			sc:      sc,
+			protos:  protos,
+			refs:    m.Cfg.Ranks(),
 		}
 		for n := 0; n < nodes; n++ {
 			st.contrib[n] = make([]*sim.Counter, allreduceColors)
@@ -85,7 +158,6 @@ func newAllreduceShared(r *mpi.Rank, seq int64, bytes int, protoCores float64) *
 			st.scratch[n] = data.New(bytes, functional)
 			st.result[n] = data.New(bytes, functional)
 			st.dels[n] = ccmi.NewDelivery(m.K, fmt.Sprintf("ar%d.del%d", seq, n))
-			st.proto[n] = m.K.NewPipe(fmt.Sprintf("ar%d.proto%d", seq, n), rate, 0)
 			st.ready[n] = m.K.NewCounter("ready")
 			st.peer[n] = make([]*sim.Counter, ppn)
 			st.stage[n] = make([]*sim.Counter, ppn)
@@ -115,7 +187,7 @@ func startAllreduceNetwork(r *mpi.Rank, st *allreduceState, bytes int, reduceOnl
 		ContribBufs: st.scratch,
 		ResultBufs:  st.result,
 		Deliveries:  st.dels,
-		ProtoPipes:  st.proto,
+		ProtoPipes:  st.protos.ptrs,
 		ReduceOnly:  reduceOnly,
 	}
 	st.exec.Run()
@@ -128,6 +200,7 @@ func allreduceFinish(r *mpi.Rank, st *allreduceState, seq int64, recv data.Buf, 
 	return func() {
 		installPayload(recv, st.result[r.NodeID()])
 		r.ReleaseWorldShared(seq, allreduceKind)
+		st.finish()
 		done()
 	}
 }
@@ -181,7 +254,7 @@ func reduceShaddr(r *mpi.Rank, send, recv data.Buf, root int, done func()) {
 	switch lr := r.LocalRank(); lr {
 	case 0:
 		// Protocol core: the ccmi schedule charges its combine work to
-		// st.proto[node]; the rank just owns the result buffer and waits.
+		// st.protos; the rank just owns the result buffer and waits.
 		if !takes {
 			finish()
 			return
@@ -564,7 +637,7 @@ func (l *arMasterLoop) step() {
 
 //bgplint:hot
 func (l *arMasterLoop) reserve() {
-	reduceDone := l.st.proto[l.node].Reserve(l.chunks[l.j].Len)
+	reduceDone := l.st.protos.ptrs[l.node].Reserve(l.chunks[l.j].Len)
 	l.p.SleepUntilThen(reduceDone, l.foldedFn)
 }
 

@@ -182,6 +182,12 @@ func BenchmarkBarrier(b *testing.B) {
 		l.r, l.left = r, rounds
 		l.next()
 	}
+	// One untimed run warms the world (arena slabs, per-world scratch), so
+	// allocs/op reads the steady per-run cost at every b.N.
+	if _, err := w.RunProgram(body); err != nil {
+		b.Fatal(err)
+	}
+	w.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

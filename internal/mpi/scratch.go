@@ -1,5 +1,7 @@
 package mpi
 
+import "bgpcoll/internal/sim"
+
 // Per-world scratch: state a collective package keeps on a world across
 // calls — recycled per-call state, per-rank driver slabs — so that a repeat
 // collective on a warmed world allocates nothing. The world owns one slot
@@ -17,7 +19,8 @@ func NewScratchKey(owner string) *ScratchKey { return &ScratchKey{owner: owner} 
 // worldScratch is the per-world state allocated on a world's first use of
 // any of it, so NewWorld allocates none of it and World keeps its size
 // class: the collective packages' scratch slots (Scratch), the barrier
-// states (barrier.go), and the resolved algorithm dispatch (registry.go).
+// states (barrier.go), the resolved algorithm dispatch (registry.go), and
+// the rank slots' bound process entries (Run, RunProgram).
 type worldScratch struct {
 	// keys and vals are the scratch slots in first-use order: a handful of
 	// owners at most, so a linear scan beats any map.
@@ -29,6 +32,30 @@ type worldScratch struct {
 
 	bcast     resolved[ProgBcastFn]
 	allreduce resolved[ProgFn]
+
+	// body is the running Run or RunProgram body, nil between runs.
+	// starts[id] is rank id's bound Rank.start, valid while startsOf is
+	// the rank slab's first element.
+	body     func(r *Rank)
+	starts   []func(*sim.Proc)
+	startsOf *Rank
+}
+
+// rankStarts returns one bound start function per rank of w, rebinding
+// them only when the rank slab grew or moved (Reconfigure onto a larger
+// partition), so repeat runs allocate none.
+func (s *worldScratch) rankStarts(w *World) []func(*sim.Proc) {
+	if len(w.ranks) == 0 {
+		return nil
+	}
+	if len(s.starts) < len(w.ranks) || s.startsOf != &w.ranks[0] {
+		s.starts = make([]func(*sim.Proc), len(w.ranks))
+		for id := range s.starts {
+			s.starts[id] = w.ranks[id].start
+		}
+		s.startsOf = &w.ranks[0]
+	}
+	return s.starts
 }
 
 // state returns w's scratch, allocating it on first use.

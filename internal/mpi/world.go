@@ -131,16 +131,7 @@ func (w *World) Rank(id int) *Rank { return &w.ranks[id] }
 
 // Run executes fn on every rank as a simulated process and drives the
 // simulation until all ranks return. It returns the virtual time consumed.
-func (w *World) Run(fn func(r *Rank)) (sim.Time, error) {
-	for id := range w.ranks {
-		r := &w.ranks[id]
-		r.proc = w.M.K.SpawnIdx("rank%d", int32(r.id), func(p *sim.Proc) {
-			fn(r)
-		})
-	}
-	err := w.M.K.Run()
-	return w.M.K.Now(), err
-}
+func (w *World) Run(fn func(r *Rank)) (sim.Time, error) { return w.run(fn, false) }
 
 // RunProgram executes fn on every rank as a program process: the body must be
 // written in explicit-resume style (BarrierThen, BcastThen, ...) and is done
@@ -149,16 +140,30 @@ func (w *World) Run(fn func(r *Rank)) (sim.Time, error) {
 // the identical bodies run on goroutine processes, where every *Then
 // operation blocks — either way the schedule is the same one Run produces
 // from the blocking transcription.
-func (w *World) RunProgram(fn func(r *Rank)) (sim.Time, error) {
+func (w *World) RunProgram(fn func(r *Rank)) (sim.Time, error) { return w.run(fn, true) }
+
+// run spawns every rank with its slot's bound start function, which runs
+// the body the world holds for this run, so a run allocates no per-rank
+// closure.
+func (w *World) run(fn func(r *Rank), program bool) (sim.Time, error) {
+	s := w.state()
+	starts := s.rankStarts(w)
+	s.body = fn
+	k := w.M.K
 	for id := range w.ranks {
-		r := &w.ranks[id]
-		r.proc = w.M.K.SpawnProgramIdx("rank%d", int32(r.id), func(p *sim.Proc) {
-			fn(r)
-		})
+		if program {
+			w.ranks[id].proc = k.SpawnProgramIdx("rank%d", int32(id), starts[id])
+		} else {
+			w.ranks[id].proc = k.SpawnIdx("rank%d", int32(id), starts[id])
+		}
 	}
-	err := w.M.K.Run()
-	return w.M.K.Now(), err
+	err := k.Run()
+	s.body = nil // the body's captures must not outlive the run
+	return k.Now(), err
 }
+
+// start is the rank slot's process entry: run the world's current body.
+func (r *Rank) start(*sim.Proc) { r.w.scratch.body(r) }
 
 // opKey identifies one collective operation instance at one coordination
 // scope: a node (intra-node shared state) or the whole job (scope -1).

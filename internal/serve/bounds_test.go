@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -146,5 +147,67 @@ func checkCellBounds(t *testing.T, c bench.Cell) {
 	}
 	if c.Iters < 1 || c.Iters > maxIters {
 		t.Errorf("accepted cell with %d iters, bound %d", c.Iters, maxIters)
+	}
+}
+
+// TestParseFigureQuery checks /v1/figure's query validation: plain positive
+// decimals only, and one cell's resolved repetitions within maxIters,
+// including products that would overflow an int.
+func TestParseFigureQuery(t *testing.T) {
+	for _, c := range []struct {
+		name, query string
+		ok          bool
+	}{
+		{"documented fig6", "id=fig6&quick=1&iters=1&racks=1", true},
+		{"documented fig7", "id=fig7&quick=1", true},
+		{"iters at bound", "id=fig7&quick=1&iters=1024", true},
+		{"iters x scale at bound", "id=fig7&quick=1&iters=32&iters_scale=32", true},
+		{"iters past bound", "id=fig7&quick=1&iters=1025", false},
+		{"huge iters", "id=fig7&quick=1&iters=1073741824", false},
+		{"product past bound", "id=fig7&quick=1&iters=33&iters_scale=32", false},
+		{"product overflows", "id=fig7&quick=1&iters=4294967296&iters_scale=4294967296", false},
+		{"scale times default past bound", "id=fig7&quick=1&iters_scale=1024", false},
+		{"trailing junk", "id=fig6&quick=1&iters=3abc", false},
+		{"junk scale", "id=fig6&quick=1&iters_scale=2x", false},
+		{"space-padded iters", "id=fig6&quick=1&iters=+3", false},
+		{"zero iters", "id=fig6&quick=1&iters=0", false},
+		{"negative racks", "id=fig6&quick=1&racks=-1", false},
+		{"unknown rack preset", "id=fig7&quick=1&racks=3", false},
+		{"unknown figure", "id=figs", false},
+	} {
+		q, err := url.ParseQuery(c.query)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		plan, err := parseFigureQuery(q)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+			continue
+		}
+		if err == nil {
+			checkPlanBounds(t, plan)
+		}
+	}
+}
+
+// FuzzFigureQuery drives parseFigureQuery with arbitrary raw query strings
+// (seed corpus in testdata/fuzz/FuzzFigureQuery). It may not panic, and
+// every plan it accepts must stay inside the request bounds.
+func FuzzFigureQuery(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, err := url.ParseQuery(raw)
+		if err != nil {
+			return
+		}
+		if plan, err := parseFigureQuery(q); err == nil {
+			checkPlanBounds(t, plan)
+		}
+	})
+}
+
+func checkPlanBounds(t *testing.T, plan *bench.FigurePlan) {
+	t.Helper()
+	for _, c := range plan.Cells {
+		checkCellBounds(t, c)
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
+	"strconv"
 	"time"
 
 	"bgpcoll/internal/bench"
@@ -325,33 +327,49 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// parseFigureQuery validates a /v1/figure query into its cell plan. iters,
+// iters_scale and racks must be plain positive decimals, and one cell's
+// resolved repetitions — iters (or the figure's default) times iters_scale —
+// may not pass maxIters: tree cells bypass extrapolation and run every
+// iteration. Each factor is bounded before the product is formed, so the
+// check cannot overflow.
+func parseFigureQuery(q url.Values) (*bench.FigurePlan, error) {
+	o := bench.Options{Quick: q.Get("quick") == "1" || q.Get("quick") == "true"}
+	for _, f := range []struct {
+		name string
+		dst  *int
+	}{{"iters", &o.Iters}, {"iters_scale", &o.ItersScale}, {"racks", &o.Racks}} {
+		v := q.Get(f.name)
+		if v == "" {
+			continue
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad %s %q", f.name, v)
+		}
+		*f.dst = n
+	}
+	if o.Iters > maxIters || o.ItersScale > maxIters || max(o.Iters, 1)*max(o.ItersScale, 1) > maxIters {
+		return nil, fmt.Errorf("iters %d x iters_scale %d exceeds %d repetitions", o.Iters, o.ItersScale, maxIters)
+	}
+	plan, err := bench.PlanExperiment(q.Get("id"), o)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range plan.Cells {
+		if c.Iters > maxIters {
+			return nil, fmt.Errorf("%s resolves to %d repetitions per cell, bound %d", c.Experiment, c.Iters, maxIters)
+		}
+	}
+	return plan, nil
+}
+
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	q := r.URL.Query()
-	id := q.Get("id")
-	o := bench.Options{Quick: q.Get("quick") == "1" || q.Get("quick") == "true"}
-	if v := q.Get("iters"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &o.Iters); err != nil || o.Iters <= 0 {
-			httpError(w, http.StatusBadRequest, "bad iters %q", v)
-			return
-		}
-	}
-	if v := q.Get("iters_scale"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &o.ItersScale); err != nil || o.ItersScale <= 0 {
-			httpError(w, http.StatusBadRequest, "bad iters_scale %q", v)
-			return
-		}
-	}
-	if v := q.Get("racks"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &o.Racks); err != nil || o.Racks <= 0 {
-			httpError(w, http.StatusBadRequest, "bad racks %q", v)
-			return
-		}
-	}
-	plan, err := bench.PlanExperiment(id, o)
+	plan, err := parseFigureQuery(r.URL.Query())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

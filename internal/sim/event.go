@@ -24,7 +24,9 @@ type Event struct {
 // NewEvent returns an unfired event, carved from the kernel's arena (see
 // arena.go). The name appears in deadlock reports. Every field is
 // reinitialized here: after a Reset the slot still holds a previous run's
-// state (the waiter slice keeps its capacity on purpose).
+// state. Waiter storage is not kept per slot: a fired event holds none, and
+// the buffer a never-fired event left behind goes back to the kernel's pool
+// (Kernel.waitFree), so a slot does not pin the largest list it ever held.
 func (k *Kernel) NewEvent(name string) *Event {
 	return k.newEvent(plainLabel(name))
 }
@@ -40,8 +42,23 @@ func (k *Kernel) newEvent(name label) *Event {
 	e := k.arena.newEvent()
 	e.k, e.name, e.epoch = k, name, k.epoch
 	e.fired = false
-	e.waiters = e.waiters[:0]
+	if cap(e.waiters) > 0 {
+		k.putWaiters(e.waiters)
+		e.waiters = nil
+	}
 	return e
+}
+
+// addWaiter appends w to the waiter list. The first waiter on an event
+// without a buffer takes one from the kernel's pool, so a warmed kernel's
+// fan-out grows no list.
+//
+//bgplint:hot
+func (e *Event) addWaiter(w entry) {
+	if cap(e.waiters) == 0 {
+		e.waiters = e.k.takeWaiters(0)
+	}
+	e.waiters = append(e.waiters, w)
 }
 
 // check panics when the handle predates the kernel's current epoch: its slab
@@ -57,16 +74,24 @@ func (e *Event) Fired() bool { return e.fired }
 
 // Reserve grows the waiter list's capacity to at least n. Callers that know
 // the subscriber count up front (a barrier event takes one waiter per rank)
-// use it to replace log2(n) doubling copies with one exact allocation; the
-// capacity then survives Kernel.Reset with the slot, like any other waiter
-// slice.
+// use it to replace log2(n) doubling copies with one exact buffer: the
+// pool's top buffer when it is large enough, else a fresh one. A smaller
+// pooled buffer stays in the pool for the events that fit it, and a smaller
+// buffer the event already held goes back there.
 func (e *Event) Reserve(n int) {
 	e.check()
-	if cap(e.waiters) < n {
-		w := make([]entry, len(e.waiters), n)
-		copy(w, e.waiters)
-		e.waiters = w
+	if cap(e.waiters) >= n {
+		return
 	}
+	w := e.k.takeWaiters(n)
+	if w == nil {
+		w = make([]entry, 0, n)
+	}
+	w = append(w, e.waiters...)
+	if cap(e.waiters) > 0 {
+		e.k.putWaiters(e.waiters)
+	}
+	e.waiters = w
 }
 
 // Fire marks the event fired and schedules all waiters at the current virtual
@@ -75,25 +100,29 @@ func (e *Event) Reserve(n int) {
 // The waiters are released as one run-ring batch: the blocked bookkeeping
 // (normally done per-entry in Kernel.wake) runs first, then the whole slice
 // is appended to the ring in a single copy, preserving registration order.
+// The emptied buffer then goes back to the kernel's pool: a fired event
+// takes no further waiters (OnFire schedules directly), so it keeps none.
 func (e *Event) Fire() {
 	e.check()
 	if e.fired {
 		panic("sim: event " + e.name.String() + " fired twice")
 	}
 	e.fired = true
-	if len(e.waiters) == 0 {
+	ws := e.waiters
+	if cap(ws) == 0 {
 		return
 	}
+	e.waiters = nil
 	k := e.k
-	for _, w := range e.waiters {
+	for _, w := range ws {
 		if w.parked() {
 			p := k.procAt(w.idx)
 			k.blocked--
 			p.waitEv, p.waitC = nil, nil
 		}
 	}
-	k.ring.pushBatch(e.waiters)
-	e.waiters = e.waiters[:0]
+	k.ring.pushBatch(ws)
+	k.putWaiters(ws)
 }
 
 // OnFire registers fn to run when the event fires. If the event has already
@@ -104,5 +133,5 @@ func (e *Event) OnFire(fn func()) {
 		e.k.At(e.k.now, fn)
 		return
 	}
-	e.waiters = append(e.waiters, entry{kind: eFn, idx: e.k.newCb(fn)})
+	e.addWaiter(entry{kind: eFn, idx: e.k.newCb(fn)})
 }

@@ -99,6 +99,13 @@ type Kernel struct {
 	// long as the kernel — or until Reset rewinds it.
 	arena arena
 
+	// waitFree pools emptied event waiter buffers (LIFO): Event.Fire returns
+	// its buffer here, a re-carved never-fired slot returns its leftover,
+	// and the first waiter on an event takes the top one. Storage tracks the
+	// events waited on at once, not every slot a run ever carved; entries
+	// are pointer-free, so only the headers are scanned.
+	waitFree [][]entry
+
 	running bool
 
 	// noHandoff forces every yield through the scheduler loop (the
@@ -135,6 +142,9 @@ type Kernel struct {
 	// panics deterministically instead of corrupting the next run (the slab
 	// slot may already belong to someone else).
 	epoch uint32
+
+	// pipeEpoch counts ReleasePipes calls (see PipeEpoch).
+	pipeEpoch uint32
 }
 
 // New returns a kernel with the clock at zero.
@@ -163,11 +173,11 @@ func (k *Kernel) NoExtrap() bool { return k.noExtrap }
 
 // Reset returns the kernel to its post-New state while keeping every
 // allocation it has accumulated: arena slabs, queue and ring capacity, the
-// callback tables, grown waiter lists, and the pipes created on it. Pipes
-// survive with their identity intact (their reservation state rewinds to
-// zero); events, counters, and processes do not — their slab slots will be
-// recarved, so handles from before the Reset are poison, and the epoch stamp
-// makes using one panic deterministically.
+// callback tables, the pooled waiter buffers (waitFree), and the pipes
+// created on it. Pipes survive with their identity intact (their
+// reservation state rewinds to zero); events, counters, and processes do
+// not — their slab slots will be recarved, so handles from before the Reset
+// are poison, and the epoch stamp makes using one panic deterministically.
 //
 // Reset panics if called during Run or while processes are still live: a
 // failed run (deadlock, process panic) leaves parked processes behind, and
@@ -211,6 +221,30 @@ func (k *Kernel) Reset() {
 type addAt struct {
 	c *Counter
 	n int64
+}
+
+// takeWaiters pops the pooled waiter buffer on top of waitFree if its
+// capacity is at least n, else returns nil. Only the top is looked at: a
+// sized request (Event.Reserve) that does not fit allocates rather than
+// consuming a smaller buffer later fan-outs would reuse.
+//
+//bgplint:hot
+func (k *Kernel) takeWaiters(n int) []entry {
+	m := len(k.waitFree)
+	if m == 0 || cap(k.waitFree[m-1]) < n {
+		return nil
+	}
+	w := k.waitFree[m-1]
+	k.waitFree[m-1] = nil
+	k.waitFree = k.waitFree[:m-1]
+	return w
+}
+
+// putWaiters returns an event's waiter buffer, emptied, to waitFree.
+//
+//bgplint:hot
+func (k *Kernel) putWaiters(w []entry) {
+	k.waitFree = append(k.waitFree, w[:0])
 }
 
 // newCb stores fn in the callback table and returns its slot. Slots recycle

@@ -87,7 +87,17 @@ func (k *Kernel) ReleasePipes() {
 	}
 	clear(k.pipes)
 	k.pipes = k.pipes[:0]
+	k.pipeEpoch++
 }
+
+// PipeEpoch counts ReleasePipes calls. A pipe adopted under an earlier
+// epoch is no longer registered, so an owner that recycles adopted pipes
+// across runs (per-operation protocol pipes) compares epochs to learn
+// whether its pipes must be dropped.
+func (k *Kernel) PipeEpoch() uint32 { return k.pipeEpoch }
+
+// Pipes returns the number of pipes registered on the kernel.
+func (k *Kernel) Pipes() int { return len(k.pipes) }
 
 // Name returns the pipe's name.
 func (p *Pipe) Name() string {

@@ -274,7 +274,7 @@ func (p *Proc) WaitThen(ev *Event, cont func()) {
 	p.k.blocked++
 	p.cont = cont
 	p.armed = true
-	ev.waiters = append(ev.waiters, entry{kind: eCont, idx: p.self})
+	ev.addWaiter(entry{kind: eCont, idx: p.self})
 	if !p.inline {
 		p.park()
 		cont()
@@ -328,7 +328,7 @@ func (p *Proc) WaitPlanThen(ev *Event, pl *Plan, cont func()) {
 		p.waitEv = ev
 		p.k.blocked++
 		p.armed = true
-		ev.waiters = append(ev.waiters, entry{kind: eProg, idx: p.self})
+		ev.addWaiter(entry{kind: eProg, idx: p.self})
 	} else if !p.stepPlan() {
 		p.cont = nil
 		cont()

@@ -538,6 +538,20 @@ func NewSteady(k *Kernel, extra func(*FP)) *Steady {
 	return s
 }
 
+// Rearm readies the detector for a new measurement on the same kernel,
+// keeping every buffer it has grown: the capture window empties, the
+// attempt budget refills, and the base-pipe set is snapshotted again, as
+// NewSteady would take it now. A pooled world re-arms one detector per
+// measurement instead of building a fresh one.
+func (s *Steady) Rearm() {
+	n := len(s.k.pipes)
+	for _, f := range s.hist {
+		f.nBasePipes = n
+	}
+	s.histN, s.attempts = 0, 0
+	s.delta, s.period, s.matched = 0, 0, nil
+}
+
 // Capture fingerprints the current state and reports whether it matches a
 // capture from 1..maxSteadyPeriod boundaries back (periodic steady state
 // detected; the smallest period wins). On a match, Delta reports the

@@ -327,3 +327,25 @@ func BenchmarkSteadyFingerprint(b *testing.B) {
 		det.Capture()
 	}
 }
+
+// TestSteadyRearm checks what a re-armed detector starts from: an empty
+// capture window, a refilled attempt budget, and a base-pipe snapshot
+// re-taken from the kernel's current pipes.
+func TestSteadyRearm(t *testing.T) {
+	k := New()
+	k.NewPipe("base", 1e9, 0)
+	det := NewSteady(k, func(f *FP) { f.Refuse("layer says no") })
+	for !det.GaveUp() {
+		det.Capture()
+	}
+	k.NewPipe("adopted", 1e9, 0)
+	det.Rearm()
+	if det.GaveUp() || det.histN != 0 {
+		t.Fatalf("re-armed detector: gave up %v, %d captures in its window", det.GaveUp(), det.histN)
+	}
+	for i, f := range det.hist {
+		if f.nBasePipes != 2 {
+			t.Fatalf("window slot %d snapshots %d base pipes, want 2", i, f.nBasePipes)
+		}
+	}
+}
