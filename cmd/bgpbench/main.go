@@ -128,7 +128,7 @@ func main() {
 	quick := flag.Bool("quick", false, "trim message-size sweeps")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	par := flag.Int("par", 0, "sweep worker count: cells fan across this many goroutines (0 = GOMAXPROCS, 1 = serial)")
-	reference := flag.Bool("reference", false, "run kernels in noProgram reference mode (rank bodies on pooled goroutines); virtual times are identical, only wall-clock differs")
+	reference := flag.Bool("reference", false, "run kernels in noProgram reference mode (one goroutine per rank, plans run step by step); virtual times are identical, only wall-clock differs")
 	gogc := flag.Int("gogc", 0, "set the GC target percentage for the run (0 = leave GOGC as inherited); the effective value is stamped into -benchjson")
 	gomemlimit := flag.Int64("gomemlimit", 0, "set the soft memory limit in bytes for the run (0 = leave GOMEMLIMIT as inherited); the effective value is stamped into -benchjson")
 	benchJSON := flag.String("benchjson", "", "write per-experiment wall-clock times to this JSON file (BENCH_SIM.json)")

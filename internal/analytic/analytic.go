@@ -29,11 +29,20 @@ type Bound struct {
 	Bottleneck string
 }
 
-func pick(cands map[string]sim.Time) Bound {
+// cand is one resource's service demand, a candidate for the bound.
+type cand struct {
+	name string
+	t    sim.Time
+}
+
+// pick returns the largest demand as the bound. Candidates are scanned in
+// the order given and the first maximum wins, so an exact tie always names
+// the same resource.
+func pick(cands ...cand) Bound {
 	var b Bound
-	for name, t := range cands {
-		if t > b.T {
-			b = Bound{T: t, Bottleneck: name}
+	for _, c := range cands {
+		if c.t > b.T {
+			b = Bound{T: c.t, Bottleneck: c.name}
 		}
 	}
 	return b
@@ -77,10 +86,10 @@ func TorusBcastSMP(cfg hw.Config, msg int) Bound {
 	depth := torusColorDepth(cfg.Torus)
 	link := sim.TransferTime(part, p.TorusLinkBps) + sim.Time(depth)*p.TorusHopLatency
 	dma := sim.TransferTime(p.TorusWireBytes(msg), p.DMABps) // root injects the whole message
-	return pick(map[string]sim.Time{
-		"color link stream": link,
-		"root DMA inject":   dma,
-	})
+	return pick(
+		cand{"color link stream", link},
+		cand{"root DMA inject", dma},
+	)
 }
 
 // TorusBcastDirectPut bounds the quad-mode direct-put broadcast: on every
@@ -90,10 +99,10 @@ func TorusBcastDirectPut(cfg hw.Config, msg int) Bound {
 	p := cfg.Params
 	peers := cfg.Mode.ProcsPerNode() - 1
 	dmaBytes := p.TorusWireBytes(msg) + 2*peers*msg
-	return pick(map[string]sim.Time{
-		"node DMA (rx + local puts)": sim.TransferTime(dmaBytes, p.DMABps),
-		"network":                    TorusBcastSMP(cfg, msg).T,
-	})
+	return pick(
+		cand{"node DMA (rx + local puts)", sim.TransferTime(dmaBytes, p.DMABps)},
+		cand{"network", TorusBcastSMP(cfg, msg).T},
+	)
 }
 
 // TorusBcastShaddr bounds the quad-mode shared-address broadcast: the
@@ -105,11 +114,11 @@ func TorusBcastShaddr(cfg hw.Config, msg int) Bound {
 	peers := cfg.Mode.ProcsPerNode() - 1
 	footprint := cfg.Mode.ProcsPerNode() * msg
 	peerCopy := sim.TransferTime(msg, copyRate(p, footprint))
-	return pick(map[string]sim.Time{
-		"network":         TorusBcastSMP(cfg, msg).T,
-		"peer core copy":  peerCopy,
-		"node memory bus": sim.TransferTime(peers*msg, p.BusBps),
-	})
+	return pick(
+		cand{"network", TorusBcastSMP(cfg, msg).T},
+		cand{"peer core copy", peerCopy},
+		cand{"node memory bus", sim.TransferTime(peers*msg, p.BusBps)},
+	)
 }
 
 // TorusBcastFIFO bounds the Bcast-FIFO broadcast: the shared-address terms
@@ -120,11 +129,11 @@ func TorusBcastFIFO(cfg hw.Config, msg int) Bound {
 	footprint := 2 * cfg.Mode.ProcsPerNode() * msg
 	rate := copyRate(p, footprint)
 	stage := sim.TransferTime(msg, rate) // master copy-in; peers copy out in parallel
-	return pick(map[string]sim.Time{
-		"network":           TorusBcastSMP(cfg, msg).T,
-		"FIFO staging copy": stage,
-		"node memory bus":   sim.TransferTime((1+peers)*msg, p.BusBps),
-	})
+	return pick(
+		cand{"network", TorusBcastSMP(cfg, msg).T},
+		cand{"FIFO staging copy", stage},
+		cand{"node memory bus", sim.TransferTime((1+peers)*msg, p.BusBps)},
+	)
 }
 
 // TreeBcastSMP bounds the SMP-mode collective-network broadcast: the tree
@@ -134,10 +143,10 @@ func TreeBcastSMP(cfg hw.Config, msg int) Bound {
 	p := cfg.Params
 	wire := p.TreeWireBytes(msg)
 	depth := cfg.Torus.DX + cfg.Torus.DY + cfg.Torus.DZ
-	return pick(map[string]sim.Time{
-		"tree channel": sim.TransferTime(wire, p.TreeBps) + sim.Time(depth)*p.TreeHopLatency,
-		"core touch":   sim.TransferTime(wire, p.TreeCoreTouchBps),
-	})
+	return pick(
+		cand{"tree channel", sim.TransferTime(wire, p.TreeBps) + sim.Time(depth)*p.TreeHopLatency},
+		cand{"core touch", sim.TransferTime(wire, p.TreeCoreTouchBps)},
+	)
 }
 
 // TreeBcastOneCore bounds the quad-mode algorithms whose master core both
@@ -146,10 +155,10 @@ func TreeBcastSMP(cfg hw.Config, msg int) Bound {
 func TreeBcastOneCore(cfg hw.Config, msg int) Bound {
 	p := cfg.Params
 	wire := p.TreeWireBytes(msg)
-	return pick(map[string]sim.Time{
-		"master core inject+receive": sim.TransferTime(2*wire, p.TreeCoreTouchBps),
-		"tree channel":               TreeBcastSMP(cfg, msg).T,
-	})
+	return pick(
+		cand{"master core inject+receive", sim.TransferTime(2*wire, p.TreeCoreTouchBps)},
+		cand{"tree channel", TreeBcastSMP(cfg, msg).T},
+	)
 }
 
 // TreeBcastShaddr bounds the core-specialized quad algorithm: injection and
@@ -159,10 +168,10 @@ func TreeBcastShaddr(cfg hw.Config, msg int) Bound {
 	p := cfg.Params
 	footprint := cfg.Mode.ProcsPerNode() * msg
 	doubleCopy := sim.TransferTime(2*msg, copyRate(p, footprint))
-	return pick(map[string]sim.Time{
-		"tree channel":      TreeBcastSMP(cfg, msg).T,
-		"rank2 double copy": doubleCopy,
-	})
+	return pick(
+		cand{"tree channel", TreeBcastSMP(cfg, msg).T},
+		cand{"rank2 double copy", doubleCopy},
+	)
 }
 
 // TreeBarrier bounds MPI_Barrier: the global interrupt network releases all
@@ -196,11 +205,11 @@ func AllreduceNew(cfg hw.Config, bytes int) Bound {
 	depth := torusColorDepth(cfg.Torus)
 	linkStream := sim.TransferTime(p.TorusWireBytes(part), p.TorusLinkBps) +
 		sim.Time(2*depth)*p.TorusHopLatency
-	return pick(map[string]sim.Time{
-		"color link stream": linkStream,
-		"local reduce":      sim.TransferTime(2*part, reduceRate),
-		"result copy-out":   sim.TransferTime(bytes, copyRate(p, footprint)),
-	})
+	return pick(
+		cand{"color link stream", linkStream},
+		cand{"local reduce", sim.TransferTime(2*part, reduceRate)},
+		cand{"result copy-out", sim.TransferTime(bytes, copyRate(p, footprint))},
+	)
 }
 
 // BcastBound dispatches to the model for a registered broadcast algorithm

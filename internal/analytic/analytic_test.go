@@ -105,6 +105,27 @@ func TestBottleneckIdentification(t *testing.T) {
 	}
 }
 
+// TestBottleneckTieIsDeterministic forces an exact tie in the one-core tree
+// model: with no hop latency and a core touch rate of twice the channel
+// rate, two touches per wire byte take exactly as long as the channel. The
+// first candidate listed must win on every call.
+func TestBottleneckTieIsDeterministic(t *testing.T) {
+	cfg := crossConfig(hw.Quad)
+	cfg.Params.TreeHopLatency = 0
+	cfg.Params.TreeCoreTouchBps = 2 * cfg.Params.TreeBps
+	const msg = 1 << 20
+	wire := cfg.Params.TreeWireBytes(msg)
+	if core, channel := sim.TransferTime(2*wire, cfg.Params.TreeCoreTouchBps),
+		sim.TransferTime(wire, cfg.Params.TreeBps); core != channel {
+		t.Fatalf("no tie: core %v, channel %v", core, channel)
+	}
+	for i := 0; i < 100; i++ {
+		if b := TreeBcastOneCore(cfg, msg); b.Bottleneck != "master core inject+receive" {
+			t.Fatalf("call %d: tie named %q, want the first candidate", i, b.Bottleneck)
+		}
+	}
+}
+
 // TestBoundsMonotone checks bounds grow with message size.
 func TestBoundsMonotone(t *testing.T) {
 	cfg := crossConfig(hw.Quad)

@@ -33,8 +33,9 @@ type Options struct {
 	// forces the serial path.
 	Workers int
 	// Reference runs every kernel in noProgram reference mode: rank bodies
-	// execute on pooled goroutines instead of as inline programs. Virtual
-	// times are bit-identical either way; only wall-clock differs.
+	// execute on goroutine processes, one goroutine per rank, with every
+	// plan run step by step, instead of as inline programs. Virtual times
+	// are bit-identical either way; only wall-clock differs.
 	Reference bool
 	// NoExtrap disables steady-state iteration extrapolation: every measure
 	// loop executes all of its iterations literally (the reference mode the
@@ -179,7 +180,8 @@ func MeasureBcast(cfg hw.Config, algo string, msg, iters int) (sim.Time, error) 
 // cross-checks.
 type RunMode struct {
 	// Reference puts the kernel in noProgram mode: rank bodies run on
-	// pooled goroutines instead of as inline programs.
+	// goroutine processes, plans step by step, instead of as inline
+	// programs.
 	Reference bool
 	// NoExtrap runs every measure-loop iteration literally instead of
 	// extrapolating from the detected steady state (see extrap.go).

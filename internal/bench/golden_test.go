@@ -190,7 +190,7 @@ func TestGoldenDigests(t *testing.T) {
 
 // TestGoldenProgramReferenceAgree pins the tentpole equivalence at the bench
 // layer: every golden algorithm must measure the identical virtual time
-// whether its ranks run as inline programs or as pooled goroutines
+// whether its ranks run as inline programs or as goroutine processes
 // (reference mode). Wall-clock is the only permitted difference.
 func TestGoldenProgramReferenceAgree(t *testing.T) {
 	cfg := goldenConfig(hw.Quad)

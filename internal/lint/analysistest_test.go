@@ -243,7 +243,7 @@ func TestScopingExemptsOtherPackages(t *testing.T) {
 }
 
 // TestSanctionedGoFileIsExactlyOne ensures the rawgoroutine exemption only
-// covers pool.go in the real sim package: the identical file under another
+// covers proc.go in the real sim package: the identical file under another
 // path is flagged.
 func TestSanctionedGoFileIsExactlyOne(t *testing.T) {
 	pkg, err := testLoader(t).LoadFixture("testdata/rawgoroutine", "bgpcoll/internal/coll")
@@ -254,11 +254,11 @@ func TestSanctionedGoFileIsExactlyOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// pool.go's go statement loses its exemption outside
+	// proc.go's go statement loses its exemption outside
 	// bgpcoll/internal/sim, joining the four always-flagged sites (the
-	// retired proc.go launch site and the program-execution file among them).
+	// retired pool.go launch site and the program-execution file among them).
 	if len(diags) != 5 {
-		t.Errorf("got %d diagnostics, want 5 (the pool.go exemption must be path-specific):", len(diags))
+		t.Errorf("got %d diagnostics, want 5 (the proc.go exemption must be path-specific):", len(diags))
 		for _, d := range diags {
 			t.Logf("  %s", d)
 		}

@@ -9,10 +9,10 @@ import (
 // sanctionedGoFiles maps a simulator-driven package to the files in it
 // allowed to launch goroutines:
 //
-//   - internal/sim/pool.go: the process worker pool launches the goroutines
-//     backing sim.Kernel.Spawn coroutines; a pooled worker only executes
-//     simulation code while holding the virtual-CPU token, and the kernel
-//     hands that token to exactly one goroutine at a time.
+//   - internal/sim/proc.go: Kernel.SpawnIdx launches the goroutine backing
+//     each sim.Kernel.Spawn coroutine; it only executes simulation code
+//     while holding the virtual-CPU token, and the kernel hands that token
+//     to exactly one goroutine at a time.
 //   - internal/bench/parallel.go: the sweep runner fans whole, independent
 //     simulations (one kernel per cell, results merged in fixed cell order)
 //     across a worker pool; no simulation state crosses goroutines.
@@ -28,7 +28,7 @@ import (
 //     hosts the package's one test fan-out helper, so serve tests need no
 //     raw go statements.
 var sanctionedGoFiles = map[string][]string{
-	"bgpcoll/internal/sim":     {"pool.go"},
+	"bgpcoll/internal/sim":     {"proc.go"},
 	"bgpcoll/internal/bench":   {"parallel.go", "heapsampler.go"},
 	"bgpcoll/internal/machine": {"build.go"},
 	"bgpcoll/internal/serve":   {"pool.go"},

@@ -1,19 +1,9 @@
 package sim
 
-// This file mirrors the sanctioned launch site internal/sim/pool.go: the
-// analyzer exempts go statements here (and only here), because the process
-// worker pool launches the goroutines backing Kernel.Spawn coroutines and a
-// pooled worker only executes simulation code while holding the virtual-CPU
-// token.
-type poolWorker struct {
-	gate chan struct{}
-}
-
-func sanctionedPoolLaunch() *poolWorker {
-	w := &poolWorker{gate: make(chan struct{})}
-	go func() {
-		for range w.gate {
-		}
-	}()
-	return w
+// Process goroutines were once checked out of a worker pool in pool.go, the
+// sanctioned launch site of its day. The pool is gone and each process
+// starts its own goroutine from proc.go, so a go statement reappearing here
+// must be flagged.
+func launchFromPool(fn func()) {
+	go fn() // want `raw go statement in a simulator-driven package`
 }

@@ -1,8 +1,19 @@
 package sim
 
-// The sanctioned launch site moved from proc.go to pool.go when process
-// goroutines became pooled: Spawn now checks a worker out of the pool instead
-// of launching one, so a go statement reappearing here must be flagged.
-func spawnOutsidePool(fn func()) {
-	go fn() // want `raw go statement in a simulator-driven package`
+// This file mirrors the sanctioned launch site internal/sim/proc.go: the
+// analyzer exempts go statements here (and only here), because SpawnIdx
+// launches the goroutine backing each Kernel.Spawn coroutine and that
+// goroutine only executes simulation code while holding the virtual-CPU
+// token.
+type proc struct {
+	gate chan struct{}
+}
+
+func sanctionedSpawn(fn func(*proc)) *proc {
+	p := &proc{gate: make(chan struct{})}
+	go func() {
+		<-p.gate
+		fn(p)
+	}()
+	return p
 }

@@ -44,15 +44,10 @@ type Kernel struct {
 	queue radixQueue
 	ring  runRing
 
-	// sched returns the virtual CPU to the scheduler loop. Whichever process
-	// ends a direct-handoff chain sends here; Run receives once per process
-	// resume it initiated.
+	// sched returns the virtual CPU to the scheduler loop: a goroutine
+	// process sends here when it parks or finishes, and Run receives once
+	// per resume it hands out.
 	sched chan struct{}
-
-	// fused is a goroutine process whose plan just ran out on an instant
-	// step (program.go): next() returns it before popping any further entry,
-	// so it continues at exactly that queue position.
-	fused *Proc
 
 	// cur is the process whose continuation or plan next() is running on
 	// its behalf, nil between dispatches. A panic escaping next() while cur
@@ -89,11 +84,6 @@ type Kernel struct {
 
 	failure error
 
-	// cbPanic holds the value of a callback panic caught by recoverNext;
-	// Run re-panics with it, so a callback panic crashes Run whether the
-	// scheduler goroutine or a handing-off process ran the callback.
-	cbPanic any
-
 	// arena holds the kernel's slab allocator for events, counters, and
 	// processes (see arena.go). Everything carved from it lives exactly as
 	// long as the kernel — or until Reset rewinds it.
@@ -108,29 +98,17 @@ type Kernel struct {
 
 	running bool
 
-	// noHandoff forces every yield through the scheduler loop (the
-	// pre-handoff two-rendezvous protocol). It exists for the determinism
-	// stress tests, which compare event orderings with and without the
-	// direct-handoff fast path.
-	noHandoff bool
-
-	// noFuse makes a goroutine process's plan-attached waits run their steps
-	// one operation at a time instead of as queue callbacks (see
-	// Plan.runInline) — the reference semantics the determinism stress tests
-	// compare against.
-	noFuse bool
-
 	// noProgram makes SpawnProgram fall back to goroutine-backed processes
 	// (see program.go): the same process bodies park their goroutines
-	// instead of running as queue callbacks — the reference mode the
-	// determinism stress tests and the CI program-vs-reference bench compare
-	// against.
+	// instead of running as queue callbacks, and their plans run step by
+	// step — the reference mode the determinism stress tests and the CI
+	// program-vs-reference bench compare against.
 	noProgram bool
 
 	// noExtrap disables steady-state iteration extrapolation (steady.go):
 	// Steady.Capture refuses on a noExtrap kernel, so every measure-loop
 	// iteration executes. The full-execution reference vehicle, mirroring
-	// the flags above.
+	// noProgram.
 	noExtrap bool
 
 	// pipes registers every pipe created on this kernel so Reset can rewind
@@ -179,10 +157,11 @@ func (k *Kernel) NoExtrap() bool { return k.noExtrap }
 // not — their slab slots will be recarved, so handles from before the Reset
 // are poison, and the epoch stamp makes using one panic deterministically.
 //
-// Reset panics if called during Run or while processes are still live: a
-// failed run (deadlock, process panic) leaves parked processes behind, and
-// reusing such a kernel would replay unrelated state into the next run. Only
-// kernels whose last Run completed cleanly are resettable; drop the rest.
+// Reset panics if called during Run, while processes are still live, or
+// after a failed run: a failed run (deadlock, process or callback panic) may
+// leave parked processes or half-applied state behind, and reusing such a
+// kernel would replay unrelated state into the next run. Only kernels whose
+// last Run completed cleanly are resettable; drop the rest.
 func (k *Kernel) Reset() {
 	if k.running {
 		panic("sim: Reset during Run")
@@ -190,13 +169,13 @@ func (k *Kernel) Reset() {
 	if len(k.procs) > 0 || k.blocked != 0 {
 		panic("sim: Reset with live processes; only a cleanly finished kernel can be reset")
 	}
+	if k.failure != nil {
+		panic("sim: Reset of a failed kernel; only a cleanly finished kernel can be reset")
+	}
 	k.now = 0
 	k.queue.reset()
 	k.ring.head, k.ring.tail, k.ring.n = 0, 0, 0
-	k.fused = nil
 	k.cur = nil
-	k.failure = nil
-	k.cbPanic = nil
 	// Callback slots hold closures whose captures would otherwise keep the
 	// previous run's garbage alive for the whole next lease.
 	clear(k.cbs)
@@ -391,8 +370,8 @@ func (k *Kernel) runHook(i uint32) {
 
 // wake makes a released waiter runnable at the current instant. For process
 // waiters the blocked bookkeeping happens here, eagerly, so the queued entry
-// is a bare resume that any token holder may execute; the caller (Event.Fire,
-// Counter.release) always holds the token.
+// is a bare resume; the caller (Event.Fire, Counter.release) always holds
+// the token.
 //
 //bgplint:hot
 func (k *Kernel) wake(w entry) {
@@ -404,14 +383,12 @@ func (k *Kernel) wake(w entry) {
 	k.ring.push(w)
 }
 
-// next drives the scheduler under the caller's virtual-CPU token: it pops
-// entries in exact (time, seq) order, runs callbacks inline, advances the
-// clock when the current instant is exhausted, and returns the first
-// goroutine process due to resume: its eCont entry came up, or its plan ran
-// out (Kernel.fused). nil means no runnable work remains (queues drained, or
-// the simulation failed). Both the scheduler loop (Run) and a yielding
-// process (handoff) use this one decision sequence, so who holds the token
-// never changes what executes next.
+// next drives the scheduler: it pops entries in exact (time, seq) order,
+// runs callbacks and inline program steps in place, advances the clock when
+// the current instant is exhausted, and returns the first goroutine process
+// whose eCont entry came up. nil means no runnable work remains (queues
+// drained, or the simulation failed). Only Run's loop calls it, so every
+// callback and inline step runs on the goroutine that called Run.
 //
 //bgplint:hot
 func (k *Kernel) next() *Proc {
@@ -451,50 +428,27 @@ func (k *Kernel) next() *Proc {
 		case eHook:
 			k.runHook(e.idx)
 		}
-		// A callback that completed a goroutine process's plan resumes that
-		// process immediately: its slice belongs at this exact queue position.
-		if p := k.fused; p != nil {
-			k.fused = nil
-			return p
-		}
 	}
 	return nil
 }
 
-// handoff is next() as invoked by a process (or an exiting pool worker)
-// still holding the token: one rendezvous hands the CPU straight to the
-// returned process, and the scheduler goroutine stays parked. Disabled in
-// noHandoff mode. A panic escaping next() stops here rather than unwinding
-// the yielding process's own code (whose defers must not run for another
-// process's or a callback's bug): recoverNext fails the simulation and the
-// token returns to the scheduler.
-func (k *Kernel) handoff() *Proc {
-	if k.noHandoff || k.failure != nil {
-		return nil
-	}
-	defer k.recoverNext()
-	return k.next()
-}
-
-// recoverNext is the one recover frame around each caller of next(): Run's
-// loop and handoff. Code next() runs on a process's behalf (k.cur) fails
-// the run as that process's panic, the error a goroutine body's panic
-// produces. Any other panic came from a callback (eFn, eHook, eAdd): the
-// simulation fails and Run re-panics with the original value, so a callback
-// panic crashes Run whichever goroutine held the token. Either way the
-// interrupted caller gets the zero result: no process to resume.
+// recoverNext is the one recover frame around next(), deferred by Run's
+// loop. Code next() runs on an inline process's behalf (k.cur) fails the run
+// as that process's panic, the error a goroutine body's panic produces. Any
+// other panic came from a callback (eFn, eHook, eAdd): the simulation fails
+// and the panic continues out of Run with its original value.
 func (k *Kernel) recoverNext() {
 	r := recover()
 	if r == nil {
 		return
 	}
-	if p := k.cur; p != nil {
-		k.cur = nil
-		k.fail(procPanicError(p.Name(), r))
-		return
+	p := k.cur
+	k.cur = nil
+	if p == nil {
+		k.fail(fmt.Errorf("sim: callback panicked: %v", r))
+		panic(r)
 	}
-	k.cbPanic = r
-	k.fail(fmt.Errorf("sim: callback panicked: %v", r))
+	k.fail(procPanicError(p.Name(), r))
 }
 
 // fail records a fatal simulation error (process panic).
@@ -506,7 +460,8 @@ func (k *Kernel) fail(err error) {
 
 // Run executes events until the queues drain or a process fails. It returns
 // an error if a process panicked or if processes remain blocked with no
-// pending events (virtual deadlock).
+// pending events (virtual deadlock). A panicking callback panics out of Run
+// after marking the kernel failed.
 func (k *Kernel) Run() error {
 	if k.running {
 		return fmt.Errorf("sim: Run called reentrantly")
@@ -516,13 +471,6 @@ func (k *Kernel) Run() error {
 
 	k.loop()
 	if k.failure != nil {
-		// Callback panics re-panic: they must crash Run, whichever
-		// goroutine held the token when the callback ran. Process panics
-		// return as errors.
-		if r := k.cbPanic; r != nil {
-			k.cbPanic = nil
-			panic(r)
-		}
 		return k.failure
 	}
 	if k.blocked > 0 {
@@ -533,8 +481,7 @@ func (k *Kernel) Run() error {
 
 // loop is Run's scheduler loop: dispatch until no process is due, handing
 // the virtual CPU to each goroutine process next() returns and parking until
-// some process — not necessarily that one, if the token travelled a
-// direct-handoff chain — returns it.
+// that process parks again or finishes.
 func (k *Kernel) loop() {
 	defer k.recoverNext()
 	for k.failure == nil {

@@ -191,9 +191,9 @@ func BenchmarkCounterWake(b *testing.B) {
 	}
 }
 
-// BenchmarkProcYield measures the coroutine handoff: one process sleeping
-// zero-duration b.N times, i.e. two kernel<->process control transfers per
-// iteration.
+// BenchmarkProcYield measures a goroutine process parking and resuming: one
+// process sleeping zero-duration b.N times, i.e. two kernel<->process
+// control transfers per iteration.
 func BenchmarkProcYield(b *testing.B) {
 	k := New()
 	b.ReportAllocs()

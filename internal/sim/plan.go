@@ -2,13 +2,13 @@ package sim
 
 // A Plan is a short program of timed steps — fixed sleeps, serialized
 // resource occupations, counter additions — that a process attaches to a
-// wait (WaitPlanThen, WaitGEPlanThen) so the whole sequence runs while the
-// process stays parked. Without a plan, a per-chunk protocol body like "wait
-// for the counter, poll, copy" activates the process once per step; with
-// one, the kernel executes the intermediate steps as queue callbacks under
-// whichever goroutine holds the virtual-CPU token and resumes the process
-// only after the final step. For a goroutine process each activation saved
-// is a cache-cold goroutine switch, which is why the fusion pays.
+// wait (WaitPlanThen, WaitGEPlanThen). Without a plan, a per-chunk protocol
+// body like "wait for the counter, poll, copy" activates the process once
+// per step. For an inline process a plan runs the whole sequence while the
+// process stays parked: the kernel executes the intermediate steps as queue
+// entries and resumes the body only after the final step, so each step costs
+// no continuation closure. A goroutine process runs the same steps one
+// operation at a time (Plan.runInline).
 //
 // Determinism: a plan is a mechanical transcription of the process slices it
 // replaces. Each step performs its kernel-visible actions (Pipe.Reserve,
@@ -17,9 +17,9 @@ package sim
 // resume, so every queue entry keeps the exact (time, seq) position of the
 // unfused execution. The final timed step schedules the process's
 // continuation; a plan that ends on an instant step continues the body at
-// that exact queue position instead (program.go). The noFuse kernel flag
-// makes goroutine processes run the literal unfused sequence
-// (Plan.runInline), which the determinism stress tests compare against.
+// that exact queue position instead (program.go). Goroutine processes run
+// the literal unfused sequence, which the determinism stress tests and the
+// program-vs-reference benchmark runs compare the fused path against.
 //
 // Plans are built through the owning process's reusable buffer (NewPlan) and
 // are single-shot: attaching one to a wait consumes it.

@@ -5,14 +5,23 @@ import (
 	"testing"
 )
 
-// runBoth executes the same scenario on a fused and a noFuse (reference)
-// kernel and returns both final clocks; callers assert they match, which is
-// the plan contract: fused steps land at exactly the unfused instants.
+// procKinds names the two ways a SpawnProgram body runs: inline, with plans
+// fused into queue entries, and on a goroutine process (noProgram), which
+// runs each plan's steps one operation at a time.
+var procKinds = []struct {
+	name      string
+	noProgram bool
+}{{"inline", false}, {"goroutine", true}}
+
+// runBoth executes the same scenario with inline (fused) and goroutine
+// (unfused) processes and returns both final clocks; callers assert they
+// match, which is the plan contract: fused steps land at exactly the unfused
+// instants. The scenario spawns its processes with SpawnProgram.
 func runBoth(t *testing.T, scenario func(k *Kernel)) (fused, unfused Time) {
 	t.Helper()
-	run := func(noFuse bool) Time {
+	run := func(noProgram bool) Time {
 		k := New()
-		k.noFuse = noFuse
+		k.SetNoProgram(noProgram)
 		scenario(k)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -23,111 +32,117 @@ func runBoth(t *testing.T, scenario func(k *Kernel)) (fused, unfused Time) {
 }
 
 func TestWaitPlanRunsStepsWhileParked(t *testing.T) {
-	k := New()
-	ev := k.NewEvent("go")
-	c := k.NewCounter("sig")
-	var addedAt, resumedAt Time
-	k.Spawn("w", func(p *Proc) {
-		pl := p.NewPlan()
-		pl.Sleep(30 * Nanosecond)
-		pl.Add(c, 1)
-		pl.Sleep(10 * Nanosecond)
-		p.WaitPlanThen(ev, pl, nop)
-		resumedAt = p.Now()
-	})
-	k.Spawn("obs", func(p *Proc) {
-		p.WaitGEThen(c, 1, nop)
-		addedAt = p.Now()
-	})
-	k.At(100*Nanosecond, ev.Fire)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if addedAt != 130*Nanosecond {
-		t.Fatalf("plan Add landed at %v, want 130ns", addedAt)
-	}
-	if resumedAt != 140*Nanosecond {
-		t.Fatalf("process resumed at %v, want 140ns", resumedAt)
+	for _, kind := range procKinds {
+		k := New()
+		k.SetNoProgram(kind.noProgram)
+		ev := k.NewEvent("go")
+		c := k.NewCounter("sig")
+		var addedAt, resumedAt Time
+		k.SpawnProgram("w", func(p *Proc) {
+			pl := p.NewPlan()
+			pl.Sleep(30 * Nanosecond)
+			pl.Add(c, 1)
+			pl.Sleep(10 * Nanosecond)
+			p.WaitPlanThen(ev, pl, func() { resumedAt = p.Now() })
+		})
+		k.SpawnProgram("obs", func(p *Proc) {
+			p.WaitGEThen(c, 1, func() { addedAt = p.Now() })
+		})
+		k.At(100*Nanosecond, ev.Fire)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if addedAt != 130*Nanosecond {
+			t.Fatalf("%s: plan Add landed at %v, want 130ns", kind.name, addedAt)
+		}
+		if resumedAt != 140*Nanosecond {
+			t.Fatalf("%s: process resumed at %v, want 140ns", kind.name, resumedAt)
+		}
 	}
 }
 
 func TestWaitPlanEmptyIsWait(t *testing.T) {
-	k := New()
-	ev := k.NewEvent("go")
-	var at Time
-	k.Spawn("w", func(p *Proc) {
-		p.WaitPlanThen(ev, p.NewPlan(), nop)
-		at = p.Now()
-	})
-	k.At(5*Nanosecond, ev.Fire)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 5*Nanosecond {
-		t.Fatalf("resumed at %v, want 5ns", at)
+	for _, kind := range procKinds {
+		k := New()
+		k.SetNoProgram(kind.noProgram)
+		ev := k.NewEvent("go")
+		var at Time
+		k.SpawnProgram("w", func(p *Proc) {
+			p.WaitPlanThen(ev, p.NewPlan(), func() { at = p.Now() })
+		})
+		k.At(5*Nanosecond, ev.Fire)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if at != 5*Nanosecond {
+			t.Fatalf("%s: resumed at %v, want 5ns", kind.name, at)
+		}
 	}
 }
 
 func TestWaitPlanFiredEventRunsInline(t *testing.T) {
-	k := New()
-	ev := k.NewEvent("done")
-	ev.Fire()
-	var at Time
-	k.Spawn("w", func(p *Proc) {
-		pl := p.NewPlan()
-		pl.Sleep(7 * Nanosecond)
-		p.WaitPlanThen(ev, pl, nop)
-		at = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 7*Nanosecond {
-		t.Fatalf("resumed at %v, want 7ns (inline steps must still run)", at)
+	for _, kind := range procKinds {
+		k := New()
+		k.SetNoProgram(kind.noProgram)
+		ev := k.NewEvent("done")
+		ev.Fire()
+		var at Time
+		k.SpawnProgram("w", func(p *Proc) {
+			pl := p.NewPlan()
+			pl.Sleep(7 * Nanosecond)
+			p.WaitPlanThen(ev, pl, func() { at = p.Now() })
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if at != 7*Nanosecond {
+			t.Fatalf("%s: resumed at %v, want 7ns (inline steps must still run)", kind.name, at)
+		}
 	}
 }
 
 func TestWaitGEPlanSatisfiedRunsInline(t *testing.T) {
-	k := New()
-	c := k.NewCounter("c")
-	c.Add(3)
-	sig := k.NewCounter("sig")
-	var at Time
-	k.Spawn("w", func(p *Proc) {
-		pl := p.NewPlan()
-		pl.Sleep(4 * Nanosecond)
-		pl.Add(sig, 2)
-		p.WaitGEPlanThen(c, 2, pl, nop)
-		at = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 4*Nanosecond || sig.Value() != 2 {
-		t.Fatalf("at = %v, sig = %d; want 4ns, 2", at, sig.Value())
+	for _, kind := range procKinds {
+		k := New()
+		k.SetNoProgram(kind.noProgram)
+		c := k.NewCounter("c")
+		c.Add(3)
+		sig := k.NewCounter("sig")
+		var at Time
+		k.SpawnProgram("w", func(p *Proc) {
+			pl := p.NewPlan()
+			pl.Sleep(4 * Nanosecond)
+			pl.Add(sig, 2)
+			p.WaitGEPlanThen(c, 2, pl, func() { at = p.Now() })
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if at != 4*Nanosecond || sig.Value() != 2 {
+			t.Fatalf("%s: at = %v, sig = %d; want 4ns, 2", kind.name, at, sig.Value())
+		}
 	}
 }
 
-// TestPlanInstantFinalResumeOrder pins the Kernel.fused contract: a plan that
-// exhausts on an instant step resumes its process at exactly the queue
-// position the unfused resume would occupy — before waiters the event
-// released after it.
+// TestPlanInstantFinalResumeOrder pins where a plan that exhausts on an
+// instant step resumes its process: at exactly the queue position the
+// unfused resume occupies, before waiters the event released after it. An
+// inline process continues in place; a goroutine process resumes from its
+// wait's eCont entry and runs the instant step itself.
 func TestPlanInstantFinalResumeOrder(t *testing.T) {
-	for _, noFuse := range []bool{false, true} {
+	for _, kind := range procKinds {
 		k := New()
-		k.noFuse = noFuse
+		k.SetNoProgram(kind.noProgram)
 		ev := k.NewEvent("go")
 		c := k.NewCounter("sig")
 		var order []string
-		k.Spawn("planner", func(p *Proc) {
+		k.SpawnProgram("planner", func(p *Proc) {
 			pl := p.NewPlan()
 			pl.Add(c, 1) // instant final step: no timed tail
-			p.WaitPlanThen(ev, pl, nop)
-			order = append(order, "planner")
+			p.WaitPlanThen(ev, pl, func() { order = append(order, "planner") })
 		})
-		k.Spawn("later", func(p *Proc) {
-			p.WaitThen(ev, nop)
-			order = append(order, "later")
+		k.SpawnProgram("later", func(p *Proc) {
+			p.WaitThen(ev, func() { order = append(order, "later") })
 		})
 		k.At(Nanosecond, ev.Fire)
 		if err := k.Run(); err != nil {
@@ -135,10 +150,10 @@ func TestPlanInstantFinalResumeOrder(t *testing.T) {
 		}
 		want := [2]string{"planner", "later"}
 		if len(order) != 2 || order[0] != want[0] || order[1] != want[1] {
-			t.Fatalf("noFuse=%v: order = %v, want %v", noFuse, order, want)
+			t.Fatalf("%s: order = %v, want %v", kind.name, order, want)
 		}
 		if c.Value() != 1 {
-			t.Fatalf("noFuse=%v: plan Add not applied", noFuse)
+			t.Fatalf("%s: plan Add not applied", kind.name)
 		}
 	}
 }
@@ -148,27 +163,42 @@ func TestPlanBusyMatchesUnfused(t *testing.T) {
 		pipe := k.NewPipe("bus", 2e9, 0)
 		c := k.NewCounter("chunks")
 		// A feeder adds chunks over time; two consumers occupy the shared
-		// pipe per chunk, once fused and once via a contending BusyThen, so
-		// Reserve order (and thus completion times) depends on exact
-		// scheduling instants.
-		k.Spawn("feeder", func(p *Proc) {
-			for i := 0; i < 8; i++ {
-				p.SleepThen(20*Nanosecond, nop)
-				c.Add(1)
+		// pipe per chunk, once through a plan and once via a contending
+		// BusyThen, so Reserve order (and thus completion times) depends on
+		// exact scheduling instants.
+		k.SpawnProgram("feeder", func(p *Proc) {
+			var feed func(i int)
+			feed = func(i int) {
+				if i < 8 {
+					p.SleepThen(20*Nanosecond, func() {
+						c.Add(1)
+						feed(i + 1)
+					})
+				}
 			}
+			feed(0)
 		})
-		k.Spawn("fusedwait", func(p *Proc) {
-			for i := int64(1); i <= 8; i++ {
-				pl := p.NewPlan()
-				pl.Busy(pipe, 4096, 10*Nanosecond)
-				p.WaitGEPlanThen(c, i, pl, nop)
+		k.SpawnProgram("planwait", func(p *Proc) {
+			var wait func(i int64)
+			wait = func(i int64) {
+				if i <= 8 {
+					pl := p.NewPlan()
+					pl.Busy(pipe, 4096, 10*Nanosecond)
+					p.WaitGEPlanThen(c, i, pl, func() { wait(i + 1) })
+				}
 			}
+			wait(1)
 		})
-		k.Spawn("rival", func(p *Proc) {
-			for i := 0; i < 8; i++ {
-				p.SleepThen(15*Nanosecond, nop)
-				p.BusyThen(pipe, 2048, 0, nop)
+		k.SpawnProgram("rival", func(p *Proc) {
+			var contend func(i int)
+			contend = func(i int) {
+				if i < 8 {
+					p.SleepThen(15*Nanosecond, func() {
+						p.BusyThen(pipe, 2048, 0, func() { contend(i + 1) })
+					})
+				}
 			}
+			contend(0)
 		})
 	}
 	fused, unfused := runBoth(t, scenario)
@@ -177,6 +207,9 @@ func TestPlanBusyMatchesUnfused(t *testing.T) {
 	}
 }
 
+// TestPlanStepPanicFailsSimulation: a goroutine process's plan step runs on
+// its own goroutine, so the panic ends that goroutine and removes the
+// process; the failed kernel must still refuse Reset.
 func TestPlanStepPanicFailsSimulation(t *testing.T) {
 	k := New()
 	ev := k.NewEvent("go")
@@ -192,22 +225,25 @@ func TestPlanStepPanicFailsSimulation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "process bad panicked") {
 		t.Fatalf("step panic not surfaced as process failure, err = %v", err)
 	}
-	expectPanic(t, "Reset with live processes", k.Reset)
+	expectPanic(t, "Reset of a failed kernel", k.Reset)
 }
 
 // TestPlanDeadlockNamesParkedProc checks that a process parked on a
-// plan-attached wait still appears in the deadlock report: the waiter entry
-// carries both the continuation and the process.
+// plan-attached wait still appears in the deadlock report, for both process
+// kinds.
 func TestPlanDeadlockNamesParkedProc(t *testing.T) {
-	k := New()
-	ev := k.NewEvent("never")
-	k.Spawn("stuckplan", func(p *Proc) {
-		pl := p.NewPlan()
-		pl.Sleep(Nanosecond)
-		p.WaitPlanThen(ev, pl, nop)
-	})
-	err := k.Run()
-	if err == nil || !strings.Contains(err.Error(), "stuckplan") || !strings.Contains(err.Error(), "never") {
-		t.Fatalf("deadlock report %v does not name the plan-parked process", err)
+	for _, kind := range procKinds {
+		k := New()
+		k.SetNoProgram(kind.noProgram)
+		ev := k.NewEvent("never")
+		k.SpawnProgram("stuckplan", func(p *Proc) {
+			pl := p.NewPlan()
+			pl.Sleep(Nanosecond)
+			p.WaitPlanThen(ev, pl, nop)
+		})
+		err := k.Run()
+		if err == nil || !strings.Contains(err.Error(), "stuckplan") || !strings.Contains(err.Error(), "never") {
+			t.Fatalf("%s: deadlock report %v does not name the plan-parked process", kind.name, err)
+		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Proc is a simulated process scheduled by its kernel: a coroutine backed by
-// a pooled goroutine (Spawn, see pool.go) or an inline program with no
-// goroutine (SpawnProgram, see program.go). Exactly one process body
+// its own goroutine (Spawn) or an inline program with no goroutine
+// (SpawnProgram, see program.go). Exactly one process body
 // executes at a time per kernel, so process code may freely touch simulation
 // state without locking. A process consumes virtual time only through the
 // explicit-resume operations in program.go (SleepThen, WaitThen, ...).
@@ -31,11 +31,11 @@ type Proc struct {
 	armed  bool
 	cont   func()
 
-	// gate receives the virtual-CPU token: the kernel (or a directly
-	// handing-off peer process) sends to resume the process. The channel is
-	// owned by the backing pool worker and outlives the Proc; the Proc
-	// itself is a single-use handle, so no per-spawn state can leak across
-	// pool reuses. nil for inline program processes.
+	// gate receives the virtual-CPU token: Run's loop sends to resume the
+	// process's goroutine. It is made on the slot's first goroutine spawn
+	// and kept with the slot, like startFn: a slot is re-carved only after a
+	// clean Reset, when every goroutine that received on it has exited.
+	// Inline program processes never use it.
 	gate chan struct{}
 
 	// Blocked-on state for deadlock reporting. At most one is non-nil; the
@@ -85,12 +85,10 @@ func procPanicError(name string, r any) error {
 	return fmt.Errorf("sim: process %s panicked: %v\n%s", name, r, debug.Stack())
 }
 
-// Spawn creates a process running fn and schedules its
-// first execution at the current virtual time. fn runs to completion unless
-// it panics, which aborts the whole simulation with an error from
-// Kernel.Run. The backing goroutine comes from the shared worker pool, so
-// repeated Kernel instances reuse parked goroutines (and their grown
-// stacks) instead of spawning fresh ones.
+// Spawn creates a process running fn on a goroutine of its own and
+// schedules its first execution at the current virtual time. fn runs to
+// completion unless it panics, which aborts the whole simulation with an
+// error from Kernel.Run. The goroutine exits when fn returns.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return k.SpawnIdx(name, -1, fn)
 }
@@ -99,14 +97,20 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // name lazily as fmt.Sprintf(format, id) (id >= 0; a negative id makes
 // format the plain name), so spawning a million ranks formats no name
 // strings. Scheduling is identical to Spawn.
+//
+// This is the one goroutine launch site in package sim (enforced by the
+// bgplint rawgoroutine analyzer): the goroutine executes simulation code
+// only while it holds the virtual-CPU token its gate carries, so it adds no
+// real concurrency to the kernel.
 func (k *Kernel) SpawnIdx(format string, id int32, fn func(p *Proc)) *Proc {
 	p := k.carveProc(format, id)
-	w := getWorker()
-	p.gate = w.gate
-	w.p, w.fn = p, fn
+	if p.gate == nil {
+		p.gate = make(chan struct{})
+	}
 	p.idx = len(k.procs)
 	k.procs = append(k.procs, p.self)
 	k.ring.push(entry{kind: eCont, idx: p.self})
+	go p.exec(fn)
 	return p
 }
 
@@ -114,12 +118,11 @@ func (k *Kernel) SpawnIdx(format string, id int32, fn func(p *Proc)) *Proc {
 // every field a previous lease may have left behind (slots are reused after
 // Kernel.Reset). The program frame is cleared in resetFrame (program.go),
 // the one file allowed to touch those fields; the plan keeps its step-buffer
-// capacity.
+// capacity and the slot keeps its gate.
 func (k *Kernel) carveProc(format string, id int32) *Proc {
 	p, self := k.arena.newProc()
 	p.k, p.name = k, label{s: format, a: id, b: -1}
 	p.self, p.epoch = self, k.epoch
-	p.gate = nil
 	p.waitEv, p.waitC, p.waitGE = nil, nil, 0
 	p.plan.steps = p.plan.steps[:0]
 	p.plan.i = 0
@@ -127,12 +130,12 @@ func (k *Kernel) carveProc(format string, id int32) *Proc {
 	return p
 }
 
-// exec runs the process body on its pool worker, converting panics into a
-// simulation failure and dropping the finished process from the deadlock-
-// report set. The worker still holds the kernel's virtual-CPU token
-// throughout, so the kernel's state is ours to touch; the token is passed on
-// by the worker loop immediately after exec returns.
+// exec is a goroutine process's whole life: wait for the first token, run
+// the body, convert a panic into a simulation failure, drop the finished
+// process from the deadlock-report set, and hand the token back to Run's
+// loop as the goroutine's last act.
 func (p *Proc) exec(fn func(p *Proc)) {
+	<-p.gate
 	defer func() {
 		if r := recover(); r != nil {
 			p.k.fail(procPanicError(p.Name(), r))
@@ -143,29 +146,15 @@ func (p *Proc) exec(fn func(p *Proc)) {
 		k.procs[p.idx] = moved
 		k.procAt(moved).idx = p.idx
 		k.procs = k.procs[:last]
+		k.sched <- struct{}{}
 	}()
 	fn(p)
 }
 
-// yield releases the virtual CPU and blocks the goroutine until the next
-// resume. The yielding process first drives the kernel's scheduler itself
-// (handoff): callbacks due before the next process resume run right here,
-// the clock advances if needed, and the token then goes straight to the next
-// runnable process — one rendezvous, scheduler goroutine not involved. If
-// that process is this one (e.g. a SleepThen(0) queued behind nothing), yield
-// keeps the CPU and returns immediately. Only when no process is runnable
-// (queues drained, noHandoff mode, or failure) does the token return to
-// the kernel's scheduler loop.
+// yield hands the virtual CPU back to Run's loop and blocks the goroutine
+// until the loop dispatches the process's next resume.
 func (p *Proc) yield() {
-	q := p.k.handoff()
-	if q == p {
-		return
-	}
-	if q != nil {
-		q.gate <- struct{}{}
-	} else {
-		p.k.sched <- struct{}{}
-	}
+	p.k.sched <- struct{}{}
 	<-p.gate
 }
 

@@ -8,16 +8,16 @@
 // kinds differ only in where the continuation runs:
 //
 //   - An inline (program) process has no goroutine. The kernel runs its
-//     body and every continuation as queue callbacks under whichever
-//     goroutine holds the virtual-CPU token, so a rank whose body is
-//     program-expressible never touches a channel, a pool worker, or the Go
-//     scheduler.
+//     body and every continuation as queue callbacks on Run's goroutine, so
+//     a rank whose body is program-expressible never touches a channel or
+//     the Go scheduler.
 //   - A goroutine process (Kernel.Spawn, or SpawnProgram in noProgram mode)
-//     arms the identical entry and then parks its goroutine. When the entry
-//     is dispatched, next() returns the process (directly for an eCont
-//     entry, through Kernel.fused when a plan runs out) and the process runs
-//     the stored continuation on its own stack. Blocking code passes a no-op
-//     continuation and carries on after the call.
+//     arms the identical eCont entry and then parks its goroutine. When the
+//     entry is dispatched, next() returns the process and it runs the stored
+//     continuation on its own stack. Blocking code passes a no-op
+//     continuation and carries on after the call. Its plans run step by step
+//     (Plan.runInline): the goroutine vehicle is the literal reference the
+//     fused plans of inline processes are checked against.
 //
 // Determinism: the entries land at the same instants and positions for both
 // kinds, so the kind never changes what executes when:
@@ -26,12 +26,13 @@
 //     and BusyThen return without scheduling when the deadline has passed.
 //   - WaitThen/WaitGEThen append a waiter; the fired/satisfied fast paths
 //     run the continuation in place.
-//   - WaitPlanThen/WaitGEPlanThen step the attached plan from its waiter
-//     entry. Instant steps run in place, a timed step schedules the next
-//     step, and the last timed step schedules the continuation. A plan that
-//     runs out on instant steps continues the body at that exact queue
-//     position: in place for an inline process, through Kernel.fused for a
-//     goroutine.
+//   - WaitPlanThen/WaitGEPlanThen on an inline process step the attached
+//     plan from its waiter entry. Instant steps run in place, a timed step
+//     schedules the next step, and the last timed step schedules the
+//     continuation. A plan that runs out on instant steps continues the body
+//     in place, at that exact queue position. A goroutine process waits and
+//     then runs the same steps as SleepThen/BusyThen/Add calls, which arm
+//     the same entries at the same positions.
 //
 // Callbacks run inline inside Kernel.next and the ring drains in FIFO order,
 // so a continuation executing at its pop position is observationally
@@ -110,21 +111,17 @@ func (p *Proc) runCont() {
 	}
 }
 
-// runProg is the kernel's dispatch for an eProg entry: disarm and step the
-// process's plan. A plan that runs out on instant steps continues the body
-// at this queue position — in place for an inline process (which retires if
-// it parked nowhere new), through Kernel.fused for a goroutine. A panicking
-// step fails the simulation like a process panic: next() names the process
-// in Kernel.cur, and the caller's recover frame reports it.
+// runProg is the kernel's dispatch for an eProg entry, which only inline
+// processes arm: disarm and step the process's plan. A plan that runs out on
+// instant steps continues the body in place, at this queue position, and the
+// program retires if it parked nowhere new. A panicking step fails the
+// simulation like a process panic: next() names the process in Kernel.cur,
+// and Run's recover frame reports it.
 //
 //bgplint:hot
 func (p *Proc) runProg() {
 	p.armed = false
 	if p.stepPlan() {
-		return
-	}
-	if !p.inline {
-		p.k.fused = p
 		return
 	}
 	p.resume()
@@ -303,11 +300,12 @@ func (p *Proc) WaitGEThen(c *Counter, v int64, cont func()) {
 	}
 }
 
-// WaitPlanThen blocks on ev, runs pl while the process stays parked, then
-// continues with cont. With no plan steps it is exactly WaitThen. If ev has
-// already fired the plan steps from here, scheduling exactly where the
-// unfused slice would have; a plan that runs out on instant steps continues
-// in place.
+// WaitPlanThen blocks on ev, runs pl, then continues with cont. With no
+// plan steps it is exactly WaitThen. An inline process stays parked while
+// the kernel steps the plan; if ev has already fired the plan steps from
+// here, scheduling exactly where the unfused slice would have, and a plan
+// that runs out on instant steps continues in place. A goroutine process
+// runs the steps one operation at a time (Plan.runInline).
 //
 //bgplint:hot
 func (p *Proc) WaitPlanThen(ev *Event, pl *Plan, cont func()) {
@@ -315,7 +313,7 @@ func (p *Proc) WaitPlanThen(ev *Event, pl *Plan, cont func()) {
 		p.WaitThen(ev, cont)
 		return
 	}
-	if p.k.noFuse && !p.inline {
+	if !p.inline {
 		p.WaitThen(ev, nop)
 		pl.runInline(p)
 		cont()
@@ -332,17 +330,12 @@ func (p *Proc) WaitPlanThen(ev *Event, pl *Plan, cont func()) {
 	} else if !p.stepPlan() {
 		p.cont = nil
 		cont()
-		return
-	}
-	if !p.inline {
-		p.park()
-		cont()
 	}
 }
 
-// WaitGEPlanThen blocks until c reaches at least v, runs pl while the
-// process stays parked, then continues with cont. With no plan steps it is
-// exactly WaitGEThen.
+// WaitGEPlanThen blocks until c reaches at least v, runs pl, then
+// continues with cont, with WaitPlanThen's split between the process kinds.
+// With no plan steps it is exactly WaitGEThen.
 //
 //bgplint:hot
 func (p *Proc) WaitGEPlanThen(c *Counter, v int64, pl *Plan, cont func()) {
@@ -350,7 +343,7 @@ func (p *Proc) WaitGEPlanThen(c *Counter, v int64, pl *Plan, cont func()) {
 		p.WaitGEThen(c, v, cont)
 		return
 	}
-	if p.k.noFuse && !p.inline {
+	if !p.inline {
 		p.WaitGEThen(c, v, nop)
 		pl.runInline(p)
 		cont()
@@ -366,11 +359,6 @@ func (p *Proc) WaitGEPlanThen(c *Counter, v int64, pl *Plan, cont func()) {
 		c.wait(v, entry{kind: eProg, idx: p.self})
 	} else if !p.stepPlan() {
 		p.cont = nil
-		cont()
-		return
-	}
-	if !p.inline {
-		p.park()
 		cont()
 	}
 }
@@ -421,7 +409,7 @@ func (p *Proc) stepPlan() bool {
 
 // runInline executes the plan step by step through the operations above
 // with no-op continuations — the literal unfused sequence the fused path
-// transcribes. Goroutine processes use it in noFuse reference mode.
+// transcribes. Goroutine processes run every plan this way.
 func (pl *Plan) runInline(p *Proc) {
 	for i := range pl.steps {
 		s := &pl.steps[i]

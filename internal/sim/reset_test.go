@@ -160,6 +160,28 @@ func TestResetRefusesLiveProcs(t *testing.T) {
 	expectPanic(t, "Reset with live processes", func() { k.Reset() })
 }
 
+// TestResetRefusesFailedKernel: a failed run with no process left behind —
+// a lone goroutine process whose body panicked and exited, or a callback
+// that panicked out of Run — must still refuse Reset, which would otherwise
+// clear the failure and hand the kernel's half-applied state to the next
+// lease.
+func TestResetRefusesFailedKernel(t *testing.T) {
+	k := New()
+	k.Spawn("bad", func(p *Proc) {
+		p.SleepThen(Nanosecond, nop)
+		panic("boom")
+	})
+	if err := k.Run(); err == nil || !strings.Contains(err.Error(), "process bad panicked: boom") {
+		t.Fatalf("got %v, want process-panic failure", err)
+	}
+	expectPanic(t, "Reset of a failed kernel", k.Reset)
+
+	k = New()
+	k.At(Nanosecond, func() { panic("boom") })
+	expectPanic(t, "boom", func() { _ = k.Run() })
+	expectPanic(t, "Reset of a failed kernel", k.Reset)
+}
+
 // TestResetDuringRunPanics: Reset from inside a callback would rewind the
 // clock mid-simulation.
 func TestResetDuringRunPanics(t *testing.T) {

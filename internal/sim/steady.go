@@ -389,14 +389,10 @@ func (f *FP) entryCanon(k *Kernel, e entry) {
 // steadyWalk hashes the kernel's observable scheduling state: pending ring
 // entries in FIFO order, pending queue entries in (time, seq) order with
 // boundary-relative times, every registered process, and the machine's base
-// pipes. Failed kernels and in-flight fused resumes refuse.
+// pipes. Failed kernels refuse.
 func (k *Kernel) steadyWalk(f *FP) {
 	if k.noExtrap {
 		f.Refuse("noExtrap reference mode")
-		return
-	}
-	if k.fused != nil {
-		f.Refuse("fused resume pending")
 		return
 	}
 	if k.failure != nil {

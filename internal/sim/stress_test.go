@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -10,17 +11,14 @@ import (
 // The stress tests generate a randomized pipeline workload from a seed and
 // run it under every scheduling mode the kernel supports:
 //
-//   - direct handoff + fused plans + inline programs (the production
-//     configuration)
-//   - noHandoff: every yield through the kernel goroutine (two rendezvous)
-//   - noFuse: a goroutine process's plan-attached waits run their steps one
-//     operation at a time
-//   - noProgram: SpawnProgram bodies run on goroutine-backed processes
-//   - every combination of the three reference modes
+//   - inline programs with fused plans (the production configuration)
+//   - noProgram: SpawnProgram bodies run on goroutine-backed processes,
+//     whose plan-attached waits run their steps one operation at a time
+//   - noExtrap: no steady-state detector is armed
+//   - both reference modes together
 //
-// The modes are pure transport/fusion/execution changes; the (time, seq)
-// event order must be bit-identical, so the recorded traces must match
-// exactly.
+// The modes are pure execution changes; the (time, seq) event order must be
+// bit-identical, so the recorded traces must match exactly.
 
 type stressRec struct {
 	proc  int
@@ -31,46 +29,30 @@ type stressRec struct {
 // stressMode names one kernel scheduling configuration.
 type stressMode struct {
 	name      string
-	noHandoff bool
-	noFuse    bool
 	noProgram bool
 	noExtrap  bool
 }
 
-// stressModes is the full {handoff, fuse, program, extrap} matrix; the
-// production configuration comes first and is the comparison base. In the
-// extrap modes a live Steady detector fingerprints the kernel every round
-// (the workload is aperiodic, so it never matches): the matrix pins that
-// fingerprint captures are observably side-effect-free, since the noextrap
-// modes run without any detector and every trace must stay bit-identical.
+// stressModes is the full {program, extrap} matrix; the production
+// configuration comes first and is the comparison base. In the extrap modes
+// a live Steady detector fingerprints the kernel every round (the workload
+// is aperiodic, so it never matches): the matrix pins that fingerprint
+// captures are observably side-effect-free, since the noextrap modes run
+// without any detector and every trace must stay bit-identical.
 var stressModes = func() []stressMode {
 	var ms []stressMode
 	for _, noExtrap := range []bool{false, true} {
 		for _, noProgram := range []bool{false, true} {
-			for _, noFuse := range []bool{false, true} {
-				for _, noHandoff := range []bool{false, true} {
-					name := "handoff"
-					if noHandoff {
-						name = "kernel-mediated"
-					}
-					if noFuse {
-						name += "+unfused"
-					} else {
-						name += "+fuse"
-					}
-					if noProgram {
-						name += "+goroutine-programs"
-					} else {
-						name += "+program"
-					}
-					if noExtrap {
-						name += "+noextrap"
-					} else {
-						name += "+extrap"
-					}
-					ms = append(ms, stressMode{name: name, noHandoff: noHandoff, noFuse: noFuse, noProgram: noProgram, noExtrap: noExtrap})
-				}
+			name := "program"
+			if noProgram {
+				name = "goroutine-programs"
 			}
+			if noExtrap {
+				name += "+noextrap"
+			} else {
+				name += "+extrap"
+			}
+			ms = append(ms, stressMode{name: name, noProgram: noProgram, noExtrap: noExtrap})
 		}
 	}
 	return ms
@@ -97,7 +79,7 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 		rounds = 20
 	)
 	rng := rand.New(rand.NewSource(seed))
-	k.noHandoff, k.noFuse, k.noProgram, k.noExtrap = mode.noHandoff, mode.noFuse, mode.noProgram, mode.noExtrap
+	k.noProgram, k.noExtrap = mode.noProgram, mode.noExtrap
 	// In extrap modes, fingerprint the kernel at every round boundary of
 	// proc 0. The aperiodic workload never matches, so nothing is ever
 	// extrapolated; the capture itself must leave no observable trace.
@@ -316,9 +298,9 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 	return trace
 }
 
-// TestStressModeEquivalence is the scheduler's determinism obligation: the
-// direct-handoff fast path and fused plans must not change what executes
-// when, only which goroutine drives it.
+// TestStressModeEquivalence is the scheduler's determinism obligation:
+// inline programs, fused plans and steady-state captures must not change
+// what executes when, only how it is driven.
 func TestStressModeEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		base := stressTrace(t, seed, stressModes[0])
@@ -342,8 +324,8 @@ func TestStressModeEquivalence(t *testing.T) {
 }
 
 // TestStressRerunStable re-runs one workload in the production mode and
-// requires identical traces: pooled goroutine reuse across kernels must not
-// leak state into scheduling decisions.
+// requires identical traces: nothing a finished kernel leaves behind may
+// leak into a later kernel's scheduling decisions.
 func TestStressRerunStable(t *testing.T) {
 	const seed = 42
 	a := stressTrace(t, seed, stressModes[0])
@@ -363,8 +345,7 @@ func TestStressRerunStable(t *testing.T) {
 func TestDeadlockReportIdenticalAcrossModes(t *testing.T) {
 	build := func(mode stressMode) error {
 		k := New()
-		k.noHandoff, k.noFuse, k.noProgram, k.noExtrap =
-			mode.noHandoff, mode.noFuse, mode.noProgram, mode.noExtrap
+		k.noProgram, k.noExtrap = mode.noProgram, mode.noExtrap
 		c := k.NewCounter("starved")
 		ev := k.NewEvent("missing")
 		k.Spawn("waiter.ev", func(p *Proc) {
@@ -412,10 +393,11 @@ func TestDeadlockReportIdenticalAcrossModes(t *testing.T) {
 	}
 }
 
-// TestPooledProcReuseAcrossKernels spins many short kernels so procs reuse
-// parked pool workers, then deadlocks one: stale worker state must neither
-// corrupt scheduling nor the deadlock report.
-func TestPooledProcReuseAcrossKernels(t *testing.T) {
+// TestGoroutineProcsExitAcrossKernels runs many short kernels of goroutine
+// processes and requires the goroutine count to return to its baseline: a
+// process goroutine exits when its body returns, so clean kernels leak none.
+func TestGoroutineProcsExitAcrossKernels(t *testing.T) {
+	base := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		k := New()
 		c := k.NewCounter("c")
@@ -430,14 +412,14 @@ func TestPooledProcReuseAcrossKernels(t *testing.T) {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
-	if n := pooledWorkers(); n == 0 {
-		t.Fatal("no workers parked in the pool after repeated kernels")
+	// A finished process hands the token back as its goroutine's last act,
+	// so the goroutine may still be unwinding when Run returns.
+	n := runtime.NumGoroutine()
+	for tries := 0; n > base && tries < 10000; tries++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
 	}
-	k := New()
-	ev := k.NewEvent("nope")
-	k.Spawn("reused.stuck", func(p *Proc) { p.WaitThen(ev, nop) })
-	err := k.Run()
-	if err == nil || !strings.Contains(err.Error(), "reused.stuck(event:nope)") {
-		t.Fatalf("deadlock on a pooled proc misreported: %v", err)
+	if n > base {
+		t.Fatalf("%d goroutines after 50 clean kernels, %d before", n, base)
 	}
 }
