@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bgpcoll/internal/hw"
+	"bgpcoll/internal/machine"
 	"bgpcoll/internal/mpi"
 	"bgpcoll/internal/sim"
 )
@@ -128,7 +129,7 @@ func TestExtrapolationItersScaleFidelity(t *testing.T) {
 // detector, engages it, and skips exactly as many iterations, at exactly
 // the virtual time, that a fresh world's fresh detector does. The
 // allreduces adopt protocol pipes after the first detector was armed, so
-// later measurements also cover the re-taken base-pipe snapshot.
+// later measurements also cover pipes the detector did not see at first.
 func TestExtrapolatorReusedPerWorld(t *testing.T) {
 	cfg := goldenConfig(hw.Quad)
 	measure := func(w *mpi.World, op measureOp) (sim.Time, int64) {
@@ -176,5 +177,39 @@ func TestExtrapolatorReusedPerWorld(t *testing.T) {
 			t.Errorf("measurement %d built a new extrapolator", i)
 		}
 		x = sx
+	}
+}
+
+// TestExtrapolatedCellReportsFullPipeStatistics checks that extrapolation
+// reproduces every pipe statistic, not only virtual times: a fresh world
+// grows its torus links during its first measurement, after the detector
+// is armed, and every one of them must still be extrapolated. The
+// allreduce's machine.Report must equal the fully executed one field for
+// field (it used to show 189 KB of torus bytes against 504 KB).
+func TestExtrapolatedCellReportsFullPipeStatistics(t *testing.T) {
+	measure := func(noExtrap bool) (sim.Time, machine.Report, int64) {
+		t.Helper()
+		w, err := mpi.NewWorld(goldenConfig(hw.Quad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Tunables.Allreduce = mpi.AllreduceTorusNew
+		before := ExtrapolatedIters()
+		got, err := runMeasure(w, opAllreduce, 4<<10, 8, noExtrap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, w.M.Report(w.M.K.Now()), ExtrapolatedIters() - before
+	}
+	got, rep, skipped := measure(false)
+	want, wantRep, _ := measure(true)
+	if skipped == 0 {
+		t.Fatal("extrapolation never engaged")
+	}
+	if got != want {
+		t.Fatalf("extrapolated %v, fully executed %v", got, want)
+	}
+	if rep != wantRep {
+		t.Errorf("extrapolated report %+v\nfully executed report %+v", rep, wantRep)
 	}
 }

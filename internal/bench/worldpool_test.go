@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"bgpcoll/internal/geometry"
@@ -249,6 +250,46 @@ func TestPoolCrossConfigLeasing(t *testing.T) {
 	for i, v := range got {
 		if v != base[i%len(cells)] {
 			t.Errorf("%s (parallel job %d): got %v, baseline %v", cells[i%len(cells)].name, i, v, base[i%len(cells)])
+		}
+	}
+	DrainWorldPool()
+}
+
+// TestPooledAllreduceRetention is the retention table of the allreduce
+// cells: a pooled world that has run 50 identical allreduce cells retains
+// exactly the heap it retained after the first. Each call used to leak
+// one protocol pipe per node into the kernel, and per-call counters pinned
+// the waiter storage of their arena slots; anything a cell leaves behind
+// for good shows up here as growth. The cells run fully executed: the
+// steady-state detector grows its capture window over its first few
+// measurements by design (at most seven fingerprint slots). The first
+// cells also settle a few free-list headers (under 256 B on a 4x4x2 quad
+// world), so the bound is 1 KiB: a per-cell leak of 21 B exceeds it.
+func TestPooledAllreduceRetention(t *testing.T) {
+	cfg := goldenConfig(hw.Quad)
+	cfg.Torus = geometry.Torus{DX: 4, DY: 4, DZ: 2}
+	for _, algo := range []string{mpi.AllreduceTorusNew, mpi.AllreduceTorusCurrent} {
+		DrainWorldPool()
+		cell := func() {
+			if _, err := MeasureAllreduceRun(cfg, algo, 16<<10, 4, RunMode{NoExtrap: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		retained := func() uint64 {
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			return ms.HeapAlloc
+		}
+		cell()
+		one := retained()
+		for i := 1; i < 50; i++ {
+			cell()
+		}
+		if fifty := retained(); fifty > one+1<<10 {
+			t.Errorf("%s: a pooled world retains %d B after 50 cells, %d B after 1 (+%d B)",
+				algo, fifty, one, fifty-one)
 		}
 	}
 	DrainWorldPool()

@@ -43,44 +43,52 @@ type Allreduce struct {
 	// ReduceOnly skips the broadcast-down phase: reduced chunks are
 	// delivered to the root node only (MPI_Reduce).
 	ReduceOnly bool
+
+	rootID int
+	runs   []colorReduce // one per color, re-armed by every Run
 }
 
 // Run starts the network schedule; it returns immediately and progresses
 // event-driven as contributions become ready.
+//
+// Like Bcast, an Allreduce may be Run again once its previous schedule has
+// delivered everything: its color runs, chunk states and stage handlers are
+// re-armed in place.
 func (a *Allreduce) Run() {
-	rootID := a.M.Geom.NodeID(a.Root)
-	offs, lens := geometry.SplitAligned(a.Bytes, len(a.Colors), data.Float64Len)
-	runs := make([]*colorReduce, len(a.Colors))
+	a.rootID = a.M.Geom.NodeID(a.Root)
+	var offs, lens [maxColors]int
+	nc := len(a.Colors)
+	geometry.SplitAlignedTo(offs[:nc], lens[:nc], a.Bytes, data.Float64Len)
+	a.runs = fit(a.runs, nc)
 	chunks := 0
 	for i, color := range a.Colors {
-		spans := a.M.Cfg.Params.Chunks(lens[i])
-		ar := &colorReduce{
-			a:        a,
-			color:    color,
-			colorIdx: i,
-			lane:     a.Lane0 + i,
-		}
-		ar.init(spans, offs[i])
+		ar := &a.runs[i]
+		ar.a, ar.color, ar.colorIdx, ar.lane = a, color, i, a.Lane0+i
 		// The down phase reuses the rectangle broadcast machinery, gated
 		// chunk by chunk on reduction completion at the root.
-		ar.down = newColorRun(a.M, a.Root, color, a.Lane0+len(a.Colors)+i, spans, offs[i])
-		ar.down.deliver = func(node int, span hw.Span, t sim.Time) {
-			if node != rootID {
-				copyAt(a.M.K, t, a.ResultBufs[node], a.ResultBufs[rootID], span)
-			}
-			a.Deliveries[node].Deliver(a.M.K, t, span)
-		}
-		runs[i] = ar
-		chunks += len(spans)
+		ar.down.arm(a.M, a.Root, color, a.Lane0+nc+i, a, lens[i], offs[i])
+		ar.init(offs[i])
+		chunks += len(ar.spans)
 	}
 	if a.ReduceOnly {
-		presize(a.Deliveries[rootID:rootID+1], chunks)
+		presize(a.Deliveries[a.rootID:a.rootID+1], chunks)
 	} else {
 		presize(a.Deliveries, chunks)
 	}
-	for _, ar := range runs {
-		ar.start()
+	for i := range a.runs {
+		a.runs[i].start()
 	}
+}
+
+// deliver is the down phase's per-node delivery: the functional copy out of
+// the root's result, then the log.
+//
+//bgplint:hot
+func (a *Allreduce) deliver(node int, span hw.Span, t sim.Time) {
+	if node != a.rootID {
+		copyAt(a.M.K, t, a.ResultBufs[node], a.ResultBufs[a.rootID], span)
+	}
+	a.Deliveries[node].Deliver(a.M.K, t, span)
 }
 
 // colorReduce drives one color's reduce chains. Like colorRun, every step
@@ -92,16 +100,16 @@ type colorReduce struct {
 	color    geometry.Color
 	colorIdx int
 	lane     int
-	dims     []geometry.Dim
-	spans    []hw.Span
+	dims     []geometry.Dim // the down run's: the same color order
+	spans    []hw.Span      // the down run's: the same chunks
 	baseOff  int
 
-	// state[node][chunk] counts combined input streams; a chunk forwards
-	// when all streams have arrived and its combines finished.
-	state [][]chunkState
+	// state[node*len(spans)+chunk] counts combined input streams; a chunk
+	// forwards when all streams have arrived and its combines finished.
+	state []chunkState
 	need  []int // input streams per node (own contribution + chains ending here)
 
-	down *colorRun
+	down colorRun
 
 	contribH contribStage
 	releaseH releaseStage
@@ -124,23 +132,19 @@ type chunkState struct {
 	readyAt sim.Time // latest combine completion among arrived streams
 }
 
-func (cr *colorReduce) init(chunks []hw.Span, baseOff int) {
+// init arms the reduce side once the down run is armed: it shares the down
+// run's chunks and dimensions, and every chunk state and in-edge count is
+// overwritten.
+func (cr *colorReduce) init(baseOff int) {
 	m := cr.a.M
 	cr.baseOff = baseOff
-	cr.spans = make([]hw.Span, len(chunks))
-	for i, c := range chunks {
-		cr.spans[i] = hw.Span{Off: baseOff + c.Off, Len: c.Len}
-	}
-	for _, d := range cr.color.Order {
-		if m.Geom.Size(d) > 1 {
-			cr.dims = append(cr.dims, d)
-		}
-	}
+	cr.spans = cr.down.spans
+	cr.dims = cr.down.dims
 	nodes := m.Geom.Nodes()
-	cr.state = make([][]chunkState, nodes)
-	cr.need = make([]int, nodes)
-	for n := 0; n < nodes; n++ {
-		cr.state[n] = make([]chunkState, len(cr.spans))
+	cr.state = fit(cr.state, nodes*len(cr.spans))
+	clear(cr.state)
+	cr.need = fit(cr.need, nodes)
+	for n := range cr.need {
 		cr.need[n] = 1 // own contribution
 	}
 	// The reduce tree is the exact reverse of the broadcast tree: each
@@ -232,7 +236,7 @@ func (cr *colorReduce) foldContribution(n int, span hw.Span) {
 //
 //bgplint:hot
 func (cr *colorReduce) streamArrived(n, chunk int, at sim.Time, combineCost int) {
-	st := &cr.state[n][chunk]
+	st := &cr.state[n*len(cr.spans)+chunk]
 	ready := at
 	if combineCost > 0 {
 		ready = cr.a.ProtoPipes[n].ReserveFrom(at, combineCost)

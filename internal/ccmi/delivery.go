@@ -65,3 +65,10 @@ func (d *Delivery) Drain(seen *int) []hw.Span {
 	*seen = len(d.Spans)
 	return spans
 }
+
+// Arm re-initializes a recycled log for a new schedule: empty, counting on
+// c. The span list keeps its capacity.
+func (d *Delivery) Arm(c *sim.Counter) {
+	d.Counter = c
+	d.Spans = d.Spans[:0]
+}

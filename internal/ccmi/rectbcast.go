@@ -21,11 +21,15 @@ import (
 // DMA for intra-node copies contend exactly as on the real machine.
 //
 // Completion is observable per node through the Deliveries logs.
+//
+// A Bcast may be Run again once every node has received the previous
+// broadcast: its color runs keep their span lists and stage handlers, so a
+// recycled Bcast allocates nothing.
 type Bcast struct {
 	M          *machine.Machine
 	Root       geometry.Coord
 	Src        data.Buf    // the root's source buffer
-	Bufs       []data.Buf  // per node: where delivered data lands (zero = timing only)
+	Bufs       []data.Buf  // per node: where delivered data lands (nil or zero = timing only)
 	Deliveries []*Delivery // per node: arrival logs (required)
 	Colors     []geometry.Color
 	Lane0      int // first link lane; color i uses lane Lane0+i
@@ -33,7 +37,27 @@ type Bcast struct {
 	// Hook, if set, observes every per-node delivery at its virtual time,
 	// before the Delivery log records it. Algorithms use it to chain
 	// DMA-driven intra-node distribution onto network arrivals.
-	Hook func(node int, span hw.Span, t sim.Time)
+	Hook DeliveryHook
+
+	rootID int
+	runs   []colorRun // one per color, re-armed by every Run
+}
+
+// DeliveryHook observes a schedule's per-node deliveries (Bcast.Hook).
+type DeliveryHook interface {
+	Delivered(node int, span hw.Span, t sim.Time)
+}
+
+// maxColors bounds a schedule's color count: the six torus colors.
+const maxColors = 6
+
+// fit returns s resized to n elements, reusing its backing array when it is
+// large enough. A fresh array starts zeroed; callers re-arm every element.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Run starts all color pumps at the current virtual time and returns
@@ -42,29 +66,43 @@ func (b *Bcast) Run() {
 	if len(b.Deliveries) != b.M.Geom.Nodes() {
 		panic("ccmi: Bcast needs one Delivery per node")
 	}
-	rootID := b.M.Geom.NodeID(b.Root)
-	offs, lens := geometry.SplitColors(b.Src.Len(), len(b.Colors))
-	runs := make([]*colorRun, len(b.Colors))
+	b.rootID = b.M.Geom.NodeID(b.Root)
+	var offs, lens [maxColors]int
+	nc := len(b.Colors)
+	geometry.SplitAlignedTo(offs[:nc], lens[:nc], b.Src.Len(), 1)
+	b.runs = fit(b.runs, nc)
 	chunks := 0
 	for i, color := range b.Colors {
-		cr := newColorRun(b.M, b.Root, color, b.Lane0+i, b.M.Cfg.Params.Chunks(lens[i]), offs[i])
-		cr.deliver = func(node int, span hw.Span, t sim.Time) {
-			if b.Hook != nil {
-				b.Hook(node, span, t)
-			}
-			if node != rootID {
-				copyAt(b.M.K, t, b.Bufs[node], b.Src, span)
-			}
-			b.Deliveries[node].Deliver(b.M.K, t, span)
-		}
-		runs[i] = cr
+		cr := &b.runs[i]
+		cr.arm(b.M, b.Root, color, b.Lane0+i, b, lens[i], offs[i])
 		chunks += len(cr.spans)
 	}
 	presize(b.Deliveries, chunks)
-	for _, cr := range runs {
+	for i := range b.runs {
+		cr := &b.runs[i]
 		cr.readyChunks = len(cr.spans) // plain broadcast: everything ready now
 		cr.pump()
 	}
+}
+
+// deliver is the broadcast's per-node delivery: the hook, the functional
+// payload copy, then the log.
+//
+//bgplint:hot
+func (b *Bcast) deliver(node int, span hw.Span, t sim.Time) {
+	if b.Hook != nil {
+		b.Hook.Delivered(node, span, t)
+	}
+	if node != b.rootID && b.Bufs != nil {
+		copyAt(b.M.K, t, b.Bufs[node], b.Src, span)
+	}
+	b.Deliveries[node].Deliver(b.M.K, t, span)
+}
+
+// deliverer is what a color run reports each per-node delivery to: the
+// broadcast it belongs to, or the allreduce whose down phase it runs.
+type deliverer interface {
+	deliver(node int, span hw.Span, t sim.Time)
 }
 
 // colorRun drives one color's spanning tree. It is shared between Bcast and
@@ -73,12 +111,16 @@ func (b *Bcast) Run() {
 //
 // Every step of the pipeline is a stage handler bound once per run and
 // scheduled with sim.Kernel.HookAt, its (node, chunk) identity carried in
-// the hook's operands, so the schedule allocates nothing per chunk.
+// the hook's operands, so the schedule allocates nothing per chunk. A run is
+// re-armed in place for its owner's next schedule (arm); the pacing retry
+// carries the run's generation, so a retry left queued by the previous
+// schedule cannot pump the next one.
 type colorRun struct {
 	m     *machine.Machine
 	root  geometry.Coord
 	color geometry.Color
 	lane  int
+	to    deliverer
 
 	dims []geometry.Dim // color order restricted to dimensions of size > 1
 	w    geometry.Coord // the root's d0 predecessor: owner of the mirror plane
@@ -88,10 +130,9 @@ type colorRun struct {
 	readyChunks int       // chunks permitted to inject (monotone)
 	gate        sim.Time  // pacing: next injection may not precede this
 	pumping     bool
+	gen         int64 // arm count: tags pacing retries
 
 	arrivals []torus.Arrival // LineBcast scratch, reused by every injection
-
-	deliver func(node int, span hw.Span, t sim.Time)
 
 	pumpH    pumpStage
 	injectH  rootInjectStage
@@ -112,20 +153,28 @@ type (
 	}
 )
 
-func newColorRun(m *machine.Machine, root geometry.Coord, color geometry.Color, lane int, chunks []hw.Span, baseOff int) *colorRun {
-	cr := &colorRun{m: m, root: root, color: color, lane: lane}
-	cr.spans = make([]hw.Span, len(chunks))
-	for i, c := range chunks {
-		cr.spans[i] = hw.Span{Off: baseOff + c.Off, Len: c.Len}
+// arm (re)initializes the run for one schedule: the partition of n bytes at
+// baseOff, chunked by the machine's parameters, reported to to. Every field
+// is overwritten; the span, dimension and arrival lists keep their
+// capacity.
+func (cr *colorRun) arm(m *machine.Machine, root geometry.Coord, color geometry.Color, lane int, to deliverer, n, baseOff int) {
+	cr.m, cr.root, cr.color, cr.lane, cr.to = m, root, color, lane, to
+	cr.spans = m.Cfg.Params.AppendChunks(cr.spans[:0], n)
+	for i := range cr.spans {
+		cr.spans[i].Off += baseOff
 	}
+	cr.dims = cr.dims[:0]
 	for _, d := range color.Order {
 		if m.Geom.Size(d) > 1 {
 			cr.dims = append(cr.dims, d)
 		}
 	}
+	cr.w = geometry.Coord{}
 	if len(cr.dims) > 0 {
 		cr.w = m.Geom.Neighbor(root, cr.dims[0], -color.Dir)
 	}
+	cr.next, cr.readyChunks, cr.gate, cr.pumping = 0, 0, 0, false
+	cr.gen++
 	cr.pumpH = pumpStage{cr}
 	cr.injectH = rootInjectStage{cr}
 	cr.arriveH = arriveStage{cr}
@@ -133,7 +182,6 @@ func newColorRun(m *machine.Machine, root geometry.Coord, color geometry.Color, 
 	for d := range cr.lineH {
 		cr.lineH[d] = lineStage{cr, geometry.Dim(d)}
 	}
-	return cr
 }
 
 // allowChunks raises the injection permit to n chunks and restarts the pump.
@@ -166,11 +214,11 @@ func (cr *colorRun) pump() {
 	}
 	// The root's master sees the chunk locally as it is injected, pacing
 	// the root node's own intra-node pipeline with the network.
-	cr.deliver(rootID, span, start)
+	cr.to.deliver(rootID, span, start)
 
 	if len(cr.dims) == 0 { // single-node partition: nothing to send
 		cr.pumping = false
-		k.HookAt(start, &cr.pumpH, 0, 0)
+		k.HookAt(start, &cr.pumpH, cr.gen, 0)
 		return
 	}
 
@@ -178,10 +226,15 @@ func (cr *colorRun) pump() {
 	k.HookAt(injDone, &cr.injectH, int64(chunk), 0)
 }
 
-// RunPost retries the pump once pacing allows the next injection.
+// RunPost retries the pump once pacing allows the next injection, unless
+// the run has been re-armed since the retry was queued.
 //
 //bgplint:hot
-func (s *pumpStage) RunPost(_, _ int64) { s.cr.pump() }
+func (s *pumpStage) RunPost(gen, _ int64) {
+	if gen == s.cr.gen {
+		s.cr.pump()
+	}
+}
 
 // RunPost runs when the root's DMA has injected chunk: the chunk enters the
 // root's d0 line, and the next chunk may inject once this one has entered
@@ -198,7 +251,7 @@ func (s *rootInjectStage) RunPost(chunk, _ int64) {
 	}
 	cr.gate = firstStart
 	cr.pumping = false
-	k.HookAt(maxTime(firstStart, k.Now()), &cr.pumpH, 0, 0)
+	k.HookAt(maxTime(firstStart, k.Now()), &cr.pumpH, cr.gen, 0)
 }
 
 // arrive schedules the network arrival of chunk at node v.
@@ -230,7 +283,7 @@ func (s *receiveStage) RunPost(node, chunk int64) {
 		cr.m.Trace.Addf(now, trace.Net, int(node),
 			"bcast %v chunk [%d:%d) delivered", cr.color, span.Off, span.Off+span.Len)
 	}
-	cr.deliver(int(node), span, now)
+	cr.to.deliver(int(node), span, now)
 	cr.forward(node, chunk)
 }
 

@@ -1,8 +1,6 @@
 package coll
 
 import (
-	"fmt"
-
 	"bgpcoll/internal/ccmi"
 	"bgpcoll/internal/data"
 	"bgpcoll/internal/geometry"
@@ -11,53 +9,80 @@ import (
 	"bgpcoll/internal/sim"
 )
 
-// Both allreduce algorithms are written in explicit-resume (program) style:
-// each chunk loop is a small state machine whose continuations are method
-// values bound once per rank per operation (see the note in bcast_tree.go),
-// so program-mode ranks run them without goroutines or per-chunk closure
-// garbage while goroutine-backed ranks execute the identical bodies on
-// their own stacks.
+// Both allreduce algorithms are written in explicit-resume (program) style,
+// and recycle their per-call state like the broadcasts (DESIGN.md §17): the
+// job-wide state, with its ccmi schedule, delivery logs and chunk lists,
+// comes from a per-world free list, and every rank's drivers live in
+// per-world role slabs whose continuations are bound once per slot.
 
 // allreduceColors is the color count of the torus allreduce: the reduce
 // phase runs on the reversed-direction links of each color's broadcast tree,
 // so only the three positive-direction colors can run concurrently (§V-C).
 const allreduceColors = 3
 
-// allreduceState is the job-wide shared state of one torus allreduce.
+// contribNames are the per-color formats of the contribution counters'
+// names ("ar<seq>.contrib<node>.<color>"): a flyweight name takes at most
+// two operands.
+var contribNames = [allreduceColors]string{"ar%d.contrib%d.0", "ar%d.contrib%d.1", "ar%d.contrib%d.2"}
+
+// allreduceState is the job-wide shared state of one torus allreduce or
+// reduce. It is recycled: its Go memory is kept, and every arm carves its
+// counters afresh in a fixed order and takes a protocol pipe set.
 type allreduceState struct {
-	exec *ccmi.Allreduce
+	sc    *allreduceScratch
+	refs  int // ranks that have not released the state yet
+	bytes int
+
+	exec ccmi.Allreduce
 
 	// Per node.
-	contrib [][]*sim.Counter // [node][color]: locally reduced bytes ready
+	contrib [][]*sim.Counter // [node][color]: locally reduced bytes ready (views of contribs)
 	scratch []data.Buf       // node contribution vector (master-owned)
 	result  []data.Buf       // master's receive buffer (the network target)
-	dels    []*ccmi.Delivery
-	ready   []*sim.Counter // local ranks that registered their send buffers
-	peer    [][]*sim.Counter
-	stage   [][]*sim.Counter // [node][lrank]: staged bytes DMA-delivered to that core
+	delv    []ccmi.Delivery
+	dels    []*ccmi.Delivery // pointer view of delv
+	ready   []*sim.Counter   // local ranks that registered their send buffers
+	peer    []*sim.Counter   // [node*ppn+lrank]: result bytes landed (slot 0 unused)
+	stage   []*sim.Counter   // [node*ppn+lrank]: staged bytes DMA-delivered to that core
+
+	contribs []*sim.Counter // [node*allreduceColors+color]
 
 	sends []data.Buf // per rank: registered send buffers
 
-	// protos are the master cores as protocol processors, one pipe per
-	// node, taken from sc; the last of refs ranks to finish returns them.
-	sc     *allreduceScratch
-	protos *protoSet
-	refs   int
-}
+	// The payload's color partitions and chunk lists, computed once per
+	// call: per-color chunks for the shared-address algorithm, whole-payload
+	// chunks for the current one.
+	offs, lens  [allreduceColors]int
+	colorChunks [allreduceColors][]hw.Span
+	chunks      []hw.Span
 
-const allreduceKind = "allreduce"
+	// protos are the master cores as protocol processors, one pipe per
+	// node, taken from sc; the last rank to finish returns them.
+	protos *protoSet
+}
 
 // allreduceScratchKey names the allreduces' per-world scratch.
 var allreduceScratchKey = mpi.NewScratchKey("coll.allreduce")
 
-// allreduceScratch is what the allreduces keep on a world across calls: the
-// released per-node protocol pipe sets. A set is adopted by the kernel once,
-// when it is made, and re-initialized in place by every call that takes it,
-// so a long-lived pooled world registers one set per allreduce in flight at
-// once instead of one per call. Reconfigure drops every registered pipe
+// allreduceScratch is what the allreduces keep on a world: for the calls of
+// a run, the in-flight and released states, the reduce colors and one
+// dense slab per driver role (see treeScratch for the slab rules); across
+// runs, the released per-node protocol pipe sets. A set is adopted by the kernel once, when it
+// is made, and re-initialized in place by every call that takes it, so a
+// long-lived pooled world registers one set per allreduce in flight at once
+// instead of one per call. Reconfigure drops every registered pipe
 // (Kernel.ReleasePipes); the first call after it sees a new pipe epoch and
 // drops the sets with them.
 type allreduceScratch struct {
+	states recycled[allreduceState]
+	colors []geometry.Color
+
+	finish    []allreduceFinisher // by rank: every algorithm's completion step
+	shaddr    []shaddrReduceLoop  // by rank: shaddr non-protocol cores
+	chainHead []arChainHead       // by node: current, last local rank
+	chainMid  []arChainMid        // by rank: current, middle local ranks
+	master    []arMasterLoop      // by node: current, local rank 0
+
 	free  []*protoSet
 	epoch uint32 // the kernel pipe epoch the free sets were adopted under
 }
@@ -70,6 +95,17 @@ type protoSet struct {
 }
 
 func newAllreduceScratch() any { return &allreduceScratch{} }
+
+// SteadyState implements sim.Hasher: an allreduce in flight at an iteration
+// boundary refuses the capture.
+func (sc *allreduceScratch) SteadyState(f *sim.FP) { sc.states.inFlight(f, "allreduce") }
+
+// EndRun implements mpi.RunScratch: the states, slabs and colors live for
+// one run, as torusScratch's do. The protocol pipe sets stay: the kernel
+// has adopted them, and only Reconfigure's new pipe epoch retires them.
+func (sc *allreduceScratch) EndRun() {
+	*sc = allreduceScratch{free: sc.free, epoch: sc.epoch}
+}
 
 // takeProtos returns a protocol pipe set for this call, every pipe re-
 // initialized at rate: idle, statistics zeroed, exactly as NewPipe leaves a
@@ -101,108 +137,135 @@ func (sc *allreduceScratch) takeProtos(k *sim.Kernel, nodes int, rate float64) *
 	return ps
 }
 
-// finish drops one rank's claim on the state; the last one returns its
-// protocol pipes to the world scratch.
-func (st *allreduceState) finish() {
-	st.refs--
-	if st.refs == 0 {
-		st.sc.free = append(st.sc.free, st.protos)
-		st.protos = nil
-	}
-}
-
-// getAllreduceState builds the shared state. protoCores scales the protocol
-// pipe: the current algorithm spreads network combining over the node's MPI
-// progress engines, while the proposed design dedicates exactly one core
-// ("a dedicated core performs allreduce protocol processing").
-func getAllreduceState(r *mpi.Rank, seq int64, bytes int, protoCores float64) *allreduceState {
-	return r.WorldShared(seq, allreduceKind, func() any {
-		return newAllreduceShared(r, seq, bytes, protoCores)
-	}).(*allreduceState)
-}
-
-// newAllreduceShared allocates the per-node counters, buffers, deliveries
-// and protocol pipes shared by the allreduce-family collectives.
-func newAllreduceShared(r *mpi.Rank, seq int64, bytes int, protoCores float64) *allreduceState {
-	{
-		m := r.Machine()
-		nodes := m.Geom.Nodes()
-		ppn := r.LocalSize()
-		functional := m.Cfg.Functional
-		cached := m.Nodes[0].HW.Cached((2*ppn + 2) * bytes)
-		rate := m.Cfg.Params.ReduceBps
-		if !cached {
-			rate = m.Cfg.Params.ReduceDRAMBps
-		}
-		rate *= protoCores
-		sc := r.World().Scratch(allreduceScratchKey, newAllreduceScratch).(*allreduceScratch)
-		protos := sc.takeProtos(m.K, nodes, rate)
-		st := &allreduceState{
-			contrib: make([][]*sim.Counter, nodes),
-			scratch: make([]data.Buf, nodes),
-			result:  make([]data.Buf, nodes),
-			dels:    make([]*ccmi.Delivery, nodes),
-			ready:   make([]*sim.Counter, nodes),
-			peer:    make([][]*sim.Counter, nodes),
-			stage:   make([][]*sim.Counter, nodes),
-			sends:   make([]data.Buf, m.Cfg.Ranks()),
-			sc:      sc,
-			protos:  protos,
-			refs:    m.Cfg.Ranks(),
-		}
-		for n := 0; n < nodes; n++ {
-			st.contrib[n] = make([]*sim.Counter, allreduceColors)
-			for c := range st.contrib[n] {
-				st.contrib[n][c] = m.K.NewCounter(fmt.Sprintf("ar%d.contrib%d.%d", seq, n, c))
-			}
-			st.scratch[n] = data.New(bytes, functional)
-			st.result[n] = data.New(bytes, functional)
-			st.dels[n] = ccmi.NewDelivery(m.K, fmt.Sprintf("ar%d.del%d", seq, n))
-			st.ready[n] = m.K.NewCounter("ready")
-			st.peer[n] = make([]*sim.Counter, ppn)
-			st.stage[n] = make([]*sim.Counter, ppn)
-			for p := 0; p < ppn; p++ {
-				if p > 0 {
-					st.peer[n][p] = m.K.NewCounter("ardone")
-				}
-				st.stage[n][p] = m.K.NewCounter("arstage")
-			}
-		}
-		return st
-	}
-}
-
-// startAllreduceNetwork launches the network schedule rooted at r's node.
-// Exactly one rank starts it: global rank 0 for an allreduce, the root for a
-// reduce (reduceOnly), whose reduced chunks are delivered to its node only.
-func startAllreduceNetwork(r *mpi.Rank, st *allreduceState, bytes int, reduceOnly bool) {
+// arm (re)initializes a state for call seq of bytes. protoCores scales the
+// protocol pipe: the current algorithm spreads network combining over the
+// node's MPI progress engines, while the proposed design dedicates exactly
+// one core ("a dedicated core performs allreduce protocol processing").
+// Per node it carves the three contribution counters, the delivery counter,
+// ready, and per local rank the peer and stage counters, in that order.
+func (st *allreduceState) arm(r *mpi.Rank, seq int64, bytes int, protoCores float64) {
 	m := r.Machine()
-	st.exec = &ccmi.Allreduce{
-		M:           m,
-		Root:        r.Coord(),
-		Bytes:       bytes,
-		Colors:      geometry.Colors(allreduceColors),
-		Lane0:       6,
-		Contrib:     st.contrib,
-		ContribBufs: st.scratch,
-		ResultBufs:  st.result,
-		Deliveries:  st.dels,
-		ProtoPipes:  st.protos.ptrs,
-		ReduceOnly:  reduceOnly,
+	k := m.K
+	nodes := m.Geom.Nodes()
+	ppn := r.LocalSize()
+	functional := m.Cfg.Functional
+	rate := m.Cfg.Params.ReduceBps
+	if !m.Nodes[0].HW.Cached((2*ppn + 2) * bytes) {
+		rate = m.Cfg.Params.ReduceDRAMBps
 	}
-	st.exec.Run()
+	st.protos = st.sc.takeProtos(k, nodes, rate*protoCores)
+	st.refs, st.bytes = m.Cfg.Ranks(), bytes
+
+	geometry.SplitAlignedTo(st.offs[:], st.lens[:], bytes, data.Float64Len)
+	for c := range st.colorChunks {
+		st.colorChunks[c] = m.Cfg.Params.AppendChunks(st.colorChunks[c][:0], st.lens[c])
+	}
+	st.chunks = m.Cfg.Params.AppendChunks(st.chunks[:0], bytes)
+
+	st.contribs = fit(st.contribs, nodes*allreduceColors)
+	st.contrib = fit(st.contrib, nodes)
+	st.scratch = fit(st.scratch, nodes)
+	st.result = fit(st.result, nodes)
+	st.delv, st.dels = fitDeliveries(st.delv, st.dels, nodes)
+	st.ready = fit(st.ready, nodes)
+	st.peer = fit(st.peer, nodes*ppn)
+	st.stage = fit(st.stage, nodes*ppn)
+	st.sends = fit(st.sends, m.Cfg.Ranks())
+	clear(st.sends)
+	for n := 0; n < nodes; n++ {
+		cs := st.contribs[n*allreduceColors : (n+1)*allreduceColors]
+		for c := range cs {
+			cs[c] = k.NewCounterf(contribNames[c], int32(seq), int32(n))
+		}
+		st.contrib[n] = cs
+		st.scratch[n] = data.New(bytes, functional)
+		st.result[n] = data.New(bytes, functional)
+		st.delv[n].Arm(k.NewCounterf("ar%d.del%d", int32(seq), int32(n)))
+		st.ready[n] = k.NewCounter("ready")
+		st.peer[n*ppn] = nil
+		for p := 0; p < ppn; p++ {
+			if p > 0 {
+				st.peer[n*ppn+p] = k.NewCounter("ardone")
+			}
+			st.stage[n*ppn+p] = k.NewCounter("arstage")
+		}
+	}
 }
 
-// allreduceFinish builds the completion continuation both algorithms end
-// with: install the reduced result, release the shared state (the position
-// the blocking form's defer ran at), then continue.
-func allreduceFinish(r *mpi.Rank, st *allreduceState, seq int64, recv data.Buf, done func()) func() {
-	return func() {
-		installPayload(recv, st.result[r.NodeID()])
-		r.ReleaseWorldShared(seq, allreduceKind)
-		st.finish()
-		done()
+// release drops one rank's claim on the state; the last one returns its
+// protocol pipes and the state to the world scratch.
+func (st *allreduceState) release() {
+	st.refs--
+	if st.refs > 0 {
+		return
 	}
+	sc := st.sc
+	sc.free = append(sc.free, st.protos)
+	st.protos = nil
+	// Buffers belong to the callers, not the free list.
+	clear(st.sends)
+	clear(st.scratch)
+	clear(st.result)
+	sc.states.put(st)
+}
+
+// startAllreduce is both algorithms' prologue: take the collective sequence
+// number, acquire the shared state, register the rank's send buffer, arm
+// its finish step (which installs the result into recv unless recv is
+// empty), and start the network schedule on starter's rank. A reduce
+// (reduceOnly) delivers reduced chunks to the starter's node only.
+func startAllreduce(r *mpi.Rank, send, recv data.Buf, protoCores float64, starter int, reduceOnly bool, done func()) (*allreduceScratch, *allreduceState, func()) {
+	seq := r.NextSeq()
+	sc := r.World().Scratch(allreduceScratchKey, newAllreduceScratch).(*allreduceScratch)
+	st := sc.states.find(seq)
+	if st == nil {
+		st = sc.states.take(seq)
+		st.sc = sc
+		st.arm(r, seq, send.Len(), protoCores)
+	}
+	f := slot(&sc.finish, r.Rank(), r.Size())
+	if f.fn == nil {
+		f.fn = f.finish
+	}
+	f.r, f.st, f.recv, f.done = r, st, recv, done
+
+	st.sends[r.Rank()] = send
+	st.ready[r.NodeID()].Add(1)
+
+	if r.Rank() == starter {
+		m := r.Machine()
+		if sc.colors == nil {
+			sc.colors = geometry.Colors(allreduceColors)
+		}
+		a := &st.exec
+		a.M, a.Root, a.Bytes, a.Colors, a.Lane0 = m, r.Coord(), st.bytes, sc.colors, 6
+		a.Contrib, a.ContribBufs, a.ResultBufs = st.contrib, st.scratch, st.result
+		a.Deliveries, a.ProtoPipes, a.ReduceOnly = st.dels, st.protos.ptrs, reduceOnly
+		a.Run()
+	}
+	return sc, st, f.fn
+}
+
+// allreduceFinisher is the completion step both algorithms end with:
+// install the reduced result, release the shared state, then continue.
+type allreduceFinisher struct {
+	r    *mpi.Rank
+	st   *allreduceState
+	recv data.Buf
+	done func()
+	fn   func() // bound finish
+}
+
+// finish runs once per rank per call; the slot is cleared before done runs,
+// which may start this rank's next collective.
+//
+//bgplint:hot
+func (f *allreduceFinisher) finish() {
+	r, st, done := f.r, f.st, f.done
+	installPayload(f.recv, st.result[r.NodeID()])
+	f.st, f.recv, f.done = nil, data.Buf{}, nil
+	st.release()
+	done()
 }
 
 // allreduceShaddr is the proposed algorithm (paper §V-C): core 0 runs the
@@ -220,13 +283,6 @@ func allreduceShaddr(r *mpi.Rank, send, recv data.Buf, done func()) {
 // schedule without the broadcast-down phase, and only the root waits for
 // and drains the result.
 func reduceShaddr(r *mpi.Rank, send, recv data.Buf, root int, done func()) {
-	seq := r.NextSeq()
-	bytes := send.Len()
-	st := getAllreduceState(r, seq, bytes, 1)
-	m := r.Machine()
-	node := r.NodeID()
-	ppn := r.LocalSize()
-	cached := r.Node().HW.Cached((2*ppn + 2) * bytes)
 	starter, takes := 0, true
 	if root >= 0 {
 		starter, takes = root, r.Rank() == root
@@ -234,23 +290,17 @@ func reduceShaddr(r *mpi.Rank, send, recv data.Buf, root int, done func()) {
 	if !takes {
 		recv = data.Buf{}
 	}
-	finish := allreduceFinish(r, st, seq, recv, done)
-
-	st.sends[r.Rank()] = send
-	st.ready[node].Add(1)
-
-	if r.Rank() == starter {
-		startAllreduceNetwork(r, st, bytes, root >= 0)
-	}
+	sc, st, finish := startAllreduce(r, send, recv, 1, starter, root >= 0, done)
+	bytes := st.bytes
+	node := r.NodeID()
+	ppn := r.LocalSize()
 
 	if ppn == 1 {
-		allreduceSMPRankThen(r, st, bytes, send, takes, finish)
+		allreduceSMPRankThen(r, st, send, takes, finish)
 		return
 	}
 
-	offs, lens := geometry.SplitAligned(bytes, allreduceColors, data.Float64Len)
 	del := st.dels[node]
-
 	switch lr := r.LocalRank(); lr {
 	case 0:
 		// Protocol core: the ccmi schedule charges its combine work to
@@ -266,17 +316,17 @@ func reduceShaddr(r *mpi.Rank, send, recv data.Buf, root int, done func()) {
 		if color >= allreduceColors {
 			color = allreduceColors - 1 // quad mode has exactly 3 peers
 		}
-		l := &shaddrReduceLoop{
-			st: st, r: r, p: r.Proc(), node: node, hwNode: r.Node().HW,
-			params: m.Cfg.Params, del: del, lr: lr, ppn: ppn, bytes: bytes,
-			cached: cached, offs: offs, lens: lens, ownColor: color,
-			drain: takes, cont: finish,
+		l := slot(&sc.shaddr, r.Rank(), r.Size())
+		if l.mapFn == nil {
+			l.mapFn, l.reducedFn, l.arriveFn = l.mapNext, l.reduced, l.arrive
+			l.polledFn, l.copiedFn = l.polled, l.copied
 		}
-		l.mapFn = l.mapNext
-		l.reducedFn = l.reduced
-		l.arriveFn = l.arrive
-		l.polledFn = l.polled
-		l.copiedFn = l.copied
+		l.st, l.r, l.p, l.node, l.hwNode = st, r, r.Proc(), node, r.Node().HW
+		l.del, l.lr, l.ppn, l.bytes = del, lr, ppn, bytes
+		l.cached = r.Node().HW.Cached((2*ppn + 2) * bytes)
+		l.ownColor, l.drain, l.cont = color, takes, finish
+		l.mapIdx, l.color, l.chunks, l.chunkIdx = 0, 0, nil, 0
+		l.spanIdx, l.seen, l.spans, l.spanJ = 0, 0, nil, 0
 		// Wait for all local ranks to enter (their buffers must be
 		// readable), then map the three peer send buffers.
 		l.p.WaitGEThen(st.ready[node], int64(ppn), l.mapFn)
@@ -293,15 +343,12 @@ type shaddrReduceLoop struct {
 	r        *mpi.Rank
 	p        *sim.Proc
 	hwNode   *hw.Node
-	params   hw.Params
 	del      *ccmi.Delivery
 	node     int
 	lr       int
 	ppn      int
 	bytes    int
 	cached   bool
-	offs     []int
-	lens     []int
 	ownColor int
 	drain    bool
 	cont     func()
@@ -348,7 +395,7 @@ func (l *shaddrReduceLoop) mapNext() {
 //bgplint:hot
 func (l *shaddrReduceLoop) startColor(c int) {
 	l.color = c
-	l.chunks = l.params.Chunks(l.lens[c])
+	l.chunks = l.st.colorChunks[c]
 	l.chunkIdx = 0
 	l.reduceStep()
 }
@@ -365,7 +412,7 @@ func (l *shaddrReduceLoop) reduceStep() {
 //bgplint:hot
 func (l *shaddrReduceLoop) reduced() {
 	chunk := l.chunks[l.chunkIdx]
-	foldLocal(l.st, l.r, l.node, l.offs[l.color]+chunk.Off, chunk.Len)
+	foldLocal(l.st, l.r, l.node, l.st.offs[l.color]+chunk.Off, chunk.Len)
 	l.st.contrib[l.node][l.color].Add(int64(chunk.Len))
 	l.chunkIdx++
 	l.reduceStep()
@@ -459,31 +506,18 @@ func foldLocal(st *allreduceState, r *mpi.Rank, node, off, n int) {
 // master core performs both the local reduction and the network protocol —
 // the two contention points the shared-address design removes.
 func allreduceCurrent(r *mpi.Rank, send, recv data.Buf, done func()) {
-	seq := r.NextSeq()
-	bytes := send.Len()
-	st := getAllreduceState(r, seq, bytes, 2)
+	sc, st, finish := startAllreduce(r, send, recv, 2, 0, false, done)
 	m := r.Machine()
 	node := r.NodeID()
 	ppn := r.LocalSize()
-	finish := allreduceFinish(r, st, seq, recv, done)
-
-	st.sends[r.Rank()] = send
-	st.ready[node].Add(1)
-
-	if r.Rank() == 0 {
-		startAllreduceNetwork(r, st, bytes, false)
-	}
 
 	if ppn == 1 {
-		allreduceSMPRankThen(r, st, bytes, send, true, finish)
+		allreduceSMPRankThen(r, st, send, true, finish)
 		return
 	}
 
-	offs, lens := geometry.SplitAligned(bytes, allreduceColors, data.Float64Len)
-	del := st.dels[node]
-	chunks := m.Cfg.Params.Chunks(bytes)
-	cached := r.Node().HW.Cached((2*ppn + 2) * bytes)
 	p := r.Proc()
+	nodes := m.Geom.Nodes()
 
 	// Local reduce: a pipelined chain through the cores. Rank ppn-1's data
 	// is DMA-copied into rank ppn-2's staging, that core adds its own data
@@ -492,36 +526,38 @@ func allreduceCurrent(r *mpi.Rank, send, recv data.Buf, done func()) {
 	// copies the paper calls out — and the final accumulation runs on the
 	// master core, which is simultaneously the network protocol core.
 	lr := r.LocalRank()
+	at := node*ppn + lr
 	if lr == ppn-1 {
 		// Chain head: ship own chunks to the next core.
-		l := &arChainHead{
-			r: r, k: m.K, p: p, stage: st.stage[node][lr-1],
-			peer: st.peer[node][lr], chunks: chunks, bytes: bytes, cont: finish,
+		l := slot(&sc.chainHead, node, nodes)
+		if l.stepFn == nil {
+			l.stepFn = l.step
 		}
-		l.stepFn = l.step
+		l.r, l.k, l.p, l.stage, l.peer = r, m.K, p, st.stage[at-1], st.peer[at]
+		l.chunks, l.bytes, l.j, l.cont = st.chunks, st.bytes, 0, finish
 		p.WaitGEThen(st.ready[node], int64(ppn), l.stepFn)
 	} else if lr > 0 {
 		// Chain middle: combine the inbound partial with own data and
 		// forward.
-		l := &arChainMid{
-			r: r, k: m.K, p: p, hwNode: r.Node().HW,
-			stageIn: st.stage[node][lr], stageOut: st.stage[node][lr-1],
-			peer: st.peer[node][lr], chunks: chunks, bytes: bytes,
-			cached: cached, cont: finish,
+		l := slot(&sc.chainMid, r.Rank(), r.Size())
+		if l.reduceFn == nil {
+			l.reduceFn, l.forwardFn = l.reduce, l.forward
 		}
-		l.reduceFn = l.reduce
-		l.forwardFn = l.forward
+		l.r, l.k, l.p, l.hwNode = r, m.K, p, r.Node().HW
+		l.stageIn, l.stageOut, l.peer = st.stage[at], st.stage[at-1], st.peer[at]
+		l.chunks, l.bytes, l.j, l.got = st.chunks, st.bytes, 0, 0
+		l.cached, l.cont = r.Node().HW.Cached((2*ppn+2)*st.bytes), finish
 		l.step()
 	} else {
 		// Master: final accumulation on the protocol core, then the DMA
 		// distributes arriving results to the peers.
-		l := &arMasterLoop{
-			st: st, r: r, k: m.K, p: p, del: del, node: node, ppn: ppn,
-			bytes: bytes, offs: offs, lens: lens, chunks: chunks, cont: finish,
+		l := slot(&sc.master, node, nodes)
+		if l.reserveFn == nil {
+			l.reserveFn, l.foldedFn, l.arriveFn = l.reserve, l.folded, l.arrive
 		}
-		l.reserveFn = l.reserve
-		l.foldedFn = l.folded
-		l.arriveFn = l.arrive
+		l.st, l.r, l.k, l.p, l.del = st, r, m.K, p, st.dels[node]
+		l.node, l.ppn, l.bytes, l.chunks = node, ppn, st.bytes, st.chunks
+		l.j, l.got, l.acc, l.spanIdx, l.seen, l.cont = 0, 0, 0, 0, 0, finish
 		l.step()
 	}
 }
@@ -611,8 +647,6 @@ type arMasterLoop struct {
 	node      int
 	ppn       int
 	bytes     int
-	offs      []int
-	lens      []int
 	chunks    []hw.Span
 	j         int
 	got       int64
@@ -632,7 +666,7 @@ func (l *arMasterLoop) step() {
 		return
 	}
 	l.got += int64(l.chunks[l.j].Len)
-	l.p.WaitGEThen(l.st.stage[l.node][0], l.got, l.reserveFn)
+	l.p.WaitGEThen(l.st.stage[l.node*l.ppn], l.got, l.reserveFn)
 }
 
 //bgplint:hot
@@ -646,7 +680,7 @@ func (l *arMasterLoop) folded() {
 	chunk := l.chunks[l.j]
 	foldLocal(l.st, l.r, l.node, chunk.Off, chunk.Len)
 	l.acc += chunk.Len
-	feedContribAbsolute(l.st, l.node, l.acc, l.offs, l.lens)
+	feedContribAbsolute(l.st, l.node, l.acc)
 	l.j++
 	l.step()
 }
@@ -665,7 +699,7 @@ func (l *arMasterLoop) arrive() {
 	for _, span := range l.del.Drain(&l.spanIdx) {
 		for pi := 1; pi < l.ppn; pi++ {
 			putDone := l.r.Node().DMA.LocalCopy(l.r.Now(), span.Len)
-			l.k.AddAt(putDone, l.st.peer[l.node][pi], int64(span.Len))
+			l.k.AddAt(putDone, l.st.peer[l.node*l.ppn+pi], int64(span.Len))
 		}
 		l.seen += span.Len
 	}
@@ -674,14 +708,14 @@ func (l *arMasterLoop) arrive() {
 
 // feedContribAbsolute translates linear local-reduce progress (bytes from
 // offset zero) into the per-color contribution counters.
-func feedContribAbsolute(st *allreduceState, node, done int, offs, lens []int) {
+func feedContribAbsolute(st *allreduceState, node, done int) {
 	for c := 0; c < allreduceColors; c++ {
-		have := done - offs[c]
+		have := done - st.offs[c]
 		if have < 0 {
 			have = 0
 		}
-		if have > lens[c] {
-			have = lens[c]
+		if have > st.lens[c] {
+			have = st.lens[c]
 		}
 		if delta := int64(have) - st.contrib[node][c].Value(); delta > 0 {
 			st.contrib[node][c].Add(delta)
@@ -693,20 +727,19 @@ func feedContribAbsolute(st *allreduceState, node, done int, offs, lens []int) {
 // rank per node contributes its buffer directly and, if it takes the
 // result, waits for it. finish installs the payload and releases the shared
 // state.
-func allreduceSMPRankThen(r *mpi.Rank, st *allreduceState, bytes int, send data.Buf, takes bool, finish func()) {
+func allreduceSMPRankThen(r *mpi.Rank, st *allreduceState, send data.Buf, takes bool, finish func()) {
 	node := r.NodeID()
-	_, lens := geometry.SplitAligned(bytes, allreduceColors, data.Float64Len)
 	// The node contribution is the send buffer itself; install it and
 	// declare every color ready.
 	if st.scratch[node].IsReal() && send.IsReal() && st.scratch[node].Len() == send.Len() {
 		data.Copy(st.scratch[node], send)
 	}
 	for c := 0; c < allreduceColors; c++ {
-		st.contrib[node][c].Add(int64(lens[c]))
+		st.contrib[node][c].Add(int64(st.lens[c]))
 	}
 	if !takes {
 		finish()
 		return
 	}
-	r.Proc().WaitGEThen(st.dels[node].Counter, int64(bytes), finish)
+	r.Proc().WaitGEThen(st.dels[node].Counter, int64(st.bytes), finish)
 }

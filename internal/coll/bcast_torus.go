@@ -1,131 +1,231 @@
 package coll
 
 import (
-	"fmt"
-
 	"bgpcoll/internal/ccmi"
 	"bgpcoll/internal/data"
+	"bgpcoll/internal/geometry"
 	"bgpcoll/internal/hw"
+	"bgpcoll/internal/machine"
 	"bgpcoll/internal/mpi"
 	"bgpcoll/internal/sim"
 )
 
 // The torus broadcasts are written in explicit-resume (program) style like
-// the tree algorithms: each chunk loop is a small state machine whose
-// continuations are method values bound once per rank per broadcast (see the
-// note in bcast_tree.go), so program-mode ranks run them without goroutines
-// or per-chunk closure garbage while goroutine-backed ranks execute the
-// identical bodies on their own stacks.
+// the tree algorithms, and recycle their per-call state the same way
+// (DESIGN.md §17): the job-wide state of a broadcast, with its ccmi schedule
+// and delivery logs, comes from a per-world free list, and every rank's
+// drivers — the chunk loops and the finish step — live in per-world role
+// slabs whose continuations are method values bound once per slot. The
+// registration sequence is the one the per-call closures produced, so
+// virtual times are unchanged and a repeat broadcast on a warmed world
+// allocates nothing.
 
 // torusBcastState is the job-wide shared state of one torus broadcast: the
-// per-node network delivery logs plus the intra-node coordination counters
-// each algorithm variant needs.
+// network schedule and its per-node delivery logs, plus the intra-node
+// coordination counters each algorithm variant needs. Like treeBcastState
+// it is recycled: its Go memory is kept, and every arm carves its counters
+// afresh in a fixed order.
 type torusBcastState struct {
-	src  data.Buf
-	dels []*ccmi.Delivery
+	sc   *torusScratch
+	m    *machine.Machine
+	root int
+	refs int // ranks that have not released the state yet
+	ppn  int
 
-	sw   []*sim.Counter   // per node: master-published software message counter
-	done []*sim.Counter   // per node: peers finished copying out
-	peer [][]*sim.Counter // per node, per local peer: bytes landed for that peer
-	enq  []*sim.Counter   // per node: Bcast-FIFO bytes enqueued by the master
+	src  data.Buf
+	exec ccmi.Bcast
+	delv []ccmi.Delivery  // per node: the delivery logs
+	dels []*ccmi.Delivery // pointer view of delv for exec
+
+	sw   []*sim.Counter // per node: master-published software message counter
+	done []*sim.Counter // per node: peers finished copying out
+	enq  []*sim.Counter // per node: Bcast-FIFO bytes enqueued by the master
+	peer []*sim.Counter // per node, per local rank (node-major; slot 0 unused): bytes landed for that peer
 
 	masterBuf []data.Buf // per node: the master's receive buffer (window keys)
 }
 
-const torusBcastKind = "bcast.torus"
-
-func getTorusBcastState(r *mpi.Rank, seq int64) *torusBcastState {
-	return r.WorldShared(seq, torusBcastKind, func() any {
-		m := r.Machine()
-		nodes := m.Geom.Nodes()
-		ppn := r.LocalSize()
-		st := &torusBcastState{
-			dels: make([]*ccmi.Delivery, nodes),
-			sw:   make([]*sim.Counter, nodes),
-			done: make([]*sim.Counter, nodes),
-			peer: make([][]*sim.Counter, nodes),
-			enq:  make([]*sim.Counter, nodes),
+// arm (re)initializes a state for broadcast seq, carving per node the
+// delivery counter, sw, done, enq and the peer counters, in that order.
+func (st *torusBcastState) arm(r *mpi.Rank, seq int64, root int) {
+	m := r.Machine()
+	k := m.K
+	nodes := m.Geom.Nodes()
+	ppn := r.LocalSize()
+	st.m, st.root, st.refs, st.ppn = m, root, r.Size(), ppn
+	st.src = data.Buf{}
+	st.delv, st.dels = fitDeliveries(st.delv, st.dels, nodes)
+	st.sw = fit(st.sw, nodes)
+	st.done = fit(st.done, nodes)
+	st.enq = fit(st.enq, nodes)
+	st.peer = fit(st.peer, nodes*ppn)
+	st.masterBuf = fit(st.masterBuf, nodes)
+	clear(st.masterBuf)
+	for n := 0; n < nodes; n++ {
+		st.delv[n].Arm(k.NewCounterf("bcast%d.node%d", int32(seq), int32(n)))
+		st.sw[n] = k.NewCounter("sw")
+		st.done[n] = k.NewCounter("done")
+		st.enq[n] = k.NewCounter("enq")
+		st.peer[n*ppn] = nil
+		for p := 1; p < ppn; p++ {
+			st.peer[n*ppn+p] = k.NewCounter("peer")
 		}
-		for n := 0; n < nodes; n++ {
-			st.dels[n] = ccmi.NewDelivery(m.K, fmt.Sprintf("bcast%d.node%d", seq, n))
-			st.sw[n] = m.K.NewCounter("sw")
-			st.done[n] = m.K.NewCounter("done")
-			st.enq[n] = m.K.NewCounter("enq")
-			st.peer[n] = make([]*sim.Counter, ppn)
-			for p := 1; p < ppn; p++ {
-				st.peer[n][p] = m.K.NewCounter("peer")
-			}
-		}
-		st.masterBuf = make([]data.Buf, nodes)
-		return st
-	}).(*torusBcastState)
+	}
 }
 
-// torusFinish builds the completion continuation every torus broadcast ends
-// with: install the payload on non-root ranks, release the shared state (the
-// position the blocking form's defer ran at), then continue.
-func torusFinish(r *mpi.Rank, st *torusBcastState, seq int64, buf data.Buf, root int, done func()) func() {
-	return func() {
-		if r.Rank() != root {
-			installPayload(buf, st.src)
+// fitDeliveries resizes a recycled set of delivery logs and its pointer
+// view to n nodes, binding the view only when the logs move.
+func fitDeliveries(delv []ccmi.Delivery, dels []*ccmi.Delivery, n int) ([]ccmi.Delivery, []*ccmi.Delivery) {
+	if cap(delv) < n {
+		delv, dels = make([]ccmi.Delivery, n), make([]*ccmi.Delivery, n)
+		for i := range delv {
+			dels[i] = &delv[i]
 		}
-		r.ReleaseWorldShared(seq, torusBcastKind)
-		done()
 	}
+	return delv[:n], dels[:n]
+}
+
+// release drops one rank's reference; the last returns the state to the
+// free list.
+func (st *torusBcastState) release() {
+	st.refs--
+	if st.refs > 0 {
+		return
+	}
+	// The payload belongs to the caller, not the free list.
+	st.src, st.exec.Src = data.Buf{}, data.Buf{}
+	st.sc.states.put(st)
+}
+
+// peersAt returns node n's per-local-rank peer counters (slot 0 unused).
+func (st *torusBcastState) peersAt(n int) []*sim.Counter {
+	return st.peer[n*st.ppn : (n+1)*st.ppn]
+}
+
+// Delivered is the direct-put broadcast's delivery hook: every chunk a node
+// receives is DMA-put to each local peer. AddAt is the closure-free
+// At(putDone, func() { cnt.Add(n) }): one scheduled add per (chunk, peer).
+//
+//bgplint:hot
+func (st *torusBcastState) Delivered(node int, span hw.Span, t sim.Time) {
+	for p := 1; p < st.ppn; p++ {
+		putDone := st.m.Node(node).DMA.LocalCopy(t, span.Len)
+		st.m.K.AddAt(putDone, st.peer[node*st.ppn+p], int64(span.Len))
+	}
+}
+
+// torusScratchKey names the torus broadcasts' per-world scratch.
+var torusScratchKey = mpi.NewScratchKey("coll.torus")
+
+// torusScratch is what the torus broadcasts keep on a world across the
+// calls of a run: the in-flight and released states, the torus colors, and
+// one dense slab per driver role (see treeScratch for the slab rules).
+type torusScratch struct {
+	states recycled[torusBcastState]
+	colors []geometry.Color
+
+	finish   []torusFinisher     // by rank: every algorithm's completion step
+	pump     []torusPumpLoop     // by node: shaddr masters
+	copyPeer []torusPeerCopyLoop // by rank: shaddr peers
+	fifoMst  []fifoMasterLoop    // by node: Bcast-FIFO masters
+	fifoPeer []fifoPeerLoop      // by rank: Bcast-FIFO peers
+}
+
+func newTorusScratch() any { return &torusScratch{} }
+
+// SteadyState implements sim.Hasher: a torus broadcast in flight at an
+// iteration boundary refuses the capture.
+func (sc *torusScratch) SteadyState(f *sim.FP) { sc.states.inFlight(f, "torus broadcast") }
+
+// EndRun implements mpi.RunScratch: the scratch lives for one run. A
+// state's delivery logs hold every chunk for every node, and the peer
+// slabs bind several continuations per rank; kept on a world idle in a
+// pool, they raised serve-mixed's peak heap by a fifth.
+func (sc *torusScratch) EndRun() { *sc = torusScratch{} }
+
+// startTorusBcast is every torus broadcast's prologue: take the collective
+// sequence number, acquire the shared state, arm the rank's finish step,
+// and on the root publish the payload and start the network schedule, with
+// the state as its delivery hook for the direct-put algorithm.
+func startTorusBcast(r *mpi.Rank, buf data.Buf, root int, directPut bool, done func()) (*torusScratch, *torusBcastState, func()) {
+	seq := r.NextSeq()
+	sc := r.World().Scratch(torusScratchKey, newTorusScratch).(*torusScratch)
+	st := sc.states.find(seq)
+	if st == nil {
+		st = sc.states.take(seq)
+		st.sc = sc
+		st.arm(r, seq, root)
+	}
+	f := slot(&sc.finish, r.Rank(), r.Size())
+	if f.fn == nil {
+		f.fn = f.finish
+	}
+	f.r, f.st, f.buf, f.done = r, st, buf, done
+	if r.Rank() == root {
+		var hook ccmi.DeliveryHook
+		if directPut {
+			hook = st
+		}
+		startTorusNetwork(r, sc, st, buf, hook)
+	}
+	return sc, st, f.fn
+}
+
+// torusFinisher is the completion step every torus broadcast ends with:
+// install the payload on non-root ranks, release the shared state, then
+// continue with the caller's done.
+type torusFinisher struct {
+	r    *mpi.Rank
+	st   *torusBcastState
+	buf  data.Buf
+	done func()
+	fn   func() // bound finish
+}
+
+// finish runs once per rank per broadcast; the slot is cleared before done
+// runs, which may start this rank's next broadcast.
+//
+//bgplint:hot
+func (f *torusFinisher) finish() {
+	r, st, done := f.r, f.st, f.done
+	if r.Rank() != st.root {
+		installPayload(f.buf, st.src)
+	}
+	f.st, f.buf, f.done = nil, data.Buf{}, nil
+	st.release()
+	done()
 }
 
 // startTorusNetwork launches the multi-color rectangle broadcast from the
 // root rank's node. Called by the root rank only.
-func startTorusNetwork(r *mpi.Rank, st *torusBcastState, buf data.Buf, hook func(node int, span hw.Span, t sim.Time)) {
+func startTorusNetwork(r *mpi.Rank, sc *torusScratch, st *torusBcastState, buf data.Buf, hook ccmi.DeliveryHook) {
 	m := r.Machine()
 	st.src = buf
-	colors := m.Colors()
+	if sc.colors == nil {
+		sc.colors = m.Colors()
+	}
+	colors := sc.colors
 	if n := r.World().Tunables.TorusColors; n > 0 && n <= len(colors) {
 		colors = colors[:n]
 	}
-	b := &ccmi.Bcast{
-		M:          m,
-		Root:       r.Coord(),
-		Src:        buf,
-		Bufs:       make([]data.Buf, m.Geom.Nodes()),
-		Deliveries: st.dels,
-		Colors:     colors,
-		Lane0:      0,
-		Hook:       hook,
-	}
+	b := &st.exec
+	b.M, b.Root, b.Src, b.Bufs = m, r.Coord(), buf, nil
+	b.Deliveries, b.Colors, b.Lane0, b.Hook = st.dels, colors, 0, hook
 	b.Run()
 }
 
 // bcastTorusDirectPut is the current production algorithm (paper §V-A): the
 // DMA performs the network transfer, and in quad mode also the fourth,
 // intra-node dimension of the spanning tree — three additional local direct
-// puts per delivered chunk, all contending on the same engine.
+// puts per delivered chunk (Delivered), all contending on the same engine.
 func bcastTorusDirectPut(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	seq := r.NextSeq()
-	st := getTorusBcastState(r, seq)
-	total := buf.Len()
-	m := r.Machine()
-	ppn := r.LocalSize()
-	finish := torusFinish(r, st, seq, buf, root, done)
-
-	if r.Rank() == root {
-		hook := func(node int, span hw.Span, t sim.Time) {
-			// AddAt is the closure-free At(putDone, func() { cnt.Add(n) }):
-			// one scheduled add per (chunk, peer), the same hot site the tree
-			// DMA broadcasts converted.
-			for p := 1; p < ppn; p++ {
-				putDone := m.Node(node).DMA.LocalCopy(t, span.Len)
-				m.K.AddAt(putDone, st.peer[node][p], int64(span.Len))
-			}
-		}
-		startTorusNetwork(r, st, buf, hook)
-	}
-
+	_, st, finish := startTorusBcast(r, buf, root, true, done)
+	total := int64(buf.Len())
 	if r.IsNodeMaster() {
 		// Block until this rank's node has received the full message.
-		r.Proc().WaitGEThen(st.dels[r.NodeID()].Counter, int64(total), finish)
+		r.Proc().WaitGEThen(st.dels[r.NodeID()].Counter, total, finish)
 	} else {
-		r.Proc().WaitGEThen(st.peer[r.NodeID()][r.LocalRank()], int64(total), finish)
+		r.Proc().WaitGEThen(st.peersAt(r.NodeID())[r.LocalRank()], total, finish)
 	}
 }
 
@@ -135,51 +235,42 @@ func bcastTorusDirectPut(r *mpi.Rank, buf data.Buf, root int, done func()) {
 // newly arrived ranges directly out of the master's buffer through process
 // windows; an atomic completion counter returns the buffer to the master.
 func bcastTorusShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	seq := r.NextSeq()
-	st := getTorusBcastState(r, seq)
+	sc, st, finish := startTorusBcast(r, buf, root, false, done)
 	total := buf.Len()
 	node := r.NodeID()
-	finish := torusFinish(r, st, seq, buf, root, done)
-
-	if r.Rank() == root {
-		startTorusNetwork(r, st, buf, nil)
-	}
 
 	switch {
 	case r.IsNodeMaster():
 		st.masterBuf[node] = buf
-		l := &torusPumpLoop{
-			del: st.dels[node], sw: st.sw[node], done: st.done[node],
-			p: r.Proc(), node: r.Node().HW,
-			peers: int64(r.LocalSize() - 1), total: total, cont: finish,
+		l := slot(&sc.pump, node, r.Machine().Geom.Nodes())
+		if l.drainFn == nil {
+			l.drainFn, l.mirrorFn = l.drain, l.mirror
 		}
-		l.drainFn = l.drain
-		l.mirrorFn = l.mirror
+		l.del, l.sw, l.done = st.dels[node], st.sw[node], st.done[node]
+		l.p, l.node = r.Proc(), r.Node().HW
+		l.peers, l.total, l.cont = int64(r.LocalSize()-1), total, finish
+		l.spanIdx, l.got, l.batch = 0, 0, 0
 		l.step()
 
+	case r.Rank() == root:
+		// A non-master root already holds the data; it only signals.
+		st.done[node].Add(1)
+		finish()
+
 	default:
-		sw := st.sw[node]
-		if r.Rank() == root {
-			// A non-master root already holds the data; it only signals.
-			st.done[node].Add(1)
-			finish()
-			return
+		l := slot(&sc.copyPeer, r.Rank(), r.Size())
+		if l.arriveFn == nil {
+			l.mapFn, l.outerFn = l.mapMaster, l.outer
+			l.arriveFn, l.drainFn, l.afterFn = l.arrive, l.drainAvail, l.afterCopy
 		}
+		l.st, l.r = st, r
+		l.del, l.sw, l.done = st.dels[node], st.sw[node], st.done[node]
+		l.p, l.node = r.Proc(), r.Node().HW
+		l.cached, l.total, l.cont = quadBcastFootprint(r, total), total, finish
+		l.spanIdx, l.seen, l.avail, l.lastLen = 0, 0, 0, 0
 		// The first published range also tells us the master has arrived
 		// and its buffer is registered; map it once.
-		r.Proc().WaitGEThen(sw, 1, func() {
-			r.CNK().MapThen(r.Proc(), windowKey(0, st.masterBuf[node]), total, func() {
-				l := &torusPeerCopyLoop{
-					del: st.dels[node], sw: sw, done: st.done[node],
-					p: r.Proc(), node: r.Node().HW,
-					cached: quadBcastFootprint(r, total), total: total, cont: finish,
-				}
-				l.arriveFn = l.arrive
-				l.drainFn = l.drainAvail
-				l.afterFn = l.afterCopy
-				l.outer()
-			})
-		})
+		l.p.WaitGEThen(l.sw, 1, l.mapFn)
 	}
 }
 
@@ -229,6 +320,8 @@ func (l *torusPumpLoop) mirror() {
 // to publish new ranges, poll the software counter, and copy every newly
 // delivered span out of the master's buffer through the process window.
 type torusPeerCopyLoop struct {
+	st       *torusBcastState
+	r        *mpi.Rank
 	del      *ccmi.Delivery
 	sw       *sim.Counter
 	done     *sim.Counter
@@ -241,9 +334,20 @@ type torusPeerCopyLoop struct {
 	avail    int
 	lastLen  int
 	cont     func()
+	mapFn    func()
+	outerFn  func()
 	arriveFn func()
 	drainFn  func()
 	afterFn  func()
+}
+
+// mapMaster maps the master's buffer through the process window, then
+// starts copying.
+//
+//bgplint:hot
+func (l *torusPeerCopyLoop) mapMaster() {
+	node := l.r.NodeID()
+	l.r.CNK().MapThen(l.p, windowKey(0, l.st.masterBuf[node]), l.total, l.outerFn)
 }
 
 //bgplint:hot
@@ -290,48 +394,38 @@ func (l *torusPeerCopyLoop) afterCopy() {
 // concurrent broadcast FIFO (data plus connection-id metadata per slot); the
 // three peers dequeue every slot. FIFO capacity provides back-pressure.
 func bcastTorusFIFO(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	seq := r.NextSeq()
-	st := getTorusBcastState(r, seq)
+	sc, st, finish := startTorusBcast(r, buf, root, false, done)
 	total := buf.Len()
 	node := r.NodeID()
-	params := r.Machine().Cfg.Params
-	slot := params.FIFOSlotBytes
-	capacity := slot * params.FIFOSlots
+	params := &r.Machine().Cfg.Params
+	slotBytes := params.FIFOSlotBytes
 	// Staging through the FIFO doubles the traffic over every byte, so the
 	// effective working set is twice the shared-address scheme's; large
 	// messages fall out of the cache earlier.
 	cached := r.Node().HW.Cached(2 * r.LocalSize() * total)
-	finish := torusFinish(r, st, seq, buf, root, done)
 
-	if r.Rank() == root {
-		startTorusNetwork(r, st, buf, nil)
-	}
-
-	switch {
-	case r.IsNodeMaster():
-		l := &fifoMasterLoop{
-			del: st.dels[node], enq: st.enq[node], done: st.done[node],
-			peer: st.peer[node], p: r.Proc(), node: r.Node().HW,
-			peers: r.LocalSize(), total: total, slot: slot,
-			capacity: capacity, cached: cached, cont: finish,
+	if r.IsNodeMaster() {
+		l := slot(&sc.fifoMst, node, r.Machine().Geom.Nodes())
+		if l.availFn == nil {
+			l.availFn, l.copiedFn, l.peerOKFn = l.onAvail, l.copied, l.peerOK
 		}
-		l.availFn = l.onAvail
-		l.copiedFn = l.copied
-		l.peerOKFn = l.peerOK
+		l.del, l.enq, l.done, l.peer = st.dels[node], st.enq[node], st.done[node], st.peersAt(node)
+		l.p, l.node = r.Proc(), r.Node().HW
+		l.peers, l.total, l.slot = r.LocalSize(), total, slotBytes
+		l.capacity, l.cached, l.cont = slotBytes*params.FIFOSlots, cached, finish
+		l.enqueued, l.avail, l.piece, l.thr, l.waitIdx = 0, 0, 0, 0, 0
 		l.outer()
-
-	default:
-		l := &fifoPeerLoop{
-			enq: st.enq[node], consumed: st.peer[node][r.LocalRank()],
-			done: st.done[node], p: r.Proc(), node: r.Node().HW,
-			isRoot: r.Rank() == root, cached: cached, total: total, slot: slot,
-			cont: finish,
-		}
-		l.availFn = l.onAvail
-		l.copyFn = l.copySlot
-		l.afterFn = l.after
-		l.outer()
+		return
 	}
+	l := slot(&sc.fifoPeer, r.Rank(), r.Size())
+	if l.availFn == nil {
+		l.availFn, l.copyFn, l.afterFn = l.onAvail, l.copySlot, l.after
+	}
+	l.enq, l.consumed, l.done = st.enq[node], st.peersAt(node)[r.LocalRank()], st.done[node]
+	l.p, l.node = r.Proc(), r.Node().HW
+	l.isRoot, l.cached, l.total, l.slot, l.cont = r.Rank() == root, cached, total, slotBytes, finish
+	l.seen, l.avail, l.piece = 0, 0, 0
+	l.outer()
 }
 
 // fifoMasterLoop is the Bcast-FIFO master's packetizer: wait for new network

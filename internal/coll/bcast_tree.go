@@ -135,46 +135,26 @@ func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int, need tree
 
 // acquireTreeBcast returns the shared state of broadcast seq, arming it on
 // the first rank to arrive: from the world scratch's in-flight list or free
-// list. In-flight broadcasts are few — a rank can run ahead into the next
-// broadcast only while slower ranks finish this one — so a linear scan by
-// seq finds the state.
+// list (see recycled).
 func acquireTreeBcast(r *mpi.Rank, sc *treeScratch, seq int64, root, total int, need treeCounters) *treeBcastState {
-	for _, st := range sc.live {
-		if st.seq == seq {
-			return st
-		}
+	st := sc.states.find(seq)
+	if st == nil {
+		st = sc.states.take(seq)
+		st.sc = sc
+		st.arm(r, seq, root, total, need)
 	}
-	var st *treeBcastState
-	if n := len(sc.free); n > 0 {
-		st = sc.free[n-1]
-		sc.free = sc.free[:n-1]
-	} else {
-		st = &treeBcastState{sc: sc}
-	}
-	st.arm(r, seq, root, total, need)
-	sc.live = append(sc.live, st)
 	return st
 }
 
 // release drops r's reference (the position the blocking form's defer ran
 // at). The last release returns the state to the free list.
 func (st *treeBcastState) release() {
-	sc := st.sc
 	st.refs--
 	if st.refs > 0 {
 		return
 	}
-	for i, s := range sc.live {
-		if s == st {
-			last := len(sc.live) - 1
-			sc.live[i] = sc.live[last]
-			sc.live[last] = nil
-			sc.live = sc.live[:last]
-			break
-		}
-	}
 	st.src = data.Buf{} // the payload belongs to the caller, not the free list
-	sc.free = append(sc.free, st)
+	st.sc.states.put(st)
 }
 
 // peersAt returns node n's per-local-rank peer counters (slot 0 unused).
@@ -196,8 +176,7 @@ var treeScratchKey = mpi.NewScratchKey("coll.tree")
 // a slab is replaced only by the first call of a run on a larger partition,
 // when none of its slots is running.
 type treeScratch struct {
-	live []*treeBcastState // armed, not yet released by every rank
-	free []*treeBcastState // released, awaiting re-arm
+	states recycled[treeBcastState]
 
 	finish    []treeFinisher   // by rank: every algorithm's completion step
 	pump      []masterPump     // by node: shmem and DMA masters
@@ -214,13 +193,9 @@ type treeScratch struct {
 func newTreeScratch() any { return &treeScratch{} }
 
 // SteadyState implements sim.Hasher for the world fingerprint: a broadcast
-// in flight at an iteration boundary refuses the capture, as its registry
-// entry did before states were recycled. Idle capacity hashes nothing.
-func (sc *treeScratch) SteadyState(f *sim.FP) {
-	if len(sc.live) > 0 {
-		f.Refuse("tree broadcast in flight")
-	}
-}
+// in flight at an iteration boundary refuses the capture. Idle capacity
+// hashes nothing.
+func (sc *treeScratch) SteadyState(f *sim.FP) { sc.states.inFlight(f, "tree broadcast") }
 
 // treeScratchOf returns r's world's tree scratch.
 func treeScratchOf(r *mpi.Rank) *treeScratch {

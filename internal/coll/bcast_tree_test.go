@@ -21,18 +21,20 @@ func treeAlgosFor(mode hw.Mode) []string {
 	return []string{mpi.BcastTreeShmem, mpi.BcastTreeDMAFIFO, mpi.BcastTreeDMADirect, mpi.BcastTreeShaddr}
 }
 
-// repeatLoop issues one rank's back-to-back broadcasts with no barrier in
-// between, optionally sleeping before each call, and records each call's
-// completion time. Its continuations are bound once, so the loop itself
-// allocates nothing per broadcast.
+// repeatLoop issues one rank's back-to-back broadcasts, with no barrier in
+// between unless barrier is set, optionally sleeping before each call, and
+// records each call's completion time. Its continuations are bound once, so
+// the loop itself allocates nothing per broadcast.
 type repeatLoop struct {
-	r      *mpi.Rank
-	calls  []bcastCall
-	bufs   []data.Buf
-	ends   []sim.Time
-	i      int
-	callFn func()
-	nextFn func()
+	r       *mpi.Rank
+	calls   []bcastCall
+	bufs    []data.Buf
+	ends    []sim.Time
+	i       int
+	barrier bool
+	callFn  func()
+	nextFn  func()
+	stepFn  func()
 }
 
 // bcastCall is one broadcast of a repeat sequence: its size and root, and
@@ -44,7 +46,7 @@ type bcastCall struct {
 
 func (l *repeatLoop) arm(r *mpi.Rank, calls []bcastCall) {
 	if l.callFn == nil {
-		l.callFn, l.nextFn = l.call, l.next
+		l.callFn, l.nextFn, l.stepFn = l.call, l.next, l.step
 	}
 	l.r, l.calls, l.i = r, calls, 0
 	l.ends = l.ends[:0]
@@ -87,6 +89,10 @@ func (l *repeatLoop) call() {
 func (l *repeatLoop) next() {
 	l.ends = append(l.ends, l.r.Now())
 	l.i++
+	if l.barrier {
+		l.r.BarrierThen(l.stepFn)
+		return
+	}
 	l.step()
 }
 
@@ -178,6 +184,14 @@ func equalEnds(a, b [][]sim.Time) bool {
 // and the noProgram reference vehicle rank for rank, broadcast for
 // broadcast.
 func TestTreeBcastRecycling(t *testing.T) {
+	checkBcastRecycling(t, func(mode hw.Mode) []string {
+		return append(treeAlgosFor(mode), "") // "" = auto selection mixes algorithms
+	})
+}
+
+// checkBcastRecycling runs the recycling sequence for each broadcast
+// algorithm algos lists per mode on one world moved through every mode.
+func checkBcastRecycling(t *testing.T, algos func(hw.Mode) []string) {
 	w, err := mpi.NewWorld(testConfig(2, 2, 1, hw.Quad))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +206,7 @@ func TestTreeBcastRecycling(t *testing.T) {
 		}
 		loops = make([]repeatLoop, w.Size())
 		calls := repeatCalls(w.Size(), cfg.Mode.ProcsPerNode())
-		for _, algo := range append(treeAlgosFor(mode), "") { // "" = auto selection mixes algorithms
+		for _, algo := range algos(mode) {
 			name := fmt.Sprintf("%s/%s", mode, algo)
 			w.Reset()
 			w.Tunables.Bcast = algo
@@ -234,11 +248,12 @@ func TestTreeBcastDeadlockNamesCounter(t *testing.T) {
 	}
 }
 
-// allocsPerBcast measures the heap allocations one more tree broadcast adds
-// to a run on a warmed world: the difference between runs of five and of
-// one back-to-back broadcasts, per extra broadcast. Run set-up (process
-// spawns, Reset) costs the same in both and cancels.
-func allocsPerBcast(t *testing.T, cfg hw.Config, algo string, size int) float64 {
+// allocsPerBcast measures the heap allocations one more broadcast adds to a
+// run on a warmed world: the difference between runs of five and of one
+// back-to-back broadcasts, per extra broadcast, with a barrier after each
+// broadcast if barrier is set. Run set-up (process spawns, Reset, anything
+// a run allocates once) costs the same in both and cancels.
+func allocsPerBcast(t *testing.T, cfg hw.Config, algo string, size int, barrier bool) float64 {
 	t.Helper()
 	w, err := mpi.NewWorld(cfg)
 	if err != nil {
@@ -256,6 +271,7 @@ func allocsPerBcast(t *testing.T, cfg hw.Config, algo string, size int) float64 
 		body := func(r *mpi.Rank) {
 			l := &loops[r.Rank()]
 			l.arm(r, calls)
+			l.barrier = barrier
 			l.step()
 		}
 		once := func() {
@@ -288,7 +304,7 @@ func TestTreeBcastAllocationFree(t *testing.T) {
 				for _, size := range []int{8 << 10, 1 << 20} {
 					cfg := testConfig(geom[0], geom[1], geom[2], mode)
 					cfg.Functional = false
-					if got := allocsPerBcast(t, cfg, algo, size); got > 0 {
+					if got := allocsPerBcast(t, cfg, algo, size, false); got > 0 {
 						t.Errorf("%s %s %dx%dx%d %d B: %.1f allocations per repeat broadcast, want 0",
 							mode, algo, geom[0], geom[1], geom[2], size, got)
 					}

@@ -5,6 +5,7 @@ import (
 	"bgpcoll/internal/data"
 	"bgpcoll/internal/hw"
 	"bgpcoll/internal/mpi"
+	"bgpcoll/internal/sim"
 )
 
 // Register installs every algorithm in the mpi registries. The facade calls
@@ -55,4 +56,64 @@ func sumSpanLens(spans []hw.Span) int {
 		n += s.Len
 	}
 	return n
+}
+
+// recycled is the per-call states of one collective family on a world
+// (DESIGN.md §17): live holds the states of calls in flight, found by
+// sequence number, and free the released ones awaiting re-arm. In-flight
+// calls are few — a rank runs ahead into later calls only while slower
+// ranks finish earlier ones, and loops synchronize — so a linear scan
+// finds a state.
+type recycled[S any] struct {
+	live []*S
+	seqs []int64 // seqs[i] is the call live[i] serves
+	free []*S
+}
+
+// find returns the live state of call seq, or nil.
+func (rs *recycled[S]) find(seq int64) *S {
+	for i, s := range rs.seqs {
+		if s == seq {
+			return rs.live[i]
+		}
+	}
+	return nil
+}
+
+// take puts a released state, or a new zero one, live for call seq; the
+// caller arms it.
+func (rs *recycled[S]) take(seq int64) *S {
+	var s *S
+	if n := len(rs.free); n > 0 {
+		s = rs.free[n-1]
+		rs.free[n-1] = nil
+		rs.free = rs.free[:n-1]
+	} else {
+		s = new(S)
+	}
+	rs.live = append(rs.live, s)
+	rs.seqs = append(rs.seqs, seq)
+	return s
+}
+
+// put moves a live state to the free list.
+func (rs *recycled[S]) put(s *S) {
+	for i, l := range rs.live {
+		if l == s {
+			last := len(rs.live) - 1
+			rs.live[i], rs.seqs[i] = rs.live[last], rs.seqs[last]
+			rs.live[last] = nil
+			rs.live, rs.seqs = rs.live[:last], rs.seqs[:last]
+			break
+		}
+	}
+	rs.free = append(rs.free, s)
+}
+
+// inFlight refuses a steady-state capture while any call is live: its
+// state is mid-schedule. Idle capacity hashes nothing.
+func (rs *recycled[S]) inFlight(f *sim.FP, what string) {
+	if len(rs.live) > 0 {
+		f.Refuse(what + " in flight")
+	}
 }

@@ -110,11 +110,22 @@ func SplitColors(n, k int) (offsets, lengths []int) {
 // multiple of align (the final part absorbs the remainder). Reductions over
 // doubles use align 8 so chunk arithmetic never splits an element.
 func SplitAligned(n, k, align int) (offsets, lengths []int) {
-	if k < 1 || align < 1 {
+	if k < 1 {
 		panic("geometry: SplitAligned with k < 1 or align < 1")
 	}
 	offsets = make([]int, k)
 	lengths = make([]int, k)
+	SplitAlignedTo(offsets, lengths, n, align)
+	return offsets, lengths
+}
+
+// SplitAlignedTo is SplitAligned into caller-owned slices: k is
+// len(offsets), and lengths must be as long.
+func SplitAlignedTo(offsets, lengths []int, n, align int) {
+	k := len(offsets)
+	if k < 1 || align < 1 || len(lengths) != k {
+		panic("geometry: SplitAligned with k < 1 or align < 1")
+	}
 	base, extra := n/k, n%k
 	off := 0
 	for i := 0; i < k-1; i++ {
@@ -129,5 +140,4 @@ func SplitAligned(n, k, align int) (offsets, lengths []int) {
 	}
 	offsets[k-1] = off
 	lengths[k-1] = n - off
-	return offsets, lengths
 }

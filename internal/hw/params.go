@@ -6,7 +6,11 @@
 // MB/s collective network, 8 MB shared L2/L3).
 package hw
 
-import "bgpcoll/internal/sim"
+import (
+	"slices"
+
+	"bgpcoll/internal/sim"
+)
 
 // Params holds every hardware calibration constant of the machine model.
 type Params struct {
@@ -149,18 +153,18 @@ func (p Params) Chunks(n int) []Span {
 	if n <= 0 {
 		return nil
 	}
-	c := p.Chunk(n)
-	return p.AppendChunks(make([]Span, 0, (n+c-1)/c), n)
+	return p.AppendChunks(nil, n)
 }
 
 // AppendChunks appends Chunks(n) to dst and returns the extended slice, so
 // a caller that recycles its span list allocates nothing once it is large
-// enough.
+// enough. It grows dst at most once, to exactly the room the chunks need.
 func (p Params) AppendChunks(dst []Span, n int) []Span {
 	if n <= 0 {
 		return dst
 	}
 	c := p.Chunk(n)
+	dst = slices.Grow(dst, (n+c-1)/c)
 	for off := 0; off < n; off += c {
 		l := c
 		if off+l > n {

@@ -51,7 +51,7 @@ func resetInClosure(w *World) func() {
 
 // Package-level variables reaching a handle type are flagged: they outlive
 // the run that carved the handle.
-var staleEvent *Event                 // want `package-level variable staleEvent can retain an arena-carved sim handle`
+var staleEvent *Event                 // want `package-level variable staleEvent can retain an arena-carved sim handle across a world Reset; keep per-run handles in the world's scratch \(mpi.NewScratchKey, World.Scratch\) or in locals`
 var staleCounters []*Counter          // want `package-level variable staleCounters can retain an arena-carved sim handle`
 var staleProcByRank map[int]*Proc     // want `package-level variable staleProcByRank can retain an arena-carved sim handle`
 var staleValue Counter                // want `package-level variable staleValue can retain an arena-carved sim handle`

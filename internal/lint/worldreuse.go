@@ -24,8 +24,9 @@ import (
 //     reach, through any composite type) a *sim.Event, *sim.Counter, or
 //     *sim.Proc: such a variable outlives the run that carved the handle, and
 //     the first use after a Reset is a stale-epoch panic at best and silent
-//     cross-run corruption at worst. Per-run state belongs on the world
-//     (WorldShared) or in locals.
+//     cross-run corruption at worst. Per-run state belongs in the world's
+//     scratch (a value under an mpi.NewScratchKey, fetched with
+//     World.Scratch and re-armed by every call) or in locals.
 //
 // Test files are exempt: exercising Reset and stale handles directly is
 // exactly what the reuse tests do. sim.Counter.Reset (rewinding one counter's
@@ -172,7 +173,7 @@ func runWorldReuse(pass *Pass) error {
 					}
 					if reachesKernelHandle(obj.Type(), map[types.Type]bool{}) {
 						pass.Reportf(name.Pos(),
-							"package-level variable %s can retain an arena-carved sim handle across a world Reset; keep per-run handles on the world (WorldShared) or in locals", name.Name)
+							"package-level variable %s can retain an arena-carved sim handle across a world Reset; keep per-run handles in the world's scratch (mpi.NewScratchKey, World.Scratch) or in locals", name.Name)
 					}
 				}
 			}

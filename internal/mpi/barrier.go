@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-
-	"bgpcoll/internal/sim"
-)
+import "bgpcoll/internal/sim"
 
 // barrierState is one barrier's arrival count and release event. States
 // recycle through the world's free list; the event is carved afresh for
@@ -31,7 +27,8 @@ func (r *Rank) BarrierThen(done func()) {
 	st.arrived++
 	ev := st.ev
 	if st.arrived == w.Size() {
-		w.M.K.After(w.M.Cfg.Params.BarrierLatency, ev.Fire)
+		k := w.M.K
+		k.HookAt(k.Now()+w.M.Cfg.Params.BarrierLatency, ev, 0, 0) // ev.Fire, closure-free
 		w.releaseBarrier(st)
 	}
 	r.proc.WaitThen(ev, done)
@@ -54,7 +51,7 @@ func (w *World) barrier(seq int64) *barrierState {
 	} else {
 		st = new(barrierState)
 	}
-	ev := w.M.K.NewEvent(fmt.Sprintf("barrier%d", seq))
+	ev := w.M.K.NewEventf("barrier%d", int32(seq))
 	ev.Reserve(w.Size())
 	*st = barrierState{seq: seq, ev: ev}
 	s.barriers = append(s.barriers, st)

@@ -18,9 +18,10 @@
 // runtime to choose by message size and operating mode, mirroring how CCMI
 // registries select protocols on BG/P.
 //
-// Ranks of one node coordinate through shared per-node operation state
-// (counters, FIFOs, events) obtained from the world's rendezvous registry,
-// keyed by each rank's collective sequence number — the simulated equivalent
-// of the pre-agreed shared-memory segments and process windows on a real
-// node.
+// Ranks coordinate through shared per-operation state (counters, FIFOs,
+// events) that the collective packages keep on the world (World.Scratch):
+// the first rank to reach a collective arms a recycled state, the others
+// find it by their collective sequence number (Rank.NextSeq), and the last
+// to finish releases it — the simulated equivalent of the pre-agreed
+// shared-memory segments and process windows on a real node.
 package mpi

@@ -86,26 +86,3 @@ func (r *Rank) NextSeq() int64 {
 	r.seq++
 	return r.seq
 }
-
-// NodeShared returns this node's shared state for collective seq, created by
-// the first arriving local rank. Every local rank must call ReleaseNodeShared
-// when done with it.
-func (r *Rank) NodeShared(seq int64, kind string, create func() any) any {
-	return r.w.shared(r.nodeID, seq, kind, r.LocalSize(), create)
-}
-
-// ReleaseNodeShared drops the rank's reference from NodeShared state.
-func (r *Rank) ReleaseNodeShared(seq int64, kind string) {
-	r.w.release(r.nodeID, seq, kind)
-}
-
-// WorldShared returns job-wide shared state for collective seq; all ranks
-// must release it.
-func (r *Rank) WorldShared(seq int64, kind string, create func() any) any {
-	return r.w.shared(worldScope, seq, kind, r.Size(), create)
-}
-
-// ReleaseWorldShared drops the rank's reference from WorldShared state.
-func (r *Rank) ReleaseWorldShared(seq int64, kind string) {
-	r.w.release(worldScope, seq, kind)
-}

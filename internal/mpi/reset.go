@@ -6,10 +6,12 @@ import "bgpcoll/internal/hw"
 // post-NewWorld state without rebuilding the partition: the machine resets
 // (kernel clock/queues/arena/pipes, tree op numbering), every rank rewinds
 // its collective sequence number, drops its process handle, empties its
-// mailbox, and cools its CNK map cache, the shared-op registry is cleared,
-// and the tunables return to the automatic defaults. A reused world is
-// indistinguishable from a fresh one: the determinism stress tests compare
-// their virtual times bit for bit.
+// mailbox, and cools its CNK map cache, and the tunables return to the
+// automatic defaults. The collectives' per-world scratch (Scratch) keeps
+// its recycled states and driver slabs, re-armed by the next call, except
+// what RunScratch values drop. A reused world is indistinguishable from a
+// fresh one: the determinism stress tests compare their virtual times bit
+// for bit.
 //
 // Reset panics (from sim.Kernel.Reset) if the previous run failed; callers
 // pool only cleanly finished worlds and drop the rest.
@@ -18,7 +20,7 @@ import "bgpcoll/internal/hw"
 func (w *World) Reset() {
 	w.M.Reset()
 	w.Tunables = DefaultTunables()
-	clear(w.ops)
+	w.endRuns()
 	for id := range w.ranks {
 		r := &w.ranks[id]
 		r.proc = nil
@@ -32,12 +34,11 @@ func (w *World) Reset() {
 
 // Reconfigure rebuilds the world for a new configuration on the same kernel:
 // machine.Reconfigure rebuilds the device graph (reusing slab capacity), the
-// rank slab is refilled in place, and the job-level state — tunables, the
-// shared-op registry, any materialized mailboxes — returns to its
-// post-NewWorld condition. Growing a pooled world this way costs a re-init
-// instead of a rebuild; the result is bit-identical, in every
-// kernel-observable way, to NewWorld(cfg) (pinned by the bench equivalence
-// tests).
+// rank slab is refilled in place, and the job-level state — tunables, any
+// materialized mailboxes — returns to its post-NewWorld condition. Growing a
+// pooled world this way costs a re-init instead of a rebuild; the result is
+// bit-identical, in every kernel-observable way, to NewWorld(cfg) (pinned by
+// the bench equivalence tests).
 //
 // This file is a sanctioned Reset site for the bgplint worldreuse rule;
 // Reconfigure is Reset's capacity-aware sibling and lives at the same choke
@@ -47,7 +48,7 @@ func (w *World) Reconfigure(cfg hw.Config) error {
 		return err
 	}
 	w.Tunables = DefaultTunables()
-	clear(w.ops)
+	w.endRuns()
 	w.buildRanks()
 	return nil
 }

@@ -6,8 +6,9 @@ import "bgpcoll/internal/sim"
 // calls — recycled per-call state, per-rank driver slabs — so that a repeat
 // collective on a warmed world allocates nothing. The world owns one slot
 // per key and never looks inside; Reset and Reconfigure leave the slots
-// alone, so their capacity survives pooling and growth. The same lazily
-// allocated struct holds mpi's own per-world state (worldScratch).
+// alone, so their capacity survives pooling and growth, unless a value
+// implements RunScratch. The same lazily allocated struct holds mpi's own
+// per-world state (worldScratch).
 
 // ScratchKey names one owner's scratch value on every world. Declare one
 // package-level key per owner; keys compare by identity.
@@ -15,6 +16,24 @@ type ScratchKey struct{ owner string }
 
 // NewScratchKey returns a fresh key; owner only documents who holds it.
 func NewScratchKey(owner string) *ScratchKey { return &ScratchKey{owner: owner} }
+
+// RunScratch is implemented by a scratch value whose capacity should not
+// outlive a run: Reset and Reconfigure call EndRun, so a world idle in a
+// pool does not retain it. Use it for state sized by what the run's calls
+// needed (message-sized logs, per-rank slabs of a rarely used family),
+// which a pooled world would otherwise hold between leases.
+type RunScratch interface{ EndRun() }
+
+// endRuns calls EndRun on every scratch value that implements RunScratch.
+func (w *World) endRuns() {
+	if s := w.scratch; s != nil {
+		for _, v := range s.vals {
+			if r, ok := v.(RunScratch); ok {
+				r.EndRun()
+			}
+		}
+	}
+}
 
 // worldScratch is the per-world state allocated on a world's first use of
 // any of it, so NewWorld allocates none of it and World keeps its size

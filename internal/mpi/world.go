@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"bgpcoll/internal/cnk"
 	"bgpcoll/internal/hw"
 	"bgpcoll/internal/machine"
@@ -19,8 +17,6 @@ type World struct {
 	// never appended to after build, so they stay valid for the world's
 	// lifetime. Reconfigure reuses the backing array when the new job fits.
 	ranks []Rank
-
-	ops map[opKey]*opEntry
 
 	// scratch holds the state collectives keep on the world across calls
 	// (see worldScratch). Nil until first use: NewWorld allocates nothing
@@ -73,7 +69,6 @@ func NewWorld(cfg hw.Config) (*World, error) {
 	w := &World{
 		M:        m,
 		Tunables: DefaultTunables(),
-		ops:      make(map[opKey]*opEntry),
 	}
 	w.buildRanks()
 	return w, nil
@@ -164,44 +159,3 @@ func (w *World) run(fn func(r *Rank), program bool) (sim.Time, error) {
 
 // start is the rank slot's process entry: run the world's current body.
 func (r *Rank) start(*sim.Proc) { r.w.scratch.body(r) }
-
-// opKey identifies one collective operation instance at one coordination
-// scope: a node (intra-node shared state) or the whole job (scope -1).
-type opKey struct {
-	scope int
-	seq   int64
-	kind  string
-}
-
-type opEntry struct {
-	val  any
-	refs int
-}
-
-const worldScope = -1
-
-// shared returns the operation state for (scope, seq), creating it with
-// create on first access. parties is the number of ranks that will acquire
-// it; when all have released it, the entry is reclaimed.
-func (w *World) shared(scope int, seq int64, kind string, parties int, create func() any) any {
-	key := opKey{scope: scope, seq: seq, kind: kind}
-	e, ok := w.ops[key]
-	if !ok {
-		e = &opEntry{val: create(), refs: parties}
-		w.ops[key] = e
-	}
-	return e.val
-}
-
-// release drops one rank's reference to the operation state.
-func (w *World) release(scope int, seq int64, kind string) {
-	key := opKey{scope: scope, seq: seq, kind: kind}
-	e, ok := w.ops[key]
-	if !ok {
-		panic(fmt.Sprintf("mpi: release of unknown op %+v", key))
-	}
-	e.refs--
-	if e.refs == 0 {
-		delete(w.ops, key)
-	}
-}

@@ -1,6 +1,9 @@
 package sim
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Counter is a watchable monotonically increasing value in virtual time. It
 // models both the DMA engine's hardware byte counters and the paper's
@@ -28,9 +31,20 @@ type counterWait struct {
 	e         entry
 }
 
+// counterKeep is the waiter capacity a counter keeps in its arena slot. A
+// list that outgrows it borrows its storage from the kernel's pool
+// (Kernel.cwaitFree) and returns it once the list empties or the slot is
+// re-carved, so a slot does not pin the largest list it ever held. Smaller
+// lists (a tree peer's, emptied on every chunk) stay in the slot and never
+// touch the pool. The pool is bucketed by capacity class, so a growing list
+// takes the smallest pooled buffer that fits rather than whatever was
+// returned last.
+const counterKeep = 4
+
 // NewCounter returns a counter starting at zero, carved from the kernel's
 // arena (see arena.go). Every field is reinitialized: after a Reset the slot
-// still holds a previous run's state (the waiter slice keeps its capacity).
+// still holds a previous run's state. A waiter buffer of at most counterKeep
+// entries stays with the slot; a larger leftover goes back to the pool.
 func (k *Kernel) NewCounter(name string) *Counter {
 	return k.newCounter(plainLabel(name))
 }
@@ -46,6 +60,10 @@ func (k *Kernel) newCounter(name label) *Counter {
 	c := k.arena.newCounter()
 	c.k, c.name, c.epoch = k, name, k.epoch
 	c.v = 0
+	if cap(c.waiters) > counterKeep {
+		k.putCounterWaiters(c.waiters)
+		c.waiters = nil
+	}
 	c.waiters = c.waiters[:0]
 	return c
 }
@@ -87,6 +105,12 @@ func (c *Counter) Reset() {
 }
 
 func (c *Counter) wait(threshold int64, e entry) {
+	switch n := len(c.waiters); {
+	case cap(c.waiters) == 0:
+		c.waiters = c.k.takeCounterWaiters()
+	case n == cap(c.waiters) && n >= counterKeep:
+		c.waiters = c.k.growCounterWaiters(c.waiters)
+	}
 	i := sort.Search(len(c.waiters), func(i int) bool {
 		return c.waiters[i].threshold > threshold
 	})
@@ -129,6 +153,59 @@ func (c *Counter) release() {
 	// counterWait is pointer-free, so the vacated tail needs no clearing.
 	rem := copy(c.waiters, c.waiters[n:])
 	c.waiters = c.waiters[:rem]
+	if rem == 0 && cap(c.waiters) > counterKeep {
+		k.putCounterWaiters(c.waiters)
+		c.waiters = nil
+	}
+}
+
+// growCounterWaiters moves a full waiter list past counterKeep entries into
+// a larger buffer: the smallest pooled one with room, else a new one of
+// twice the size. The buffer the list leaves behind goes to the pool, where
+// the next list to reach or outgrow its size finds it.
+func (k *Kernel) growCounterWaiters(w []counterWait) []counterWait {
+	var grown []counterWait
+	for c := bits.Len(uint(len(w))); c < len(k.cwaitFree); c++ {
+		if m := len(k.cwaitFree[c]); m > 0 {
+			grown = k.cwaitFree[c][m-1]
+			k.cwaitFree[c][m-1] = nil
+			k.cwaitFree[c] = k.cwaitFree[c][:m-1]
+			break
+		}
+	}
+	if grown == nil {
+		grown = make([]counterWait, 0, 2*len(w))
+	}
+	grown = append(grown, w...)
+	k.putCounterWaiters(w)
+	return grown
+}
+
+// takeCounterWaiters gives a counter without a buffer the largest pooled
+// one of at most counterKeep entries: the one a list left behind when it
+// outgrew its slot. It returns nil, for append to allocate, when there is
+// none.
+func (k *Kernel) takeCounterWaiters() []counterWait {
+	for c := min(bits.Len(counterKeep)-1, len(k.cwaitFree)-1); c >= 0; c-- {
+		if m := len(k.cwaitFree[c]); m > 0 {
+			w := k.cwaitFree[c][m-1]
+			k.cwaitFree[c][m-1] = nil
+			k.cwaitFree[c] = k.cwaitFree[c][:m-1]
+			return w
+		}
+	}
+	return nil
+}
+
+// putCounterWaiters returns a counter waiter buffer, emptied, to the pool
+// bucket of its capacity class: bucket c holds buffers of capacity in
+// [2^c, 2^(c+1)).
+func (k *Kernel) putCounterWaiters(w []counterWait) {
+	c := bits.Len(uint(cap(w))) - 1
+	for len(k.cwaitFree) <= c {
+		k.cwaitFree = append(k.cwaitFree, nil)
+	}
+	k.cwaitFree[c] = append(k.cwaitFree[c], w[:0])
 }
 
 // OnGE schedules fn once the counter reaches at least v. If it already has,

@@ -125,6 +125,12 @@ func (e *Event) Fire() {
 	k.putWaiters(ws)
 }
 
+// RunPost implements PostHandler, so HookAt(t, e, 0, 0) schedules e.Fire
+// at t without a method-value closure.
+//
+//bgplint:hot
+func (e *Event) RunPost(_, _ int64) { e.Fire() }
+
 // OnFire registers fn to run when the event fires. If the event has already
 // fired, fn is scheduled at the current time.
 func (e *Event) OnFire(fn func()) {

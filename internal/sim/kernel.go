@@ -123,6 +123,12 @@ type Kernel struct {
 
 	// pipeEpoch counts ReleasePipes calls (see PipeEpoch).
 	pipeEpoch uint32
+
+	// cwaitFree pools the counter waiter buffers that outgrew a slot's own
+	// counterKeep entries (see Counter.wait), one LIFO bucket per capacity
+	// class. It sits last so the fields above keep the offsets the hot
+	// paths were measured with.
+	cwaitFree [][][]counterWait
 }
 
 // New returns a kernel with the clock at zero.
@@ -151,8 +157,8 @@ func (k *Kernel) NoExtrap() bool { return k.noExtrap }
 
 // Reset returns the kernel to its post-New state while keeping every
 // allocation it has accumulated: arena slabs, queue and ring capacity, the
-// callback tables, the pooled waiter buffers (waitFree), and the pipes
-// created on it. Pipes survive with their identity intact (their
+// callback tables, the pooled waiter buffers (waitFree, cwaitFree), and the
+// pipes created on it. Pipes survive with their identity intact (their
 // reservation state rewinds to zero); events, counters, and processes do
 // not — their slab slots will be recarved, so handles from before the Reset
 // are poison, and the epoch stamp makes using one panic deterministically.
@@ -467,7 +473,14 @@ func (k *Kernel) Run() error {
 		return fmt.Errorf("sim: Run called reentrantly")
 	}
 	k.running = true
-	defer func() { k.running = false }()
+	defer func() {
+		k.running = false
+		// A failed or deadlocked run, or one a callback panic escapes,
+		// leaves a dead kernel: end its parked process goroutines.
+		if k.failure != nil || k.blocked > 0 {
+			k.releaseGoroutines()
+		}
+	}()
 
 	k.loop()
 	if k.failure != nil {

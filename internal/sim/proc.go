@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 )
 
@@ -29,7 +30,10 @@ type Proc struct {
 	// activation wrapper can tell "parked" from "finished".
 	inline bool
 	armed  bool
-	cont   func()
+	// released marks a goroutine process of a failed or deadlocked kernel
+	// whose gate was closed to end its goroutine (Kernel.releaseGoroutines).
+	released bool
+	cont     func()
 
 	// gate receives the virtual-CPU token: Run's loop sends to resume the
 	// process's goroutine. It is made on the slot's first goroutine spawn
@@ -124,6 +128,7 @@ func (k *Kernel) carveProc(format string, id int32) *Proc {
 	p.k, p.name = k, label{s: format, a: id, b: -1}
 	p.self, p.epoch = self, k.epoch
 	p.waitEv, p.waitC, p.waitGE = nil, nil, 0
+	p.released = false
 	p.plan.steps = p.plan.steps[:0]
 	p.plan.i = 0
 	p.resetFrame()
@@ -133,10 +138,20 @@ func (k *Kernel) carveProc(format string, id int32) *Proc {
 // exec is a goroutine process's whole life: wait for the first token, run
 // the body, convert a panic into a simulation failure, drop the finished
 // process from the deadlock-report set, and hand the token back to Run's
-// loop as the goroutine's last act.
+// loop as the goroutine's last act. A process released by a dead kernel
+// (releaseGoroutines) exits at once, before its first activation or from
+// yield through runtime.Goexit, and hands the token to the releaser without
+// touching the kernel state.
 func (p *Proc) exec(fn func(p *Proc)) {
-	<-p.gate
+	if _, ok := <-p.gate; !ok {
+		p.k.sched <- struct{}{}
+		return
+	}
 	defer func() {
+		if p.released {
+			p.k.sched <- struct{}{}
+			return
+		}
 		if r := recover(); r != nil {
 			p.k.fail(procPanicError(p.Name(), r))
 		}
@@ -152,10 +167,30 @@ func (p *Proc) exec(fn func(p *Proc)) {
 }
 
 // yield hands the virtual CPU back to Run's loop and blocks the goroutine
-// until the loop dispatches the process's next resume.
+// until the loop dispatches the process's next resume, or ends the
+// goroutine if the kernel releases it instead.
 func (p *Proc) yield() {
 	p.k.sched <- struct{}{}
-	<-p.gate
+	if _, ok := <-p.gate; !ok {
+		runtime.Goexit()
+	}
+}
+
+// releaseGoroutines ends the goroutines of a failed or deadlocked run's
+// live goroutine processes, which would otherwise stay parked on their
+// gates for the life of the program. A dead kernel is never resumed (Reset
+// refuses it), so each goroutine exits without running more simulation
+// code; the processes stay in the deadlock-report set. Each release waits
+// for the goroutine's hand-back, so none is still unwinding through
+// process code when Run returns.
+func (k *Kernel) releaseGoroutines() {
+	for _, pi := range k.procs {
+		if p := k.procAt(pi); !p.inline && p.gate != nil && !p.released {
+			p.released = true
+			close(p.gate)
+			<-k.sched
+		}
+	}
 }
 
 // blockedOn describes what the process is waiting on, or "" if it is not

@@ -79,8 +79,6 @@ type FP struct {
 	forward bool
 	laneIdx int
 
-	nBasePipes int
-
 	// in is working state shared by every FP in the owning detector's
 	// capture window: it is live only during one walk (a comparison needs
 	// just buf and lanes), so a single instance serves the whole window.
@@ -126,8 +124,8 @@ const (
 	fpTrue  = 0x01
 )
 
-func newFP(nBasePipes int, in *fpIntern) *FP {
-	return &FP{nBasePipes: nBasePipes, in: in}
+func newFP(in *fpIntern) *FP {
+	return &FP{in: in}
 }
 
 func (f *FP) reset(now Time) {
@@ -437,21 +435,16 @@ func (k *Kernel) steadyWalk(f *FP) {
 	k.steadyPipes(f)
 }
 
-// steadyPipes registers the base pipes' cumulative statistics as monotone
-// lanes and hashes every live reservation. Base pipes are the first
-// nBasePipes registrations — the permanent machine devices present when the
-// detector was created; pipes adopted later (per-operation protocol pipes)
-// are reached through whatever pending state references them, but their
-// cumulative statistics are not extrapolated (they are diagnostics of
-// already-released objects). This walk runs in forward mode too, so its
-// Mono* sequence must stay positionally identical between modes.
+// steadyPipes registers every registered pipe's cumulative statistics as
+// monotone lanes and hashes every live reservation. That includes pipes
+// adopted after the detector was armed, such as torus links a fresh world
+// grows during its first measurement, so an extrapolated run reports the
+// same pipe statistics as a fully executed one. A pipe adopted between two
+// captures changes the lane count, and Capture never matches captures of
+// different lane counts. This walk runs in forward mode too, so its Mono*
+// sequence must stay positionally identical between modes.
 func (k *Kernel) steadyPipes(f *FP) {
-	n := f.nBasePipes
-	if n > len(k.pipes) {
-		n = len(k.pipes)
-	}
-	for i := 0; i < n; i++ {
-		p := k.pipes[i]
+	for _, p := range k.pipes {
 		f.MonoI64(&p.totalBytes)
 		f.MonoTime(&p.busy)
 		f.MonoI64(&p.transfers)
@@ -521,29 +514,21 @@ const maxSteadyAttempts = 16
 
 // NewSteady returns a detector for k. extra, if non-nil, is invoked on every
 // capture (and every forward replay) to walk layer state above the kernel —
-// collective-op entries, per-rank residue, measure-loop accumulators. The
-// base-pipe set whose statistics are extrapolated is snapshotted here, so
-// create the detector after the machine's permanent devices are adopted.
+// per-rank residue, collective scratch, measure-loop accumulators.
 func NewSteady(k *Kernel, extra func(*FP)) *Steady {
-	n := len(k.pipes)
 	s := &Steady{k: k, extra: extra}
 	in := newFPIntern()
 	for i := range s.hist {
-		s.hist[i] = newFP(n, in)
+		s.hist[i] = newFP(in)
 	}
 	return s
 }
 
 // Rearm readies the detector for a new measurement on the same kernel,
-// keeping every buffer it has grown: the capture window empties, the
-// attempt budget refills, and the base-pipe set is snapshotted again, as
-// NewSteady would take it now. A pooled world re-arms one detector per
+// keeping every buffer it has grown: the capture window empties and the
+// attempt budget refills. A pooled world re-arms one detector per
 // measurement instead of building a fresh one.
 func (s *Steady) Rearm() {
-	n := len(s.k.pipes)
-	for _, f := range s.hist {
-		f.nBasePipes = n
-	}
 	s.histN, s.attempts = 0, 0
 	s.delta, s.period, s.matched = 0, 0, nil
 }

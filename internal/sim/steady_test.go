@@ -329,12 +329,18 @@ func BenchmarkSteadyFingerprint(b *testing.B) {
 }
 
 // TestSteadyRearm checks what a re-armed detector starts from: an empty
-// capture window, a refilled attempt budget, and a base-pipe snapshot
-// re-taken from the kernel's current pipes.
+// capture window and a refilled attempt budget. Every pipe registered at
+// capture time is a lane, including one adopted after the detector was
+// built.
 func TestSteadyRearm(t *testing.T) {
 	k := New()
 	k.NewPipe("base", 1e9, 0)
-	det := NewSteady(k, func(f *FP) { f.Refuse("layer says no") })
+	refuse := true
+	det := NewSteady(k, func(f *FP) {
+		if refuse {
+			f.Refuse("layer says no")
+		}
+	})
 	for !det.GaveUp() {
 		det.Capture()
 	}
@@ -343,9 +349,39 @@ func TestSteadyRearm(t *testing.T) {
 	if det.GaveUp() || det.histN != 0 {
 		t.Fatalf("re-armed detector: gave up %v, %d captures in its window", det.GaveUp(), det.histN)
 	}
-	for i, f := range det.hist {
-		if f.nBasePipes != 2 {
-			t.Fatalf("window slot %d snapshots %d base pipes, want 2", i, f.nBasePipes)
+	refuse = false
+	det.Capture()
+	if got := len(det.hist[0].lanes); got != 6 {
+		t.Fatalf("capture registered %d lanes, want 3 for each of 2 pipes", got)
+	}
+}
+
+// TestSteadyNoMatchAcrossPipeAdoption: captures of the same state match
+// one boundary apart, except across a pipe adoption, which changes the
+// lane count.
+func TestSteadyNoMatchAcrossPipeAdoption(t *testing.T) {
+	k := New()
+	k.NewPipe("base", 1e9, 0)
+	det := NewSteady(k, nil)
+	var matched []Time
+	var boundary func()
+	boundary = func() {
+		if det.Capture() {
+			matched = append(matched, k.Now())
 		}
+		if k.Now() == 2 {
+			k.NewPipe("adopted", 1e9, 0)
+		}
+		if k.Now() < 5 {
+			k.At(k.Now()+1, boundary)
+		}
+	}
+	k.At(1, boundary)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Time{2, 4, 5}
+	if fmt.Sprint(matched) != fmt.Sprint(want) {
+		t.Fatalf("captures matched at %v, want %v (none at 3, across the adoption)", matched, want)
 	}
 }

@@ -412,14 +412,54 @@ func TestGoroutineProcsExitAcrossKernels(t *testing.T) {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
-	// A finished process hands the token back as its goroutine's last act,
-	// so the goroutine may still be unwinding when Run returns.
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after 50 clean kernels, %d before", n, base)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it is back at base,
+// yielding up to a million times while it is not. A finished or released
+// process hands the token back as its goroutine's last act, so the
+// goroutine may still be unwinding when Run returns; under the race
+// detector on two CPUs, 10,000 yields were sometimes too short a wait.
+func settledGoroutines(base int) int {
 	n := runtime.NumGoroutine()
-	for tries := 0; n > base && tries < 10000; tries++ {
+	for tries := 0; n > base && tries < 1_000_000; tries++ {
 		runtime.Gosched()
 		n = runtime.NumGoroutine()
 	}
-	if n > base {
-		t.Fatalf("%d goroutines after 50 clean kernels, %d before", n, base)
+	return n
+}
+
+// TestDeadKernelsReleaseGoroutines runs kernels that end deadlocked or
+// failed with 100 goroutine processes parked in each, and requires the
+// goroutine count to return to its baseline: a dead kernel is never
+// resumed, so it ends its processes' goroutines instead of stranding them
+// on their gates (10 deadlocked kernels used to leave 1,000 behind).
+func TestDeadKernelsReleaseGoroutines(t *testing.T) {
+	for _, end := range []string{"deadlock", "panic"} {
+		base := runtime.NumGoroutine()
+		for i := 0; i < 10; i++ {
+			k := New()
+			never := k.NewEvent("never")
+			for j := 0; j < 100; j++ {
+				k.Spawn(fmt.Sprintf("w%d", j), func(p *Proc) {
+					p.SleepThen(Time(j)*Nanosecond, nop)
+					p.WaitThen(never, func() { t.Error("released process ran simulation code") })
+				})
+			}
+			if end == "panic" {
+				k.Spawn("bad", func(p *Proc) {
+					p.SleepThen(Microsecond, nop)
+					panic("boom")
+				})
+			}
+			if err := k.Run(); err == nil {
+				t.Fatalf("%s kernel %d: Run succeeded", end, i)
+			}
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Fatalf("%s: %d goroutines after 10 dead kernels of 100 processes, %d before", end, n, base)
+		}
 	}
 }

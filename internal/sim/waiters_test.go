@@ -8,14 +8,19 @@ import "testing"
 // is the shape of a collective-network broadcast, whose every chunk carves
 // one event that thousands of ranks wait on. Continuations are bound once
 // per slot, so a warmed round allocates only what the kernel itself does.
+//
+// With counters set, each stage is a counter instead, carved per stage and
+// released by one Add, the shape of a ccmi schedule's per-call counters.
 type fanOut struct {
-	k       *Kernel
-	ev      *Event
-	left    int // stages not yet fired
-	waiters []fanWaiter
-	driveFn func(*Proc)
-	fireFn  func()
-	source  *Proc
+	k        *Kernel
+	ev       *Event
+	c        *Counter
+	counters bool
+	left     int // stages not yet fired
+	waiters  []fanWaiter
+	driveFn  func(*Proc)
+	fireFn   func()
+	source   *Proc
 }
 
 type fanWaiter struct {
@@ -40,7 +45,7 @@ func newFanOut(k *Kernel, n int) *fanOut {
 func (f *fanOut) round(t testing.TB, stages int) {
 	f.k.Reset()
 	f.left = stages
-	f.ev = f.k.NewEvent("stage")
+	f.carve()
 	for i := range f.waiters {
 		f.k.SpawnProgramIdx("waiter%d", int32(i), f.waiters[i].startFn)
 	}
@@ -55,14 +60,27 @@ func (f *fanOut) drive(p *Proc) {
 	p.SleepThen(1, f.fireFn)
 }
 
-func (f *fanOut) fire() {
-	old := f.ev
-	f.left--
-	f.ev = nil
-	if f.left > 0 {
+// carve makes the next stage's event or counter.
+func (f *fanOut) carve() {
+	if f.counters {
+		f.c = f.k.NewCounter("stage")
+	} else {
 		f.ev = f.k.NewEvent("stage")
 	}
-	old.Fire()
+}
+
+func (f *fanOut) fire() {
+	oldEv, oldC := f.ev, f.c
+	f.left--
+	f.ev, f.c = nil, nil
+	if f.left > 0 {
+		f.carve()
+	}
+	if oldC != nil {
+		oldC.Add(1)
+	} else {
+		oldEv.Fire()
+	}
 	if f.left > 0 {
 		f.source.SleepThen(1, f.fireFn)
 	}
@@ -74,7 +92,9 @@ func (w *fanWaiter) start(p *Proc) {
 }
 
 func (w *fanWaiter) wait() {
-	if ev := w.f.ev; ev != nil {
+	if c := w.f.c; c != nil {
+		w.p.WaitGEThen(c, 1, w.waitFn)
+	} else if ev := w.f.ev; ev != nil {
 		w.p.WaitThen(ev, w.waitFn)
 	}
 }
@@ -182,5 +202,65 @@ func TestReserveKeepsSmallerPooledBuffer(t *testing.T) {
 	}
 	if len(k.waitFree) != 2 {
 		t.Fatalf("re-carving two never-fired slots pooled %d buffers, want 2", len(k.waitFree))
+	}
+}
+
+// retainedCounterWaiterCap sums the counter waiter capacity k holds: every
+// counter slot's list plus the pooled buffers.
+func retainedCounterWaiterCap(k *Kernel) int {
+	n := 0
+	for _, slab := range k.arena.counters {
+		for i := range slab {
+			n += cap(slab[i].waiters)
+		}
+	}
+	for _, bucket := range k.cwaitFree {
+		for _, w := range bucket {
+			n += cap(w)
+		}
+	}
+	return n
+}
+
+// TestCounterWaiterStorageTracksLiveLists is TestWaiterStorageTracksLiveEvents
+// for counters: a chain of 64 per-stage counters with 300 waiters each, one
+// waited on at a time, leaves about one list's worth of capacity in the
+// pool and none in the slots, and a warmed chain allocates nothing.
+func TestCounterWaiterStorageTracksLiveLists(t *testing.T) {
+	const waiters, stages = 300, 64
+	k := New()
+	f := newFanOut(k, waiters)
+	f.counters = true
+	f.round(t, stages)
+	if got := retainedCounterWaiterCap(k); got > 4*waiters {
+		t.Fatalf("retained %d counter waiter entries after %d stages of %d waiters, want at most %d",
+			got, stages, waiters, 4*waiters)
+	}
+	for _, slab := range k.arena.counters {
+		for i := range slab[:min(len(slab), k.arena.nCounters)] {
+			if c := &slab[i]; cap(c.waiters) > counterKeep {
+				t.Fatalf("counter slot %d keeps a %d-entry buffer", i, cap(c.waiters))
+			}
+		}
+	}
+	if testing.CoverMode() == "" {
+		if got := testing.AllocsPerRun(5, func() { f.round(t, stages) }); got > 0 {
+			t.Fatalf("warmed counter fan-out round: %.1f allocations, want 0", got)
+		}
+	}
+}
+
+// TestSmallCounterListsStayInSlot: a counter whose list never outgrows
+// counterKeep, emptied over and over like a tree peer's, keeps its buffer
+// and never touches the pool.
+func TestSmallCounterListsStayInSlot(t *testing.T) {
+	k := New()
+	f := newFanOut(k, counterKeep-1)
+	f.counters = true
+	f.round(t, 64)
+	for c, bucket := range k.cwaitFree {
+		if len(bucket) > 0 {
+			t.Fatalf("pool holds %d buffers of class %d after small lists only", len(bucket), c)
+		}
 	}
 }
