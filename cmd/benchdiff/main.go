@@ -18,7 +18,8 @@
 //
 // Output is one row per experiment with the wall-clock ratio, signed percent
 // delta, and (when either report carries memstats) the allocated-bytes delta,
-// plus a whole-run total_ms comparison. An experiment present in only one
+// a line naming the phases of every experiment that records them (figS's
+// construct, grow, run and GC ms), plus a whole-run total_ms comparison. An experiment present in only one
 // report is listed as a warning; -strict turns a baseline experiment missing
 // from the candidate back into a hard regression. The exit status is 1 when
 // any experiment regressed beyond -threshold (or -allocs, when enabled, or a
@@ -57,6 +58,58 @@ type reportExperiment struct {
 	// gates: the sampler is best-effort and allocator-noise sensitive, so a
 	// hard gate would flake.
 	PeakHeap uint64 `json:"peak_heap_inuse_bytes"`
+	// Phases splits the experiment's wall-clock by layer (figS only; nil
+	// elsewhere and in reports from before bgpbench stamped it).
+	Phases *phases `json:"phases"`
+}
+
+// phases is figS's wall-clock by layer, in ms: world construction, growth,
+// the measured runs, and GC CPU time.
+type phases struct {
+	ConstructMS float64 `json:"construct_ms"`
+	GrowMS      float64 `json:"grow_ms"`
+	RunMS       float64 `json:"run_ms"`
+	GCMS        float64 `json:"gc_ms"`
+}
+
+// phaseNames labels phases.values in order.
+var phaseNames = [...]string{"construct", "grow", "run", "gc"}
+
+func (p *phases) values() [4]float64 {
+	return [4]float64{p.ConstructMS, p.GrowMS, p.RunMS, p.GCMS}
+}
+
+// phaseLines describes the phases of every candidate experiment that
+// records them, each against the baseline's when it has them too, so a
+// wall-clock change names the layer that moved. Phases inform; they never
+// gate.
+func phaseLines(base, cand *report) []string {
+	basePhases := make(map[string]*phases, len(base.Experiments))
+	for _, e := range base.Experiments {
+		basePhases[e.ID] = e.Phases
+	}
+	var lines []string
+	for _, e := range cand.Experiments {
+		if e.Phases == nil {
+			continue
+		}
+		line := e.ID + " phases:"
+		cv := e.Phases.values()
+		for i, name := range phaseNames {
+			b := basePhases[e.ID]
+			if b == nil {
+				line += fmt.Sprintf(" %s %.1f ms", name, cv[i])
+				continue
+			}
+			bv := b.values()[i]
+			line += fmt.Sprintf(" %s %.1f -> %.1f ms", name, bv, cv[i])
+			if bv > 0 {
+				line += fmt.Sprintf(" (%+.1f%%)", (cv[i]/bv-1)*100)
+			}
+		}
+		lines = append(lines, line)
+	}
+	return lines
 }
 
 // peakHeapWarnFrac is the peak-heap growth fraction beyond which benchdiff
@@ -402,6 +455,9 @@ func run(w *os.File, base, cand *report, g gate) int {
 		}
 	}
 	tw.Flush()
+	for _, line := range phaseLines(base, cand) {
+		fmt.Fprintln(w, line)
+	}
 	for _, warn := range append(envWarnings(base, cand), warnings...) {
 		fmt.Fprintf(w, "warning: %s\n", warn)
 	}

@@ -315,3 +315,25 @@ func TestPeakHeapWarning(t *testing.T) {
 		t.Fatalf("peak-heap warning must require both sides: %v", warnings)
 	}
 }
+
+func TestPhaseLines(t *testing.T) {
+	base := mkReport("fig7", 1000.0, "figs", 8000.0)
+	cand := mkReport("fig7", 1000.0, "figs", 7000.0)
+	if got := phaseLines(base, cand); len(got) != 0 {
+		t.Fatalf("phases printed without any recorded: %q", got)
+	}
+	cand.Experiments[1].Phases = &phases{ConstructMS: 200, GrowMS: 700, RunMS: 6000, GCMS: 900}
+	got := phaseLines(base, cand)
+	if len(got) != 1 || got[0] != "figs phases: construct 200.0 ms grow 700.0 ms run 6000.0 ms gc 900.0 ms" {
+		t.Fatalf("candidate-only phases = %q", got)
+	}
+	base.Experiments[1].Phases = &phases{ConstructMS: 200, GrowMS: 800, RunMS: 6000, GCMS: 0}
+	got = phaseLines(base, cand)
+	want := "figs phases: construct 200.0 -> 200.0 ms (+0.0%) grow 800.0 -> 700.0 ms (-12.5%) run 6000.0 -> 6000.0 ms (+0.0%) gc 0.0 -> 900.0 ms"
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("phases = %q, want %q", got, want)
+	}
+	if _, _, regressed := diff(base, cand, gate{Threshold: 0.10}); regressed {
+		t.Fatal("phases gated the diff")
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -87,6 +88,57 @@ type experimentTimes struct {
 	// so it attributes footprint to the experiment that caused it — the
 	// number a capacity regression moves first.
 	PeakHeapInuseBytes uint64 `json:"peak_heap_inuse_bytes"`
+	// Phases splits figS's wall-clock by layer (absent on other rows).
+	Phases *scalePhases `json:"phases,omitempty"`
+}
+
+// scalePhases is where figS's time goes, in ms summed over its points:
+// building each fresh world, growing the previous point's world to it
+// (the first point's "growth" is its cold build), running the measured
+// collectives, and the GC's CPU time over the whole experiment. Growth and
+// construction dominate at rack scale, so a capacity change names the phase
+// it moved.
+type scalePhases struct {
+	ConstructMS float64 `json:"construct_ms"`
+	GrowMS      float64 `json:"grow_ms"`
+	RunMS       float64 `json:"run_ms"`
+	GCMS        float64 `json:"gc_ms"`
+}
+
+// gcCPUMetric is the runtime's estimate of the CPU time spent in GC work.
+const gcCPUMetric = "/cpu/classes/gc/total:cpu-seconds"
+
+// gcCPUSeconds reads gcCPUMetric.
+func gcCPUSeconds() float64 {
+	s := []metrics.Sample{{Name: gcCPUMetric}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindFloat64 {
+		return 0
+	}
+	return s[0].Value.Float64()
+}
+
+// figPhases sums figS's wall-clock series over its points and adds the GC
+// CPU time the experiment took.
+func figPhases(fig *bench.Figure, gcMS float64) *scalePhases {
+	sum := func(label string) float64 {
+		for _, s := range fig.Series {
+			if s.Label == label {
+				t := 0.0
+				for _, v := range s.Values {
+					t += v
+				}
+				return t
+			}
+		}
+		return 0
+	}
+	return &scalePhases{
+		ConstructMS: sum(bench.ScaleConstructLabel),
+		GrowMS:      sum(bench.ScaleGrowLabel),
+		RunMS:       sum(bench.ScaleRunLabel),
+		GCMS:        gcMS,
+	}
 }
 
 // pgoProfile reports the PGO profile path the binary was built with, from
@@ -210,6 +262,7 @@ func main() {
 		// check lives in bench/heapsampler_test.go).
 		sampler := bench.StartHeapSampler()
 		extrapBefore := bench.ExtrapolatedIters()
+		gcBefore := gcCPUSeconds()
 		start := time.Now()
 		fig, err := exp.Run(opts)
 		if err != nil {
@@ -220,6 +273,10 @@ func main() {
 		peakHeap := sampler.Peak()
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
+		var phases *scalePhases
+		if exp.ID == "figs" {
+			phases = figPhases(fig, (gcCPUSeconds()-gcBefore)*1e3)
+		}
 		report.Experiments = append(report.Experiments, experimentTimes{
 			ID:                 exp.ID,
 			Ranks:              fig.Ranks,
@@ -232,6 +289,7 @@ func main() {
 			GCCycles:           after.NumGC - before.NumGC,
 			HeapSysBytes:       after.HeapSys,
 			PeakHeapInuseBytes: peakHeap,
+			Phases:             phases,
 		})
 		if *csv {
 			fig.CSV(os.Stdout)

@@ -129,6 +129,15 @@ func measureScalePoint(cfg hw.Config, msg, iters int, mode RunMode) (scaleCell, 
 	return cell, w, nil
 }
 
+// The labels of figS's wall-clock series, in ms per point: a fresh world's
+// construction, the donor's growth to the point, and the measured runs.
+// bgpbench sums each over the points into the report's figS phases.
+const (
+	ScaleConstructLabel = "Construct (ms)"
+	ScaleGrowLabel      = "Grow (ms)"
+	ScaleRunLabel       = "Run wall (ms)"
+)
+
 // FigScale runs the capacity sweep. The Sizes axis is the rank count; the
 // series mix units (labelled per series): virtual-time latencies for the two
 // collectives, wall-clock construction/growth/run times, and footprint.
@@ -168,9 +177,9 @@ func FigScale(o Options) (*Figure, error) {
 	labels := []string{
 		"Bcast 8K (us)",
 		"Barrier (us)",
-		"Construct (ms)",
-		"Grow (ms)",
-		"Run wall (ms)",
+		ScaleConstructLabel,
+		ScaleGrowLabel,
+		ScaleRunLabel,
 		"Per-rank (bytes)",
 		"Peak heap (MB)",
 	}

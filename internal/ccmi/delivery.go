@@ -9,12 +9,15 @@ import (
 )
 
 // Delivery records what a collective schedule has delivered to one node: an
-// ordered log of payload spans plus a byte counter that simulated processes
-// wait on. It is the software-visible face of the DMA byte counters: rank
-// protocols poll the counter and then process the newly logged spans.
+// ordered log of the delivered spans' lengths plus a byte counter that
+// simulated processes wait on. It is the software-visible face of the DMA
+// byte counters: rank protocols poll the counter and then process the newly
+// logged lengths. The log keeps lengths only, 4 bytes a chunk, because no
+// protocol reads where a span lies; the payload copy of a functional run is
+// scheduled separately (copyAt).
 type Delivery struct {
 	Counter *sim.Counter
-	Spans   []hw.Span
+	Lens    []int32
 }
 
 // NewDelivery creates an empty delivery log.
@@ -22,7 +25,7 @@ func NewDelivery(k *sim.Kernel, name string) *Delivery {
 	return &Delivery{Counter: k.NewCounter(name)}
 }
 
-// Deliver schedules the arrival of span at time t: the span is appended to
+// Deliver schedules the arrival of span at time t: its length is appended to
 // the log and the byte counter advances.
 func (d *Delivery) Deliver(k *sim.Kernel, t sim.Time, span hw.Span) {
 	k.HookAt(t, d, int64(span.Off), int64(span.Len))
@@ -32,8 +35,8 @@ func (d *Delivery) Deliver(k *sim.Kernel, t sim.Time, span hw.Span) {
 // (off, n).
 //
 //bgplint:hot
-func (d *Delivery) RunPost(off, n int64) {
-	d.Spans = append(d.Spans, hw.Span{Off: int(off), Len: int(n)})
+func (d *Delivery) RunPost(_, n int64) {
+	d.Lens = append(d.Lens, int32(n))
 	d.Counter.Add(n)
 }
 
@@ -41,7 +44,7 @@ func (d *Delivery) RunPost(off, n int64) {
 // schedule is about to deliver to each node, so logging never reallocates.
 func presize(dels []*Delivery, spans int) {
 	for _, d := range dels {
-		d.Spans = slices.Grow(d.Spans, spans)
+		d.Lens = slices.Grow(d.Lens, spans)
 	}
 }
 
@@ -57,18 +60,18 @@ func copyAt(k *sim.Kernel, t sim.Time, dst, src data.Buf, span hw.Span) {
 	})
 }
 
-// Drain returns the spans logged beyond *seen and advances *seen past them.
-// Rank protocols call it after the counter moves to learn exactly which
-// byte ranges arrived.
-func (d *Delivery) Drain(seen *int) []hw.Span {
-	spans := d.Spans[*seen:]
-	*seen = len(d.Spans)
-	return spans
+// Drain returns the lengths logged beyond *seen and advances *seen past
+// them. Rank protocols call it after the counter moves to learn exactly
+// which chunks arrived.
+func (d *Delivery) Drain(seen *int) []int32 {
+	lens := d.Lens[*seen:]
+	*seen = len(d.Lens)
+	return lens
 }
 
 // Arm re-initializes a recycled log for a new schedule: empty, counting on
-// c. The span list keeps its capacity.
+// c. The length list keeps its capacity.
 func (d *Delivery) Arm(c *sim.Counter) {
 	d.Counter = c
-	d.Spans = d.Spans[:0]
+	d.Lens = d.Lens[:0]
 }

@@ -1,7 +1,6 @@
 package ccmi
 
 import (
-	"sort"
 	"testing"
 
 	"bgpcoll/internal/data"
@@ -24,7 +23,9 @@ func newMachine(t *testing.T, dx, dy, dz int) *machine.Machine {
 }
 
 // runBcast executes a rectangle broadcast and returns per-node buffers and
-// deliveries after the simulation drains.
+// deliveries after the simulation drains. Every node's buffer starts as the
+// bytewise complement of the source, so a byte no span delivered differs
+// from the source.
 func runBcast(t *testing.T, m *machine.Machine, root geometry.Coord, msg int, colors []geometry.Color) ([]data.Buf, []*Delivery, data.Buf) {
 	t.Helper()
 	src := data.New(msg, true)
@@ -34,6 +35,9 @@ func runBcast(t *testing.T, m *machine.Machine, root geometry.Coord, msg int, co
 	dels := make([]*Delivery, nodes)
 	for i := range bufs {
 		bufs[i] = data.New(msg, true)
+		for j, c := range src.Bytes() {
+			bufs[i].Bytes()[j] = ^c
+		}
 		dels[i] = NewDelivery(m.K, "del")
 	}
 	b := &Bcast{M: m, Root: root, Src: src, Bufs: bufs, Deliveries: dels, Colors: colors}
@@ -44,24 +48,26 @@ func runBcast(t *testing.T, m *machine.Machine, root geometry.Coord, msg int, co
 	return bufs, dels, src
 }
 
-func checkCoverage(t *testing.T, m *machine.Machine, dels []*Delivery, msg int) {
+// checkCoverage checks that the spans delivered to every node tile
+// [0, msg) exactly once: the logged lengths sum to msg, and every non-root
+// node's buffer, which started as the source's complement, now equals the
+// source, so the spans cover every byte and, summing to msg, overlap nowhere.
+func checkCoverage(t *testing.T, m *machine.Machine, root geometry.Coord, bufs []data.Buf, src data.Buf, dels []*Delivery, msg int) {
 	t.Helper()
+	rootID := m.Geom.NodeID(root)
 	for n, d := range dels {
 		if got := d.Counter.Value(); got != int64(msg) {
 			t.Fatalf("node %d delivered %d bytes, want %d", n, got, msg)
 		}
-		// Spans must tile [0, msg) exactly once.
-		spans := append([]hw.Span(nil), d.Spans...)
-		sort.Slice(spans, func(i, j int) bool { return spans[i].Off < spans[j].Off })
-		off := 0
-		for _, s := range spans {
-			if s.Off != off {
-				t.Fatalf("node %d: span gap/overlap at %d (span %+v)", n, off, s)
-			}
-			off += s.Len
+		sum := 0
+		for _, l := range d.Lens {
+			sum += int(l)
 		}
-		if off != msg {
-			t.Fatalf("node %d spans cover %d bytes", n, off)
+		if sum != msg {
+			t.Fatalf("node %d spans cover %d bytes", n, sum)
+		}
+		if n != rootID && !data.Equal(bufs[n], src) {
+			t.Fatalf("node %d: span gap or overlap, buffer differs from the source", n)
 		}
 	}
 }
@@ -69,8 +75,8 @@ func checkCoverage(t *testing.T, m *machine.Machine, dels []*Delivery, msg int) 
 func TestBcastSpanningTreeCoversOnce(t *testing.T) {
 	for _, dims := range [][3]int{{4, 4, 4}, {4, 2, 3}, {2, 2, 2}, {1, 4, 2}, {5, 1, 1}, {1, 1, 1}} {
 		m := newMachine(t, dims[0], dims[1], dims[2])
-		_, dels, _ := runBcast(t, m, geometry.XYZ(0, 0, 0), 96<<10, m.Colors())
-		checkCoverage(t, m, dels, 96<<10)
+		bufs, dels, src := runBcast(t, m, geometry.XYZ(0, 0, 0), 96<<10, m.Colors())
+		checkCoverage(t, m, geometry.XYZ(0, 0, 0), bufs, src, dels, 96<<10)
 	}
 }
 
@@ -90,27 +96,27 @@ func TestBcastDataIntegrity(t *testing.T) {
 
 func TestBcastNonCornerRoot(t *testing.T) {
 	m := newMachine(t, 4, 4, 2)
-	_, dels, _ := runBcast(t, m, geometry.XYZ(3, 1, 1), 32<<10, m.Colors())
-	checkCoverage(t, m, dels, 32<<10)
+	bufs, dels, src := runBcast(t, m, geometry.XYZ(3, 1, 1), 32<<10, m.Colors())
+	checkCoverage(t, m, geometry.XYZ(3, 1, 1), bufs, src, dels, 32<<10)
 }
 
 func TestBcastSingleColor(t *testing.T) {
 	m := newMachine(t, 4, 4, 2)
-	_, dels, _ := runBcast(t, m, geometry.XYZ(0, 0, 0), 48<<10, geometry.Colors(1))
-	checkCoverage(t, m, dels, 48<<10)
+	bufs, dels, src := runBcast(t, m, geometry.XYZ(0, 0, 0), 48<<10, geometry.Colors(1))
+	checkCoverage(t, m, geometry.XYZ(0, 0, 0), bufs, src, dels, 48<<10)
 }
 
 func TestBcastThreeColors(t *testing.T) {
 	m := newMachine(t, 3, 3, 3)
-	_, dels, _ := runBcast(t, m, geometry.XYZ(2, 2, 2), 30<<10, geometry.Colors(3))
-	checkCoverage(t, m, dels, 30<<10)
+	bufs, dels, src := runBcast(t, m, geometry.XYZ(2, 2, 2), 30<<10, geometry.Colors(3))
+	checkCoverage(t, m, geometry.XYZ(2, 2, 2), bufs, src, dels, 30<<10)
 }
 
 func TestBcastTinyMessage(t *testing.T) {
 	// Smaller than the color count: some colors carry nothing.
 	m := newMachine(t, 2, 2, 2)
-	_, dels, _ := runBcast(t, m, geometry.XYZ(0, 0, 0), 4, m.Colors())
-	checkCoverage(t, m, dels, 4)
+	bufs, dels, src := runBcast(t, m, geometry.XYZ(0, 0, 0), 4, m.Colors())
+	checkCoverage(t, m, geometry.XYZ(0, 0, 0), bufs, src, dels, 4)
 }
 
 func TestBcastRootEgressIsSingleStream(t *testing.T) {
@@ -158,7 +164,7 @@ func TestBcastSixColorAggregateBandwidth(t *testing.T) {
 		if d.Counter.Value() != int64(msg) {
 			t.Fatalf("node %d incomplete", n)
 		}
-		for range d.Spans {
+		for range d.Lens {
 		}
 		_ = n
 	}
@@ -195,9 +201,9 @@ func TestDeliveryDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := 0
-	spans := d.Drain(&seen)
-	if len(spans) != 2 || seen != 2 {
-		t.Fatalf("drain = %v seen %d", spans, seen)
+	lens := d.Drain(&seen)
+	if len(lens) != 2 || seen != 2 || lens[0] != 10 || lens[1] != 5 {
+		t.Fatalf("drain = %v seen %d", lens, seen)
 	}
 	if len(d.Drain(&seen)) != 0 {
 		t.Fatal("second drain not empty")

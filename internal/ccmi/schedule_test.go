@@ -7,7 +7,6 @@ import (
 
 	"bgpcoll/internal/data"
 	"bgpcoll/internal/geometry"
-	"bgpcoll/internal/hw"
 	"bgpcoll/internal/machine"
 	"bgpcoll/internal/sim"
 	"bgpcoll/internal/trace"
@@ -129,9 +128,9 @@ func TestScheduleAllocsIndependentOfChunks(t *testing.T) {
 // and the traced run must still record the schedule's milestones.
 func TestTraceDoesNotPerturbSchedule(t *testing.T) {
 	type result struct {
-		end   sim.Time
-		spans [][]hw.Span
-		log   *trace.Log
+		end  sim.Time
+		lens [][]int32
+		log  *trace.Log
 	}
 	run := func(traced bool, sched func(m *machine.Machine) []*Delivery) result {
 		m := newMachine(t, 4, 2, 2)
@@ -140,7 +139,7 @@ func TestTraceDoesNotPerturbSchedule(t *testing.T) {
 		}
 		r := result{log: m.Trace}
 		for _, d := range sched(m) {
-			r.spans = append(r.spans, d.Spans)
+			r.lens = append(r.lens, d.Lens)
 		}
 		r.end = m.K.Now()
 		return r
@@ -158,8 +157,8 @@ func TestTraceDoesNotPerturbSchedule(t *testing.T) {
 		if plain.end != traced.end {
 			t.Errorf("%s: end time %v untraced, %v traced", name, plain.end, traced.end)
 		}
-		for n := range plain.spans {
-			if !slices.Equal(plain.spans[n], traced.spans[n]) {
+		for n := range plain.lens {
+			if !slices.Equal(plain.lens[n], traced.lens[n]) {
 				t.Errorf("%s: node %d delivery log differs under tracing", name, n)
 			}
 		}

@@ -326,7 +326,7 @@ func reduceShaddr(r *mpi.Rank, send, recv data.Buf, root int, done func()) {
 		l.cached = r.Node().HW.Cached((2*ppn + 2) * bytes)
 		l.ownColor, l.drain, l.cont = color, takes, finish
 		l.mapIdx, l.color, l.chunks, l.chunkIdx = 0, 0, nil, 0
-		l.spanIdx, l.seen, l.spans, l.spanJ = 0, 0, nil, 0
+		l.spanIdx, l.seen, l.lens, l.spanJ = 0, 0, nil, 0
 		// Wait for all local ranks to enter (their buffers must be
 		// readable), then map the three peer send buffers.
 		l.p.WaitGEThen(st.ready[node], int64(ppn), l.mapFn)
@@ -361,7 +361,7 @@ type shaddrReduceLoop struct {
 
 	spanIdx int
 	seen    int
-	spans   []hw.Span
+	lens    []int32
 	spanJ   int
 
 	mapFn     func()
@@ -458,23 +458,23 @@ func (l *shaddrReduceLoop) arrive() {
 
 //bgplint:hot
 func (l *shaddrReduceLoop) polled() {
-	l.spans = l.del.Drain(&l.spanIdx)
+	l.lens = l.del.Drain(&l.spanIdx)
 	l.spanJ = 0
 	l.copyNext()
 }
 
 //bgplint:hot
 func (l *shaddrReduceLoop) copyNext() {
-	if l.spanJ == len(l.spans) {
+	if l.spanJ == len(l.lens) {
 		l.drainOuter()
 		return
 	}
-	l.hwNode.CopyThen(l.p, l.spans[l.spanJ].Len, l.cached, l.copiedFn)
+	l.hwNode.CopyThen(l.p, int(l.lens[l.spanJ]), l.cached, l.copiedFn)
 }
 
 //bgplint:hot
 func (l *shaddrReduceLoop) copied() {
-	l.seen += l.spans[l.spanJ].Len
+	l.seen += int(l.lens[l.spanJ])
 	l.spanJ++
 	l.copyNext()
 }
@@ -696,12 +696,12 @@ func (l *arMasterLoop) distOuter() {
 
 //bgplint:hot
 func (l *arMasterLoop) arrive() {
-	for _, span := range l.del.Drain(&l.spanIdx) {
+	for _, n := range l.del.Drain(&l.spanIdx) {
 		for pi := 1; pi < l.ppn; pi++ {
-			putDone := l.r.Node().DMA.LocalCopy(l.r.Now(), span.Len)
-			l.k.AddAt(putDone, l.st.peer[l.node*l.ppn+pi], int64(span.Len))
+			putDone := l.r.Node().DMA.LocalCopy(l.r.Now(), int(n))
+			l.k.AddAt(putDone, l.st.peer[l.node*l.ppn+pi], int64(n))
 		}
-		l.seen += span.Len
+		l.seen += int(n)
 	}
 	l.distOuter()
 }

@@ -305,7 +305,7 @@ func (l *torusPumpLoop) step() {
 
 //bgplint:hot
 func (l *torusPumpLoop) drain() {
-	l.batch = sumSpanLens(l.del.Drain(&l.spanIdx))
+	l.batch = sumLens(l.del.Drain(&l.spanIdx))
 	l.node.PollThen(l.p, l.mirrorFn)
 }
 
@@ -373,11 +373,11 @@ func (l *torusPeerCopyLoop) drainAvail() {
 
 //bgplint:hot
 func (l *torusPeerCopyLoop) copyNext() {
-	if l.spanIdx < len(l.del.Spans) && l.seen < l.avail {
-		span := l.del.Spans[l.spanIdx]
+	if l.spanIdx < len(l.del.Lens) && l.seen < l.avail {
+		n := int(l.del.Lens[l.spanIdx])
 		l.spanIdx++
-		l.lastLen = span.Len
-		l.node.CopyThen(l.p, span.Len, l.cached, l.afterFn)
+		l.lastLen = n
+		l.node.CopyThen(l.p, n, l.cached, l.afterFn)
 		return
 	}
 	l.outer()

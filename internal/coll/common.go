@@ -3,7 +3,6 @@ package coll
 import (
 	"bgpcoll/internal/cnk"
 	"bgpcoll/internal/data"
-	"bgpcoll/internal/hw"
 	"bgpcoll/internal/mpi"
 	"bgpcoll/internal/sim"
 )
@@ -49,11 +48,11 @@ func installPayload(dst, src data.Buf) {
 	}
 }
 
-// sumSpanLens totals a span list's bytes.
-func sumSpanLens(spans []hw.Span) int {
+// sumLens totals a delivery log's span lengths.
+func sumLens(lens []int32) int {
 	n := 0
-	for _, s := range spans {
-		n += s.Len
+	for _, l := range lens {
+		n += int(l)
 	}
 	return n
 }

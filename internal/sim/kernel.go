@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -584,13 +585,24 @@ type qitem struct {
 	e entry
 }
 
+// qBlock is the item capacity of a qblock: with its chain link a block is
+// exactly 4 KB, one allocation size class with no tail waste.
+const qBlock = 255
+
+// qblock is one fixed-size block of a radix-queue bucket. The link sits
+// first, so the GC scans one word of the block and none of its items.
+type qblock struct {
+	next *qblock
+	it   [qBlock]qitem
+}
+
 // radixQueue is the kernel's future-event queue: a monotone radix heap
 // (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990) over integer timestamps. It
 // relies on the kernel's monotonicity — no push ever lands at or before the
 // kernel clock, which last always equals — so an item {t, e} can live in
 // bucket bits.Len64(t ^ last): every item in bucket i is earlier than every
-// item in bucket j > i. Bucket 0 holds the items at last itself and drains
-// FIFO through head.
+// item in bucket j > i. Bucket 0 holds the items at last itself, as the
+// contiguous slice now, and drains FIFO through head.
 //
 // advance moves last to the minimum of the lowest non-empty bucket (found
 // through mask and the per-bucket min) and redistributes only that bucket;
@@ -598,7 +610,18 @@ type qitem struct {
 // old one on every bit they differ from it in. So all items at one instant
 // always share a bucket, in push order, through every redistribution, and
 // the drain order is exactly the (t, seq) FIFO with no sequence
-// numbers stored. Entries are pointer-free, so the GC never scans a bucket.
+// numbers stored. Entries are pointer-free, so the GC never scans an item.
+//
+// Every bucket i >= 1 is a chain of qblocks from b[i].first to b[i].tail,
+// with b[i].room free slots left in the tail. A bucket takes its first
+// block on its first item of a run and keeps it, emptied, when it drains;
+// every further block comes from the free list and goes back to it as soon
+// as a redistribution has read it, and reset returns them all. So the queue
+// holds about (pending items / qBlock) blocks plus one per bucket used in
+// the run, not the sum of every bucket's largest burst, and a queue that
+// never schedules holds none. b[i].room is 0 exactly when the tail is full
+// or the bucket has no block yet: callers check it and call grow before
+// put, which keeps put a handful of stores the compiler inlines.
 //
 // The top bucket also takes every item whose bucket index would exceed it:
 // items that differ from last in bit 42 or above, i.e. lie across a 2^42 ps
@@ -608,47 +631,128 @@ type qitem struct {
 // small enough that a Kernel stays in the 2 KB allocation size class.
 type radixQueue struct {
 	last Time
-	head int    // drain cursor into b[0]
-	mask uint64 // bit i set iff b[i] is non-empty, for i >= 1
-	b    [qBuckets][]qitem
-	min  [qBuckets]Time // earliest t in b[i]; meaningful only while mask bit i is set
+	head int     // drain cursor into now
+	mask uint64  // bit i set iff b[i] is non-empty, for i >= 1
+	now  []qitem // bucket 0: the items at last
+	free *qblock // blocks no bucket holds, linked through next
+	b    [qBuckets]qbucket
 }
 
 const qBuckets = 44
+
+// qbucket is one bucket i >= 1: 32 bytes, so a put touches one cache line
+// of bucket state.
+type qbucket struct {
+	first, tail *qblock
+	room        int  // free slots in tail
+	min         Time // earliest t in the bucket; meaningful only while its mask bit is set
+}
+
+// bucket returns the bucket of an item at t >= last.
+func (q *radixQueue) bucket(t Time) int {
+	return min(bits.Len64(uint64(t^q.last)), qBuckets-1)
+}
 
 //bgplint:hot
 func (q *radixQueue) push(t Time, e entry) {
 	if t <= q.last {
 		panic(fmt.Sprintf("sim: queue push at %v not after clock %v", t, q.last))
 	}
-	q.put(qitem{t, e})
+	i := q.bucket(t)
+	if q.b[i].room == 0 {
+		q.grow(i)
+	}
+	q.put(i, qitem{t, e})
 }
 
-// put files an item at t >= last into its bucket.
+// put appends an item to bucket i >= 1, whose tail has room.
 //
 //bgplint:hot
-func (q *radixQueue) put(it qitem) {
-	i := min(bits.Len64(uint64(it.t^q.last)), qBuckets-1)
-	q.b[i] = append(q.b[i], it)
-	if i == 0 {
-		return
+func (q *radixQueue) put(i int, it qitem) {
+	bk := &q.b[i]
+	bk.tail.it[qBlock-bk.room] = it
+	bk.room--
+	bk.min = min(bk.min, it.t)
+	q.mask |= 1 << i
+}
+
+// grow links a block from the free list (or a new one) to the tail of
+// bucket i, which has a full tail or, before its first use, no block. A new
+// chain's min starts at the latest time, so put can keep it with a plain
+// min.
+func (q *radixQueue) grow(i int) {
+	b := q.free
+	if b == nil {
+		b = new(qblock)
+	} else {
+		q.free, b.next = b.next, nil
 	}
-	if bit := uint64(1) << i; q.mask&bit == 0 {
-		q.mask |= bit
-		q.min[i] = it.t
-	} else if it.t < q.min[i] {
-		q.min[i] = it.t
+	bk := &q.b[i]
+	if bk.first == nil {
+		bk.first, bk.min = b, math.MaxInt64
+	} else {
+		bk.tail.next = b
+	}
+	bk.tail, bk.room = b, qBlock
+}
+
+// empty drops bucket i's items and every block but its first, which stays
+// as the bucket's empty tail, and returns the dropped rest of the chain.
+func (q *radixQueue) empty(i int) (rest *qblock) {
+	bk := &q.b[i]
+	rest, bk.first.next = bk.first.next, nil
+	bk.tail, bk.room, bk.min = bk.first, qBlock, math.MaxInt64
+	q.mask &^= 1 << i
+	return rest
+}
+
+// file files items, in order, at the current last. Bucket 0 stays in a
+// local while it grows: put and grow never touch it.
+//
+//bgplint:hot
+func (q *radixQueue) file(items []qitem) {
+	now := q.now
+	for _, it := range items {
+		if it.t == q.last {
+			now = append(now, it)
+			continue
+		}
+		i := q.bucket(it.t)
+		if q.b[i].room == 0 {
+			q.grow(i)
+		}
+		q.put(i, it)
+	}
+	q.now = now
+}
+
+// refile files the items of the detached chain from b to tail, whose tail
+// holds n items, returning each block to the free list once it is read. A
+// refile may take back a block it freed, but never one it has yet to read.
+func (q *radixQueue) refile(b, tail *qblock, n int) {
+	for {
+		next := b.next
+		if b == tail {
+			q.file(b.it[:n])
+		} else {
+			q.file(b.it[:])
+		}
+		b.next, q.free = q.free, b
+		if b == tail {
+			return
+		}
+		b = next
 	}
 }
 
 // ready reports whether items at last remain to be popped.
-func (q *radixQueue) ready() bool { return q.head < len(q.b[0]) }
+func (q *radixQueue) ready() bool { return q.head < len(q.now) }
 
 // pop returns the next item at last; the caller checks ready first.
 //
 //bgplint:hot
 func (q *radixQueue) pop() entry {
-	e := q.b[0][q.head].e
+	e := q.now[q.head].e
 	q.head++
 	return e
 }
@@ -663,16 +767,20 @@ func (q *radixQueue) advance() bool {
 		return false
 	}
 	i := bits.TrailingZeros64(q.mask)
-	q.last = q.min[i]
-	q.b[0], q.head = q.b[0][:0], 0
-	// Refiling writes only into lower buckets, or — for the top bucket —
-	// back into b at or behind the item being read.
-	b := q.b[i]
-	q.b[i] = b[:0]
-	q.mask &^= 1 << i
-	for _, it := range b {
-		q.put(it)
+	q.last = q.b[i].min
+	q.now, q.head = q.now[:0], 0
+	// The bucket keeps its first block, emptied, and the rest of its chain
+	// is refiled and freed. Refiling writes only into lower buckets, or —
+	// for the top bucket — into that first block at or behind the item
+	// being read, and then into blocks already read.
+	b, tail, n := q.b[i].first, q.b[i].tail, qBlock-q.b[i].room
+	rest := q.empty(i)
+	if b == tail {
+		q.file(b.it[:n])
+		return true
 	}
+	q.file(b.it[:])
+	q.refile(rest, tail, n)
 	return true
 }
 
@@ -680,39 +788,63 @@ func (q *radixQueue) advance() bool {
 // its drain cursor. Within one instant the order is the drain order, so a
 // stable sort by t yields the exact (t, seq) sequence.
 func (q *radixQueue) pending(dst []qitem) []qitem {
-	dst = append(dst, q.b[0][q.head:]...)
+	dst = append(dst, q.now[q.head:]...)
 	for m := q.mask; m != 0; m &= m - 1 {
-		dst = append(dst, q.b[bits.TrailingZeros64(m)]...)
+		bk := &q.b[bits.TrailingZeros64(m)]
+		for b := bk.first; b != bk.tail; b = b.next {
+			dst = append(dst, b.it[:]...)
+		}
+		dst = append(dst, bk.tail.it[:qBlock-bk.room]...)
 	}
 	return dst
 }
 
-// reset empties the queue for kernel reuse, keeping bucket capacity.
+// reset empties the queue for kernel reuse: every block goes back to the
+// free list, so a rerun of the same schedule takes blocks in the same order
+// and needs no more than the first run did, and bucket 0 keeps its capacity.
 func (q *radixQueue) reset() {
 	for i := range q.b {
-		q.b[i] = q.b[i][:0]
+		if bk := &q.b[i]; bk.first != nil {
+			bk.tail.next, q.free = q.free, bk.first
+			*bk = qbucket{}
+		}
 	}
+	q.now = q.now[:0]
 	q.last, q.head, q.mask = 0, 0, 0
 }
 
 // shiftAll moves last and every pending item by d > 0: the uniform time
 // shift of a steady-state Forward. Bucket 0 (the items at last) moves as a
-// block; the future buckets are refiled at the new last, bucket by bucket,
-// which keeps each instant's items together and in order.
+// block; the future buckets are detached whole, together, and refiled at
+// the new last, bucket by bucket, which keeps each instant's items together
+// and in order.
 func (q *radixQueue) shiftAll(d Time) {
-	for i := q.head; i < len(q.b[0]); i++ {
-		q.b[0][i].t += d
+	for i := q.head; i < len(q.now); i++ {
+		q.now[i].t += d
 	}
-	var rest []qitem
-	for m := q.mask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		rest = append(rest, q.b[i]...)
-		q.b[i] = q.b[i][:0]
+	var held [qBuckets]qbucket
+	m := q.mask
+	for r := m; r != 0; r &= r - 1 {
+		i := bits.TrailingZeros64(r)
+		held[i], q.b[i] = q.b[i], qbucket{}
 	}
 	q.mask = 0
 	q.last += d
-	for _, it := range rest {
-		it.t += d
-		q.put(it)
+	for ; m != 0; m &= m - 1 {
+		bk := &held[bits.TrailingZeros64(m)]
+		n := qBlock - bk.room
+		for b := bk.first; ; b = b.next {
+			items := b.it[:]
+			if b == bk.tail {
+				items = b.it[:n]
+			}
+			for j := range items {
+				items[j].t += d
+			}
+			if b == bk.tail {
+				break
+			}
+		}
+		q.refile(bk.first, bk.tail, n)
 	}
 }

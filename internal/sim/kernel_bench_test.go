@@ -147,6 +147,47 @@ func BenchmarkAtInterleaved(b *testing.B) {
 	}
 }
 
+// burstProducers is the node count of fig7's 8,192-rank partition.
+const burstProducers = 2048
+
+// burst is fig7's future-event traffic: burstProducers nodes step in
+// lockstep, and at each step every node schedules a completion 3 ns out and
+// its next step 10 ns out, so the queue holds a few shared instants, each a
+// same-instant burst of burstProducers entries.
+type burst struct {
+	k    *Kernel
+	left int
+}
+
+func (s *burst) RunPost(_, _ int64) {
+	if s.left <= 0 {
+		return
+	}
+	s.left -= 2
+	s.k.HookAt(s.k.Now()+3*Nanosecond, nopHook{}, 0, 0)
+	s.k.HookAt(s.k.Now()+10*Nanosecond, s, 0, 0)
+}
+
+// run starts every producer at the current instant and runs until about
+// events entries have been scheduled.
+func (s *burst) run(events int) error {
+	s.left = events
+	for range burstProducers {
+		s.k.HookAt(s.k.Now(), s, 0, 0)
+	}
+	return s.k.Run()
+}
+
+// BenchmarkAtBurst measures queue traffic in same-instant bursts of
+// burstProducers entries, which span several queue blocks each.
+func BenchmarkAtBurst(b *testing.B) {
+	s := &burst{k: New()}
+	b.ReportAllocs()
+	if err := s.run(b.N); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkEventFire measures one-shot event fan-out: W waiters parked on an
 // event, released by a single Fire.
 func BenchmarkEventFire(b *testing.B) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"cmp"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -52,12 +53,44 @@ func queueOffset(rng *rand.Rand, shape int, offsets []Time) Time {
 	}
 }
 
+// qblocksHeld counts the blocks a queue holds, on its buckets' chains and
+// its free list, and the buckets that hold one.
+func qblocksHeld(q *radixQueue) (blocks, buckets int) {
+	for b := q.free; b != nil; b = b.next {
+		blocks++
+	}
+	for _, bk := range q.b {
+		if bk.first != nil {
+			buckets++
+		}
+		for b := bk.first; b != nil; b = b.next {
+			blocks++
+		}
+	}
+	return blocks, buckets
+}
+
+// multiBlock reports whether some bucket of q spans more than one block.
+func multiBlock(q *radixQueue) bool {
+	for m := q.mask; m != 0; m &= m - 1 {
+		if bk := q.b[bits.TrailingZeros64(m)]; bk.first != bk.tail {
+			return true
+		}
+	}
+	return false
+}
+
 // TestRadixQueueMatchesModel drives the queue and the reference model with
 // the same seeded random operation stream — interleaved pushes and pops,
 // pending-item listings, uniform shifts with bucket 0 half drained, and
-// resets — and requires every popped item, every advance decision, and the
-// pending-item listing to agree.
+// resets of drained and of loaded queues — and requires every popped item,
+// every advance decision, and the pending-item listing to agree. Bursts
+// longer than a block make buckets span several blocks, so the stream also
+// covers block hops, the top bucket refiling into itself across blocks, and
+// shifts and resets of multi-block buckets; the test fails if any of those
+// never happened.
 func TestRadixQueueMatchesModel(t *testing.T) {
+	var hops, topRefiles, multiShifts, multiResets int
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var q radixQueue
@@ -101,37 +134,69 @@ func TestRadixQueueMatchesModel(t *testing.T) {
 					shape = rng.Intn(5)
 				}
 				burst := 1 + rng.Intn(16)
+				if rng.Intn(16) == 0 {
+					burst = 1 + rng.Intn(3*qBlock)
+				}
 				for i := 0; i < burst; i++ {
 					tt := q.last + queueOffset(rng, shape, offsets)
 					q.push(tt, entry{kind: eFn, idx: m.push(tt)})
 				}
 			case r < 80:
-				if q.ready() {
-					popOne(op)
-				} else if q.advance() {
-					popOne(op)
-				} else if len(m.items) != 0 {
-					t.Fatalf("seed %d op %d: advance refused with %d items pending", seed, op, len(m.items))
+				for n := 1 + rng.Intn(128); n > 0; n-- {
+					if q.ready() {
+						popOne(op)
+						continue
+					}
+					// Count the refiles of multi-block buckets: a lower
+					// bucket's hop, or the top bucket refiling into itself.
+					i := min(bits.TrailingZeros64(q.mask), qBuckets-1)
+					multi := q.b[i].first != q.b[i].tail
+					if q.advance() {
+						switch {
+						case !multi:
+						case i < qBuckets-1:
+							hops++
+						case q.mask&(1<<i) != 0:
+							topRefiles++
+						}
+						popOne(op)
+					} else if len(m.items) != 0 {
+						t.Fatalf("seed %d op %d: advance refused with %d items pending", seed, op, len(m.items))
+					} else {
+						break
+					}
 				}
 			case r < 95:
 				checkPending(op)
 			case r < 98:
 				d := Time(1 + rng.Int63n(1<<30))
+				if multiBlock(&q) {
+					multiShifts++
+				}
 				q.shiftAll(d)
 				for i := range m.items {
 					m.items[i].t += d
 				}
 			default:
 				if rng.Intn(4) == 0 {
-					// Reset only ever follows a drained run; a reused
-					// queue must then behave like a fresh one.
-					for q.ready() || q.advance() {
-						popOne(op)
+					// A kernel resets only after a drained run, but the
+					// queue's reset empties a loaded queue too; either way
+					// the reused queue must behave like a fresh one.
+					if rng.Intn(2) == 0 {
+						for q.ready() || q.advance() {
+							popOne(op)
+						}
+						if len(m.items) != 0 {
+							t.Fatalf("seed %d op %d: queue drained with %d model items left", seed, op, len(m.items))
+						}
+					} else if multiBlock(&q) {
+						multiResets++
 					}
-					if len(m.items) != 0 {
-						t.Fatalf("seed %d op %d: queue drained with %d model items left", seed, op, len(m.items))
-					}
+					held, _ := qblocksHeld(&q)
 					q.reset()
+					if got, _ := qblocksHeld(&q); got != held {
+						t.Fatalf("seed %d op %d: reset left %d blocks, held %d", seed, op, got, held)
+					}
 					m = queueModel{seq: m.seq}
 				}
 			}
@@ -146,6 +211,10 @@ func TestRadixQueueMatchesModel(t *testing.T) {
 			t.Fatalf("seed %d: no pops exercised", seed)
 		}
 	}
+	t.Logf("multi-block bucket hops %d, top refiles %d, shifts %d, resets %d", hops, topRefiles, multiShifts, multiResets)
+	if hops == 0 || topRefiles == 0 || multiShifts == 0 || multiResets == 0 {
+		t.Fatalf("multi-block paths not exercised: hops %d, top refiles %d, shifts %d, resets %d", hops, topRefiles, multiShifts, multiResets)
+	}
 }
 
 // TestRadixQueuePushNotAfterClockPanics checks the monotone precondition is
@@ -158,4 +227,70 @@ func TestRadixQueuePushNotAfterClockPanics(t *testing.T) {
 	}
 	expectPanic(t, "not after clock", func() { q.push(10, entry{kind: eFn}) })
 	expectPanic(t, "not after clock", func() { q.push(9, entry{kind: eFn}) })
+}
+
+// TestRadixQueueBlocksTrackPending checks what the queue's block storage
+// holds. A burst of same-instant entries, pushed below a ladder of earlier
+// markers in its bucket, hops down one level per marker. Each bucket it
+// passes keeps one block, and past those the blocks held stay at most
+// ceil(peak pending / qBlock), where a queue that grew each bucket to its
+// largest burst would hold the burst once per level. A Reset kernel running
+// the same burst keeps that bound, and a kernel that never schedules holds
+// no blocks.
+func TestRadixQueueBlocksTrackPending(t *testing.T) {
+	k := New()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := qblocksHeld(&k.queue); n != 0 {
+		t.Fatalf("a kernel that never scheduled holds %d blocks", n)
+	}
+
+	const (
+		burst   = 10*qBlock + 17
+		markers = 39
+		at      = Time(1<<40 - 1)
+	)
+	levels := map[int]bool{}
+	observe := func() { levels[k.queue.bucket(at)] = true }
+	for round := 0; round < 2; round++ {
+		if round == 1 {
+			k.Reset()
+		}
+		for range burst {
+			k.At(at, nop)
+		}
+		for l := markers; l >= 1; l-- {
+			k.At(at&^(1<<l-1), observe)
+		}
+		observe()
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(levels) < markers {
+			t.Fatalf("round %d: the burst passed through %d levels, want %d", round, len(levels), markers)
+		}
+		blocks, buckets := qblocksHeld(&k.queue)
+		if bound := (burst+markers+qBlock-1)/qBlock + buckets; blocks > bound {
+			t.Fatalf("round %d: %d blocks held by %d buckets, want at most %d", round, blocks, buckets, bound)
+		}
+		t.Logf("round %d: %d blocks held by %d buckets", round, blocks, buckets)
+	}
+}
+
+// TestAtBurstAllocationFree checks that a warmed kernel runs fig7's burst
+// shape (BenchmarkAtBurst) without allocating: blocks come back from the
+// free list and the tables and bucket 0 keep their capacity across Reset.
+func TestAtBurstAllocationFree(t *testing.T) {
+	s := &burst{k: New()}
+	round := func() {
+		s.k.Reset()
+		if err := s.run(40 * burstProducers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if got := testing.AllocsPerRun(5, round); got > 0 {
+		t.Fatalf("warmed burst run allocates %v times, want 0", got)
+	}
 }
