@@ -36,7 +36,8 @@ const injectWindow = 4
 //
 // A state is recycled: once every rank has released it, it joins its
 // world's free list and the next broadcast re-arms it. Its plain Go arrays
-// keep their capacity; its sim handles (counters, op events) are carved
+// keep their capacity; its sim handles (the tree ops' delivery counters among
+// them) are carved
 // afresh by every arm, so Kernel.Reset's epoch stamps police them exactly as
 // they police a freshly built state.
 type treeBcastState struct {
@@ -336,7 +337,7 @@ func (l *injectLoop) step() {
 	if l.i >= injectWindow {
 		pl := l.p.NewPlan()
 		pl.Sleep(touch)
-		l.p.WaitPlanThen(l.st.ops[l.i-injectWindow].Delivered(), pl, l.afterFn)
+		l.p.WaitGEPlanThen(l.st.ops[l.i-injectWindow].Delivered(), 1, pl, l.afterFn)
 	} else {
 		l.p.SleepThen(touch, l.afterFn)
 	}
@@ -377,7 +378,7 @@ func (l *recvLoop) step() {
 	}
 	pl := l.p.NewPlan()
 	pl.Sleep(l.st.touch[l.i])
-	l.p.WaitPlanThen(l.st.ops[l.i].Delivered(), pl, l.afterFn)
+	l.p.WaitGEPlanThen(l.st.ops[l.i].Delivered(), 1, pl, l.afterFn)
 }
 
 //bgplint:hot
@@ -501,7 +502,7 @@ func (m *masterPump) recvBlocked() {
 	i := m.recvIdx
 	pl := m.p.NewPlan()
 	pl.Sleep(m.st.touch[i])
-	m.p.WaitPlanThen(m.st.ops[i].Delivered(), pl, m.enterRecvFn)
+	m.p.WaitGEPlanThen(m.st.ops[i].Delivered(), 1, pl, m.enterRecvFn)
 }
 
 // enterRecv hands the just-received chunk to the node's peers.
@@ -545,11 +546,11 @@ func (m *masterPump) afterRecv() {
 
 // smpRank drives one SMP-mode rank: the main thread's injection loop and the
 // helper communication thread's reception loop, joined by the helper's
-// completion event.
+// one-shot completion counter.
 type smpRank struct {
 	inj        injectLoop
 	rx         recvLoop
-	helperDone *sim.Event
+	helperDone *sim.Counter
 	fin        func()
 
 	spawnFn func(p *sim.Proc)
@@ -567,7 +568,7 @@ func bcastTreeSMP(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		d.spawnFn, d.fireFn, d.joinFn = d.spawnHelper, d.fire, d.join
 	}
 	k := r.Machine().K
-	d.helperDone = k.NewEventf("treebc%d.helper%d", int32(st.seq), int32(r.Rank()))
+	d.helperDone = k.NewCounterf("treebc%d.helper%d", int32(st.seq), int32(r.Rank()))
 	d.rx.arm(nil, st, nil, d.fireFn)
 	k.SpawnProgramIdx("rank%d.comm", int32(r.Rank()), d.spawnFn)
 	d.fin = finish
@@ -585,7 +586,7 @@ func (d *smpRank) spawnHelper(p *sim.Proc) {
 func (d *smpRank) fire() { d.helperDone.Fire() }
 
 //bgplint:hot
-func (d *smpRank) join() { d.inj.p.WaitThen(d.helperDone, d.fin) }
+func (d *smpRank) join() { d.inj.p.WaitGEThen(d.helperDone, 1, d.fin) }
 
 // bcastTreeShmem is the quad-mode latency algorithm (paper §V-B): the master
 // core injects and receives into a shared-memory segment, serialized on one
@@ -884,7 +885,7 @@ func (l *dualRecvLoop) step() {
 	if l.fillInjector {
 		l.node.PlanCopy(pl, span.Len, l.cached)
 	}
-	l.p.WaitPlanThen(l.st.ops[l.i].Delivered(), pl, l.afterFn)
+	l.p.WaitGEPlanThen(l.st.ops[l.i].Delivered(), 1, pl, l.afterFn)
 }
 
 //bgplint:hot

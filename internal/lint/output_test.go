@@ -15,7 +15,7 @@ func TestOutputEncodings(t *testing.T) {
 			Analyzer: "progframe",
 			Severity: SevError,
 			Position: token.Position{Filename: "/mod/internal/coll/x.go", Line: 12, Column: 3},
-			Message:  "parking operation WaitThen must be the last action on every path",
+			Message:  "parking operation WaitGEThen must be the last action on every path",
 		},
 		{
 			Analyzer: "hotalloc",

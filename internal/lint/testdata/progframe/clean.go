@@ -19,7 +19,7 @@ func (l *chunkLoop) step() {
 		return
 	}
 	l.i++
-	l.p.WaitThen(l.c, l.stepFn)
+	l.p.WaitGEThen(l.c, 1, l.stepFn)
 }
 
 // runChunkLoop seeds the loop; binding stepFn here is the once-per-rank
@@ -34,10 +34,10 @@ func runChunkLoop(p *Proc, c *Counter, n int, fin func()) {
 // every path, not on the last textual statement.
 func cleanBranchTail(p *Proc, c *Counter, l *chunkLoop) {
 	if l.i == 0 {
-		p.WaitThen(c, l.stepFn)
+		p.WaitGEThen(c, 1, l.stepFn)
 		return
 	}
-	p.WaitThen(c, l.stepFn)
+	p.WaitGEThen(c, 1, l.stepFn)
 }
 
 // Disarming first makes later frame writes legal again.

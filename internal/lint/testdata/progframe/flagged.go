@@ -4,7 +4,7 @@ package coll
 // bookkeeping after it races the armed resume.
 func flaggedAfterPark(p *Proc, c *Counter, done func()) int {
 	i := 0
-	p.WaitThen(c, done) // want `parking operation WaitThen must be the last action on every path`
+	p.WaitGEThen(c, 1, done) // want `parking operation WaitGEThen must be the last action on every path`
 	i++
 	return i
 }
@@ -22,14 +22,14 @@ func flaggedAfterCont(fin func()) int {
 // also never in tail position.
 func flaggedClosurePerChunk(p *Proc, c *Counter, spans []int) {
 	for range spans {
-		p.WaitThen(c, func() {}) // want `allocated per chunk` `must be the last action on every path`
+		p.WaitGEThen(c, 1, func() {}) // want `allocated per chunk` `must be the last action on every path`
 	}
 }
 
 // A method value rebuilt per iteration allocates just the same.
 func flaggedMethodPerChunk(p *Proc, c *Counter, l *chunkLoop, spans []int) {
 	for range spans {
-		p.WaitThen(c, l.step) // want `method value step for WaitThen is allocated per chunk` `must be the last action on every path`
+		p.WaitGEThen(c, 1, l.step) // want `method value step for WaitGEThen is allocated per chunk` `must be the last action on every path`
 	}
 }
 
@@ -37,7 +37,7 @@ func flaggedMethodPerChunk(p *Proc, c *Counter, l *chunkLoop, spans []int) {
 func flaggedRebuiltLocal(p *Proc, c *Counter, spans []int) {
 	for i := range spans {
 		after := func() { _ = i }
-		p.WaitThen(c, after) // want `rebuilt every iteration` `must be the last action on every path`
+		p.WaitGEThen(c, 1, after) // want `rebuilt every iteration` `must be the last action on every path`
 	}
 }
 
@@ -49,7 +49,7 @@ func flaggedRecursive(p *Proc, c *Counter, n int) {
 		if i == n {
 			return
 		}
-		p.WaitThen(c, func() { step(i + 1) }) // want `allocated per chunk`
+		p.WaitGEThen(c, 1, func() { step(i + 1) }) // want `allocated per chunk`
 	}
 	step(0)
 }

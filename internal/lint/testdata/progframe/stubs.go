@@ -1,7 +1,7 @@
 package coll
 
 // Fixture stand-ins for the sim program-mode API: a Counter, a Proc carrying
-// a resumable program frame, and a parking WaitThen operation. They are
+// a resumable program frame, and a parking WaitGEThen operation. They are
 // declared locally so the package type-checks standalone; the analyzer
 // recognizes them because the fixture is loaded under a simulator-driven
 // import path and the shapes match (a *Then op with a trailing func()
@@ -19,8 +19,8 @@ type Proc struct {
 	armed bool
 }
 
-// WaitThen parks the program until c changes, then resumes fn.
-func (p *Proc) WaitThen(c *Counter, fn func()) {
+// WaitGEThen parks the program until c reaches v, then resumes fn.
+func (p *Proc) WaitGEThen(c *Counter, v int64, fn func()) {
 	p.cont = fn
 	p.armed = true
 }

@@ -1,8 +1,8 @@
 package coll
 
 // A Reset method on a type outside the world-holding set is an ordinary
-// simulation operation: sim.Counter.Reset rewinds one counter mid-run, and
-// any algorithm may call it.
+// operation: rewinding an algorithm's own tally mid-run is not a world
+// Reset, and any algorithm may call it.
 type PumpCounter struct{ n int64 }
 
 func (c *PumpCounter) Reset() { c.n = 0 }
@@ -15,8 +15,8 @@ func rewindCounter(c *PumpCounter) {
 // defines the rewind, the lint restricts who invokes it.
 
 // Locals die with the run, so holding handles in them is fine.
-func localHandles(e *Event, c *Counter) int64 {
-	pending := []*Event{e}
+func localHandles(p *Proc, c *Counter) int64 {
+	pending := []*Proc{p}
 	_ = pending
 	return c.n
 }

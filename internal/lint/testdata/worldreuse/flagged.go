@@ -28,7 +28,6 @@ type Network struct{ ops int }
 func (n *Network) Reset() { n.ops = 0 }
 
 // Stand-ins for the arena-carved handle types.
-type Event struct{ fired bool }
 type Counter struct{ n int64 }
 type Proc struct{ idx uint32 }
 
@@ -51,9 +50,8 @@ func resetInClosure(w *World) func() {
 
 // Package-level variables reaching a handle type are flagged: they outlive
 // the run that carved the handle.
-var staleEvent *Event                 // want `package-level variable staleEvent can retain an arena-carved sim handle across a world Reset; keep per-run handles in the world's scratch \(mpi.NewScratchKey, World.Scratch\) or in locals`
-var staleCounters []*Counter          // want `package-level variable staleCounters can retain an arena-carved sim handle`
-var staleProcByRank map[int]*Proc     // want `package-level variable staleProcByRank can retain an arena-carved sim handle`
-var staleValue Counter                // want `package-level variable staleValue can retain an arena-carved sim handle`
-var staleNested struct{ done *Event } // want `package-level variable staleNested can retain an arena-carved sim handle`
-var staleCache = map[string][]*Proc{} // want `package-level variable staleCache can retain an arena-carved sim handle`
+var staleCounters []*Counter            // want `package-level variable staleCounters can retain an arena-carved sim handle across a world Reset; keep per-run handles in the world's scratch \(mpi.NewScratchKey, World.Scratch\) or in locals`
+var staleProcByRank map[int]*Proc       // want `package-level variable staleProcByRank can retain an arena-carved sim handle`
+var staleValue Counter                  // want `package-level variable staleValue can retain an arena-carved sim handle`
+var staleNested struct{ done *Counter } // want `package-level variable staleNested can retain an arena-carved sim handle`
+var staleCache = map[string][]*Proc{}   // want `package-level variable staleCache can retain an arena-carved sim handle`

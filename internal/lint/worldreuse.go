@@ -9,7 +9,7 @@ import (
 
 // WorldReuse enforces the world-pool lease discipline introduced with
 // resettable partitions (DESIGN.md §12). Reset rewinds a kernel's arenas, so
-// every event, counter, and process handle carved before it is poison
+// every counter and process handle carved before it is poison
 // afterwards: the slab slot will be recarved for someone else. Two
 // mechanically checkable rules keep that boundary safe:
 //
@@ -21,16 +21,16 @@ import (
 //     only place that can prove the world finished cleanly first.
 //
 //  2. No package-level variable in a simulator-driven package may hold (or
-//     reach, through any composite type) a *sim.Event, *sim.Counter, or
-//     *sim.Proc: such a variable outlives the run that carved the handle, and
+//     reach, through any composite type) a *sim.Counter or *sim.Proc: such
+//     a variable outlives the run that carved the handle, and
 //     the first use after a Reset is a stale-epoch panic at best and silent
 //     cross-run corruption at worst. Per-run state belongs in the world's
 //     scratch (a value under an mpi.NewScratchKey, fetched with
 //     World.Scratch and re-armed by every call) or in locals.
 //
 // Test files are exempt: exercising Reset and stale handles directly is
-// exactly what the reuse tests do. sim.Counter.Reset (rewinding one counter's
-// count mid-run) is an ordinary simulation operation and is not matched.
+// exactly what the reuse tests do. A Reset method on any other type is an
+// ordinary operation and is not matched.
 var WorldReuse = &Analyzer{
 	Name:    "worldreuse",
 	Doc:     "restrict world Reset calls to the sanctioned pool/reset sites and forbid package-level sim handle retention in simulator-driven packages",
@@ -62,7 +62,6 @@ var worldResetSanctioned = map[string]string{
 // kernelHandleTypes are the arena-carved sim types whose handles go stale at
 // Reset.
 var kernelHandleTypes = map[string]bool{
-	"Event":   true,
 	"Counter": true,
 	"Proc":    true,
 }

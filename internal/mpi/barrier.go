@@ -2,13 +2,14 @@ package mpi
 
 import "bgpcoll/internal/sim"
 
-// barrierState is one barrier's arrival count and release event. States
-// recycle through the world's free list; the event is carved afresh for
-// every barrier, so Kernel.Reset's epoch stamps police it as before.
+// barrierState is one barrier's arrival count and one-shot release counter.
+// States recycle through the world's free list; the counter is carved
+// afresh for every barrier, so Kernel.Reset's epoch stamps police it as
+// before.
 type barrierState struct {
 	seq     int64
 	arrived int
-	ev      *sim.Event
+	release *sim.Counter
 }
 
 // Barrier synchronizes all ranks over the global interrupt network.
@@ -18,20 +19,20 @@ func (r *Rank) Barrier() { r.BarrierThen(nop) }
 // ranks have arrived and the interrupt-network latency has elapsed.
 //
 // The last arrival schedules the release and returns the state to the free
-// list at once: the arrived ranks hold only the event, so done passes
+// list at once: the arrived ranks hold only the counter, so done passes
 // straight to the wait and no rank allocates a wrapper closure.
 func (r *Rank) BarrierThen(done func()) {
 	seq := r.NextSeq()
 	w := r.w
 	st := w.barrier(seq)
 	st.arrived++
-	ev := st.ev
+	c := st.release
 	if st.arrived == w.Size() {
 		k := w.M.K
-		k.HookAt(k.Now()+w.M.Cfg.Params.BarrierLatency, ev, 0, 0) // ev.Fire, closure-free
+		k.HookAt(k.Now()+w.M.Cfg.Params.BarrierLatency, c, 0, 0) // c.Fire, closure-free
 		w.releaseBarrier(st)
 	}
-	r.proc.WaitThen(ev, done)
+	r.proc.WaitGEThen(c, 1, done)
 }
 
 // barrier returns the state of barrier seq, arming one on the first
@@ -51,15 +52,13 @@ func (w *World) barrier(seq int64) *barrierState {
 	} else {
 		st = new(barrierState)
 	}
-	ev := w.M.K.NewEventf("barrier%d", int32(seq))
-	ev.Reserve(w.Size())
-	*st = barrierState{seq: seq, ev: ev}
+	*st = barrierState{seq: seq, release: w.M.K.NewCounterf("barrier%d", int32(seq))}
 	s.barriers = append(s.barriers, st)
 	return st
 }
 
 // releaseBarrier moves a fully arrived barrier to the free list, dropping
-// its event handle.
+// its counter handle.
 func (w *World) releaseBarrier(st *barrierState) {
 	s := w.scratch
 	for i, b := range s.barriers {
@@ -71,6 +70,6 @@ func (w *World) releaseBarrier(st *barrierState) {
 			break
 		}
 	}
-	st.ev = nil
+	st.release = nil
 	s.barrierFree = append(s.barrierFree, st)
 }

@@ -114,8 +114,8 @@ func TestBarrierStateReuse(t *testing.T) {
 		} else if s.barrierFree[0] != st {
 			t.Fatalf("%s: barrier state not reused", step)
 		}
-		if st.ev != nil {
-			t.Fatalf("%s: free barrier state keeps its event", step)
+		if st.release != nil {
+			t.Fatalf("%s: free barrier state keeps its release counter", step)
 		}
 	}
 	check("first run", barrierExits(t, w, 4), wantQuad)
@@ -132,7 +132,7 @@ func TestBarrierStateReuse(t *testing.T) {
 }
 
 // TestBarrierDeadlockNamesEvent checks a barrier one rank never reaches
-// reports its event by the name it has always had.
+// reports its one-shot release counter by the name it has always had.
 func TestBarrierDeadlockNamesEvent(t *testing.T) {
 	w := newWorld(t, smallConfig())
 	_, err := w.RunProgram(func(r *Rank) {
@@ -140,8 +140,8 @@ func TestBarrierDeadlockNamesEvent(t *testing.T) {
 			r.BarrierThen(nop)
 		}
 	})
-	if err == nil || !strings.Contains(err.Error(), "rank0(event:barrier1)") {
-		t.Fatalf("deadlock report %v does not name event barrier1", err)
+	if err == nil || !strings.Contains(err.Error(), "rank0(counter:barrier1>=1)") {
+		t.Fatalf("deadlock report %v does not name counter barrier1", err)
 	}
 }
 

@@ -18,8 +18,8 @@
 // runtime to choose by message size and operating mode, mirroring how CCMI
 // registries select protocols on BG/P.
 //
-// Ranks coordinate through shared per-operation state (counters, FIFOs,
-// events) that the collective packages keep on the world (World.Scratch):
+// Ranks coordinate through shared per-operation state (counters, FIFOs)
+// that the collective packages keep on the world (World.Scratch):
 // the first rank to reach a collective arms a recycled state, the others
 // find it by their collective sequence number (Rank.NextSeq), and the last
 // to finish releases it — the simulated equivalent of the pre-agreed

@@ -65,14 +65,14 @@ type arrival struct {
 }
 
 type recvReq struct {
-	ev  *sim.Event
+	ev  *sim.Counter // one-shot: fired when a message matches
 	arr *arrival
 }
 
 type rendezvous struct {
 	src     *Rank
-	cts     *sim.Event // receiver posted; carries dst buffer
-	putDone *sim.Event
+	cts     *sim.Counter // one-shot: receiver posted; carries dst buffer
+	putDone *sim.Counter // one-shot
 	dstBuf  data.Buf
 }
 
@@ -102,11 +102,11 @@ func (r *Rank) deliver(src, tag int, arr *arrival) {
 }
 
 // Request tracks one outstanding nonblocking operation. It completes when
-// its event fires; waiting on it additionally runs the deferred core-side
-// work in the waiting rank's own context.
+// its one-shot counter fires; waiting on it additionally runs the deferred
+// core-side work in the waiting rank's own context.
 type Request struct {
 	owner *Rank
-	ev    *sim.Event
+	ev    *sim.Counter
 
 	// Receive side: buf is the posted buffer and msgLen the size of the
 	// message matched to it. copyOut marks an eager or intra-node payload
@@ -127,7 +127,7 @@ func (q *Request) Wait() { q.WaitThen(nop) }
 // buffer does not match the message size fails here, in the receiving
 // rank's context, whichever protocol carried the message.
 func (q *Request) WaitThen(done func()) {
-	q.owner.proc.WaitThen(q.ev, func() { q.complete(done) })
+	q.owner.proc.WaitGEThen(q.ev, 1, func() { q.complete(done) })
 }
 
 // complete runs the core-side completion work of a fired request.
@@ -235,7 +235,7 @@ func (r *Rank) Isend(dst int, buf data.Buf, tag int) *Request {
 	to := &r.w.ranks[dst]
 	k := r.w.M.K
 	n := buf.Len()
-	req := &Request{owner: r, ev: k.NewEvent(fmt.Sprintf("isend.%d.%d.%d", r.id, dst, tag))}
+	req := &Request{owner: r, ev: k.NewCounter(fmt.Sprintf("isend.%d.%d.%d", r.id, dst, tag))}
 
 	if to.nodeID == r.nodeID {
 		// Intra-node: publish through shared memory; complete after the
@@ -267,14 +267,14 @@ func (r *Rank) Isend(dst int, buf data.Buf, tag int) *Request {
 	// DMA direct put is reserved and both sides complete at its end.
 	rdv := &rendezvous{
 		src:     r,
-		cts:     k.NewEvent(fmt.Sprintf("icts.%d.%d", r.id, dst)),
-		putDone: k.NewEvent(fmt.Sprintf("iput.%d.%d", r.id, dst)),
+		cts:     k.NewCounter(fmt.Sprintf("icts.%d.%d", r.id, dst)),
+		putDone: k.NewCounter(fmt.Sprintf("iput.%d.%d", r.id, dst)),
 	}
 	rtsAt := r.w.M.Torus.Unicast(k.Now(), r.Coord(), to.Coord(), ctrlLane, ctrlBytes)
 	k.At(rtsAt, func() {
 		to.deliver(r.id, tag, &arrival{buf: buf, availableAt: rtsAt, rdv: rdv})
 	})
-	rdv.cts.OnFire(func() {
+	rdv.cts.OnGE(1, func() {
 		wire := r.w.M.Torus.WireBytes(n)
 		injDone := r.node.DMA.Inject(k.Now(), wire)
 		netAt := r.w.M.Torus.Unicast(injDone, r.Coord(), to.Coord(), ptpLane, n)
@@ -291,7 +291,7 @@ func (r *Rank) Isend(dst int, buf data.Buf, tag int) *Request {
 			})
 		})
 	})
-	rdv.putDone.OnFire(req.ev.Fire)
+	rdv.putDone.OnGE(1, req.ev.Fire)
 	return req
 }
 
@@ -300,7 +300,7 @@ func (r *Rank) Isend(dst int, buf data.Buf, tag int) *Request {
 // paths) is charged when the request is waited on.
 func (r *Rank) Irecv(src int, buf data.Buf, tag int) *Request {
 	k := r.w.M.K
-	req := &Request{owner: r, ev: k.NewEvent(fmt.Sprintf("irecv.%d.%d.%d", r.id, src, tag)), buf: buf}
+	req := &Request{owner: r, ev: k.NewCounter(fmt.Sprintf("irecv.%d.%d.%d", r.id, src, tag)), buf: buf}
 
 	handle := func(arr *arrival) {
 		req.msgLen = arr.buf.Len()
@@ -309,7 +309,7 @@ func (r *Rank) Irecv(src int, buf data.Buf, tag int) *Request {
 			rdv.dstBuf = buf
 			ctsAt := r.w.M.Torus.Unicast(k.Now(), r.Coord(), rdv.src.Coord(), ctrlLane, ctrlBytes)
 			k.At(ctsAt, rdv.cts.Fire)
-			rdv.putDone.OnFire(req.ev.Fire)
+			rdv.putDone.OnGE(1, req.ev.Fire)
 			return
 		}
 		req.payload, req.copyOut, req.local = arr.buf, true, arr.local
@@ -330,9 +330,9 @@ func (r *Rank) Irecv(src int, buf data.Buf, tag int) *Request {
 		handle(arr)
 		return req
 	}
-	pr := &recvReq{ev: k.NewEvent(fmt.Sprintf("ipost.%d.%d.%d", r.id, src, tag))}
+	pr := &recvReq{ev: k.NewCounter(fmt.Sprintf("ipost.%d.%d.%d", r.id, src, tag))}
 	box.posted[key] = append(box.posted[key], pr)
-	pr.ev.OnFire(func() { handle(pr.arr) })
+	pr.ev.OnGE(1, func() { handle(pr.arr) })
 	return req
 }
 

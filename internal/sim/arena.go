@@ -1,5 +1,5 @@
-// Per-kernel slab allocation. A figure cell allocates one Event per tree
-// chunk per rank, one Counter per protocol stage per rank, and one Proc per
+// Per-kernel slab allocation. A figure cell allocates one Counter per tree
+// chunk, per barrier and per protocol stage per rank, and one Proc per
 // rank — hundreds of thousands of small objects whose lifetimes are all
 // exactly the kernel's. Allocating them individually makes the allocator and
 // the GC scan hot on the sweep path; carving them out of kernel-owned slabs
@@ -21,7 +21,7 @@
 // a Reset the slot still holds the previous run's state.
 //
 // Slabs are safe without locking for the same reason all kernel state is:
-// NewEvent/NewCounter/Spawn only run under the virtual-CPU token (or before
+// NewCounter/Spawn only run under the virtual-CPU token (or before
 // Run starts), so a kernel's arena is single-threaded even when multiple
 // kernels run on parallel OS threads.
 package sim
@@ -30,7 +30,6 @@ package sim
 // unit-test kernel does not waste visible memory. Proc slabs are sized by the
 // shift because proc indices pack (slab, slot) into a uint32.
 const (
-	eventSlabSize   = 512
 	counterSlabSize = 256
 
 	procSlabShift = 8
@@ -39,11 +38,9 @@ const (
 )
 
 // arena holds the kernel's slabs plus the reusable wake batch buffer (see
-// Counter.release). nEvents/nCounters/nProcs count the objects carved since
-// the last reset; the corresponding slab slices only ever grow.
+// Counter.release). nCounters/nProcs count the objects carved since the last
+// reset; the corresponding slab slices only ever grow.
 type arena struct {
-	events    [][]Event
-	nEvents   int
 	counters  [][]Counter
 	nCounters int
 	procs     [][]Proc
@@ -56,16 +53,7 @@ type arena struct {
 // anything a stale slot still references belongs to this same kernel's object
 // graph (which stays live regardless).
 func (a *arena) reset() {
-	a.nEvents, a.nCounters, a.nProcs = 0, 0, 0
-}
-
-func (a *arena) newEvent() *Event {
-	slab, slot := a.nEvents/eventSlabSize, a.nEvents%eventSlabSize
-	if slab == len(a.events) {
-		a.events = append(a.events, make([]Event, eventSlabSize))
-	}
-	a.nEvents++
-	return &a.events[slab][slot]
+	a.nCounters, a.nProcs = 0, 0
 }
 
 func (a *arena) newCounter() *Counter {

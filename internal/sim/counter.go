@@ -5,11 +5,14 @@ import (
 	"sort"
 )
 
-// Counter is a watchable monotonically increasing value in virtual time. It
-// models both the DMA engine's hardware byte counters and the paper's
-// software message counters: a producer adds received byte counts, consumers
-// wait until the count reaches a threshold. Like events, counters must not
-// outlive a Kernel.Reset: stale handles panic via the epoch stamp.
+// Counter is a watchable monotonically increasing value in virtual time, and
+// the kernel's one wait primitive. It models both the DMA engine's hardware
+// byte counters and the paper's software message counters: a producer adds
+// received byte counts, consumers wait until the count reaches a threshold.
+// A one-shot occurrence (a tree delivery, a barrier release, a request's
+// completion) is a counter fired once from 0 to 1 (Fire) and waited on at
+// threshold 1. Counters must not outlive a Kernel.Reset: stale handles panic
+// via the epoch stamp.
 type Counter struct {
 	k       *Kernel
 	name    label
@@ -33,7 +36,7 @@ type counterWait struct {
 
 // counterKeep is the waiter capacity a counter keeps in its arena slot. A
 // list that outgrows it borrows its storage from the kernel's pool
-// (Kernel.cwaitFree) and returns it once the list empties or the slot is
+// (Kernel.waitPool) and returns it once the list empties or the slot is
 // re-carved, so a slot does not pin the largest list it ever held. Smaller
 // lists (a tree peer's, emptied on every chunk) stay in the slot and never
 // touch the pool. The pool is bucketed by capacity class, so a growing list
@@ -93,30 +96,51 @@ func (c *Counter) Add(n int64) {
 	c.release()
 }
 
-// Reset sets the counter back to zero for reuse by a subsequent operation.
-// Resetting with waiters outstanding panics: the waiters' thresholds would
-// silently refer to the previous epoch.
-func (c *Counter) Reset() {
+// Fire adds 1 to a counter still at 0: the one-shot use of a counter.
+// Firing a counter at any other value panics (a second Fire, or a Fire
+// after Add): it always indicates a protocol bug.
+func (c *Counter) Fire() {
 	c.check()
-	if len(c.waiters) > 0 {
-		panic("sim: counter " + c.name.String() + " reset with waiters")
+	if c.v != 0 {
+		panic("sim: counter " + c.name.String() + " fired twice")
 	}
-	c.v = 0
+	c.v = 1
+	c.release()
 }
 
+// Fired reports whether the counter has reached 1: for a one-shot counter,
+// whether it has fired.
+func (c *Counter) Fired() bool { return c.v >= 1 }
+
+// RunPost implements PostHandler, so HookAt(t, c, 0, 0) schedules c.Fire
+// at t without a method-value closure.
+//
+//bgplint:hot
+func (c *Counter) RunPost(_, _ int64) { c.Fire() }
+
+// wait inserts a waiter in threshold order, after every waiter with an
+// equal threshold, so ties release in registration order. A threshold no
+// lower than the last one appends without a search: a one-shot counter's
+// fan-out, where every waiter waits at 1, is all appends.
 func (c *Counter) wait(threshold int64, e entry) {
-	switch n := len(c.waiters); {
+	n := len(c.waiters)
+	switch {
 	case cap(c.waiters) == 0:
 		c.waiters = c.k.takeCounterWaiters()
 	case n == cap(c.waiters) && n >= counterKeep:
 		c.waiters = c.k.growCounterWaiters(c.waiters)
 	}
-	i := sort.Search(len(c.waiters), func(i int) bool {
+	w := counterWait{threshold: threshold, e: e}
+	if n == 0 || c.waiters[n-1].threshold <= threshold {
+		c.waiters = append(c.waiters, w)
+		return
+	}
+	i := sort.Search(n, func(i int) bool {
 		return c.waiters[i].threshold > threshold
 	})
 	c.waiters = append(c.waiters, counterWait{})
 	copy(c.waiters[i+1:], c.waiters[i:])
-	c.waiters[i] = counterWait{threshold: threshold, e: e}
+	c.waiters[i] = w
 }
 
 func (c *Counter) release() {
@@ -141,7 +165,7 @@ func (c *Counter) release() {
 			if w.e.parked() {
 				p := k.procAt(w.e.idx)
 				k.blocked--
-				p.waitEv, p.waitC = nil, nil
+				p.waitC = nil
 			}
 			buf = append(buf, w.e)
 		}
@@ -165,11 +189,11 @@ func (c *Counter) release() {
 // the next list to reach or outgrow its size finds it.
 func (k *Kernel) growCounterWaiters(w []counterWait) []counterWait {
 	var grown []counterWait
-	for c := bits.Len(uint(len(w))); c < len(k.cwaitFree); c++ {
-		if m := len(k.cwaitFree[c]); m > 0 {
-			grown = k.cwaitFree[c][m-1]
-			k.cwaitFree[c][m-1] = nil
-			k.cwaitFree[c] = k.cwaitFree[c][:m-1]
+	for c := bits.Len(uint(len(w))); c < len(k.waitPool); c++ {
+		if m := len(k.waitPool[c]); m > 0 {
+			grown = k.waitPool[c][m-1]
+			k.waitPool[c][m-1] = nil
+			k.waitPool[c] = k.waitPool[c][:m-1]
 			break
 		}
 	}
@@ -186,11 +210,11 @@ func (k *Kernel) growCounterWaiters(w []counterWait) []counterWait {
 // outgrew its slot. It returns nil, for append to allocate, when there is
 // none.
 func (k *Kernel) takeCounterWaiters() []counterWait {
-	for c := min(bits.Len(counterKeep)-1, len(k.cwaitFree)-1); c >= 0; c-- {
-		if m := len(k.cwaitFree[c]); m > 0 {
-			w := k.cwaitFree[c][m-1]
-			k.cwaitFree[c][m-1] = nil
-			k.cwaitFree[c] = k.cwaitFree[c][:m-1]
+	for c := min(bits.Len(counterKeep)-1, len(k.waitPool)-1); c >= 0; c-- {
+		if m := len(k.waitPool[c]); m > 0 {
+			w := k.waitPool[c][m-1]
+			k.waitPool[c][m-1] = nil
+			k.waitPool[c] = k.waitPool[c][:m-1]
 			return w
 		}
 	}
@@ -202,10 +226,10 @@ func (k *Kernel) takeCounterWaiters() []counterWait {
 // [2^c, 2^(c+1)).
 func (k *Kernel) putCounterWaiters(w []counterWait) {
 	c := bits.Len(uint(cap(w))) - 1
-	for len(k.cwaitFree) <= c {
-		k.cwaitFree = append(k.cwaitFree, nil)
+	for len(k.waitPool) <= c {
+		k.waitPool = append(k.waitPool, nil)
 	}
-	k.cwaitFree[c] = append(k.cwaitFree[c], w[:0])
+	k.waitPool[c] = append(k.waitPool[c], w[:0])
 }
 
 // OnGE schedules fn once the counter reaches at least v. If it already has,

@@ -9,10 +9,10 @@
 //     cheap and are used on hot paths such as per-chunk network arrivals.
 //   - Processes (Proc): inline programs spawned with Kernel.SpawnProgram, or
 //     goroutine-backed coroutines spawned with Kernel.Spawn. Exactly one
-//     process runs at a time; a process yields the virtual CPU by sleeping,
-//     waiting on an Event, or waiting on a Counter threshold, through one set
-//     of explicit-resume operations (SleepThen, WaitThen, WaitGEThen, ...)
-//     shared by both kinds. Processes make sequential protocol code (an MPI
+//     process runs at a time; a process yields the virtual CPU by sleeping
+//     or by waiting on a Counter threshold, through one set of
+//     explicit-resume operations (SleepThen, WaitGEThen, ...) shared by both
+//     kinds. Processes make sequential protocol code (an MPI
 //     rank, a DMA engine, a communication thread) read like the pseudo-code
 //     in the paper.
 //
@@ -23,5 +23,6 @@
 //
 // Counters mirror the DMA byte counters and the paper's software message
 // counters: monotonically increasing values that processes can wait on until
-// a threshold is reached.
+// a threshold is reached. They are the kernel's only wait primitive: a
+// one-shot occurrence is a counter fired from 0 to 1 and waited on at 1.
 package sim

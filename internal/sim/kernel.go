@@ -14,10 +14,9 @@ import (
 // callback table (eFn), hook table (eHook), add table (eAdd), or a process's
 // dense arena index (everything else).
 //
-// In a waiter list (Event.waiters, Counter.waiters) every kind other than eFn
-// and eHook identifies a parked process, so Kernel.wake and the batch-wake
-// loops do the blocked bookkeeping exactly for those kinds — the same split
-// the old (fn, p) pair expressed with p != nil.
+// In a waiter list (Counter.waiters) every kind other than eFn and eHook
+// identifies a parked process, so Kernel.wake and the batch-wake loop do
+// the blocked bookkeeping exactly for those kinds.
 type entry struct {
 	kind uint8
 	idx  uint32
@@ -77,25 +76,25 @@ type Kernel struct {
 
 	// procs lists every live process by dense arena index; each tracks its
 	// own registry position (Proc.idx) for O(1) removal. blocked counts
-	// processes currently waiting on an Event or Counter threshold (not a
-	// timed sleep). If all events drain while blocked > 0 the simulation is
+	// processes currently waiting on a Counter threshold (not a timed
+	// sleep). If all events drain while blocked > 0 the simulation is
 	// deadlocked.
 	procs   []uint32
 	blocked int
 
 	failure error
 
-	// arena holds the kernel's slab allocator for events, counters, and
-	// processes (see arena.go). Everything carved from it lives exactly as
-	// long as the kernel — or until Reset rewinds it.
+	// arena holds the kernel's slab allocator for counters and processes
+	// (see arena.go). Everything carved from it lives exactly as long as
+	// the kernel — or until Reset rewinds it.
 	arena arena
 
-	// waitFree pools emptied event waiter buffers (LIFO): Event.Fire returns
-	// its buffer here, a re-carved never-fired slot returns its leftover,
-	// and the first waiter on an event takes the top one. Storage tracks the
-	// events waited on at once, not every slot a run ever carved; entries
-	// are pointer-free, so only the headers are scanned.
-	waitFree [][]entry
+	// waitPool pools the counter waiter buffers that outgrew a slot's own
+	// counterKeep entries (see Counter.wait), one LIFO bucket per capacity
+	// class. Storage tracks the lists waited on at once, not every slot a
+	// run ever carved; entries are pointer-free, so only the headers are
+	// scanned.
+	waitPool [][][]counterWait
 
 	running bool
 
@@ -116,7 +115,7 @@ type Kernel struct {
 	// their reservation state along with the clock.
 	pipes []*Pipe
 
-	// epoch counts Resets. Events, counters, and processes are stamped with
+	// epoch counts Resets. Counters and processes are stamped with
 	// the epoch they were carved in; using a handle from a previous epoch
 	// panics deterministically instead of corrupting the next run (the slab
 	// slot may already belong to someone else).
@@ -124,12 +123,6 @@ type Kernel struct {
 
 	// pipeEpoch counts ReleasePipes calls (see PipeEpoch).
 	pipeEpoch uint32
-
-	// cwaitFree pools the counter waiter buffers that outgrew a slot's own
-	// counterKeep entries (see Counter.wait), one LIFO bucket per capacity
-	// class. It sits last so the fields above keep the offsets the hot
-	// paths were measured with.
-	cwaitFree [][][]counterWait
 }
 
 // New returns a kernel with the clock at zero.
@@ -158,11 +151,11 @@ func (k *Kernel) NoExtrap() bool { return k.noExtrap }
 
 // Reset returns the kernel to its post-New state while keeping every
 // allocation it has accumulated: arena slabs, queue and ring capacity, the
-// callback tables, the pooled waiter buffers (waitFree, cwaitFree), and the
-// pipes created on it. Pipes survive with their identity intact (their
-// reservation state rewinds to zero); events, counters, and processes do
-// not — their slab slots will be recarved, so handles from before the Reset
-// are poison, and the epoch stamp makes using one panic deterministically.
+// callback tables, the pooled waiter buffers (waitPool), and the pipes
+// created on it. Pipes survive with their identity intact (their
+// reservation state rewinds to zero); counters and processes do not —
+// their slab slots will be recarved, so handles from before the Reset are
+// poison, and the epoch stamp makes using one panic deterministically.
 //
 // Reset panics if called during Run, while processes are still live, or
 // after a failed run: a failed run (deadlock, process or callback panic) may
@@ -207,30 +200,6 @@ func (k *Kernel) Reset() {
 type addAt struct {
 	c *Counter
 	n int64
-}
-
-// takeWaiters pops the pooled waiter buffer on top of waitFree if its
-// capacity is at least n, else returns nil. Only the top is looked at: a
-// sized request (Event.Reserve) that does not fit allocates rather than
-// consuming a smaller buffer later fan-outs would reuse.
-//
-//bgplint:hot
-func (k *Kernel) takeWaiters(n int) []entry {
-	m := len(k.waitFree)
-	if m == 0 || cap(k.waitFree[m-1]) < n {
-		return nil
-	}
-	w := k.waitFree[m-1]
-	k.waitFree[m-1] = nil
-	k.waitFree = k.waitFree[:m-1]
-	return w
-}
-
-// putWaiters returns an event's waiter buffer, emptied, to waitFree.
-//
-//bgplint:hot
-func (k *Kernel) putWaiters(w []entry) {
-	k.waitFree = append(k.waitFree, w[:0])
 }
 
 // newCb stores fn in the callback table and returns its slot. Slots recycle
@@ -377,15 +346,14 @@ func (k *Kernel) runHook(i uint32) {
 
 // wake makes a released waiter runnable at the current instant. For process
 // waiters the blocked bookkeeping happens here, eagerly, so the queued entry
-// is a bare resume; the caller (Event.Fire, Counter.release) always holds
-// the token.
+// is a bare resume; the caller (Counter.release) always holds the token.
 //
 //bgplint:hot
 func (k *Kernel) wake(w entry) {
 	if w.parked() {
 		p := k.procAt(w.idx)
 		k.blocked--
-		p.waitEv, p.waitC = nil, nil
+		p.waitC = nil
 	}
 	k.ring.push(w)
 }
@@ -546,8 +514,9 @@ func (r *runRing) push(e entry) {
 }
 
 // pushBatch appends a slice of entries in order with a single capacity check
-// and at most two copies (wraparound). Event fan-out and multi-waiter counter
-// crossings use it to wake N parties as one batch instead of N pushes.
+// and at most two copies (wraparound). Multi-waiter counter crossings (a
+// one-shot counter's fan-out among them) use it to wake N parties as one
+// batch instead of N pushes.
 //
 //bgplint:hot
 func (r *runRing) pushBatch(es []entry) {

@@ -8,7 +8,7 @@ import "testing"
 // and DESIGN.md §9 come from -benchtime=2s runs.
 
 // BenchmarkAtNow measures the dominant scheduling case: an event scheduled at
-// the current virtual time (Event.Fire fan-out, counter wakeups, Proc.run
+// the current virtual time (counter fan-out and wakeups, Proc.run
 // rendezvous all take this path).
 func BenchmarkAtNow(b *testing.B) {
 	k := New()
@@ -188,21 +188,19 @@ func BenchmarkAtBurst(b *testing.B) {
 	}
 }
 
-// BenchmarkEventFire measures one-shot event fan-out: W waiters parked on an
-// event, released by a single Fire.
-func BenchmarkEventFire(b *testing.B) {
-	const waiters = 16
-	k := New()
+// BenchmarkCounterFanOut measures a one-shot counter's fan-out at the scale
+// of a collective-network delivery: 4,096 parked processes wait at 1 on a
+// stage's counter, one Fire releases them all, and each waits again on the
+// next stage's counter, whose list grows through the waiter pool's capacity
+// classes. One op is one waiter released.
+func BenchmarkCounterFanOut(b *testing.B) {
+	const waiters, stages = 4096, 16
+	f := newFanOut(New(), waiters)
+	f.round(b, stages)
 	b.ReportAllocs()
-	for n := 0; n < b.N; n += waiters {
-		ev := k.NewEvent("e")
-		for i := 0; i < waiters; i++ {
-			ev.OnFire(nop)
-		}
-		ev.Fire()
-		if err := k.Run(); err != nil {
-			b.Fatal(err)
-		}
+	b.ResetTimer()
+	for n := 0; n < b.N; n += waiters * stages {
+		f.round(b, stages)
 	}
 }
 
@@ -360,13 +358,13 @@ func BenchmarkSpawnProgram(b *testing.B) {
 }
 
 // BenchmarkArenaAlloc measures slab allocation of the kernel-lifetime
-// objects (event + counter per iteration) — the path every collective state
+// objects (two counters per iteration) — the path every collective state
 // constructor takes.
 func BenchmarkArenaAlloc(b *testing.B) {
 	k := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = k.NewEvent("e")
+		_ = k.NewCounter("e")
 		_ = k.NewCounter("c")
 	}
 }

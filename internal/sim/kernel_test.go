@@ -105,10 +105,10 @@ func TestProcInterleaving(t *testing.T) {
 
 func TestEventWaitAndFire(t *testing.T) {
 	k := New()
-	ev := k.NewEvent("go")
+	ev := k.NewCounter("go")
 	var woke Time = -1
 	k.Spawn("waiter", func(p *Proc) {
-		p.WaitThen(ev, nop)
+		p.WaitGEThen(ev, 1, nop)
 		woke = p.Now()
 	})
 	k.At(7*Microsecond, ev.Fire)
@@ -122,12 +122,12 @@ func TestEventWaitAndFire(t *testing.T) {
 
 func TestWaitOnFiredEventReturnsImmediately(t *testing.T) {
 	k := New()
-	ev := k.NewEvent("done")
+	ev := k.NewCounter("done")
 	ev.Fire()
 	var woke Time = -1
 	k.Spawn("late", func(p *Proc) {
 		p.SleepThen(3*Nanosecond, nop)
-		p.WaitThen(ev, nop)
+		p.WaitGEThen(ev, 1, nop)
 		woke = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -140,20 +140,56 @@ func TestWaitOnFiredEventReturnsImmediately(t *testing.T) {
 
 func TestEventDoubleFirePanics(t *testing.T) {
 	k := New()
-	ev := k.NewEvent("x")
+	ev := k.NewCounter("x")
 	ev.Fire()
-	defer func() {
-		if recover() == nil {
-			t.Error("double Fire did not panic")
+	expectPanic(t, "counter x fired twice", ev.Fire)
+}
+
+// TestCounterFire pins the one-shot use of a counter: Fire moves it from 0
+// to 1 and nothing else, a wait at 1 on a fired counter runs in place, and
+// the steady-state fingerprint tells a fired counter from an unfired one.
+func TestCounterFire(t *testing.T) {
+	k := New()
+	added := k.NewCounter("added")
+	added.Add(3)
+	expectPanic(t, "counter added fired twice", added.Fire)
+
+	fired := k.NewCounter("fired")
+	fired.Fire()
+	if !fired.Fired() || fired.Value() != 1 {
+		t.Fatalf("fired counter: Fired %v, Value %d; want true, 1", fired.Fired(), fired.Value())
+	}
+	inPlace := false
+	k.SpawnProgram("late", func(p *Proc) {
+		p.WaitGEThen(fired, 1, func() { inPlace = true })
+		if !inPlace {
+			t.Error("WaitGEThen at 1 on a fired counter did not run its continuation in place")
 		}
-	}()
-	ev.Fire()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	fp := func(c *Counter) string {
+		f := newFP(newFPIntern())
+		f.reset(k.Now())
+		f.Counter(c)
+		return string(f.buf)
+	}
+	a, b := k.NewCounter("a"), k.NewCounter("b")
+	if fp(a) != fp(b) {
+		t.Fatal("two unfired counters fingerprint differently")
+	}
+	b.Fire()
+	if fp(a) == fp(b) {
+		t.Fatal("a fired and an unfired counter fingerprint identically")
+	}
 }
 
 func TestDeadlockDetection(t *testing.T) {
 	k := New()
-	ev := k.NewEvent("never")
-	k.Spawn("stuck", func(p *Proc) { p.WaitThen(ev, nop) })
+	ev := k.NewCounter("never")
+	k.Spawn("stuck", func(p *Proc) { p.WaitGEThen(ev, 1, nop) })
 	err := k.Run()
 	if err == nil {
 		t.Fatal("deadlock not reported")
@@ -231,18 +267,6 @@ func TestCounterDecrementPanics(t *testing.T) {
 		}
 	}()
 	c.Add(-1)
-}
-
-func TestCounterResetWithWaitersPanics(t *testing.T) {
-	k := New()
-	c := k.NewCounter("c")
-	c.OnGE(10, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Error("Reset with waiters did not panic")
-		}
-	}()
-	c.Reset()
 }
 
 func TestPipeSerialization(t *testing.T) {

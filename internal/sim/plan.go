@@ -2,7 +2,7 @@ package sim
 
 // A Plan is a short program of timed steps — fixed sleeps, serialized
 // resource occupations, counter additions — that a process attaches to a
-// wait (WaitPlanThen, WaitGEPlanThen). Without a plan, a per-chunk protocol
+// wait (WaitGEPlanThen). Without a plan, a per-chunk protocol
 // body like "wait for the counter, poll, copy" activates the process once
 // per step. For an inline process a plan runs the whole sequence while the
 // process stays parked: the kernel executes the intermediate steps as queue

@@ -35,7 +35,7 @@ func TestWaitPlanRunsStepsWhileParked(t *testing.T) {
 	for _, kind := range procKinds {
 		k := New()
 		k.SetNoProgram(kind.noProgram)
-		ev := k.NewEvent("go")
+		ev := k.NewCounter("go")
 		c := k.NewCounter("sig")
 		var addedAt, resumedAt Time
 		k.SpawnProgram("w", func(p *Proc) {
@@ -43,7 +43,7 @@ func TestWaitPlanRunsStepsWhileParked(t *testing.T) {
 			pl.Sleep(30 * Nanosecond)
 			pl.Add(c, 1)
 			pl.Sleep(10 * Nanosecond)
-			p.WaitPlanThen(ev, pl, func() { resumedAt = p.Now() })
+			p.WaitGEPlanThen(ev, 1, pl, func() { resumedAt = p.Now() })
 		})
 		k.SpawnProgram("obs", func(p *Proc) {
 			p.WaitGEThen(c, 1, func() { addedAt = p.Now() })
@@ -65,10 +65,10 @@ func TestWaitPlanEmptyIsWait(t *testing.T) {
 	for _, kind := range procKinds {
 		k := New()
 		k.SetNoProgram(kind.noProgram)
-		ev := k.NewEvent("go")
+		ev := k.NewCounter("go")
 		var at Time
 		k.SpawnProgram("w", func(p *Proc) {
-			p.WaitPlanThen(ev, p.NewPlan(), func() { at = p.Now() })
+			p.WaitGEPlanThen(ev, 1, p.NewPlan(), func() { at = p.Now() })
 		})
 		k.At(5*Nanosecond, ev.Fire)
 		if err := k.Run(); err != nil {
@@ -84,13 +84,13 @@ func TestWaitPlanFiredEventRunsInline(t *testing.T) {
 	for _, kind := range procKinds {
 		k := New()
 		k.SetNoProgram(kind.noProgram)
-		ev := k.NewEvent("done")
+		ev := k.NewCounter("done")
 		ev.Fire()
 		var at Time
 		k.SpawnProgram("w", func(p *Proc) {
 			pl := p.NewPlan()
 			pl.Sleep(7 * Nanosecond)
-			p.WaitPlanThen(ev, pl, func() { at = p.Now() })
+			p.WaitGEPlanThen(ev, 1, pl, func() { at = p.Now() })
 		})
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -126,23 +126,23 @@ func TestWaitGEPlanSatisfiedRunsInline(t *testing.T) {
 
 // TestPlanInstantFinalResumeOrder pins where a plan that exhausts on an
 // instant step resumes its process: at exactly the queue position the
-// unfused resume occupies, before waiters the event released after it. An
+// unfused resume occupies, before waiters the fire released after it. An
 // inline process continues in place; a goroutine process resumes from its
 // wait's eCont entry and runs the instant step itself.
 func TestPlanInstantFinalResumeOrder(t *testing.T) {
 	for _, kind := range procKinds {
 		k := New()
 		k.SetNoProgram(kind.noProgram)
-		ev := k.NewEvent("go")
+		ev := k.NewCounter("go")
 		c := k.NewCounter("sig")
 		var order []string
 		k.SpawnProgram("planner", func(p *Proc) {
 			pl := p.NewPlan()
 			pl.Add(c, 1) // instant final step: no timed tail
-			p.WaitPlanThen(ev, pl, func() { order = append(order, "planner") })
+			p.WaitGEPlanThen(ev, 1, pl, func() { order = append(order, "planner") })
 		})
 		k.SpawnProgram("later", func(p *Proc) {
-			p.WaitThen(ev, func() { order = append(order, "later") })
+			p.WaitGEThen(ev, 1, func() { order = append(order, "later") })
 		})
 		k.At(Nanosecond, ev.Fire)
 		if err := k.Run(); err != nil {
@@ -212,13 +212,13 @@ func TestPlanBusyMatchesUnfused(t *testing.T) {
 // process; the failed kernel must still refuse Reset.
 func TestPlanStepPanicFailsSimulation(t *testing.T) {
 	k := New()
-	ev := k.NewEvent("go")
+	ev := k.NewCounter("go")
 	c := k.NewCounter("c")
 	k.Spawn("bad", func(p *Proc) {
 		pl := p.NewPlan()
 		pl.Sleep(Nanosecond)
 		pl.Add(c, -1) // Counter.Add panics on negative n
-		p.WaitPlanThen(ev, pl, nop)
+		p.WaitGEPlanThen(ev, 1, pl, nop)
 	})
 	k.At(Nanosecond, ev.Fire)
 	err := k.Run()
@@ -235,11 +235,11 @@ func TestPlanDeadlockNamesParkedProc(t *testing.T) {
 	for _, kind := range procKinds {
 		k := New()
 		k.SetNoProgram(kind.noProgram)
-		ev := k.NewEvent("never")
+		ev := k.NewCounter("never")
 		k.SpawnProgram("stuckplan", func(p *Proc) {
 			pl := p.NewPlan()
 			pl.Sleep(Nanosecond)
-			p.WaitPlanThen(ev, pl, nop)
+			p.WaitGEPlanThen(ev, 1, pl, nop)
 		})
 		err := k.Run()
 		if err == nil || !strings.Contains(err.Error(), "stuckplan") || !strings.Contains(err.Error(), "never") {

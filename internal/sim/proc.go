@@ -11,13 +11,13 @@ import (
 // (SpawnProgram, see program.go). Exactly one process body
 // executes at a time per kernel, so process code may freely touch simulation
 // state without locking. A process consumes virtual time only through the
-// explicit-resume operations in program.go (SleepThen, WaitThen, ...).
+// explicit-resume operations in program.go (SleepThen, WaitGEThen, ...).
 type Proc struct {
 	k *Kernel
 	// self is the process's dense arena index (arena.go): the value queue
 	// entries carry instead of a *Proc, and stable for the kernel's lifetime.
-	// epoch stamps the lease the process belongs to; like events and
-	// counters, a Proc handle must not be used across Kernel.Reset.
+	// epoch stamps the lease the process belongs to; like counters, a Proc
+	// handle must not be used across Kernel.Reset.
 	self  uint32
 	epoch uint32
 
@@ -42,10 +42,10 @@ type Proc struct {
 	// Inline program processes never use it.
 	gate chan struct{}
 
-	// Blocked-on state for deadlock reporting. At most one is non-nil; the
-	// reason string is built lazily only when a deadlock is actually
-	// reported, keeping fmt off the wait hot path.
-	waitEv *Event
+	// Blocked-on state for deadlock reporting: the counter and threshold
+	// the process waits for, nil when it is not blocked. The reason string
+	// is built lazily only when a deadlock is actually reported, keeping
+	// fmt off the wait hot path.
 	waitC  *Counter
 	waitGE int64
 
@@ -127,7 +127,7 @@ func (k *Kernel) carveProc(format string, id int32) *Proc {
 	p, self := k.arena.newProc()
 	p.k, p.name = k, label{s: format, a: id, b: -1}
 	p.self, p.epoch = self, k.epoch
-	p.waitEv, p.waitC, p.waitGE = nil, nil, 0
+	p.waitC, p.waitGE = nil, 0
 	p.released = false
 	p.plan.steps = p.plan.steps[:0]
 	p.plan.i = 0
@@ -196,13 +196,10 @@ func (k *Kernel) releaseGoroutines() {
 // blockedOn describes what the process is waiting on, or "" if it is not
 // blocked. Used only for deadlock reports.
 func (p *Proc) blockedOn() string {
-	switch {
-	case p.waitEv != nil:
-		return "event:" + p.waitEv.name.String()
-	case p.waitC != nil:
-		return fmt.Sprintf("counter:%s>=%d", p.waitC.name.String(), p.waitGE)
+	if p.waitC == nil {
+		return ""
 	}
-	return ""
+	return fmt.Sprintf("counter:%s>=%d", p.waitC.name.String(), p.waitGE)
 }
 
 // Name returns the process name given at Spawn, or the SpawnIdx format

@@ -24,15 +24,15 @@
 //
 //   - SleepThen always schedules, even for zero durations; SleepUntilThen
 //     and BusyThen return without scheduling when the deadline has passed.
-//   - WaitThen/WaitGEThen append a waiter; the fired/satisfied fast paths
-//     run the continuation in place.
-//   - WaitPlanThen/WaitGEPlanThen on an inline process step the attached
-//     plan from its waiter entry. Instant steps run in place, a timed step
-//     schedules the next step, and the last timed step schedules the
-//     continuation. A plan that runs out on instant steps continues the body
-//     in place, at that exact queue position. A goroutine process waits and
-//     then runs the same steps as SleepThen/BusyThen/Add calls, which arm
-//     the same entries at the same positions.
+//   - WaitGEThen appends a waiter; the satisfied fast path runs the
+//     continuation in place.
+//   - WaitGEPlanThen on an inline process steps the attached plan from its
+//     waiter entry. Instant steps run in place, a timed step schedules the
+//     next step, and the last timed step schedules the continuation. A plan
+//     that runs out on instant steps continues the body in place, at that
+//     exact queue position. A goroutine process waits and then runs the
+//     same steps as SleepThen/BusyThen/Add calls, which arm the same entries
+//     at the same positions.
 //
 // Callbacks run inline inside Kernel.next and the ring drains in FIFO order,
 // so a continuation executing at its pop position is observationally
@@ -256,30 +256,9 @@ func (p *Proc) BusyThen(pipe *Pipe, bytes int, concurrent Time, cont func()) {
 	}
 }
 
-// WaitThen continues with cont once ev fires. If ev has already fired cont
-// runs in place, consuming no virtual time and no queue entry.
-//
-//bgplint:hot
-func (p *Proc) WaitThen(ev *Event, cont func()) {
-	p.checkIdle()
-	ev.check()
-	if ev.fired {
-		cont()
-		return
-	}
-	p.waitEv = ev
-	p.k.blocked++
-	p.cont = cont
-	p.armed = true
-	ev.addWaiter(entry{kind: eCont, idx: p.self})
-	if !p.inline {
-		p.park()
-		cont()
-	}
-}
-
-// WaitGEThen continues with cont once c reaches at least v; a threshold
-// already reached runs cont in place.
+// WaitGEThen continues with cont once c reaches at least v (1 for a
+// one-shot counter). A threshold already reached runs cont in place,
+// consuming no virtual time and no queue entry.
 //
 //bgplint:hot
 func (p *Proc) WaitGEThen(c *Counter, v int64, cont func()) {
@@ -300,42 +279,13 @@ func (p *Proc) WaitGEThen(c *Counter, v int64, cont func()) {
 	}
 }
 
-// WaitPlanThen blocks on ev, runs pl, then continues with cont. With no
-// plan steps it is exactly WaitThen. An inline process stays parked while
-// the kernel steps the plan; if ev has already fired the plan steps from
-// here, scheduling exactly where the unfused slice would have, and a plan
-// that runs out on instant steps continues in place. A goroutine process
-// runs the steps one operation at a time (Plan.runInline).
-//
-//bgplint:hot
-func (p *Proc) WaitPlanThen(ev *Event, pl *Plan, cont func()) {
-	if len(pl.steps) == 0 {
-		p.WaitThen(ev, cont)
-		return
-	}
-	if !p.inline {
-		p.WaitThen(ev, nop)
-		pl.runInline(p)
-		cont()
-		return
-	}
-	p.checkIdle()
-	ev.check()
-	p.cont = cont
-	if !ev.fired {
-		p.waitEv = ev
-		p.k.blocked++
-		p.armed = true
-		ev.addWaiter(entry{kind: eProg, idx: p.self})
-	} else if !p.stepPlan() {
-		p.cont = nil
-		cont()
-	}
-}
-
 // WaitGEPlanThen blocks until c reaches at least v, runs pl, then
-// continues with cont, with WaitPlanThen's split between the process kinds.
-// With no plan steps it is exactly WaitGEThen.
+// continues with cont. With no plan steps it is exactly WaitGEThen. An
+// inline process stays parked while the kernel steps the plan; if c has
+// already reached v the plan steps from here, scheduling exactly where the
+// unfused slice would have, and a plan that runs out on instant steps
+// continues in place. A goroutine process runs the steps one operation at a
+// time (Plan.runInline).
 //
 //bgplint:hot
 func (p *Proc) WaitGEPlanThen(c *Counter, v int64, pl *Plan, cont func()) {

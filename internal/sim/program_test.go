@@ -49,17 +49,17 @@ func TestProgramZeroSleepQueuesBehindPending(t *testing.T) {
 }
 
 // TestProgramWaitFastPathsInline verifies the no-yield fast paths: a fired
-// event and a satisfied counter continue synchronously, consuming no virtual
+// one-shot counter and a satisfied counter continue synchronously, consuming no virtual
 // time and no queue entry.
 func TestProgramWaitFastPathsInline(t *testing.T) {
 	k := New()
-	ev := k.NewEvent("ev")
+	ev := k.NewCounter("ev")
 	ev.Fire()
 	c := k.NewCounter("c")
 	c.Add(5)
 	ran := false
 	k.SpawnProgram("prog", func(p *Proc) {
-		p.WaitThen(ev, func() {
+		p.WaitGEThen(ev, 1, func() {
 			p.WaitGEThen(c, 5, func() {
 				p.SleepUntilThen(p.Now()-Nanosecond, func() { ran = true })
 			})
@@ -124,13 +124,13 @@ func TestProgramReferenceModeUsesGoroutines(t *testing.T) {
 	}
 }
 
-// TestBatchedWakeOrder fires an event and crosses a counter threshold with
+// TestBatchedWakeOrder fires a one-shot counter and crosses a counter threshold with
 // many waiters each (program, plan, and goroutine procs mixed) and checks
 // release order is registration order — the batched ring append must be
 // byte-for-byte the order N individual wakes would have produced.
 func TestBatchedWakeOrder(t *testing.T) {
 	k := New()
-	ev := k.NewEvent("ev")
+	ev := k.NewCounter("ev")
 	c := k.NewCounter("c")
 	var order []string
 	for i := 0; i < 9; i++ {
@@ -138,13 +138,13 @@ func TestBatchedWakeOrder(t *testing.T) {
 		switch i % 3 {
 		case 0:
 			k.Spawn(name, func(p *Proc) {
-				p.WaitThen(ev, nop)
+				p.WaitGEThen(ev, 1, nop)
 				p.WaitGEThen(c, 1, nop)
 				order = append(order, name)
 			})
 		case 1:
 			k.SpawnProgram(name, func(p *Proc) {
-				p.WaitThen(ev, func() {
+				p.WaitGEThen(ev, 1, func() {
 					p.WaitGEThen(c, 1, func() { order = append(order, name) })
 				})
 			})
@@ -152,7 +152,7 @@ func TestBatchedWakeOrder(t *testing.T) {
 			// Registered via At(now) so the subscription lands at the same
 			// t=0 ring position the neighboring procs' first activations do.
 			k.At(k.Now(), func() {
-				ev.OnFire(func() { c.OnGE(1, func() { order = append(order, name) }) })
+				ev.OnGE(1, func() { c.OnGE(1, func() { order = append(order, name) }) })
 			})
 		}
 	}

@@ -56,15 +56,15 @@ func TestResetReplaysIdentically(t *testing.T) {
 // and times as on a fresh one.
 func TestResetDeadlockReportMatchesFresh(t *testing.T) {
 	deadlock := func(k *Kernel) error {
-		ev := k.NewEvent("missing")
+		ev := k.NewCounter("missing")
 		c := k.NewCounter("starved")
 		k.Spawn("waiter.ev", func(p *Proc) {
 			p.SleepThen(Nanosecond, nop)
-			p.WaitThen(ev, nop)
+			p.WaitGEThen(ev, 1, nop)
 		})
 		k.Spawn("waiter.ge", func(p *Proc) { p.WaitGEThen(c, 3, nop) })
 		k.SpawnProgram("waiter.prog", func(p *Proc) {
-			p.WaitThen(ev, func() { t.Error("waiter.prog resumed") })
+			p.WaitGEThen(ev, 1, func() { t.Error("waiter.prog resumed") })
 		})
 		return k.Run()
 	}
@@ -89,13 +89,13 @@ func TestResetDeadlockReportMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestResetStaleHandlesPanic: events, counters, and procs are carved from
-// the kernel arena, so a handle kept across Reset points into recycled
+// TestResetStaleHandlesPanic: counters (one-shot or not) and procs are
+// carved from the kernel arena, so a handle kept across Reset points into recycled
 // storage. Every use must fail loudly and deterministically instead of
 // corrupting the next run.
 func TestResetStaleHandlesPanic(t *testing.T) {
 	k := New()
-	ev := k.NewEvent("stale.ev")
+	ev := k.NewCounter("stale.ev")
 	c := k.NewCounter("stale.c")
 	var p *Proc
 	k.SpawnProgram("stale.p", func(q *Proc) { p = q })
@@ -109,7 +109,7 @@ func TestResetStaleHandlesPanic(t *testing.T) {
 	}
 	k.Reset()
 
-	expectPanic(t, "event handle (stale.ev) used across Kernel.Reset", func() { ev.Fire() })
+	expectPanic(t, "counter handle (stale.ev) used across Kernel.Reset", func() { ev.Fire() })
 	expectPanic(t, "counter handle (stale.c) used across Kernel.Reset", func() { c.Add(1) })
 	expectPanic(t, "counter handle (stale.c) used across Kernel.Reset", func() { k.AddAt(0, c, 1) })
 	expectPanic(t, "process handle (stale.p) used across Kernel.Reset", func() {
@@ -117,13 +117,13 @@ func TestResetStaleHandlesPanic(t *testing.T) {
 	})
 
 	// Fresh handles carved after the Reset work normally.
-	ev2 := k.NewEvent("fresh.ev")
+	ev2 := k.NewCounter("fresh.ev")
 	k.Spawn("fresh", func(q *Proc) { ev2.Fire() })
 	if err := k.Run(); err != nil {
 		t.Fatalf("post-reset run: %v", err)
 	}
 	if !ev2.Fired() {
-		t.Fatal("fresh event did not fire")
+		t.Fatal("fresh one-shot counter did not fire")
 	}
 }
 
@@ -152,8 +152,8 @@ func TestResetDropsPendingEntries(t *testing.T) {
 // the arena out from under them.
 func TestResetRefusesLiveProcs(t *testing.T) {
 	k := New()
-	ev := k.NewEvent("never")
-	k.Spawn("stuck", func(p *Proc) { p.WaitThen(ev, nop) })
+	ev := k.NewCounter("never")
+	k.Spawn("stuck", func(p *Proc) { p.WaitGEThen(ev, 1, nop) })
 	if err := k.Run(); err == nil {
 		t.Fatal("expected deadlock")
 	}

@@ -92,7 +92,7 @@ type FP struct {
 // are walked, so mutually referential states (a counter whose waiter is a
 // process parked on that counter) terminate. There is no seen-table: each
 // walk draws a process-unique generation from fpGenSource and stamps it
-// onto every object it labels (Event/Counter/Pipe/Proc fpGen+fpID fields),
+// onto every object it labels (Counter/Pipe/Proc fpGen+fpID fields),
 // so membership is two word reads and a rack-scale capture allocates
 // nothing per object — the map variant spent hundreds of megabytes (and
 // the GC scans of pointer-keyed tables) per million-rank detector.
@@ -238,27 +238,6 @@ func (f *FP) MonoTime(p *Time) {
 	f.lanes = append(f.lanes, int64(*p))
 }
 
-// Event interns e and, on first appearance, hashes its observable content:
-// fired flag and waiter list.
-func (f *FP) Event(e *Event) {
-	if f.refused || f.forward {
-		return
-	}
-	if e.fpGen == f.in.gen {
-		f.buf = append(f.buf, fpRef)
-		f.raw8(uint64(e.fpID))
-		return
-	}
-	e.fpGen, e.fpID = f.in.gen, f.in.nextID
-	f.in.nextID++
-	f.buf = append(f.buf, fpNew)
-	f.Bool(e.fired)
-	f.raw8(uint64(len(e.waiters)))
-	for _, w := range e.waiters {
-		f.entryCanon(e.k, w)
-	}
-}
-
 // Counter interns c and, on first appearance, hashes its value and waiter
 // thresholds. Values are hashed absolute: every counter reachable at a
 // steady boundary is per-operation state that restarts each iteration, and
@@ -327,12 +306,6 @@ func (f *FP) procRef(k *Kernel, pi uint32) {
 	f.buf = append(f.buf, fpNew)
 	f.Bool(p.inline)
 	f.Bool(p.armed)
-	if p.waitEv != nil {
-		f.buf = append(f.buf, fpSome)
-		f.Event(p.waitEv)
-	} else {
-		f.buf = append(f.buf, fpNil)
-	}
 	if p.waitC != nil {
 		f.buf = append(f.buf, fpSome)
 		f.Counter(p.waitC)

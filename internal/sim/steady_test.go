@@ -38,7 +38,7 @@ type steadyRig struct {
 	done    bool
 
 	arrived int
-	ev      *Event
+	ev      *Counter
 }
 
 type steadyLoop struct {
@@ -86,7 +86,7 @@ func (l *steadyLoop) iter() {
 	}
 	r := l.rig
 	if r.arrived == 0 {
-		r.ev = r.kern.NewEvent("rig.round")
+		r.ev = r.kern.NewCounter("rig.round")
 	}
 	r.arrived++
 	ev := r.ev
@@ -94,7 +94,7 @@ func (l *steadyLoop) iter() {
 		r.arrived = 0
 		r.kern.After(rigBarLat, ev.Fire)
 	}
-	l.p.WaitThen(ev, l.afterBarrier)
+	l.p.WaitGEThen(ev, 1, l.afterBarrier)
 }
 
 func (l *steadyLoop) afterBarrier() {

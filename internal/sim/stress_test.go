@@ -61,7 +61,7 @@ var stressModes = func() []stressMode {
 // stressWorkload builds a deterministic random pipeline: proc 0 produces one
 // token per round (with random sleeps and pipe transfers in between), and
 // each later proc waits for its predecessor's token — randomly via a counter
-// threshold or a per-round event, randomly with a fused plan of random steps
+// threshold or a per-round one-shot counter, randomly with a fused plan of random steps
 // or via plain operations — then performs its own random body and signals
 // its successor. Every random choice is drawn up-front from the seeded
 // source, so all modes execute the same program.
@@ -94,12 +94,12 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 	}
 	scratch := k.NewCounter("scratch")
 	tokens := make([]*Counter, procs)
-	evs := make([][]*Event, procs)
+	evs := make([][]*Counter, procs)
 	for i := range tokens {
 		tokens[i] = k.NewCounter(fmt.Sprintf("tok%d", i))
-		evs[i] = make([]*Event, rounds)
+		evs[i] = make([]*Counter, rounds)
 		for r := range evs[i] {
-			evs[i][r] = k.NewEvent(fmt.Sprintf("ev%d.%d", i, r))
+			evs[i][r] = k.NewCounter(fmt.Sprintf("ev%d.%d", i, r))
 		}
 	}
 
@@ -107,7 +107,7 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 	type roundProg struct {
 		useEvent  bool // wait on evs[i][r] instead of tokens[i-1] >= r+1
 		usePlan   bool // attach the steps as a fused plan
-		signalEv  bool // successor waits on an event this round
+		signalEv  bool // successor waits on a one-shot counter this round
 		steps     []planStep
 		bodySleep Time
 		bodyPipe  int // -1: no transfer
@@ -168,13 +168,13 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 						pl := p.NewPlan()
 						pl.steps = append(pl.steps, pr.steps...)
 						if pr.useEvent {
-							p.WaitPlanThen(evs[i][r], pl, nop)
+							p.WaitGEPlanThen(evs[i][r], 1, pl, nop)
 						} else {
 							p.WaitGEPlanThen(tokens[i-1], int64(r+1), pl, nop)
 						}
 					} else {
 						if pr.useEvent {
-							p.WaitThen(evs[i][r], nop)
+							p.WaitGEThen(evs[i][r], 1, nop)
 						} else {
 							p.WaitGEThen(tokens[i-1], int64(r+1), nop)
 						}
@@ -272,14 +272,14 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 					pl := p.NewPlan()
 					pl.steps = append(pl.steps, pr.steps...)
 					if pr.useEvent {
-						p.WaitPlanThen(evs[i][r], pl, func() { runBody(r) })
+						p.WaitGEPlanThen(evs[i][r], 1, pl, func() { runBody(r) })
 					} else {
 						p.WaitGEPlanThen(tokens[i-1], int64(r+1), pl, func() { runBody(r) })
 					}
 					return
 				}
 				if pr.useEvent {
-					p.WaitThen(evs[i][r], func() { runSteps(r, 0) })
+					p.WaitGEThen(evs[i][r], 1, func() { runSteps(r, 0) })
 				} else {
 					p.WaitGEThen(tokens[i-1], int64(r+1), func() { runSteps(r, 0) })
 				}
@@ -347,10 +347,10 @@ func TestDeadlockReportIdenticalAcrossModes(t *testing.T) {
 		k := New()
 		k.noProgram, k.noExtrap = mode.noProgram, mode.noExtrap
 		c := k.NewCounter("starved")
-		ev := k.NewEvent("missing")
+		ev := k.NewCounter("missing")
 		k.Spawn("waiter.ev", func(p *Proc) {
 			p.SleepThen(Nanosecond, nop)
-			p.WaitThen(ev, nop)
+			p.WaitGEThen(ev, 1, nop)
 		})
 		k.Spawn("waiter.ge", func(p *Proc) { p.WaitGEThen(c, 7, nop) })
 		k.Spawn("waiter.plan", func(p *Proc) {
@@ -360,7 +360,7 @@ func TestDeadlockReportIdenticalAcrossModes(t *testing.T) {
 		})
 		k.SpawnProgram("waiter.prog", func(p *Proc) {
 			p.SleepThen(Nanosecond, func() {
-				p.WaitThen(ev, func() { t.Error("waiter.prog resumed") })
+				p.WaitGEThen(ev, 1, func() { t.Error("waiter.prog resumed") })
 			})
 		})
 		k.SpawnProgram("waiter.progplan", func(p *Proc) {
@@ -379,8 +379,8 @@ func TestDeadlockReportIdenticalAcrossModes(t *testing.T) {
 		t.Fatal("expected deadlock")
 	}
 	for _, want := range []string{
-		"waiter.ev(event:missing)", "waiter.ge(counter:starved>=7)", "waiter.plan(counter:starved>=9)",
-		"waiter.prog(event:missing)", "waiter.progplan(counter:starved>=11)",
+		"waiter.ev(counter:missing>=1)", "waiter.ge(counter:starved>=7)", "waiter.plan(counter:starved>=9)",
+		"waiter.prog(counter:missing>=1)", "waiter.progplan(counter:starved>=11)",
 	} {
 		if !strings.Contains(base.Error(), want) {
 			t.Fatalf("deadlock report %q missing %q", base, want)
@@ -441,11 +441,11 @@ func TestDeadKernelsReleaseGoroutines(t *testing.T) {
 		base := runtime.NumGoroutine()
 		for i := 0; i < 10; i++ {
 			k := New()
-			never := k.NewEvent("never")
+			never := k.NewCounter("never")
 			for j := 0; j < 100; j++ {
 				k.Spawn(fmt.Sprintf("w%d", j), func(p *Proc) {
 					p.SleepThen(Time(j)*Nanosecond, nop)
-					p.WaitThen(never, func() { t.Error("released process ran simulation code") })
+					p.WaitGEThen(never, 1, func() { t.Error("released process ran simulation code") })
 				})
 			}
 			if end == "panic" {

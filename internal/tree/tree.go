@@ -52,7 +52,7 @@ func New(k *sim.Kernel, geom geometry.Torus, p hw.Params) *Network {
 
 // Reset rewinds the network's operation counter for a fresh run on a reused
 // partition (machine.Machine.Reset). The counter names every Op and its
-// delivered event ("tree.opN"), so a reused world must restart it at zero to
+// delivery counter ("tree.opN"), so a reused world must restart it at zero to
 // reproduce a fresh world's names — deadlock reports and traces compare
 // them. The channel pipe itself is rewound by the kernel.
 func (n *Network) Reset() { n.ops = 0 }
@@ -84,7 +84,7 @@ type Op struct {
 	wire      int
 	expected  int
 	injected  int
-	delivered *sim.Event
+	delivered *sim.Counter // one-shot: fired at delivery
 	at        sim.Time
 }
 
@@ -98,7 +98,7 @@ func (n *Network) NewOp(payload int) *Op {
 // InitOp arms a caller-owned op for one chunk of the given payload size —
 // NewOp without the allocation, for callers that recycle their per-chunk
 // ops. The op takes the next operation number and a freshly carved delivery
-// event, so an op must not be re-armed while its delivery is pending, nor
+// counter, so an op must not be re-armed while its delivery is pending, nor
 // across a Reset.
 //
 //bgplint:hot
@@ -109,7 +109,7 @@ func (n *Network) InitOp(op *Op, payload int) {
 		id:        n.ops,
 		wire:      n.WireBytes(payload),
 		expected:  n.nodes,
-		delivered: n.k.NewEventf("tree.op%d.delivered", n.ops),
+		delivered: n.k.NewCounterf("tree.op%d.delivered", n.ops),
 	}
 }
 
@@ -138,9 +138,9 @@ func (op *Op) Inject() {
 //bgplint:hot
 func (op *Op) RunPost(_, _ int64) { op.delivered.Fire() }
 
-// Delivered returns the event fired when the combined result has reached all
-// leaves.
-func (op *Op) Delivered() *sim.Event { return op.delivered }
+// Delivered returns the one-shot counter fired (brought to 1) when the
+// combined result has reached all leaves.
+func (op *Op) Delivered() *sim.Counter { return op.delivered }
 
 // DeliveredAt returns the delivery time; valid once Delivered has fired.
 func (op *Op) DeliveredAt() sim.Time {

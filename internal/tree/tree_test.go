@@ -33,7 +33,7 @@ func TestOpWaitsForAllInjections(t *testing.T) {
 	k, n, p := newNet(t, 2, 1, 1) // two nodes
 	op := n.NewOp(256)
 	var deliveredAt sim.Time = -1
-	op.Delivered().OnFire(func() { deliveredAt = k.Now() })
+	op.Delivered().OnGE(1, func() { deliveredAt = k.Now() })
 
 	k.At(sim.Microsecond, op.Inject)
 	k.At(5*sim.Microsecond, op.Inject) // straggler gates the combine
@@ -84,8 +84,8 @@ func TestChunksPipelineOnChannel(t *testing.T) {
 	op1 := n.NewOp(payload)
 	op2 := n.NewOp(payload)
 	var d1, d2 sim.Time
-	op1.Delivered().OnFire(func() { d1 = k.Now() })
-	op2.Delivered().OnFire(func() { d2 = k.Now() })
+	op1.Delivered().OnGE(1, func() { d1 = k.Now() })
+	op2.Delivered().OnGE(1, func() { d2 = k.Now() })
 	k.At(0, op1.Inject)
 	k.At(0, op2.Inject)
 	if err := k.Run(); err != nil {
@@ -120,7 +120,7 @@ func TestFullPartitionOp(t *testing.T) {
 	k, n, _ := newNet(t, 4, 4, 2) // 32 nodes
 	op := n.NewOp(1024)
 	fired := false
-	op.Delivered().OnFire(func() { fired = true })
+	op.Delivered().OnGE(1, func() { fired = true })
 	for i := 0; i < 32; i++ {
 		k.At(sim.Time(i)*sim.Nanosecond, op.Inject)
 	}
