@@ -221,72 +221,84 @@ const (
 // allocation profile. Loops live in one per-world slab (measureLoops),
 // indexed by rank: at rack scale a million tiny pointer-bearing objects per
 // measurement is real GC mark and sweep work, and a pooled world re-arms the
-// slab it already has.
+// slab it already has. What every rank's loop of a measurement shares sits
+// once in the slab's measurement header, so a slot holds only its rank's
+// own state.
 type measureLoop struct {
-	r          *mpi.Rank
-	op         measureOp
-	buf        data.Buf // bcast payload
-	send, recv data.Buf // allreduce operands
-	iters      int
-	i          int
-	elapsed    sim.Time
-	start      sim.Time
-	worst      *sim.Time     // the slowest rank's average so far, shared by every rank's loop
-	ext        *extrapolator // steady-state detector, nil when extrapolation is off
+	r       *mpi.Rank
+	m       *measurement
+	a, b    data.Buf // operands: the bcast payload in a; the allreduce's send in a, recv in b
+	i       int
+	elapsed sim.Time
+	start   sim.Time
 
 	afterBarrierFn func()
 	afterOpFn      func()
 }
 
+// measurement is the header every rank's measure loop of one measurement
+// shares.
+type measurement struct {
+	op    measureOp
+	iters int
+	worst sim.Time      // the slowest rank's average so far
+	ext   *extrapolator // steady-state detector, nil when extrapolation is off
+}
+
 // measureKey names the measure-loop slab on every world.
 var measureKey = mpi.NewScratchKey("bench.measure")
 
-// measureSlab is a world's measure loops, one per rank.
-type measureSlab struct{ loops []measureLoop }
+// measureSlab is a world's measure loops, one per rank, and the header of
+// the measurement they run.
+type measureSlab struct {
+	m     measurement
+	loops []measureLoop
+}
 
 func newMeasureSlab() any { return &measureSlab{} }
 
-// measureLoops returns w's measure-loop slab sized to its ranks. The slab
-// only grows, like the world's rank slab, so a pooled world moving between
-// partitions keeps its bound loops. It runs before Run, on the goroutine
-// driving w.
-func measureLoops(w *mpi.World) []measureLoop {
+// measureLoops returns w's measure-loop slab with its loops sized to w's
+// ranks. The loops only grow, like the world's rank slab, so a pooled world
+// moving between partitions keeps its bound loops. It runs before Run, on
+// the goroutine driving w.
+func measureLoops(w *mpi.World) *measureSlab {
 	s := w.Scratch(measureKey, newMeasureSlab).(*measureSlab)
 	if len(s.loops) < w.Size() {
 		s.loops = make([]measureLoop, w.Size())
 	}
-	return s.loops[:w.Size()]
+	return s
 }
 
 // runMeasure runs the Fig. 5 loop timing op on every rank of w, with
 // bytes-sized operands, and returns the slowest rank's average.
 func runMeasure(w *mpi.World, op measureOp, bytes, iters int, noExtrap bool) (sim.Time, error) {
+	s := measureLoops(w)
 	ext := newExtrapolator(w, iters, noExtrap)
-	var worst sim.Time
-	loops := measureLoops(w)
+	s.m = measurement{op: op, iters: iters, ext: ext}
+	loops := s.loops[:w.Size()]
 	_, err := w.RunProgram(func(r *mpi.Rank) {
 		l := &loops[r.Rank()]
-		l.arm(r, op, iters, &worst)
+		l.arm(r, &s.m)
 		switch op {
 		case opBcast:
-			l.buf = r.NewBuf(bytes)
+			l.a = r.NewBuf(bytes)
 		case opAllreduce:
-			l.send, l.recv = r.NewBuf(bytes), r.NewBuf(bytes)
+			l.a, l.b = r.NewBuf(bytes), r.NewBuf(bytes)
 		}
 		ext.attach(l)
 		l.iter()
 	})
-	return worst, err
+	return s.m.worst, err
 }
 
 // arm resets a slab slot for one measurement, binding its continuations on
 // the slot's first use.
-func (l *measureLoop) arm(r *mpi.Rank, op measureOp, iters int, worst *sim.Time) {
+func (l *measureLoop) arm(r *mpi.Rank, m *measurement) {
 	if l.afterBarrierFn == nil {
 		l.afterBarrierFn, l.afterOpFn = l.afterBarrier, l.afterOp
 	}
 	*l = measureLoop{
-		r: r, op: op, iters: iters, worst: worst,
+		r: r, m: m,
 		afterBarrierFn: l.afterBarrierFn, afterOpFn: l.afterOpFn,
 	}
 }
@@ -297,12 +309,13 @@ func (l *measureLoop) arm(r *mpi.Rank, op measureOp, iters int, worst *sim.Time)
 //
 //bgplint:hot
 func (l *measureLoop) iter() {
-	if l.i == l.iters {
-		avg := l.elapsed / sim.Time(l.iters)
-		if avg > *l.worst {
-			*l.worst = avg
+	m := l.m
+	if l.i == m.iters {
+		avg := l.elapsed / sim.Time(m.iters)
+		if avg > m.worst {
+			m.worst = avg
 		}
-		l.buf, l.send, l.recv = data.Buf{}, data.Buf{}, data.Buf{}
+		l.a, l.b = data.Buf{}, data.Buf{}
 		return
 	}
 	l.r.BarrierThen(l.afterBarrierFn)
@@ -314,15 +327,16 @@ func (l *measureLoop) iter() {
 //
 //bgplint:hot
 func (l *measureLoop) afterBarrier() {
-	if l.ext != nil {
-		l.ext.boundary()
+	m := l.m
+	if m.ext != nil {
+		m.ext.boundary()
 	}
 	l.start = l.r.Now()
-	switch l.op {
+	switch m.op {
 	case opBcast:
-		l.r.BcastThen(l.buf, 0, l.afterOpFn)
+		l.r.BcastThen(l.a, 0, l.afterOpFn)
 	case opAllreduce:
-		l.r.AllreduceSumThen(l.send, l.recv, l.afterOpFn)
+		l.r.AllreduceSumThen(l.a, l.b, l.afterOpFn)
 	default:
 		l.r.BarrierThen(l.afterOpFn)
 	}

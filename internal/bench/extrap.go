@@ -99,7 +99,6 @@ func (x *extrapolator) attach(l *measureLoop) {
 	if x == nil {
 		return
 	}
-	l.ext = x
 	x.loops = append(x.loops, l)
 }
 

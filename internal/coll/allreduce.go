@@ -26,8 +26,10 @@ const allreduceColors = 3
 var contribNames = [allreduceColors]string{"ar%d.contrib%d.0", "ar%d.contrib%d.1", "ar%d.contrib%d.2"}
 
 // allreduceState is the job-wide shared state of one torus allreduce or
-// reduce. It is recycled: its Go memory is kept, and every arm carves its
-// counters afresh in a fixed order and takes a protocol pipe set.
+// reduce. It is recycled: its Go memory and its counters are kept, and
+// every arm re-arms the counters in a fixed order and takes a protocol pipe
+// set. The scratch's states end with the run (allreduceScratch.EndRun), so
+// no handle outlives a Reset.
 type allreduceState struct {
 	sc    *allreduceScratch
 	refs  int // ranks that have not released the state yet
@@ -141,8 +143,9 @@ func (sc *allreduceScratch) takeProtos(k *sim.Kernel, nodes int, rate float64) *
 // protocol pipe: the current algorithm spreads network combining over the
 // node's MPI progress engines, while the proposed design dedicates exactly
 // one core ("a dedicated core performs allreduce protocol processing").
-// Per node it carves the three contribution counters, the delivery counter,
-// ready, and per local rank the peer and stage counters, in that order.
+// Per node it re-arms (or, on the state's first call, carves) the three
+// contribution counters, the delivery counter, ready, and per local rank
+// the peer and stage counters, in that order.
 func (st *allreduceState) arm(r *mpi.Rank, seq int64, bytes int, protoCores float64) {
 	m := r.Machine()
 	k := m.K
@@ -175,19 +178,19 @@ func (st *allreduceState) arm(r *mpi.Rank, seq int64, bytes int, protoCores floa
 	for n := 0; n < nodes; n++ {
 		cs := st.contribs[n*allreduceColors : (n+1)*allreduceColors]
 		for c := range cs {
-			cs[c] = k.NewCounterf(contribNames[c], int32(seq), int32(n))
+			cs[c] = rearm(k, cs[c], contribNames[c], int32(seq), int32(n))
 		}
 		st.contrib[n] = cs
 		st.scratch[n] = data.New(bytes, functional)
 		st.result[n] = data.New(bytes, functional)
-		st.delv[n].Arm(k.NewCounterf("ar%d.del%d", int32(seq), int32(n)))
-		st.ready[n] = k.NewCounter("ready")
+		st.delv[n].Arm(rearm(k, st.delv[n].Counter, "ar%d.del%d", int32(seq), int32(n)))
+		st.ready[n] = rearm(k, st.ready[n], "ready")
 		st.peer[n*ppn] = nil
 		for p := 0; p < ppn; p++ {
 			if p > 0 {
-				st.peer[n*ppn+p] = k.NewCounter("ardone")
+				st.peer[n*ppn+p] = rearm(k, st.peer[n*ppn+p], "ardone")
 			}
-			st.stage[n*ppn+p] = k.NewCounter("arstage")
+			st.stage[n*ppn+p] = rearm(k, st.stage[n*ppn+p], "arstage")
 		}
 	}
 }

@@ -23,8 +23,9 @@ import (
 // torusBcastState is the job-wide shared state of one torus broadcast: the
 // network schedule and its per-node delivery logs, plus the intra-node
 // coordination counters each algorithm variant needs. Like treeBcastState
-// it is recycled: its Go memory is kept, and every arm carves its counters
-// afresh in a fixed order.
+// it is recycled: its Go memory and its counters are kept, and every arm
+// re-arms the counters in a fixed order. The scratch ends with the run
+// (torusScratch.EndRun), so no handle outlives a Reset.
 type torusBcastState struct {
 	sc   *torusScratch
 	m    *machine.Machine
@@ -45,8 +46,9 @@ type torusBcastState struct {
 	masterBuf []data.Buf // per node: the master's receive buffer (window keys)
 }
 
-// arm (re)initializes a state for broadcast seq, carving per node the
-// delivery counter, sw, done, enq and the peer counters, in that order.
+// arm (re)initializes a state for broadcast seq, re-arming (or, on the
+// state's first call, carving) per node the delivery counter, sw, done, enq
+// and the peer counters, in that order.
 func (st *torusBcastState) arm(r *mpi.Rank, seq int64, root int) {
 	m := r.Machine()
 	k := m.K
@@ -62,13 +64,13 @@ func (st *torusBcastState) arm(r *mpi.Rank, seq int64, root int) {
 	st.masterBuf = fit(st.masterBuf, nodes)
 	clear(st.masterBuf)
 	for n := 0; n < nodes; n++ {
-		st.delv[n].Arm(k.NewCounterf("bcast%d.node%d", int32(seq), int32(n)))
-		st.sw[n] = k.NewCounter("sw")
-		st.done[n] = k.NewCounter("done")
-		st.enq[n] = k.NewCounter("enq")
+		st.delv[n].Arm(rearm(k, st.delv[n].Counter, "bcast%d.node%d", int32(seq), int32(n)))
+		st.sw[n] = rearm(k, st.sw[n], "sw")
+		st.done[n] = rearm(k, st.done[n], "done")
+		st.enq[n] = rearm(k, st.enq[n], "enq")
 		st.peer[n*ppn] = nil
 		for p := 1; p < ppn; p++ {
-			st.peer[n*ppn+p] = k.NewCounter("peer")
+			st.peer[n*ppn+p] = rearm(k, st.peer[n*ppn+p], "peer")
 		}
 	}
 }

@@ -36,10 +36,11 @@ const injectWindow = 4
 //
 // A state is recycled: once every rank has released it, it joins its
 // world's free list and the next broadcast re-arms it. Its plain Go arrays
-// keep their capacity; its sim handles (the tree ops' delivery counters among
-// them) are carved
-// afresh by every arm, so Kernel.Reset's epoch stamps police them exactly as
-// they police a freshly built state.
+// keep their capacity, and its counters (the tree ops' delivery counters
+// among them) are re-armed in place, so a run's arena holds one call's
+// counters, not every call's. The scratch outlives runs, so it drops every
+// counter handle at the end of each (treeScratch.EndRun) and a state's first
+// call of a run carves afresh.
 type treeBcastState struct {
 	sc   *treeScratch // owning world scratch
 	seq  int64
@@ -90,9 +91,10 @@ func (st *treeBcastState) setSpans(r *mpi.Rank, total int) {
 }
 
 // arm (re)initializes a state for broadcast seq: every field is overwritten,
-// and the ops and the counters need selects are carved in a fixed order (ops
-// by chunk, then per node sw, fill and the peers), so names and arena slots
-// match a fresh world's.
+// and the ops and the counters need selects are re-armed, or carved on the
+// state's first call of the run, in a fixed order (ops by chunk, then per
+// node sw, fill and the peers), so names and arena slots match a fresh
+// world's.
 func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int, need treeCounters) {
 	m := r.Machine()
 	k := m.K
@@ -121,14 +123,14 @@ func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int, need tree
 	clear(st.r0Buf)
 	for n := 0; n < nodes; n++ {
 		if need&needSW != 0 {
-			st.sw[n] = k.NewCounterf("treebc%d.sw%d", int32(seq), int32(n))
+			st.sw[n] = rearm(k, st.sw[n], "treebc%d.sw%d", int32(seq), int32(n))
 		}
 		if need&needFill != 0 {
-			st.fill[n] = k.NewCounter("fill")
+			st.fill[n] = rearm(k, st.fill[n], "fill")
 		}
 		if need&needPeers != 0 {
 			for p := 1; p < ppn; p++ {
-				st.peer[n*ppn+p] = k.NewCounter("peer")
+				st.peer[n*ppn+p] = rearm(k, st.peer[n*ppn+p], "peer")
 			}
 		}
 	}
@@ -156,6 +158,15 @@ func (st *treeBcastState) release() {
 	}
 	st.src = data.Buf{} // the payload belongs to the caller, not the free list
 	st.sc.states.put(st)
+}
+
+// dropCounters forgets every counter handle the state holds, in the
+// capacity past each slice's length too, so its next arm carves afresh.
+func (st *treeBcastState) dropCounters() {
+	clear(st.ops[:cap(st.ops)])
+	clear(st.sw[:cap(st.sw)])
+	clear(st.fill[:cap(st.fill)])
+	clear(st.peer[:cap(st.peer)])
 }
 
 // peersAt returns node n's per-local-rank peer counters (slot 0 unused).
@@ -197,6 +208,23 @@ func newTreeScratch() any { return &treeScratch{} }
 // in flight at an iteration boundary refuses the capture. Idle capacity
 // hashes nothing.
 func (sc *treeScratch) SteadyState(f *sim.FP) { sc.states.inFlight(f, "tree broadcast") }
+
+// EndRun implements mpi.RunScratch. The scratch keeps its Go memory across
+// runs — states, role slabs, bound continuations — but drops every counter
+// handle: after the Reset the arena re-carves those slots for whoever asks
+// first, stamped with the new epoch, so a kept handle could alias another
+// owner's counter instead of panicking.
+func (sc *treeScratch) EndRun() {
+	for _, st := range sc.states.live {
+		st.dropCounters()
+	}
+	for _, st := range sc.states.free {
+		st.dropCounters()
+	}
+	for i := range sc.smp {
+		sc.smp[i].helperDone = nil
+	}
+}
 
 // treeScratchOf returns r's world's tree scratch.
 func treeScratchOf(r *mpi.Rank) *treeScratch {
@@ -546,7 +574,8 @@ func (m *masterPump) afterRecv() {
 
 // smpRank drives one SMP-mode rank: the main thread's injection loop and the
 // helper communication thread's reception loop, joined by the helper's
-// one-shot completion counter.
+// one-shot completion counter, which the slot re-arms on every broadcast of
+// a run.
 type smpRank struct {
 	inj        injectLoop
 	rx         recvLoop
@@ -568,7 +597,7 @@ func bcastTreeSMP(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		d.spawnFn, d.fireFn, d.joinFn = d.spawnHelper, d.fire, d.join
 	}
 	k := r.Machine().K
-	d.helperDone = k.NewCounterf("treebc%d.helper%d", int32(st.seq), int32(r.Rank()))
+	d.helperDone = rearm(k, d.helperDone, "treebc%d.helper%d", int32(st.seq), int32(r.Rank()))
 	d.rx.arm(nil, st, nil, d.fireFn)
 	k.SpawnProgramIdx("rank%d.comm", int32(r.Rank()), d.spawnFn)
 	d.fin = finish

@@ -57,6 +57,18 @@ func sumLens(lens []int32) int {
 	return n
 }
 
+// rearm re-arms c under the name fmt.Sprintf(format, ops...), when it is a
+// handle the caller carved earlier in the run, or carves a fresh counter
+// when c is nil (a recycled state's first call of the run). The caller
+// drops its handles at every Kernel.Reset (sim.Counter.Rearm).
+func rearm(k *sim.Kernel, c *sim.Counter, format string, ops ...int32) *sim.Counter {
+	if c == nil {
+		return k.NewCounterf(format, ops...)
+	}
+	c.Rearm(format, ops...)
+	return c
+}
+
 // recycled is the per-call states of one collective family on a world
 // (DESIGN.md §17): live holds the states of calls in flight, found by
 // sequence number, and free the released ones awaiting re-arm. In-flight

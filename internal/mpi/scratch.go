@@ -17,11 +17,12 @@ type ScratchKey struct{ owner string }
 // NewScratchKey returns a fresh key; owner only documents who holds it.
 func NewScratchKey(owner string) *ScratchKey { return &ScratchKey{owner: owner} }
 
-// RunScratch is implemented by a scratch value whose capacity should not
-// outlive a run: Reset and Reconfigure call EndRun, so a world idle in a
-// pool does not retain it. Use it for state sized by what the run's calls
-// needed (message-sized logs, per-rank slabs of a rarely used family),
-// which a pooled world would otherwise hold between leases.
+// RunScratch is implemented by a scratch value whose capacity or sim
+// handles should not outlive a run: Reset and Reconfigure call EndRun, so a
+// world idle in a pool does not retain it. Use it for state sized by what
+// the run's calls needed (message-sized logs, per-rank slabs of a rarely
+// used family), which a pooled world would otherwise hold between leases,
+// and to drop counter handles a value re-arms from call to call.
 type RunScratch interface{ EndRun() }
 
 // endRuns calls EndRun on every scratch value that implements RunScratch.
@@ -89,8 +90,11 @@ func (w *World) state() *worldScratch {
 
 // Scratch returns the value w holds under key, creating it with create on
 // first use. A value must not let a sim handle it kept from an earlier run
-// be used again: handles are re-carved on every run, and Reset's epoch
-// stamps make a stale one panic. A value that implements sim.Hasher joins
+// be used again: handles are re-carved on every run. Reset's epoch stamps
+// make a stale one panic only while its slot is not re-carved; once another
+// owner has carved it, the stale handle aliases that owner's counter, so a
+// value that keeps handles drops them in EndRun (RunScratch). A value that
+// implements sim.Hasher joins
 // the world's steady-state fingerprint (SteadyState).
 //
 // Scratch is not safe for concurrent use. Call it from the goroutine that

@@ -37,15 +37,13 @@ const (
 	procSlotMask  = procSlabSize - 1
 )
 
-// arena holds the kernel's slabs plus the reusable wake batch buffer (see
-// Counter.release). nCounters/nProcs count the objects carved since the last
-// reset; the corresponding slab slices only ever grow.
+// arena holds the kernel's slabs. nCounters/nProcs count the objects carved
+// since the last reset; the corresponding slab slices only ever grow.
 type arena struct {
 	counters  [][]Counter
 	nCounters int
 	procs     [][]Proc
 	nProcs    int
-	wakeBuf   []entry
 }
 
 // reset rewinds the carve counts so the next run reuses the same slabs. The

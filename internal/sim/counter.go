@@ -59,6 +59,10 @@ func (k *Kernel) NewCounterf(format string, ops ...int32) *Counter {
 	return k.newCounter(formatLabel(format, ops))
 }
 
+// Counters returns how many counters the kernel has carved since its last
+// Reset: the arena's counter high-water for the run.
+func (k *Kernel) Counters() int { return k.arena.nCounters }
+
 func (k *Kernel) newCounter(name label) *Counter {
 	c := k.arena.newCounter()
 	c.k, c.name, c.epoch = k, name, k.epoch
@@ -69,6 +73,26 @@ func (k *Kernel) newCounter(name label) *Counter {
 	}
 	c.waiters = c.waiters[:0]
 	return c
+}
+
+// Rearm returns a counter its owner carved earlier in the current run to
+// the state NewCounterf leaves a fresh one in, under the name
+// fmt.Sprintf(format, ops...): value 0, no waiters. The slot keeps its
+// waiter buffer, and the arena carves nothing, so a recycled per-call state
+// holds one call's counters however many calls a run makes. A counter
+// re-armed this way fingerprints exactly like a freshly carved one.
+//
+// Only the counter's owner may re-arm it, and only once the counter is
+// quiescent: Rearm panics if waiters are pending or the handle predates the
+// last Reset. An owner that outlives a run must drop its handles at the
+// Reset (its slot may since belong to another owner, stamped with the new
+// epoch) and carve afresh.
+func (c *Counter) Rearm(format string, ops ...int32) {
+	c.check()
+	if len(c.waiters) > 0 {
+		panic("sim: counter " + c.name.String() + " re-armed with waiters pending")
+	}
+	c.name, c.v = formatLabel(format, ops), 0
 }
 
 // check panics when the handle predates the kernel's current epoch.
@@ -156,21 +180,24 @@ func (c *Counter) release() {
 		k.wake(c.waiters[0].e)
 	} else {
 		// A threshold crossing that releases several waiters at one instant
-		// wakes them as a single run-ring batch: the per-waiter blocked
-		// bookkeeping runs first, then one bulk append in threshold order
+		// wakes them as a single run-ring batch: one capacity check, then
+		// each entry written straight into the ring in threshold order
 		// (ties in registration order — the same order wake-by-wake pushes
 		// would have produced).
-		buf := k.arena.wakeBuf[:0]
+		r := &k.ring
+		r.reserve(n)
+		buf, t, mask := r.buf, r.tail, len(r.buf)-1
 		for _, w := range c.waiters[:n] {
 			if w.e.parked() {
 				p := k.procAt(w.e.idx)
 				k.blocked--
 				p.waitC = nil
 			}
-			buf = append(buf, w.e)
+			buf[t] = w.e
+			t = (t + 1) & mask
 		}
-		k.ring.pushBatch(buf)
-		k.arena.wakeBuf = buf[:0]
+		r.tail = t
+		r.n += n
 	}
 	// Compact in place rather than re-slicing the front away: waking repeatedly
 	// would otherwise shrink capacity to zero and reallocate on every wait.

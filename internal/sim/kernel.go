@@ -513,20 +513,13 @@ func (r *runRing) push(e entry) {
 	r.n++
 }
 
-// pushBatch appends a slice of entries in order with a single capacity check
-// and at most two copies (wraparound). Multi-waiter counter crossings (a
-// one-shot counter's fan-out among them) use it to wake N parties as one
-// batch instead of N pushes.
-//
-//bgplint:hot
-func (r *runRing) pushBatch(es []entry) {
-	for r.n+len(es) > len(r.buf) {
+// reserve grows the ring until n more entries fit, so a multi-waiter
+// counter crossing (Counter.release) can write its batch without a check
+// per entry.
+func (r *runRing) reserve(n int) {
+	for r.n+n > len(r.buf) {
 		r.grow()
 	}
-	m := copy(r.buf[r.tail:], es)
-	copy(r.buf, es[m:])
-	r.tail = (r.tail + len(es)) & (len(r.buf) - 1)
-	r.n += len(es)
 }
 
 //bgplint:hot

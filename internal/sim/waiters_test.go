@@ -143,3 +143,57 @@ func TestSmallCounterListsStayInSlot(t *testing.T) {
 		}
 	}
 }
+
+// TestCounterRearm pins the owner-only re-arm: a quiescent counter returns
+// to a fresh counter's state under its new name and keeps its slot's waiter
+// buffer; the arena carves nothing for it; pending waiters or a handle from
+// before a Reset panic instead.
+func TestCounterRearm(t *testing.T) {
+	k := New()
+	fp := func(c *Counter) string {
+		f := newFP(newFPIntern())
+		f.reset(k.Now())
+		f.Counter(c)
+		return string(f.buf)
+	}
+	c := k.NewCounterf("call%d.node%d", 1, 2)
+	c.OnGE(3, nop)
+	expectPanic(t, "counter call1.node2 re-armed with waiters pending", func() { c.Rearm("call%d.node%d", 2, 2) })
+	c.Add(5)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	kept := cap(c.waiters)
+	carved := k.Counters()
+	c.Rearm("call%d.node%d", 2, 2)
+	if c.Value() != 0 || c.Name() != "call2.node2" {
+		t.Fatalf("re-armed counter reads %d, %q; want 0, %q", c.Value(), c.Name(), "call2.node2")
+	}
+	if cap(c.waiters) != kept || kept == 0 {
+		t.Fatalf("re-arm left a %d-entry waiter buffer, want the slot's %d", cap(c.waiters), kept)
+	}
+	if k.Counters() != carved {
+		t.Fatalf("re-arm carved %d counters", k.Counters()-carved)
+	}
+
+	fresh := k.NewCounter("fresh")
+	if fp(c) != fp(fresh) {
+		t.Fatal("a re-armed counter fingerprints differently from a fresh one")
+	}
+	for _, x := range []*Counter{c, fresh} {
+		x.Add(2)
+		x.OnGE(7, nop)
+	}
+	if fp(c) != fp(fresh) {
+		t.Fatal("a re-armed counter with a waiter fingerprints differently from a fresh one")
+	}
+	for _, x := range []*Counter{c, fresh} {
+		x.Add(5)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	k.Reset()
+	expectPanic(t, "counter handle (call2.node2) used across Kernel.Reset", func() { c.Rearm("call%d.node%d", 3, 2) })
+}

@@ -30,11 +30,17 @@ import (
 // Network is the collective network of one partition.
 type Network struct {
 	k     *sim.Kernel
-	p     hw.Params
 	pipe  *sim.Pipe
 	depth int
 	nodes int
 	ops   int32
+
+	// The wire constants the per-chunk path reads, copied out of hw.Params
+	// so the network does not hold the whole parameter set.
+	hopLatency   sim.Time
+	touchBps     float64 // core packet-touch rate
+	payloadBytes int     // payload per packet
+	packetBytes  int     // wire size of one packet
 }
 
 // New creates the collective network on kernel k. The tree's traversal
@@ -42,11 +48,14 @@ type Network struct {
 // hops.
 func New(k *sim.Kernel, geom geometry.Torus, p hw.Params) *Network {
 	return &Network{
-		k:     k,
-		p:     p,
-		pipe:  k.NewPipe("tree.channel", p.TreeBps, 0),
-		depth: geom.DX + geom.DY + geom.DZ,
-		nodes: geom.Nodes(),
+		k:            k,
+		pipe:         k.NewPipe("tree.channel", p.TreeBps, 0),
+		depth:        geom.DX + geom.DY + geom.DZ,
+		nodes:        geom.Nodes(),
+		hopLatency:   p.TreeHopLatency,
+		touchBps:     p.TreeCoreTouchBps,
+		payloadBytes: p.TreePayloadBytes,
+		packetBytes:  p.TreePacketBytes,
 	}
 }
 
@@ -61,18 +70,26 @@ func (n *Network) Reset() { n.ops = 0 }
 func (n *Network) Depth() int { return n.depth }
 
 // Latency returns the full traversal latency: depth x per-hop latency.
-func (n *Network) Latency() sim.Time { return sim.Time(n.depth) * n.p.TreeHopLatency }
+func (n *Network) Latency() sim.Time { return sim.Time(n.depth) * n.hopLatency }
 
 // Nodes returns the participating node count.
 func (n *Network) Nodes() int { return n.nodes }
 
-// WireBytes returns the on-wire size of a payload on this network.
-func (n *Network) WireBytes(payload int) int { return n.p.TreeWireBytes(payload) }
+// WireBytes returns the on-wire size of a payload on this network
+// (hw.Params.TreeWireBytes, computed from the copied constants).
+//
+//bgplint:hot
+func (n *Network) WireBytes(payload int) int {
+	if payload <= 0 {
+		return 0
+	}
+	return (payload + n.payloadBytes - 1) / n.payloadBytes * n.packetBytes
+}
 
 // TouchTime returns the core time needed to inject or receive a payload of
 // the given size (packet handling is done by cores on this network).
 func (n *Network) TouchTime(payload int) sim.Time {
-	return sim.TransferTime(n.WireBytes(payload), n.p.TreeCoreTouchBps)
+	return sim.TransferTime(n.WireBytes(payload), n.touchBps)
 }
 
 // Op is one chunk's global combine: every node injects once, then the
@@ -97,19 +114,27 @@ func (n *Network) NewOp(payload int) *Op {
 
 // InitOp arms a caller-owned op for one chunk of the given payload size —
 // NewOp without the allocation, for callers that recycle their per-chunk
-// ops. The op takes the next operation number and a freshly carved delivery
-// counter, so an op must not be re-armed while its delivery is pending, nor
-// across a Reset.
+// ops. The op takes the next operation number and a delivery counter: the
+// one it already holds, re-armed (sim.Counter.Rearm), or a freshly carved
+// one when it holds none. So an op must not be re-armed while its delivery
+// is pending, and an owner that keeps ops across a Kernel.Reset must zero
+// them at the Reset, dropping their counters.
 //
 //bgplint:hot
 func (n *Network) InitOp(op *Op, payload int) {
 	n.ops++
+	d := op.delivered
+	if d != nil {
+		d.Rearm("tree.op%d.delivered", n.ops)
+	} else {
+		d = n.k.NewCounterf("tree.op%d.delivered", n.ops)
+	}
 	*op = Op{
 		net:       n,
 		id:        n.ops,
 		wire:      n.WireBytes(payload),
 		expected:  n.nodes,
-		delivered: n.k.NewCounterf("tree.op%d.delivered", n.ops),
+		delivered: d,
 	}
 }
 

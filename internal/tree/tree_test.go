@@ -131,3 +131,56 @@ func TestFullPartitionOp(t *testing.T) {
 		t.Fatal("op never delivered")
 	}
 }
+
+// TestWireBytesMatchesParams: the network's copied wire constants give the
+// same packetization as hw.Params.TreeWireBytes.
+func TestWireBytesMatchesParams(t *testing.T) {
+	odd := hw.DefaultParams()
+	odd.TreePayloadBytes, odd.TreePacketBytes = 100, 132
+	for _, p := range []hw.Params{hw.DefaultParams(), odd} {
+		geom, err := geometry.NewTorus(2, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := New(sim.New(), geom, p)
+		sizes := []int{-1, 0, 1, 4 << 20}
+		for k := 1; k <= 4; k++ {
+			b := k * p.TreePayloadBytes
+			sizes = append(sizes, b-1, b, b+1)
+		}
+		for _, n := range sizes {
+			if got, want := net.WireBytes(n), p.TreeWireBytes(n); got != want {
+				t.Errorf("payload %d/%d: WireBytes(%d) = %d, want %d", p.TreePayloadBytes, p.TreePacketBytes, n, got, want)
+			}
+		}
+	}
+}
+
+// TestInitOpRearmsDelivery: an op re-armed for a new chunk keeps its
+// delivery counter, re-armed under the new operation number, and the
+// kernel carves no counter for it.
+func TestInitOpRearmsDelivery(t *testing.T) {
+	k, n, _ := newNet(t, 1, 1, 1)
+	var op Op
+	n.InitOp(&op, 64)
+	d := op.Delivered()
+	k.At(0, op.Inject)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	carved := k.Counters()
+	n.InitOp(&op, 64)
+	if op.Delivered() != d || d.Fired() || d.Name() != "tree.op2.delivered" {
+		t.Fatalf("re-armed op: same counter %v, fired %v, name %q", op.Delivered() == d, d.Fired(), d.Name())
+	}
+	if k.Counters() != carved {
+		t.Fatalf("re-arming an op carved %d counters", k.Counters()-carved)
+	}
+	k.At(k.Now()+1, op.Inject)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !d.Fired() {
+		t.Fatal("re-armed op did not deliver")
+	}
+}
