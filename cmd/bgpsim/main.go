@@ -68,6 +68,10 @@ func main() {
 	cfg.Torus.DX, cfg.Torus.DY, cfg.Torus.DZ = dx, dy, dz
 	cfg.Mode = nodeMode
 	cfg.Functional = false
+	if err := checkArgs(*iters, *root, cfg.Ranks()); err != nil {
+		fmt.Fprintln(os.Stderr, "bgpsim:", err)
+		os.Exit(2)
+	}
 
 	w, err := mpi.NewWorld(cfg)
 	if err != nil {
@@ -120,6 +124,19 @@ func main() {
 		fmt.Println()
 		w.M.Trace.Dump(os.Stdout, *traceN)
 	}
+}
+
+// checkArgs rejects the -iters and -root values a run cannot honor before
+// any world is built: iterations outside [1, reqspec.MaxIters], bgpsimd's
+// bound, and a root that is not a rank of the partition.
+func checkArgs(iters, root, ranks int) error {
+	if iters < 1 || iters > reqspec.MaxIters {
+		return fmt.Errorf("-iters must be in [1, %d], got %d", reqspec.MaxIters, iters)
+	}
+	if root < 0 || root >= ranks {
+		return fmt.Errorf("-root must be a rank in [0, %d), got %d", ranks, root)
+	}
+	return nil
 }
 
 // timeOp runs the Fig. 5 loop on every rank of w as a program: iters times

@@ -697,14 +697,21 @@ func (l *arMasterLoop) distOuter() {
 	l.p.WaitGEThen(l.del.Counter, int64(l.seen)+1, l.arriveFn)
 }
 
+// arrive DMA-puts every newly delivered span to each peer. A peer waits
+// only for the whole result, so its counter gets one scheduled add, at the
+// last span's put, carrying every byte (see masterPump.enterRecv).
+//
 //bgplint:hot
 func (l *arMasterLoop) arrive() {
+	engine := l.r.Node().DMA
 	for _, n := range l.del.Drain(&l.spanIdx) {
-		for pi := 1; pi < l.ppn; pi++ {
-			putDone := l.r.Node().DMA.LocalCopy(l.r.Now(), int(n))
-			l.k.AddAt(putDone, l.st.peer[l.node*l.ppn+pi], int64(n))
-		}
 		l.seen += int(n)
+		for pi := 1; pi < l.ppn; pi++ {
+			putDone := engine.LocalCopy(l.r.Now(), int(n))
+			if l.seen == l.bytes {
+				l.k.AddAt(putDone, l.st.peer[l.node*l.ppn+pi], int64(l.bytes))
+			}
+		}
 	}
 	l.distOuter()
 }

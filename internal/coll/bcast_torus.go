@@ -43,6 +43,8 @@ type torusBcastState struct {
 	enq  []*sim.Counter // per node: Bcast-FIFO bytes enqueued by the master
 	peer []*sim.Counter // per node, per local rank (node-major; slot 0 unused): bytes landed for that peer
 
+	landed []int // per node: bytes the network has delivered so far (Delivered)
+
 	masterBuf []data.Buf // per node: the master's receive buffer (window keys)
 }
 
@@ -63,6 +65,8 @@ func (st *torusBcastState) arm(r *mpi.Rank, seq int64, root int) {
 	st.peer = fit(st.peer, nodes*ppn)
 	st.masterBuf = fit(st.masterBuf, nodes)
 	clear(st.masterBuf)
+	st.landed = fit(st.landed, nodes)
+	clear(st.landed)
 	for n := 0; n < nodes; n++ {
 		st.delv[n].Arm(rearm(k, st.delv[n].Counter, "bcast%d.node%d", int32(seq), int32(n)))
 		st.sw[n] = rearm(k, st.sw[n], "sw")
@@ -105,14 +109,22 @@ func (st *torusBcastState) peersAt(n int) []*sim.Counter {
 }
 
 // Delivered is the direct-put broadcast's delivery hook: every chunk a node
-// receives is DMA-put to each local peer. AddAt is the closure-free
-// At(putDone, func() { cnt.Add(n) }): one scheduled add per (chunk, peer).
+// receives is DMA-put to each local peer. A peer waits only for its whole
+// payload, so its counter gets one scheduled add, at the put of the node's
+// last chunk, carrying every byte; the node's engine completes the puts in
+// reservation order, so that add lands when and where the per-chunk add that
+// completed the payload did (see masterPump.enterRecv).
 //
 //bgplint:hot
 func (st *torusBcastState) Delivered(node int, span hw.Span, t sim.Time) {
+	st.landed[node] += span.Len
+	last := st.landed[node] == st.src.Len()
+	engine := st.m.Node(node).DMA
 	for p := 1; p < st.ppn; p++ {
-		putDone := st.m.Node(node).DMA.LocalCopy(t, span.Len)
-		st.m.K.AddAt(putDone, st.peer[node*st.ppn+p], int64(span.Len))
+		putDone := engine.LocalCopy(t, span.Len)
+		if last {
+			st.m.K.AddAt(putDone, st.peer[node*st.ppn+p], int64(st.landed[node]))
+		}
 	}
 }
 

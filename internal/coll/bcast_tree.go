@@ -193,7 +193,7 @@ type treeScratch struct {
 	finish    []treeFinisher   // by rank: every algorithm's completion step
 	pump      []masterPump     // by node: shmem and DMA masters
 	shmemPeer []peerCopyLoop   // by rank: shmem peers
-	dmaPeer   []dmaPeerLoop    // by rank: DMA peers
+	dmaPeer   []dmaPeerLoop    // by rank: DMA FIFO peers
 	smp       []smpRank        // by node: SMP ranks and their helper threads
 	injector  []shaddrInjector // by node: shaddr local rank 0
 	receiver  []recvLoop       // by node: shaddr local rank 1, quad mode
@@ -447,11 +447,13 @@ type masterPump struct {
 	copyOut bool
 	cached  bool
 
-	// DMA hand-off: one local put per peer into its progress counter. peers
-	// is nil for the shared-memory hand-off.
-	dma   *dma.Engine
-	k     *sim.Kernel
-	peers []*sim.Counter
+	// DMA hand-off: one local put per peer per chunk. peers is nil for the
+	// shared-memory hand-off. perChunk counts every put on the peer's
+	// counter, for FIFO peers that copy each chunk as it lands (enterRecv).
+	dma      *dma.Engine
+	k        *sim.Kernel
+	peers    []*sim.Counter
+	perChunk bool
 
 	afterInjectFn func()
 	enterRecvFn   func()
@@ -535,16 +537,27 @@ func (m *masterPump) recvBlocked() {
 
 // enterRecv hands the just-received chunk to the node's peers.
 //
+// Every (chunk, peer) put reserves the DMA engine and the bus. A direct-put
+// peer waits only for its whole payload, so its counter gets one scheduled
+// add, at the last chunk's put, carrying every byte. The engine's puts
+// complete in reservation order, so that add lands last among the peer's
+// puts, at the instant and in the queue order the per-chunk add that
+// completed the payload took, and the peer wakes where it did.
+//
 //bgplint:hot
 func (m *masterPump) enterRecv() {
-	n := m.st.spans[m.recvIdx].Len
+	span := m.st.spans[m.recvIdx]
+	n := span.Len
 	if m.peers != nil {
+		last := m.recvIdx == len(m.st.spans)-1
 		for p := 1; p < len(m.peers); p++ {
-			// AddAt is the closure-free At(putDone, func() { cnt.Add(n) }):
-			// one scheduled add per (chunk, peer) was the sweep's single
-			// hottest allocation site.
 			putDone := m.dma.LocalCopy(m.p.Now(), n)
-			m.k.AddAt(putDone, m.peers[p], int64(n))
+			switch {
+			case m.perChunk:
+				m.k.AddAt(putDone, m.peers[p], int64(n))
+			case last:
+				m.k.AddAt(putDone, m.peers[p], int64(span.Off+n))
+			}
 		}
 		m.afterRecv()
 		return
@@ -628,7 +641,7 @@ func bcastTreeShmem(r *mpi.Rank, buf data.Buf, root int, done func()) {
 	if r.IsNodeMaster() {
 		m := armPump(sc, r, st, finish)
 		m.sw, m.node, m.copyOut, m.cached = st.sw[node], r.Node().HW, r.Rank() != root, cached
-		m.dma, m.k, m.peers = nil, nil, nil
+		m.dma, m.k, m.peers, m.perChunk = nil, nil, nil, false
 		m.inject()
 		return
 	}
@@ -698,23 +711,31 @@ func treeDMACommon(r *mpi.Rank, buf data.Buf, root int, fifo bool, done func()) 
 	if r.IsNodeMaster() {
 		m := armPump(sc, r, st, finish)
 		m.sw, m.node, m.copyOut, m.cached = nil, nil, false, false
-		m.dma, m.k, m.peers = r.Node().DMA, r.Machine().K, st.peersAt(node)
+		m.dma, m.k, m.peers, m.perChunk = r.Node().DMA, r.Machine().K, st.peersAt(node), fifo
 		m.inject()
+		return
+	}
+	cnt := st.peersAt(node)[r.LocalRank()]
+	if !fifo {
+		// The DMA puts straight into the application buffer: nothing to do
+		// until the whole payload has landed.
+		r.Proc().WaitGEThen(cnt, int64(buf.Len()), finish)
 		return
 	}
 	l := sc.dmaPeerOf(r)
 	if l.stepFn == nil {
 		l.stepFn = l.step
 	}
-	l.st, l.cnt, l.p, l.node = st, st.peersAt(node)[r.LocalRank()], r.Proc(), r.Node().HW
-	l.fifoCopy, l.cached = fifo && r.Rank() != root, quadBcastFootprint(r, buf.Len())
+	l.st, l.cnt, l.p, l.node = st, cnt, r.Proc(), r.Node().HW
+	l.fifoCopy, l.cached = r.Rank() != root, quadBcastFootprint(r, buf.Len())
 	l.i, l.got, l.cont = 0, 0, finish
 	l.step()
 }
 
-// dmaPeerLoop is the peer-side reception loop of the DMA broadcasts: wait on
-// the per-peer DMA progress counter and, in FIFO mode, pay the core copy from
-// the memory FIFO into the application buffer.
+// dmaPeerLoop is the peer-side reception loop of the DMA FIFO broadcast:
+// wait on the per-peer DMA progress counter for each chunk and pay the core
+// copy from the memory FIFO into the application buffer (the root already
+// holds the data and only waits).
 type dmaPeerLoop struct {
 	st       *treeBcastState
 	cnt      *sim.Counter

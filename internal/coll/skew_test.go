@@ -1,6 +1,8 @@
 package coll
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"bgpcoll/internal/data"
@@ -20,6 +22,37 @@ func skew(rank, round int, maxUS int64) sim.Time {
 	return sim.Time(int64(x%uint64(maxUS))) * sim.Microsecond
 }
 
+// finishDigest hashes every rank's finish instants, rank by rank, so a
+// skew test pins virtual time and not only the payload bytes.
+func finishDigest(fin [][]sim.Time) uint64 {
+	h := fnv.New64a()
+	for _, ts := range fin {
+		for _, at := range ts {
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(at)))
+		}
+	}
+	return h.Sum64()
+}
+
+// The finish-instant digests of the skew tests. A direct-put peer that
+// enters after part or all of its payload has landed must still finish at
+// these instants.
+var (
+	bcastSkewDigest = map[string]uint64{
+		mpi.BcastTorusDirectPut: 0x22d725e7d686eca7,
+		mpi.BcastTorusShaddr:    0x97e8365973b93656,
+		mpi.BcastTorusFIFO:      0xd2b28d1c9b57f075,
+		mpi.BcastTreeShmem:      0x7fc838d0ff996904,
+		mpi.BcastTreeDMAFIFO:    0xcb0a578ea5e6a525,
+		mpi.BcastTreeDMADirect:  0x7ce4c39eecb90745,
+		mpi.BcastTreeShaddr:     0xe0a3d8d88ae1dcc0,
+	}
+	allreduceSkewDigest = map[string]uint64{
+		mpi.AllreduceTorusNew:     0xf06ab36f61b1d214,
+		mpi.AllreduceTorusCurrent: 0xe63aac6ef890d717,
+	}
+)
+
 func TestBcastWithArrivalSkew(t *testing.T) {
 	cfg := testConfig(2, 2, 2, hw.Quad)
 	for _, algo := range quadBcastAlgos {
@@ -29,6 +62,7 @@ func TestBcastWithArrivalSkew(t *testing.T) {
 		}
 		w.Tunables.Bcast = algo
 		const msg = 48 << 10
+		fin := make([][]sim.Time, cfg.Ranks())
 		if _, err := w.Run(func(r *mpi.Rank) {
 			for round := 0; round < 3; round++ {
 				r.Proc().SleepThen(skew(r.Rank(), round, 200), func() {})
@@ -37,6 +71,7 @@ func TestBcastWithArrivalSkew(t *testing.T) {
 					buf.Fill(uint64(round) + 11)
 				}
 				r.Bcast(buf, 0)
+				fin[r.Rank()] = append(fin[r.Rank()], r.Now())
 				want := data.New(msg, true)
 				want.Fill(uint64(round) + 11)
 				if !data.Equal(buf, want) {
@@ -46,6 +81,9 @@ func TestBcastWithArrivalSkew(t *testing.T) {
 			}
 		}); err != nil {
 			t.Fatalf("%s: %v", algo, err)
+		}
+		if got := finishDigest(fin); got != bcastSkewDigest[algo] {
+			t.Errorf("%s: finish instants digest %#x, want %#x", algo, got, bcastSkewDigest[algo])
 		}
 	}
 }
@@ -60,6 +98,7 @@ func TestAllreduceWithArrivalSkew(t *testing.T) {
 		w.Tunables.Allreduce = algo
 		const doubles = 512
 		size := cfg.Ranks()
+		fin := make([][]sim.Time, size)
 		if _, err := w.Run(func(r *mpi.Rank) {
 			r.Proc().SleepThen(skew(r.Rank(), 7, 300), func() {})
 			send := r.NewBuf(doubles * data.Float64Len)
@@ -70,12 +109,16 @@ func TestAllreduceWithArrivalSkew(t *testing.T) {
 			}
 			send.PutFloats(vals)
 			r.AllreduceSum(send, recv)
+			fin[r.Rank()] = append(fin[r.Rank()], r.Now())
 			want := float64(size*(size+1)) / 2
 			if got := recv.Floats()[0]; got != want {
 				t.Errorf("%s: rank %d sum %v under skew, want %v", algo, r.Rank(), got, want)
 			}
 		}); err != nil {
 			t.Fatalf("%s: %v", algo, err)
+		}
+		if got := finishDigest(fin); got != allreduceSkewDigest[algo] {
+			t.Errorf("%s: finish instants digest %#x, want %#x", algo, got, allreduceSkewDigest[algo])
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 
 // BuildWorkers bounds the construction worker pool: 0 (the default) means
 // GOMAXPROCS. It is a pure wall-clock knob — the built world is bit-identical
-// for every value — exposed for cmd/bgpbench's construction-scaling runs.
+// for every value — and only tests set it, to check exactly that.
 var BuildWorkers int
 
 // buildBlockMin is the smallest per-worker block worth a goroutine; below

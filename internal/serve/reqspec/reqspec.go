@@ -16,6 +16,10 @@ import (
 	"bgpcoll/internal/mpi"
 )
 
+// MaxIters bounds a request's micro-benchmark iterations, at both doors:
+// tree cells bypass extrapolation and run every iteration.
+const MaxIters = 1024
+
 // ParseSize parses a byte count with the benchmark axes' K/M suffixes
 // ("512", "64K", "2M", case-insensitive, surrounding whitespace ignored). A
 // count whose suffix multiply overflows an int is an error.

@@ -175,7 +175,7 @@ func resultOf(c bench.Cell, e Entry) cellResult {
 const (
 	maxRanks      = 1 << 20
 	maxSize       = 1 << 30
-	maxIters      = 1024
+	maxIters      = reqspec.MaxIters
 	maxSweepCells = 1024
 )
 

@@ -123,6 +123,10 @@ type Kernel struct {
 
 	// pipeEpoch counts ReleasePipes calls (see PipeEpoch).
 	pipeEpoch uint32
+
+	// dispatched counts the entries next() has popped since the last Reset
+	// (see Dispatched).
+	dispatched int64
 }
 
 // New returns a kernel with the clock at zero.
@@ -173,6 +177,7 @@ func (k *Kernel) Reset() {
 		panic("sim: Reset of a failed kernel; only a cleanly finished kernel can be reset")
 	}
 	k.now = 0
+	k.dispatched = 0
 	k.queue.reset()
 	k.ring.head, k.ring.tail, k.ring.n = 0, 0, 0
 	k.cur = nil
@@ -382,6 +387,7 @@ func (k *Kernel) next() *Proc {
 		} else {
 			break
 		}
+		k.dispatched++
 		switch e.kind {
 		case eFn:
 			k.runCb(e.idx)
@@ -406,6 +412,12 @@ func (k *Kernel) next() *Proc {
 	}
 	return nil
 }
+
+// Dispatched returns how many entries the kernel has run since its last
+// Reset: callbacks, hooks, scheduled adds, process resumes and plan steps.
+// It is the kernel-dispatch layer's work count, which stays put when a
+// change removes bookkeeping without moving any virtual time.
+func (k *Kernel) Dispatched() int64 { return k.dispatched }
 
 // recoverNext is the one recover frame around next(), deferred by Run's
 // loop. Code next() runs on an inline process's behalf (k.cur) fails the run

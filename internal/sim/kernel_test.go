@@ -432,3 +432,25 @@ func TestKernelSizeClass(t *testing.T) {
 		t.Fatalf("Kernel is %d bytes, want at most 2048", got)
 	}
 }
+
+// TestDispatchedCountsEntries: every entry the kernel runs counts once —
+// callbacks, scheduled adds, process resumes — and Reset starts the count
+// over.
+func TestDispatchedCountsEntries(t *testing.T) {
+	k := New()
+	c := k.NewCounter("c")
+	k.At(5, func() {})
+	k.AddAt(7, c, 1)
+	k.SpawnProgram("p", func(p *Proc) { p.WaitGEThen(c, 1, func() {}) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// The callback, the add, the process's start and its wake.
+	if got := k.Dispatched(); got != 4 {
+		t.Fatalf("Dispatched() = %d, want 4", got)
+	}
+	k.Reset()
+	if got := k.Dispatched(); got != 0 {
+		t.Fatalf("Dispatched() after Reset = %d, want 0", got)
+	}
+}

@@ -287,9 +287,9 @@ func (f *FP) PipeRef(p *Pipe) {
 }
 
 // procRef interns a process index and, on first appearance, hashes the
-// process's schedulable content: mode flags, what it waits on, and its plan
-// position and steps. The continuation closure itself is not hashable; the
-// program contract (a continuation is a pure function of the process's
+// process's schedulable content: mode flags, what it waits on, and the steps
+// its plan has yet to run. The continuation closure itself is not hashable;
+// the program contract (a continuation is a pure function of the process's
 // reached state) makes the reached state a sufficient proxy.
 func (f *FP) procRef(k *Kernel, pi uint32) {
 	if f.refused || f.forward {
@@ -313,10 +313,13 @@ func (f *FP) procRef(k *Kernel, pi uint32) {
 	} else {
 		f.buf = append(f.buf, fpNil)
 	}
-	f.raw8(uint64(p.plan.i))
-	f.raw8(uint64(len(p.plan.steps)))
-	for i := range p.plan.steps {
-		st := &p.plan.steps[i]
+	// Only the plan's un-run steps steer future execution: stepPlan resumes
+	// at plan.i, and NewPlan clears the buffer, so the steps a finished plan
+	// leaves behind are never read again.
+	rest := p.plan.steps[p.plan.i:]
+	f.raw8(uint64(len(rest)))
+	for i := range rest {
+		st := &rest[i]
 		f.buf = append(f.buf, st.kind)
 		f.raw8(uint64(st.d))
 		f.raw8(uint64(st.bytes))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -383,5 +384,59 @@ func TestSteadyNoMatchAcrossPipeAdoption(t *testing.T) {
 	want := []Time{2, 4, 5}
 	if fmt.Sprint(matched) != fmt.Sprint(want) {
 		t.Fatalf("captures matched at %v, want %v (none at 3, across the adoption)", matched, want)
+	}
+}
+
+// planCapture fingerprints a kernel whose one process first runs a plan of
+// the ran sleeps to completion, then parks on a gate counter with a plan of
+// the pending sleeps still to run.
+func planCapture(t *testing.T, ran, pending []Time) []byte {
+	t.Helper()
+	k := New()
+	start, gate := k.NewCounter("start"), k.NewCounter("gate")
+	k.SpawnProgram("p", func(p *Proc) {
+		pl := p.NewPlan()
+		for _, d := range ran {
+			pl.Sleep(d)
+		}
+		p.WaitGEPlanThen(start, 0, pl, func() {
+			if pending == nil {
+				p.WaitGEThen(gate, 1, nop) // the finished plan stays in the buffer
+				return
+			}
+			pl := p.NewPlan()
+			for _, d := range pending {
+				pl.Sleep(d)
+			}
+			p.WaitGEPlanThen(gate, 1, pl, nop)
+		})
+	})
+	var buf []byte
+	k.At(1000, func() {
+		f := newFP(newFPIntern())
+		f.reset(k.now)
+		k.steadyWalk(f)
+		if f.Refused() {
+			t.Fatalf("capture refused: %s", f.reason)
+		}
+		buf = append(buf, f.buf...)
+		gate.Fire()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestSteadyHashesOnlyUnrunPlanSteps: the steps a finished plan leaves in
+// its process's buffer are never run again, so captures that differ only in
+// them compare equal; a step still to run steers the future, so captures
+// that differ in one compare unequal.
+func TestSteadyHashesOnlyUnrunPlanSteps(t *testing.T) {
+	if a, b := planCapture(t, []Time{5}, nil), planCapture(t, []Time{7, 9}, nil); !bytes.Equal(a, b) {
+		t.Error("captures that differ only in a finished plan compare unequal")
+	}
+	if a, b := planCapture(t, []Time{5}, []Time{5}), planCapture(t, []Time{5}, []Time{7}); bytes.Equal(a, b) {
+		t.Error("captures that differ in an un-run plan step compare equal")
 	}
 }
