@@ -10,6 +10,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -89,7 +90,7 @@ type scaleCell struct {
 }
 
 // measureScalePoint builds a fresh world for cfg and measures it. Heap
-// accounting brackets construction with GC'd HeapInuse snapshots, which is
+// accounting brackets construction with GC'd heap snapshots, which is
 // why the sweep runs its points serially on the calling goroutine —
 // concurrent kernel runs would pollute the deltas (Options.Workers is
 // ignored). The peak is the HeapInuse high water sampled through the run,
@@ -108,8 +109,14 @@ func measureScalePoint(cfg hw.Config, msg, iters int, mode RunMode) (scaleCell, 
 	cell := scaleCell{construct: time.Since(t0)}
 	runtime.GC()
 	runtime.ReadMemStats(&settled)
-	if settled.HeapInuse > before.HeapInuse {
-		cell.perRankBytes = float64(settled.HeapInuse-before.HeapInuse) / float64(cfg.Ranks())
+	// Live bytes, not HeapInuse: in-use spans move in 8 KB pages, so their
+	// delta depends on where the world's objects land, and two runs of one
+	// binary would print different footprints. The live delta still carries
+	// the runtime's own few hundred bytes (thread and goroutine descriptors
+	// it allocates when it likes), under half a byte per rank from 256 ranks
+	// up, so the figure is rounded to whole bytes.
+	if settled.HeapAlloc > before.HeapAlloc {
+		cell.perRankBytes = math.Round(float64(settled.HeapAlloc-before.HeapAlloc) / float64(cfg.Ranks()))
 	}
 	sampler := StartHeapSampler()
 	defer sampler.Peak() // joins the sampler on the error returns too

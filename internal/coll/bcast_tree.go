@@ -19,12 +19,13 @@ import (
 // DESIGN.md §11).
 //
 // They are also allocation-free in steady use (DESIGN.md §17). The per-call
-// shared state is recycled through a per-world free list and every rank's
-// drivers — the chunk loops, the master's reception step, the finish step —
-// live in per-world role slabs whose continuations are method values bound
-// once per slot. The registration sequence (which *Then runs, in what order,
-// with what plan contents) is the same one the per-call closures produced,
-// so virtual times are bit-for-bit unchanged.
+// shared state, step tables included, is recycled through a per-world free
+// list, and every rank's drivers — the chunk loops' bindings, the master's
+// reception step, the finish step — live in per-world role slabs whose
+// continuations are method values bound once per slot. The registration
+// sequence (which *Then runs, in what order, with what steps) is the same
+// one the per-call closures produced, so virtual times are bit-for-bit
+// unchanged.
 
 // injectWindow bounds how many chunks an injecting core may run ahead of
 // delivery, modeling the collective network's limited buffering.
@@ -58,6 +59,11 @@ type treeBcastState struct {
 	peer  []*sim.Counter // per node, per local rank (node-major; slot 0 unused)
 	rxBuf []data.Buf     // per node: reception rank's buffer (window keys)
 	r0Buf []data.Buf     // per node: injector rank's buffer (window keys)
+
+	// The chunk loops' step tables: tabs[:ntab] are this call's, built by
+	// the first rank of each role (table); the rest keep their capacity.
+	tabs []*chunkTable
+	ntab int
 }
 
 // treeCounters selects the per-node counters a tree broadcast algorithm
@@ -102,6 +108,7 @@ func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int, need tree
 	ppn := r.LocalSize()
 	st.seq, st.root, st.refs, st.ppn = seq, root, r.Size(), ppn
 	st.src = data.Buf{}
+	st.ntab = 0
 	st.setSpans(r, total)
 	st.ops = fit(st.ops, len(st.spans))
 	for i, s := range st.spans {
@@ -167,6 +174,10 @@ func (st *treeBcastState) dropCounters() {
 	clear(st.sw[:cap(st.sw)])
 	clear(st.fill[:cap(st.fill)])
 	clear(st.peer[:cap(st.peer)])
+	for _, t := range st.tabs {
+		t.tab.Reset(nil)
+	}
+	st.ntab = 0
 }
 
 // peersAt returns node n's per-local-rank peer counters (slot 0 unused).
@@ -180,8 +191,8 @@ var treeScratchKey = mpi.NewScratchKey("coll.tree")
 // treeScratch is what the tree broadcasts keep on a world across calls: the in-flight and released broadcast states, and one dense
 // slab per driver role. A role slab is indexed by node when each node has
 // one such driver and by rank otherwise, and only the roles an algorithm
-// uses are ever grown, so a 2^20-rank shaddr sweep pays for its four roles
-// and nothing else. Every slot is driven by one fixed rank (or that rank's
+// uses are ever grown, so a 2^20-rank shaddr sweep pays for its roles and
+// nothing else. Every slot is driven by one fixed rank (or that rank's
 // helper thread), whose broadcasts run one after another, so a slot is
 // never re-armed while it still runs. Slabs only grow, like the world's rank
 // slab: a pooled world moving between partitions keeps its bound slots, and
@@ -190,16 +201,11 @@ var treeScratchKey = mpi.NewScratchKey("coll.tree")
 type treeScratch struct {
 	states recycled[treeBcastState]
 
-	finish    []treeFinisher   // by rank: every algorithm's completion step
-	pump      []masterPump     // by node: shmem and DMA masters
-	shmemPeer []peerCopyLoop   // by rank: shmem peers
-	dmaPeer   []dmaPeerLoop    // by rank: DMA FIFO peers
-	smp       []smpRank        // by node: SMP ranks and their helper threads
-	injector  []shaddrInjector // by node: shaddr local rank 0
-	receiver  []recvLoop       // by node: shaddr local rank 1, quad mode
-	dualRecv  []dualRecvLoop   // by node: shaddr local rank 1, dual mode
-	copier    []shaddrCopyLoop // by node: shaddr local rank 2
-	copyPeer  []shaddrPeer     // by node: shaddr local rank 3
+	finish []treeFinisher // by rank: every algorithm's completion step
+	pump   []masterPump   // by node: shmem and DMA masters
+	loop   []chunkRun     // by rank: the chunk loop the rank's own process runs
+	smp    []smpHelper    // by node: SMP helper threads
+	window []rxWindow     // by node and copy process: shaddr local ranks 2 and 3
 }
 
 func newTreeScratch() any { return &treeScratch{} }
@@ -252,36 +258,16 @@ func (sc *treeScratch) pumpOf(r *mpi.Rank) *masterPump {
 	return slot(&sc.pump, r.NodeID(), r.Machine().Geom.Nodes())
 }
 
-func (sc *treeScratch) shmemPeerOf(r *mpi.Rank) *peerCopyLoop {
-	return slot(&sc.shmemPeer, r.Rank(), r.Size())
+func (sc *treeScratch) loopOf(r *mpi.Rank) *chunkRun {
+	return slot(&sc.loop, r.Rank(), r.Size())
 }
 
-func (sc *treeScratch) dmaPeerOf(r *mpi.Rank) *dmaPeerLoop {
-	return slot(&sc.dmaPeer, r.Rank(), r.Size())
-}
-
-func (sc *treeScratch) smpOf(r *mpi.Rank) *smpRank {
+func (sc *treeScratch) smpOf(r *mpi.Rank) *smpHelper {
 	return slot(&sc.smp, r.NodeID(), r.Machine().Geom.Nodes())
 }
 
-func (sc *treeScratch) injectorOf(r *mpi.Rank) *shaddrInjector {
-	return slot(&sc.injector, r.NodeID(), r.Machine().Geom.Nodes())
-}
-
-func (sc *treeScratch) receiverOf(r *mpi.Rank) *recvLoop {
-	return slot(&sc.receiver, r.NodeID(), r.Machine().Geom.Nodes())
-}
-
-func (sc *treeScratch) dualRecvOf(r *mpi.Rank) *dualRecvLoop {
-	return slot(&sc.dualRecv, r.NodeID(), r.Machine().Geom.Nodes())
-}
-
-func (sc *treeScratch) copierOf(r *mpi.Rank) *shaddrCopyLoop {
-	return slot(&sc.copier, r.NodeID(), r.Machine().Geom.Nodes())
-}
-
-func (sc *treeScratch) copyPeerOf(r *mpi.Rank) *shaddrPeer {
-	return slot(&sc.copyPeer, r.NodeID(), r.Machine().Geom.Nodes())
+func (sc *treeScratch) windowOf(r *mpi.Rank) *rxWindow {
+	return slot(&sc.window, 2*r.NodeID()+r.LocalRank()-2, 2*r.Machine().Geom.Nodes())
 }
 
 // startTreeBcast is every tree broadcast's prologue: take the collective
@@ -329,94 +315,137 @@ func (f *treeFinisher) finish() {
 	done()
 }
 
-// The chunk loops below are explicit state machines rather than recursive
-// closures: each one is a small struct whose continuations are method values
-// bound once per slot. Each loop calls its continuation as its last action,
-// so a continuation that re-arms the loop's slot for the next broadcast
-// never races the loop's own frame.
+// The linear chunk loops below — injection, reception, and the peers'
+// copies — run from step tables (sim.Table) rather than per-chunk
+// continuations. A table transcribes one role's whole loop, every chunk's
+// wait, costs and signals, and is built once per call by the first rank in
+// the role; every rank in the role runs it through its own binding, which
+// supplies the node-local counters and bus. Each step pushes its successor
+// at the (time, seq) position the per-chunk continuation used, so the
+// dispatched entries and every virtual time are those of the per-chunk
+// loops. Waits on counters several ranks share (the node's sw, the root's
+// among them) stay one wait per chunk: waiter ties release in registration
+// order.
 
-// injectLoop drives one node's injection side: the root's injector feeds
-// the payload, every other node's injector feeds zeros into the global OR
-// (paper §V-B). Injection is windowed against delivery to model the
-// network's finite buffering.
-type injectLoop struct {
-	st      *treeBcastState
-	p       *sim.Proc
-	i       int
-	cont    func()
-	stepFn  func()
-	afterFn func()
+// chunkSpec selects the steps of one role's table. Per chunk they run in the
+// order below: one wait, the core's costs, then its signals.
+type chunkSpec uint16
+
+const (
+	ckWaitWindow   chunkSpec = 1 << iota // wait for chunk i-injectWindow's delivery: injection back-pressure
+	ckWaitDelivery                       // wait for the chunk's delivery
+	ckWaitBytes                          // wait until bound counter 0 holds every byte up to the chunk's end
+	ckTouch                              // the core's packet-touch, injecting or receiving
+	ckPoll                               // the poll latency of seeing another core's counter
+	ckPublish                            // add the chunk's bytes to bound counter 0
+	ckCopy                               // copy the chunk into the rank's own buffer
+	ckFill                               // copy it into the injector's buffer, then add its bytes to bound counter 1
+	ckInject                             // inject the chunk (the table's post step, treeBcastState.RunPost)
+	ckJoinFill                           // after the last chunk, wait until bound counter 1 holds the whole payload
+)
+
+// chunkTable is one of a state's tables and the spec it was built from.
+type chunkTable struct {
+	spec chunkSpec
+	tab  sim.Table
 }
 
-func (l *injectLoop) arm(p *sim.Proc, st *treeBcastState, cont func()) {
-	if l.stepFn == nil {
-		l.stepFn, l.afterFn = l.step, l.after
+// table returns this call's table for spec, building it for the first rank
+// to ask. node supplies the poll and copy costs, which every node shares;
+// cached is the call's cache state, the same on every rank.
+func (st *treeBcastState) table(spec chunkSpec, node *hw.Node, cached bool) *sim.Table {
+	for _, ct := range st.tabs[:st.ntab] {
+		if ct.spec == spec {
+			return &ct.tab
+		}
 	}
-	l.st, l.p, l.i, l.cont = st, p, 0, cont
+	if st.ntab == len(st.tabs) {
+		st.tabs = append(st.tabs, new(chunkTable))
+	}
+	ct := st.tabs[st.ntab]
+	st.ntab++
+	ct.spec = spec
+	t := &ct.tab
+	t.Reset(st)
+	var got int64
+	for i, span := range st.spans {
+		n := int64(span.Len)
+		got += n
+		switch {
+		case spec&ckWaitWindow != 0:
+			if i >= injectWindow {
+				t.WaitGE(st.ops[i-injectWindow].Delivered(), 1)
+			}
+		case spec&ckWaitDelivery != 0:
+			t.WaitGE(st.ops[i].Delivered(), 1)
+		case spec&ckWaitBytes != 0:
+			t.WaitBound(0, got)
+		}
+		if spec&ckTouch != 0 {
+			t.Sleep(st.touch[i])
+		}
+		if spec&ckPoll != 0 {
+			node.TablePoll(t)
+		}
+		if spec&ckPublish != 0 {
+			t.AddBound(0, n)
+		}
+		if spec&ckCopy != 0 {
+			node.TableCopy(t, span.Len, cached)
+		}
+		if spec&ckFill != 0 {
+			node.TableCopy(t, span.Len, cached)
+			t.AddBound(1, n)
+		}
+		if spec&ckInject != 0 {
+			t.Post(int64(i))
+		}
+	}
+	if spec&ckJoinFill != 0 {
+		t.WaitBound(1, got)
+	}
+	return t
+}
+
+// RunPost implements sim.PostHandler for the injection tables' post steps:
+// this node's contribution to chunk's combine.
+//
+//bgplint:hot
+func (st *treeBcastState) RunPost(chunk, _ int64) { st.ops[chunk].Inject() }
+
+// peerSpec is the table of a peer that waits for its node's bytes on bound
+// counter 0 and, unless it is the root, which already holds the payload,
+// pays copy per chunk.
+func peerSpec(isRoot bool, copy chunkSpec) chunkSpec {
+	if isRoot {
+		return ckWaitBytes
+	}
+	return ckWaitBytes | copy
+}
+
+// chunkRun is one process's chunk loop: the binding it runs its role's
+// table with, and the continuation after the table. run is bound once per
+// slot, for loops that start behind a CNK map.
+type chunkRun struct {
+	p     *sim.Proc
+	bind  sim.Binding
+	cont  func()
+	runFn func()
+}
+
+// arm binds the slot for one broadcast: c0, c1 and bus are the operands tab
+// leaves open, nil where it has none.
+func (c *chunkRun) arm(p *sim.Proc, tab *sim.Table, c0, c1 *sim.Counter, bus *sim.Pipe, cont func()) *chunkRun {
+	if c.runFn == nil {
+		c.runFn = c.run
+	}
+	c.p, c.cont = p, cont
+	c.bind = sim.Binding{Table: tab, Counters: [2]*sim.Counter{c0, c1}, Pipe: bus}
+	return c
 }
 
 //bgplint:hot
-func (l *injectLoop) step() {
-	if l.i == len(l.st.spans) {
-		l.cont()
-		return
-	}
-	touch := l.st.touch[l.i]
-	if l.i >= injectWindow {
-		pl := l.p.NewPlan()
-		pl.Sleep(touch)
-		l.p.WaitGEPlanThen(l.st.ops[l.i-injectWindow].Delivered(), 1, pl, l.afterFn)
-	} else {
-		l.p.SleepThen(touch, l.afterFn)
-	}
-}
-
-//bgplint:hot
-func (l *injectLoop) after() {
-	l.st.ops[l.i].Inject()
-	l.i++
-	l.step()
-}
-
-// recvLoop drives one node's reception side, paying the core packet-touch
-// cost per chunk and publishing progress to the node's software counter (sw
-// is nil for observers that only pace delivery, like the SMP helper
-// thread).
-type recvLoop struct {
-	st      *treeBcastState
-	sw      *sim.Counter
-	p       *sim.Proc
-	i       int
-	cont    func()
-	afterFn func()
-}
-
-func (l *recvLoop) arm(p *sim.Proc, st *treeBcastState, sw *sim.Counter, cont func()) {
-	if l.afterFn == nil {
-		l.afterFn = l.after
-	}
-	l.st, l.sw, l.p, l.i, l.cont = st, sw, p, 0, cont
-}
-
-//bgplint:hot
-func (l *recvLoop) step() {
-	if l.i == len(l.st.spans) {
-		l.cont()
-		return
-	}
-	pl := l.p.NewPlan()
-	pl.Sleep(l.st.touch[l.i])
-	l.p.WaitGEPlanThen(l.st.ops[l.i].Delivered(), 1, pl, l.afterFn)
-}
-
-//bgplint:hot
-func (l *recvLoop) after() {
-	if l.sw != nil {
-		l.sw.Add(int64(l.st.spans[l.i].Len))
-	}
-	l.i++
-	l.step()
-}
+func (c *chunkRun) run() { c.p.RunThen(&c.bind, c.cont) }
 
 // masterPump drives both sides of the collective network on a single core,
 // the way the production quad-mode algorithms do: the core alternates
@@ -585,14 +614,14 @@ func (m *masterPump) afterRecv() {
 	}
 }
 
-// smpRank drives one SMP-mode rank: the main thread's injection loop and the
-// helper communication thread's reception loop, joined by the helper's
-// one-shot completion counter, which the slot re-arms on every broadcast of
-// a run.
-type smpRank struct {
-	inj        injectLoop
-	rx         recvLoop
+// smpHelper drives one SMP-mode node's helper communication thread, which
+// receives while the main thread injects, and the main thread's join on the
+// helper's one-shot completion counter, which the slot re-arms on every
+// broadcast of a run.
+type smpHelper struct {
+	rx         chunkRun
 	helperDone *sim.Counter
+	main       *sim.Proc
 	fin        func()
 
 	spawnFn func(p *sim.Proc)
@@ -610,25 +639,25 @@ func bcastTreeSMP(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		d.spawnFn, d.fireFn, d.joinFn = d.spawnHelper, d.fire, d.join
 	}
 	k := r.Machine().K
+	node := r.Node().HW
 	d.helperDone = rearm(k, d.helperDone, "treebc%d.helper%d", int32(st.seq), int32(r.Rank()))
-	d.rx.arm(nil, st, nil, d.fireFn)
+	d.rx.arm(nil, st.table(ckWaitDelivery|ckTouch, node, false), nil, nil, nil, d.fireFn)
 	k.SpawnProgramIdx("rank%d.comm", int32(r.Rank()), d.spawnFn)
-	d.fin = finish
-	d.inj.arm(r.Proc(), st, d.joinFn)
-	d.inj.step()
+	d.main, d.fin = r.Proc(), finish
+	sc.loopOf(r).arm(r.Proc(), st.table(ckWaitWindow|ckTouch|ckInject, node, false), nil, nil, nil, d.joinFn).run()
 }
 
 // spawnHelper is the helper thread's body: receive every chunk.
-func (d *smpRank) spawnHelper(p *sim.Proc) {
+func (d *smpHelper) spawnHelper(p *sim.Proc) {
 	d.rx.p = p
-	d.rx.step()
+	d.rx.run()
 }
 
 //bgplint:hot
-func (d *smpRank) fire() { d.helperDone.Fire() }
+func (d *smpHelper) fire() { d.helperDone.Fire() }
 
 //bgplint:hot
-func (d *smpRank) join() { d.inj.p.WaitGEThen(d.helperDone, 1, d.fin) }
+func (d *smpHelper) join() { d.main.WaitGEThen(d.helperDone, 1, d.fin) }
 
 // bcastTreeShmem is the quad-mode latency algorithm (paper §V-B): the master
 // core injects and receives into a shared-memory segment, serialized on one
@@ -645,50 +674,11 @@ func bcastTreeShmem(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		m.inject()
 		return
 	}
-	l := sc.shmemPeerOf(r)
-	l.arm(r, st, cached, finish)
-	l.step()
-}
-
-// peerCopyLoop is the peer-side copy loop shared by the shmem and shaddr
-// algorithms: wait on the node's software counter and copy arrived chunks.
-type peerCopyLoop struct {
-	st     *treeBcastState
-	sw     *sim.Counter
-	p      *sim.Proc
-	node   *hw.Node
-	isRoot bool
-	cached bool
-	i      int
-	got    int64
-	cont   func()
-	stepFn func()
-}
-
-func (l *peerCopyLoop) arm(r *mpi.Rank, st *treeBcastState, cached bool, cont func()) {
-	if l.stepFn == nil {
-		l.stepFn = l.step
-	}
-	n := r.NodeID()
-	l.st, l.sw, l.p, l.node = st, st.sw[n], r.Proc(), r.Node().HW
-	l.isRoot, l.cached, l.i, l.got, l.cont = r.Rank() == st.root, cached, 0, 0, cont
-}
-
-//bgplint:hot
-func (l *peerCopyLoop) step() {
-	if l.i == len(l.st.spans) {
-		l.cont()
-		return
-	}
-	span := l.st.spans[l.i]
-	l.got += int64(span.Len)
-	pl := l.p.NewPlan()
-	if !l.isRoot {
-		l.node.PlanPoll(pl)
-		l.node.PlanCopy(pl, span.Len, l.cached)
-	}
-	l.i++
-	l.p.WaitGEPlanThen(l.sw, l.got, pl, l.stepFn)
+	// Peers wait on the node's software counter, poll, and copy each
+	// arrived chunk out of the segment.
+	hwn := r.Node().HW
+	tab := st.table(peerSpec(r.Rank() == root, ckPoll|ckCopy), hwn, cached)
+	sc.loopOf(r).arm(r.Proc(), tab, st.sw[node], nil, hwn.Bus, finish).run()
 }
 
 // bcastTreeDMAFIFO is the current quad-mode algorithm: the master core
@@ -722,48 +712,11 @@ func treeDMACommon(r *mpi.Rank, buf data.Buf, root int, fifo bool, done func()) 
 		r.Proc().WaitGEThen(cnt, int64(buf.Len()), finish)
 		return
 	}
-	l := sc.dmaPeerOf(r)
-	if l.stepFn == nil {
-		l.stepFn = l.step
-	}
-	l.st, l.cnt, l.p, l.node = st, cnt, r.Proc(), r.Node().HW
-	l.fifoCopy, l.cached = r.Rank() != root, quadBcastFootprint(r, buf.Len())
-	l.i, l.got, l.cont = 0, 0, finish
-	l.step()
-}
-
-// dmaPeerLoop is the peer-side reception loop of the DMA FIFO broadcast:
-// wait on the per-peer DMA progress counter for each chunk and pay the core
-// copy from the memory FIFO into the application buffer (the root already
-// holds the data and only waits).
-type dmaPeerLoop struct {
-	st       *treeBcastState
-	cnt      *sim.Counter
-	p        *sim.Proc
-	node     *hw.Node
-	fifoCopy bool
-	cached   bool
-	i        int
-	got      int64
-	cont     func()
-	stepFn   func()
-}
-
-//bgplint:hot
-func (l *dmaPeerLoop) step() {
-	if l.i == len(l.st.spans) {
-		l.cont()
-		return
-	}
-	span := l.st.spans[l.i]
-	l.got += int64(span.Len)
-	pl := l.p.NewPlan()
-	if l.fifoCopy {
-		// Memory-FIFO reception needs a core copy into the application buffer.
-		l.node.PlanCopy(pl, span.Len, l.cached)
-	}
-	l.i++
-	l.p.WaitGEPlanThen(l.cnt, l.got, pl, l.stepFn)
+	// A FIFO peer waits on its DMA progress counter for each chunk and pays
+	// the core copy from the memory FIFO into its application buffer.
+	hwn := r.Node().HW
+	tab := st.table(peerSpec(r.Rank() == root, ckCopy), hwn, quadBcastFootprint(r, buf.Len()))
+	sc.loopOf(r).arm(r.Proc(), tab, cnt, nil, hwn.Bus, finish).run()
 }
 
 // bcastTreeShaddr is the proposed quad-mode algorithm (paper §V-B, Fig. 4):
@@ -776,224 +729,102 @@ func (l *dmaPeerLoop) step() {
 func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 	sc, st, finish := startTreeBcast(r, buf, root, needSW|needFill, done)
 	node := r.NodeID()
+	hwn := r.Node().HW
 	total := buf.Len()
 	cached := quadBcastFootprint(r, total)
+	isRoot := r.Rank() == root
 	// The injector's buffer needs filling unless the injector is the root.
 	fillInjector := r.RankOf(node, 0) != root
+	sw, fill := st.sw[node], st.fill[node]
+	l := sc.loopOf(r)
 
 	switch r.LocalRank() {
 	case 0: // injection process
 		st.r0Buf[node] = buf
-		d := sc.injectorOf(r)
-		if d.injDoneFn == nil {
-			d.injDoneFn = d.injDone
+		spec := ckWaitWindow | ckTouch | ckInject
+		if !isRoot {
+			spec |= ckJoinFill // then wait for rank 2 to fill this buffer
 		}
-		d.fill, d.total, d.fin = nil, int64(total), finish
-		if r.Rank() != root {
-			// Wait for rank 2 to fill this buffer.
-			d.fill = st.fill[node]
-		}
-		d.inj.arm(r.Proc(), st, d.injDoneFn)
+		l.arm(r.Proc(), st.table(spec, hwn, cached), nil, fill, nil, finish)
 		rootRank := r.World().Rank(root)
-		if rootRank.NodeID() == node && root != r.Rank() {
+		if rootRank.NodeID() == node && !isRoot {
 			// Inject the payload out of the root rank's buffer through a
 			// process window.
-			r.CNK().MapThen(r.Proc(), windowKey(rootRank.LocalRank(), st.src), total, d.inj.stepFn)
+			r.CNK().MapThen(r.Proc(), windowKey(rootRank.LocalRank(), st.src), total, l.runFn)
 			return
 		}
-		d.inj.step()
+		l.run()
 
 	case 1: // reception process: directly into its application buffer
 		st.rxBuf[node] = buf
 		if r.LocalSize() == 2 {
 			// Dual mode has no dedicated copy processes: the reception
 			// process also fills the injector's buffer.
-			l := sc.dualRecvOf(r)
-			if l.stepFn == nil {
-				l.stepFn, l.afterFn = l.step, l.after
-			}
-			l.st, l.sw, l.fill, l.p, l.node = st, st.sw[node], st.fill[node], r.Proc(), r.Node().HW
-			l.fillInjector, l.cached, l.i, l.cont = fillInjector, cached, 0, finish
+			spec := ckWaitDelivery | ckTouch | ckPublish
 			if fillInjector {
-				r.CNK().MapThen(r.Proc(), windowKey(0, st.r0Buf[node]), total, l.stepFn)
+				spec |= ckFill
+			}
+			l.arm(r.Proc(), st.table(spec, hwn, cached), sw, fill, hwn.Bus, finish)
+			if fillInjector {
+				r.CNK().MapThen(r.Proc(), windowKey(0, st.r0Buf[node]), total, l.runFn)
 				return
 			}
-			l.step()
+			l.run()
 			return
 		}
-		l := sc.receiverOf(r)
-		l.arm(r.Proc(), st, st.sw[node], finish)
-		l.step()
+		l.arm(r.Proc(), st.table(ckWaitDelivery|ckTouch|ckPublish, hwn, cached), sw, nil, nil, finish).run()
 
 	case 2: // copy process, also responsible for the injector's buffer
-		l := sc.copierOf(r)
-		if l.stepFn == nil {
-			l.stepFn, l.mapInjFn = l.step, l.mapInjector
-		}
-		next := l.stepFn
+		spec := peerSpec(isRoot, ckCopy) | ckPoll
 		if fillInjector {
-			next = l.mapInjFn
+			spec |= ckFill
 		}
-		l.win.arm(r, st, total, next)
-		l.sw, l.fill, l.node = st.sw[node], st.fill[node], r.Node().HW
-		l.isRoot, l.fillInjector, l.cached = r.Rank() == root, fillInjector, cached
-		l.i, l.got, l.cont = 0, 0, finish
-		l.win.open()
+		l.arm(r.Proc(), st.table(spec, hwn, cached), sw, fill, hwn.Bus, finish)
+		sc.windowOf(r).open(r, st, total, fillInjector, l.runFn)
 
 	case 3: // copy process
-		l := sc.copyPeerOf(r)
-		l.copy.arm(r, st, cached, finish)
-		l.win.arm(r, st, total, l.copy.stepFn)
-		l.win.open()
+		l.arm(r.Proc(), st.table(peerSpec(isRoot, ckPoll|ckCopy), hwn, cached), sw, nil, hwn.Bus, finish)
+		sc.windowOf(r).open(r, st, total, false, l.runFn)
 	}
-}
-
-// shaddrInjector is the shaddr injection process: inject every chunk, then —
-// unless it is the root — wait for rank 2 to fill its buffer.
-type shaddrInjector struct {
-	inj       injectLoop
-	fill      *sim.Counter // nil on the root
-	total     int64
-	fin       func()
-	injDoneFn func()
-}
-
-//bgplint:hot
-func (d *shaddrInjector) injDone() {
-	if d.fill != nil {
-		d.inj.p.WaitGEThen(d.fill, d.total, d.fin)
-		return
-	}
-	d.fin()
 }
 
 // rxWindow is the shaddr copy processes' prologue: wait for the reception
 // rank's first published chunk — which also says that rank has arrived and
-// registered its buffer — map that buffer through a process window, then
-// continue with next.
+// registered its buffer — map that buffer through a process window, and
+// for rank 2, when the injector is not the root, the injector's buffer too,
+// then continue with next.
 type rxWindow struct {
-	st    *treeBcastState
-	cnk   *cnk.Process
-	p     *sim.Proc
-	node  int
-	total int
-	next  func()
-	mapFn func()
+	st       *treeBcastState
+	cnk      *cnk.Process
+	p        *sim.Proc
+	node     int
+	total    int
+	mapInj   bool
+	next     func()
+	mapFn    func()
+	mapInjFn func()
 }
 
-func (w *rxWindow) arm(r *mpi.Rank, st *treeBcastState, total int, next func()) {
+func (w *rxWindow) open(r *mpi.Rank, st *treeBcastState, total int, mapInj bool, next func()) {
 	if w.mapFn == nil {
-		w.mapFn = w.mapRx
+		w.mapFn, w.mapInjFn = w.mapRx, w.mapInjector
 	}
-	w.st, w.cnk, w.p, w.node, w.total, w.next = st, r.CNK(), r.Proc(), r.NodeID(), total, next
+	w.st, w.cnk, w.p, w.node, w.total, w.mapInj, w.next = st, r.CNK(), r.Proc(), r.NodeID(), total, mapInj, next
+	w.p.WaitGEThen(st.sw[w.node], 1, w.mapFn)
 }
-
-//bgplint:hot
-func (w *rxWindow) open() { w.p.WaitGEThen(w.st.sw[w.node], 1, w.mapFn) }
 
 //bgplint:hot
 func (w *rxWindow) mapRx() {
-	w.cnk.MapThen(w.p, windowKey(1, w.st.rxBuf[w.node]), w.total, w.next)
-}
-
-// shaddrPeer is the shaddr rank-3 copy process: the window prologue, then
-// the peer copy loop.
-type shaddrPeer struct {
-	win  rxWindow
-	copy peerCopyLoop
-}
-
-// dualRecvLoop is the dual-mode reception loop of the shaddr tree broadcast:
-// with no dedicated copy processes, the reception process pays the per-chunk
-// packet-touch, publishes the software counter, and — when the injector is
-// not the root — copies each chunk into the injector's buffer on the same
-// plan.
-type dualRecvLoop struct {
-	st           *treeBcastState
-	sw           *sim.Counter
-	fill         *sim.Counter
-	p            *sim.Proc
-	node         *hw.Node
-	fillInjector bool
-	cached       bool
-	i            int
-	cont         func()
-	stepFn       func()
-	afterFn      func()
-}
-
-//bgplint:hot
-func (l *dualRecvLoop) step() {
-	if l.i == len(l.st.spans) {
-		l.cont()
-		return
+	next := w.next
+	if w.mapInj {
+		next = w.mapInjFn
 	}
-	span := l.st.spans[l.i]
-	pl := l.p.NewPlan()
-	pl.Sleep(l.st.touch[l.i])
-	pl.Add(l.sw, int64(span.Len))
-	if l.fillInjector {
-		l.node.PlanCopy(pl, span.Len, l.cached)
-	}
-	l.p.WaitGEPlanThen(l.st.ops[l.i].Delivered(), 1, pl, l.afterFn)
-}
-
-//bgplint:hot
-func (l *dualRecvLoop) after() {
-	if l.fillInjector {
-		l.fill.Add(int64(l.st.spans[l.i].Len))
-	}
-	l.i++
-	l.step()
-}
-
-// shaddrCopyLoop is the shaddr rank-2 copy loop: after the window prologue
-// (and, when the injector is not the root, mapping the injector's buffer
-// too), poll the reception rank's software counter, copy arrived chunks
-// through the process window, and fill rank 0's buffer as well (the extra
-// copy rides the same plan; memory bandwidth exceeds the tree's, so it does
-// not throttle the flow).
-type shaddrCopyLoop struct {
-	win          rxWindow
-	sw           *sim.Counter
-	fill         *sim.Counter
-	node         *hw.Node
-	isRoot       bool
-	fillInjector bool
-	cached       bool
-	i            int
-	got          int64
-	cont         func()
-	stepFn       func()
-	mapInjFn     func()
+	w.cnk.MapThen(w.p, windowKey(1, w.st.rxBuf[w.node]), w.total, next)
 }
 
 // mapInjector maps the injector's buffer before the copy loop starts.
 //
 //bgplint:hot
-func (l *shaddrCopyLoop) mapInjector() {
-	w := &l.win
-	w.cnk.MapThen(w.p, windowKey(0, w.st.r0Buf[w.node]), w.total, l.stepFn)
-}
-
-//bgplint:hot
-func (l *shaddrCopyLoop) step() {
-	st, p := l.win.st, l.win.p
-	if l.i == len(st.spans) {
-		l.cont()
-		return
-	}
-	span := st.spans[l.i]
-	l.got += int64(span.Len)
-	pl := p.NewPlan()
-	l.node.PlanPoll(pl)
-	if !l.isRoot {
-		l.node.PlanCopy(pl, span.Len, l.cached)
-	}
-	if l.fillInjector {
-		l.node.PlanCopy(pl, span.Len, l.cached)
-		pl.Add(l.fill, int64(span.Len))
-	}
-	l.i++
-	p.WaitGEPlanThen(l.sw, l.got, pl, l.stepFn)
+func (w *rxWindow) mapInjector() {
+	w.cnk.MapThen(w.p, windowKey(0, w.st.r0Buf[w.node]), w.total, w.next)
 }

@@ -5,6 +5,7 @@ import (
 
 	"bgpcoll/internal/hw"
 	"bgpcoll/internal/mpi"
+	"bgpcoll/internal/sim"
 )
 
 // dispatchedOnce runs one call of a collective on every rank of a fresh
@@ -70,6 +71,53 @@ func TestDirectPutPeersWaitOnce(t *testing.T) {
 		if large > small {
 			t.Errorf("%s: peers cost %d dispatches at %d B but %d at %d B: peer-side work grows with the chunk count",
 				c.algo, small, c.small, large, c.large)
+		}
+	}
+}
+
+// treeDispatchPins are the kernel entries and the end instant of one
+// 1,205,652 B (33-chunk) tree broadcast on a 4x4x4 partition, per
+// algorithm, mode and root. The chunk loops may change how they are driven,
+// not what they schedule: a faithful change keeps both numbers.
+var treeDispatchPins = []struct {
+	mode       hw.Mode
+	algo       string
+	root       int
+	dispatched int64
+	end        sim.Time
+}{
+	{hw.Quad, mpi.BcastTreeShmem, 0, 25670, 2719447299},
+	{hw.Quad, mpi.BcastTreeShmem, 5, 25631, 2719447299},
+	{hw.Quad, mpi.BcastTreeDMAFIFO, 0, 23585, 2257657608},
+	{hw.Quad, mpi.BcastTreeDMAFIFO, 5, 23552, 2257657608},
+	{hw.Quad, mpi.BcastTreeDMADirect, 0, 5025, 2247719109},
+	{hw.Quad, mpi.BcastTreeDMADirect, 5, 5025, 2247719109},
+	{hw.Quad, mpi.BcastTreeShaddr, 0, 22910, 1517978894},
+	{hw.Quad, mpi.BcastTreeShaddr, 5, 22946, 1520978894},
+	{hw.Dual, mpi.BcastTreeShaddr, 0, 8157, 1699851869},
+	{hw.Dual, mpi.BcastTreeShaddr, 5, 8162, 1702851869},
+	{hw.SMP, mpi.BcastTreeSMP, 0, 7969, 1485456446},
+	{hw.SMP, mpi.BcastTreeSMP, 5, 7969, 1485456446},
+}
+
+// TestTreeDispatchPinned pins treeDispatchPins.
+func TestTreeDispatchPinned(t *testing.T) {
+	for _, c := range treeDispatchPins {
+		cfg := testConfig(4, 4, 4, c.mode)
+		cfg.Functional = false
+		w, err := mpi.NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Tunables.Bcast = c.algo
+		end, err := w.RunProgram(func(r *mpi.Rank) {
+			r.BcastThen(r.NewBuf(1205652), c.root, func() {})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.M.K.Dispatched(); got != c.dispatched || end != c.end {
+			t.Errorf("%v %s root %d: dispatched %d, end %d; want %d, %d", c.mode, c.algo, c.root, got, end, c.dispatched, c.end)
 		}
 	}
 }

@@ -53,38 +53,60 @@ var (
 	}
 )
 
+// treeSkewRootDigest pins the tree broadcasts with a non-master root, rank 5
+// (node 1, local rank 1): the root waits on its node's counters like a peer,
+// but copies nothing.
+var treeSkewRootDigest = map[string]uint64{
+	mpi.BcastTreeShmem:     0x9c4bbcaddd4bf3ce,
+	mpi.BcastTreeDMAFIFO:   0xa5950623dda1b502,
+	mpi.BcastTreeDMADirect: 0x7ce4c39eecb90745,
+	mpi.BcastTreeShaddr:    0xd4e35f681a01c7f5,
+}
+
 func TestBcastWithArrivalSkew(t *testing.T) {
 	cfg := testConfig(2, 2, 2, hw.Quad)
 	for _, algo := range quadBcastAlgos {
-		w, err := mpi.NewWorld(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Tunables.Bcast = algo
-		const msg = 48 << 10
-		fin := make([][]sim.Time, cfg.Ranks())
-		if _, err := w.Run(func(r *mpi.Rank) {
-			for round := 0; round < 3; round++ {
-				r.Proc().SleepThen(skew(r.Rank(), round, 200), func() {})
-				buf := r.NewBuf(msg)
-				if r.Rank() == 0 {
-					buf.Fill(uint64(round) + 11)
-				}
-				r.Bcast(buf, 0)
-				fin[r.Rank()] = append(fin[r.Rank()], r.Now())
-				want := data.New(msg, true)
-				want.Fill(uint64(round) + 11)
-				if !data.Equal(buf, want) {
-					t.Errorf("%s round %d: rank %d corrupted under skew", algo, round, r.Rank())
-				}
-				r.Barrier()
+		t.Run(algo, func(t *testing.T) {
+			skewBcast(t, cfg, algo, 0, bcastSkewDigest[algo])
+			if want, ok := treeSkewRootDigest[algo]; ok {
+				skewBcast(t, cfg, algo, 5, want)
 			}
-		}); err != nil {
-			t.Fatalf("%s: %v", algo, err)
+		})
+	}
+}
+
+// skewBcast runs three skewed broadcasts from root and checks every payload
+// and the digest of every rank's finish instants.
+func skewBcast(t *testing.T, cfg hw.Config, algo string, root int, digest uint64) {
+	t.Helper()
+	w, err := mpi.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Tunables.Bcast = algo
+	const msg = 48 << 10
+	fin := make([][]sim.Time, cfg.Ranks())
+	if _, err := w.Run(func(r *mpi.Rank) {
+		for round := 0; round < 3; round++ {
+			r.Proc().SleepThen(skew(r.Rank(), round, 200), func() {})
+			buf := r.NewBuf(msg)
+			if r.Rank() == root {
+				buf.Fill(uint64(round) + 11)
+			}
+			r.Bcast(buf, root)
+			fin[r.Rank()] = append(fin[r.Rank()], r.Now())
+			want := data.New(msg, true)
+			want.Fill(uint64(round) + 11)
+			if !data.Equal(buf, want) {
+				t.Errorf("root %d round %d: rank %d corrupted under skew", root, round, r.Rank())
+			}
+			r.Barrier()
 		}
-		if got := finishDigest(fin); got != bcastSkewDigest[algo] {
-			t.Errorf("%s: finish instants digest %#x, want %#x", algo, got, bcastSkewDigest[algo])
-		}
+	}); err != nil {
+		t.Fatalf("root %d: %v", root, err)
+	}
+	if got := finishDigest(fin); got != digest {
+		t.Errorf("root %d: finish instants digest %#x, want %#x", root, got, digest)
 	}
 }
 

@@ -148,14 +148,15 @@ func (n *Node) coreMemOpThen(p *sim.Proc, bytes int, rate float64, cont func()) 
 // then continues with cont.
 func (n *Node) PollThen(p *sim.Proc, cont func()) { p.SleepThen(n.P.PollLatency, cont) }
 
-// PlanCopy appends CopyThen's work to a fused step plan: the same bus reservation and
-// core occupation, executed while the process stays parked.
-func (n *Node) PlanCopy(pl *sim.Plan, bytes int, cached bool) {
+// TableCopy appends CopyThen's work to a shared step table: the same bus
+// reservation and core occupation, on the bus of the process that runs the
+// table (its sim.Binding), executed while the process stays parked.
+func (n *Node) TableCopy(t *sim.Table, bytes int, cached bool) {
 	if bytes <= 0 {
 		return
 	}
-	pl.Busy(n.Bus, bytes, sim.TransferTime(bytes, n.copyRate(cached)))
+	t.Busy(bytes, sim.TransferTime(bytes, n.copyRate(cached)))
 }
 
-// PlanPoll appends PollThen's latency to a fused step plan.
-func (n *Node) PlanPoll(pl *sim.Plan) { pl.Sleep(n.P.PollLatency) }
+// TablePoll appends PollThen's latency to a shared step table.
+func (n *Node) TablePoll(t *sim.Table) { t.Sleep(n.P.PollLatency) }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -313,4 +314,41 @@ func TestResolvedDispatchFollowsRegistry(t *testing.T) {
 	if got, want := strings.Join(calls, " "), "a b1 b2"; got != want {
 		t.Fatalf("dispatched %q, want %q", got, want)
 	}
+}
+
+// TestRootedCollectiveRejectsBadRoot: a root outside [0, Size()) fails the
+// run with an error that names the root and the size, not with a deadlock
+// report of every rank waiting for a rank that does not exist.
+func TestRootedCollectiveRejectsBadRoot(t *testing.T) {
+	ops := []struct {
+		name string
+		run  func(r *Rank, buf data.Buf, root int)
+	}{
+		{"bcast", func(r *Rank, buf data.Buf, root int) { r.Bcast(buf, root) }},
+		{"gather", func(r *Rank, buf data.Buf, root int) { r.Gather(buf, buf, root) }},
+		{"reduce", func(r *Rank, buf data.Buf, root int) { r.ReduceSum(buf, buf, root) }},
+		{"scatter", func(r *Rank, buf data.Buf, root int) { r.Scatter(buf, buf, root) }},
+	}
+	for _, op := range ops {
+		name := op.name
+		for _, root := range []int{99999, -1} {
+			w := newWorld(t, smallConfig())
+			_, err := w.Run(func(r *Rank) { op.run(r, r.NewBuf(64), root) })
+			if err == nil {
+				t.Fatalf("%s root %d: run succeeded", name, root)
+			}
+			msg := err.Error()
+			want := fmt.Sprintf("%s root %d outside [0, 16)", name, root)
+			if !strings.Contains(msg, want) || strings.Contains(msg, "deadlock") {
+				t.Errorf("%s root %d: error %q, want one containing %q and no deadlock", name, root, firstLine(msg), want)
+			}
+		}
+	}
+}
+
+func firstLine(s string) string {
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		return s[:i]
+	}
+	return s
 }

@@ -158,11 +158,22 @@ func (r *Rank) Bcast(buf data.Buf, root int) { r.BcastThen(buf, root, nop) }
 // BcastThen is the explicit-resume form of Bcast: done runs when the
 // collective completes on this rank.
 func (r *Rank) BcastThen(buf data.Buf, root int, done func()) {
+	r.checkRoot("bcast", root)
 	name := r.w.Tunables.Bcast
 	if name == "" {
 		name = r.autoBcast(buf.Len())
 	}
 	r.w.state().bcast.get(bcastAlgos, name)(r, buf, root, done)
+}
+
+// checkRoot rejects a rooted collective's root outside [0, Size()), the
+// MPI_ERR_ROOT check: the collective would otherwise wait for a rank that
+// does not exist, and the run would end in a deadlock report that names
+// the wrong fault.
+func (r *Rank) checkRoot(op string, root int) {
+	if root < 0 || root >= r.Size() {
+		panic(fmt.Sprintf("mpi: %s root %d outside [0, %d)", op, root, r.Size()))
+	}
 }
 
 // autoBcast mirrors the production protocol selection: the collective
@@ -218,6 +229,7 @@ func (r *Rank) Gather(send, recv data.Buf, root int) { r.GatherThen(send, recv, 
 
 // GatherThen is the explicit-resume form of Gather.
 func (r *Rank) GatherThen(send, recv data.Buf, root int, done func()) {
+	r.checkRoot("gather", root)
 	name := r.w.Tunables.Gather
 	if name == "" {
 		name = GatherTorus
@@ -242,6 +254,7 @@ func (r *Rank) ReduceSum(send, recv data.Buf, root int) { r.ReduceSumThen(send, 
 
 // ReduceSumThen is the explicit-resume form of ReduceSum.
 func (r *Rank) ReduceSumThen(send, recv data.Buf, root int, done func()) {
+	r.checkRoot("reduce", root)
 	if send.Len()%data.Float64Len != 0 {
 		panic("mpi: reduce payload is not whole float64 elements")
 	}
@@ -254,6 +267,7 @@ func (r *Rank) Scatter(send, recv data.Buf, root int) { r.ScatterThen(send, recv
 
 // ScatterThen is the explicit-resume form of Scatter.
 func (r *Rank) ScatterThen(send, recv data.Buf, root int, done func()) {
+	r.checkRoot("scatter", root)
 	scatterAlgos.lookup(ScatterTorus)(r, send, recv, root, done)
 }
 

@@ -386,3 +386,46 @@ func BenchmarkBatchedCounterWake(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSharedPlanChunkLoop is the per-chunk peer loop of an intra-node
+// broadcast run from one shared table: a feeder publishes chunks on a
+// node counter, and every peer waits for each chunk, polls and copies it on
+// the node bus through its own binding. One op is one (peer, chunk).
+func BenchmarkSharedPlanChunkLoop(b *testing.B) {
+	const peers, chunks, chunk = 16, 64, 4096
+	k := New()
+	bus := k.NewPipe("bus", 8e9, 0)
+	var tab Table
+	tab.Reset(nil)
+	for i := 1; i <= chunks; i++ {
+		tab.WaitBound(0, int64(i*chunk))
+		tab.Sleep(20 * Nanosecond)
+		tab.Busy(chunk, TransferTime(chunk, 4e9))
+	}
+	binds := make([]Binding, peers)
+	b.ReportAllocs()
+	for n := 0; n < b.N; n += peers * chunks {
+		k.Reset()
+		sw := k.NewCounter("sw")
+		k.SpawnProgram("feeder", func(p *Proc) {
+			var feed func(i int)
+			feed = func(i int) {
+				if i < chunks {
+					p.SleepThen(500*Nanosecond, func() {
+						sw.Add(chunk)
+						feed(i + 1)
+					})
+				}
+			}
+			feed(0)
+		})
+		for i := range binds {
+			binds[i] = Binding{Table: &tab, Counters: [2]*Counter{sw}, Pipe: bus}
+			bi := &binds[i]
+			k.SpawnProgramIdx("peer%d", int32(i), func(p *Proc) { p.RunThen(bi, nop) })
+		}
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

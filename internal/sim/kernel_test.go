@@ -433,6 +433,19 @@ func TestKernelSizeClass(t *testing.T) {
 	}
 }
 
+// TestProcAndStepSize pins the per-process and per-step footprints: a
+// million-rank world carves a Proc per rank, and every plan step and table
+// step is a planStep. Table bindings cost a Proc one pointer, not the
+// operands themselves.
+func TestProcAndStepSize(t *testing.T) {
+	if got := unsafe.Sizeof(Proc{}); got > 168 {
+		t.Errorf("Proc is %d bytes, want at most 168", got)
+	}
+	if got := unsafe.Sizeof(planStep{}); got > 48 {
+		t.Errorf("planStep is %d bytes, want at most 48", got)
+	}
+}
+
 // TestDispatchedCountsEntries: every entry the kernel runs counts once —
 // callbacks, scheduled adds, process resumes — and Reset starts the count
 // over.

@@ -51,8 +51,9 @@ type Proc struct {
 
 	idx int // position in k.procs, for O(1) removal on exit
 
-	// plan is the reusable fused-step buffer (see plan.go). Its next step is
-	// scheduled as an eProg entry naming self — no pre-bound closure.
+	// plan is the reusable fused-step buffer and the cursor of a bound
+	// table (see plan.go). Its next step is scheduled as an eProg entry
+	// naming self — no pre-bound closure.
 	plan Plan
 
 	// body is a spawned program's entry point until its first activation,
@@ -130,7 +131,7 @@ func (k *Kernel) carveProc(format string, id int32) *Proc {
 	p.waitC, p.waitGE = nil, 0
 	p.released = false
 	p.plan.steps = p.plan.steps[:0]
-	p.plan.i = 0
+	p.plan.i, p.plan.run = 0, nil
 	p.resetFrame()
 	return p
 }

@@ -27,12 +27,13 @@
 //   - WaitGEThen appends a waiter; the satisfied fast path runs the
 //     continuation in place.
 //   - WaitGEPlanThen on an inline process steps the attached plan from its
-//     waiter entry. Instant steps run in place, a timed step schedules the
-//     next step, and the last timed step schedules the continuation. A plan
-//     that runs out on instant steps continues the body in place, at that
-//     exact queue position. A goroutine process waits and then runs the
-//     same steps as SleepThen/BusyThen/Add calls, which arm the same entries
-//     at the same positions.
+//     waiter entry, and RunThen steps a bound table from the call. Instant
+//     steps run in place, a table's wait parks on its counter like
+//     WaitGEThen, a timed step schedules the next step, and the last timed
+//     step schedules the continuation. A plan that runs out on instant
+//     steps continues the body in place, at that exact queue position. A
+//     goroutine process runs the same steps as WaitGEThen/SleepThen/BusyThen
+//     and Add calls, which arm the same entries at the same positions.
 //
 // Callbacks run inline inside Kernel.next and the ring drains in FIFO order,
 // so a continuation executing at its pop position is observationally
@@ -268,27 +269,38 @@ func (p *Proc) WaitGEThen(c *Counter, v int64, cont func()) {
 		cont()
 		return
 	}
-	p.waitC, p.waitGE = c, v
-	p.k.blocked++
 	p.cont = cont
-	p.armed = true
-	c.wait(v, entry{kind: eCont, idx: p.self})
+	p.waitOn(c, v, eCont)
 	if !p.inline {
 		p.park()
 		cont()
 	}
 }
 
+// waitOn parks the process on c until it reaches v, arming a resume of the
+// given kind in c's waiter list.
+//
+//bgplint:hot
+func (p *Proc) waitOn(c *Counter, v int64, kind uint8) {
+	p.waitC, p.waitGE = c, v
+	p.k.blocked++
+	p.armed = true
+	c.wait(v, entry{kind: kind, idx: p.self})
+}
+
 // WaitGEPlanThen blocks until c reaches at least v, runs pl, then
-// continues with cont. With no plan steps it is exactly WaitGEThen. An
-// inline process stays parked while the kernel steps the plan; if c has
-// already reached v the plan steps from here, scheduling exactly where the
-// unfused slice would have, and a plan that runs out on instant steps
-// continues in place. A goroutine process runs the steps one operation at a
-// time (Plan.runInline).
+// continues with cont. pl must be p's private plan (NewPlan). With no plan
+// steps it is exactly WaitGEThen. An inline process stays parked while the
+// kernel steps the plan; if c has already reached v the plan steps from
+// here, scheduling exactly where the unfused slice would have, and a plan
+// that runs out on instant steps continues in place. A goroutine process
+// runs the steps one operation at a time (Plan.runInline).
 //
 //bgplint:hot
 func (p *Proc) WaitGEPlanThen(c *Counter, v int64, pl *Plan, cont func()) {
+	if pl != &p.plan || pl.run != nil {
+		panic("sim: WaitGEPlanThen needs the process's own NewPlan plan on " + p.Name())
+	}
 	if len(pl.steps) == 0 {
 		p.WaitGEThen(c, v, cont)
 		return
@@ -303,35 +315,64 @@ func (p *Proc) WaitGEPlanThen(c *Counter, v int64, pl *Plan, cont func()) {
 	c.check()
 	p.cont = cont
 	if c.v < v {
-		p.waitC, p.waitGE = c, v
-		p.k.blocked++
-		p.armed = true
-		c.wait(v, entry{kind: eProg, idx: p.self})
+		p.waitOn(c, v, eProg)
 	} else if !p.stepPlan() {
 		p.cont = nil
 		cont()
 	}
 }
 
+// RunThen runs b's table from its first step with b's operands, then
+// continues with cont: the fused equivalent of the per-step slices the table
+// transcribes. An inline process steps the table from here, like a
+// satisfied WaitGEPlanThen, so a table that starts with a reached wait or
+// runs out on instant steps runs in place. A goroutine process runs the
+// steps one operation at a time (Plan.runInline). The process's private
+// buffer is left as it was.
+//
+//bgplint:hot
+func (p *Proc) RunThen(b *Binding, cont func()) {
+	p.checkIdle()
+	pl := &p.plan
+	pl.run, pl.i = b, 0
+	if !p.inline {
+		pl.runInline(p)
+		cont()
+		return
+	}
+	p.cont = cont
+	if !p.stepPlan() {
+		p.cont = nil
+		cont()
+	}
+}
+
 // stepPlan runs plan steps from the current position and reports whether it
-// armed a resume. Instant steps execute in place; a timed step schedules the
-// plan's next step — or, for the last step, the stored continuation — at its
-// completion time. false means the plan ran out on instant steps and the
-// caller continues the body at this position.
+// armed a resume. Instant steps execute in place, and so does a wait whose
+// threshold is reached; an unreached wait parks the process on its counter,
+// to step on when it is released. A timed step schedules the plan's next
+// step — or, for the last step, the stored continuation — at its completion
+// time. false means the plan ran out on instant steps and the caller
+// continues the body at this position.
 //
 //bgplint:hot
 func (p *Proc) stepPlan() bool {
 	k := p.k
 	pl := &p.plan
-	for pl.i < len(pl.steps) {
-		s := &pl.steps[pl.i]
+	steps := pl.active()
+	for pl.i < len(steps) {
+		s := &steps[pl.i]
 		pl.i++
 		var done Time
 		switch s.kind {
 		case stepSleep:
 			done = k.now + s.d
 		case stepBusy:
-			done = s.pipe.Reserve(s.bytes)
+			pipe := s.pipe
+			if pipe == nil {
+				pipe = pl.run.Pipe
+			}
+			done = pipe.Reserve(s.bytes)
 			if c := k.now + s.d; c > done {
 				done = c
 			}
@@ -339,10 +380,21 @@ func (p *Proc) stepPlan() bool {
 				continue // mirrors BusyThen's already-elapsed fast path
 			}
 		case stepAdd:
-			s.c.Add(s.n)
+			pl.counter(s).Add(s.n)
+			continue
+		case stepWait:
+			c := pl.counter(s)
+			c.check()
+			if c.v >= s.n {
+				continue // mirrors WaitGEThen's satisfied fast path
+			}
+			p.waitOn(c, s.n, eProg)
+			return true
+		case stepPost:
+			pl.run.Table.post.RunPost(s.n, 0)
 			continue
 		}
-		if pl.i == len(pl.steps) {
+		if pl.i == len(steps) {
 			p.schedContAt(done)
 		} else {
 			p.armed = true
@@ -359,18 +411,27 @@ func (p *Proc) stepPlan() bool {
 
 // runInline executes the plan step by step through the operations above
 // with no-op continuations — the literal unfused sequence the fused path
-// transcribes. Goroutine processes run every plan this way.
+// transcribes. Goroutine processes run every plan and table this way.
 func (pl *Plan) runInline(p *Proc) {
-	for i := range pl.steps {
-		s := &pl.steps[i]
+	steps := pl.active()
+	for i := range steps {
+		s := &steps[i]
 		switch s.kind {
 		case stepSleep:
 			p.SleepThen(s.d, nop)
 		case stepBusy:
-			p.BusyThen(s.pipe, s.bytes, s.d, nop)
+			pipe := s.pipe
+			if pipe == nil {
+				pipe = pl.run.Pipe
+			}
+			p.BusyThen(pipe, s.bytes, s.d, nop)
 		case stepAdd:
-			s.c.Add(s.n)
+			pl.counter(s).Add(s.n)
+		case stepWait:
+			p.WaitGEThen(pl.counter(s), s.n, nop)
+		case stepPost:
+			pl.run.Table.post.RunPost(s.n, 0)
 		}
 	}
-	pl.i = len(pl.steps)
+	pl.i = len(steps)
 }

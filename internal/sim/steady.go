@@ -314,29 +314,59 @@ func (f *FP) procRef(k *Kernel, pi uint32) {
 		f.buf = append(f.buf, fpNil)
 	}
 	// Only the plan's un-run steps steer future execution: stepPlan resumes
-	// at plan.i, and NewPlan clears the buffer, so the steps a finished plan
-	// leaves behind are never read again.
-	rest := p.plan.steps[p.plan.i:]
+	// at plan.i, and NewPlan and RunThen reset it, so the steps a finished
+	// plan leaves behind, and a finished table's binding, are never read
+	// again. A bound table's open operands hash once, before its steps.
+	pl := &p.plan
+	rest := pl.active()[pl.i:]
 	f.raw8(uint64(len(rest)))
+	if len(rest) == 0 {
+		return
+	}
+	if b := pl.run; b != nil {
+		f.Bool(true)
+		for _, c := range b.Counters {
+			f.optCounter(c)
+		}
+		f.optPipe(b.Pipe)
+	} else {
+		f.Bool(false)
+	}
 	for i := range rest {
 		st := &rest[i]
-		f.buf = append(f.buf, st.kind)
+		if st.kind == stepPost {
+			// The post handler is an arbitrary object: nothing says what it
+			// will do when the step runs.
+			f.Refuse("pending plan post step")
+			return
+		}
+		f.buf = append(f.buf, st.kind, st.bound)
 		f.raw8(uint64(st.d))
 		f.raw8(uint64(st.bytes))
 		f.raw8(uint64(st.n))
-		if st.pipe != nil {
-			f.buf = append(f.buf, fpSome)
-			f.PipeRef(st.pipe)
-		} else {
-			f.buf = append(f.buf, fpNil)
-		}
-		if st.c != nil {
-			f.buf = append(f.buf, fpSome)
-			f.Counter(st.c)
-		} else {
-			f.buf = append(f.buf, fpNil)
-		}
+		f.optPipe(st.pipe)
+		f.optCounter(st.c)
 	}
+}
+
+// optCounter hashes a counter operand that may be absent.
+func (f *FP) optCounter(c *Counter) {
+	if c == nil {
+		f.buf = append(f.buf, fpNil)
+		return
+	}
+	f.buf = append(f.buf, fpSome)
+	f.Counter(c)
+}
+
+// optPipe hashes a pipe operand that may be absent.
+func (f *FP) optPipe(p *Pipe) {
+	if p == nil {
+		f.buf = append(f.buf, fpNil)
+		return
+	}
+	f.buf = append(f.buf, fpSome)
+	f.PipeRef(p)
 }
 
 // entryCanon hashes one pending queue/ring/waiter entry. Process-routed
