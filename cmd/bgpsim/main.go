@@ -68,7 +68,7 @@ func main() {
 	cfg.Torus.DX, cfg.Torus.DY, cfg.Torus.DZ = dx, dy, dz
 	cfg.Mode = nodeMode
 	cfg.Functional = false
-	if err := checkArgs(*iters, *root, cfg.Ranks()); err != nil {
+	if err := checkArgs(*iters, *root, msg, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "bgpsim:", err)
 		os.Exit(2)
 	}
@@ -126,13 +126,27 @@ func main() {
 	}
 }
 
-// checkArgs rejects the -iters and -root values a run cannot honor before
-// any world is built: iterations outside [1, reqspec.MaxIters], bgpsimd's
-// bound, and a root that is not a rank of the partition.
-func checkArgs(iters, root, ranks int) error {
+// checkArgs rejects the values a run cannot honor before any world is
+// built, with bgpsimd's bounds: iterations outside [1, reqspec.MaxIters], a
+// size outside [1, reqspec.MaxSize], an invalid partition or one of more
+// than reqspec.MaxRanks ranks, and a root that is not a rank of the
+// partition.
+func checkArgs(iters, root, size int, cfg hw.Config) error {
 	if iters < 1 || iters > reqspec.MaxIters {
 		return fmt.Errorf("-iters must be in [1, %d], got %d", reqspec.MaxIters, iters)
 	}
+	if size < 1 || size > reqspec.MaxSize {
+		return fmt.Errorf("-size must be in [1, %d] bytes, got %d", reqspec.MaxSize, size)
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("-torus %s: %w", cfg.Torus, err)
+	}
+	// Each dimension is checked first so the rank product cannot overflow.
+	t := cfg.Torus
+	if t.DX > reqspec.MaxRanks || t.DY > reqspec.MaxRanks || t.DZ > reqspec.MaxRanks || cfg.Ranks() > reqspec.MaxRanks {
+		return fmt.Errorf("-torus %s has more than %d ranks", t, reqspec.MaxRanks)
+	}
+	ranks := cfg.Ranks()
 	if root < 0 || root >= ranks {
 		return fmt.Errorf("-root must be a rank in [0, %d), got %d", ranks, root)
 	}

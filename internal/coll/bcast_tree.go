@@ -485,6 +485,7 @@ type masterPump struct {
 	perChunk bool
 
 	afterInjectFn func()
+	recvFn        func()
 	enterRecvFn   func()
 	afterRecvFn   func()
 }
@@ -500,7 +501,8 @@ const (
 func armPump(sc *treeScratch, r *mpi.Rank, st *treeBcastState, cont func()) *masterPump {
 	m := sc.pumpOf(r)
 	if m.afterInjectFn == nil {
-		m.afterInjectFn, m.enterRecvFn, m.afterRecvFn = m.afterInject, m.enterRecv, m.afterRecv
+		m.afterInjectFn, m.recvFn = m.afterInject, m.recv
+		m.enterRecvFn, m.afterRecvFn = m.enterRecv, m.afterRecv
 	}
 	m.st, m.p, m.cont = st, r.Proc(), cont
 	m.injIdx, m.recvIdx, m.phase = 0, 0, pumpDrain
@@ -537,7 +539,7 @@ func (m *masterPump) afterInject() {
 func (m *masterPump) drain() {
 	if m.recvIdx < len(m.st.spans) && m.st.ops[m.recvIdx].Delivered().Fired() {
 		m.phase = pumpDrain
-		m.p.SleepThen(m.st.touch[m.recvIdx], m.enterRecvFn)
+		m.recv()
 		return
 	}
 	m.inject()
@@ -553,16 +555,18 @@ func (m *masterPump) tail() {
 	m.cont()
 }
 
-// recvBlocked parks behind a not-yet-delivered chunk: the wait and the
-// reception packet-touch fuse into one parked stretch.
+// recvBlocked parks behind a not-yet-delivered chunk, then receives it.
 //
 //bgplint:hot
 func (m *masterPump) recvBlocked() {
-	i := m.recvIdx
-	pl := m.p.NewPlan()
-	pl.Sleep(m.st.touch[i])
-	m.p.WaitGEPlanThen(m.st.ops[i].Delivered(), 1, pl, m.enterRecvFn)
+	m.p.WaitGEThen(m.st.ops[m.recvIdx].Delivered(), 1, m.recvFn)
 }
+
+// recv pays the delivered chunk's reception packet-touch on the pumping
+// core, then hands the chunk on.
+//
+//bgplint:hot
+func (m *masterPump) recv() { m.p.SleepThen(m.st.touch[m.recvIdx], m.enterRecvFn) }
 
 // enterRecv hands the just-received chunk to the node's peers.
 //

@@ -16,9 +16,16 @@ import (
 	"bgpcoll/internal/mpi"
 )
 
-// MaxIters bounds a request's micro-benchmark iterations, at both doors:
-// tree cells bypass extrapolation and run every iteration.
-const MaxIters = 1024
+// Request bounds, enforced at both doors so that no single request can
+// exhaust the process's memory or time: MaxRanks is figS's largest partition
+// (64x64x64 nodes in quad mode), MaxSize is 1 GiB of payload, and MaxIters
+// caps a cell's micro-benchmark repetitions (extrapolation skips steady
+// iterations, but tree cells bypass it and run every one).
+const (
+	MaxRanks = 1 << 20
+	MaxSize  = 1 << 30
+	MaxIters = 1024
+)
 
 // ParseSize parses a byte count with the benchmark axes' K/M suffixes
 // ("512", "64K", "2M", case-insensitive, surrounding whitespace ignored). A

@@ -166,15 +166,11 @@ func resultOf(c bench.Cell, e Entry) cellResult {
 	return cellResult{Series: c.Series, Bytes: c.Bytes(), PS: e.PS, US: sim.Time(e.PS).Microseconds()}
 }
 
-// Request bounds, so that no single request can exhaust the server's memory
-// or a worker's time: maxRanks is figS's largest partition (64x64x64 nodes
-// in quad mode), maxSize is 1 GiB of payload, maxIters caps a cell's
-// micro-benchmark repetitions (extrapolation skips steady iterations, but
-// tree cells bypass it and run every one), and maxSweepCells caps a sweep's
-// algos x sizes grid.
+// Request bounds: the reqspec bounds bgpsim shares, and maxSweepCells,
+// which caps a sweep's algos x sizes grid.
 const (
-	maxRanks      = 1 << 20
-	maxSize       = 1 << 30
+	maxRanks      = reqspec.MaxRanks
+	maxSize       = reqspec.MaxSize
 	maxIters      = reqspec.MaxIters
 	maxSweepCells = 1024
 )

@@ -32,7 +32,7 @@ const (
 	eNone uint8 = iota
 	eFn         // run callback-table slot idx
 	eCont       // resume process idx's continuation (program.go)
-	eProg       // step process idx's plan (program.go)
+	eProg       // step process idx's table (program.go)
 	eAdd        // apply add-table slot idx: a scheduled Counter.Add (AddAt)
 	eHook       // run hook-table slot idx: HookAt or OnGEHook
 )
@@ -49,7 +49,7 @@ type Kernel struct {
 	// per resume it hands out.
 	sched chan struct{}
 
-	// cur is the process whose continuation or plan next() is running on
+	// cur is the process whose continuation or table next() is running on
 	// its behalf, nil between dispatches. A panic escaping next() while cur
 	// is set is that process's panic (see recoverNext).
 	cur *Proc
@@ -100,7 +100,7 @@ type Kernel struct {
 
 	// noProgram makes SpawnProgram fall back to goroutine-backed processes
 	// (see program.go): the same process bodies park their goroutines
-	// instead of running as queue callbacks, and their plans run step by
+	// instead of running as queue callbacks, and their tables run step by
 	// step — the reference mode the determinism stress tests and the CI
 	// program-vs-reference bench compare against.
 	noProgram bool
@@ -414,7 +414,7 @@ func (k *Kernel) next() *Proc {
 }
 
 // Dispatched returns how many entries the kernel has run since its last
-// Reset: callbacks, hooks, scheduled adds, process resumes and plan steps.
+// Reset: callbacks, hooks, scheduled adds, process resumes and table steps.
 // It is the kernel-dispatch layer's work count, which stays put when a
 // change removes bookkeeping without moving any virtual time.
 func (k *Kernel) Dispatched() int64 { return k.dispatched }

@@ -434,15 +434,15 @@ func TestKernelSizeClass(t *testing.T) {
 }
 
 // TestProcAndStepSize pins the per-process and per-step footprints: a
-// million-rank world carves a Proc per rank, and every plan step and table
-// step is a planStep. Table bindings cost a Proc one pointer, not the
-// operands themselves.
+// million-rank world carves a Proc per rank, and every table step is a
+// planStep. A process's table cursor costs it the step slice, the index and
+// one binding pointer, not the operands themselves.
 func TestProcAndStepSize(t *testing.T) {
-	if got := unsafe.Sizeof(Proc{}); got > 168 {
-		t.Errorf("Proc is %d bytes, want at most 168", got)
+	if got := unsafe.Sizeof(Proc{}); got > 160 {
+		t.Errorf("Proc is %d bytes, want at most 160", got)
 	}
-	if got := unsafe.Sizeof(planStep{}); got > 48 {
-		t.Errorf("planStep is %d bytes, want at most 48", got)
+	if got := unsafe.Sizeof(planStep{}); got > 40 {
+		t.Errorf("planStep is %d bytes, want at most 40", got)
 	}
 }
 

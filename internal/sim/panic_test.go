@@ -12,11 +12,22 @@ type panicHook struct{ fn func() }
 
 func (h panicHook) RunPost(a, b int64) { h.fn() }
 
+// failingTable binds a table that passes a reached wait, sleeps 1ns and then
+// panics: Counter.Add panics on a negative amount.
+func failingTable(k *Kernel) *Binding {
+	c := k.NewCounter("c")
+	tab := new(Table)
+	tab.WaitGE(c, 0)
+	tab.Sleep(Nanosecond)
+	tab.AddBound(0, -1)
+	return &Binding{Table: tab, Counters: [2]*Counter{c}}
+}
+
 // TestDispatchPanicMatrix pins the scheduler's single recover frame: a panic
 // escaping code next() dispatches is caught by Run's loop. Code run on an
-// inline process's behalf (a continuation, a plan step) fails the run as
+// inline process's behalf (a continuation, a table step) fails the run as
 // that process's panic; a callback (eFn, eHook, eAdd) panics out of Run with
-// its own value. A goroutine process's plan steps run on its own goroutine,
+// its own value. A goroutine process's table steps run on its own goroutine,
 // where Proc.exec converts a panic into the same process failure. Every
 // case leaves the kernel failed, refusing Reset.
 //
@@ -50,22 +61,12 @@ func TestDispatchPanicMatrix(t *testing.T) {
 			k.SpawnProgram("victim", func(p *Proc) { p.SleepThen(Nanosecond, boom(stack)) })
 		}},
 		{name: "inline plan step", proc: true, frame: loop, arm: func(k *Kernel, _ *string) {
-			c := k.NewCounter("c")
-			k.SpawnProgram("victim", func(p *Proc) {
-				pl := p.NewPlan()
-				pl.Sleep(Nanosecond)
-				pl.Add(c, -1) // Counter.Add panics on negative n
-				p.WaitGEPlanThen(c, 0, pl, nop)
-			})
+			b := failingTable(k)
+			k.SpawnProgram("victim", func(p *Proc) { p.RunThen(b, nop) })
 		}},
 		{name: "goroutine plan step", proc: true, frame: exec, arm: func(k *Kernel, _ *string) {
-			c := k.NewCounter("c")
-			k.Spawn("victim", func(p *Proc) {
-				pl := p.NewPlan()
-				pl.Sleep(Nanosecond)
-				pl.Add(c, -1)
-				p.WaitGEPlanThen(c, 0, pl, nop)
-			})
+			b := failingTable(k)
+			k.Spawn("victim", func(p *Proc) { p.RunThen(b, nop) })
 		}},
 		{name: "eFn callback", value: "boom", frame: loop, arm: func(k *Kernel, stack *string) {
 			k.At(Nanosecond, boom(stack))

@@ -25,7 +25,7 @@ type Proc struct {
 	// operation and dispatch touches all of them. inline marks a process
 	// with no backing goroutine: its continuations run as queue callbacks.
 	// cont holds the continuation pending behind the current sleep, wait,
-	// or plan; armed records that a resume (an eCont or eProg entry naming
+	// or table; armed records that a resume (an eCont or eProg entry naming
 	// self) is pending somewhere in the queues or waiter lists, so the
 	// activation wrapper can tell "parked" from "finished".
 	inline bool
@@ -51,9 +51,9 @@ type Proc struct {
 
 	idx int // position in k.procs, for O(1) removal on exit
 
-	// plan is the reusable fused-step buffer and the cursor of a bound
-	// table (see plan.go). Its next step is scheduled as an eProg entry
-	// naming self — no pre-bound closure.
+	// plan is the process's cursor into the table it runs (see plan.go).
+	// Its next step is scheduled as an eProg entry naming self — no
+	// pre-bound closure.
 	plan Plan
 
 	// body is a spawned program's entry point until its first activation,
@@ -85,7 +85,7 @@ func (p *Proc) check() {
 }
 
 // procPanicError formats a panic escaping process code — a process body or a
-// fused plan step — as the simulation failure Run reports.
+// fused table step — as the simulation failure Run reports.
 func procPanicError(name string, r any) error {
 	return fmt.Errorf("sim: process %s panicked: %v\n%s", name, r, debug.Stack())
 }
@@ -122,16 +122,15 @@ func (k *Kernel) SpawnIdx(format string, id int32, fn func(p *Proc)) *Proc {
 // carveProc carves a process slot from the kernel's arena and reinitializes
 // every field a previous lease may have left behind (slots are reused after
 // Kernel.Reset). The program frame is cleared in resetFrame (program.go),
-// the one file allowed to touch those fields; the plan keeps its step-buffer
-// capacity and the slot keeps its gate.
+// the one file allowed to touch those fields; the plan drops its table, so
+// a reused slot holds no old steps, and the slot keeps its gate.
 func (k *Kernel) carveProc(format string, id int32) *Proc {
 	p, self := k.arena.newProc()
 	p.k, p.name = k, label{s: format, a: id, b: -1}
 	p.self, p.epoch = self, k.epoch
 	p.waitC, p.waitGE = nil, 0
 	p.released = false
-	p.plan.steps = p.plan.steps[:0]
-	p.plan.i, p.plan.run = 0, nil
+	p.plan = Plan{}
 	p.resetFrame()
 	return p
 }

@@ -1,10 +1,10 @@
-// Process operations: sleeping, waiting and plan stepping in explicit-resume
-// style, for both process kinds.
+// Process operations: sleeping, waiting and table stepping in
+// explicit-resume style, for both process kinds.
 //
 // Every operation that consumes virtual time takes the rest of the body as a
 // continuation. Parking is storing that func and arming exactly one
 // pointer-free queue entry naming the process: an eCont entry (run the
-// continuation) or an eProg entry (step the attached plan). The two process
+// continuation) or an eProg entry (step the process's table). The two process
 // kinds differ only in where the continuation runs:
 //
 //   - An inline (program) process has no goroutine. The kernel runs its
@@ -15,9 +15,9 @@
 //     arms the identical eCont entry and then parks its goroutine. When the
 //     entry is dispatched, next() returns the process and it runs the stored
 //     continuation on its own stack. Blocking code passes a no-op
-//     continuation and carries on after the call. Its plans run step by step
-//     (Plan.runInline): the goroutine vehicle is the literal reference the
-//     fused plans of inline processes are checked against.
+//     continuation and carries on after the call. Its tables run step by
+//     step (Plan.runInline): the goroutine vehicle is the literal reference
+//     the fused tables of inline processes are checked against.
 //
 // Determinism: the entries land at the same instants and positions for both
 // kinds, so the kind never changes what executes when:
@@ -26,14 +26,14 @@
 //     and BusyThen return without scheduling when the deadline has passed.
 //   - WaitGEThen appends a waiter; the satisfied fast path runs the
 //     continuation in place.
-//   - WaitGEPlanThen on an inline process steps the attached plan from its
-//     waiter entry, and RunThen steps a bound table from the call. Instant
-//     steps run in place, a table's wait parks on its counter like
-//     WaitGEThen, a timed step schedules the next step, and the last timed
-//     step schedules the continuation. A plan that runs out on instant
-//     steps continues the body in place, at that exact queue position. A
-//     goroutine process runs the same steps as WaitGEThen/SleepThen/BusyThen
-//     and Add calls, which arm the same entries at the same positions.
+//   - RunThen on an inline process steps a bound table from the call.
+//     Instant steps run in place, a wait step parks on its counter like
+//     WaitGEThen and steps on from its waiter entry, a timed step schedules
+//     the next step, and the last timed step schedules the continuation. A
+//     table that runs out on instant steps continues the body in place, at
+//     that exact queue position. A goroutine process runs the same steps as
+//     WaitGEThen/SleepThen/BusyThen and Add calls, which arm the same
+//     entries at the same positions.
 //
 // Callbacks run inline inside Kernel.next and the ring drains in FIFO order,
 // so a continuation executing at its pop position is observationally
@@ -113,7 +113,7 @@ func (p *Proc) runCont() {
 }
 
 // runProg is the kernel's dispatch for an eProg entry, which only inline
-// processes arm: disarm and step the process's plan. A plan that runs out on
+// processes arm: disarm and step the process's table. A table that runs out on
 // instant steps continues the body in place, at this queue position, and the
 // program retires if it parked nowhere new. A panicking step fails the
 // simulation like a process panic: next() names the process in Kernel.cur,
@@ -288,53 +288,17 @@ func (p *Proc) waitOn(c *Counter, v int64, kind uint8) {
 	c.wait(v, entry{kind: kind, idx: p.self})
 }
 
-// WaitGEPlanThen blocks until c reaches at least v, runs pl, then
-// continues with cont. pl must be p's private plan (NewPlan). With no plan
-// steps it is exactly WaitGEThen. An inline process stays parked while the
-// kernel steps the plan; if c has already reached v the plan steps from
-// here, scheduling exactly where the unfused slice would have, and a plan
-// that runs out on instant steps continues in place. A goroutine process
-// runs the steps one operation at a time (Plan.runInline).
-//
-//bgplint:hot
-func (p *Proc) WaitGEPlanThen(c *Counter, v int64, pl *Plan, cont func()) {
-	if pl != &p.plan || pl.run != nil {
-		panic("sim: WaitGEPlanThen needs the process's own NewPlan plan on " + p.Name())
-	}
-	if len(pl.steps) == 0 {
-		p.WaitGEThen(c, v, cont)
-		return
-	}
-	if !p.inline {
-		p.WaitGEThen(c, v, nop)
-		pl.runInline(p)
-		cont()
-		return
-	}
-	p.checkIdle()
-	c.check()
-	p.cont = cont
-	if c.v < v {
-		p.waitOn(c, v, eProg)
-	} else if !p.stepPlan() {
-		p.cont = nil
-		cont()
-	}
-}
-
 // RunThen runs b's table from its first step with b's operands, then
 // continues with cont: the fused equivalent of the per-step slices the table
-// transcribes. An inline process steps the table from here, like a
-// satisfied WaitGEPlanThen, so a table that starts with a reached wait or
-// runs out on instant steps runs in place. A goroutine process runs the
-// steps one operation at a time (Plan.runInline). The process's private
-// buffer is left as it was.
+// transcribes. An inline process steps the table from here, so a table that
+// starts with a reached wait or runs out on instant steps runs in place. A
+// goroutine process runs the steps one operation at a time (Plan.runInline).
 //
 //bgplint:hot
 func (p *Proc) RunThen(b *Binding, cont func()) {
 	p.checkIdle()
 	pl := &p.plan
-	pl.run, pl.i = b, 0
+	pl.steps, pl.run, pl.i = b.Table.steps, b, 0
 	if !p.inline {
 		pl.runInline(p)
 		cont()
@@ -347,19 +311,19 @@ func (p *Proc) RunThen(b *Binding, cont func()) {
 	}
 }
 
-// stepPlan runs plan steps from the current position and reports whether it
-// armed a resume. Instant steps execute in place, and so does a wait whose
+// stepPlan runs table steps from the current position and reports whether
+// it armed a resume. Instant steps execute in place, and so does a wait whose
 // threshold is reached; an unreached wait parks the process on its counter,
-// to step on when it is released. A timed step schedules the plan's next
+// to step on when it is released. A timed step schedules the table's next
 // step — or, for the last step, the stored continuation — at its completion
-// time. false means the plan ran out on instant steps and the caller
+// time. false means the table ran out on instant steps and the caller
 // continues the body at this position.
 //
 //bgplint:hot
 func (p *Proc) stepPlan() bool {
 	k := p.k
 	pl := &p.plan
-	steps := pl.active()
+	steps := pl.steps
 	for pl.i < len(steps) {
 		s := &steps[pl.i]
 		pl.i++
@@ -368,11 +332,7 @@ func (p *Proc) stepPlan() bool {
 		case stepSleep:
 			done = k.now + s.d
 		case stepBusy:
-			pipe := s.pipe
-			if pipe == nil {
-				pipe = pl.run.Pipe
-			}
-			done = pipe.Reserve(s.bytes)
+			done = pl.run.Pipe.Reserve(s.bytes)
 			if c := k.now + s.d; c > done {
 				done = c
 			}
@@ -409,22 +369,18 @@ func (p *Proc) stepPlan() bool {
 	return false
 }
 
-// runInline executes the plan step by step through the operations above
+// runInline executes the table step by step through the operations above
 // with no-op continuations — the literal unfused sequence the fused path
-// transcribes. Goroutine processes run every plan and table this way.
+// transcribes. Goroutine processes run every table this way.
 func (pl *Plan) runInline(p *Proc) {
-	steps := pl.active()
+	steps := pl.steps
 	for i := range steps {
 		s := &steps[i]
 		switch s.kind {
 		case stepSleep:
 			p.SleepThen(s.d, nop)
 		case stepBusy:
-			pipe := s.pipe
-			if pipe == nil {
-				pipe = pl.run.Pipe
-			}
-			p.BusyThen(pipe, s.bytes, s.d, nop)
+			p.BusyThen(pl.run.Pipe, s.bytes, s.d, nop)
 		case stepAdd:
 			pl.counter(s).Add(s.n)
 		case stepWait:

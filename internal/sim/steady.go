@@ -12,7 +12,7 @@ package sim
 // taken at a caller-chosen iteration boundary (the measure loop's
 // barrier-release instant). The fingerprint is a byte stream over everything
 // that can influence future execution — pending ring and queue entries,
-// parked processes and their waits and plans, event and counter waiter
+// parked processes and their waits and tables, event and counter waiter
 // lists, live pipe reservations, plus caller-supplied layer state — with
 // every virtual time encoded relative to the boundary instant, so two
 // iterations that differ only by a constant time shift produce identical
@@ -288,7 +288,7 @@ func (f *FP) PipeRef(p *Pipe) {
 
 // procRef interns a process index and, on first appearance, hashes the
 // process's schedulable content: mode flags, what it waits on, and the steps
-// its plan has yet to run. The continuation closure itself is not hashable;
+// its table has yet to run. The continuation closure itself is not hashable;
 // the program contract (a continuation is a pure function of the process's
 // reached state) makes the reached state a sufficient proxy.
 func (f *FP) procRef(k *Kernel, pi uint32) {
@@ -313,25 +313,20 @@ func (f *FP) procRef(k *Kernel, pi uint32) {
 	} else {
 		f.buf = append(f.buf, fpNil)
 	}
-	// Only the plan's un-run steps steer future execution: stepPlan resumes
-	// at plan.i, and NewPlan and RunThen reset it, so the steps a finished
-	// plan leaves behind, and a finished table's binding, are never read
-	// again. A bound table's open operands hash once, before its steps.
+	// Only the table's un-run steps steer future execution: stepPlan resumes
+	// at plan.i, and RunThen resets it, so the steps a finished table leaves
+	// behind, and its binding, are never read again. The binding's operands
+	// hash once, before the steps.
 	pl := &p.plan
-	rest := pl.active()[pl.i:]
+	rest := pl.steps[pl.i:]
 	f.raw8(uint64(len(rest)))
 	if len(rest) == 0 {
 		return
 	}
-	if b := pl.run; b != nil {
-		f.Bool(true)
-		for _, c := range b.Counters {
-			f.optCounter(c)
-		}
-		f.optPipe(b.Pipe)
-	} else {
-		f.Bool(false)
+	for _, c := range pl.run.Counters {
+		f.optCounter(c)
 	}
+	f.optPipe(pl.run.Pipe)
 	for i := range rest {
 		st := &rest[i]
 		if st.kind == stepPost {
@@ -344,7 +339,6 @@ func (f *FP) procRef(k *Kernel, pi uint32) {
 		f.raw8(uint64(st.d))
 		f.raw8(uint64(st.bytes))
 		f.raw8(uint64(st.n))
-		f.optPipe(st.pipe)
 		f.optCounter(st.c)
 	}
 }

@@ -387,28 +387,22 @@ func TestSteadyNoMatchAcrossPipeAdoption(t *testing.T) {
 	}
 }
 
-// planCapture fingerprints a kernel whose one process first runs a plan of
-// the ran sleeps to completion, then parks on a gate counter with a plan of
+// planCapture fingerprints a kernel whose one process first runs a table of
+// the ran sleeps to completion, then parks on a gate counter with a table of
 // the pending sleeps still to run.
 func planCapture(t *testing.T, ran, pending []Time) []byte {
 	t.Helper()
 	k := New()
 	start, gate := k.NewCounter("start"), k.NewCounter("gate")
+	first := waitTable(start, 0, [2]*Counter{}, ran...)
+	then := waitTable(gate, 1, [2]*Counter{}, pending...)
 	k.SpawnProgram("p", func(p *Proc) {
-		pl := p.NewPlan()
-		for _, d := range ran {
-			pl.Sleep(d)
-		}
-		p.WaitGEPlanThen(start, 0, pl, func() {
+		p.RunThen(first, func() {
 			if pending == nil {
-				p.WaitGEThen(gate, 1, nop) // the finished plan stays in the buffer
+				p.WaitGEThen(gate, 1, nop) // the finished table stays in the cursor
 				return
 			}
-			pl := p.NewPlan()
-			for _, d := range pending {
-				pl.Sleep(d)
-			}
-			p.WaitGEPlanThen(gate, 1, pl, nop)
+			p.RunThen(then, nop)
 		})
 	})
 	var buf []byte
@@ -428,15 +422,15 @@ func planCapture(t *testing.T, ran, pending []Time) []byte {
 	return buf
 }
 
-// TestSteadyHashesOnlyUnrunPlanSteps: the steps a finished plan leaves in
-// its process's buffer are never run again, so captures that differ only in
+// TestSteadyHashesOnlyUnrunPlanSteps: the steps a finished table leaves in
+// its process's cursor are never run again, so captures that differ only in
 // them compare equal; a step still to run steers the future, so captures
 // that differ in one compare unequal.
 func TestSteadyHashesOnlyUnrunPlanSteps(t *testing.T) {
 	if a, b := planCapture(t, []Time{5}, nil), planCapture(t, []Time{7, 9}, nil); !bytes.Equal(a, b) {
-		t.Error("captures that differ only in a finished plan compare unequal")
+		t.Error("captures that differ only in a finished table compare unequal")
 	}
 	if a, b := planCapture(t, []Time{5}, []Time{5}), planCapture(t, []Time{5}, []Time{7}); bytes.Equal(a, b) {
-		t.Error("captures that differ in an un-run plan step compare equal")
+		t.Error("captures that differ in an un-run table step compare equal")
 	}
 }

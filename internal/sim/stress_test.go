@@ -11,9 +11,9 @@ import (
 // The stress tests generate a randomized pipeline workload from a seed and
 // run it under every scheduling mode the kernel supports:
 //
-//   - inline programs with fused plans (the production configuration)
+//   - inline programs with fused tables (the production configuration)
 //   - noProgram: SpawnProgram bodies run on goroutine-backed processes,
-//     whose plan-attached waits run their steps one operation at a time
+//     whose tables run their steps one operation at a time
 //   - noExtrap: no steady-state detector is armed
 //   - both reference modes together
 //
@@ -61,10 +61,10 @@ var stressModes = func() []stressMode {
 // stressWorkload builds a deterministic random pipeline: proc 0 produces one
 // token per round (with random sleeps and pipe transfers in between), and
 // each later proc waits for its predecessor's token — randomly via a counter
-// threshold or a per-round one-shot counter, randomly with a fused plan of random steps
-// or via plain operations — then performs its own random body and signals
-// its successor. Every random choice is drawn up-front from the seeded
-// source, so all modes execute the same program.
+// threshold or a per-round one-shot counter, and randomly as a table of that
+// wait and random steps or as plain operations — then performs its own
+// random body and signals its successor. Every random choice is drawn
+// up-front from the seeded source, so all modes execute the same program.
 func stressTrace(t *testing.T, seed int64, mode stressMode) []stressRec {
 	t.Helper()
 	return stressTraceOn(t, seed, mode, New())
@@ -106,9 +106,11 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 	// Per-(proc, round) program, generated before any proc runs.
 	type roundProg struct {
 		useEvent  bool // wait on evs[i][r] instead of tokens[i-1] >= r+1
-		usePlan   bool // attach the steps as a fused plan
+		usePlan   bool // run the wait and the steps as a table
 		signalEv  bool // successor waits on a one-shot counter this round
 		steps     []planStep
+		pipe      int // the steps' busy pipe
+		run       Binding
 		bodySleep Time
 		bodyPipe  int // -1: no transfer
 		bodyBytes int
@@ -120,6 +122,7 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 			p := &prog[i][r]
 			p.useEvent = rng.Intn(3) == 0
 			p.usePlan = rng.Intn(2) == 0
+			p.pipe = rng.Intn(len(pipes))
 			nsteps := rng.Intn(4)
 			for s := 0; s < nsteps; s++ {
 				switch rng.Intn(3) {
@@ -127,8 +130,7 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 					p.steps = append(p.steps, planStep{kind: stepSleep, d: Time(rng.Intn(50)) * Nanosecond})
 				case 1:
 					p.steps = append(p.steps, planStep{
-						kind: stepBusy, pipe: pipes[rng.Intn(len(pipes))],
-						bytes: 256 + rng.Intn(8192), d: Time(rng.Intn(30)) * Nanosecond,
+						kind: stepBusy, bytes: 256 + rng.Intn(8192), d: Time(rng.Intn(30)) * Nanosecond,
 					})
 				case 2:
 					// A fused Add to a side counter: exercises stepAdd (and
@@ -136,6 +138,25 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 					// protocol.
 					p.steps = append(p.steps, planStep{kind: stepAdd, c: scratch, n: 1})
 				}
+			}
+			if i > 0 && p.usePlan {
+				tab := new(Table)
+				if p.useEvent {
+					tab.WaitGE(evs[i][r], 1)
+				} else {
+					tab.WaitGE(tokens[i-1], int64(r+1))
+				}
+				for _, st := range p.steps {
+					switch st.kind {
+					case stepSleep:
+						tab.Sleep(st.d)
+					case stepBusy:
+						tab.Busy(st.bytes, st.d)
+					case stepAdd:
+						tab.AddBound(0, st.n)
+					}
+				}
+				p.run = Binding{Table: tab, Counters: [2]*Counter{scratch}, Pipe: pipes[p.pipe]}
 			}
 			p.bodySleep = Time(rng.Intn(40)) * Nanosecond
 			p.bodyPipe = rng.Intn(len(pipes)+1) - 1
@@ -165,13 +186,7 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 				pr := &prog[i][r]
 				if i > 0 {
 					if pr.usePlan {
-						pl := p.NewPlan()
-						pl.steps = append(pl.steps, pr.steps...)
-						if pr.useEvent {
-							p.WaitGEPlanThen(evs[i][r], 1, pl, nop)
-						} else {
-							p.WaitGEPlanThen(tokens[i-1], int64(r+1), pl, nop)
-						}
+						p.RunThen(&pr.run, nop)
 					} else {
 						if pr.useEvent {
 							p.WaitGEThen(evs[i][r], 1, nop)
@@ -184,7 +199,7 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 							case stepSleep:
 								p.SleepThen(st.d, nop)
 							case stepBusy:
-								done := st.pipe.Reserve(st.bytes)
+								done := pipes[pr.pipe].Reserve(st.bytes)
 								if c := p.Now() + st.d; c > done {
 									done = c
 								}
@@ -253,7 +268,7 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 				case stepSleep:
 					p.SleepThen(st.d, func() { runSteps(r, s+1) })
 				case stepBusy:
-					p.BusyThen(st.pipe, st.bytes, st.d, func() { runSteps(r, s+1) })
+					p.BusyThen(pipes[pr.pipe], st.bytes, st.d, func() { runSteps(r, s+1) })
 				case stepAdd:
 					st.c.Add(st.n)
 					runSteps(r, s+1)
@@ -269,13 +284,7 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 					return
 				}
 				if pr.usePlan {
-					pl := p.NewPlan()
-					pl.steps = append(pl.steps, pr.steps...)
-					if pr.useEvent {
-						p.WaitGEPlanThen(evs[i][r], 1, pl, func() { runBody(r) })
-					} else {
-						p.WaitGEPlanThen(tokens[i-1], int64(r+1), pl, func() { runBody(r) })
-					}
+					p.RunThen(&pr.run, func() { runBody(r) })
 					return
 				}
 				if pr.useEvent {
@@ -354,9 +363,7 @@ func TestDeadlockReportIdenticalAcrossModes(t *testing.T) {
 		})
 		k.Spawn("waiter.ge", func(p *Proc) { p.WaitGEThen(c, 7, nop) })
 		k.Spawn("waiter.plan", func(p *Proc) {
-			pl := p.NewPlan()
-			pl.Sleep(Nanosecond)
-			p.WaitGEPlanThen(c, 9, pl, nop)
+			p.RunThen(waitTable(c, 9, [2]*Counter{}, Nanosecond), nop)
 		})
 		k.SpawnProgram("waiter.prog", func(p *Proc) {
 			p.SleepThen(Nanosecond, func() {
@@ -364,9 +371,7 @@ func TestDeadlockReportIdenticalAcrossModes(t *testing.T) {
 			})
 		})
 		k.SpawnProgram("waiter.progplan", func(p *Proc) {
-			pl := p.NewPlan()
-			pl.Sleep(Nanosecond)
-			p.WaitGEPlanThen(c, 11, pl, func() { t.Error("waiter.progplan resumed") })
+			p.RunThen(waitTable(c, 11, [2]*Counter{}, Nanosecond), func() { t.Error("waiter.progplan resumed") })
 		})
 		k.Spawn("finisher", func(p *Proc) {
 			p.SleepThen(5*Nanosecond, nop)

@@ -30,8 +30,7 @@ const (
 // node a windowed injector and two copy loops on the node's counter and bus,
 // and a rival that contends for the bus. With tables, the injectors and the
 // copy loops run shared tables through per-process bindings; without, they
-// run per-chunk continuations that build a private plan every chunk, the
-// form the tables transcribe.
+// run the literal per-operation loops the tables transcribe.
 func chunkScenario(k *Kernel, tables bool, log *chunkLog) {
 	delivered := make([]*Counter, scenChunks)
 	for i := range delivered {
@@ -85,14 +84,12 @@ func chunkScenario(k *Kernel, tables bool, log *chunkLog) {
 					done()
 					return
 				}
-				touch := Time(3+i%2) * Nanosecond
+				touch := func() { p.SleepThen(Time(3+i%2)*Nanosecond, after) }
 				if i >= scenWindow {
-					pl := p.NewPlan()
-					pl.Sleep(touch)
-					p.WaitGEPlanThen(delivered[i-scenWindow], 1, pl, after)
+					p.WaitGEThen(delivered[i-scenWindow], 1, touch)
 					return
 				}
-				p.SleepThen(touch, after)
+				touch()
 			}
 			after = func() {
 				log.RunPost(int64(i), 0)
@@ -125,7 +122,7 @@ func chunkScenario(k *Kernel, tables bool, log *chunkLog) {
 					p.RunThen(&Binding{Table: &copyTab, Counters: [2]*Counter{sw, out}, Pipe: bus}, done)
 					return
 				}
-				var step func()
+				var step, poll, copyChunk, publish func()
 				i, got := 0, int64(0)
 				step = func() {
 					if i == scenChunks {
@@ -133,12 +130,14 @@ func chunkScenario(k *Kernel, tables bool, log *chunkLog) {
 						return
 					}
 					got += lenOf(i)
-					pl := p.NewPlan()
-					pl.Sleep(2 * Nanosecond)
-					pl.Busy(bus, int(lenOf(i)), 4*Nanosecond)
-					pl.Add(out, lenOf(i))
+					p.WaitGEThen(sw, got, poll)
+				}
+				poll = func() { p.SleepThen(2*Nanosecond, copyChunk) }
+				copyChunk = func() { p.BusyThen(bus, int(lenOf(i)), 4*Nanosecond, publish) }
+				publish = func() {
+					out.Add(lenOf(i))
 					i++
-					p.WaitGEPlanThen(sw, got, pl, step)
+					step()
 				}
 				step()
 			})
@@ -173,17 +172,18 @@ func runChunkScenario(t *testing.T, tables, noProgram bool) ([]string, int64) {
 }
 
 // TestTableMatchesPerChunkLoop: a loop run from a shared table does what
-// the per-chunk continuations it transcribes do, at the same instants and
-// in the same order, and the kernel dispatches exactly as many entries. The
-// goroutine vehicle, which runs the table one operation at a time, agrees.
+// the per-operation loop it transcribes (WaitGEThen, SleepThen, BusyThen,
+// Add) does, at the same instants and in the same order, and the kernel
+// dispatches exactly as many entries. The goroutine vehicle, which runs the
+// table one operation at a time, agrees.
 func TestTableMatchesPerChunkLoop(t *testing.T) {
 	want, wantN := runChunkScenario(t, false, false)
 	got, gotN := runChunkScenario(t, true, false)
 	if !slices.Equal(got, want) {
-		t.Fatalf("table log differs from the per-chunk loops:\n got %q\nwant %q", got, want)
+		t.Fatalf("table log differs from the per-operation loops:\n got %q\nwant %q", got, want)
 	}
 	if gotN != wantN {
-		t.Fatalf("tables dispatched %d entries, per-chunk loops %d", gotN, wantN)
+		t.Fatalf("tables dispatched %d entries, per-operation loops %d", gotN, wantN)
 	}
 	ref, _ := runChunkScenario(t, true, true)
 	if !slices.Equal(ref, want) {
@@ -191,40 +191,41 @@ func TestTableMatchesPerChunkLoop(t *testing.T) {
 	}
 }
 
-// TestTableSurvivesRebindAndPrivatePlan: a process that binds a table twice
-// with no NewPlan between, then builds a private plan, leaves the table as
-// it was. The private buffer is never the table's storage.
-func TestTableSurvivesRebindAndPrivatePlan(t *testing.T) {
+// TestTableSurvivesRebind: a process that runs a table twice and then
+// another table runs each from its first step, from the table it was last
+// bound to, and leaves both tables as they were.
+func TestTableSurvivesRebind(t *testing.T) {
 	for _, kind := range procKinds {
 		k := New()
 		k.SetNoProgram(kind.noProgram)
 		c := k.NewCounter("c")
 		pipe := k.NewPipe("bus", 1e9, 0)
-		var tab Table
+		var tab, other Table
 		tab.Reset(nil)
 		tab.Sleep(3 * Nanosecond)
 		tab.AddBound(0, 1)
-		want := slices.Clone(tab.steps)
+		other.Reset(nil)
+		other.Busy(4096, Nanosecond)
+		other.AddBound(1, 5)
+		want, wantOther := slices.Clone(tab.steps), slices.Clone(other.steps)
 		b := Binding{Table: &tab, Counters: [2]*Counter{c}}
+		ob := Binding{Table: &other, Counters: [2]*Counter{nil, c}, Pipe: pipe}
+		var at Time
 		k.SpawnProgram("p", func(p *Proc) {
 			p.RunThen(&b, func() {
 				p.RunThen(&b, func() {
-					pl := p.NewPlan()
-					pl.Busy(pipe, 4096, Nanosecond)
-					pl.Sleep(9 * Nanosecond)
-					pl.Add(c, 5)
-					p.WaitGEPlanThen(c, 2, pl, nop)
+					p.RunThen(&ob, func() { at = p.Now() })
 				})
 			})
 		})
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(tab.steps, want) {
-			t.Fatalf("%s: table steps changed to %+v, want %+v", kind.name, tab.steps, want)
+		if !slices.Equal(tab.steps, want) || !slices.Equal(other.steps, wantOther) {
+			t.Fatalf("%s: table steps changed to %+v and %+v", kind.name, tab.steps, other.steps)
 		}
-		if c.Value() != 7 {
-			t.Fatalf("%s: counter = %d, want 7", kind.name, c.Value())
+		if c.Value() != 7 || at != 6*Nanosecond+TransferTime(4096, 1e9) {
+			t.Fatalf("%s: counter = %d at %v, want 7 at %v", kind.name, c.Value(), at, 6*Nanosecond+TransferTime(4096, 1e9))
 		}
 	}
 }
