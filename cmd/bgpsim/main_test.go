@@ -1,48 +1,71 @@
 package main
 
 import (
+	"bytes"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
-	"bgpcoll/internal/hw"
-	"bgpcoll/internal/serve/reqspec"
+	"bgpcoll/internal/coll"
 )
 
-func TestCheckArgs(t *testing.T) {
-	torus := func(dx, dy, dz int) hw.Config {
-		cfg := hw.DefaultConfig()
-		cfg.Torus.DX, cfg.Torus.DY, cfg.Torus.DZ = dx, dy, dz
-		return cfg
-	}
-	small := torus(2, 2, 2) // 32 ranks in quad mode
-	for _, c := range []struct {
-		iters, root, size int
-		cfg               hw.Config
-		flag              string // the flag the error names; "" means accepted
-	}{
-		{1, 0, 1, small, ""},
-		{1024, 31, reqspec.MaxSize, small, ""},
-		{1, 0, 8, torus(64, 64, 64), ""},
-		{0, 0, 8, small, "-iters"},
-		{-3, 0, 8, small, "-iters"},
-		{1025, 0, 8, small, "-iters"},
-		{1, 32, 8, small, "-root"},
-		{1, 99999, 8, small, "-root"},
-		{1, -1, 8, small, "-root"},
-		{1, 0, 0, small, "-size"},
-		{1, 0, -8, small, "-size"},
-		{1, 0, reqspec.MaxSize + 1, small, "-size"},
-		{1, 0, 8, torus(0, 8, 8), "-torus"},
-		{1, 0, 8, torus(-2, 2, 2), "-torus"},
-		{1, 0, 8, torus(64, 64, 65), "-torus"},
-		{1, 0, 8, torus(1<<40, 1<<40, 1<<40), "-torus"},
+func init() { coll.Register() }
+
+// bgpsim runs the command on args and returns its exit status and output.
+func bgpsim(args ...string) (code int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// TestUtilizationWithinRun pins the report's denominator: busy time over
+// the run's whole virtual duration, so no resource is ever more than 100%
+// busy, however many iterations the run has.
+func TestUtilizationWithinRun(t *testing.T) {
+	pct := regexp.MustCompile(`(\d+)%`)
+	for _, args := range [][]string{
+		{"-torus", "4x4x4", "-size", "1M", "-algo", "torus.shaddr", "-iters", "4"},
+		{"-torus", "2x2x2", "-size", "64K", "-algo", "tree.shaddr", "-iters", "4"},
 	} {
-		err := checkArgs(c.iters, c.root, c.size, c.cfg)
-		switch {
-		case c.flag == "" && err != nil:
-			t.Errorf("iters %d root %d size %d torus %s: unexpected error %v", c.iters, c.root, c.size, c.cfg.Torus, err)
-		case c.flag != "" && (err == nil || !strings.Contains(err.Error(), c.flag)):
-			t.Errorf("iters %d root %d size %d torus %s: error %v, want one naming %s", c.iters, c.root, c.size, c.cfg.Torus, err, c.flag)
+		code, out, errOut := bgpsim(args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errOut)
 		}
+		ms := pct.FindAllStringSubmatch(out, -1)
+		if len(ms) < 5 {
+			t.Fatalf("%v: report has %d utilization figures:\n%s", args, len(ms), out)
+		}
+		for _, m := range ms {
+			if v, _ := strconv.Atoi(m[1]); v > 100 {
+				t.Errorf("%v: a resource %s%% busy:\n%s", args, m[1], out)
+			}
+		}
+	}
+}
+
+// TestBadRequestsExit2 pins that a request bgpsimd would refuse is an input
+// error here too: exit 2 with a message naming the flag, and no panic.
+func TestBadRequestsExit2(t *testing.T) {
+	for _, c := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-iters", "0"}, "iters"},
+		{[]string{"-iters", "-3"}, "iters"},
+		{[]string{"-root", "99999"}, "root"},
+		{[]string{"-root", "-1"}, "root"},
+		{[]string{"-size", "-8"}, "size"},
+		{[]string{"-algo", "nope"}, "algo"},
+		{[]string{"-op", "allreduce", "-size", "100"}, "size"},
+		{[]string{"-op", "allreduce", "-root", "3"}, "root"},
+	} {
+		code, out, errOut := bgpsim(append([]string{"-torus", "2x2x2"}, c.args...)...)
+		if code != 2 || !strings.Contains(errOut, c.field) || out != "" {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 2 naming %s", c.args, code, errOut, out, c.field)
+		}
+	}
+	if code, _, errOut := bgpsim("-torus", "0x8x8"); code != 2 || !strings.Contains(errOut, "torus") {
+		t.Errorf("-torus 0x8x8: exit %d, stderr %q", code, errOut)
 	}
 }

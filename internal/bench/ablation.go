@@ -24,7 +24,8 @@ func measureTorusBcast(cfg hw.Config, algo string, colors int, mode RunMode) (si
 		return 0, err
 	}
 	w.Tunables.TorusColors = colors
-	worst, err := measureBcastOn(w, algo, ablationMsg, 1, mode)
+	c := Cell{Cfg: cfg, Kind: CellBcast, Algo: algo, Arg: ablationMsg, Iters: 1}
+	worst, err := c.RunOn(w, mode)
 	releaseWorld(cfg, w, err)
 	return worst, err
 }

@@ -164,14 +164,14 @@ func SizeLabel(n int) string {
 }
 
 // MeasureBcast runs the Fig. 5 micro-benchmark for one broadcast
-// configuration and returns the average per-iteration time (the slowest
-// rank's, as a wall-clock observer would see).
+// configuration from rank 0 and returns the average per-iteration time (the
+// slowest rank's, as a wall-clock observer would see).
 //
 //	elapsed_time = 0
 //	for i < ITERS { MPI_Barrier; start = MPI_Wtime; MPI_Bcast; elapsed += ... }
 //	elapsed_time /= ITERS
 func MeasureBcast(cfg hw.Config, algo string, msg, iters int) (sim.Time, error) {
-	return MeasureBcastRun(cfg, algo, msg, iters, RunMode{})
+	return Cell{Cfg: cfg, Kind: CellBcast, Algo: algo, Arg: msg, Iters: iters}.Run(RunMode{})
 }
 
 // RunMode selects the execution vehicle of one measurement. Every vehicle
@@ -188,28 +188,11 @@ type RunMode struct {
 	NoExtrap bool
 }
 
-// MeasureBcastRun is MeasureBcast with an explicit execution vehicle. The
-// world comes from the pool (worldpool.go) and returns to it reset, so a
-// sweep constructs one partition per distinct config rather than per cell;
-// the kernel mode flags are (re)applied on every lease.
-func MeasureBcastRun(cfg hw.Config, algo string, msg, iters int, mode RunMode) (sim.Time, error) {
-	w, err := leaseWorld(cfg)
-	if err != nil {
-		return 0, err
-	}
-	w.Tunables.Bcast = algo
-	w.M.K.SetNoProgram(mode.Reference)
-	w.M.K.SetNoExtrap(mode.NoExtrap)
-	worst, err := runMeasure(w, opBcast, msg, iters, mode.NoExtrap)
-	releaseWorld(cfg, w, err)
-	return worst, err
-}
-
 // measureOp is the collective a measure loop times.
 type measureOp uint8
 
 const (
-	opBcast     measureOp = iota // BcastThen of buf from rank 0
+	opBcast     measureOp = iota // BcastThen of buf from the measurement's root
 	opAllreduce                  // AllreduceSumThen of send into recv
 	opBarrier                    // BarrierThen itself
 )
@@ -241,6 +224,7 @@ type measureLoop struct {
 type measurement struct {
 	op    measureOp
 	iters int
+	root  int           // the broadcast root
 	worst sim.Time      // the slowest rank's average so far
 	ext   *extrapolator // steady-state detector, nil when extrapolation is off
 }
@@ -270,11 +254,12 @@ func measureLoops(w *mpi.World) *measureSlab {
 }
 
 // runMeasure runs the Fig. 5 loop timing op on every rank of w, with
-// bytes-sized operands, and returns the slowest rank's average.
-func runMeasure(w *mpi.World, op measureOp, bytes, iters int, noExtrap bool) (sim.Time, error) {
+// bytes-sized operands and a broadcast from root, and returns the slowest
+// rank's average.
+func runMeasure(w *mpi.World, op measureOp, bytes, iters, root int, noExtrap bool) (sim.Time, error) {
 	s := measureLoops(w)
 	ext := newExtrapolator(w, iters, noExtrap)
-	s.m = measurement{op: op, iters: iters, ext: ext}
+	s.m = measurement{op: op, iters: iters, root: root, ext: ext}
 	loops := s.loops[:w.Size()]
 	_, err := w.RunProgram(func(r *mpi.Rank) {
 		l := &loops[r.Rank()]
@@ -334,7 +319,7 @@ func (l *measureLoop) afterBarrier() {
 	l.start = l.r.Now()
 	switch m.op {
 	case opBcast:
-		l.r.BcastThen(l.a, 0, l.afterOpFn)
+		l.r.BcastThen(l.a, m.root, l.afterOpFn)
 	case opAllreduce:
 		l.r.AllreduceSumThen(l.a, l.b, l.afterOpFn)
 	default:
@@ -351,22 +336,7 @@ func (l *measureLoop) afterOp() {
 
 // MeasureAllreduce runs the micro-benchmark for one allreduce configuration.
 func MeasureAllreduce(cfg hw.Config, algo string, doubles, iters int) (sim.Time, error) {
-	return MeasureAllreduceRun(cfg, algo, doubles, iters, RunMode{})
-}
-
-// MeasureAllreduceRun is MeasureAllreduce with an explicit execution vehicle
-// (see MeasureBcastRun); the world is pooled the same way.
-func MeasureAllreduceRun(cfg hw.Config, algo string, doubles, iters int, mode RunMode) (sim.Time, error) {
-	w, err := leaseWorld(cfg)
-	if err != nil {
-		return 0, err
-	}
-	w.Tunables.Allreduce = algo
-	w.M.K.SetNoProgram(mode.Reference)
-	w.M.K.SetNoExtrap(mode.NoExtrap)
-	worst, err := runMeasure(w, opAllreduce, doubles*data.Float64Len, iters, mode.NoExtrap)
-	releaseWorld(cfg, w, err)
-	return worst, err
+	return Cell{Cfg: cfg, Kind: CellAllreduce, Algo: algo, Arg: doubles, Iters: iters}.Run(RunMode{})
 }
 
 // BandwidthMBs converts a message size and per-operation time to the

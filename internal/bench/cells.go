@@ -1,7 +1,7 @@
 // Cell-level experiment decomposition. Every figure of the paper is a grid
 // of (series, size) cells, and every cell is one self-contained deterministic
 // kernel run whose virtual-time answer depends only on (hw.Config, algorithm,
-// payload, iterations) — never on the execution vehicle or on what ran
+// payload, iterations, root) — never on the execution vehicle or on what ran
 // before it. This file makes that grid a first-class, externally drivable
 // unit: the serving layer (internal/serve) canonicalizes a Cell into a cache
 // key, answers repeats from its content-addressed store, and runs misses
@@ -14,6 +14,7 @@ import (
 
 	"bgpcoll/internal/data"
 	"bgpcoll/internal/hw"
+	"bgpcoll/internal/mpi"
 	"bgpcoll/internal/sim"
 )
 
@@ -42,7 +43,7 @@ func (k CellKind) String() string {
 
 // Cell is one independently runnable, independently cacheable measurement:
 // the micro-benchmark loop for one (partition, algorithm, payload,
-// iterations) tuple. Two cells with equal fields produce bit-identical
+// iterations, root) tuple. Two cells with equal fields produce bit-identical
 // virtual times forever — the property the serving layer's cache is built
 // on. Experiment and Series are labels (which figure/curve the cell belongs
 // to); they never influence the measured value.
@@ -51,9 +52,10 @@ type Cell struct {
 	Series     string // curve label within the experiment
 	Cfg        hw.Config
 	Kind       CellKind
-	Algo       string
-	Arg        int // bytes (bcast) or doubles (allreduce)
+	Algo       string // "" selects automatically
+	Arg        int    // bytes (bcast) or doubles (allreduce)
 	Iters      int
+	Root       int // broadcast root rank; 0 for allreduce
 }
 
 // Bytes returns the payload size in bytes (doubles are 8 bytes each).
@@ -68,11 +70,29 @@ func (c Cell) Bytes() int {
 // from the pool (worldpool.go), so repeated misses on one partition shape
 // pay construction once; the virtual-time result is vehicle-independent.
 func (c Cell) Run(mode RunMode) (sim.Time, error) {
+	w, err := leaseWorld(c.Cfg)
+	if err != nil {
+		return 0, err
+	}
+	t, err := c.RunOn(w, mode)
+	releaseWorld(c.Cfg, w, err)
+	return t, err
+}
+
+// RunOn measures the cell on w, a fresh or reset world of the cell's
+// partition that the caller owns: figS builds its own to attribute
+// construction cost, the ablations set tunables on a leased one first, and
+// bgpsim keeps its world to report the machine's utilization afterwards.
+// The cell's algorithm replaces w's selection for its kind.
+func (c Cell) RunOn(w *mpi.World, mode RunMode) (sim.Time, error) {
+	w.M.K.SetNoProgram(mode.Reference)
 	switch c.Kind {
 	case CellBcast:
-		return MeasureBcastRun(c.Cfg, c.Algo, c.Arg, c.Iters, mode)
+		w.Tunables.Bcast = c.Algo
+		return runMeasure(w, opBcast, c.Arg, c.Iters, c.Root, mode.NoExtrap)
 	case CellAllreduce:
-		return MeasureAllreduceRun(c.Cfg, c.Algo, c.Arg, c.Iters, mode)
+		w.Tunables.Allreduce = c.Algo
+		return runMeasure(w, opAllreduce, c.Bytes(), c.Iters, 0, mode.NoExtrap)
 	}
 	return 0, fmt.Errorf("bench: unknown cell kind %d", c.Kind)
 }

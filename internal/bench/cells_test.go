@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"bgpcoll/internal/hw"
 	"bgpcoll/internal/mpi"
 	"bgpcoll/internal/sim"
 )
@@ -52,34 +53,60 @@ func TestPlanExperimentUnknown(t *testing.T) {
 	}
 }
 
-// TestCellRunMatchesMeasure pins that the exported cell entry point is the
-// same measurement the figure runners use.
+// bcastCell and allreduceCell are the cells the measure tests run: a
+// broadcast of msg bytes from rank 0, an allreduce of doubles doubles.
+func bcastCell(cfg hw.Config, algo string, msg, iters int) Cell {
+	return Cell{Cfg: cfg, Kind: CellBcast, Algo: algo, Arg: msg, Iters: iters}
+}
+
+func allreduceCell(cfg hw.Config, algo string, doubles, iters int) Cell {
+	return Cell{Cfg: cfg, Kind: CellAllreduce, Algo: algo, Arg: doubles, Iters: iters}
+}
+
+// TestCellRunMatchesMeasure pins that the exported cell entry points are one
+// measurement: Cell.Run on a pooled world, Cell.RunOn on a fresh one, and
+// the MeasureBcast/MeasureAllreduce constructors agree, for a non-zero
+// broadcast root too.
 func TestCellRunMatchesMeasure(t *testing.T) {
 	cfg := tinyConfig()
-	c := Cell{Experiment: "adhoc", Series: "x", Cfg: cfg, Kind: CellBcast, Algo: mpi.BcastTorusShaddr, Arg: 64 << 10, Iters: 2}
-	got, err := c.Run(RunMode{})
-	if err != nil {
-		t.Fatal(err)
+	rooted := bcastCell(cfg, mpi.BcastTreeShaddr, 64<<10, 2)
+	rooted.Root = 5
+	for _, c := range []Cell{
+		bcastCell(cfg, mpi.BcastTorusShaddr, 64<<10, 2),
+		rooted,
+		allreduceCell(cfg, mpi.AllreduceTorusNew, 4096, 1),
+	} {
+		got, err := c.Run(RunMode{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := mpi.NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := c.RunOn(w, RunMode{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != fresh {
+			t.Fatalf("%s root %d: Cell.Run %d ps, RunOn a fresh world %d ps", c.Kind, c.Root, int64(got), int64(fresh))
+		}
 	}
-	want, err := MeasureBcastRun(cfg, mpi.BcastTorusShaddr, 64<<10, 2, RunMode{})
-	if err != nil {
-		t.Fatal(err)
+	// A tree broadcast from a rank that is not its node's first core pays
+	// an intra-node hop a root-0 one does not, so a root that never reached
+	// the measure loop shows here.
+	fromZero, err := bcastCell(cfg, mpi.BcastTreeShaddr, 64<<10, 2).Run(RunMode{})
+	if fromFive, _ := rooted.Run(RunMode{}); err != nil || fromFive == fromZero {
+		t.Fatalf("tree broadcast from root 5 %d ps, from root 0 %d ps (%v): the root was not used", int64(fromFive), int64(fromZero), err)
 	}
-	if got != want {
-		t.Fatalf("Cell.Run %d ps, MeasureBcastRun %d ps", int64(got), int64(want))
+	want, err := MeasureBcast(cfg, mpi.BcastTorusShaddr, 64<<10, 2)
+	if got, _ := bcastCell(cfg, mpi.BcastTorusShaddr, 64<<10, 2).Run(RunMode{}); err != nil || got != want {
+		t.Fatalf("MeasureBcast %d ps (%v), Cell.Run %d ps", int64(want), err, int64(got))
 	}
-
-	a := Cell{Experiment: "adhoc", Series: "x", Cfg: cfg, Kind: CellAllreduce, Algo: mpi.AllreduceTorusNew, Arg: 4096, Iters: 1}
-	gotA, err := a.Run(RunMode{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantA, err := MeasureAllreduceRun(cfg, mpi.AllreduceTorusNew, 4096, 1, RunMode{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotA != wantA {
-		t.Fatalf("allreduce Cell.Run %d ps, MeasureAllreduceRun %d ps", int64(gotA), int64(wantA))
+	a := allreduceCell(cfg, mpi.AllreduceTorusNew, 4096, 1)
+	wantA, err := MeasureAllreduce(cfg, mpi.AllreduceTorusNew, 4096, 1)
+	if got, _ := a.Run(RunMode{}); err != nil || got != wantA {
+		t.Fatalf("MeasureAllreduce %d ps (%v), Cell.Run %d ps", int64(wantA), err, int64(got))
 	}
 	if a.Bytes() != 4096*8 {
 		t.Fatalf("allreduce Bytes() = %d, want %d", a.Bytes(), 4096*8)

@@ -24,22 +24,22 @@ func extrapCases() []struct {
 		run  func(mode RunMode) (sim.Time, error)
 	}{
 		{"bcast/shaddr/16K x8", func(m RunMode) (sim.Time, error) {
-			return MeasureBcastRun(quad, mpi.BcastTreeShaddr, 16<<10, 8, m)
+			return bcastCell(quad, mpi.BcastTreeShaddr, 16<<10, 8).Run(m)
 		}},
 		{"bcast/shmem/256 x8", func(m RunMode) (sim.Time, error) {
-			return MeasureBcastRun(quad, mpi.BcastTreeShmem, 256, 8, m)
+			return bcastCell(quad, mpi.BcastTreeShmem, 256, 8).Run(m)
 		}},
 		{"bcast/dmafifo/64K x8", func(m RunMode) (sim.Time, error) {
-			return MeasureBcastRun(quad, mpi.BcastTreeDMAFIFO, 64<<10, 8, m)
+			return bcastCell(quad, mpi.BcastTreeDMAFIFO, 64<<10, 8).Run(m)
 		}},
 		{"bcast/smp/4K x8", func(m RunMode) (sim.Time, error) {
-			return MeasureBcastRun(smp, mpi.BcastTreeSMP, 4<<10, 8, m)
+			return bcastCell(smp, mpi.BcastTreeSMP, 4<<10, 8).Run(m)
 		}},
 		{"allreduce/shaddr/512 x8", func(m RunMode) (sim.Time, error) {
-			return MeasureAllreduceRun(quad, mpi.AllreduceTorusNew, 512, 8, m)
+			return allreduceCell(quad, mpi.AllreduceTorusNew, 512, 8).Run(m)
 		}},
 		{"allreduce/current/512 x8", func(m RunMode) (sim.Time, error) {
-			return MeasureAllreduceRun(quad, mpi.AllreduceTorusCurrent, 512, 8, m)
+			return allreduceCell(quad, mpi.AllreduceTorusCurrent, 512, 8).Run(m)
 		}},
 	}
 }
@@ -47,7 +47,8 @@ func extrapCases() []struct {
 // TestExtrapolationMatchesFullExecution pins the tentpole contract: an
 // extrapolated measurement is bit-identical to full execution, in both
 // program and goroutine-reference modes — and the test fails if the detector
-// never actually engaged, so the equality cannot pass vacuously.
+// never actually engaged, so the equality cannot pass vacuously, or if the
+// NoExtrap run skipped anything, so the reference really is full execution.
 func TestExtrapolationMatchesFullExecution(t *testing.T) {
 	for _, tc := range extrapCases() {
 		for _, reference := range []bool{false, true} {
@@ -61,9 +62,13 @@ func TestExtrapolationMatchesFullExecution(t *testing.T) {
 				t.Fatalf("%s: extrap run: %v", name, err)
 			}
 			skipped := ExtrapolatedIters() - before
+			before = ExtrapolatedIters()
 			want, err := tc.run(RunMode{Reference: reference, NoExtrap: true})
 			if err != nil {
 				t.Fatalf("%s: full run: %v", name, err)
+			}
+			if n := ExtrapolatedIters() - before; n != 0 {
+				t.Errorf("%s: the NoExtrap run skipped %d iterations", name, n)
 			}
 			if got != want {
 				t.Errorf("%s: extrapolated %v != full execution %v", name, got, want)
@@ -82,7 +87,7 @@ func TestExtrapolationPooledReuse(t *testing.T) {
 	cfg := goldenConfig(hw.Quad)
 	run := func(m RunMode) sim.Time {
 		t.Helper()
-		got, err := MeasureBcastRun(cfg, mpi.BcastTreeShaddr, 16<<10, 6, m)
+		got, err := bcastCell(cfg, mpi.BcastTreeShaddr, 16<<10, 6).Run(m)
 		if err != nil {
 			t.Fatalf("measure: %v", err)
 		}
@@ -107,12 +112,12 @@ func TestExtrapolationPooledReuse(t *testing.T) {
 func TestExtrapolationItersScaleFidelity(t *testing.T) {
 	cfg := goldenConfig(hw.Quad)
 	const iters = 4 * 32
-	want, err := MeasureBcastRun(cfg, mpi.BcastTreeShaddr, 16<<10, iters, RunMode{NoExtrap: true})
+	want, err := bcastCell(cfg, mpi.BcastTreeShaddr, 16<<10, iters).Run(RunMode{NoExtrap: true})
 	if err != nil {
 		t.Fatalf("full: %v", err)
 	}
 	before := ExtrapolatedIters()
-	got, err := MeasureBcastRun(cfg, mpi.BcastTreeShaddr, 16<<10, iters, RunMode{})
+	got, err := bcastCell(cfg, mpi.BcastTreeShaddr, 16<<10, iters).Run(RunMode{})
 	if err != nil {
 		t.Fatalf("scaled: %v", err)
 	}
@@ -141,7 +146,7 @@ func TestExtrapolatorReusedPerWorld(t *testing.T) {
 			w.Tunables.Bcast = mpi.BcastTreeShaddr
 		}
 		before := ExtrapolatedIters()
-		got, err := runMeasure(w, op, 4<<10, 8, false)
+		got, err := runMeasure(w, op, 4<<10, 8, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +200,7 @@ func TestExtrapolatedCellReportsFullPipeStatistics(t *testing.T) {
 		}
 		w.Tunables.Allreduce = mpi.AllreduceTorusNew
 		before := ExtrapolatedIters()
-		got, err := runMeasure(w, opAllreduce, 4<<10, 8, noExtrap)
+		got, err := runMeasure(w, opAllreduce, 4<<10, 8, 0, noExtrap)
 		if err != nil {
 			t.Fatal(err)
 		}

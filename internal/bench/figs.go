@@ -61,24 +61,13 @@ func scaleConfig(p scalePoint) hw.Config {
 	return cfg
 }
 
-// measureBcastOn runs the Fig. 5 loop for one broadcast on an already-built
-// world, bypassing the world pool: figS owns its worlds so that construction
-// and footprint are attributable per point.
-func measureBcastOn(w *mpi.World, algo string, msg, iters int, mode RunMode) (sim.Time, error) {
-	w.Tunables.Bcast = algo
-	w.M.K.SetNoProgram(mode.Reference)
-	w.M.K.SetNoExtrap(mode.NoExtrap)
-	return runMeasure(w, opBcast, msg, iters, mode.NoExtrap)
-}
-
 // measureBarrierOn runs the loop with MPI_Barrier itself as the timed
 // operation: one untimed barrier aligns the ranks, then the timed barrier's
 // release arrives one interrupt-network latency later, so the per-iteration
 // time equals Params.BarrierLatency exactly (analytic.TreeBarrier).
 func measureBarrierOn(w *mpi.World, iters int, mode RunMode) (sim.Time, error) {
 	w.M.K.SetNoProgram(mode.Reference)
-	w.M.K.SetNoExtrap(mode.NoExtrap)
-	return runMeasure(w, opBarrier, 0, iters, mode.NoExtrap)
+	return runMeasure(w, opBarrier, 0, iters, 0, mode.NoExtrap)
 }
 
 // scaleCell is everything figS reports about one partition size.
@@ -121,7 +110,8 @@ func measureScalePoint(cfg hw.Config, msg, iters int, mode RunMode) (scaleCell, 
 	sampler := StartHeapSampler()
 	defer sampler.Peak() // joins the sampler on the error returns too
 	t0 = time.Now()
-	cell.bcast, err = measureBcastOn(w, mpi.BcastTreeShaddr, msg, iters, mode)
+	bcast := Cell{Cfg: cfg, Kind: CellBcast, Algo: mpi.BcastTreeShaddr, Arg: msg, Iters: iters}
+	cell.bcast, err = bcast.RunOn(w, mode)
 	if err != nil {
 		return cell, nil, err
 	}

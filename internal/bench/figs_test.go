@@ -25,7 +25,7 @@ const scaleBcastTolerance = 4.0
 // reset) the barrier.
 func measureScaleOps(t *testing.T, w *mpi.World, iters int) (bcast, barrier sim.Time) {
 	t.Helper()
-	bcast, err := measureBcastOn(w, mpi.BcastTreeShaddr, ScaleBcastMsg, iters, RunMode{})
+	bcast, err := bcastCell(w.M.Cfg, mpi.BcastTreeShaddr, ScaleBcastMsg, iters).RunOn(w, RunMode{})
 	if err != nil {
 		t.Fatalf("bcast: %v", err)
 	}

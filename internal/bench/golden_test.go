@@ -204,11 +204,11 @@ func TestGoldenProgramReferenceAgree(t *testing.T) {
 		if algo == mpi.BcastTreeSMP {
 			c = smp
 		}
-		prog, err := MeasureBcastRun(c, algo, 64<<10, 2, RunMode{})
+		prog, err := bcastCell(c, algo, 64<<10, 2).Run(RunMode{})
 		if err != nil {
 			t.Fatalf("%s program mode: %v", algo, err)
 		}
-		ref, err := MeasureBcastRun(c, algo, 64<<10, 2, RunMode{Reference: true})
+		ref, err := bcastCell(c, algo, 64<<10, 2).Run(RunMode{Reference: true})
 		if err != nil {
 			t.Fatalf("%s reference mode: %v", algo, err)
 		}
@@ -217,11 +217,11 @@ func TestGoldenProgramReferenceAgree(t *testing.T) {
 		}
 	}
 	for _, algo := range []string{mpi.AllreduceTorusNew, mpi.AllreduceTorusCurrent} {
-		prog, err := MeasureAllreduceRun(cfg, algo, 4096, 1, RunMode{})
+		prog, err := allreduceCell(cfg, algo, 4096, 1).Run(RunMode{})
 		if err != nil {
 			t.Fatalf("%s program mode: %v", algo, err)
 		}
-		ref, err := MeasureAllreduceRun(cfg, algo, 4096, 1, RunMode{Reference: true})
+		ref, err := allreduceCell(cfg, algo, 4096, 1).Run(RunMode{Reference: true})
 		if err != nil {
 			t.Fatalf("%s reference mode: %v", algo, err)
 		}

@@ -36,15 +36,15 @@ func poolCells() []poolCell {
 		for _, algo := range []string{mpi.BcastTreeShaddr, mpi.BcastTreeDMAFIFO, mpi.BcastTreeDMADirect} {
 			algo := algo
 			add(fmt.Sprintf("%s/%s", algo, tag), quad, func() (sim.Time, error) {
-				return MeasureBcastRun(quad, algo, 64<<10, 2, RunMode{Reference: reference})
+				return bcastCell(quad, algo, 64<<10, 2).Run(RunMode{Reference: reference})
 			})
 		}
 		smp := goldenConfig(hw.SMP)
 		add(fmt.Sprintf("%s/%s", mpi.BcastTreeSMP, tag), smp, func() (sim.Time, error) {
-			return MeasureBcastRun(smp, mpi.BcastTreeSMP, 64<<10, 2, RunMode{Reference: reference})
+			return bcastCell(smp, mpi.BcastTreeSMP, 64<<10, 2).Run(RunMode{Reference: reference})
 		})
 		add(fmt.Sprintf("%s/%s", mpi.AllreduceTorusNew, tag), quad, func() (sim.Time, error) {
-			return MeasureAllreduceRun(quad, mpi.AllreduceTorusNew, 1024, 1, RunMode{Reference: reference})
+			return allreduceCell(quad, mpi.AllreduceTorusNew, 1024, 1).Run(RunMode{Reference: reference})
 		})
 	}
 	return cells
@@ -94,7 +94,7 @@ func TestFailedRunsAreNotPooled(t *testing.T) {
 
 	// Baseline: the cell's answer starting from a pristine pool.
 	DrainWorldPool()
-	want, err := MeasureBcastRun(cfg, mpi.BcastTreeShaddr, 64<<10, 2, RunMode{})
+	want, err := bcastCell(cfg, mpi.BcastTreeShaddr, 64<<10, 2).Run(RunMode{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestFailedRunsAreNotPooled(t *testing.T) {
 			t.Fatalf("%s: %d pooled worlds after a failed run, want 0 (failed kernels hold parked processes)", tc.name, n)
 		}
 
-		got, err := MeasureBcastRun(cfg, mpi.BcastTreeShaddr, 64<<10, 2, RunMode{})
+		got, err := bcastCell(cfg, mpi.BcastTreeShaddr, 64<<10, 2).Run(RunMode{})
 		if err != nil {
 			t.Fatalf("%s: measurement after the failed run: %v", tc.name, err)
 		}
@@ -271,7 +271,7 @@ func TestPooledAllreduceRetention(t *testing.T) {
 	for _, algo := range []string{mpi.AllreduceTorusNew, mpi.AllreduceTorusCurrent} {
 		DrainWorldPool()
 		cell := func() {
-			if _, err := MeasureAllreduceRun(cfg, algo, 16<<10, 4, RunMode{NoExtrap: true}); err != nil {
+			if _, err := allreduceCell(cfg, algo, 16<<10, 4).Run(RunMode{NoExtrap: true}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -8,44 +8,8 @@ import (
 	"testing"
 
 	"bgpcoll/internal/bench"
+	"bgpcoll/internal/serve/reqspec"
 )
-
-// TestBuildCellBounds checks buildCell rejects payloads and partitions past
-// the request bounds, and accepts both bounds themselves.
-func TestBuildCellBounds(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		q    runRequest
-		ok   bool
-	}{
-		{"default", runRequest{Algo: "torus.shaddr"}, true},
-		{"size at bound", runRequest{Algo: "torus.shaddr", Size: "1024M", Torus: "2x2x2"}, true},
-		{"size past bound", runRequest{Algo: "torus.shaddr", Size: "1025M", Torus: "2x2x2"}, false},
-		{"2^62 bytes", runRequest{Algo: "torus.shaddr", Size: "4398046511104M"}, false},
-		{"size wraps to 1M", runRequest{Algo: "torus.shaddr", Size: "17592186044417M"}, false},
-		{"size zero", runRequest{Algo: "torus.shaddr", Size: "0"}, false},
-		{"ranks at bound", runRequest{Algo: "torus.shaddr", Torus: "64x64x64", Mode: "quad"}, true},
-		{"ranks at bound, smp", runRequest{Algo: "torus.shaddr", Torus: "128x128x64", Mode: "smp"}, true},
-		{"ranks past bound", runRequest{Algo: "torus.shaddr", Torus: "64x64x65", Mode: "quad"}, false},
-		{"rack-scale flood", runRequest{Algo: "torus.shaddr", Torus: "4096x4096x4096"}, false},
-		{"one long dimension", runRequest{Algo: "torus.shaddr", Torus: "1x1x1048577", Mode: "smp"}, false},
-		{"product overflows", runRequest{Algo: "torus.shaddr", Torus: "4294967296x4294967296x4", Mode: "smp"}, false},
-		{"allreduce at bound", runRequest{Op: "allreduce", Algo: "allreduce.shaddr", Size: "1024M", Torus: "2x2x2"}, true},
-		{"allreduce past bound", runRequest{Op: "allreduce", Algo: "allreduce.shaddr", Size: "1048577K", Torus: "2x2x2"}, false},
-		{"iters at bound", runRequest{Algo: "tree.shaddr", Torus: "2x2x2", Iters: maxIters}, true},
-		{"iters past bound", runRequest{Algo: "tree.shaddr", Torus: "2x2x2", Iters: maxIters + 1}, false},
-		{"iters max int", runRequest{Algo: "tree.shaddr", Torus: "2x2x2", Iters: int(^uint(0) >> 1)}, false},
-	} {
-		cell, err := buildCell(c.q)
-		if (err == nil) != c.ok {
-			t.Errorf("%s: buildCell(%+v) err = %v, want ok=%v", c.name, c.q, err, c.ok)
-			continue
-		}
-		if err == nil {
-			checkCellBounds(t, cell)
-		}
-	}
-}
 
 // TestBuildSweepBounds checks buildSweep rejects a grid past maxSweepCells,
 // including lengths whose product would overflow, and accepts the bound.
@@ -67,7 +31,8 @@ func TestBuildSweepBounds(t *testing.T) {
 		{"past bound", 33, maxSweepCells / 32, false},
 		{"one long axis", maxSweepCells + 1, 1, false},
 	} {
-		q := sweepRequest{Algos: names(c.algos, "torus.shaddr"), Sizes: names(c.sizes, "4K"), Torus: "2x2x2"}
+		q := newSweepRequest()
+		q.Algos, q.Sizes, q.Torus = names(c.algos, "torus.shaddr"), names(c.sizes, "4K"), "2x2x2"
 		cells, err := buildSweep(q)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: buildSweep(%d x %d) err = %v, want ok=%v", c.name, c.algos, c.sizes, err, c.ok)
@@ -114,13 +79,13 @@ func TestSweepRejectsOversizedGrid(t *testing.T) {
 	}
 }
 
-// FuzzBuildCell drives buildCell with arbitrary request fields (seed corpus
-// in testdata/fuzz/FuzzBuildCell), and buildSweep with the grid the
-// comma-separated algo and size fields list. Neither may panic, and every
-// cell they accept must lie inside the request bounds.
+// FuzzBuildCell drives reqspec's Request.Cell with arbitrary request fields
+// (seed corpus in testdata/fuzz/FuzzBuildCell), and buildSweep with the grid
+// the comma-separated algo and size fields list. Neither may panic, and
+// every cell they accept must lie inside the request bounds.
 func FuzzBuildCell(f *testing.F) {
 	f.Fuzz(func(t *testing.T, op, algo, size, torus, mode string, iters int) {
-		if cell, err := buildCell(runRequest{Op: op, Algo: algo, Size: size, Torus: torus, Mode: mode, Iters: iters}); err == nil {
+		if cell, err := (reqspec.Request{Op: op, Algo: algo, Size: size, Torus: torus, Mode: mode, Iters: iters}).Cell(); err == nil {
 			checkCellBounds(t, cell)
 		}
 		q := sweepRequest{Op: op, Algos: strings.Split(algo, ","), Sizes: strings.Split(size, ","), Torus: torus, Mode: mode, Iters: iters}
@@ -139,19 +104,19 @@ func FuzzBuildCell(f *testing.F) {
 
 func checkCellBounds(t *testing.T, c bench.Cell) {
 	t.Helper()
-	if ranks := c.Cfg.Ranks(); ranks < 1 || ranks > maxRanks {
-		t.Errorf("accepted cell with %d ranks, bound %d", ranks, maxRanks)
+	if ranks := c.Cfg.Ranks(); ranks < 1 || ranks > reqspec.MaxRanks {
+		t.Errorf("accepted cell with %d ranks, bound %d", ranks, reqspec.MaxRanks)
 	}
-	if bytes := c.Bytes(); bytes < 1 || bytes > maxSize {
-		t.Errorf("accepted cell with %d bytes, bound %d", bytes, maxSize)
+	if bytes := c.Bytes(); bytes < 1 || bytes > reqspec.MaxSize {
+		t.Errorf("accepted cell with %d bytes, bound %d", bytes, reqspec.MaxSize)
 	}
-	if c.Iters < 1 || c.Iters > maxIters {
-		t.Errorf("accepted cell with %d iters, bound %d", c.Iters, maxIters)
+	if c.Iters < 1 || c.Iters > reqspec.MaxIters {
+		t.Errorf("accepted cell with %d iters, bound %d", c.Iters, reqspec.MaxIters)
 	}
 }
 
 // TestParseFigureQuery checks /v1/figure's query validation: plain positive
-// decimals only, and one cell's resolved repetitions within maxIters,
+// decimals only, and one cell's resolved repetitions within reqspec.MaxIters,
 // including products that would overflow an int.
 func TestParseFigureQuery(t *testing.T) {
 	for _, c := range []struct {

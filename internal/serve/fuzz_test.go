@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bgpcoll/internal/bench"
+	"bgpcoll/internal/serve/reqspec"
 	"bgpcoll/internal/sim"
 )
 
@@ -46,14 +47,14 @@ func checkStatus(t *testing.T, body []byte, code int, err error) {
 }
 
 // FuzzRunBody posts raw bytes to /v1/run: no body may panic the handler,
-// and the status must agree with buildCell.
+// and the status must agree with reqspec's Request.Cell.
 func FuzzRunBody(f *testing.F) {
 	srv := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var q runRequest
+		q := reqspec.Defaults()
 		err := json.NewDecoder(bytes.NewReader(body)).Decode(&q)
 		if err == nil {
-			_, err = buildCell(q)
+			_, err = q.Cell()
 		}
 		checkStatus(t, body, serveBody(srv, "/v1/run", body), err)
 	})
@@ -64,7 +65,7 @@ func FuzzRunBody(f *testing.F) {
 func FuzzSweepBody(f *testing.F) {
 	srv := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var q sweepRequest
+		q := newSweepRequest()
 		err := json.NewDecoder(bytes.NewReader(body)).Decode(&q)
 		if err == nil {
 			_, err = buildSweep(q)

@@ -1,6 +1,6 @@
 // Cache-key canonicalization. A bgpsimd cache key names a measurement by its
 // physics — (partition config, collective kind, algorithm, payload,
-// iterations) — and nothing else: not the figure it belongs to, not the
+// iterations, root) — and nothing else: not the figure it belongs to, not the
 // execution vehicle (RunMode), not the worker that ran it. The kernel is
 // bit-deterministic in exactly those inputs (DESIGN.md §15), so one key has
 // one answer forever, and a fig6 cell and a hand-rolled /v1/run request for
@@ -47,6 +47,11 @@ func canonHead(c bench.Cell) string {
 	fmt.Fprintf(&b, "algo=%s\n", c.Algo)
 	fmt.Fprintf(&b, "arg=%d\n", c.Arg)
 	fmt.Fprintf(&b, "iters=%d\n", c.Iters)
+	// Only a non-zero root is rendered, so every key minted before cells
+	// carried a root still names its root-0 measurement.
+	if c.Root != 0 {
+		fmt.Fprintf(&b, "root=%d\n", c.Root)
+	}
 	return b.String()
 }
 

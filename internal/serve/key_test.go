@@ -7,6 +7,7 @@ import (
 	"bgpcoll/internal/bench"
 	"bgpcoll/internal/hw"
 	"bgpcoll/internal/mpi"
+	"bgpcoll/internal/serve/reqspec"
 )
 
 func testCell() bench.Cell {
@@ -55,6 +56,7 @@ func TestKeySensitivity(t *testing.T) {
 		"algo":       func(c *bench.Cell) { c.Algo = mpi.BcastTorusFIFO },
 		"arg":        func(c *bench.Cell) { c.Arg++ },
 		"iters":      func(c *bench.Cell) { c.Iters++ },
+		"root":       func(c *bench.Cell) { c.Root = 5 },
 		"torus":      func(c *bench.Cell) { c.Cfg.Torus.DZ *= 2 },
 		"mode":       func(c *bench.Cell) { c.Cfg.Mode = hw.SMP },
 		"functional": func(c *bench.Cell) { c.Cfg.Functional = true },
@@ -90,7 +92,7 @@ func TestKeyCellsMatchKeyCell(t *testing.T) {
 	var sweep []bench.Cell
 	for _, mode := range []string{"quad", "smp", "quad"} {
 		for _, size := range []string{"4K", "1M"} {
-			c, err := buildCell(runRequest{Algo: mpi.BcastTorusShaddr, Size: size, Torus: "4x4x4", Mode: mode, Iters: 2})
+			c, err := (reqspec.Request{Op: "bcast", Algo: mpi.BcastTorusShaddr, Size: size, Torus: "4x4x4", Mode: mode, Iters: 2}).Cell()
 			if err != nil {
 				t.Fatal(err)
 			}

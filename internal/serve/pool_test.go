@@ -317,7 +317,7 @@ func TestWorldPoolGrowthUnderMixedConfigs(t *testing.T) {
 		t.FailNow()
 	}
 	for i, c := range cells {
-		want, err := bench.MeasureBcastRun(c.Cfg, c.Algo, c.Arg, c.Iters, bench.RunMode{})
+		want, err := c.Run(bench.RunMode{})
 		if err != nil {
 			t.Fatal(err)
 		}

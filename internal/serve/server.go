@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"bgpcoll/internal/bench"
-	"bgpcoll/internal/hw"
 	"bgpcoll/internal/serve/reqspec"
 	"bgpcoll/internal/sim"
 )
@@ -142,18 +141,6 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, cells []bench.C
 	w.Write(append(data, '\n'))
 }
 
-// runRequest is the /v1/run body: the bgpsim CLI's flags as JSON, parsed by
-// the same reqspec grammar. For allreduce the size is still bytes; the
-// operand length is size/8 doubles.
-type runRequest struct {
-	Op    string `json:"op"`    // "bcast" (default) or "allreduce"
-	Algo  string `json:"algo"`  // required; see reqspec listings
-	Size  string `json:"size"`  // "64K", "2M", ... (default "1M")
-	Torus string `json:"torus"` // "DXxDYxDZ" (default "8x8x8")
-	Mode  string `json:"mode"`  // smp/dual/quad (default "quad")
-	Iters int    `json:"iters"` // micro-benchmark repetitions (default 1)
-}
-
 // cellResult is one measurement in a response body.
 type cellResult struct {
 	Series string  `json:"series"`
@@ -166,93 +153,22 @@ func resultOf(c bench.Cell, e Entry) cellResult {
 	return cellResult{Series: c.Series, Bytes: c.Bytes(), PS: e.PS, US: sim.Time(e.PS).Microseconds()}
 }
 
-// Request bounds: the reqspec bounds bgpsim shares, and maxSweepCells,
-// which caps a sweep's algos x sizes grid.
-const (
-	maxRanks      = reqspec.MaxRanks
-	maxSize       = reqspec.MaxSize
-	maxIters      = reqspec.MaxIters
-	maxSweepCells = 1024
-)
-
-// buildCell validates one runRequest into a Cell.
-func buildCell(q runRequest) (bench.Cell, error) {
-	if q.Op == "" {
-		q.Op = "bcast"
-	}
-	if q.Size == "" {
-		q.Size = "1M"
-	}
-	if q.Torus == "" {
-		q.Torus = "8x8x8"
-	}
-	if q.Mode == "" {
-		q.Mode = "quad"
-	}
-	if q.Iters <= 0 {
-		q.Iters = 1
-	}
-	if q.Iters > maxIters {
-		return bench.Cell{}, fmt.Errorf("iters must be at most %d, got %d", maxIters, q.Iters)
-	}
-	size, err := reqspec.ParseSize(q.Size)
-	if err != nil {
-		return bench.Cell{}, err
-	}
-	if size <= 0 || size > maxSize {
-		return bench.Cell{}, fmt.Errorf("size must be in 1..%d bytes, got %d", maxSize, size)
-	}
-	dx, dy, dz, err := reqspec.ParseTorus(q.Torus)
-	if err != nil {
-		return bench.Cell{}, err
-	}
-	mode, err := reqspec.ParseMode(q.Mode)
-	if err != nil {
-		return bench.Cell{}, err
-	}
-	cfg := hw.DefaultConfig()
-	cfg.Torus.DX, cfg.Torus.DY, cfg.Torus.DZ = dx, dy, dz
-	cfg.Mode = mode
-	cfg.Functional = false
-	if err := cfg.Validate(); err != nil {
-		return bench.Cell{}, err
-	}
-	// Each dimension is checked first so the rank product cannot overflow.
-	if dx > maxRanks || dy > maxRanks || dz > maxRanks || cfg.Ranks() > maxRanks {
-		return bench.Cell{}, fmt.Errorf("partition %s has more than %d ranks", q.Torus, maxRanks)
-	}
-	c := bench.Cell{Experiment: "adhoc", Series: q.Algo, Cfg: cfg, Algo: q.Algo, Iters: q.Iters}
-	switch q.Op {
-	case "bcast":
-		if !reqspec.ValidBcastAlgo(q.Algo) {
-			return bench.Cell{}, fmt.Errorf("unknown bcast algorithm %q (have %v)", q.Algo, reqspec.BcastAlgorithms())
-		}
-		c.Kind, c.Arg = bench.CellBcast, size
-	case "allreduce":
-		if !reqspec.ValidAllreduceAlgo(q.Algo) {
-			return bench.Cell{}, fmt.Errorf("unknown allreduce algorithm %q (have %v)", q.Algo, reqspec.AllreduceAlgorithms())
-		}
-		c.Kind, c.Arg = bench.CellAllreduce, size/8
-		if c.Arg <= 0 {
-			return bench.Cell{}, fmt.Errorf("allreduce size %d is under one double", size)
-		}
-	default:
-		return bench.Cell{}, fmt.Errorf("unknown op %q (bcast or allreduce)", q.Op)
-	}
-	return c, nil
-}
+// maxSweepCells caps a sweep's algos x sizes grid; every other request
+// bound is reqspec's, which bgpsim shares.
+const maxSweepCells = 1024
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var q runRequest
+	// A field the body leaves out keeps its default.
+	q := reqspec.Defaults()
 	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	c, err := buildCell(q)
+	c, err := q.Cell()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -263,7 +179,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepRequest is the /v1/sweep body: a grid of algorithms x sizes over one
-// partition, decomposed into one cell each.
+// partition, decomposed into one /v1/run request each.
 type sweepRequest struct {
 	Op    string   `json:"op"`
 	Algos []string `json:"algos"`
@@ -271,6 +187,13 @@ type sweepRequest struct {
 	Torus string   `json:"torus"`
 	Mode  string   `json:"mode"`
 	Iters int      `json:"iters"`
+}
+
+// newSweepRequest returns a sweep body pre-filled with reqspec's defaults,
+// so a field the body leaves out means what it means in /v1/run.
+func newSweepRequest() sweepRequest {
+	d := reqspec.Defaults()
+	return sweepRequest{Op: d.Op, Torus: d.Torus, Mode: d.Mode, Iters: d.Iters}
 }
 
 // buildSweep validates a sweepRequest into its cells, algorithm-major. The
@@ -287,7 +210,7 @@ func buildSweep(q sweepRequest) ([]bench.Cell, error) {
 	cells := make([]bench.Cell, 0, na*ns)
 	for _, algo := range q.Algos {
 		for _, size := range q.Sizes {
-			c, err := buildCell(runRequest{Op: q.Op, Algo: algo, Size: size, Torus: q.Torus, Mode: q.Mode, Iters: q.Iters})
+			c, err := reqspec.Request{Op: q.Op, Algo: algo, Size: size, Torus: q.Torus, Mode: q.Mode, Iters: q.Iters}.Cell()
 			if err != nil {
 				return nil, err
 			}
@@ -302,7 +225,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var q sweepRequest
+	q := newSweepRequest()
 	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -326,9 +249,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // parseFigureQuery validates a /v1/figure query into its cell plan. iters,
 // iters_scale and racks must be plain positive decimals, and one cell's
 // resolved repetitions — iters (or the figure's default) times iters_scale —
-// may not pass maxIters: tree cells bypass extrapolation and run every
-// iteration. Each factor is bounded before the product is formed, so the
-// check cannot overflow.
+// may not pass reqspec.MaxIters: tree cells bypass extrapolation and run
+// every iteration. Each factor is bounded before the product is formed, so
+// the check cannot overflow.
 func parseFigureQuery(q url.Values) (*bench.FigurePlan, error) {
 	o := bench.Options{Quick: q.Get("quick") == "1" || q.Get("quick") == "true"}
 	for _, f := range []struct {
@@ -345,16 +268,16 @@ func parseFigureQuery(q url.Values) (*bench.FigurePlan, error) {
 		}
 		*f.dst = n
 	}
-	if o.Iters > maxIters || o.ItersScale > maxIters || max(o.Iters, 1)*max(o.ItersScale, 1) > maxIters {
-		return nil, fmt.Errorf("iters %d x iters_scale %d exceeds %d repetitions", o.Iters, o.ItersScale, maxIters)
+	if o.Iters > reqspec.MaxIters || o.ItersScale > reqspec.MaxIters || max(o.Iters, 1)*max(o.ItersScale, 1) > reqspec.MaxIters {
+		return nil, fmt.Errorf("iters %d x iters_scale %d exceeds %d repetitions", o.Iters, o.ItersScale, reqspec.MaxIters)
 	}
 	plan, err := bench.PlanExperiment(q.Get("id"), o)
 	if err != nil {
 		return nil, err
 	}
 	for _, c := range plan.Cells {
-		if c.Iters > maxIters {
-			return nil, fmt.Errorf("%s resolves to %d repetitions per cell, bound %d", c.Experiment, c.Iters, maxIters)
+		if c.Iters > reqspec.MaxIters {
+			return nil, fmt.Errorf("%s resolves to %d repetitions per cell, bound %d", c.Experiment, c.Iters, reqspec.MaxIters)
 		}
 	}
 	return plan, nil

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"bgpcoll/internal/bench"
+	"bgpcoll/internal/mpi"
+	"bgpcoll/internal/serve/reqspec"
 	"bgpcoll/internal/sim"
 )
 
@@ -134,16 +136,84 @@ func TestRunEndpointMatchesDirectMeasurement(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	c, err := buildCell(runRequest{Op: "bcast", Algo: "torus.shaddr", Size: "64K", Torus: "2x2x2", Mode: "quad", Iters: 2})
+	c, err := (reqspec.Request{Op: "bcast", Algo: "torus.shaddr", Size: "64K", Torus: "2x2x2", Mode: "quad", Iters: 2}).Cell()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := bench.MeasureBcastRun(c.Cfg, c.Algo, c.Arg, c.Iters, bench.RunMode{})
+	want, err := c.Run(bench.RunMode{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Bytes != 64<<10 || out.PS != int64(want) || out.US != want.Microseconds() {
 		t.Fatalf("run body %+v, want ps=%d", out, int64(want))
+	}
+}
+
+// runPS posts body to /v1/run and returns the measured picoseconds and the
+// X-Cache verdict.
+func runPS(t *testing.T, url, body string) (int64, string) {
+	t.Helper()
+	resp, out := post(t, url+"/v1/run", body)
+	if resp.StatusCode != 200 {
+		t.Fatalf("POST %s: %d %s", body, resp.StatusCode, out)
+	}
+	var r struct {
+		PS int64 `json:"ps"`
+	}
+	if err := json.Unmarshal(out, &r); err != nil {
+		t.Fatal(err)
+	}
+	return r.PS, resp.Header.Get("X-Cache")
+}
+
+// TestRunItersLiteral pins that a body's fields are taken literally: an
+// explicit zero iteration count is refused, while a body without iters
+// keeps the default of one and so shares its cache entry with "iters":1.
+func TestRunItersLiteral(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := post(t, ts.URL+"/v1/run", `{"algo":"torus.shaddr","size":"4K","torus":"2x2x2","iters":0}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "iters") {
+		t.Fatalf(`"iters":0: %d %s, want a 400 naming iters`, resp.StatusCode, body)
+	}
+	absent, verdict := runPS(t, ts.URL, `{"algo":"torus.shaddr","size":"4K","torus":"2x2x2"}`)
+	if verdict != "miss" {
+		t.Fatalf("first run X-Cache = %q", verdict)
+	}
+	one, verdict := runPS(t, ts.URL, `{"algo":"torus.shaddr","size":"4K","torus":"2x2x2","iters":1}`)
+	if verdict != "hit" || one != absent {
+		t.Fatalf(`"iters":1 answered %d ps (%s), absent iters %d ps`, one, verdict, absent)
+	}
+}
+
+// TestDoorsAgree pins that bgpsim and bgpsimd measure one request alike:
+// bgpsim's path (Request.Cell, then Cell.RunOn on a fresh world) and
+// /v1/run return the same picoseconds, for a non-zero root too.
+func TestDoorsAgree(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"algo":"tree.shaddr","size":"64K","torus":"2x2x2","iters":2}`,
+		`{"op":"allreduce","size":"512K","torus":"2x2x2","mode":"smp","iters":4}`,
+		`{"algo":"torus.fifo","size":"256K","torus":"2x2x2","iters":5,"root":5}`,
+	} {
+		q := reqspec.Defaults()
+		if err := json.Unmarshal([]byte(body), &q); err != nil {
+			t.Fatal(err)
+		}
+		c, err := q.Cell()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := mpi.NewWorld(c.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := c.RunOn(w, bench.RunMode{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv, _ := runPS(t, ts.URL, body); srv != int64(cli) {
+			t.Errorf("%s: /v1/run %d ps, bgpsim's path %d ps", body, srv, int64(cli))
+		}
 	}
 }
 

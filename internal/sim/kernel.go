@@ -105,12 +105,6 @@ type Kernel struct {
 	// program-vs-reference bench compare against.
 	noProgram bool
 
-	// noExtrap disables steady-state iteration extrapolation (steady.go):
-	// Steady.Capture refuses on a noExtrap kernel, so every measure-loop
-	// iteration executes. The full-execution reference vehicle, mirroring
-	// noProgram.
-	noExtrap bool
-
 	// pipes registers every pipe created on this kernel so Reset can rewind
 	// their reservation state along with the clock.
 	pipes []*Pipe
@@ -142,16 +136,6 @@ func (k *Kernel) Now() Time { return k.now }
 // modes produce bit-identical event orderings, so this exists for the
 // determinism stress tests and the program-vs-reference benchmark runs.
 func (k *Kernel) SetNoProgram(v bool) { k.noProgram = v }
-
-// SetNoExtrap toggles the full-execution reference vehicle for the steady-
-// state extrapolation detector (steady.go): captures on a noExtrap kernel
-// refuse, so every iteration executes. Extrapolated and full runs are
-// bit-identical by construction; the flag exists for the equivalence tests
-// and the -noextrap benchmark runs.
-func (k *Kernel) SetNoExtrap(v bool) { k.noExtrap = v }
-
-// NoExtrap reports whether steady-state extrapolation is disabled.
-func (k *Kernel) NoExtrap() bool { return k.noExtrap }
 
 // Reset returns the kernel to its post-New state while keeping every
 // allocation it has accumulated: arena slabs, queue and ring capacity, the

@@ -42,7 +42,7 @@ package sim
 // Anything the fingerprint cannot canonicalize — pending closures (eFn/eHook
 // entries), unknown layer state — refuses the capture; after a few refused
 // or unequal attempts the detector gives up and the run simply executes
-// every iteration, bit-identical to the noExtrap reference mode.
+// every iteration, bit-identical to a run that never armed a detector.
 
 import (
 	"bytes"
@@ -389,10 +389,6 @@ func (f *FP) entryCanon(k *Kernel, e entry) {
 // boundary-relative times, every registered process, and the machine's base
 // pipes. Failed kernels refuse.
 func (k *Kernel) steadyWalk(f *FP) {
-	if k.noExtrap {
-		f.Refuse("noExtrap reference mode")
-		return
-	}
 	if k.failure != nil {
 		f.Refuse("failed kernel")
 		return

@@ -24,7 +24,9 @@ type steadyRig struct {
 	// round never reaches steady state; the extra walk hashes it, exactly
 	// as a layer's SteadyState must hash anything that steers future
 	// execution.
-	work     func(round int) int
+	work func(round int) int
+	// noExtrap makes the rig the full-execution reference: it never
+	// captures, as bench's measure loop arms no detector in that mode.
 	noExtrap bool
 	// bgDelay is the deferred add's horizon: longer than one round but
 	// shorter than two, so every boundary sees exactly one pending heap
@@ -55,7 +57,6 @@ const rigBarLat = Time(1500)
 
 func newSteadyRig(t *testing.T, n, iters int, work func(round int) int, noExtrap bool) *steadyRig {
 	k := New()
-	k.SetNoExtrap(noExtrap)
 	r := &steadyRig{t: t, kern: k, n: n, iters: iters, work: work, noExtrap: noExtrap}
 	// One steady round: n serialized transfers on the shared pipe (1 ps/byte,
 	// 25 ps latency on the last sleeper) plus the barrier release.
@@ -120,7 +121,7 @@ func (l *steadyLoop) afterWork() {
 // boundary mirrors bench/extrap.go: the first release of each round's
 // barrier captures; on a match the remaining rounds are extrapolated.
 func (r *steadyRig) boundary() {
-	if r.done {
+	if r.done || r.noExtrap {
 		return
 	}
 	r.calls++
@@ -232,8 +233,8 @@ func TestSteadyNeverSteadyFallsBack(t *testing.T) {
 }
 
 // TestSteadyCaptureRefusals pins the refusal guards: closures the
-// fingerprint cannot see through, the noExtrap flag, and layer refusals all
-// void the capture instead of guessing.
+// fingerprint cannot see through and layer refusals both void the capture
+// instead of guessing.
 func TestSteadyCaptureRefusals(t *testing.T) {
 	t.Run("pending callback", func(t *testing.T) {
 		k := New()
@@ -244,15 +245,6 @@ func TestSteadyCaptureRefusals(t *testing.T) {
 		}
 		if det.LastRefusal() == "" {
 			t.Fatal("pending eFn entry did not refuse the capture")
-		}
-	})
-	t.Run("noExtrap", func(t *testing.T) {
-		k := New()
-		k.SetNoExtrap(true)
-		det := NewSteady(k, nil)
-		det.Capture()
-		if det.LastRefusal() == "" {
-			t.Fatal("noExtrap kernel did not refuse the capture")
 		}
 	})
 	t.Run("layer refusal", func(t *testing.T) {

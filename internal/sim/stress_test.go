@@ -79,7 +79,7 @@ func stressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel) []stres
 		rounds = 20
 	)
 	rng := rand.New(rand.NewSource(seed))
-	k.noProgram, k.noExtrap = mode.noProgram, mode.noExtrap
+	k.noProgram = mode.noProgram
 	// In extrap modes, fingerprint the kernel at every round boundary of
 	// proc 0. The aperiodic workload never matches, so nothing is ever
 	// extrapolated; the capture itself must leave no observable trace.
@@ -354,7 +354,7 @@ func TestStressRerunStable(t *testing.T) {
 func TestDeadlockReportIdenticalAcrossModes(t *testing.T) {
 	build := func(mode stressMode) error {
 		k := New()
-		k.noProgram, k.noExtrap = mode.noProgram, mode.noExtrap
+		k.noProgram = mode.noProgram
 		c := k.NewCounter("starved")
 		ev := k.NewCounter("missing")
 		k.Spawn("waiter.ev", func(p *Proc) {
