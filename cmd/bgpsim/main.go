@@ -28,10 +28,10 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is bgpsim on the given arguments; it returns the exit status.
-func run(args []string, stdout, stderr io.Writer) int {
+// requestFlags returns bgpsim's flag set with one flag per request field,
+// each defaulting to reqspec.Defaults() and parsed into q.
+func requestFlags(q *reqspec.Request, stderr io.Writer) *flag.FlagSet {
 	d := reqspec.Defaults()
-	var q reqspec.Request
 	fs := flag.NewFlagSet("bgpsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&q.Op, "op", d.Op, "collective: bcast or allreduce")
@@ -41,6 +41,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&q.Mode, "mode", d.Mode, "node mode: smp, dual or quad")
 	fs.IntVar(&q.Iters, "iters", d.Iters, "micro-benchmark iterations")
 	fs.IntVar(&q.Root, "root", d.Root, "broadcast root rank")
+	return fs
+}
+
+// run is bgpsim on the given arguments; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	var q reqspec.Request
+	fs := requestFlags(&q, stderr)
 	list := fs.Bool("list", false, "list registered algorithms and exit")
 	traceN := fs.Int("trace", 0, "record and dump up to N schedule events")
 	if err := fs.Parse(args); err != nil {

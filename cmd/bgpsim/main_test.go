@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"bgpcoll/internal/coll"
+	"bgpcoll/internal/serve/reqspec"
 )
 
 func init() { coll.Register() }
@@ -17,6 +19,50 @@ func bgpsim(args ...string) (code int, stdout, stderr string) {
 	var out, errOut bytes.Buffer
 	code = run(args, &out, &errOut)
 	return code, out.String(), errOut.String()
+}
+
+// TestCheckArgs checks bgpsim's flags map field for field onto the request
+// bgpsimd checks: each row's flags, parsed over reqspec.Defaults(), reach
+// Request.Cell, which accepts the bounds themselves and refuses past them
+// with an error naming the flag. Nothing is measured, so rows at the rank
+// bound cost no world.
+func TestCheckArgs(t *testing.T) {
+	maxSize := strconv.Itoa(reqspec.MaxSize)
+	for _, c := range []struct {
+		args []string
+		flag string // the flag the error names; "" means accepted
+	}{
+		{[]string{"-iters", "1", "-root", "0", "-size", "1"}, ""},
+		{[]string{"-iters", "1024", "-root", "31", "-size", maxSize}, ""},
+		{[]string{"-size", "8", "-torus", "64x64x64"}, ""},
+		{[]string{"-iters", "0"}, "iters"},
+		{[]string{"-iters", "-3"}, "iters"},
+		{[]string{"-iters", "1025"}, "iters"},
+		{[]string{"-root", "32"}, "root"},
+		{[]string{"-root", "99999"}, "root"},
+		{[]string{"-root", "-1"}, "root"},
+		{[]string{"-size", "0"}, "size"},
+		{[]string{"-size", "-8"}, "size"},
+		{[]string{"-size", strconv.Itoa(reqspec.MaxSize + 1)}, "size"},
+		{[]string{"-torus", "0x8x8"}, "torus"},
+		{[]string{"-torus", "-2x2x2"}, "torus"},
+		{[]string{"-torus", "64x64x65"}, "torus"},
+		{[]string{"-torus", "1099511627776x1099511627776x1099511627776"}, "torus"},
+	} {
+		var q reqspec.Request
+		// A row's own -torus comes later and wins over the 32-rank default.
+		args := append([]string{"-torus", "2x2x2"}, c.args...)
+		if err := requestFlags(&q, io.Discard).Parse(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		_, err := q.Cell()
+		switch {
+		case c.flag == "" && err != nil:
+			t.Errorf("%v: unexpected error %v", c.args, err)
+		case c.flag != "" && (err == nil || !strings.Contains(err.Error(), c.flag)):
+			t.Errorf("%v: error %v, want one naming -%s", c.args, err, c.flag)
+		}
+	}
 }
 
 // TestUtilizationWithinRun pins the report's denominator: busy time over

@@ -11,6 +11,43 @@ import (
 	"bgpcoll/internal/serve/reqspec"
 )
 
+// TestBuildCellBounds checks a /v1/run body, decoded over reqspec's
+// defaults, is refused past the request bounds and accepted at both bounds
+// themselves. Nothing is measured, so rows at the rank bound cost no world.
+func TestBuildCellBounds(t *testing.T) {
+	for _, c := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"default", `{"algo":"torus.shaddr"}`, true},
+		{"size at bound", `{"algo":"torus.shaddr","size":"1024M","torus":"2x2x2"}`, true},
+		{"size past bound", `{"algo":"torus.shaddr","size":"1025M","torus":"2x2x2"}`, false},
+		{"2^62 bytes", `{"algo":"torus.shaddr","size":"4398046511104M"}`, false},
+		{"size wraps to 1M", `{"algo":"torus.shaddr","size":"17592186044417M"}`, false},
+		{"size zero", `{"algo":"torus.shaddr","size":"0"}`, false},
+		{"ranks at bound", `{"algo":"torus.shaddr","torus":"64x64x64","mode":"quad"}`, true},
+		{"ranks at bound, smp", `{"algo":"torus.shaddr","torus":"128x128x64","mode":"smp"}`, true},
+		{"ranks past bound", `{"algo":"torus.shaddr","torus":"64x64x65","mode":"quad"}`, false},
+		{"rack-scale flood", `{"algo":"torus.shaddr","torus":"4096x4096x4096"}`, false},
+		{"one long dimension", `{"algo":"torus.shaddr","torus":"1x1x1048577","mode":"smp"}`, false},
+		{"product overflows", `{"algo":"torus.shaddr","torus":"4294967296x4294967296x4","mode":"smp"}`, false},
+		{"allreduce at bound", `{"op":"allreduce","algo":"allreduce.shaddr","size":"1024M","torus":"2x2x2"}`, true},
+		{"allreduce past bound", `{"op":"allreduce","algo":"allreduce.shaddr","size":"1048577K","torus":"2x2x2"}`, false},
+		{"iters at bound", fmt.Sprintf(`{"algo":"tree.shaddr","torus":"2x2x2","iters":%d}`, reqspec.MaxIters), true},
+		{"iters past bound", fmt.Sprintf(`{"algo":"tree.shaddr","torus":"2x2x2","iters":%d}`, reqspec.MaxIters+1), false},
+		{"iters max int", fmt.Sprintf(`{"algo":"tree.shaddr","torus":"2x2x2","iters":%d}`, int(^uint(0)>>1)), false},
+	} {
+		cell, err := runCell(strings.NewReader(c.body))
+		if (err == nil) != c.ok {
+			t.Errorf("%s: runCell(%s) err = %v, want ok=%v", c.name, c.body, err, c.ok)
+			continue
+		}
+		if err == nil {
+			checkCellBounds(t, cell)
+		}
+	}
+}
+
 // TestBuildSweepBounds checks buildSweep rejects a grid past maxSweepCells,
 // including lengths whose product would overflow, and accepts the bound.
 func TestBuildSweepBounds(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -162,13 +163,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	// A field the body leaves out keeps its default.
-	q := reqspec.Defaults()
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	c, err := q.Cell()
+	c, err := runCell(r.Body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -176,6 +171,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, r, []bench.Cell{c}, func(entries []Entry) any {
 		return resultOf(c, entries[0])
 	})
+}
+
+// runCell decodes a /v1/run body into the cell it names. A field the body
+// leaves out keeps its reqspec default.
+func runCell(body io.Reader) (bench.Cell, error) {
+	q := reqspec.Defaults()
+	if err := json.NewDecoder(body).Decode(&q); err != nil {
+		return bench.Cell{}, fmt.Errorf("bad request body: %v", err)
+	}
+	return q.Cell()
 }
 
 // sweepRequest is the /v1/sweep body: a grid of algorithms x sizes over one
