@@ -70,6 +70,9 @@ func (c Cell) Bytes() int {
 // from the pool (worldpool.go), so repeated misses on one partition shape
 // pay construction once; the virtual-time result is vehicle-independent.
 func (c Cell) Run(mode RunMode) (sim.Time, error) {
+	if err := c.checkIters(); err != nil {
+		return 0, err // before the lease: a refused cell costs no world
+	}
 	w, err := leaseWorld(c.Cfg)
 	if err != nil {
 		return 0, err
@@ -85,6 +88,9 @@ func (c Cell) Run(mode RunMode) (sim.Time, error) {
 // bgpsim keeps its world to report the machine's utilization afterwards.
 // The cell's algorithm replaces w's selection for its kind.
 func (c Cell) RunOn(w *mpi.World, mode RunMode) (sim.Time, error) {
+	if err := c.checkIters(); err != nil {
+		return 0, err
+	}
 	w.M.K.SetNoProgram(mode.Reference)
 	switch c.Kind {
 	case CellBcast:
@@ -95,6 +101,16 @@ func (c Cell) RunOn(w *mpi.World, mode RunMode) (sim.Time, error) {
 		return runMeasure(w, opAllreduce, c.Bytes(), c.Iters, 0, mode.NoExtrap)
 	}
 	return 0, fmt.Errorf("bench: unknown cell kind %d", c.Kind)
+}
+
+// checkIters refuses a cell that times no iteration: the measure loop
+// averages over Iters, so 0 would divide by zero and a negative count would
+// never end.
+func (c Cell) checkIters() error {
+	if c.Iters < 1 {
+		return fmt.Errorf("bench: iters %d: a cell times at least one iteration", c.Iters)
+	}
+	return nil
 }
 
 // FigurePlan is one figure decomposed into its cells before anything runs:

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"bgpcoll/internal/hw"
@@ -110,6 +111,35 @@ func TestCellRunMatchesMeasure(t *testing.T) {
 	}
 	if a.Bytes() != 4096*8 {
 		t.Fatalf("allreduce Bytes() = %d, want %d", a.Bytes(), 4096*8)
+	}
+}
+
+// TestCellRefusesNoIterations: a cell of 0 or -3 iterations is refused
+// with an error naming iters, before anything runs, through every library
+// entry point. Unchecked, 0 divided by zero inside a rank and -3 never
+// finished, so a regression fails or hangs here.
+func TestCellRefusesNoIterations(t *testing.T) {
+	cfg := tinyConfig()
+	for _, iters := range []int{0, -3} {
+		entries := []struct {
+			name string
+			run  func() (sim.Time, error)
+		}{
+			{"MeasureBcast", func() (sim.Time, error) { return MeasureBcast(cfg, mpi.BcastTreeShmem, 1024, iters) }},
+			{"MeasureAllreduce", func() (sim.Time, error) { return MeasureAllreduce(cfg, mpi.AllreduceTorusNew, 128, iters) }},
+			{"RunOn", func() (sim.Time, error) {
+				w, err := mpi.NewWorld(cfg)
+				if err != nil {
+					return 0, err
+				}
+				return bcastCell(cfg, mpi.BcastTorusShaddr, 1024, iters).RunOn(w, RunMode{})
+			}},
+		}
+		for _, e := range entries {
+			if _, err := e.run(); err == nil || !strings.Contains(err.Error(), "iters") {
+				t.Errorf("%s with iters %d: error %v, want one naming iters", e.name, iters, err)
+			}
+		}
 	}
 }
 

@@ -94,7 +94,8 @@ func (a *Allreduce) deliver(node int, span hw.Span, t sim.Time) {
 // colorReduce drives one color's reduce chains. Like colorRun, every step
 // is a stage handler bound once per color and scheduled with HookAt (or
 // OnGEHook) carrying (node, chunk), so the chains allocate nothing per
-// chunk.
+// chunk; and like colorRun's, its handlers read the wire bytes and each
+// node's successor from tables that init fills once per schedule.
 type colorReduce struct {
 	a        *Allreduce
 	color    geometry.Color
@@ -102,6 +103,8 @@ type colorReduce struct {
 	lane     int
 	dims     []geometry.Dim // the down run's: the same color order
 	spans    []hw.Span      // the down run's: the same chunks
+	wire     []int          // the down run's: each chunk's wire bytes
+	hops     []hop          // per node: its successor and the hop's dimension (none at the root)
 	baseOff  int
 
 	// state[node*len(spans)+chunk] counts combined input streams; a chunk
@@ -127,6 +130,14 @@ type (
 	hopReceiveStage struct{ cr *colorReduce }
 )
 
+// hop packs a node's reduce successor (colorReduce.succ) into 4 bytes: the
+// successor's node ID above the two bits of the hop's dimension.
+type hop int32
+
+func newHop(to int, d geometry.Dim) hop { return hop(to<<2 | int(d)) }
+func (h hop) to() int                   { return int(h >> 2) }
+func (h hop) dim() geometry.Dim         { return geometry.Dim(h & 3) }
+
 type chunkState struct {
 	arrived int
 	readyAt sim.Time // latest combine completion among arrived streams
@@ -139,6 +150,7 @@ func (cr *colorReduce) init(baseOff int) {
 	m := cr.a.M
 	cr.baseOff = baseOff
 	cr.spans = cr.down.spans
+	cr.wire = cr.down.wire
 	cr.dims = cr.down.dims
 	nodes := m.Geom.Nodes()
 	cr.state = fit(cr.state, nodes*len(cr.spans))
@@ -148,10 +160,15 @@ func (cr *colorReduce) init(baseOff int) {
 		cr.need[n] = 1 // own contribution
 	}
 	// The reduce tree is the exact reverse of the broadcast tree: each
-	// node's combined partial flows to its successor. Count in-edges.
+	// node's combined partial flows to its successor. Tabulate the hops and
+	// count in-edges.
+	cr.hops = fit(cr.hops, nodes)
 	for n := 0; n < nodes; n++ {
-		if succ, _, ok := cr.succ(m.Geom.CoordOf(n)); ok {
-			cr.need[m.Geom.NodeID(succ)]++
+		cr.hops[n] = newHop(-1, 0)
+		if succ, d, ok := cr.succ(m.Geom.CoordOf(n)); ok {
+			to := m.Geom.NodeID(succ)
+			cr.hops[n] = newHop(to, d)
+			cr.need[to]++
 		}
 	}
 	cr.contribH = contribStage{cr}
@@ -221,8 +238,7 @@ func (s *contribStage) RunPost(node, chunk int64) {
 // at contribution time is equivalent to chain order for the integer-valued
 // test vectors and documented as such).
 func (cr *colorReduce) foldContribution(n int, span hw.Span) {
-	rootID := cr.a.M.Geom.NodeID(cr.a.Root)
-	res := cr.a.ResultBufs[rootID]
+	res := cr.a.ResultBufs[cr.a.rootID]
 	contrib := cr.a.ContribBufs[n]
 	if res.Len() == 0 || contrib.Len() == 0 || span.Len == 0 {
 		return
@@ -260,7 +276,7 @@ func (cr *colorReduce) streamArrived(n, chunk int, at sim.Time, combineCost int)
 //bgplint:hot
 func (cr *colorReduce) chunkReady(n, chunk int, at sim.Time) {
 	m := cr.a.M
-	if n != m.Geom.NodeID(cr.a.Root) {
+	if n != cr.a.rootID {
 		m.K.HookAt(at, &cr.injectH, int64(n), int64(chunk))
 		return
 	}
@@ -288,12 +304,11 @@ func (s *releaseStage) RunPost(chunk, _ int64) { s.cr.down.allowChunks(int(chunk
 func (s *hopInjectStage) RunPost(node, chunk int64) {
 	cr := s.cr
 	m := cr.a.M
-	v := m.Geom.CoordOf(int(node))
-	_, d, _ := cr.succ(v)
-	payload := cr.spans[chunk].Len
-	injDone := m.Node(int(node)).DMA.Inject(m.K.Now(), m.Torus.WireBytes(payload))
-	to, at := m.Torus.NeighborSend(injDone, v, d, -cr.color.Dir, cr.lane, payload)
-	m.K.HookAt(at, &cr.arriveH, int64(m.Geom.NodeID(to)), chunk)
+	h := cr.hops[node]
+	wire := cr.wire[chunk]
+	injDone := m.Node(int(node)).DMA.Inject(m.K.Now(), wire)
+	at := m.Torus.NeighborSend(injDone, int(node), h.dim(), -cr.color.Dir, cr.lane, wire)
+	m.K.HookAt(at, &cr.arriveH, int64(h.to()), chunk)
 }
 
 // RunPost processes a partial's network arrival at node: DMA reception.
@@ -302,7 +317,7 @@ func (s *hopInjectStage) RunPost(node, chunk int64) {
 func (s *hopArriveStage) RunPost(node, chunk int64) {
 	cr := s.cr
 	m := cr.a.M
-	rx := m.Node(int(node)).DMA.Receive(m.K.Now(), m.Torus.WireBytes(cr.spans[chunk].Len))
+	rx := m.Node(int(node)).DMA.Receive(m.K.Now(), cr.wire[chunk])
 	m.K.HookAt(rx, &cr.receiveH, node, chunk)
 }
 

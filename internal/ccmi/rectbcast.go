@@ -115,17 +115,26 @@ type deliverer interface {
 // re-armed in place for its owner's next schedule (arm); the pacing retry
 // carries the run's generation, so a retry left queued by the previous
 // schedule cannot pump the next one.
+//
+// What a stage handler needs of the geometry and the wire format is fixed
+// for the whole schedule, so arm tabulates it: each chunk's wire bytes and
+// each node's forwarding duties. A handler indexes the tables by its
+// operands and computes no coordinate, route or packet count.
 type colorRun struct {
-	m     *machine.Machine
-	root  geometry.Coord
-	color geometry.Color
-	lane  int
-	to    deliverer
+	m      *machine.Machine
+	root   geometry.Coord
+	rootID int
+	color  geometry.Color
+	lane   int
+	to     deliverer
 
-	dims []geometry.Dim // color order restricted to dimensions of size > 1
-	w    geometry.Coord // the root's d0 predecessor: owner of the mirror plane
+	dims    []geometry.Dim // color order restricted to dimensions of size > 1
+	w       geometry.Coord // the root's d0 predecessor: owner of the mirror plane
+	patchTo int            // node ID offset from a mirror-plane node to the column node it patches
 
 	spans       []hw.Span // absolute chunk spans, in pump order
+	wire        []int     // per chunk: the span's on-wire bytes
+	duty        []duty    // per node: its forwarding duties
 	next        int       // next chunk to inject
 	readyChunks int       // chunks permitted to inject (monotone)
 	gate        sim.Time  // pacing: next injection may not precede this
@@ -153,15 +162,29 @@ type (
 	}
 )
 
+// duty packs a node's forwarding duties (colorRun.duties) into a byte: the
+// low bits index in dims the first dimension the node line-broadcasts
+// along, so its lines are dims[first:] (none when first is len(dims)), and
+// dutyPatch marks the one-hop mirror patch.
+type duty uint8
+
+const (
+	dutyPatch duty = 1 << 2
+	dutyFirst duty = dutyPatch - 1 // mask of the first line's index
+)
+
 // arm (re)initializes the run for one schedule: the partition of n bytes at
 // baseOff, chunked by the machine's parameters, reported to to. Every field
-// is overwritten; the span, dimension and arrival lists keep their
+// is overwritten; the span, dimension, table and arrival lists keep their
 // capacity.
 func (cr *colorRun) arm(m *machine.Machine, root geometry.Coord, color geometry.Color, lane int, to deliverer, n, baseOff int) {
 	cr.m, cr.root, cr.color, cr.lane, cr.to = m, root, color, lane, to
+	cr.rootID = m.Geom.NodeID(root)
 	cr.spans = m.Cfg.Params.AppendChunks(cr.spans[:0], n)
+	cr.wire = fit(cr.wire, len(cr.spans))
 	for i := range cr.spans {
 		cr.spans[i].Off += baseOff
+		cr.wire[i] = m.Torus.WireBytes(cr.spans[i].Len)
 	}
 	cr.dims = cr.dims[:0]
 	for _, d := range color.Order {
@@ -169,9 +192,24 @@ func (cr *colorRun) arm(m *machine.Machine, root geometry.Coord, color geometry.
 			cr.dims = append(cr.dims, d)
 		}
 	}
-	cr.w = geometry.Coord{}
+	cr.w, cr.patchTo = geometry.Coord{}, 0
 	if len(cr.dims) > 0 {
 		cr.w = m.Geom.Neighbor(root, cr.dims[0], -color.Dir)
+		// A patching node differs from the root column only in its d0
+		// coordinate, which is w's: its mirror is a constant ID offset away.
+		cr.patchTo = cr.rootID - m.Geom.NodeID(cr.w)
+	}
+	cr.duty = fit(cr.duty, m.Geom.Nodes())
+	for id := range cr.duty {
+		if id == cr.rootID {
+			cr.duty[id] = duty(len(cr.dims)) // the root injects; it never forwards
+			continue
+		}
+		lines, patch := cr.duties(m.Geom.CoordOf(id))
+		cr.duty[id] = duty(len(cr.dims) - len(lines))
+		if patch {
+			cr.duty[id] |= dutyPatch
+		}
 	}
 	cr.next, cr.readyChunks, cr.gate, cr.pumping = 0, 0, 0, false
 	cr.gen++
@@ -207,14 +245,13 @@ func (cr *colorRun) pump() {
 	k := cr.m.K
 
 	start := maxTime(cr.gate, k.Now())
-	rootID := cr.m.Geom.NodeID(cr.root)
 	if cr.m.Trace.Enabled() {
-		cr.m.Trace.Addf(start, trace.Proto, rootID,
+		cr.m.Trace.Addf(start, trace.Proto, cr.rootID,
 			"bcast %v pump chunk [%d:%d)", cr.color, span.Off, span.Off+span.Len)
 	}
 	// The root's master sees the chunk locally as it is injected, pacing
 	// the root node's own intra-node pipeline with the network.
-	cr.to.deliver(rootID, span, start)
+	cr.to.deliver(cr.rootID, span, start)
 
 	if len(cr.dims) == 0 { // single-node partition: nothing to send
 		cr.pumping = false
@@ -222,7 +259,7 @@ func (cr *colorRun) pump() {
 		return
 	}
 
-	injDone := cr.m.NodeAt(cr.root).DMA.Inject(start, cr.m.Torus.WireBytes(span.Len))
+	injDone := cr.m.Node(cr.rootID).DMA.Inject(start, cr.wire[chunk])
 	k.HookAt(injDone, &cr.injectH, int64(chunk), 0)
 }
 
@@ -245,7 +282,7 @@ func (s *rootInjectStage) RunPost(chunk, _ int64) {
 	cr := s.cr
 	k := cr.m.K
 	var firstStart sim.Time
-	cr.arrivals, firstStart = cr.m.Torus.LineBcast(cr.arrivals[:0], k.Now(), cr.root, cr.dims[0], cr.color.Dir, cr.lane, cr.spans[chunk].Len)
+	cr.arrivals, firstStart = cr.m.Torus.LineBcast(cr.arrivals[:0], k.Now(), cr.rootID, cr.dims[0], cr.color.Dir, cr.lane, cr.wire[chunk])
 	for _, a := range cr.arrivals {
 		cr.arrive(a.Node, chunk, a.At)
 	}
@@ -254,11 +291,11 @@ func (s *rootInjectStage) RunPost(chunk, _ int64) {
 	k.HookAt(maxTime(firstStart, k.Now()), &cr.pumpH, cr.gen, 0)
 }
 
-// arrive schedules the network arrival of chunk at node v.
+// arrive schedules the network arrival of chunk at node.
 //
 //bgplint:hot
-func (cr *colorRun) arrive(v geometry.Coord, chunk int64, netAt sim.Time) {
-	cr.m.K.HookAt(netAt, &cr.arriveH, int64(cr.m.Geom.NodeID(v)), chunk)
+func (cr *colorRun) arrive(node int, chunk int64, netAt sim.Time) {
+	cr.m.K.HookAt(netAt, &cr.arriveH, int64(node), chunk)
 }
 
 // RunPost processes the network arrival of chunk at node: DMA reception.
@@ -267,7 +304,7 @@ func (cr *colorRun) arrive(v geometry.Coord, chunk int64, netAt sim.Time) {
 func (s *arriveStage) RunPost(node, chunk int64) {
 	cr := s.cr
 	k := cr.m.K
-	rx := cr.m.Node(int(node)).DMA.Receive(k.Now(), cr.m.Torus.WireBytes(cr.spans[chunk].Len))
+	rx := cr.m.Node(int(node)).DMA.Receive(k.Now(), cr.wire[chunk])
 	k.HookAt(rx, &cr.receiveH, node, chunk)
 }
 
@@ -294,19 +331,17 @@ func (s *receiveStage) RunPost(node, chunk int64) {
 //
 //bgplint:hot
 func (cr *colorRun) forward(node, chunk int64) {
-	v := cr.m.Geom.CoordOf(int(node))
-	lines, patch := cr.duties(v)
-	span := cr.spans[chunk]
-	wire := cr.m.Torus.WireBytes(span.Len)
+	du := cr.duty[node]
+	wire := cr.wire[chunk]
 	t := cr.m.K.Now()
 	dma := cr.m.Node(int(node)).DMA
-	if patch {
+	if du&dutyPatch != 0 {
 		injDone := dma.Inject(t, wire)
-		to, at := cr.m.Torus.NeighborSend(injDone, v, cr.dims[0], cr.color.Dir, cr.lane, span.Len)
-		cr.arrive(to, chunk, at)
+		at := cr.m.Torus.NeighborSend(injDone, int(node), cr.dims[0], cr.color.Dir, cr.lane, wire)
+		cr.arrive(int(node)+cr.patchTo, chunk, at)
 		t = injDone
 	}
-	for _, d := range lines {
+	for _, d := range cr.dims[du&dutyFirst:] {
 		injDone := dma.Inject(t, wire)
 		cr.m.K.HookAt(injDone, &cr.lineH[d], node, chunk)
 		t = injDone
@@ -319,7 +354,7 @@ func (cr *colorRun) forward(node, chunk int64) {
 //bgplint:hot
 func (s *lineStage) RunPost(node, chunk int64) {
 	cr := s.cr
-	cr.arrivals, _ = cr.m.Torus.LineBcast(cr.arrivals[:0], cr.m.K.Now(), cr.m.Geom.CoordOf(int(node)), s.d, cr.color.Dir, cr.lane, cr.spans[chunk].Len)
+	cr.arrivals, _ = cr.m.Torus.LineBcast(cr.arrivals[:0], cr.m.K.Now(), int(node), s.d, cr.color.Dir, cr.lane, cr.wire[chunk])
 	for _, a := range cr.arrivals {
 		cr.arrive(a.Node, chunk, a.At)
 	}
@@ -328,6 +363,7 @@ func (s *lineStage) RunPost(node, chunk int64) {
 // duties returns the dimensions along which v must line-broadcast and
 // whether v performs the one-hop mirror patch. See the package comment for
 // the tree construction; TestBcastSpanningTree verifies single coverage.
+// arm tabulates it for every node but the root (colorRun.duty).
 func (cr *colorRun) duties(v geometry.Coord) (lines []geometry.Dim, patch bool) {
 	if v == cr.root {
 		panic("ccmi: duties of root")

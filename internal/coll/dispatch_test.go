@@ -121,3 +121,54 @@ func TestTreeDispatchPinned(t *testing.T) {
 		}
 	}
 }
+
+// torusDispatchPins are the kernel entries and the end instant of one
+// torus collective on a 4x3x2 partition, per algorithm, mode and root: a
+// 1,205,652 B broadcast, or a 602,112 B allreduce (root 0). As with the tree
+// pins, the schedules may change how they compute their routes, not what
+// they schedule.
+var torusDispatchPins = []struct {
+	mode       hw.Mode
+	algo       string
+	allreduce  bool
+	root       int
+	dispatched int64
+	end        sim.Time
+}{
+	{hw.Quad, mpi.BcastTorusShaddr, false, 0, 43565, 594201245},
+	{hw.Quad, mpi.BcastTorusShaddr, false, 5, 43347, 594201245},
+	{hw.Quad, mpi.BcastTorusFIFO, false, 0, 41428, 1198249232},
+	{hw.Quad, mpi.BcastTorusFIFO, false, 5, 41278, 1198249232},
+	{hw.Quad, mpi.BcastTorusDirectPut, false, 0, 16038, 1837002484},
+	{hw.Quad, mpi.BcastTorusDirectPut, false, 5, 16038, 1837002484},
+	{hw.SMP, mpi.BcastTorusDirectPut, false, 0, 15822, 586222212},
+	{hw.SMP, mpi.BcastTorusDirectPut, false, 5, 15822, 586222212},
+	{hw.Quad, mpi.AllreduceTorusNew, true, 0, 34179, 795160309},
+	{hw.Quad, mpi.AllreduceTorusCurrent, true, 0, 27413, 1886166033},
+}
+
+// TestTorusDispatchPinned pins torusDispatchPins.
+func TestTorusDispatchPinned(t *testing.T) {
+	for _, c := range torusDispatchPins {
+		cfg := testConfig(4, 3, 2, c.mode)
+		cfg.Functional = false
+		w, err := mpi.NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Tunables.Bcast, w.Tunables.Allreduce = c.algo, c.algo
+		end, err := w.RunProgram(func(r *mpi.Rank) {
+			if c.allreduce {
+				r.AllreduceSumThen(r.NewBuf(602112), r.NewBuf(602112), func() {})
+			} else {
+				r.BcastThen(r.NewBuf(1205652), c.root, func() {})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.M.K.Dispatched(); got != c.dispatched || end != c.end {
+			t.Errorf("%v %s root %d: dispatched %d, end %d; want %d, %d", c.mode, c.algo, c.root, got, end, c.dispatched, c.end)
+		}
+	}
+}

@@ -125,7 +125,7 @@ func ParseSize(s string) (int, error) {
 	}
 	n, err := strconv.Atoi(s)
 	if err != nil {
-		return 0, fmt.Errorf("invalid size %q", s)
+		return 0, fmt.Errorf("invalid size %q", in)
 	}
 	if n > math.MaxInt/mult || n < math.MinInt/mult {
 		return 0, fmt.Errorf("size %q overflows", in)

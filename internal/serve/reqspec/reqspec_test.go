@@ -143,7 +143,8 @@ func with(edit func(q *Request)) Request {
 // TestRequestCell is the one table of request checks both doors share: the
 // bgpsim command line and a /v1/run body reach Request.Cell with the same
 // fields, so a row here pins both. field names the field a refusal's error
-// must name; "" means the request is accepted.
+// must name (a size that does not parse must also be quoted as given); ""
+// means the request is accepted.
 func TestRequestCell(t *testing.T) {
 	const small = "2x2x2" // 32 ranks in quad mode
 	for _, c := range []struct {
@@ -163,7 +164,8 @@ func TestRequestCell(t *testing.T) {
 		{"size wraps to 1M", with(func(q *Request) { q.Algo, q.Size = "torus.shaddr", "17592186044417M" }), "size"},
 		{"size zero", with(func(q *Request) { q.Algo, q.Size = "torus.shaddr", "0" }), "size"},
 		{"size negative", with(func(q *Request) { q.Size, q.Torus = "-8", small }), "size"},
-		{"size not a number", with(func(q *Request) { q.Size, q.Torus = "1.5M", small }), "size"},
+		{"size not a number", with(func(q *Request) { q.Size, q.Torus = "1.5M", small }), `size "1.5M"`},
+		{"size with an unknown unit", with(func(q *Request) { q.Size, q.Torus = " 64kb", small }), `size " 64kb"`},
 		{"ranks at bound", with(func(q *Request) { q.Algo, q.Torus, q.Mode = "torus.shaddr", "64x64x64", "quad" }), ""},
 		{"ranks at bound, automatic 8 bytes", with(func(q *Request) { q.Size, q.Torus = "8", "64x64x64" }), ""},
 		{"ranks at bound, smp", with(func(q *Request) { q.Algo, q.Torus, q.Mode = "torus.shaddr", "128x128x64", "smp" }), ""},

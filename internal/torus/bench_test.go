@@ -15,9 +15,9 @@ func BenchmarkLineBcast(b *testing.B) {
 	geom, _ := geometry.NewTorus(8, 8, 8)
 	net := New(sim.New(), geom, hw.DefaultParams())
 	var arr []Arrival
+	wire := net.WireBytes(4096)
 	bcast := func(i int) {
-		from := geom.CoordOf(i % geom.Nodes())
-		arr, _ = net.LineBcast(arr[:0], 0, from, geometry.Dim(i%3), geometry.Plus, i%6, 4096)
+		arr, _ = net.LineBcast(arr[:0], 0, i%geom.Nodes(), geometry.Dim(i%3), geometry.Plus, i%6, wire)
 	}
 	for i := 0; i < 3*geom.Nodes(); i++ {
 		bcast(i)

@@ -17,7 +17,7 @@ func TestReconfiguredNetworkStartsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Torus.LineBcast(nil, 0, geometry.XYZ(0, 0, 0), geometry.X, geometry.Plus, 4, 512)
+	m.Torus.LineBcast(nil, 0, 0, geometry.X, geometry.Plus, 4, m.Torus.WireBytes(512))
 	m.Torus.Unicast(0, geometry.XYZ(0, 0, 0), geometry.XYZ(2, 2, 1), 12, 512)
 	if links, _, _ := m.Torus.Stats(); links != 3+5 {
 		t.Fatalf("before Reconfigure: %d links, want 8", links)
@@ -36,7 +36,7 @@ func TestReconfiguredNetworkStartsEmpty(t *testing.T) {
 	}
 	// The new network's table covers the new geometry: the far end of the
 	// longer X line has links of its own.
-	arr, _ := m.Torus.LineBcast(nil, 0, geometry.XYZ(7, 1, 1), geometry.X, geometry.Minus, 4, 512)
+	arr, _ := m.Torus.LineBcast(nil, 0, m.Geom.NodeID(geometry.XYZ(7, 1, 1)), geometry.X, geometry.Minus, 4, m.Torus.WireBytes(512))
 	if len(arr) != 7 {
 		t.Fatalf("%d arrivals on the reconfigured X line, want 7", len(arr))
 	}

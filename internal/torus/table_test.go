@@ -67,8 +67,9 @@ func TestStatsCountsUsedLinks(t *testing.T) {
 	if links, bytes, busy := net.Stats(); links != 0 || bytes != 0 || busy != 0 {
 		t.Fatalf("fresh network: %d links, %d bytes, busy %v", links, bytes, busy)
 	}
-	net.LineBcast(nil, 0, geometry.XYZ(0, 1, 1), geometry.X, geometry.Minus, 9, 1000)
-	net.NeighborSend(0, geometry.XYZ(0, 1, 1), geometry.X, geometry.Minus, 9, 1000) // reuses hop 1
+	from, wire := net.Geometry().NodeID(geometry.XYZ(0, 1, 1)), net.WireBytes(1000)
+	net.LineBcast(nil, 0, from, geometry.X, geometry.Minus, 9, wire)
+	net.NeighborSend(0, from, geometry.X, geometry.Minus, 9, wire) // reuses hop 1
 	links, bytes, _ := net.Stats()
 	if links != 7 {
 		t.Fatalf("line broadcast over 8 nodes: %d links, want 7", links)
@@ -107,9 +108,10 @@ func TestHopPathAllocationFree(t *testing.T) {
 	_, net, _ := newNet(t, 8, 4, 4)
 	src, dst := geometry.XYZ(1, 0, 3), geometry.XYZ(6, 3, 1)
 	var arr []Arrival
-	lineBcast := func() { arr, _ = net.LineBcast(arr[:0], 0, src, geometry.Y, geometry.Minus, 3, 4096) }
+	srcID, wire := net.Geometry().NodeID(src), net.WireBytes(4096)
+	lineBcast := func() { arr, _ = net.LineBcast(arr[:0], 0, srcID, geometry.Y, geometry.Minus, 3, wire) }
 	unicast := func() { net.Unicast(0, src, dst, 12, 4096) }
-	neighbor := func() { net.NeighborSend(0, src, geometry.Z, geometry.Plus, 7, 4096) }
+	neighbor := func() { net.NeighborSend(0, srcID, geometry.Z, geometry.Plus, 7, wire) }
 	for _, tc := range []struct {
 		name string
 		f    func()

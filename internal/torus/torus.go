@@ -143,40 +143,68 @@ func (n *Network) WireBytes(payload int) int {
 	return (payload + n.payloadBytes - 1) / n.payloadBytes * n.packetBytes
 }
 
-// Arrival describes one node's reception of a line broadcast or unicast.
+// Arrival describes one node's reception of a line broadcast.
 type Arrival struct {
-	Node geometry.Coord
+	Node int      // the receiving node's ID
 	At   sim.Time // when the last byte has arrived at the node's torus port
 }
 
-// LineBcast injects one chunk at node `from` no earlier than `start`, with
-// the deposit bit set, along dimension d in direction dir: every other node
-// on the line receives the chunk (paper §III-A). The arrivals are appended to
-// dst in hop order, so a caller that passes its own scratch (dst[:0])
-// allocates nothing per chunk; firstStart is when the chunk actually entered
-// the first link (used by callers to pace injection against link drain).
-// Cut-through: the transfer on hop k starts one hop latency after hop k-1's
-// start and each link is occupied for the full wire time.
+// ring locates node id on its ring along d: the ring's size nodes are lo,
+// lo+stride, ..., lo+(size-1)*stride, in increasing coordinate along d.
+func (n *Network) ring(id int, d geometry.Dim) (stride, size, lo int) {
+	size = n.geom.Size(d)
+	switch d {
+	case geometry.X:
+		stride = 1
+	case geometry.Y:
+		stride = n.geom.DX
+	default:
+		stride = n.geom.DX * n.geom.DY
+	}
+	return stride, size, id - id/stride%size*stride
+}
+
+// LineBcast injects one chunk of wire bytes (WireBytes of its payload) at
+// node from no earlier than start, with the deposit bit set, along
+// dimension d in direction dir: every other node on the line receives the
+// chunk (paper §III-A). The arrivals are appended to dst in hop order, so a
+// caller that passes its own scratch (dst[:0]) allocates nothing per chunk;
+// firstStart is when the chunk actually entered the first link (used by
+// callers to pace injection against link drain). Cut-through: the transfer
+// on hop k starts one hop latency after hop k-1's start and each link is
+// occupied for the full wire time.
+//
+// The walk steps node IDs by the dimension's stride and wraps at the ring's
+// ends by comparison, so a hop costs no coordinate arithmetic.
 //
 //bgplint:hot
-func (n *Network) LineBcast(dst []Arrival, start sim.Time, from geometry.Coord, d geometry.Dim, dir geometry.Dir, lane, payload int) (arrivals []Arrival, firstStart sim.Time) {
-	wire := n.WireBytes(payload)
-	size := n.geom.Size(d)
+func (n *Network) LineBcast(dst []Arrival, start sim.Time, from int, d geometry.Dim, dir geometry.Dir, lane, wire int) (arrivals []Arrival, firstStart sim.Time) {
 	checkLink(d, dir)
 	row := n.row(lane)
+	stride, size, lo := n.ring(from, d)
+	span := size * stride
+	hi := lo + span
+	if dir == geometry.Minus {
+		stride = -stride
+	}
 	arrivals = dst
 	cur := from
 	hopStart := start
 	firstStart = start
 	for hop := 1; hop < size; hop++ {
-		link := n.pipe(row, linkSlot(n.geom.NodeID(cur), d, dir), lane)
+		link := n.pipe(row, linkSlot(cur, d, dir), lane)
 		var done sim.Time
 		hopStart, done = link.ReserveAt(hopStart, wire)
 		if hop == 1 {
 			firstStart = hopStart
 		}
 		done += n.hopLatency
-		cur = n.geom.Neighbor(cur, d, dir)
+		cur += stride
+		if cur >= hi {
+			cur -= span
+		} else if cur < lo {
+			cur += span
+		}
 		arrivals = append(arrivals, Arrival{Node: cur, At: done})
 		hopStart += n.hopLatency
 	}
@@ -210,15 +238,17 @@ func (n *Network) Unicast(start sim.Time, src, dst geometry.Coord, lane, payload
 	return done
 }
 
-// NeighborSend sends one chunk to the adjacent node along (d, dir): the
-// single-hop special case used by chain reduce schedules.
+// NeighborSend sends one chunk of wire bytes from node from to its
+// neighbor along (d, dir), the single-hop special case used by chain reduce
+// schedules, and returns when it has arrived there. The caller knows the
+// neighbor's ID from its own route tables.
 //
 //bgplint:hot
-func (n *Network) NeighborSend(start sim.Time, from geometry.Coord, d geometry.Dim, dir geometry.Dir, lane, payload int) (to geometry.Coord, at sim.Time) {
-	wire := n.WireBytes(payload)
-	link := n.Link(from, d, dir, lane)
+func (n *Network) NeighborSend(start sim.Time, from int, d geometry.Dim, dir geometry.Dir, lane, wire int) (at sim.Time) {
+	checkLink(d, dir)
+	link := n.pipe(n.row(lane), linkSlot(from, d, dir), lane)
 	_, done := link.ReserveAt(start, wire)
-	return n.geom.Neighbor(from, d, dir), done + n.hopLatency
+	return done + n.hopLatency
 }
 
 func maxTime(a, b sim.Time) sim.Time {

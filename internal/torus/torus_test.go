@@ -38,15 +38,14 @@ func TestLinkIdentity(t *testing.T) {
 
 func TestLineBcastArrivals(t *testing.T) {
 	k, net, p := newNet(t, 8, 4, 4)
-	from := geometry.XYZ(0, 0, 0)
-	arr, _ := net.LineBcast(nil, 0, from, geometry.X, geometry.Plus, 0, 240)
+	wire := p.TorusWireBytes(240) // one 256-byte packet
+	arr, _ := net.LineBcast(nil, 0, 0, geometry.X, geometry.Plus, 0, wire)
 	if len(arr) != 7 {
 		t.Fatalf("arrivals = %d, want 7", len(arr))
 	}
-	wire := p.TorusWireBytes(240) // one 256-byte packet
 	per := sim.TransferTime(wire, p.TorusLinkBps)
 	for i, a := range arr {
-		if a.Node.X != i+1 || a.Node.Y != 0 || a.Node.Z != 0 {
+		if a.Node != net.Geometry().NodeID(geometry.XYZ(i+1, 0, 0)) {
 			t.Fatalf("arrival %d at wrong node %v", i, a.Node)
 		}
 		// Cut-through: hop k starts k*hopLat after injection and takes
@@ -66,9 +65,8 @@ func TestLineBcastBackToBackChunksPipeline(t *testing.T) {
 	// the first chunk has left the first link, so steady-state throughput is
 	// one wire time per chunk.
 	_, net, p := newNet(t, 8, 2, 2)
-	from := geometry.XYZ(0, 0, 0)
-	a1, _ := net.LineBcast(nil, 0, from, geometry.X, geometry.Plus, 0, 240)
-	a2, _ := net.LineBcast(nil, 0, from, geometry.X, geometry.Plus, 0, 240)
+	a1, _ := net.LineBcast(nil, 0, 0, geometry.X, geometry.Plus, 0, p.TorusWireBytes(240))
+	a2, _ := net.LineBcast(nil, 0, 0, geometry.X, geometry.Plus, 0, p.TorusWireBytes(240))
 	per := sim.TransferTime(p.TorusWireBytes(240), p.TorusLinkBps)
 	last1 := a1[len(a1)-1].At
 	last2 := a2[len(a2)-1].At
@@ -79,11 +77,39 @@ func TestLineBcastBackToBackChunksPipeline(t *testing.T) {
 
 func TestLineBcastWraps(t *testing.T) {
 	_, net, _ := newNet(t, 4, 2, 2)
-	arr, _ := net.LineBcast(nil, 0, geometry.XYZ(2, 0, 0), geometry.X, geometry.Plus, 0, 100)
+	arr, _ := net.LineBcast(nil, 0, 2, geometry.X, geometry.Plus, 0, net.WireBytes(100))
 	wantX := []int{3, 0, 1}
 	for i, a := range arr {
-		if a.Node.X != wantX[i] {
+		if a.Node != wantX[i] {
 			t.Fatalf("wrap order %v", arr)
+		}
+	}
+}
+
+// TestLineBcastArrivalIDs: the stride walk visits the nodes geometry.Line
+// lists, in its order, from every node along every dimension in both
+// directions, across the wrap, on tori with size-1 and size-2 dimensions.
+func TestLineBcastArrivalIDs(t *testing.T) {
+	for _, dims := range [][3]int{{5, 4, 3}, {2, 1, 3}, {1, 2, 4}, {3, 2, 1}} {
+		_, net, _ := newNet(t, dims[0], dims[1], dims[2])
+		geom := net.Geometry()
+		var arr []Arrival
+		for id := 0; id < geom.Nodes(); id++ {
+			c := geom.CoordOf(id)
+			for d := geometry.X; d < geometry.NumDims; d++ {
+				for _, dir := range []geometry.Dir{geometry.Plus, geometry.Minus} {
+					arr, _ = net.LineBcast(arr[:0], 0, id, d, dir, 0, 256)
+					line := geom.Line(c, d, dir)
+					if len(arr) != len(line) {
+						t.Fatalf("%v from %v along %v%v: %d arrivals, want %d", geom, c, d, dir, len(arr), len(line))
+					}
+					for i, a := range arr {
+						if a.Node != geom.NodeID(line[i]) {
+							t.Fatalf("%v from %v along %v%v: arrival %d at node %d, want %d (%v)", geom, c, d, dir, i, a.Node, geom.NodeID(line[i]), line[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -112,13 +138,14 @@ func TestUnicastSelfIsFree(t *testing.T) {
 
 func TestNeighborSend(t *testing.T) {
 	_, net, p := newNet(t, 4, 4, 4)
-	to, at := net.NeighborSend(0, geometry.XYZ(3, 0, 0), geometry.X, geometry.Plus, 0, 240)
-	if to != (geometry.XYZ(0, 0, 0)) {
-		t.Fatalf("neighbor = %v", to)
-	}
+	at := net.NeighborSend(0, 3, geometry.X, geometry.Plus, 0, p.TorusWireBytes(240))
 	want := sim.TransferTime(p.TorusWireBytes(240), p.TorusLinkBps) + p.TorusHopLatency
 	if at != want {
 		t.Fatalf("arrival %v, want %v", at, want)
+	}
+	// The hop used node 3's X+ link.
+	if _, _, n := net.Link(geometry.XYZ(3, 0, 0), geometry.X, geometry.Plus, 0).Stats(); n != 1 {
+		t.Fatalf("node 3's X+ link carried %d transfers, want 1", n)
 	}
 }
 
@@ -144,12 +171,11 @@ func TestBandwidthSteadyState(t *testing.T) {
 	// Streaming many chunks along a line approaches link bandwidth
 	// (divided by the wire/payload overhead).
 	_, net, p := newNet(t, 8, 2, 2)
-	from := geometry.XYZ(0, 0, 0)
 	const chunks = 100
 	const payload = 16 << 10
 	var last sim.Time
 	for i := 0; i < chunks; i++ {
-		arr, _ := net.LineBcast(nil, 0, from, geometry.X, geometry.Plus, 0, payload)
+		arr, _ := net.LineBcast(nil, 0, 0, geometry.X, geometry.Plus, 0, p.TorusWireBytes(payload))
 		last = arr[len(arr)-1].At
 	}
 	bytes := float64(chunks * payload)
