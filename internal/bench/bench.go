@@ -198,26 +198,30 @@ const (
 )
 
 // measureLoop is the Fig. 5 micro-benchmark loop (barrier; time one
-// collective; repeat) as a state machine: its continuations are method
-// values bound once per slot, where the closure form allocated two per
+// collective; repeat) as a state machine: its one continuation, step, is a
+// method value bound once per slot, where the closure form allocated two per
 // iteration per rank — the dominant bench-side entry in the sweep
 // allocation profile. Loops live in one per-world slab (measureLoops),
 // indexed by rank: at rack scale a million tiny pointer-bearing objects per
 // measurement is real GC mark and sweep work, and a pooled world re-arms the
 // slab it already has. What every rank's loop of a measurement shares sits
 // once in the slab's measurement header, so a slot holds only its rank's
-// own state.
+// own state; an allreduce's receive buffers, which no other loop has, sit
+// in the header's recv slab.
 type measureLoop struct {
 	r       *mpi.Rank
 	m       *measurement
-	a, b    data.Buf // operands: the bcast payload in a; the allreduce's send in a, recv in b
+	a       data.Buf // the bcast payload, or the allreduce's send buffer
 	i       int
 	elapsed sim.Time
-	start   sim.Time
+	start   sim.Time // the timed operation's start, or noStart while the loop is in its barrier
 
-	afterBarrierFn func()
-	afterOpFn      func()
+	stepFn func() // bound step
 }
+
+// noStart marks a loop whose pending continuation ends a barrier, not the
+// timed operation. Virtual time is never negative.
+const noStart sim.Time = -1
 
 // measurement is the header every rank's measure loop of one measurement
 // shares.
@@ -227,6 +231,7 @@ type measurement struct {
 	root  int           // the broadcast root
 	worst sim.Time      // the slowest rank's average so far
 	ext   *extrapolator // steady-state detector, nil when extrapolation is off
+	recv  []data.Buf    // by rank: the allreduce's receive buffers
 }
 
 // measureKey names the measure-loop slab on every world.
@@ -259,7 +264,14 @@ func measureLoops(w *mpi.World) *measureSlab {
 func runMeasure(w *mpi.World, op measureOp, bytes, iters, root int, noExtrap bool) (sim.Time, error) {
 	s := measureLoops(w)
 	ext := newExtrapolator(w, iters, noExtrap)
-	s.m = measurement{op: op, iters: iters, root: root, ext: ext}
+	recv := s.m.recv[:0]
+	if op == opAllreduce {
+		if cap(recv) < w.Size() {
+			recv = make([]data.Buf, w.Size())
+		}
+		recv = recv[:w.Size()]
+	}
+	s.m = measurement{op: op, iters: iters, root: root, ext: ext, recv: recv}
 	loops := s.loops[:w.Size()]
 	_, err := w.RunProgram(func(r *mpi.Rank) {
 		l := &loops[r.Rank()]
@@ -268,7 +280,7 @@ func runMeasure(w *mpi.World, op measureOp, bytes, iters, root int, noExtrap boo
 		case opBcast:
 			l.a = r.NewBuf(bytes)
 		case opAllreduce:
-			l.a, l.b = r.NewBuf(bytes), r.NewBuf(bytes)
+			l.a, s.m.recv[r.Rank()] = r.NewBuf(bytes), r.NewBuf(bytes)
 		}
 		ext.attach(l)
 		l.iter()
@@ -276,16 +288,13 @@ func runMeasure(w *mpi.World, op measureOp, bytes, iters, root int, noExtrap boo
 	return s.m.worst, err
 }
 
-// arm resets a slab slot for one measurement, binding its continuations on
+// arm resets a slab slot for one measurement, binding its continuation on
 // the slot's first use.
 func (l *measureLoop) arm(r *mpi.Rank, m *measurement) {
-	if l.afterBarrierFn == nil {
-		l.afterBarrierFn, l.afterOpFn = l.afterBarrier, l.afterOp
+	if l.stepFn == nil {
+		l.stepFn = l.step
 	}
-	*l = measureLoop{
-		r: r, m: m,
-		afterBarrierFn: l.afterBarrierFn, afterOpFn: l.afterOpFn,
-	}
+	*l = measureLoop{r: r, m: m, start: noStart, stepFn: l.stepFn}
 }
 
 // iter starts the next iteration, or folds the average into the shared
@@ -300,10 +309,28 @@ func (l *measureLoop) iter() {
 		if avg > m.worst {
 			m.worst = avg
 		}
-		l.a, l.b = data.Buf{}, data.Buf{}
+		l.a = data.Buf{}
+		if m.op == opAllreduce {
+			m.recv[l.r.Rank()] = data.Buf{}
+		}
 		return
 	}
-	l.r.BarrierThen(l.afterBarrierFn)
+	l.r.BarrierThen(l.stepFn)
+}
+
+// step is the loop's continuation: the end of the iteration's barrier while
+// start is noStart, the end of its timed operation otherwise.
+//
+//bgplint:hot
+func (l *measureLoop) step() {
+	if l.start == noStart {
+		l.afterBarrier()
+		return
+	}
+	l.elapsed += l.r.Now() - l.start
+	l.start = noStart
+	l.i++
+	l.iter()
 }
 
 // afterBarrier consults the extrapolator before reading the clock: the
@@ -319,19 +346,12 @@ func (l *measureLoop) afterBarrier() {
 	l.start = l.r.Now()
 	switch m.op {
 	case opBcast:
-		l.r.BcastThen(l.a, m.root, l.afterOpFn)
+		l.r.BcastThen(l.a, m.root, l.stepFn)
 	case opAllreduce:
-		l.r.AllreduceSumThen(l.a, l.b, l.afterOpFn)
+		l.r.AllreduceSumThen(l.a, m.recv[l.r.Rank()], l.stepFn)
 	default:
-		l.r.BarrierThen(l.afterOpFn)
+		l.r.BarrierThen(l.stepFn)
 	}
-}
-
-//bgplint:hot
-func (l *measureLoop) afterOp() {
-	l.elapsed += l.r.Now() - l.start
-	l.i++
-	l.iter()
 }
 
 // MeasureAllreduce runs the micro-benchmark for one allreduce configuration.

@@ -4,8 +4,9 @@
 // paper figures, which report only virtual time, figS also records what the
 // simulator itself costs at each scale — wall-clock construction time,
 // incremental growth time (Reconfigure from the previous point), measurement
-// wall time, per-rank resident bytes, and peak heap — so capacity regressions
-// show up in the committed benchmark record, not just in OOM kills.
+// wall time, per-rank resident bytes at rest and after the runs, and peak
+// heap — so capacity regressions show up in the committed benchmark record,
+// not just in OOM kills.
 package bench
 
 import (
@@ -74,17 +75,18 @@ func measureBarrierOn(w *mpi.World, iters int, mode RunMode) (sim.Time, error) {
 type scaleCell struct {
 	bcast, barrier           sim.Time
 	construct, grow, runWall time.Duration
-	perRankBytes             float64
+	perRankBytes             float64 // the settled world
+	runStateBytes            float64 // what the runs left beside it
 	peakHeapMB               float64
 }
 
 // measureScalePoint builds a fresh world for cfg and measures it. Heap
-// accounting brackets construction with GC'd heap snapshots, which is
-// why the sweep runs its points serially on the calling goroutine —
-// concurrent kernel runs would pollute the deltas (Options.Workers is
-// ignored). The peak is the HeapInuse high water sampled through the run,
-// not one reading at its end, which would land at an arbitrary point of the
-// GC cycle. The world is returned still live so the caller can use it as the
+// accounting brackets construction, and then the runs, with GC'd heap
+// snapshots, which is why the sweep runs its points serially on the
+// calling goroutine — concurrent kernel runs would pollute the deltas
+// (Options.Workers is ignored). The peak is the HeapInuse high water sampled
+// through the run, not one reading at its end, which would land at an
+// arbitrary point of the GC cycle. The world is returned still live so the caller can use it as the
 // growth donor for the next point.
 func measureScalePoint(cfg hw.Config, msg, iters int, mode RunMode) (scaleCell, *mpi.World, error) {
 	runtime.GC()
@@ -123,7 +125,25 @@ func measureScalePoint(cfg hw.Config, msg, iters int, mode RunMode) (scaleCell, 
 	cell.runWall = time.Since(t0)
 	cell.peakHeapMB = float64(max(sampler.Peak(), settled.HeapInuse)) / float64(1<<20)
 	resetBetweenRuns(w)
+	cell.runStateBytes = runStateBytesPerRank(w, settled.HeapAlloc)
 	return cell, w, nil
+}
+
+// runStateBytesPerRank is the run state w keeps between runs: the live heap
+// its runs have added over settled, the HeapAlloc the GC'd world stood at
+// after construction, per rank and rounded to whole bytes like the world's
+// own footprint. It runs a GC first. Process slabs, driver slabs and
+// recycled collective state all stay with a world across runs (a pooled one
+// too), so at rack scale they sit beside the world in every run's peak.
+func runStateBytesPerRank(w *mpi.World, settled uint64) float64 {
+	runtime.GC()
+	var now runtime.MemStats
+	runtime.ReadMemStats(&now)
+	runtime.KeepAlive(w)
+	if now.HeapAlloc <= settled {
+		return 0
+	}
+	return math.Round(float64(now.HeapAlloc-settled) / float64(w.Size()))
 }
 
 // The labels of figS's wall-clock series, in ms per point: a fresh world's
@@ -179,6 +199,7 @@ func FigScale(o Options) (*Figure, error) {
 		ScaleRunLabel,
 		"Per-rank (bytes)",
 		"Peak heap (MB)",
+		"Run state (B/rank)",
 	}
 	fig.Series = make([]Series, len(labels))
 	for i, l := range labels {
@@ -214,6 +235,7 @@ func FigScale(o Options) (*Figure, error) {
 			float64(cell.runWall) / float64(time.Millisecond),
 			cell.perRankBytes,
 			cell.peakHeapMB,
+			cell.runStateBytes,
 		} {
 			fig.Series[s].Values[i] = v
 		}

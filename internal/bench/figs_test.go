@@ -148,10 +148,17 @@ func TestParallelConstructionMatchesSerial(t *testing.T) {
 // in).
 const capacityBudgetBytesPerRank = 278.0
 
+// capacityRunBudgetBytesPerRank is the committed ceiling on the run state a
+// 65,536-rank world keeps beside itself after the capacity smoke's
+// broadcast and barrier (runStateBytesPerRank): the process slabs, the
+// per-rank measure loops and tree-broadcast drivers, and the recycled
+// collective state. It measures 523 B/rank; the ceiling adds under 10%.
+const capacityRunBudgetBytesPerRank = 575.0
+
 // TestCapacitySmoke65k is the CI capacity gate: a 65,536-rank world must
-// construct, fit the per-rank budget, and complete a small broadcast and a
-// barrier. CI runs it under GOMEMLIMIT so a footprint regression fails fast
-// instead of thrashing.
+// construct, fit the per-rank budget, complete a small broadcast and a
+// barrier, and keep no more run state than its budget. CI runs it under
+// GOMEMLIMIT so a footprint regression fails fast instead of thrashing.
 func TestCapacitySmoke65k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("65K-rank world in -short mode")
@@ -172,13 +179,17 @@ func TestCapacitySmoke65k(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	perRank := float64(after.HeapInuse-before.HeapInuse) / float64(cfg.Ranks())
-	t.Logf("65536 ranks: construct=%v perRank=%.1fB", construct, perRank)
 	if perRank > capacityBudgetBytesPerRank {
 		t.Fatalf("per-rank footprint %.1f B exceeds the %.0f B budget", perRank, capacityBudgetBytesPerRank)
 	}
 	_, barrier := measureScaleOps(t, w, 1)
 	if want := analytic.TreeBarrier(cfg).T; barrier != want {
 		t.Fatalf("barrier = %v, want %v", barrier, want)
+	}
+	runState := runStateBytesPerRank(w, after.HeapAlloc)
+	t.Logf("65536 ranks: construct=%v perRank=%.1fB runState=%.0fB", construct, perRank, runState)
+	if runState > capacityRunBudgetBytesPerRank {
+		t.Fatalf("run state %.0f B/rank exceeds the %.0f B budget", runState, capacityRunBudgetBytesPerRank)
 	}
 }
 

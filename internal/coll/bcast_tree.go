@@ -1,7 +1,6 @@
 package coll
 
 import (
-	"bgpcoll/internal/cnk"
 	"bgpcoll/internal/data"
 	"bgpcoll/internal/dma"
 	"bgpcoll/internal/hw"
@@ -20,12 +19,12 @@ import (
 //
 // They are also allocation-free in steady use (DESIGN.md §17). The per-call
 // shared state, step tables included, is recycled through a per-world free
-// list, and every rank's drivers — the chunk loops' bindings, the master's
-// reception step, the finish step — live in per-world role slabs whose
-// continuations are method values bound once per slot. The registration
-// sequence (which *Then runs, in what order, with what steps) is the same
-// one the per-call closures produced, so virtual times are bit-for-bit
-// unchanged.
+// list, and every rank's drivers — its own driver record (window prologue,
+// chunk-loop binding, finish step), the node master's pump, the SMP helper —
+// live in per-world slabs whose continuations are method values bound once
+// per slot. The registration sequence (which *Then runs, in what order, with
+// what steps) is the same one the per-call closures produced, so virtual
+// times are bit-for-bit unchanged.
 
 // injectWindow bounds how many chunks an injecting core may run ahead of
 // delivery, modeling the collective network's limited buffering.
@@ -188,24 +187,22 @@ func (st *treeBcastState) peersAt(n int) []*sim.Counter {
 // treeScratchKey names the tree broadcasts' per-world scratch.
 var treeScratchKey = mpi.NewScratchKey("coll.tree")
 
-// treeScratch is what the tree broadcasts keep on a world across calls: the in-flight and released broadcast states, and one dense
-// slab per driver role. A role slab is indexed by node when each node has
-// one such driver and by rank otherwise, and only the roles an algorithm
-// uses are ever grown, so a 2^20-rank shaddr sweep pays for its roles and
-// nothing else. Every slot is driven by one fixed rank (or that rank's
-// helper thread), whose broadcasts run one after another, so a slot is
-// never re-armed while it still runs. Slabs only grow, like the world's rank
-// slab: a pooled world moving between partitions keeps its bound slots, and
-// a slab is replaced only by the first call of a run on a larger partition,
-// when none of its slots is running.
+// treeScratch is what the tree broadcasts keep on a world across calls: the
+// in-flight and released broadcast states, every rank's driver record, and
+// one dense slab per node role. A node-role slab is indexed by node, and
+// only the roles an algorithm uses are ever grown, so a 2^20-rank shaddr
+// sweep pays for its roles and nothing else. Every slot is driven by one
+// fixed rank (or that rank's helper thread), whose broadcasts run one after
+// another, so a slot is never re-armed while it still runs. Slabs only
+// grow, like the world's rank slab: a pooled world moving between partitions
+// keeps its bound slots, and a slab is replaced only by the first call of a
+// run on a larger partition, when none of its slots is running.
 type treeScratch struct {
 	states recycled[treeBcastState]
 
-	finish []treeFinisher // by rank: every algorithm's completion step
-	pump   []masterPump   // by node: shmem and DMA masters
-	loop   []chunkRun     // by rank: the chunk loop the rank's own process runs
-	smp    []smpHelper    // by node: SMP helper threads
-	window []rxWindow     // by node and copy process: shaddr local ranks 2 and 3
+	drv  []treeDriver // by rank: every rank's own driver
+	pump []masterPump // by node: shmem and DMA masters
+	smp  []smpHelper  // by node: SMP helper threads
 }
 
 func newTreeScratch() any { return &treeScratch{} }
@@ -216,7 +213,7 @@ func newTreeScratch() any { return &treeScratch{} }
 func (sc *treeScratch) SteadyState(f *sim.FP) { sc.states.inFlight(f, "tree broadcast") }
 
 // EndRun implements mpi.RunScratch. The scratch keeps its Go memory across
-// runs — states, role slabs, bound continuations — but drops every counter
+// runs — states, driver slabs, bound continuations — but drops every counter
 // handle: after the Reset the arena re-carves those slots for whoever asks
 // first, stamped with the new epoch, so a kept handle could alias another
 // owner's counter instead of panicking.
@@ -250,67 +247,115 @@ func slot[T any](slab *[]T, i, n int) *T {
 
 // The role accessors below return r's driver slot.
 
-func (sc *treeScratch) finisherOf(r *mpi.Rank) *treeFinisher {
-	return slot(&sc.finish, r.Rank(), r.Size())
+func (sc *treeScratch) driverOf(r *mpi.Rank) *treeDriver {
+	return slot(&sc.drv, r.Rank(), r.Size())
 }
 
 func (sc *treeScratch) pumpOf(r *mpi.Rank) *masterPump {
 	return slot(&sc.pump, r.NodeID(), r.Machine().Geom.Nodes())
 }
 
-func (sc *treeScratch) loopOf(r *mpi.Rank) *chunkRun {
-	return slot(&sc.loop, r.Rank(), r.Size())
-}
-
 func (sc *treeScratch) smpOf(r *mpi.Rank) *smpHelper {
 	return slot(&sc.smp, r.NodeID(), r.Machine().Geom.Nodes())
 }
 
-func (sc *treeScratch) windowOf(r *mpi.Rank) *rxWindow {
-	return slot(&sc.window, 2*r.NodeID()+r.LocalRank()-2, 2*r.Machine().Geom.Nodes())
-}
-
 // startTreeBcast is every tree broadcast's prologue: take the collective
 // sequence number, acquire the shared state with the counters need selects
-// (publishing the payload on the root), and arm the rank's finish step. It
-// returns the scratch the rank's drivers come from, the state, and the bound
-// finish continuation.
-func startTreeBcast(r *mpi.Rank, buf data.Buf, root int, need treeCounters, done func()) (*treeScratch, *treeBcastState, func()) {
+// (publishing the payload on the root), and arm the rank's driver. It
+// returns the scratch the node drivers come from, the state, and the driver.
+func startTreeBcast(r *mpi.Rank, buf data.Buf, root int, need treeCounters, done func()) (*treeScratch, *treeBcastState, *treeDriver) {
 	seq := r.NextSeq()
 	sc := treeScratchOf(r)
 	st := acquireTreeBcast(r, sc, seq, root, buf.Len(), need)
 	if r.Rank() == root {
 		st.src = buf
 	}
-	f := sc.finisherOf(r)
-	if f.fn == nil {
-		f.fn = f.finish
+	d := sc.driverOf(r)
+	if d.fn == nil {
+		d.fn = d.step
 	}
-	f.r, f.st, f.buf, f.done = r, st, buf, done
-	return sc, st, f.fn
+	d.r, d.st, d.buf, d.done = r, st, buf, done
+	return sc, st, d
 }
 
-// treeFinisher is the completion step every tree broadcast ends with:
-// install the payload on non-root ranks, release the shared state, then
-// continue with the caller's done.
-type treeFinisher struct {
+// treeDriver is one rank's driver of its tree broadcasts. A rank uses its
+// parts one after another within a call — the shaddr copy processes' window
+// prologue, the chunk loop the rank's own process runs, and the completion
+// step every algorithm ends with — so one record with one bound
+// continuation, step, serves them all, and phase names the part step runs
+// next. Setting phase and handing out fn are one act (then): a process has
+// at most one continuation pending, so no later part overwrites it early.
+type treeDriver struct {
 	r    *mpi.Rank
 	st   *treeBcastState
 	buf  data.Buf
 	done func()
-	fn   func() // bound finish
+	bind sim.Binding // the chunk loop's table and the operands it leaves open
+	fn   func()      // bound step
+
+	phase  uint8
+	mapInj bool // the window prologue also maps the injector's buffer
 }
 
-// finish runs once per rank per broadcast. The slot is cleared before done
-// runs: done may start this rank's next broadcast, which re-arms it.
+// Driver phases: what treeDriver.step runs next.
+const (
+	drvFinish uint8 = iota // install the payload, release the state, continue with done
+	drvRun                 // run the chunk loop, then finish
+	drvMapRx               // map the reception rank's buffer, then the injector's or run
+	drvMapInj              // map the injector's buffer, then run
+	drvJoin                // SMP main thread: wait for the helper thread, then finish
+)
+
+// then returns the bound step, set to run phase next.
+func (d *treeDriver) then(phase uint8) func() {
+	d.phase = phase
+	return d.fn
+}
+
+// loop binds the rank's chunk loop for one broadcast: c0, c1 and bus are the
+// operands tab leaves open, nil where it has none.
+func (d *treeDriver) loop(tab *sim.Table, c0, c1 *sim.Counter, bus *sim.Pipe) *treeDriver {
+	d.bind = sim.Binding{Table: tab, Counters: [2]*sim.Counter{c0, c1}, Pipe: bus}
+	return d
+}
+
+// run runs the chunk loop, then finishes.
 //
 //bgplint:hot
-func (f *treeFinisher) finish() {
-	r, st, done := f.r, f.st, f.done
-	if r.Rank() != st.root {
-		installPayload(f.buf, st.src)
+func (d *treeDriver) run() { d.r.Proc().RunThen(&d.bind, d.then(drvFinish)) }
+
+// step is the driver's one continuation.
+//
+//bgplint:hot
+func (d *treeDriver) step() {
+	switch d.phase {
+	case drvRun:
+		d.run()
+	case drvMapRx:
+		next := drvRun
+		if d.mapInj {
+			next = drvMapInj
+		}
+		d.mapWindow(1, d.st.rxBuf[d.r.NodeID()], next)
+	case drvMapInj:
+		d.mapWindow(0, d.st.r0Buf[d.r.NodeID()], drvRun)
+	case drvJoin:
+		d.r.Proc().WaitGEThen(d.st.sc.smpOf(d.r).helperDone, 1, d.then(drvFinish))
+	default:
+		d.finish()
 	}
-	f.st, f.buf, f.done = nil, data.Buf{}, nil
+}
+
+// finish runs once per rank per broadcast. The record is cleared before
+// done runs: done may start this rank's next broadcast, which re-arms it.
+//
+//bgplint:hot
+func (d *treeDriver) finish() {
+	r, st, done := d.r, d.st, d.done
+	if r.Rank() != st.root {
+		installPayload(d.buf, st.src)
+	}
+	d.st, d.buf, d.done = nil, data.Buf{}, nil
 	st.release()
 	done()
 }
@@ -422,30 +467,6 @@ func peerSpec(isRoot bool, copy chunkSpec) chunkSpec {
 	}
 	return ckWaitBytes | copy
 }
-
-// chunkRun is one process's chunk loop: the binding it runs its role's
-// table with, and the continuation after the table. run is bound once per
-// slot, for loops that start behind a CNK map.
-type chunkRun struct {
-	p     *sim.Proc
-	bind  sim.Binding
-	cont  func()
-	runFn func()
-}
-
-// arm binds the slot for one broadcast: c0, c1 and bus are the operands tab
-// leaves open, nil where it has none.
-func (c *chunkRun) arm(p *sim.Proc, tab *sim.Table, c0, c1 *sim.Counter, bus *sim.Pipe, cont func()) *chunkRun {
-	if c.runFn == nil {
-		c.runFn = c.run
-	}
-	c.p, c.cont = p, cont
-	c.bind = sim.Binding{Table: tab, Counters: [2]*sim.Counter{c0, c1}, Pipe: bus}
-	return c
-}
-
-//bgplint:hot
-func (c *chunkRun) run() { c.p.RunThen(&c.bind, c.cont) }
 
 // masterPump drives both sides of the collective network on a single core,
 // the way the production quad-mode algorithms do: the core alternates
@@ -619,60 +640,51 @@ func (m *masterPump) afterRecv() {
 }
 
 // smpHelper drives one SMP-mode node's helper communication thread, which
-// receives while the main thread injects, and the main thread's join on the
-// helper's one-shot completion counter, which the slot re-arms on every
-// broadcast of a run.
+// receives while the main thread injects: the binding its chunk loop runs
+// with, and the one-shot completion counter the main thread joins on, which
+// the slot re-arms on every broadcast of a run.
 type smpHelper struct {
-	rx         chunkRun
+	bind       sim.Binding
 	helperDone *sim.Counter
-	main       *sim.Proc
-	fin        func()
 
 	spawnFn func(p *sim.Proc)
 	fireFn  func()
-	joinFn  func()
 }
 
 // bcastTreeSMP is the current SMP-mode algorithm (paper §V-B): the main
 // thread injects while a helper communication thread receives, together
 // saturating the collective network.
 func bcastTreeSMP(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	sc, st, finish := startTreeBcast(r, buf, root, 0, done)
-	d := sc.smpOf(r)
-	if d.spawnFn == nil {
-		d.spawnFn, d.fireFn, d.joinFn = d.spawnHelper, d.fire, d.join
+	sc, st, d := startTreeBcast(r, buf, root, 0, done)
+	h := sc.smpOf(r)
+	if h.spawnFn == nil {
+		h.spawnFn, h.fireFn = h.spawnHelper, h.fire
 	}
 	k := r.Machine().K
 	node := r.Node().HW
-	d.helperDone = rearm(k, d.helperDone, "treebc%d.helper%d", int32(st.seq), int32(r.Rank()))
-	d.rx.arm(nil, st.table(ckWaitDelivery|ckTouch, node, false), nil, nil, nil, d.fireFn)
-	k.SpawnProgramIdx("rank%d.comm", int32(r.Rank()), d.spawnFn)
-	d.main, d.fin = r.Proc(), finish
-	sc.loopOf(r).arm(r.Proc(), st.table(ckWaitWindow|ckTouch|ckInject, node, false), nil, nil, nil, d.joinFn).run()
+	h.helperDone = rearm(k, h.helperDone, "treebc%d.helper%d", int32(st.seq), int32(r.Rank()))
+	h.bind = sim.Binding{Table: st.table(ckWaitDelivery|ckTouch, node, false)}
+	k.SpawnProgramIdx("rank%d.comm", int32(r.Rank()), h.spawnFn)
+	d.loop(st.table(ckWaitWindow|ckTouch|ckInject, node, false), nil, nil, nil)
+	r.Proc().RunThen(&d.bind, d.then(drvJoin))
 }
 
 // spawnHelper is the helper thread's body: receive every chunk.
-func (d *smpHelper) spawnHelper(p *sim.Proc) {
-	d.rx.p = p
-	d.rx.run()
-}
+func (h *smpHelper) spawnHelper(p *sim.Proc) { p.RunThen(&h.bind, h.fireFn) }
 
 //bgplint:hot
-func (d *smpHelper) fire() { d.helperDone.Fire() }
-
-//bgplint:hot
-func (d *smpHelper) join() { d.main.WaitGEThen(d.helperDone, 1, d.fin) }
+func (h *smpHelper) fire() { h.helperDone.Fire() }
 
 // bcastTreeShmem is the quad-mode latency algorithm (paper §V-B): the master
 // core injects and receives into a shared-memory segment, serialized on one
 // core; peers copy the data out of the segment.
 func bcastTreeShmem(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	sc, st, finish := startTreeBcast(r, buf, root, needSW, done)
+	sc, st, d := startTreeBcast(r, buf, root, needSW, done)
 	node := r.NodeID()
 	cached := quadBcastFootprint(r, buf.Len())
 
 	if r.IsNodeMaster() {
-		m := armPump(sc, r, st, finish)
+		m := armPump(sc, r, st, d.then(drvFinish))
 		m.sw, m.node, m.copyOut, m.cached = st.sw[node], r.Node().HW, r.Rank() != root, cached
 		m.dma, m.k, m.peers, m.perChunk = nil, nil, nil, false
 		m.inject()
@@ -682,7 +694,7 @@ func bcastTreeShmem(r *mpi.Rank, buf data.Buf, root int, done func()) {
 	// arrived chunk out of the segment.
 	hwn := r.Node().HW
 	tab := st.table(peerSpec(r.Rank() == root, ckPoll|ckCopy), hwn, cached)
-	sc.loopOf(r).arm(r.Proc(), tab, st.sw[node], nil, hwn.Bus, finish).run()
+	d.loop(tab, st.sw[node], nil, hwn.Bus).run()
 }
 
 // bcastTreeDMAFIFO is the current quad-mode algorithm: the master core
@@ -699,11 +711,11 @@ func bcastTreeDMADirect(r *mpi.Rank, buf data.Buf, root int, done func()) {
 }
 
 func treeDMACommon(r *mpi.Rank, buf data.Buf, root int, fifo bool, done func()) {
-	sc, st, finish := startTreeBcast(r, buf, root, needPeers, done)
+	sc, st, d := startTreeBcast(r, buf, root, needPeers, done)
 	node := r.NodeID()
 
 	if r.IsNodeMaster() {
-		m := armPump(sc, r, st, finish)
+		m := armPump(sc, r, st, d.then(drvFinish))
 		m.sw, m.node, m.copyOut, m.cached = nil, nil, false, false
 		m.dma, m.k, m.peers, m.perChunk = r.Node().DMA, r.Machine().K, st.peersAt(node), fifo
 		m.inject()
@@ -713,14 +725,14 @@ func treeDMACommon(r *mpi.Rank, buf data.Buf, root int, fifo bool, done func()) 
 	if !fifo {
 		// The DMA puts straight into the application buffer: nothing to do
 		// until the whole payload has landed.
-		r.Proc().WaitGEThen(cnt, int64(buf.Len()), finish)
+		r.Proc().WaitGEThen(cnt, int64(buf.Len()), d.then(drvFinish))
 		return
 	}
 	// A FIFO peer waits on its DMA progress counter for each chunk and pays
 	// the core copy from the memory FIFO into its application buffer.
 	hwn := r.Node().HW
 	tab := st.table(peerSpec(r.Rank() == root, ckCopy), hwn, quadBcastFootprint(r, buf.Len()))
-	sc.loopOf(r).arm(r.Proc(), tab, cnt, nil, hwn.Bus, finish).run()
+	d.loop(tab, cnt, nil, hwn.Bus).run()
 }
 
 // bcastTreeShaddr is the proposed quad-mode algorithm (paper §V-B, Fig. 4):
@@ -731,7 +743,7 @@ func treeDMACommon(r *mpi.Rank, buf data.Buf, root int, fifo bool, done func()) 
 // buffer — the injector has no cycles to copy, and memory bandwidth is at
 // least twice the collective network's.
 func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	sc, st, finish := startTreeBcast(r, buf, root, needSW|needFill, done)
+	_, st, d := startTreeBcast(r, buf, root, needSW|needFill, done)
 	node := r.NodeID()
 	hwn := r.Node().HW
 	total := buf.Len()
@@ -740,7 +752,6 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 	// The injector's buffer needs filling unless the injector is the root.
 	fillInjector := r.RankOf(node, 0) != root
 	sw, fill := st.sw[node], st.fill[node]
-	l := sc.loopOf(r)
 
 	switch r.LocalRank() {
 	case 0: // injection process
@@ -749,15 +760,15 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		if !isRoot {
 			spec |= ckJoinFill // then wait for rank 2 to fill this buffer
 		}
-		l.arm(r.Proc(), st.table(spec, hwn, cached), nil, fill, nil, finish)
+		d.loop(st.table(spec, hwn, cached), nil, fill, nil)
 		rootRank := r.World().Rank(root)
 		if rootRank.NodeID() == node && !isRoot {
 			// Inject the payload out of the root rank's buffer through a
 			// process window.
-			r.CNK().MapThen(r.Proc(), windowKey(rootRank.LocalRank(), st.src), total, l.runFn)
+			r.CNK().MapThen(r.Proc(), windowKey(rootRank.LocalRank(), st.src), total, d.then(drvRun))
 			return
 		}
-		l.run()
+		d.run()
 
 	case 1: // reception process: directly into its application buffer
 		st.rxBuf[node] = buf
@@ -768,67 +779,42 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 			if fillInjector {
 				spec |= ckFill
 			}
-			l.arm(r.Proc(), st.table(spec, hwn, cached), sw, fill, hwn.Bus, finish)
+			d.loop(st.table(spec, hwn, cached), sw, fill, hwn.Bus)
 			if fillInjector {
-				r.CNK().MapThen(r.Proc(), windowKey(0, st.r0Buf[node]), total, l.runFn)
+				r.CNK().MapThen(r.Proc(), windowKey(0, st.r0Buf[node]), total, d.then(drvRun))
 				return
 			}
-			l.run()
+			d.run()
 			return
 		}
-		l.arm(r.Proc(), st.table(ckWaitDelivery|ckTouch|ckPublish, hwn, cached), sw, nil, nil, finish).run()
+		d.loop(st.table(ckWaitDelivery|ckTouch|ckPublish, hwn, cached), sw, nil, nil).run()
 
 	case 2: // copy process, also responsible for the injector's buffer
 		spec := peerSpec(isRoot, ckCopy) | ckPoll
 		if fillInjector {
 			spec |= ckFill
 		}
-		l.arm(r.Proc(), st.table(spec, hwn, cached), sw, fill, hwn.Bus, finish)
-		sc.windowOf(r).open(r, st, total, fillInjector, l.runFn)
+		d.loop(st.table(spec, hwn, cached), sw, fill, hwn.Bus).openWindow(fillInjector)
 
 	case 3: // copy process
-		l.arm(r.Proc(), st.table(peerSpec(isRoot, ckPoll|ckCopy), hwn, cached), sw, nil, hwn.Bus, finish)
-		sc.windowOf(r).open(r, st, total, false, l.runFn)
+		d.loop(st.table(peerSpec(isRoot, ckPoll|ckCopy), hwn, cached), sw, nil, hwn.Bus).openWindow(false)
 	}
 }
 
-// rxWindow is the shaddr copy processes' prologue: wait for the reception
+// openWindow is the shaddr copy processes' prologue: wait for the reception
 // rank's first published chunk — which also says that rank has arrived and
 // registered its buffer — map that buffer through a process window, and
-// for rank 2, when the injector is not the root, the injector's buffer too,
-// then continue with next.
-type rxWindow struct {
-	st       *treeBcastState
-	cnk      *cnk.Process
-	p        *sim.Proc
-	node     int
-	total    int
-	mapInj   bool
-	next     func()
-	mapFn    func()
-	mapInjFn func()
+// for rank 2, when the injector is not the root (mapInj), the injector's
+// buffer too, then run the chunk loop.
+func (d *treeDriver) openWindow(mapInj bool) {
+	d.mapInj = mapInj
+	d.r.Proc().WaitGEThen(d.st.sw[d.r.NodeID()], 1, d.then(drvMapRx))
 }
 
-func (w *rxWindow) open(r *mpi.Rank, st *treeBcastState, total int, mapInj bool, next func()) {
-	if w.mapFn == nil {
-		w.mapFn, w.mapInjFn = w.mapRx, w.mapInjector
-	}
-	w.st, w.cnk, w.p, w.node, w.total, w.mapInj, w.next = st, r.CNK(), r.Proc(), r.NodeID(), total, mapInj, next
-	w.p.WaitGEThen(st.sw[w.node], 1, w.mapFn)
-}
-
-//bgplint:hot
-func (w *rxWindow) mapRx() {
-	next := w.next
-	if w.mapInj {
-		next = w.mapInjFn
-	}
-	w.cnk.MapThen(w.p, windowKey(1, w.st.rxBuf[w.node]), w.total, next)
-}
-
-// mapInjector maps the injector's buffer before the copy loop starts.
+// mapWindow maps local rank lrank's buffer b, the whole payload, then
+// continues with phase next.
 //
 //bgplint:hot
-func (w *rxWindow) mapInjector() {
-	w.cnk.MapThen(w.p, windowKey(0, w.st.r0Buf[w.node]), w.total, w.next)
+func (d *treeDriver) mapWindow(lrank int, b data.Buf, next uint8) {
+	d.r.CNK().MapThen(d.r.Proc(), windowKey(lrank, b), d.buf.Len(), d.then(next))
 }

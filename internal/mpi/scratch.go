@@ -40,7 +40,7 @@ func (w *World) endRuns() {
 // any of it, so NewWorld allocates none of it and World keeps its size
 // class: the collective packages' scratch slots (Scratch), the barrier
 // states (barrier.go), the resolved algorithm dispatch (registry.go), and
-// the rank slots' bound process entries (Run, RunProgram).
+// the ranks' shared process entry (Run, RunProgram).
 type worldScratch struct {
 	// keys and vals are the scratch slots in first-use order: a handful of
 	// owners at most, so a linear scan beats any map.
@@ -53,29 +53,10 @@ type worldScratch struct {
 	bcast     resolved[ProgBcastFn]
 	allreduce resolved[ProgFn]
 
-	// body is the running Run or RunProgram body, nil between runs.
-	// starts[id] is rank id's bound Rank.start, valid while startsOf is
-	// the rank slab's first element.
-	body     func(r *Rank)
-	starts   []func(*sim.Proc)
-	startsOf *Rank
-}
-
-// rankStarts returns one bound start function per rank of w, rebinding
-// them only when the rank slab grew or moved (Reconfigure onto a larger
-// partition), so repeat runs allocate none.
-func (s *worldScratch) rankStarts(w *World) []func(*sim.Proc) {
-	if len(w.ranks) == 0 {
-		return nil
-	}
-	if len(s.starts) < len(w.ranks) || s.startsOf != &w.ranks[0] {
-		s.starts = make([]func(*sim.Proc), len(w.ranks))
-		for id := range s.starts {
-			s.starts[id] = w.ranks[id].start
-		}
-		s.startsOf = &w.ranks[0]
-	}
-	return s.starts
+	// body is the running Run or RunProgram body, nil between runs, and
+	// start the world's bound World.start, every rank process's entry.
+	body  func(r *Rank)
+	start func(*sim.Proc)
 }
 
 // state returns w's scratch, allocating it on first use.

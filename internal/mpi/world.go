@@ -137,19 +137,21 @@ func (w *World) Run(fn func(r *Rank)) (sim.Time, error) { return w.run(fn, false
 // from the blocking transcription.
 func (w *World) RunProgram(fn func(r *Rank)) (sim.Time, error) { return w.run(fn, true) }
 
-// run spawns every rank with its slot's bound start function, which runs
-// the body the world holds for this run, so a run allocates no per-rank
-// closure.
+// run spawns every rank with the world's one bound start function, which
+// finds the rank by its process id and runs the body the world holds for
+// this run, so a run allocates no per-rank closure.
 func (w *World) run(fn func(r *Rank), program bool) (sim.Time, error) {
 	s := w.state()
-	starts := s.rankStarts(w)
+	if s.start == nil {
+		s.start = w.start
+	}
 	s.body = fn
 	k := w.M.K
 	for id := range w.ranks {
 		if program {
-			w.ranks[id].proc = k.SpawnProgramIdx("rank%d", int32(id), starts[id])
+			w.ranks[id].proc = k.SpawnProgramIdx("rank%d", int32(id), s.start)
 		} else {
-			w.ranks[id].proc = k.SpawnIdx("rank%d", int32(id), starts[id])
+			w.ranks[id].proc = k.SpawnIdx("rank%d", int32(id), s.start)
 		}
 	}
 	err := k.Run()
@@ -157,5 +159,6 @@ func (w *World) run(fn func(r *Rank), program bool) (sim.Time, error) {
 	return k.Now(), err
 }
 
-// start is the rank slot's process entry: run the world's current body.
-func (r *Rank) start(*sim.Proc) { r.w.scratch.body(r) }
+// start is every rank process's entry: run the world's current body on the
+// rank the process was spawned for.
+func (w *World) start(p *sim.Proc) { w.scratch.body(&w.ranks[p.ID()]) }

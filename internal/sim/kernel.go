@@ -51,7 +51,8 @@ type Kernel struct {
 
 	// cur is the process whose continuation or table next() is running on
 	// its behalf, nil between dispatches. A panic escaping next() while cur
-	// is set is that process's panic (see recoverNext).
+	// is set is that process's panic (see recoverNext), and the shared start
+	// continuation runs cur's body (startFn).
 	cur *Proc
 
 	// cbs is the callback table: eFn entries name a slot here instead of
@@ -81,6 +82,14 @@ type Kernel struct {
 	// deadlocked.
 	procs   []uint32
 	blocked int
+
+	// goSlots holds the goroutine-only state of process slots, indexed
+	// like the arena and grown only by goroutine spawns (proc.go).
+	goSlots []goSlot
+
+	// startFn is the kernel's bound start continuation: the first
+	// activation of every program process (SpawnProgramIdx), bound once.
+	startFn func()
 
 	failure error
 
@@ -467,7 +476,7 @@ func (k *Kernel) loop() {
 		if p == nil {
 			return
 		}
-		p.gate <- struct{}{}
+		k.goSlot(p).gate <- struct{}{}
 		<-k.sched
 	}
 }

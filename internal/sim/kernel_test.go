@@ -436,10 +436,12 @@ func TestKernelSizeClass(t *testing.T) {
 // TestProcAndStepSize pins the per-process and per-step footprints: a
 // million-rank world carves a Proc per rank, and every table step is a
 // planStep. A process's table cursor costs it the step slice, the index and
-// one binding pointer, not the operands themselves.
+// one binding pointer, not the operands themselves. At 128 B a 256-slot
+// process slab fills the 32 KB allocation size class exactly; at 136 B each
+// slab would round up to a 40 KB span.
 func TestProcAndStepSize(t *testing.T) {
-	if got := unsafe.Sizeof(Proc{}); got > 160 {
-		t.Errorf("Proc is %d bytes, want at most 160", got)
+	if got := unsafe.Sizeof(Proc{}); got > 128 {
+		t.Errorf("Proc is %d bytes, want at most 128", got)
 	}
 	if got := unsafe.Sizeof(planStep{}); got > 40 {
 		t.Errorf("planStep is %d bytes, want at most 40", got)

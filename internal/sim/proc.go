@@ -30,17 +30,8 @@ type Proc struct {
 	// activation wrapper can tell "parked" from "finished".
 	inline bool
 	armed  bool
-	// released marks a goroutine process of a failed or deadlocked kernel
-	// whose gate was closed to end its goroutine (Kernel.releaseGoroutines).
-	released bool
-	cont     func()
-
-	// gate receives the virtual-CPU token: Run's loop sends to resume the
-	// process's goroutine. It is made on the slot's first goroutine spawn
-	// and kept with the slot, like startFn: a slot is re-carved only after a
-	// clean Reset, when every goroutine that received on it has exited.
-	// Inline program processes never use it.
-	gate chan struct{}
+	idx    uint32 // position in k.procs, for O(1) removal on exit
+	cont   func()
 
 	// Blocked-on state for deadlock reporting: the counter and threshold
 	// the process waits for, nil when it is not blocked. The reason string
@@ -49,32 +40,48 @@ type Proc struct {
 	waitC  *Counter
 	waitGE int64
 
-	idx int // position in k.procs, for O(1) removal on exit
-
 	// plan is the process's cursor into the table it runs (see plan.go).
 	// Its next step is scheduled as an eProg entry naming self — no
 	// pre-bound closure.
 	plan Plan
 
 	// body is a spawned program's entry point until its first activation,
-	// and startFn the slot's bound start method that runs it (program.go).
-	body    func(p *Proc)
-	startFn func()
+	// which the kernel's one bound start continuation runs (program.go).
+	body func(p *Proc)
 
-	// name is the flyweight process name (see label): SpawnIdx processes
-	// share one format string ("rank%d") and render it lazily in Name(), so
-	// a million-rank world formats no per-process name unless a failure
-	// actually reports one.
-	name label
+	// name and id are the flyweight process name (see label): SpawnIdx
+	// processes share one format string ("rank%d") and render it with their
+	// id lazily in Name(), so a million-rank world formats no per-process
+	// name unless a failure actually reports one. A negative id makes name
+	// the plain name.
+	name string
+	id   int32
 
 	// fpGen/fpID intern this process into a steady-state fingerprint walk
 	// (steady.go): when fpGen equals the walking capture's generation the
 	// process is already labelled fpID; any other value means unseen. The
 	// stamp lives on the process so a rack-scale capture interns millions of
 	// processes with two word writes instead of a map insert.
-	fpGen uint64
 	fpID  uint32
+	fpGen uint64
 }
+
+// goSlot is the state only a goroutine process uses, kept in the kernel by
+// process index (Kernel.goSlots) rather than in every Proc, so the slots of
+// inline programs do not carry it.
+type goSlot struct {
+	// gate receives the virtual-CPU token: Run's loop sends to resume the
+	// process's goroutine. It is made on the slot's first goroutine spawn
+	// and kept with the slot: a slot is re-carved only after a clean Reset,
+	// when every goroutine that received on it has exited.
+	gate chan struct{}
+	// released marks a goroutine process of a failed or deadlocked kernel
+	// whose gate was closed to end its goroutine (Kernel.releaseGoroutines).
+	released bool
+}
+
+// goSlot returns the goroutine state of process p.
+func (k *Kernel) goSlot(p *Proc) *goSlot { return &k.goSlots[p.self] }
 
 // check panics when the handle predates the kernel's current epoch: its slab
 // slot belongs to the next lease now (or will shortly).
@@ -109,13 +116,18 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // real concurrency to the kernel.
 func (k *Kernel) SpawnIdx(format string, id int32, fn func(p *Proc)) *Proc {
 	p := k.carveProc(format, id)
-	if p.gate == nil {
-		p.gate = make(chan struct{})
+	for int(p.self) >= len(k.goSlots) {
+		k.goSlots = append(k.goSlots, goSlot{})
 	}
-	p.idx = len(k.procs)
+	g := k.goSlot(p)
+	if g.gate == nil {
+		g.gate = make(chan struct{})
+	}
+	g.released = false
+	p.idx = uint32(len(k.procs))
 	k.procs = append(k.procs, p.self)
 	k.ring.push(entry{kind: eCont, idx: p.self})
-	go p.exec(fn)
+	go p.exec(g.gate, fn)
 	return p
 }
 
@@ -123,13 +135,12 @@ func (k *Kernel) SpawnIdx(format string, id int32, fn func(p *Proc)) *Proc {
 // every field a previous lease may have left behind (slots are reused after
 // Kernel.Reset). The program frame is cleared in resetFrame (program.go),
 // the one file allowed to touch those fields; the plan drops its table, so
-// a reused slot holds no old steps, and the slot keeps its gate.
+// a reused slot holds no old steps.
 func (k *Kernel) carveProc(format string, id int32) *Proc {
 	p, self := k.arena.newProc()
-	p.k, p.name = k, label{s: format, a: id, b: -1}
+	p.k, p.name, p.id = k, format, id
 	p.self, p.epoch = self, k.epoch
 	p.waitC, p.waitGE = nil, 0
-	p.released = false
 	p.plan = Plan{}
 	p.resetFrame()
 	return p
@@ -142,13 +153,13 @@ func (k *Kernel) carveProc(format string, id int32) *Proc {
 // (releaseGoroutines) exits at once, before its first activation or from
 // yield through runtime.Goexit, and hands the token to the releaser without
 // touching the kernel state.
-func (p *Proc) exec(fn func(p *Proc)) {
-	if _, ok := <-p.gate; !ok {
+func (p *Proc) exec(gate chan struct{}, fn func(p *Proc)) {
+	if _, ok := <-gate; !ok {
 		p.k.sched <- struct{}{}
 		return
 	}
 	defer func() {
-		if p.released {
+		if p.k.goSlot(p).released {
 			p.k.sched <- struct{}{}
 			return
 		}
@@ -170,8 +181,9 @@ func (p *Proc) exec(fn func(p *Proc)) {
 // until the loop dispatches the process's next resume, or ends the
 // goroutine if the kernel releases it instead.
 func (p *Proc) yield() {
+	gate := p.k.goSlot(p).gate // read under the token: spawns may grow goSlots
 	p.k.sched <- struct{}{}
-	if _, ok := <-p.gate; !ok {
+	if _, ok := <-gate; !ok {
 		runtime.Goexit()
 	}
 }
@@ -185,10 +197,12 @@ func (p *Proc) yield() {
 // process code when Run returns.
 func (k *Kernel) releaseGoroutines() {
 	for _, pi := range k.procs {
-		if p := k.procAt(pi); !p.inline && p.gate != nil && !p.released {
-			p.released = true
-			close(p.gate)
-			<-k.sched
+		if p := k.procAt(pi); !p.inline {
+			if g := k.goSlot(p); !g.released {
+				g.released = true
+				close(g.gate)
+				<-k.sched
+			}
 		}
 	}
 }
@@ -204,7 +218,12 @@ func (p *Proc) blockedOn() string {
 
 // Name returns the process name given at Spawn, or the SpawnIdx format
 // applied to its id (formatted on demand; see the name field).
-func (p *Proc) Name() string { return p.name.String() }
+func (p *Proc) Name() string { return label{s: p.name, a: p.id, b: -1}.String() }
+
+// ID returns the id the process was spawned with by SpawnIdx or
+// SpawnProgramIdx, -1 for a plainly named one: a body shared by a process
+// family finds its member's own state by it.
+func (p *Proc) ID() int32 { return p.id }
 
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }

@@ -58,31 +58,34 @@ func (k *Kernel) SpawnProgram(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnProgramIdx is SpawnProgram for indexed process families (see
-// Kernel.SpawnIdx): the name renders lazily as fmt.Sprintf(format, id).
+// Kernel.SpawnIdx): the name renders lazily as fmt.Sprintf(format, id), and
+// the body can read id back with Proc.ID.
 //
-// The body's first activation is the slot's own start continuation, bound
-// once per arena slot (slots outlive Reset), so a spawn allocates nothing
-// beyond what fn itself captures.
+// The body's first activation is the kernel's one start continuation, which
+// runs the body of whichever process it is dispatched for (Kernel.cur), so a
+// spawn allocates nothing beyond what fn itself captures.
 func (k *Kernel) SpawnProgramIdx(format string, id int32, fn func(p *Proc)) *Proc {
 	if k.noProgram {
 		return k.SpawnIdx(format, id, fn)
 	}
 	p := k.carveProc(format, id)
 	p.inline = true
-	p.idx = len(k.procs)
+	p.idx = uint32(len(k.procs))
 	k.procs = append(k.procs, p.self)
-	if p.startFn == nil {
-		p.startFn = p.start
+	if k.startFn == nil {
+		k.startFn = k.start
 	}
 	p.body = fn
-	p.cont = p.startFn
+	p.cont = k.startFn
 	p.armed = true
 	k.ring.push(entry{kind: eCont, idx: p.self})
 	return p
 }
 
-// start is a program's first continuation: run the spawned body.
-func (p *Proc) start() {
+// start is every program's first continuation: run the spawned body of the
+// process next() is dispatching.
+func (k *Kernel) start() {
+	p := k.cur
 	fn := p.body
 	p.body = nil
 	fn(p)
@@ -90,8 +93,7 @@ func (p *Proc) start() {
 
 // resetFrame clears the program frame of a freshly carved process slot (see
 // Kernel.carveProc); a slot reused after Reset may hold a finished — or, on
-// a dropped failed kernel, parked — program's state. startFn stays bound:
-// it names the slot, not the program.
+// a dropped failed kernel, parked — program's state.
 func (p *Proc) resetFrame() {
 	p.inline, p.armed = false, false
 	p.cont = nil
