@@ -189,9 +189,7 @@ func (c *Counter) release() {
 		buf, t, mask := r.buf, r.tail, len(r.buf)-1
 		for _, w := range c.waiters[:n] {
 			if w.e.parked() {
-				p := k.procAt(w.e.idx)
 				k.blocked--
-				p.waitC = nil
 			}
 			buf[t] = w.e
 			t = (t + 1) & mask

@@ -342,16 +342,15 @@ func (k *Kernel) runHook(i uint32) {
 	hk.h.RunPost(hk.a, hk.b)
 }
 
-// wake makes a released waiter runnable at the current instant. For process
-// waiters the blocked bookkeeping happens here, eagerly, so the queued entry
-// is a bare resume; the caller (Counter.release) always holds the token.
+// wake makes a released waiter runnable at the current instant. The blocked
+// count drops here, from the entry's kind alone, so a release never loads
+// the woken process; its waitC is cleared when it next runs (runCont,
+// runProg, park). The caller (Counter.release) always holds the token.
 //
 //bgplint:hot
 func (k *Kernel) wake(w entry) {
 	if w.parked() {
-		p := k.procAt(w.idx)
 		k.blocked--
-		p.waitC = nil
 	}
 	k.ring.push(w)
 }

@@ -429,3 +429,50 @@ func BenchmarkSharedPlanChunkLoop(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTableDispatch is the kernel-dispatch layer on its own, shaped
+// like one chunk of an 8,192-rank quad-mode tree broadcast: every program
+// process runs one shared 3-step table — wait for its node's counter, a
+// poll sleep, a busy copy on its node's bus — through its own Binding, kept
+// in a per-rank slab apart from the process slab, as the tree drivers keep
+// theirs. A feeder then fills every node's counter at one instant. One op
+// is one round of all 8,192 processes: spawn, park, batch release, two table
+// steps and the continuation each; ns/proc is the round's cost per process.
+func BenchmarkTableDispatch(b *testing.B) {
+	const ranks, ppn, chunk = 8192, 4, 4096
+	const nodes = ranks / ppn
+	k := New()
+	buses := make([]*Pipe, nodes)
+	for n := range buses {
+		buses[n] = k.NewPipe("bus", 8e9, 0)
+	}
+	var tab Table
+	tab.Reset(nil)
+	tab.WaitBound(0, chunk)
+	tab.Sleep(20 * Nanosecond)
+	tab.Busy(chunk, TransferTime(chunk, 4e9))
+	binds := make([]Binding, ranks)
+	sw := make([]*Counter, nodes)
+	body := func(p *Proc) { p.RunThen(&binds[p.ID()], nop) }
+	feed := func() {
+		for _, c := range sw {
+			c.Add(chunk)
+		}
+	}
+	b.ReportAllocs()
+	for range b.N {
+		k.Reset()
+		for n := range sw {
+			sw[n] = k.NewCounterf("node%d.sw", int32(n))
+		}
+		for i := range binds {
+			binds[i] = Binding{Table: &tab, Counters: [2]*Counter{sw[i/ppn]}, Pipe: buses[i/ppn]}
+			k.SpawnProgramIdx("rank%d", int32(i), body)
+		}
+		k.At(Microsecond, feed)
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ranks), "ns/proc")
+}

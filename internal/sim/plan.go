@@ -21,10 +21,14 @@ package sim
 // Goroutine processes run the literal unfused sequence, which the
 // determinism stress tests and the program-vs-reference benchmark runs
 // compare the fused path against.
+//
+// RunThen copies the table and its operands out of the caller's Binding, so
+// a step touches the process it runs and the table, never the binding.
 type Plan struct {
-	steps []planStep // run's table steps, cached by RunThen
-	i     int        // the next step to run
-	run   *Binding   // the operands of the table being run
+	tab  *Table      // the table being run; nil once it has run out
+	i    int         // the next step to run
+	c    [2]*Counter // the binding's counters
+	pipe *Pipe       // the binding's pipe
 }
 
 // A Table is a read-only step program built once and run by many processes
@@ -41,8 +45,9 @@ type Table struct {
 }
 
 // A Binding supplies the operands a Table leaves open for one process — its
-// node-local counters and memory bus — and names the table. The caller owns
-// it and keeps it unchanged while the process runs the table.
+// node-local counters and memory bus — and names the table. RunThen copies
+// it into the process's Plan, so the caller may reuse or drop it as soon as
+// RunThen is called.
 type Binding struct {
 	Table    *Table
 	Counters [2]*Counter
@@ -66,12 +71,12 @@ const (
 	stepPost
 )
 
-// counter resolves a step's counter operand against the plan's binding.
+// counter resolves a step's counter operand against the plan's operands.
 //
 //bgplint:hot
 func (pl *Plan) counter(s *planStep) *Counter {
 	if s.bound != 0 {
-		return pl.run.Counters[s.bound-1]
+		return pl.c[s.bound-1]
 	}
 	return s.c
 }

@@ -101,13 +101,14 @@ func (p *Proc) resetFrame() {
 }
 
 // runCont is the kernel's dispatch for an inline process's eCont entry:
-// disarm, run the pending continuation, and retire the program if it parked
-// nowhere new. (next() returns a goroutine process instead, which runs the
-// continuation on its own stack after park returns.)
+// disarm, clear the wait a release left behind (Kernel.wake), run the
+// pending continuation, and retire the program if it parked nowhere new.
+// (next() returns a goroutine process instead, which runs the continuation
+// on its own stack after park returns.)
 //
 //bgplint:hot
 func (p *Proc) runCont() {
-	p.armed = false
+	p.armed, p.waitC = false, nil
 	p.resume()
 	if !p.armed {
 		p.finishProgram()
@@ -115,7 +116,8 @@ func (p *Proc) runCont() {
 }
 
 // runProg is the kernel's dispatch for an eProg entry, which only inline
-// processes arm: disarm and step the process's table. A table that runs out on
+// processes arm: disarm, clear the wait a release left behind, and step the
+// process's table. A table that runs out on
 // instant steps continues the body in place, at this queue position, and the
 // program retires if it parked nowhere new. A panicking step fails the
 // simulation like a process panic: next() names the process in Kernel.cur,
@@ -123,7 +125,7 @@ func (p *Proc) runCont() {
 //
 //bgplint:hot
 func (p *Proc) runProg() {
-	p.armed = false
+	p.armed, p.waitC = false, nil
 	if p.stepPlan() {
 		return
 	}
@@ -155,7 +157,8 @@ func (p *Proc) resume() {
 }
 
 // park gives a goroutine process's virtual CPU away until the kernel
-// dispatches the resume its operation just armed, then disarms. The
+// dispatches the resume its operation just armed, then disarms and clears
+// the wait a release left behind. The
 // operation calls the continuation itself afterwards, from its own frame,
 // so a goroutine's stack grows by one frame per parked step. Inline
 // processes never park: the kernel runs their continuations.
@@ -163,7 +166,7 @@ func (p *Proc) resume() {
 //bgplint:hot
 func (p *Proc) park() {
 	p.yield()
-	p.armed = false
+	p.armed, p.waitC = false, nil
 	p.cont = nil
 }
 
@@ -280,7 +283,8 @@ func (p *Proc) WaitGEThen(c *Counter, v int64, cont func()) {
 }
 
 // waitOn parks the process on c until it reaches v, arming a resume of the
-// given kind in c's waiter list.
+// given kind in c's waiter list. waitC stays set until the process next
+// runs: the release that wakes it does not touch the process.
 //
 //bgplint:hot
 func (p *Proc) waitOn(c *Counter, v int64, kind uint8) {
@@ -292,15 +296,16 @@ func (p *Proc) waitOn(c *Counter, v int64, kind uint8) {
 
 // RunThen runs b's table from its first step with b's operands, then
 // continues with cont: the fused equivalent of the per-step slices the table
-// transcribes. An inline process steps the table from here, so a table that
-// starts with a reached wait or runs out on instant steps runs in place. A
+// transcribes. The plan copies the table and operands, so b is not read
+// again. An inline process steps the table from here, so a table that starts
+// with a reached wait or runs out on instant steps runs in place. A
 // goroutine process runs the steps one operation at a time (Plan.runInline).
 //
 //bgplint:hot
 func (p *Proc) RunThen(b *Binding, cont func()) {
 	p.checkIdle()
 	pl := &p.plan
-	pl.steps, pl.run, pl.i = b.Table.steps, b, 0
+	pl.tab, pl.i, pl.c, pl.pipe = b.Table, 0, b.Counters, b.Pipe
 	if !p.inline {
 		pl.runInline(p)
 		cont()
@@ -319,13 +324,15 @@ func (p *Proc) RunThen(b *Binding, cont func()) {
 // to step on when it is released. A timed step schedules the table's next
 // step — or, for the last step, the stored continuation — at its completion
 // time. false means the table ran out on instant steps and the caller
-// continues the body at this position.
+// continues the body at this position. A plan that has scheduled or run its
+// last step drops its table, so it reports no pending steps whatever later
+// becomes of the table.
 //
 //bgplint:hot
 func (p *Proc) stepPlan() bool {
 	k := p.k
 	pl := &p.plan
-	steps := pl.steps
+	steps := pl.tab.steps
 	for pl.i < len(steps) {
 		s := &steps[pl.i]
 		pl.i++
@@ -334,7 +341,7 @@ func (p *Proc) stepPlan() bool {
 		case stepSleep:
 			done = k.now + s.d
 		case stepBusy:
-			done = pl.run.Pipe.Reserve(s.bytes)
+			done = pl.pipe.Reserve(s.bytes)
 			if c := k.now + s.d; c > done {
 				done = c
 			}
@@ -353,10 +360,11 @@ func (p *Proc) stepPlan() bool {
 			p.waitOn(c, s.n, eProg)
 			return true
 		case stepPost:
-			pl.run.Table.post.RunPost(s.n, 0)
+			pl.tab.post.RunPost(s.n, 0)
 			continue
 		}
 		if pl.i == len(steps) {
+			pl.tab = nil
 			p.schedContAt(done)
 		} else {
 			p.armed = true
@@ -368,6 +376,7 @@ func (p *Proc) stepPlan() bool {
 		}
 		return true
 	}
+	pl.tab = nil
 	return false
 }
 
@@ -375,21 +384,21 @@ func (p *Proc) stepPlan() bool {
 // with no-op continuations — the literal unfused sequence the fused path
 // transcribes. Goroutine processes run every table this way.
 func (pl *Plan) runInline(p *Proc) {
-	steps := pl.steps
-	for i := range steps {
-		s := &steps[i]
+	tab := pl.tab
+	for i := range tab.steps {
+		s := &tab.steps[i]
 		switch s.kind {
 		case stepSleep:
 			p.SleepThen(s.d, nop)
 		case stepBusy:
-			p.BusyThen(pl.run.Pipe, s.bytes, s.d, nop)
+			p.BusyThen(pl.pipe, s.bytes, s.d, nop)
 		case stepAdd:
 			pl.counter(s).Add(s.n)
 		case stepWait:
 			p.WaitGEThen(pl.counter(s), s.n, nop)
 		case stepPost:
-			pl.run.Table.post.RunPost(s.n, 0)
+			tab.post.RunPost(s.n, 0)
 		}
 	}
-	pl.i = len(steps)
+	pl.tab, pl.i = nil, len(tab.steps)
 }

@@ -259,7 +259,7 @@ func (f *FP) Counter(c *Counter) {
 	f.raw8(uint64(len(c.waiters)))
 	for _, w := range c.waiters {
 		f.raw8(uint64(w.threshold))
-		f.entryCanon(c.k, w.e)
+		f.entryCanon(c.k, w.e, false)
 	}
 }
 
@@ -291,7 +291,13 @@ func (f *FP) PipeRef(p *Pipe) {
 // its table has yet to run. The continuation closure itself is not hashable;
 // the program contract (a continuation is a pure function of the process's
 // reached state) makes the reached state a sufficient proxy.
-func (f *FP) procRef(k *Kernel, pi uint32) {
+//
+// queued says the walk reached the process through a run-ring or queue
+// entry, so it waits on nothing: a release leaves waitC set until the
+// process next runs (Kernel.wake), and the stale counter is neither hashed
+// nor interned through it. The run ring is walked first, so every released
+// process is interned there before the process list reaches it.
+func (f *FP) procRef(k *Kernel, pi uint32, queued bool) {
 	if f.refused || f.forward {
 		return
 	}
@@ -306,7 +312,7 @@ func (f *FP) procRef(k *Kernel, pi uint32) {
 	f.buf = append(f.buf, fpNew)
 	f.Bool(p.inline)
 	f.Bool(p.armed)
-	if p.waitC != nil {
+	if p.waitC != nil && !queued {
 		f.buf = append(f.buf, fpSome)
 		f.Counter(p.waitC)
 		f.raw8(uint64(p.waitGE))
@@ -314,19 +320,22 @@ func (f *FP) procRef(k *Kernel, pi uint32) {
 		f.buf = append(f.buf, fpNil)
 	}
 	// Only the table's un-run steps steer future execution: stepPlan resumes
-	// at plan.i, and RunThen resets it, so the steps a finished table leaves
-	// behind, and its binding, are never read again. The binding's operands
-	// hash once, before the steps.
+	// at plan.i, and RunThen resets it, so the operands a finished table
+	// leaves behind are never read again, and a plan past its last step has
+	// dropped its table. The operands hash once, before the steps.
 	pl := &p.plan
-	rest := pl.steps[pl.i:]
+	var rest []planStep
+	if pl.tab != nil {
+		rest = pl.tab.steps[pl.i:]
+	}
 	f.raw8(uint64(len(rest)))
 	if len(rest) == 0 {
 		return
 	}
-	for _, c := range pl.run.Counters {
+	for _, c := range pl.c {
 		f.optCounter(c)
 	}
-	f.optPipe(pl.run.Pipe)
+	f.optPipe(pl.pipe)
 	for i := range rest {
 		st := &rest[i]
 		if st.kind == stepPost {
@@ -363,18 +372,19 @@ func (f *FP) optPipe(p *Pipe) {
 	f.PipeRef(p)
 }
 
-// entryCanon hashes one pending queue/ring/waiter entry. Process-routed
-// kinds hash by interned process; scheduled adds hash by counter and
-// increment. Callback and hook entries hold closures the fingerprint cannot
-// see through, so they refuse the capture.
-func (f *FP) entryCanon(k *Kernel, e entry) {
+// entryCanon hashes one pending queue/ring/waiter entry; queued marks a
+// run-ring or queue entry (see procRef). Process-routed kinds hash by
+// interned process; scheduled adds hash by counter and increment. Callback
+// and hook entries hold closures the fingerprint cannot see through, so they
+// refuse the capture.
+func (f *FP) entryCanon(k *Kernel, e entry, queued bool) {
 	if f.refused || f.forward {
 		return
 	}
 	f.buf = append(f.buf, e.kind)
 	switch e.kind {
 	case eCont, eProg:
-		f.procRef(k, e.idx)
+		f.procRef(k, e.idx, queued)
 	case eAdd:
 		a := k.adds[e.idx]
 		f.Counter(a.c)
@@ -398,7 +408,7 @@ func (k *Kernel) steadyWalk(f *FP) {
 
 	f.raw8(uint64(k.ring.n))
 	for i := 0; i < k.ring.n; i++ {
-		f.entryCanon(k, k.ring.buf[(k.ring.head+i)&(len(k.ring.buf)-1)])
+		f.entryCanon(k, k.ring.buf[(k.ring.head+i)&(len(k.ring.buf)-1)], true)
 		if f.refused {
 			return
 		}
@@ -414,7 +424,7 @@ func (k *Kernel) steadyWalk(f *FP) {
 	f.raw8(uint64(len(f.in.scratch)))
 	for _, it := range f.in.scratch {
 		f.Time(it.t)
-		f.entryCanon(k, it.e)
+		f.entryCanon(k, it.e, true)
 		if f.refused {
 			return
 		}
@@ -422,7 +432,7 @@ func (k *Kernel) steadyWalk(f *FP) {
 
 	f.raw8(uint64(len(k.procs)))
 	for _, pi := range k.procs {
-		f.procRef(k, pi)
+		f.procRef(k, pi, false)
 		if f.refused {
 			return
 		}
