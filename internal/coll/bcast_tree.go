@@ -59,6 +59,13 @@ type treeBcastState struct {
 	rxBuf []data.Buf     // per node: reception rank's buffer (window keys)
 	r0Buf []data.Buf     // per node: injector rank's buffer (window keys)
 
+	// rootIn is fired by a root that is not its node's injector when it
+	// enters, and the root node's injector waits for it before sending the
+	// root's payload (awaitRoot). rootWait says this call uses it; the
+	// handle is kept for re-arming either way.
+	rootIn   *sim.Counter
+	rootWait bool
+
 	// The chunk loops' step tables: tabs[:ntab] are this call's, built by
 	// the first rank of each role (table); the rest keep their capacity.
 	tabs []*chunkTable
@@ -140,6 +147,23 @@ func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int, need tree
 			}
 		}
 	}
+	st.rootWait = root%ppn != 0
+	if st.rootWait {
+		st.rootIn = rearm(k, st.rootIn, "treebc%d.root", int32(seq))
+	}
+}
+
+// awaitRoot continues with cont once the root has entered the broadcast
+// when r injects on the root's node for a root that is not the injector:
+// the injector sends the root's payload, which the root publishes on
+// entering (startTreeBcast). Anywhere else, and once the root has entered,
+// cont runs in place.
+func (st *treeBcastState) awaitRoot(r *mpi.Rank, cont func()) {
+	if !st.rootWait || r.NodeID() != st.root/st.ppn {
+		cont()
+		return
+	}
+	r.Proc().WaitGEThen(st.rootIn, 1, cont)
 }
 
 // acquireTreeBcast returns the shared state of broadcast seq, arming it on
@@ -173,6 +197,7 @@ func (st *treeBcastState) dropCounters() {
 	clear(st.sw[:cap(st.sw)])
 	clear(st.fill[:cap(st.fill)])
 	clear(st.peer[:cap(st.peer)])
+	st.rootIn = nil
 	for _, t := range st.tabs {
 		t.tab.Reset(nil)
 	}
@@ -269,6 +294,9 @@ func startTreeBcast(r *mpi.Rank, buf data.Buf, root int, need treeCounters, done
 	st := acquireTreeBcast(r, sc, seq, root, buf.Len(), need)
 	if r.Rank() == root {
 		st.src = buf
+		if st.rootWait {
+			st.rootIn.Fire()
+		}
 	}
 	d := sc.driverOf(r)
 	if d.fn == nil {
@@ -303,6 +331,7 @@ const (
 	drvRun                 // run the chunk loop, then finish
 	drvMapRx               // map the reception rank's buffer, then the injector's or run
 	drvMapInj              // map the injector's buffer, then run
+	drvMapRoot             // map the root's buffer, then run
 	drvJoin                // SMP main thread: wait for the helper thread, then finish
 )
 
@@ -339,6 +368,8 @@ func (d *treeDriver) step() {
 		d.mapWindow(1, d.st.rxBuf[d.r.NodeID()], next)
 	case drvMapInj:
 		d.mapWindow(0, d.st.r0Buf[d.r.NodeID()], drvRun)
+	case drvMapRoot:
+		d.mapWindow(d.st.root%d.st.ppn, d.st.src, drvRun)
 	case drvJoin:
 		d.r.Proc().WaitGEThen(d.st.sc.smpOf(d.r).helperDone, 1, d.then(drvFinish))
 	default:
@@ -505,6 +536,7 @@ type masterPump struct {
 	peers    []*sim.Counter
 	perChunk bool
 
+	injectFn      func()
 	afterInjectFn func()
 	recvFn        func()
 	enterRecvFn   func()
@@ -522,7 +554,7 @@ const (
 func armPump(sc *treeScratch, r *mpi.Rank, st *treeBcastState, cont func()) *masterPump {
 	m := sc.pumpOf(r)
 	if m.afterInjectFn == nil {
-		m.afterInjectFn, m.recvFn = m.afterInject, m.recv
+		m.injectFn, m.afterInjectFn, m.recvFn = m.inject, m.afterInject, m.recv
 		m.enterRecvFn, m.afterRecvFn = m.enterRecv, m.afterRecv
 	}
 	m.st, m.p, m.cont = st, r.Proc(), cont
@@ -687,7 +719,7 @@ func bcastTreeShmem(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		m := armPump(sc, r, st, d.then(drvFinish))
 		m.sw, m.node, m.copyOut, m.cached = st.sw[node], r.Node().HW, r.Rank() != root, cached
 		m.dma, m.k, m.peers, m.perChunk = nil, nil, nil, false
-		m.inject()
+		st.awaitRoot(r, m.injectFn)
 		return
 	}
 	// Peers wait on the node's software counter, poll, and copy each
@@ -718,7 +750,7 @@ func treeDMACommon(r *mpi.Rank, buf data.Buf, root int, fifo bool, done func()) 
 		m := armPump(sc, r, st, d.then(drvFinish))
 		m.sw, m.node, m.copyOut, m.cached = nil, nil, false, false
 		m.dma, m.k, m.peers, m.perChunk = r.Node().DMA, r.Machine().K, st.peersAt(node), fifo
-		m.inject()
+		st.awaitRoot(r, m.injectFn)
 		return
 	}
 	cnt := st.peersAt(node)[r.LocalRank()]
@@ -761,11 +793,10 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 			spec |= ckJoinFill // then wait for rank 2 to fill this buffer
 		}
 		d.loop(st.table(spec, hwn, cached), nil, fill, nil)
-		rootRank := r.World().Rank(root)
-		if rootRank.NodeID() == node && !isRoot {
+		if st.rootWait && root/r.LocalSize() == node {
 			// Inject the payload out of the root rank's buffer through a
-			// process window.
-			r.CNK().MapThen(r.Proc(), windowKey(rootRank.LocalRank(), st.src), total, d.then(drvRun))
+			// process window, once the root has entered with it.
+			st.awaitRoot(r, d.then(drvMapRoot))
 			return
 		}
 		d.run()

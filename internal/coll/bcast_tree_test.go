@@ -133,10 +133,8 @@ func runRepeats(t *testing.T, w *mpi.World, loops []repeatLoop, calls []bcastCal
 // with the roots of the pipelined broadcast and of the last one arriving
 // late, so fast ranks run ahead into the next broadcast while slow ones
 // still finish the previous. Only the first broadcast, which every rank
-// enters at time zero, has a non-master root: the model makes a broadcast
-// wait for its root only through the root node's injector, so a late
-// non-master root could see its peers complete before it published the
-// payload.
+// enters at time zero, has a non-master root; TestTreeBcastWaitsForLateRoot
+// covers a late one.
 func repeatCalls(ranks, ppn int) []bcastCall {
 	return []bcastCall{
 		{size: 64, root: 1 % ranks},
@@ -307,6 +305,62 @@ func TestTreeBcastAllocationFree(t *testing.T) {
 					if got := allocsPerBcast(t, cfg, algo, size, false); got > 0 {
 						t.Errorf("%s %s %dx%dx%d %d B: %.1f allocations per repeat broadcast, want 0",
 							mode, algo, geom[0], geom[1], geom[2], size, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTreeBcastWaitsForLateRoot: a non-master root that enters a tree
+// broadcast long after every other rank still broadcasts its payload. No
+// rank may leave before the root has entered, and every rank must hold the
+// root's bytes, in both vehicles. The root's node injector sends the
+// payload, so it must wait for the root to publish it.
+func TestTreeBcastWaitsForLateRoot(t *testing.T) {
+	const msg, late = 48 << 10, sim.Millisecond
+	for _, mode := range []hw.Mode{hw.Quad, hw.Dual} {
+		cfg := testConfig(2, 2, 2, mode)
+		for _, algo := range treeAlgosFor(mode) {
+			for _, root := range []int{5, 6} {
+				for _, reference := range []bool{false, true} {
+					name := fmt.Sprintf("%v/%s/root %d/reference=%v", mode, algo, root, reference)
+					w, err := mpi.NewWorld(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w.Tunables.Bcast = algo
+					w.M.K.SetNoProgram(reference)
+					want := data.New(msg, true)
+					want.Fill(29)
+					var entered sim.Time
+					var early, wrong int
+					if _, err := w.RunProgram(func(r *mpi.Rank) {
+						buf := r.NewBuf(msg)
+						bcast := func() {
+							if r.Rank() == root {
+								buf.Fill(29)
+								entered = r.Now()
+							}
+							r.BcastThen(buf, root, func() {
+								if entered == 0 {
+									early++
+								}
+								if !data.Equal(buf, want) {
+									wrong++
+								}
+							})
+						}
+						if r.Rank() == root {
+							r.Proc().SleepThen(late, bcast)
+							return
+						}
+						bcast()
+					}); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if early > 0 || wrong > 0 {
+						t.Errorf("%s: %d ranks left before the root entered at %v, %d do not hold its payload", name, early, late, wrong)
 					}
 				}
 			}

@@ -55,12 +55,13 @@ var (
 
 // treeSkewRootDigest pins the tree broadcasts with a non-master root, rank 5
 // (node 1, local rank 1): the root waits on its node's counters like a peer,
-// but copies nothing.
+// but copies nothing, and its node's injector starts only once the root has
+// entered, which here is after every other node's injector.
 var treeSkewRootDigest = map[string]uint64{
-	mpi.BcastTreeShmem:     0x9c4bbcaddd4bf3ce,
-	mpi.BcastTreeDMAFIFO:   0xa5950623dda1b502,
-	mpi.BcastTreeDMADirect: 0x7ce4c39eecb90745,
-	mpi.BcastTreeShaddr:    0xd4e35f681a01c7f5,
+	mpi.BcastTreeShmem:     0x44cd3a41cb882e5c,
+	mpi.BcastTreeDMAFIFO:   0x4c472deea808e13e,
+	mpi.BcastTreeDMADirect: 0x9a8b6ceb7edf0b85,
+	mpi.BcastTreeShaddr:    0xfa4f75c795a95205,
 }
 
 func TestBcastWithArrivalSkew(t *testing.T) {
