@@ -56,8 +56,8 @@ type treeBcastState struct {
 	sw    []*sim.Counter // per node: bytes received by the reception core
 	fill  []*sim.Counter // per node: bytes copied into the injector's buffer
 	peer  []*sim.Counter // per node, per local rank (node-major; slot 0 unused)
-	rxBuf []data.Buf     // per node: reception rank's buffer (window keys)
-	r0Buf []data.Buf     // per node: injector rank's buffer (window keys)
+	rxBuf []data.Buf     // per node: reception rank's buffer (shaddr's window keys)
+	r0Buf []data.Buf     // per node: injector rank's buffer (shaddr's window keys)
 
 	// rootIn is fired by a root that is not its node's injector when it
 	// enters, and the root node's injector waits for it before sending the
@@ -72,14 +72,15 @@ type treeBcastState struct {
 	ntab int
 }
 
-// treeCounters selects the per-node counters a tree broadcast algorithm
-// reads; arm carves only those, and leaves the other slices empty.
+// treeCounters selects the per-node state a tree broadcast algorithm
+// reads; arm carves or sizes only that, and leaves the other slices empty.
 type treeCounters uint8
 
 const (
-	needSW    treeCounters = 1 << iota // sw: shmem and shaddr
-	needFill                           // fill: shaddr
-	needPeers                          // peer: the two DMA algorithms
+	needSW      treeCounters = 1 << iota // sw: shmem and shaddr
+	needFill                             // fill: shaddr
+	needPeers                            // peer: the two DMA algorithms
+	needWindows                          // rxBuf and r0Buf: shaddr
 )
 
 // fit returns s resized to n elements, reusing its backing array when it is
@@ -121,6 +122,7 @@ func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int, need tree
 		m.Tree.InitOp(&st.ops[i], s.Len)
 	}
 	st.sw, st.fill, st.peer = st.sw[:0], st.fill[:0], st.peer[:0]
+	st.rxBuf, st.r0Buf = st.rxBuf[:0], st.r0Buf[:0]
 	if need&needSW != 0 {
 		st.sw = fit(st.sw, nodes)
 	}
@@ -130,10 +132,11 @@ func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int, need tree
 	if need&needPeers != 0 {
 		st.peer = fit(st.peer, nodes*ppn)
 	}
-	st.rxBuf = fit(st.rxBuf, nodes)
-	st.r0Buf = fit(st.r0Buf, nodes)
-	clear(st.rxBuf)
-	clear(st.r0Buf)
+	if need&needWindows != 0 {
+		// Zero already: a state drops its window keys at its last release.
+		st.rxBuf = fit(st.rxBuf, nodes)
+		st.r0Buf = fit(st.r0Buf, nodes)
+	}
 	for n := 0; n < nodes; n++ {
 		if need&needSW != 0 {
 			st.sw[n] = rearm(k, st.sw[n], "treebc%d.sw%d", int32(seq), int32(n))
@@ -180,23 +183,29 @@ func acquireTreeBcast(r *mpi.Rank, sc *treeScratch, seq int64, root, total int, 
 }
 
 // release drops r's reference (the position the blocking form's defer ran
-// at). The last release returns the state to the free list.
+// at). The last release returns the state to the free list, holding no
+// caller's buffer.
 func (st *treeBcastState) release() {
 	st.refs--
 	if st.refs > 0 {
 		return
 	}
-	st.src = data.Buf{} // the payload belongs to the caller, not the free list
+	st.src = data.Buf{}
+	clear(st.rxBuf)
+	clear(st.r0Buf)
 	st.sc.states.put(st)
 }
 
-// dropCounters forgets every counter handle the state holds, in the
-// capacity past each slice's length too, so its next arm carves afresh.
+// dropCounters forgets every counter handle and window key the state
+// holds, in the capacity past each slice's length too, so its next arm
+// carves afresh.
 func (st *treeBcastState) dropCounters() {
 	clear(st.ops[:cap(st.ops)])
 	clear(st.sw[:cap(st.sw)])
 	clear(st.fill[:cap(st.fill)])
 	clear(st.peer[:cap(st.peer)])
+	clear(st.rxBuf[:cap(st.rxBuf)])
+	clear(st.r0Buf[:cap(st.r0Buf)])
 	st.rootIn = nil
 	for _, t := range st.tabs {
 		t.tab.Reset(nil)
@@ -327,12 +336,12 @@ type treeDriver struct {
 
 // Driver phases: what treeDriver.step runs next.
 const (
-	drvFinish uint8 = iota // install the payload, release the state, continue with done
-	drvRun                 // run the chunk loop, then finish
-	drvMapRx               // map the reception rank's buffer, then the injector's or run
-	drvMapInj              // map the injector's buffer, then run
-	drvMapRoot             // map the root's buffer, then run
-	drvJoin                // SMP main thread: wait for the helper thread, then finish
+	drvFinish  uint8 = iota // install the payload, release the state, continue with done
+	drvRun                  // run the chunk loop, then finish
+	drvMapRx                // map the reception rank's buffer, then the injector's or run
+	drvMapInj               // map the injector's buffer, then run
+	drvMapRoot              // map the root's buffer, then run
+	drvJoin                 // SMP main thread: wait for the helper thread, then finish
 )
 
 // then returns the bound step, set to run phase next.
@@ -775,7 +784,7 @@ func treeDMACommon(r *mpi.Rank, buf data.Buf, root int, fifo bool, done func()) 
 // buffer — the injector has no cycles to copy, and memory bandwidth is at
 // least twice the collective network's.
 func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
-	_, st, d := startTreeBcast(r, buf, root, needSW|needFill, done)
+	_, st, d := startTreeBcast(r, buf, root, needSW|needFill|needWindows, done)
 	node := r.NodeID()
 	hwn := r.Node().HW
 	total := buf.Len()

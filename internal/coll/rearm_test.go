@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bgpcoll/internal/data"
 	"bgpcoll/internal/hw"
 	"bgpcoll/internal/mpi"
 	"bgpcoll/internal/sim"
@@ -145,4 +146,37 @@ func holdsCounter(s []*sim.Counter) bool {
 		}
 	}
 	return false
+}
+
+// TestTreeStateHoldsNoPayload: a released tree broadcast state holds no
+// caller's buffer, and only tree.shaddr, which maps the reception and
+// injector buffers through process windows, sizes the window keys at all.
+func TestTreeStateHoldsNoPayload(t *testing.T) {
+	for _, algo := range treeAlgosFor(hw.Quad) {
+		w, err := mpi.NewWorld(testConfig(2, 2, 1, hw.Quad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Tunables.Bcast = algo
+		runFig5(t, w, 2)
+		sc := w.Scratch(treeScratchKey, newTreeScratch).(*treeScratch)
+		if len(sc.states.free) == 0 {
+			t.Fatalf("%s: no recycled tree state after a run", algo)
+		}
+		for _, st := range sc.states.free {
+			if st.src.Len() != 0 {
+				t.Errorf("%s: a released state keeps the root's payload", algo)
+			}
+			for _, keys := range [][]data.Buf{st.rxBuf, st.r0Buf} {
+				if algo != mpi.BcastTreeShaddr && cap(keys) != 0 {
+					t.Errorf("%s: the state sizes %d window keys it never reads", algo, cap(keys))
+				}
+				for _, b := range keys[:cap(keys)] {
+					if b.Len() != 0 {
+						t.Errorf("%s: a released state keeps a rank's buffer as a window key", algo)
+					}
+				}
+			}
+		}
+	}
 }
