@@ -61,7 +61,7 @@ type treeBcastState struct {
 
 	// rootIn is fired by a root that is not its node's injector when it
 	// enters, and the root node's injector waits for it before sending the
-	// root's payload (awaitRoot). rootWait says this call uses it; the
+	// root's payload (waitsForRoot). rootWait says this call uses it; the
 	// handle is kept for re-arming either way.
 	rootIn   *sim.Counter
 	rootWait bool
@@ -156,17 +156,12 @@ func (st *treeBcastState) arm(r *mpi.Rank, seq int64, root, total int, need tree
 	}
 }
 
-// awaitRoot continues with cont once the root has entered the broadcast
-// when r injects on the root's node for a root that is not the injector:
-// the injector sends the root's payload, which the root publishes on
-// entering (startTreeBcast). Anywhere else, and once the root has entered,
-// cont runs in place.
-func (st *treeBcastState) awaitRoot(r *mpi.Rank, cont func()) {
-	if !st.rootWait || r.NodeID() != st.root/st.ppn {
-		cont()
-		return
-	}
-	r.Proc().WaitGEThen(st.rootIn, 1, cont)
+// waitsForRoot reports whether r, an injector, must wait on rootIn before
+// injecting: it injects on the root's node for a root that is not the
+// injector, so it sends the root's payload, which the root publishes on
+// entering (startTreeBcast).
+func (st *treeBcastState) waitsForRoot(r *mpi.Rank) bool {
+	return st.rootWait && r.NodeID() == st.root/st.ppn
 }
 
 // acquireTreeBcast returns the shared state of broadcast seq, arming it on
@@ -341,6 +336,7 @@ const (
 	drvMapRx                // map the reception rank's buffer, then the injector's or run
 	drvMapInj               // map the injector's buffer, then run
 	drvMapRoot              // map the root's buffer, then run
+	drvPump                 // node master: start the pump, then finish
 	drvJoin                 // SMP main thread: wait for the helper thread, then finish
 )
 
@@ -379,6 +375,9 @@ func (d *treeDriver) step() {
 		d.mapWindow(0, d.st.r0Buf[d.r.NodeID()], drvRun)
 	case drvMapRoot:
 		d.mapWindow(d.st.root%d.st.ppn, d.st.src, drvRun)
+	case drvPump:
+		d.phase = drvFinish // the pump continues with d.fn when it is done
+		d.st.sc.pumpOf(d.r).inject()
 	case drvJoin:
 		d.r.Proc().WaitGEThen(d.st.sc.smpOf(d.r).helperDone, 1, d.then(drvFinish))
 	default:
@@ -545,7 +544,6 @@ type masterPump struct {
 	peers    []*sim.Counter
 	perChunk bool
 
-	injectFn      func()
 	afterInjectFn func()
 	recvFn        func()
 	enterRecvFn   func()
@@ -563,12 +561,24 @@ const (
 func armPump(sc *treeScratch, r *mpi.Rank, st *treeBcastState, cont func()) *masterPump {
 	m := sc.pumpOf(r)
 	if m.afterInjectFn == nil {
-		m.injectFn, m.afterInjectFn, m.recvFn = m.inject, m.afterInject, m.recv
+		m.afterInjectFn, m.recvFn = m.afterInject, m.recv
 		m.enterRecvFn, m.afterRecvFn = m.enterRecv, m.afterRecv
 	}
 	m.st, m.p, m.cont = st, r.Proc(), cont
 	m.injIdx, m.recvIdx, m.phase = 0, 0, pumpDrain
 	return m
+}
+
+// start begins the pump's injection, once the root has entered if the pump
+// injects its payload for it (waitsForRoot). The wait resumes through d,
+// the master rank's driver (drvPump), whose bound step is also the pump's
+// continuation.
+func (m *masterPump) start(d *treeDriver) {
+	if m.st.waitsForRoot(d.r) {
+		m.p.WaitGEThen(m.st.rootIn, 1, d.then(drvPump))
+		return
+	}
+	m.inject()
 }
 
 //bgplint:hot
@@ -728,7 +738,7 @@ func bcastTreeShmem(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		m := armPump(sc, r, st, d.then(drvFinish))
 		m.sw, m.node, m.copyOut, m.cached = st.sw[node], r.Node().HW, r.Rank() != root, cached
 		m.dma, m.k, m.peers, m.perChunk = nil, nil, nil, false
-		st.awaitRoot(r, m.injectFn)
+		m.start(d)
 		return
 	}
 	// Peers wait on the node's software counter, poll, and copy each
@@ -759,7 +769,7 @@ func treeDMACommon(r *mpi.Rank, buf data.Buf, root int, fifo bool, done func()) 
 		m := armPump(sc, r, st, d.then(drvFinish))
 		m.sw, m.node, m.copyOut, m.cached = nil, nil, false, false
 		m.dma, m.k, m.peers, m.perChunk = r.Node().DMA, r.Machine().K, st.peersAt(node), fifo
-		st.awaitRoot(r, m.injectFn)
+		m.start(d)
 		return
 	}
 	cnt := st.peersAt(node)[r.LocalRank()]
@@ -802,10 +812,10 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 			spec |= ckJoinFill // then wait for rank 2 to fill this buffer
 		}
 		d.loop(st.table(spec, hwn, cached), nil, fill, nil)
-		if st.rootWait && root/r.LocalSize() == node {
+		if st.waitsForRoot(r) {
 			// Inject the payload out of the root rank's buffer through a
 			// process window, once the root has entered with it.
-			st.awaitRoot(r, d.then(drvMapRoot))
+			r.Proc().WaitGEThen(st.rootIn, 1, d.then(drvMapRoot))
 			return
 		}
 		d.run()

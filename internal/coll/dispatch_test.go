@@ -80,7 +80,7 @@ func TestDirectPutPeersWaitOnce(t *testing.T) {
 // algorithm, mode and root. The chunk loops may change how they are driven,
 // not what they schedule: a faithful change keeps both numbers. A quad or
 // dual root 5 is not its node's injector, which enters first and waits for
-// the root (awaitRoot): one wake more than root 0, at the same instant.
+// the root (waitsForRoot): one wake more than root 0, at the same instant.
 var treeDispatchPins = []struct {
 	mode       hw.Mode
 	algo       string
