@@ -460,6 +460,7 @@ func BenchmarkTableDispatch(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for range b.N {
 		k.Reset()
 		for n := range sw {

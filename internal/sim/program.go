@@ -117,9 +117,9 @@ func (p *Proc) runCont() {
 
 // runProg is the kernel's dispatch for an eProg entry, which only inline
 // processes arm: disarm, clear the wait a release left behind, and step the
-// process's table. A table that runs out on
-// instant steps continues the body in place, at this queue position, and the
-// program retires if it parked nowhere new. A panicking step fails the
+// process's table. A table that runs out on instant steps continues the body
+// in place, at this queue position, and the program retires if it parked
+// nowhere new. A panicking step fails the
 // simulation like a process panic: next() names the process in Kernel.cur,
 // and Run's recover frame reports it.
 //
@@ -158,10 +158,10 @@ func (p *Proc) resume() {
 
 // park gives a goroutine process's virtual CPU away until the kernel
 // dispatches the resume its operation just armed, then disarms and clears
-// the wait a release left behind. The
-// operation calls the continuation itself afterwards, from its own frame,
-// so a goroutine's stack grows by one frame per parked step. Inline
-// processes never park: the kernel runs their continuations.
+// the wait a release left behind. The operation calls the continuation
+// itself afterwards, from its own frame, so a goroutine's stack grows by one
+// frame per parked step. Inline processes never park: the kernel runs their
+// continuations.
 //
 //bgplint:hot
 func (p *Proc) park() {
