@@ -322,8 +322,8 @@ type treeDriver struct {
 	st   *treeBcastState
 	buf  data.Buf
 	done func()
-	bind sim.Binding // the chunk loop's table and the operands it leaves open
-	fn   func()      // bound step
+	tab  *sim.Table // tree.shaddr's chunk loop, kept across its window prologue
+	fn   func()     // bound step
 
 	phase  uint8
 	mapInj bool // the window prologue also maps the injector's buffer
@@ -332,7 +332,7 @@ type treeDriver struct {
 // Driver phases: what treeDriver.step runs next.
 const (
 	drvFinish  uint8 = iota // install the payload, release the state, continue with done
-	drvRun                  // run the chunk loop, then finish
+	drvRun                  // run tree.shaddr's chunk loop, then finish
 	drvMapRx                // map the reception rank's buffer, then the injector's or run
 	drvMapInj               // map the injector's buffer, then run
 	drvMapRoot              // map the root's buffer, then run
@@ -346,17 +346,26 @@ func (d *treeDriver) then(phase uint8) func() {
 	return d.fn
 }
 
-// loop binds the rank's chunk loop for one broadcast: c0, c1 and bus are the
-// operands tab leaves open, nil where it has none.
-func (d *treeDriver) loop(tab *sim.Table, c0, c1 *sim.Counter, bus *sim.Pipe) *treeDriver {
-	d.bind = sim.Binding{Table: tab, Counters: [2]*sim.Counter{c0, c1}, Pipe: bus}
-	return d
-}
-
-// run runs the chunk loop, then finishes.
+// run runs the rank's chunk loop tab, then finishes: c0, c1 and bus are
+// the operands tab leaves open, nil where it has none. The process's plan
+// copies them, so the driver keeps no binding.
 //
 //bgplint:hot
-func (d *treeDriver) run() { d.r.Proc().RunThen(&d.bind, d.then(drvFinish)) }
+func (d *treeDriver) run(tab *sim.Table, c0, c1 *sim.Counter, bus *sim.Pipe) {
+	b := sim.Binding{Table: tab, Counters: [2]*sim.Counter{c0, c1}, Pipe: bus}
+	d.r.Proc().RunThen(&b, d.then(drvFinish))
+}
+
+// runShaddr runs tree.shaddr's chunk loop d.tab with the node's operands.
+// Every shaddr table reads the node's sw as bound counter 0, its fill as
+// bound counter 1 and its bus, and a role's table has no step for the
+// operands it does not use, so one set serves every role.
+//
+//bgplint:hot
+func (d *treeDriver) runShaddr() {
+	n := d.r.NodeID()
+	d.run(d.tab, d.st.sw[n], d.st.fill[n], d.r.Node().HW.Bus)
+}
 
 // step is the driver's one continuation.
 //
@@ -364,7 +373,7 @@ func (d *treeDriver) run() { d.r.Proc().RunThen(&d.bind, d.then(drvFinish)) }
 func (d *treeDriver) step() {
 	switch d.phase {
 	case drvRun:
-		d.run()
+		d.runShaddr()
 	case drvMapRx:
 		next := drvRun
 		if d.mapInj {
@@ -691,11 +700,11 @@ func (m *masterPump) afterRecv() {
 }
 
 // smpHelper drives one SMP-mode node's helper communication thread, which
-// receives while the main thread injects: the binding its chunk loop runs
-// with, and the one-shot completion counter the main thread joins on, which
-// the slot re-arms on every broadcast of a run.
+// receives while the main thread injects: the table its chunk loop runs,
+// and the one-shot completion counter the main thread joins on, which the
+// slot re-arms on every broadcast of a run.
 type smpHelper struct {
-	bind       sim.Binding
+	tab        *sim.Table
 	helperDone *sim.Counter
 
 	spawnFn func(p *sim.Proc)
@@ -714,14 +723,17 @@ func bcastTreeSMP(r *mpi.Rank, buf data.Buf, root int, done func()) {
 	k := r.Machine().K
 	node := r.Node().HW
 	h.helperDone = rearm(k, h.helperDone, "treebc%d.helper%d", int32(st.seq), int32(r.Rank()))
-	h.bind = sim.Binding{Table: st.table(ckWaitDelivery|ckTouch, node, false)}
+	h.tab = st.table(ckWaitDelivery|ckTouch, node, false)
 	k.SpawnProgramIdx("rank%d.comm", int32(r.Rank()), h.spawnFn)
-	d.loop(st.table(ckWaitWindow|ckTouch|ckInject, node, false), nil, nil, nil)
-	r.Proc().RunThen(&d.bind, d.then(drvJoin))
+	b := sim.Binding{Table: st.table(ckWaitWindow|ckTouch|ckInject, node, false)}
+	r.Proc().RunThen(&b, d.then(drvJoin))
 }
 
 // spawnHelper is the helper thread's body: receive every chunk.
-func (h *smpHelper) spawnHelper(p *sim.Proc) { p.RunThen(&h.bind, h.fireFn) }
+func (h *smpHelper) spawnHelper(p *sim.Proc) {
+	b := sim.Binding{Table: h.tab}
+	p.RunThen(&b, h.fireFn)
+}
 
 //bgplint:hot
 func (h *smpHelper) fire() { h.helperDone.Fire() }
@@ -745,7 +757,7 @@ func bcastTreeShmem(r *mpi.Rank, buf data.Buf, root int, done func()) {
 	// arrived chunk out of the segment.
 	hwn := r.Node().HW
 	tab := st.table(peerSpec(r.Rank() == root, ckPoll|ckCopy), hwn, cached)
-	d.loop(tab, st.sw[node], nil, hwn.Bus).run()
+	d.run(tab, st.sw[node], nil, hwn.Bus)
 }
 
 // bcastTreeDMAFIFO is the current quad-mode algorithm: the master core
@@ -783,7 +795,7 @@ func treeDMACommon(r *mpi.Rank, buf data.Buf, root int, fifo bool, done func()) 
 	// the core copy from the memory FIFO into its application buffer.
 	hwn := r.Node().HW
 	tab := st.table(peerSpec(r.Rank() == root, ckCopy), hwn, quadBcastFootprint(r, buf.Len()))
-	d.loop(tab, cnt, nil, hwn.Bus).run()
+	d.run(tab, cnt, nil, hwn.Bus)
 }
 
 // bcastTreeShaddr is the proposed quad-mode algorithm (paper §V-B, Fig. 4):
@@ -802,7 +814,6 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 	isRoot := r.Rank() == root
 	// The injector's buffer needs filling unless the injector is the root.
 	fillInjector := r.RankOf(node, 0) != root
-	sw, fill := st.sw[node], st.fill[node]
 
 	switch r.LocalRank() {
 	case 0: // injection process
@@ -811,14 +822,14 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		if !isRoot {
 			spec |= ckJoinFill // then wait for rank 2 to fill this buffer
 		}
-		d.loop(st.table(spec, hwn, cached), nil, fill, nil)
+		d.tab = st.table(spec, hwn, cached)
 		if st.waitsForRoot(r) {
 			// Inject the payload out of the root rank's buffer through a
 			// process window, once the root has entered with it.
 			r.Proc().WaitGEThen(st.rootIn, 1, d.then(drvMapRoot))
 			return
 		}
-		d.run()
+		d.runShaddr()
 
 	case 1: // reception process: directly into its application buffer
 		st.rxBuf[node] = buf
@@ -829,25 +840,28 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 			if fillInjector {
 				spec |= ckFill
 			}
-			d.loop(st.table(spec, hwn, cached), sw, fill, hwn.Bus)
+			d.tab = st.table(spec, hwn, cached)
 			if fillInjector {
 				r.CNK().MapThen(r.Proc(), windowKey(0, st.r0Buf[node]), total, d.then(drvRun))
 				return
 			}
-			d.run()
+			d.runShaddr()
 			return
 		}
-		d.loop(st.table(ckWaitDelivery|ckTouch|ckPublish, hwn, cached), sw, nil, nil).run()
+		d.tab = st.table(ckWaitDelivery|ckTouch|ckPublish, hwn, cached)
+		d.runShaddr()
 
 	case 2: // copy process, also responsible for the injector's buffer
 		spec := peerSpec(isRoot, ckCopy) | ckPoll
 		if fillInjector {
 			spec |= ckFill
 		}
-		d.loop(st.table(spec, hwn, cached), sw, fill, hwn.Bus).openWindow(fillInjector)
+		d.tab = st.table(spec, hwn, cached)
+		d.openWindow(fillInjector)
 
 	case 3: // copy process
-		d.loop(st.table(peerSpec(isRoot, ckPoll|ckCopy), hwn, cached), sw, nil, hwn.Bus).openWindow(false)
+		d.tab = st.table(peerSpec(isRoot, ckPoll|ckCopy), hwn, cached)
+		d.openWindow(false)
 	}
 }
 
