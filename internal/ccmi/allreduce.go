@@ -22,11 +22,11 @@ import (
 // down the color's forward rectangle tree, overlapping with the reduction of
 // later chunks — the paper's reduce/broadcast pipelining.
 //
-// Node contributions become available incrementally: rank protocols feed
-// Contrib[node][color] with cumulative ready bytes within that color's
-// partition, and ContribBufs[node] hold the locally reduced data in
-// functional runs. Reduced results are copied into ResultBufs and published
-// via Deliveries.
+// Node contributions become available incrementally: rank protocols raise
+// the tally Contrib with cumulative ready bytes within each color's
+// partition and call Contributed, and ContribBufs[node] hold the locally
+// reduced data in functional runs. Reduced results are copied into
+// ResultBufs and published via Deliveries.
 type Allreduce struct {
 	M      *machine.Machine
 	Root   geometry.Coord
@@ -34,11 +34,11 @@ type Allreduce struct {
 	Colors []geometry.Color
 	Lane0  int // reduce uses lanes Lane0+i, broadcast-down lanes Lane0+len(Colors)+i
 
-	Contrib     [][]*sim.Counter // [node][color]: partition bytes locally reduced
-	ContribBufs []data.Buf       // per node: locally-reduced vectors (may be phantom)
-	ResultBufs  []data.Buf       // per node: where the reduced result lands
-	Deliveries  []*Delivery      // per node: result arrival logs
-	ProtoPipes  []*sim.Pipe      // per node: the protocol core performing hop combines
+	Contrib     []int64     // [node*len(Colors)+color]: partition bytes locally reduced
+	ContribBufs []data.Buf  // per node: locally-reduced vectors (may be phantom)
+	ResultBufs  []data.Buf  // per node: where the reduced result lands
+	Deliveries  []*Delivery // per node: result arrival logs
+	ProtoPipes  []*sim.Pipe // per node: the protocol core performing hop combines
 
 	// ReduceOnly skips the broadcast-down phase: reduced chunks are
 	// delivered to the root node only (MPI_Reduce).
@@ -76,8 +76,28 @@ func (a *Allreduce) Run() {
 		presize(a.Deliveries, chunks)
 	}
 	for i := range a.runs {
-		a.runs[i].start()
+		for n := range a.runs[i].next {
+			a.Contributed(n, i)
+		}
 	}
+}
+
+// Contributed schedules now, in chunk order, the contribution stage of each
+// chunk that node's tally for color newly covers. Before Run it does
+// nothing: Run schedules what the tallies cover by then, and until it does,
+// a schedule is fresh (no color runs) or done (no chunk left).
+//
+//bgplint:hot
+func (a *Allreduce) Contributed(node, color int) {
+	if color >= len(a.runs) {
+		return
+	}
+	cr, k := &a.runs[color], a.M.K
+	c, have := cr.next[node], a.Contrib[node*len(a.Colors)+color]
+	for ; c < len(cr.spans) && have >= int64(cr.spans[c].Off+cr.spans[c].Len-cr.baseOff); c++ {
+		k.HookAt(k.Now(), &cr.contribH, int64(node), int64(c))
+	}
+	cr.next[node] = c
 }
 
 // deliver is the down phase's per-node delivery: the functional copy out of
@@ -92,10 +112,10 @@ func (a *Allreduce) deliver(node int, span hw.Span, t sim.Time) {
 }
 
 // colorReduce drives one color's reduce chains. Like colorRun, every step
-// is a stage handler bound once per color and scheduled with HookAt (or
-// OnGEHook) carrying (node, chunk), so the chains allocate nothing per
-// chunk; and like colorRun's, its handlers read the wire bytes and each
-// node's successor from tables that init fills once per schedule.
+// is a stage handler bound once per color and scheduled with HookAt
+// carrying (node, chunk), so the chains allocate nothing per chunk; and
+// like colorRun's, its handlers read the wire bytes and each node's
+// successor from tables that init fills once per schedule.
 type colorReduce struct {
 	a        *Allreduce
 	color    geometry.Color
@@ -111,6 +131,7 @@ type colorReduce struct {
 	// forwards when all streams have arrived and its combines finished.
 	state []chunkState
 	need  []int // input streams per node (own contribution + chains ending here)
+	next  []int // per node: the first chunk its tally has not covered yet
 
 	down colorRun
 
@@ -156,8 +177,9 @@ func (cr *colorReduce) init(baseOff int) {
 	cr.state = fit(cr.state, nodes*len(cr.spans))
 	clear(cr.state)
 	cr.need = fit(cr.need, nodes)
+	cr.next = fit(cr.next, nodes)
 	for n := range cr.need {
-		cr.need[n] = 1 // own contribution
+		cr.need[n], cr.next[n] = 1, 0 // own contribution, nothing covered yet
 	}
 	// The reduce tree is the exact reverse of the broadcast tree: each
 	// node's combined partial flows to its successor. Tabulate the hops and
@@ -212,23 +234,15 @@ func (cr *colorReduce) succ(v geometry.Coord) (geometry.Coord, geometry.Dim, boo
 	return m.Geom.Neighbor(v, d, -cr.color.Dir), d, true
 }
 
-// start subscribes to every node's contribution counter, chunk by chunk.
-func (cr *colorReduce) start() {
-	for n := 0; n < cr.a.M.Geom.Nodes(); n++ {
-		for c, span := range cr.spans {
-			// Thresholds are relative to this color's partition.
-			threshold := int64(span.Off + span.Len - cr.baseOff)
-			cr.a.Contrib[n][cr.colorIdx].OnGEHook(threshold, &cr.contribH, int64(n), int64(c))
-		}
-	}
-}
-
 // RunPost runs when node's own contribution for chunk is ready;
 // functionally, it is folded into the root's accumulator once.
 //
 //bgplint:hot
 func (s *contribStage) RunPost(node, chunk int64) {
 	cr := s.cr
+	if t := cr.a.M.Trace; t.Enabled() {
+		t.Addf(cr.a.M.K.Now(), trace.Proto, int(node), "allreduce %v chunk %d contributed", cr.color, chunk)
+	}
 	cr.foldContribution(int(node), cr.spans[chunk])
 	cr.streamArrived(int(node), int(chunk), cr.a.M.K.Now(), 0)
 }

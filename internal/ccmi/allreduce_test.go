@@ -20,14 +20,13 @@ func runAllreduce(t *testing.T, m *machine.Machine, root geometry.Coord, doubles
 		Root:        root,
 		Bytes:       bytes,
 		Colors:      colors,
-		Contrib:     make([][]*sim.Counter, nodes),
+		Contrib:     make([]int64, nodes*len(colors)),
 		ContribBufs: make([]data.Buf, nodes),
 		ResultBufs:  make([]data.Buf, nodes),
 		Deliveries:  make([]*Delivery, nodes),
 		ProtoPipes:  make([]*sim.Pipe, nodes),
 	}
 	for n := 0; n < nodes; n++ {
-		ar.Contrib[n] = contribCounters(m.K, len(colors))
 		ar.ContribBufs[n] = data.New(bytes, true)
 		vals := make([]float64, doubles)
 		for i := range vals {
@@ -41,8 +40,8 @@ func runAllreduce(t *testing.T, m *machine.Machine, root geometry.Coord, doubles
 	m.K.At(0, func() {
 		ar.Run()
 		for n := 0; n < nodes; n++ {
-			for _, c := range ar.Contrib[n] {
-				c.Add(int64(bytes)) // beyond any partition length: all ready
+			for c := range colors {
+				contribute(ar, n, c, int64(bytes)) // beyond any partition length: all ready
 			}
 		}
 	})
@@ -52,13 +51,11 @@ func runAllreduce(t *testing.T, m *machine.Machine, root geometry.Coord, doubles
 	return ar.ResultBufs, ar.Deliveries
 }
 
-// contribCounters allocates one partition counter per color.
-func contribCounters(k *sim.Kernel, colors int) []*sim.Counter {
-	out := make([]*sim.Counter, colors)
-	for i := range out {
-		out[i] = k.NewCounter("contrib")
-	}
-	return out
+// contribute raises node's tally for color by bytes, as a rank protocol
+// does, and tells the schedule.
+func contribute(ar *Allreduce, node, color int, bytes int64) {
+	ar.Contrib[node*len(ar.Colors)+color] += bytes
+	ar.Contributed(node, color)
 }
 
 func TestAllreduceSumCorrect(t *testing.T) {
@@ -140,14 +137,13 @@ func TestAllreduceIncrementalContributions(t *testing.T) {
 		Root:        geometry.XYZ(0, 0, 0),
 		Bytes:       bytes,
 		Colors:      geometry.Colors(3),
-		Contrib:     make([][]*sim.Counter, nodes),
+		Contrib:     make([]int64, nodes*3),
 		ContribBufs: make([]data.Buf, nodes),
 		ResultBufs:  make([]data.Buf, nodes),
 		Deliveries:  make([]*Delivery, nodes),
 		ProtoPipes:  make([]*sim.Pipe, nodes),
 	}
 	for n := 0; n < nodes; n++ {
-		ar.Contrib[n] = contribCounters(m.K, 3)
 		ar.ContribBufs[n] = data.New(bytes, true)
 		vals := make([]float64, doubles)
 		for i := range vals {
@@ -162,13 +158,13 @@ func TestAllreduceIncrementalContributions(t *testing.T) {
 	// Feed contributions in two halves at different times.
 	for n := 0; n < nodes; n++ {
 		m.K.At(sim.Microsecond, func() {
-			for _, c := range ar.Contrib[n] {
-				c.Add(int64(bytes / 2))
+			for c := range ar.Colors {
+				contribute(ar, n, c, int64(bytes/2))
 			}
 		})
 		m.K.At(sim.Time(n+1)*50*sim.Microsecond, func() {
-			for _, c := range ar.Contrib[n] {
-				c.Add(int64(bytes - bytes/2))
+			for c := range ar.Colors {
+				contribute(ar, n, c, int64(bytes-bytes/2))
 			}
 		})
 	}

@@ -52,23 +52,22 @@ func phantomAllreduce(t *testing.T, m *machine.Machine, proto []*sim.Pipe, chunk
 		Root:        geometry.XYZ(0, 1, 1),
 		Bytes:       bytes,
 		Colors:      colors,
-		Contrib:     make([][]*sim.Counter, nodes),
+		Contrib:     make([]int64, nodes*len(colors)),
 		ContribBufs: make([]data.Buf, nodes),
 		ResultBufs:  make([]data.Buf, nodes),
 		Deliveries:  make([]*Delivery, nodes),
 		ProtoPipes:  proto,
 	}
 	for n := 0; n < nodes; n++ {
-		ar.Contrib[n] = contribCounters(m.K, len(colors))
 		ar.ContribBufs[n] = data.New(bytes, false)
 		ar.ResultBufs[n] = data.New(bytes, false)
 		ar.Deliveries[n] = NewDelivery(m.K, "result")
 	}
 	m.K.At(0, ar.Run)
 	m.K.At(0, func() {
-		for _, cs := range ar.Contrib {
-			for _, c := range cs {
-				c.Add(int64(bytes))
+		for n := 0; n < nodes; n++ {
+			for c := range colors {
+				contribute(ar, n, c, int64(bytes))
 			}
 		}
 	})

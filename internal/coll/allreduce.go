@@ -20,11 +20,6 @@ import (
 // so only the three positive-direction colors can run concurrently (§V-C).
 const allreduceColors = 3
 
-// contribNames are the per-color formats of the contribution counters'
-// names ("ar<seq>.contrib<node>.<color>"): a flyweight name takes at most
-// two operands.
-var contribNames = [allreduceColors]string{"ar%d.contrib%d.0", "ar%d.contrib%d.1", "ar%d.contrib%d.2"}
-
 // allreduceState is the job-wide shared state of one torus allreduce or
 // reduce. It is recycled: its Go memory and its counters are kept, and
 // every arm re-arms the counters in a fixed order and takes a protocol pipe
@@ -38,16 +33,14 @@ type allreduceState struct {
 	exec ccmi.Allreduce
 
 	// Per node.
-	contrib [][]*sim.Counter // [node][color]: locally reduced bytes ready (views of contribs)
-	scratch []data.Buf       // node contribution vector (master-owned)
-	result  []data.Buf       // master's receive buffer (the network target)
+	contrib []int64    // [node*allreduceColors+color]: locally reduced bytes ready (exec's tally)
+	scratch []data.Buf // node contribution vector (master-owned)
+	result  []data.Buf // master's receive buffer (the network target)
 	delv    []ccmi.Delivery
 	dels    []*ccmi.Delivery // pointer view of delv
 	ready   []*sim.Counter   // local ranks that registered their send buffers
 	peer    []*sim.Counter   // [node*ppn+lrank]: result bytes landed (slot 0 unused)
 	stage   []*sim.Counter   // [node*ppn+lrank]: staged bytes DMA-delivered to that core
-
-	contribs []*sim.Counter // [node*allreduceColors+color]
 
 	sends []data.Buf // per rank: registered send buffers
 
@@ -143,9 +136,9 @@ func (sc *allreduceScratch) takeProtos(k *sim.Kernel, nodes int, rate float64) *
 // protocol pipe: the current algorithm spreads network combining over the
 // node's MPI progress engines, while the proposed design dedicates exactly
 // one core ("a dedicated core performs allreduce protocol processing").
-// Per node it re-arms (or, on the state's first call, carves) the three
-// contribution counters, the delivery counter, ready, and per local rank
-// the peer and stage counters, in that order.
+// Per node it clears the contribution tally and re-arms (or, on the
+// state's first call, carves) the delivery counter, ready, and per local
+// rank the peer and stage counters, in that order.
 func (st *allreduceState) arm(r *mpi.Rank, seq int64, bytes int, protoCores float64) {
 	m := r.Machine()
 	k := m.K
@@ -165,8 +158,8 @@ func (st *allreduceState) arm(r *mpi.Rank, seq int64, bytes int, protoCores floa
 	}
 	st.chunks = m.Cfg.Params.AppendChunks(st.chunks[:0], bytes)
 
-	st.contribs = fit(st.contribs, nodes*allreduceColors)
-	st.contrib = fit(st.contrib, nodes)
+	st.contrib = fit(st.contrib, nodes*allreduceColors)
+	clear(st.contrib)
 	st.scratch = fit(st.scratch, nodes)
 	st.result = fit(st.result, nodes)
 	st.delv, st.dels = fitDeliveries(st.delv, st.dels, nodes)
@@ -176,11 +169,6 @@ func (st *allreduceState) arm(r *mpi.Rank, seq int64, bytes int, protoCores floa
 	st.sends = fit(st.sends, m.Cfg.Ranks())
 	clear(st.sends)
 	for n := 0; n < nodes; n++ {
-		cs := st.contribs[n*allreduceColors : (n+1)*allreduceColors]
-		for c := range cs {
-			cs[c] = rearm(k, cs[c], contribNames[c], int32(seq), int32(n))
-		}
-		st.contrib[n] = cs
 		st.scratch[n] = data.New(bytes, functional)
 		st.result[n] = data.New(bytes, functional)
 		st.delv[n].Arm(rearm(k, st.delv[n].Counter, "ar%d.del%d", int32(seq), int32(n)))
@@ -416,7 +404,7 @@ func (l *shaddrReduceLoop) reduceStep() {
 func (l *shaddrReduceLoop) reduced() {
 	chunk := l.chunks[l.chunkIdx]
 	foldLocal(l.st, l.r, l.node, l.st.offs[l.color]+chunk.Off, chunk.Len)
-	l.st.contrib[l.node][l.color].Add(int64(chunk.Len))
+	l.st.contribute(l.node, l.color, chunk.Off+chunk.Len)
 	l.chunkIdx++
 	l.reduceStep()
 }
@@ -717,20 +705,20 @@ func (l *arMasterLoop) arrive() {
 }
 
 // feedContribAbsolute translates linear local-reduce progress (bytes from
-// offset zero) into the per-color contribution counters.
+// offset zero) into the per-color contribution tallies.
 func feedContribAbsolute(st *allreduceState, node, done int) {
 	for c := 0; c < allreduceColors; c++ {
-		have := done - st.offs[c]
-		if have < 0 {
-			have = 0
-		}
-		if have > st.lens[c] {
-			have = st.lens[c]
-		}
-		if delta := int64(have) - st.contrib[node][c].Value(); delta > 0 {
-			st.contrib[node][c].Add(delta)
-		}
+		st.contribute(node, c, min(max(done-st.offs[c], 0), st.lens[c]))
 	}
+}
+
+// contribute raises node's tally for color c to have bytes of the color's
+// partition (a tally never falls) and hands the growth to the schedule.
+//
+//bgplint:hot
+func (st *allreduceState) contribute(node, c, have int) {
+	st.contrib[node*allreduceColors+c] = int64(have)
+	st.exec.Contributed(node, c)
 }
 
 // allreduceSMPRankThen is the SMP-mode path shared by every algorithm: one
@@ -744,9 +732,7 @@ func allreduceSMPRankThen(r *mpi.Rank, st *allreduceState, send data.Buf, takes 
 	if st.scratch[node].IsReal() && send.IsReal() && st.scratch[node].Len() == send.Len() {
 		data.Copy(st.scratch[node], send)
 	}
-	for c := 0; c < allreduceColors; c++ {
-		st.contrib[node][c].Add(int64(st.lens[c]))
-	}
+	feedContribAbsolute(st, node, st.bytes)
 	if !takes {
 		finish()
 		return

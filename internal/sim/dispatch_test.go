@@ -63,10 +63,7 @@ func TestCaptureHashesReleasedWaitersAsRunnable(t *testing.T) {
 					}
 				}
 				got := captureNow(t, k)
-				// A goroutine process's cursor stays at its table's first
-				// step until the table ends (Plan.runInline), so its
-				// pending wait step reaches the counter too.
-				if gate.fpGen == got.in.gen && !partial && !kind.noProgram {
+				if gate.fpGen == got.in.gen && !partial {
 					t.Errorf("%s: the released waiters interned the counter they waited on", name)
 				}
 				for _, p := range released {
@@ -160,5 +157,49 @@ func TestFinishedPlanIgnoresRebuiltTable(t *testing.T) {
 				t.Errorf("%s/%s: a finished plan hashes its table's rebuilt steps", kind.name, sh.name)
 			}
 		}
+	}
+}
+
+// TestMidTableCaptureHashesPendingStepsOnly: a process parked in a table
+// step hashes only the steps after it, in both vehicles. Two tables that
+// share their last steps but not what ran before — one parked in its
+// second step, the other in its third, each until the same instant — must
+// capture to equal streams, and both vehicles must see the same steps
+// pending.
+func TestMidTableCaptureHashesPendingStepsOnly(t *testing.T) {
+	ran := [][]Time{{10, 10}, {4, 6, 10}} // the sleeps before the shared tail
+	pending := make(map[bool]int)
+	for _, kind := range procKinds {
+		var bufs [][]byte
+		for _, prefix := range ran {
+			k := New()
+			k.SetNoProgram(kind.noProgram)
+			c := k.NewCounter("c")
+			tab := new(Table)
+			for _, d := range prefix {
+				tab.Sleep(d)
+			}
+			tab.WaitGE(c, 1)
+			tab.Sleep(5)
+			p := k.SpawnProgram("p", func(p *Proc) { p.RunThen(&Binding{Table: tab}, nop) })
+			k.At(15, func() {
+				bufs = append(bufs, captureNow(t, k).buf)
+				pl := &p.plan
+				if n := len(pl.tab.steps) - pl.i; n != 2 {
+					t.Errorf("%s: %d steps pending while parked in the last sleep before the wait, want 2", kind.name, n)
+				}
+				pending[kind.noProgram] = len(pl.tab.steps) - pl.i
+			})
+			k.AddAt(30, c, 1)
+			if err := k.Run(); err != nil {
+				t.Fatalf("%s: %v", kind.name, err)
+			}
+		}
+		if !bytes.Equal(bufs[0], bufs[1]) {
+			t.Errorf("%s: captures parked before the same pending steps differ by the steps already run", kind.name)
+		}
+	}
+	if pending[false] != pending[true] {
+		t.Errorf("inline process has %d steps pending, goroutine process %d", pending[false], pending[true])
 	}
 }

@@ -332,6 +332,11 @@ func (k *Kernel) newHook(h PostHandler, a, b int64) uint32 {
 	return uint32(len(k.hooks) - 1)
 }
 
+// Hooks returns the hook table's high-water since the last Reset: the most
+// HookAt and OnGEHook registrations pending at once, as Counters is the
+// arena's counter high-water.
+func (k *Kernel) Hooks() int { return len(k.hooks) }
+
 // runHook dispatches a scheduled hook, releasing its slot first.
 //
 //bgplint:hot

@@ -382,11 +382,15 @@ func (p *Proc) stepPlan() bool {
 
 // runInline executes the table step by step through the operations above
 // with no-op continuations — the literal unfused sequence the fused path
-// transcribes. Goroutine processes run every table this way.
+// transcribes. Goroutine processes run every table this way. The cursor
+// moves past each step as the step starts, as stepPlan's does, so a capture
+// taken while the process is parked in a step hashes only the steps after
+// it as pending.
 func (pl *Plan) runInline(p *Proc) {
 	tab := pl.tab
 	for i := range tab.steps {
 		s := &tab.steps[i]
+		pl.i = i + 1
 		switch s.kind {
 		case stepSleep:
 			p.SleepThen(s.d, nop)
@@ -400,5 +404,5 @@ func (pl *Plan) runInline(p *Proc) {
 			tab.post.RunPost(s.n, 0)
 		}
 	}
-	pl.tab, pl.i = nil, len(tab.steps)
+	pl.tab = nil
 }
