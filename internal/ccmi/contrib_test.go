@@ -49,15 +49,16 @@ func newChunkMachine(t *testing.T, dx, dy, dz int) *machine.Machine {
 	return m
 }
 
-// runContribs runs a timing-only allreduce of bytes on a fresh machine from
-// mk, fed by adds, each registered with At in list order. With oracle set,
+// runContribs runs a timing-only allreduce of bytes on a fresh 2×2×2
+// machine of 4 KB chunks, fed by adds, each registered with At in list
+// order. With oracle set,
 // the adds go to one counter per (node, color) instead of the tally, and
 // Run is followed by one Counter.OnGEHook per (color, node, chunk) on them,
 // the contribution stage at the chunk's threshold: the scheduling the tally
 // replaced, in its registration order.
-func runContribs(t *testing.T, mk func() *machine.Machine, bytes int, adds []contribAdd, oracle bool) contribRun {
+func runContribs(t *testing.T, bytes int, adds []contribAdd, oracle bool) contribRun {
 	t.Helper()
-	m := mk()
+	m := newChunkMachine(t, 2, 2, 2)
 	m.Trace = trace.New(1 << 20)
 	colors := geometry.Colors(3)
 	nodes := m.Geom.Nodes()
@@ -133,10 +134,10 @@ func runContribs(t *testing.T, mk func() *machine.Machine, bytes int, adds []con
 func TestContributionsScheduleAsCounterWaiters(t *testing.T) {
 	const us = sim.Microsecond
 	const part = 4 * chunkBytes // per color: four 4 KB chunks
-	mk := func() *machine.Machine { return newChunkMachine(t, 2, 2, 2) }
-	nodes := 8
+	const nodes = 8
 
-	// every adds bytes to each color of every node at at, nodes in order.
+	// every adds bytes to each color of every node at instant at, nodes in
+	// order.
 	every := func(at sim.Time, bytes int64) []contribAdd {
 		var out []contribAdd
 		for n := 0; n < nodes; n++ {
@@ -172,11 +173,11 @@ func TestContributionsScheduleAsCounterWaiters(t *testing.T) {
 		{"whole-partitions-after-run", 3 * part, append([]contribAdd{startAt(0)}, every(0, part)...)},
 		{"zero-one-several-chunks", 3 * part, append([]contribAdd{startAt(0)}, uneven(us)...)},
 		{"before-run", 3 * part, slices.Concat(
-			every(us, chunkBytes),         // one chunk each, at an earlier instant
-			every(3*us, chunkBytes/2),     // half a chunk, at Run's instant, before it
-			[]contribAdd{startAt(3 * us)}, //
-			every(3*us, chunkBytes/2),     // the second chunk, at Run's instant, after it
-			every(4*us, 2*chunkBytes),     // the rest
+			every(us, chunkBytes),     // one chunk each, at an earlier instant
+			every(3*us, chunkBytes/2), // half a chunk, at Run's instant, before it
+			[]contribAdd{startAt(3 * us)},
+			every(3*us, chunkBytes/2), // the second chunk, at Run's instant, after it
+			every(4*us, 2*chunkBytes), // the rest
 		)},
 		{"before-run-everything", 3 * part, append(every(0, part), startAt(2*us))},
 		// 8 bytes split three ways: colors 0 and 1 get empty partitions,
@@ -195,8 +196,8 @@ func TestContributionsScheduleAsCounterWaiters(t *testing.T) {
 		)},
 	}
 	for _, tc := range cases {
-		got := runContribs(t, mk, tc.bytes, tc.adds, false)
-		want := runContribs(t, mk, tc.bytes, tc.adds, true)
+		got := runContribs(t, tc.bytes, tc.adds, false)
+		want := runContribs(t, tc.bytes, tc.adds, true)
 		contributed := 0
 		for _, e := range got.events {
 			if strings.HasSuffix(e.Label, "contributed") {
@@ -228,7 +229,6 @@ func TestContributionsScheduleAsCounterWaiters(t *testing.T) {
 // 64 chunks per color. Subscribing to every chunk's threshold up front
 // would hold one slot per (node, chunk, color) from Run on.
 func TestContributionHooksIndependentOfChunks(t *testing.T) {
-	mk := func() *machine.Machine { return newChunkMachine(t, 2, 2, 2) }
 	hooks := func(chunks int) int {
 		adds := []contribAdd{startAt(0)}
 		for j := 0; j < chunks; j++ {
@@ -238,7 +238,7 @@ func TestContributionHooksIndependentOfChunks(t *testing.T) {
 				}
 			}
 		}
-		return runContribs(t, mk, 3*chunks*chunkBytes, adds, false).hooks
+		return runContribs(t, 3*chunks*chunkBytes, adds, false).hooks
 	}
 	few, many := hooks(4), hooks(64)
 	if many > few {
