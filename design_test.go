@@ -216,12 +216,12 @@ var (
 )
 
 // designIdent returns the identifier chain a code span cites, or nil when
-// the span is not one DESIGN.md's readers would look up: prose, shell
-// commands, file names, lower-case locals, and all-caps environment
-// variables.
+// the span is not one the documents' readers would look up: prose, shell
+// commands, file names, lower-case locals, all-caps environment variables,
+// and MPI standard names (MPI_Bcast).
 func designIdent(span string) []string {
 	m := dotted.FindStringSubmatch(span)
-	if m == nil {
+	if m == nil || strings.HasPrefix(m[1], "MPI_") {
 		return nil
 	}
 	parts := strings.Split(m[1], ".")
@@ -235,24 +235,26 @@ func designIdent(span string) []string {
 	return parts
 }
 
-// TestDesignIdentifiersExist: every repository identifier DESIGN.md cites in
-// a code span (pkg.Name, Type.Method, a TestName or an exported name) names
-// a declaration in the tree, so the design document cannot keep describing
-// code that is gone.
+// TestDesignIdentifiersExist: every repository identifier DESIGN.md or
+// README.md cites in a code span (pkg.Name, Type.Method, a TestName or an
+// exported name) names a declaration in the tree, so the documents cannot
+// keep describing code that is gone.
 func TestDesignIdentifiersExist(t *testing.T) {
 	d := loadDecls(t, ".")
-	text, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, line := range strings.Split(string(text), "\n") {
-		for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
-			parts := designIdent(m[1])
-			if parts == nil {
-				continue
-			}
-			if repo, ok := d.resolve(parts); repo && !ok {
-				t.Errorf("DESIGN.md:%d: `%s` names no declaration in the tree", i+1, m[1])
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
+				parts := designIdent(m[1])
+				if parts == nil {
+					continue
+				}
+				if repo, ok := d.resolve(parts); repo && !ok {
+					t.Errorf("%s:%d: `%s` names no declaration in the tree", doc, i+1, m[1])
+				}
 			}
 		}
 	}

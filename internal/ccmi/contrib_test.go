@@ -1,6 +1,7 @@
 package ccmi
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 	"testing"
@@ -50,12 +51,14 @@ func newChunkMachine(t *testing.T, dx, dy, dz int) *machine.Machine {
 }
 
 // runContribs runs a timing-only allreduce of bytes on a fresh 2×2×2
-// machine of 4 KB chunks, fed by adds, each registered with At in list
-// order. With oracle set,
-// the adds go to one counter per (node, color) instead of the tally, and
-// Run is followed by one Counter.OnGEHook per (color, node, chunk) on them,
-// the contribution stage at the chunk's threshold: the scheduling the tally
-// replaced, in its registration order.
+// machine of 4 KB chunks, fed by adds in list order. The feed holds one
+// pending closure at a time: one At closure runs each instant's adds and
+// then schedules the next instant's, so the kernel's hook high-water counts
+// the schedule's hooks and one feed closure. With oracle set, the adds go to
+// one counter per (node, color) instead of the tally, and Run is followed by
+// one Counter.OnGEHook per (color, node, chunk) on them, the contribution
+// stage at the chunk's threshold: the scheduling the tally replaced, in its
+// registration order.
 func runContribs(t *testing.T, bytes int, adds []contribAdd, oracle bool) contribRun {
 	t.Helper()
 	m := newChunkMachine(t, 2, 2, 2)
@@ -97,18 +100,32 @@ func runContribs(t *testing.T, bytes int, adds []contribAdd, oracle bool) contri
 			}
 		}
 	}
-	for _, a := range adds {
-		if a.node < 0 {
-			m.K.At(a.at, run)
-			continue
+	apply := func(a contribAdd) {
+		switch {
+		case a.node < 0:
+			run()
+		case oracle:
+			counters[a.node*len(colors)+a.color].Add(a.bytes)
+		default:
+			contribute(ar, a.node, a.color, a.bytes)
 		}
-		m.K.At(a.at, func() {
-			if oracle {
-				counters[a.node*len(colors)+a.color].Add(a.bytes)
-			} else {
-				contribute(ar, a.node, a.color, a.bytes)
-			}
-		})
+	}
+	feed := slices.Clone(adds)
+	slices.SortStableFunc(feed, func(a, b contribAdd) int { return cmp.Compare(a.at, b.at) })
+	var step func()
+	step = func() {
+		at := feed[0].at
+		for len(feed) > 0 && feed[0].at == at {
+			a := feed[0]
+			feed = feed[1:]
+			apply(a)
+		}
+		if len(feed) > 0 {
+			m.K.At(feed[0].at, step)
+		}
+	}
+	if len(feed) > 0 {
+		m.K.At(feed[0].at, step)
 	}
 	if err := m.K.Run(); err != nil {
 		t.Fatal(err)

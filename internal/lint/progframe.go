@@ -30,7 +30,7 @@ import (
 //     cannot branch on the mode at all: Proc exposes no accessor for it.
 //
 // sim/program.go is exempt from the tail and bound-once checks: it is the
-// implementation the contract is written against (runCont legitimately
+// implementation the contract is written against (Proc.run legitimately
 // runs retirement code after invoking the continuation). Test files are
 // exempt entirely — the runtime checkIdle guard covers them, and contract
 // tests violate the rules on purpose to assert the panic.

@@ -259,14 +259,7 @@ func (k *Kernel) putCounterWaiters(w []counterWait) {
 
 // OnGE schedules fn once the counter reaches at least v. If it already has,
 // fn is scheduled at the current time.
-func (c *Counter) OnGE(v int64, fn func()) {
-	c.check()
-	if c.v >= v {
-		c.k.At(c.k.now, fn)
-		return
-	}
-	c.wait(v, entry{kind: eFn, idx: c.k.newCb(fn)})
-}
+func (c *Counter) OnGE(v int64, fn func()) { c.OnGEHook(v, fnHook(fn), 0, 0) }
 
 // OnGEHook is the closure-free OnGE: h.RunPost(a, b) is scheduled once the
 // counter reaches at least v, at exactly the (time, seq) position OnGE's
@@ -279,5 +272,5 @@ func (c *Counter) OnGEHook(v int64, h PostHandler, a, b int64) {
 		c.k.HookAt(c.k.now, h, a, b)
 		return
 	}
-	c.wait(v, entry{kind: eHook, idx: c.k.newHook(h, a, b)})
+	c.wait(v, entry{kind: eHook, idx: c.k.hooks.put(postHook{h, a, b})})
 }

@@ -86,7 +86,7 @@ func TestHookAtOrderMatchesClosures(t *testing.T) {
 
 // slotOf returns the hook-table slot holding the pending hook tagged a.
 func slotOf(k *Kernel, a int64) int {
-	for i, hk := range k.hooks {
+	for i, hk := range k.hooks.s {
 		if hk.h != nil && hk.a == a {
 			return i
 		}

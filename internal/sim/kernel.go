@@ -10,31 +10,29 @@ import (
 
 // entry is one schedulable unit, encoded without pointers so the run ring,
 // the event queue, and every waiter list are memory the GC never has to scan.
-// kind selects the dispatch and idx names the target: a slot in the kernel's
-// callback table (eFn), hook table (eHook), add table (eAdd), or a process's
-// dense arena index (everything else).
+// kind selects the dispatch and idx names the target: a process's dense arena
+// index (eProc), or a slot in the kernel's add table (eAdd) or hook table
+// (eHook).
 //
-// In a waiter list (Counter.waiters) every kind other than eFn and eHook
-// identifies a parked process, so Kernel.wake and the batch-wake loop do
-// the blocked bookkeeping exactly for those kinds.
+// In a waiter list (Counter.waiters) an eProc entry is a parked process, so
+// Kernel.wake and the batch-wake loop do the blocked bookkeeping exactly for
+// that kind.
 type entry struct {
 	kind uint8
 	idx  uint32
 }
 
 // parked reports whether a released waiter entry resumes a blocked process
-// (as opposed to running a callback or hook).
-func (e entry) parked() bool { return e.kind != eFn && e.kind != eHook }
+// (as opposed to running a hook).
+func (e entry) parked() bool { return e.kind == eProc }
 
 // entry kinds. The zero value (eNone) is never scheduled; popping one would
 // indicate ring/queue corruption.
 const (
 	eNone uint8 = iota
-	eFn         // run callback-table slot idx
-	eCont       // resume process idx's continuation (program.go)
-	eProg       // step process idx's table (program.go)
+	eProc       // run process idx: step its table, or resume it (Proc.run)
 	eAdd        // apply add-table slot idx: a scheduled Counter.Add (AddAt)
-	eHook       // run hook-table slot idx: HookAt or OnGEHook
+	eHook       // run hook-table slot idx: At, OnGE, HookAt or OnGEHook
 )
 
 // Kernel is a deterministic discrete-event scheduler. The zero value is not
@@ -55,25 +53,16 @@ type Kernel struct {
 	// continuation runs cur's body (startFn).
 	cur *Proc
 
-	// cbs is the callback table: eFn entries name a slot here instead of
-	// carrying the func value, keeping queue memory pointer-free. Slots are
-	// recycled through cbFree in LIFO order — a deterministic policy, so a
-	// reused kernel assigns the same slot numbers as a fresh one.
-	cbs    []func()
-	cbFree []uint32
-
-	// adds is the scheduled-add table: eAdd entries name a slot here holding
-	// a (counter, amount) pair, so a deferred Counter.Add costs no closure.
-	// Slots recycle LIFO through addFree, like cbs.
-	adds    []addAt
-	addFree []uint32
-
-	// hooks is the hook table: an eHook entry names a slot holding a
-	// (handler, a, b) triple from HookAt or OnGEHook — the pointer-lean path
-	// for high-volume traffic (e.g. one event per broadcast chunk per node).
-	// Slots recycle LIFO like the other tables.
-	hooks    []postHook
-	hookFree []uint32
+	// adds and hooks are the kernel's side tables: an eAdd or eHook entry
+	// names a slot instead of carrying its payload, keeping queue memory
+	// pointer-free. adds holds scheduled (counter, amount) pairs (AddAt), so
+	// a deferred Counter.Add costs no closure; hooks holds (handler, a, b)
+	// triples from HookAt and OnGEHook, and the closures of At and OnGE as
+	// fnHook handlers. Adds keep a table of their own: an add's 16-byte slot
+	// would take a 32-byte hook slot, and the tree broadcasts keep thousands
+	// of adds pending at once.
+	adds  slots[addAt]
+	hooks slots[postHook]
 
 	// procs lists every live process by dense arena index; each tracks its
 	// own registry position (Proc.idx) for O(1) removal. blocked counts
@@ -148,7 +137,7 @@ func (k *Kernel) SetNoProgram(v bool) { k.noProgram = v }
 
 // Reset returns the kernel to its post-New state while keeping every
 // allocation it has accumulated: arena slabs, queue and ring capacity, the
-// callback tables, the pooled waiter buffers (waitPool), and the pipes
+// add and hook tables, the pooled waiter buffers (waitPool), and the pipes
 // created on it. Pipes survive with their identity intact (their
 // reservation state rewinds to zero); counters and processes do not —
 // their slab slots will be recarved, so handles from before the Reset are
@@ -174,17 +163,8 @@ func (k *Kernel) Reset() {
 	k.queue.reset()
 	k.ring.head, k.ring.tail, k.ring.n = 0, 0, 0
 	k.cur = nil
-	// Callback slots hold closures whose captures would otherwise keep the
-	// previous run's garbage alive for the whole next lease.
-	clear(k.cbs)
-	k.cbs = k.cbs[:0]
-	k.cbFree = k.cbFree[:0]
-	clear(k.adds)
-	k.adds = k.adds[:0]
-	k.addFree = k.addFree[:0]
-	clear(k.hooks)
-	k.hooks = k.hooks[:0]
-	k.hookFree = k.hookFree[:0]
+	k.adds.reset()
+	k.hooks.reset()
 	k.arena.reset()
 	for _, p := range k.pipes {
 		p.free, p.totalBytes, p.busy, p.transfers = 0, 0, 0, 0
@@ -200,45 +180,13 @@ type addAt struct {
 	n int64
 }
 
-// newCb stores fn in the callback table and returns its slot. Slots recycle
-// LIFO so the mapping from schedule order to slot numbers is a pure function
-// of the run, fresh or reused.
-func (k *Kernel) newCb(fn func()) uint32 {
-	if n := len(k.cbFree); n > 0 {
-		i := k.cbFree[n-1]
-		k.cbFree = k.cbFree[:n-1]
-		k.cbs[i] = fn
-		return i
-	}
-	k.cbs = append(k.cbs, fn)
-	return uint32(len(k.cbs) - 1)
-}
-
-// runCb runs a callback slot, releasing it first so the table holds no
-// reference while (and after) the callback executes.
-func (k *Kernel) runCb(i uint32) {
-	fn := k.cbs[i]
-	k.cbs[i] = nil
-	k.cbFree = append(k.cbFree, i)
-	fn()
-}
-
 // procAt resolves a dense process index.
 func (k *Kernel) procAt(i uint32) *Proc { return k.arena.procAt(i) }
 
 // At schedules fn to run at absolute virtual time t.
 // Scheduling in the past panics: it indicates a broken cost model rather
 // than a recoverable state.
-func (k *Kernel) At(t Time, fn func()) {
-	if t <= k.now {
-		if t < k.now {
-			panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
-		}
-		k.ring.push(entry{kind: eFn, idx: k.newCb(fn)})
-		return
-	}
-	k.queue.push(t, entry{kind: eFn, idx: k.newCb(fn)})
-}
+func (k *Kernel) At(t Time, fn func()) { k.HookAt(t, fnHook(fn), 0, 0) }
 
 // After schedules fn to run d after the current time.
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
@@ -251,7 +199,7 @@ func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 //bgplint:hot
 func (k *Kernel) AddAt(t Time, c *Counter, n int64) {
 	c.check()
-	i := k.newAdd(c, n)
+	i := k.adds.put(addAt{c, n})
 	if t <= k.now {
 		if t < k.now {
 			panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
@@ -260,31 +208,6 @@ func (k *Kernel) AddAt(t Time, c *Counter, n int64) {
 		return
 	}
 	k.queue.push(t, entry{kind: eAdd, idx: i})
-}
-
-// newAdd carves an add-table slot (LIFO recycling, like newCb).
-//
-//bgplint:hot
-func (k *Kernel) newAdd(c *Counter, n int64) uint32 {
-	if m := len(k.addFree); m > 0 {
-		i := k.addFree[m-1]
-		k.addFree = k.addFree[:m-1]
-		k.adds[i] = addAt{c, n}
-		return i
-	}
-	k.adds = append(k.adds, addAt{c, n})
-	return uint32(len(k.adds) - 1)
-}
-
-// runAdd applies a scheduled add, releasing its table slot first (mirroring
-// runCb's discipline).
-//
-//bgplint:hot
-func (k *Kernel) runAdd(i uint32) {
-	a := k.adds[i]
-	k.adds[i] = addAt{}
-	k.addFree = append(k.addFree, i)
-	a.c.Add(a.n)
 }
 
 // PostHandler is the closure-free callback of HookAt and Counter.OnGEHook,
@@ -301,8 +224,16 @@ type postHook struct {
 	a, b int64
 }
 
-// HookAt schedules h.RunPost(a, b) at absolute virtual time t, occupying exactly the (time, seq) position the equivalent At callback
-// would: the closure-free At. Handlers are bound once and the operands
+// fnHook is a closure as a PostHandler: At and OnGE schedule their closures
+// as hooks. A func value is pointer-shaped, so the conversion allocates
+// nothing.
+type fnHook func()
+
+func (f fnHook) RunPost(_, _ int64) { f() }
+
+// HookAt schedules h.RunPost(a, b) at absolute virtual time t, occupying
+// exactly the (time, seq) position the equivalent At callback would: the
+// closure-free At. Handlers are bound once and the operands
 // carry the per-event identity, so a per-chunk schedule allocates nothing.
 // Like At, scheduling in the past panics.
 //
@@ -312,45 +243,64 @@ func (k *Kernel) HookAt(t Time, h PostHandler, a, b int64) {
 		if t < k.now {
 			panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
 		}
-		k.ring.push(entry{kind: eHook, idx: k.newHook(h, a, b)})
+		k.ring.push(entry{kind: eHook, idx: k.hooks.put(postHook{h, a, b})})
 		return
 	}
-	k.queue.push(t, entry{kind: eHook, idx: k.newHook(h, a, b)})
-}
-
-// newHook carves a hook-table slot (LIFO recycling, like newCb).
-//
-//bgplint:hot
-func (k *Kernel) newHook(h PostHandler, a, b int64) uint32 {
-	if n := len(k.hookFree); n > 0 {
-		i := k.hookFree[n-1]
-		k.hookFree = k.hookFree[:n-1]
-		k.hooks[i] = postHook{h: h, a: a, b: b}
-		return i
-	}
-	k.hooks = append(k.hooks, postHook{h: h, a: a, b: b})
-	return uint32(len(k.hooks) - 1)
+	k.queue.push(t, entry{kind: eHook, idx: k.hooks.put(postHook{h, a, b})})
 }
 
 // Hooks returns the hook table's high-water since the last Reset: the most
-// HookAt and OnGEHook registrations pending at once, as Counters is the
-// arena's counter high-water.
-func (k *Kernel) Hooks() int { return len(k.hooks) }
+// At, OnGE, HookAt and OnGEHook registrations pending at once, as Counters
+// is the arena's counter high-water.
+func (k *Kernel) Hooks() int { return len(k.hooks.s) }
 
-// runHook dispatches a scheduled hook, releasing its slot first.
+// slots is a side table of queue-entry payloads. Slots recycle LIFO through
+// free, so the mapping from schedule order to slot numbers is a pure
+// function of the run, fresh or reused.
+type slots[T any] struct {
+	s    []T
+	free []uint32
+}
+
+// put stores v in a slot and returns its number.
 //
 //bgplint:hot
-func (k *Kernel) runHook(i uint32) {
-	hk := k.hooks[i]
-	k.hooks[i] = postHook{}
-	k.hookFree = append(k.hookFree, i)
-	hk.h.RunPost(hk.a, hk.b)
+func (t *slots[T]) put(v T) uint32 {
+	if n := len(t.free); n > 0 {
+		i := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.s[i] = v
+		return i
+	}
+	t.s = append(t.s, v)
+	return uint32(len(t.s) - 1)
+}
+
+// take returns slot i's payload and releases the slot first, so the table
+// holds no reference while (and after) the payload runs.
+//
+//bgplint:hot
+func (t *slots[T]) take(i uint32) T {
+	v := t.s[i]
+	var zero T
+	t.s[i] = zero
+	t.free = append(t.free, i)
+	return v
+}
+
+// reset empties the table, keeping its capacity. Slots are cleared, since a
+// closure's captures would otherwise keep the previous run's garbage alive
+// for the whole next lease.
+func (t *slots[T]) reset() {
+	clear(t.s)
+	t.s = t.s[:0]
+	t.free = t.free[:0]
 }
 
 // wake makes a released waiter runnable at the current instant. The blocked
 // count drops here, from the entry's kind alone, so a release never loads
-// the woken process; its waitC is cleared when it next runs (runCont,
-// runProg, park). The caller (Counter.release) always holds the token.
+// the woken process; its waitC is cleared when it next runs (Proc.run,
+// park). The caller (Counter.release) always holds the token.
 //
 //bgplint:hot
 func (k *Kernel) wake(w entry) {
@@ -361,11 +311,11 @@ func (k *Kernel) wake(w entry) {
 }
 
 // next drives the scheduler: it pops entries in exact (time, seq) order,
-// runs callbacks and inline program steps in place, advances the clock when
+// runs hooks, adds and inline processes in place, advances the clock when
 // the current instant is exhausted, and returns the first goroutine process
-// whose eCont entry came up. nil means no runnable work remains (queues
+// whose eProc entry came up. nil means no runnable work remains (queues
 // drained, or the simulation failed). Only Run's loop calls it, so every
-// callback and inline step runs on the goroutine that called Run.
+// hook and inline step runs on the goroutine that called Run.
 //
 //bgplint:hot
 func (k *Kernel) next() *Proc {
@@ -386,32 +336,27 @@ func (k *Kernel) next() *Proc {
 		}
 		k.dispatched++
 		switch e.kind {
-		case eFn:
-			k.runCb(e.idx)
-		case eCont:
+		case eProc:
 			p := k.procAt(e.idx)
 			if !p.inline {
 				return p // a goroutine process runs its continuation itself
 			}
 			k.cur = p
-			p.runCont()
-			k.cur = nil
-		case eProg:
-			p := k.procAt(e.idx)
-			k.cur = p
-			p.runProg()
+			p.run()
 			k.cur = nil
 		case eAdd:
-			k.runAdd(e.idx)
+			a := k.adds.take(e.idx)
+			a.c.Add(a.n)
 		case eHook:
-			k.runHook(e.idx)
+			hk := k.hooks.take(e.idx)
+			hk.h.RunPost(hk.a, hk.b)
 		}
 	}
 	return nil
 }
 
 // Dispatched returns how many entries the kernel has run since its last
-// Reset: callbacks, hooks, scheduled adds, process resumes and table steps.
+// Reset: hooks, scheduled adds, process resumes and table steps.
 // It is the kernel-dispatch layer's work count, which stays put when a
 // change removes bookkeeping without moving any virtual time.
 func (k *Kernel) Dispatched() int64 { return k.dispatched }
@@ -419,8 +364,9 @@ func (k *Kernel) Dispatched() int64 { return k.dispatched }
 // recoverNext is the one recover frame around next(), deferred by Run's
 // loop. Code next() runs on an inline process's behalf (k.cur) fails the run
 // as that process's panic, the error a goroutine body's panic produces. Any
-// other panic came from a callback (eFn, eHook, eAdd): the simulation fails
-// and the panic continues out of Run with its original value.
+// other panic came from a hook or a scheduled add (eHook, eAdd): the
+// simulation fails and the panic continues out of Run with its original
+// value.
 func (k *Kernel) recoverNext() {
 	r := recover()
 	if r == nil {

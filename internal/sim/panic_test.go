@@ -23,13 +23,32 @@ func failingTable(k *Kernel) *Binding {
 	return &Binding{Table: tab, Counters: [2]*Counter{c}}
 }
 
+// releasedFailingTable binds a table that waits for a counter an add raises
+// at 1ns and then panics, so the step after the wait runs from the
+// process's released waiter entry.
+func releasedFailingTable(k *Kernel) *Binding {
+	gate := releasedAt(k)
+	tab := new(Table)
+	tab.WaitGE(gate, 1)
+	tab.AddBound(0, -1)
+	return &Binding{Table: tab, Counters: [2]*Counter{k.NewCounter("c")}}
+}
+
+// releasedAt returns a counter an add raises to 1 at 1ns.
+func releasedAt(k *Kernel) *Counter {
+	c := k.NewCounter("gate")
+	k.AddAt(Nanosecond, c, 1)
+	return c
+}
+
 // TestDispatchPanicMatrix pins the scheduler's single recover frame: a panic
 // escaping code next() dispatches is caught by Run's loop. Code run on an
-// inline process's behalf (a continuation, a table step) fails the run as
-// that process's panic; a callback (eFn, eHook, eAdd) panics out of Run with
-// its own value. A goroutine process's table steps run on its own goroutine,
-// where Proc.exec converts a panic into the same process failure. Every
-// case leaves the kernel failed, refusing Reset.
+// inline process's behalf (a continuation, a table step, either from the
+// queue or released from a counter's waiter list) fails the run as that
+// process's panic; a hook (At, OnGE, HookAt, OnGEHook) or a scheduled add
+// panics out of Run with its own value. A goroutine process's table steps
+// run on its own goroutine, where Proc.exec converts a panic into the same
+// process failure. Every case leaves the kernel failed, refusing Reset.
 //
 // A goroutine process "host" sleeps across the panic instant, so the panic
 // always strikes with a goroutine parked in Run's loop. Each subtest is
@@ -68,13 +87,23 @@ func TestDispatchPanicMatrix(t *testing.T) {
 			b := failingTable(k)
 			k.Spawn("victim", func(p *Proc) { p.RunThen(b, nop) })
 		}},
-		{name: "eFn callback", value: "boom", frame: loop, arm: func(k *Kernel, stack *string) {
+		{name: "inline released plan step", proc: true, frame: loop, arm: func(k *Kernel, _ *string) {
+			b := releasedFailingTable(k)
+			k.SpawnProgram("victim", func(p *Proc) { p.RunThen(b, nop) })
+		}},
+		{name: "At closure", value: "boom", frame: loop, arm: func(k *Kernel, stack *string) {
 			k.At(Nanosecond, boom(stack))
 		}},
-		{name: "eHook callback", value: "boom", frame: loop, arm: func(k *Kernel, stack *string) {
+		{name: "OnGE closure", value: "boom", frame: loop, arm: func(k *Kernel, stack *string) {
+			releasedAt(k).OnGE(1, boom(stack))
+		}},
+		{name: "HookAt handler", value: "boom", frame: loop, arm: func(k *Kernel, stack *string) {
 			k.HookAt(Nanosecond, panicHook{boom(stack)}, 0, 0)
 		}},
-		{name: "eAdd callback", value: "sim: counter c decremented", frame: loop, arm: func(k *Kernel, _ *string) {
+		{name: "OnGEHook handler", value: "boom", frame: loop, arm: func(k *Kernel, stack *string) {
+			releasedAt(k).OnGEHook(1, panicHook{boom(stack)}, 0, 0)
+		}},
+		{name: "AddAt add", value: "sim: counter c decremented", frame: loop, arm: func(k *Kernel, _ *string) {
 			k.AddAt(Nanosecond, k.NewCounter("c"), -1)
 		}},
 	}

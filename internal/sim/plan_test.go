@@ -159,7 +159,7 @@ func TestWaitGEPlanSatisfiedRunsInline(t *testing.T) {
 // instant step resumes its process: at exactly the queue position the
 // unfused resume occupies, before waiters the fire released after it. An
 // inline process continues in place; a goroutine process resumes from its
-// wait's eCont entry and runs the instant step itself.
+// wait's eProc entry and runs the instant step itself.
 func TestPlanInstantFinalResumeOrder(t *testing.T) {
 	for _, kind := range procKinds {
 		k := New()

@@ -23,11 +23,11 @@ type Proc struct {
 
 	// Program frame (see program.go), placed beside k and self because every
 	// operation and dispatch touches all of them. inline marks a process
-	// with no backing goroutine: its continuations run as queue callbacks.
-	// cont holds the continuation pending behind the current sleep, wait,
-	// or table; armed records that a resume (an eCont or eProg entry naming
-	// self) is pending somewhere in the queues or waiter lists, so the
-	// activation wrapper can tell "parked" from "finished".
+	// with no backing goroutine: the kernel runs its continuations. cont
+	// holds the continuation pending behind the current sleep, wait, or
+	// table; armed records that a resume (an eProc entry naming self) is
+	// pending somewhere in the queues or waiter lists, so the activation
+	// wrapper can tell "parked" from "finished".
 	inline bool
 	armed  bool
 	idx    uint32 // position in k.procs, for O(1) removal on exit
@@ -41,8 +41,8 @@ type Proc struct {
 	waitGE int64
 
 	// plan is the process's cursor into the table it runs (see plan.go).
-	// Its next step is scheduled as an eProg entry naming self — no
-	// pre-bound closure.
+	// Its next step is scheduled as an eProc entry naming self — no
+	// pre-bound closure — and Proc.run steps the table while plan holds it.
 	plan Plan
 
 	// body is a spawned program's entry point until its first activation,
@@ -126,7 +126,7 @@ func (k *Kernel) SpawnIdx(format string, id int32, fn func(p *Proc)) *Proc {
 	g.released = false
 	p.idx = uint32(len(k.procs))
 	k.procs = append(k.procs, p.self)
-	k.ring.push(entry{kind: eCont, idx: p.self})
+	k.ring.push(entry{kind: eProc, idx: p.self})
 	go p.exec(g.gate, fn)
 	return p
 }

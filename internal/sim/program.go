@@ -3,16 +3,16 @@
 //
 // Every operation that consumes virtual time takes the rest of the body as a
 // continuation. Parking is storing that func and arming exactly one
-// pointer-free queue entry naming the process: an eCont entry (run the
-// continuation) or an eProg entry (step the process's table). The two process
-// kinds differ only in where the continuation runs:
+// pointer-free eProc entry naming the process, which steps the process's
+// table while it has one and otherwise runs the continuation (Proc.run). The
+// two process kinds differ only in where the continuation runs:
 //
 //   - An inline (program) process has no goroutine. The kernel runs its
 //     body and every continuation as queue callbacks on Run's goroutine, so
 //     a rank whose body is program-expressible never touches a channel or
 //     the Go scheduler.
 //   - A goroutine process (Kernel.Spawn, or SpawnProgram in noProgram mode)
-//     arms the identical eCont entry and then parks its goroutine. When the
+//     arms the identical eProc entry and then parks its goroutine. When the
 //     entry is dispatched, next() returns the process and it runs the stored
 //     continuation on its own stack. Blocking code passes a no-op
 //     continuation and carries on after the call. Its tables run step by
@@ -35,7 +35,7 @@
 //     WaitGEThen/SleepThen/BusyThen and Add calls, which arm the same
 //     entries at the same positions.
 //
-// Callbacks run inline inside Kernel.next and the ring drains in FIFO order,
+// Inline processes run inside Kernel.next and the ring drains in FIFO order,
 // so a continuation executing at its pop position is observationally
 // identical to a goroutine resuming at that position: both run their slice
 // of process code to the next park before the kernel pops another entry.
@@ -78,7 +78,7 @@ func (k *Kernel) SpawnProgramIdx(format string, id int32, fn func(p *Proc)) *Pro
 	p.body = fn
 	p.cont = k.startFn
 	p.armed = true
-	k.ring.push(entry{kind: eCont, idx: p.self})
+	k.ring.push(entry{kind: eProc, idx: p.self})
 	return p
 }
 
@@ -100,33 +100,22 @@ func (p *Proc) resetFrame() {
 	p.body = nil
 }
 
-// runCont is the kernel's dispatch for an inline process's eCont entry:
-// disarm, clear the wait a release left behind (Kernel.wake), run the
-// pending continuation, and retire the program if it parked nowhere new.
-// (next() returns a goroutine process instead, which runs the continuation
-// on its own stack after park returns.)
+// run is the kernel's dispatch for an inline process's eProc entry: disarm,
+// clear the wait a release left behind (Kernel.wake), and step the process's
+// table while it has one. A table that runs out on instant steps, or a
+// process with no table, continues the body in place, at this queue
+// position, and the program retires if it parked nowhere new. (next()
+// returns a goroutine process instead, which runs the continuation on its
+// own stack after park returns.) A pending step is armed only while the plan
+// holds its table, and stepPlan drops the table before it schedules the
+// final continuation. A panicking step or continuation fails the simulation
+// like a process panic: next() names the process in Kernel.cur, and Run's
+// recover frame reports it.
 //
 //bgplint:hot
-func (p *Proc) runCont() {
+func (p *Proc) run() {
 	p.armed, p.waitC = false, nil
-	p.resume()
-	if !p.armed {
-		p.finishProgram()
-	}
-}
-
-// runProg is the kernel's dispatch for an eProg entry, which only inline
-// processes arm: disarm, clear the wait a release left behind, and step the
-// process's table. A table that runs out on instant steps continues the body
-// in place, at this queue position, and the program retires if it parked
-// nowhere new. A panicking step fails the
-// simulation like a process panic: next() names the process in Kernel.cur,
-// and Run's recover frame reports it.
-//
-//bgplint:hot
-func (p *Proc) runProg() {
-	p.armed, p.waitC = false, nil
-	if p.stepPlan() {
+	if p.plan.tab != nil && p.stepPlan() {
 		return
 	}
 	p.resume()
@@ -187,10 +176,10 @@ func (p *Proc) checkIdle() {
 func (p *Proc) schedContAt(t Time) {
 	p.armed = true
 	if t <= p.k.now {
-		p.k.ring.push(entry{kind: eCont, idx: p.self})
+		p.k.ring.push(entry{kind: eProc, idx: p.self})
 		return
 	}
-	p.k.queue.push(t, entry{kind: eCont, idx: p.self})
+	p.k.queue.push(t, entry{kind: eProc, idx: p.self})
 }
 
 // nop is the continuation of a blocking call: the caller carries on after
@@ -275,23 +264,23 @@ func (p *Proc) WaitGEThen(c *Counter, v int64, cont func()) {
 		return
 	}
 	p.cont = cont
-	p.waitOn(c, v, eCont)
+	p.waitOn(c, v)
 	if !p.inline {
 		p.park()
 		cont()
 	}
 }
 
-// waitOn parks the process on c until it reaches v, arming a resume of the
-// given kind in c's waiter list. waitC stays set until the process next
-// runs: the release that wakes it does not touch the process.
+// waitOn parks the process on c until it reaches v, arming its resume in
+// c's waiter list. waitC stays set until the process next runs: the release
+// that wakes it does not touch the process.
 //
 //bgplint:hot
-func (p *Proc) waitOn(c *Counter, v int64, kind uint8) {
+func (p *Proc) waitOn(c *Counter, v int64) {
 	p.waitC, p.waitGE = c, v
 	p.k.blocked++
 	p.armed = true
-	c.wait(v, entry{kind: kind, idx: p.self})
+	c.wait(v, entry{kind: eProc, idx: p.self})
 }
 
 // RunThen runs b's table from its first step with b's operands, then
@@ -357,7 +346,7 @@ func (p *Proc) stepPlan() bool {
 			if c.v >= s.n {
 				continue // mirrors WaitGEThen's satisfied fast path
 			}
-			p.waitOn(c, s.n, eProg)
+			p.waitOn(c, s.n)
 			return true
 		case stepPost:
 			pl.tab.post.RunPost(s.n, 0)
@@ -369,9 +358,9 @@ func (p *Proc) stepPlan() bool {
 		} else {
 			p.armed = true
 			if done <= k.now {
-				k.ring.push(entry{kind: eProg, idx: p.self})
+				k.ring.push(entry{kind: eProc, idx: p.self})
 			} else {
-				k.queue.push(done, entry{kind: eProg, idx: p.self})
+				k.queue.push(done, entry{kind: eProc, idx: p.self})
 			}
 		}
 		return true

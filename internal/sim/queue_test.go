@@ -139,7 +139,7 @@ func TestRadixQueueMatchesModel(t *testing.T) {
 				}
 				for i := 0; i < burst; i++ {
 					tt := q.last + queueOffset(rng, shape, offsets)
-					q.push(tt, entry{kind: eFn, idx: m.push(tt)})
+					q.push(tt, entry{kind: eHook, idx: m.push(tt)})
 				}
 			case r < 80:
 				for n := 1 + rng.Intn(128); n > 0; n-- {
@@ -221,12 +221,12 @@ func TestRadixQueueMatchesModel(t *testing.T) {
 // enforced: a push at or before the clock belongs on the run ring.
 func TestRadixQueuePushNotAfterClockPanics(t *testing.T) {
 	var q radixQueue
-	q.push(10, entry{kind: eFn})
+	q.push(10, entry{kind: eHook})
 	if !q.advance() {
 		t.Fatal("advance refused")
 	}
-	expectPanic(t, "not after clock", func() { q.push(10, entry{kind: eFn}) })
-	expectPanic(t, "not after clock", func() { q.push(9, entry{kind: eFn}) })
+	expectPanic(t, "not after clock", func() { q.push(10, entry{kind: eHook}) })
+	expectPanic(t, "not after clock", func() { q.push(9, entry{kind: eHook}) })
 }
 
 // TestRadixQueueBlocksTrackPending checks what the queue's block storage

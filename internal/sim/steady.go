@@ -39,10 +39,11 @@ package sim
 // have reached. p == 1 is the classic fixpoint; small p > 1 shows up when a
 // collective rotates buffers or pipelined chunks across iterations.
 //
-// Anything the fingerprint cannot canonicalize — pending closures (eFn/eHook
-// entries), unknown layer state — refuses the capture; after a few refused
-// or unequal attempts the detector gives up and the run simply executes
-// every iteration, bit-identical to a run that never armed a detector.
+// Anything the fingerprint cannot canonicalize — pending hooks and closures
+// (eHook entries), unknown layer state — refuses the capture; after a few
+// refused or unequal attempts the detector gives up and the run simply
+// executes every iteration, bit-identical to a run that never armed a
+// detector.
 
 import (
 	"bytes"
@@ -373,23 +374,24 @@ func (f *FP) optPipe(p *Pipe) {
 }
 
 // entryCanon hashes one pending queue/ring/waiter entry; queued marks a
-// run-ring or queue entry (see procRef). Process-routed kinds hash by
-// interned process; scheduled adds hash by counter and increment. Callback
-// and hook entries hold closures the fingerprint cannot see through, so they
-// refuse the capture.
+// run-ring or queue entry (see procRef). Process entries hash by interned
+// process, whose plan says whether the entry steps a table or resumes;
+// scheduled adds hash by counter and increment. Hook entries hold handlers
+// and closures the fingerprint cannot see through, so they refuse the
+// capture.
 func (f *FP) entryCanon(k *Kernel, e entry, queued bool) {
 	if f.refused || f.forward {
 		return
 	}
 	f.buf = append(f.buf, e.kind)
 	switch e.kind {
-	case eCont, eProg:
+	case eProc:
 		f.procRef(k, e.idx, queued)
 	case eAdd:
-		a := k.adds[e.idx]
+		a := k.adds.s[e.idx]
 		f.Counter(a.c)
 		f.raw8(uint64(a.n))
-	default: // eFn, eHook, eNone
+	default: // eHook, eNone
 		f.Refuse("pending callback entry")
 	}
 }

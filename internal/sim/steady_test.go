@@ -244,7 +244,7 @@ func TestSteadyCaptureRefusals(t *testing.T) {
 			t.Fatal("capture matched with no previous capture")
 		}
 		if det.LastRefusal() == "" {
-			t.Fatal("pending eFn entry did not refuse the capture")
+			t.Fatal("pending At closure did not refuse the capture")
 		}
 	})
 	t.Run("layer refusal", func(t *testing.T) {
