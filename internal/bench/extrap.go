@@ -25,8 +25,8 @@ import (
 // same-instant entries and every loop's counters agree.
 //
 // A world keeps one extrapolator in its scratch and re-arms it per
-// measurement, so the detector's capture window, lane buffers and loop list
-// are grown once per pooled world rather than once per cell.
+// measurement, so the detector's fingerprint stream, lane buffers and loop
+// list are grown once per pooled world rather than once per cell.
 type extrapolator struct {
 	w     *mpi.World
 	det   *sim.Steady

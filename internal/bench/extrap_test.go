@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"bgpcoll/internal/geometry"
 	"bgpcoll/internal/hw"
 	"bgpcoll/internal/machine"
 	"bgpcoll/internal/mpi"
@@ -217,4 +221,73 @@ func TestExtrapolatedCellReportsFullPipeStatistics(t *testing.T) {
 	if rep != wantRep {
 		t.Errorf("extrapolated report %+v\nfully executed report %+v", rep, wantRep)
 	}
+}
+
+// steadyDetectionPins are the steady-state detector's work and yield on
+// torus-steady's six series (cmd/bgpperf) at its four sizes, on its 8x4x4
+// partition at 32 iterations, run in this order on pooled worlds: the
+// fingerprints each cell captures and the iterations it extrapolates. The
+// allreduce.shaddr rows with 9 captures settle into a period-2 cycle, so
+// they match at boundary 9 against the capture two back and skip 22 of the
+// 23 iterations left. The values were recorded from the whole-capture
+// window (steadyModel in internal/sim keeps that design as a reference).
+var steadyDetectionPins = []struct {
+	algo              string
+	mode              hw.Mode
+	arg               int // bytes, or doubles for an allreduce
+	captures, skipped int64
+}{
+	{mpi.BcastTorusShaddr, hw.Quad, 110218, 4, 28},
+	{mpi.BcastTorusShaddr, hw.Quad, 311744, 4, 28},
+	{mpi.BcastTorusShaddr, hw.Quad, 881744, 4, 28},
+	{mpi.BcastTorusShaddr, hw.Quad, 2493948, 4, 28},
+	{mpi.BcastTorusFIFO, hw.Quad, 110218, 3, 29},
+	{mpi.BcastTorusFIFO, hw.Quad, 311744, 3, 29},
+	{mpi.BcastTorusFIFO, hw.Quad, 881744, 3, 29},
+	{mpi.BcastTorusFIFO, hw.Quad, 2493948, 3, 29},
+	{mpi.BcastTorusDirectPut, hw.Quad, 110218, 3, 29},
+	{mpi.BcastTorusDirectPut, hw.Quad, 311744, 3, 29},
+	{mpi.BcastTorusDirectPut, hw.Quad, 881744, 3, 29},
+	{mpi.BcastTorusDirectPut, hw.Quad, 2493948, 3, 29},
+	{mpi.BcastTorusDirectPut, hw.SMP, 110218, 3, 29},
+	{mpi.BcastTorusDirectPut, hw.SMP, 311744, 3, 29},
+	{mpi.BcastTorusDirectPut, hw.SMP, 881744, 3, 29},
+	{mpi.BcastTorusDirectPut, hw.SMP, 2493948, 3, 29},
+	{mpi.AllreduceTorusNew, hw.Quad, 13777, 5, 27},
+	{mpi.AllreduceTorusNew, hw.Quad, 38968, 4, 28},
+	{mpi.AllreduceTorusNew, hw.Quad, 110218, 9, 22}, // period 2: matches at boundary 9
+	{mpi.AllreduceTorusNew, hw.Quad, 311743, 9, 22}, // period 2: matches at boundary 9
+	{mpi.AllreduceTorusCurrent, hw.Quad, 13777, 3, 29},
+	{mpi.AllreduceTorusCurrent, hw.Quad, 38968, 3, 29},
+	{mpi.AllreduceTorusCurrent, hw.Quad, 110218, 3, 29},
+	{mpi.AllreduceTorusCurrent, hw.Quad, 311743, 3, 29},
+}
+
+// TestSteadyDetectionPinned pins steadyDetectionPins: how the capture
+// window is stored must not move when a match lands or how many
+// iterations it skips.
+func TestSteadyDetectionPinned(t *testing.T) {
+	var captures atomic.Int64
+	SetFingerprintObserver(func(time.Duration) { captures.Add(1) })
+	defer SetFingerprintObserver(func(time.Duration) {})
+	DrainWorldPool()
+	for _, pin := range steadyDetectionPins {
+		cfg := hw.DefaultConfig()
+		cfg.Torus = geometry.Torus{DX: 8, DY: 4, DZ: 4}
+		cfg.Mode = pin.mode
+		cfg.Functional = false
+		c := bcastCell(cfg, pin.algo, pin.arg, 32)
+		if strings.HasPrefix(pin.algo, "allreduce.") {
+			c = allreduceCell(cfg, pin.algo, pin.arg, 32)
+		}
+		c0, x0 := captures.Load(), ExtrapolatedIters()
+		if _, err := c.Run(RunMode{}); err != nil {
+			t.Fatalf("%s/%v %d: %v", pin.algo, pin.mode, pin.arg, err)
+		}
+		if got, skipped := captures.Load()-c0, ExtrapolatedIters()-x0; got != pin.captures || skipped != pin.skipped {
+			t.Errorf("%s/%v %d: %d captures, %d iterations extrapolated; pinned %d, %d",
+				pin.algo, pin.mode, pin.arg, got, skipped, pin.captures, pin.skipped)
+		}
+	}
+	DrainWorldPool()
 }

@@ -155,9 +155,17 @@ const capacityBudgetBytesPerRank = 278.0
 // collective state. It measures 523 B/rank; the ceiling adds under 10%.
 const capacityRunBudgetBytesPerRank = 575.0
 
+// capacityExtrapRunBudgetBytesPerRank is the committed ceiling on the same
+// run state once an extrapolated 8-iteration broadcast has also run: the
+// steady-state detector's capture window (one fingerprint stream and two
+// lane arrays) stays with the world. It measures 694 B/rank; the
+// ceiling adds under 10%.
+const capacityExtrapRunBudgetBytesPerRank = 760.0
+
 // TestCapacitySmoke65k is the CI capacity gate: a 65,536-rank world must
 // construct, fit the per-rank budget, complete a small broadcast and a
-// barrier, and keep no more run state than its budget. CI runs it under
+// barrier, and keep no more run state than its budget, before and after an
+// extrapolated broadcast. CI runs it under
 // GOMEMLIMIT so a footprint regression fails fast instead of thrashing.
 func TestCapacitySmoke65k(t *testing.T) {
 	if testing.Short() {
@@ -190,6 +198,20 @@ func TestCapacitySmoke65k(t *testing.T) {
 	t.Logf("65536 ranks: construct=%v perRank=%.1fB runState=%.0fB", construct, perRank, runState)
 	if runState > capacityRunBudgetBytesPerRank {
 		t.Fatalf("run state %.0f B/rank exceeds the %.0f B budget", runState, capacityRunBudgetBytesPerRank)
+	}
+
+	skipped := ExtrapolatedIters()
+	if _, err := bcastCell(cfg, mpi.BcastTreeShaddr, ScaleBcastMsg, 8).RunOn(w, RunMode{}); err != nil {
+		t.Fatalf("extrapolated bcast: %v", err)
+	}
+	if skipped = ExtrapolatedIters() - skipped; skipped == 0 {
+		t.Fatal("the 8-iteration broadcast extrapolated nothing")
+	}
+	w.Reset()
+	extrapState := runStateBytesPerRank(w, after.HeapAlloc)
+	t.Logf("65536 ranks, after an 8-iteration broadcast that extrapolated %d: runState=%.0fB", skipped, extrapState)
+	if extrapState > capacityExtrapRunBudgetBytesPerRank {
+		t.Fatalf("run state after extrapolation %.0f B/rank exceeds the %.0f B budget", extrapState, capacityExtrapRunBudgetBytesPerRank)
 	}
 }
 

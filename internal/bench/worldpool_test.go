@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"testing"
 
 	"bgpcoll/internal/geometry"
@@ -260,14 +261,19 @@ func TestPoolCrossConfigLeasing(t *testing.T) {
 // exactly the heap it retained after the first. Each call used to leak
 // one protocol pipe per node into the kernel, and per-call counters pinned
 // the waiter storage of their arena slots; anything a cell leaves behind
-// for good shows up here as growth. The cells run fully executed: the
-// steady-state detector grows its capture window over its first few
-// measurements by design (at most seven fingerprint slots). The first
-// cells also settle a few free-list headers (under 256 B on a 4x4x2 quad
-// world), so the bound is 1 KiB: a per-cell leak of 21 B exceeds it.
+// for good shows up here as growth. The cells run fully executed, so no
+// steady-state detector is armed. The first cells also settle a few
+// free-list headers (under 256 B on a 4x4x2 quad world), so the bound is
+// 1 KiB: a per-cell leak of 21 B exceeds it.
+//
+// When the Go runtime starts an OS thread during the 50 cells, it keeps
+// that thread's descriptors on the heap for good (about 5 KB), which is not
+// the simulator's retention. Such a window is measured again, so the
+// bound holds the simulator alone; a leak grows every window.
 func TestPooledAllreduceRetention(t *testing.T) {
 	cfg := goldenConfig(hw.Quad)
 	cfg.Torus = geometry.Torus{DX: 4, DY: 4, DZ: 2}
+	threads := pprof.Lookup("threadcreate")
 	for _, algo := range []string{mpi.AllreduceTorusNew, mpi.AllreduceTorusCurrent} {
 		DrainWorldPool()
 		cell := func() {
@@ -282,14 +288,23 @@ func TestPooledAllreduceRetention(t *testing.T) {
 			runtime.ReadMemStats(&ms)
 			return ms.HeapAlloc
 		}
-		cell()
-		one := retained()
-		for i := 1; i < 50; i++ {
+		for window := 1; ; window++ {
 			cell()
-		}
-		if fifty := retained(); fifty > one+1<<10 {
-			t.Errorf("%s: a pooled world retains %d B after 50 cells, %d B after 1 (+%d B)",
-				algo, fifty, one, fifty-one)
+			one, started := retained(), threads.Count()
+			for i := 1; i < 50; i++ {
+				cell()
+			}
+			fifty := retained()
+			if threads.Count() != started && window < 3 {
+				t.Logf("%s: the runtime started an OS thread during window %d (%+d B); measuring again",
+					algo, window, int64(fifty)-int64(one))
+				continue
+			}
+			if fifty > one+1<<10 {
+				t.Errorf("%s: a pooled world retains %d B after 50 cells, %d B after 1 (+%d B)",
+					algo, fifty, one, fifty-one)
+			}
+			break
 		}
 	}
 	DrainWorldPool()

@@ -13,7 +13,7 @@ import (
 // captureNow fingerprints k's scheduling state at the current instant.
 func captureNow(t *testing.T, k *Kernel) *FP {
 	t.Helper()
-	f := newFP(newFPIntern())
+	f := &FP{}
 	f.reset(k.now)
 	k.steadyWalk(f)
 	if f.Refused() {
@@ -63,7 +63,7 @@ func TestCaptureHashesReleasedWaitersAsRunnable(t *testing.T) {
 					}
 				}
 				got := captureNow(t, k)
-				if gate.fpGen == got.in.gen && !partial {
+				if gate.fpGen == got.gen && !partial {
 					t.Errorf("%s: the released waiters interned the counter they waited on", name)
 				}
 				for _, p := range released {

@@ -171,7 +171,7 @@ func TestCounterFire(t *testing.T) {
 	}
 
 	fp := func(c *Counter) string {
-		f := newFP(newFPIntern())
+		f := &FP{}
 		f.reset(k.Now())
 		f.Counter(c)
 		return string(f.buf)

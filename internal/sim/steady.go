@@ -46,7 +46,6 @@ package sim
 // detector.
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"math"
@@ -62,57 +61,61 @@ type Hasher interface {
 
 // FP accumulates one canonical fingerprint: a byte stream of
 // boundary-relative observable state plus a positional list of monotone
-// accumulator samples. A walk that encounters state it cannot canonicalize
-// calls Refuse, which voids the capture. The same visitor, switched to
-// forward mode by Steady.Forward, re-runs the walk to apply extrapolated
-// deltas to the registered monotone accumulators; in forward mode all
-// stream-building methods are no-ops.
+// accumulator samples (lanes). A walk that encounters state it cannot
+// canonicalize calls Refuse, which voids the capture. The same visitor,
+// switched to forward mode by Steady.Forward, re-runs the walk to apply
+// extrapolated deltas to the registered monotone accumulators; in forward
+// mode all stream-building methods are no-ops.
+//
+// A detector's FP writes each capture over the previous one in place. While
+// a capture is being written, the backing arrays still hold the previous
+// capture's bytes from len(buf) up to prevBuf and its samples from
+// len(lanes) up to prevLanes, and every byte and step the capture changes is
+// noted first in the undo record the detector hands it (see Steady).
 type FP struct {
 	buf   []byte
 	lanes []int64
+	// steps[i] is lane i's growth since the previous capture, a lane missing
+	// from either capture reading 0 there. Steps are written only while the
+	// previous capture is one the detector still holds (stepping).
+	steps []int64
+
+	prevBuf, prevLanes, prevSteps int
+
+	stepping bool
+	bufUndo  *undo[byte]  // nil: no older stream to keep
+	stepUndo *undo[int64] // nil: no older steps to keep
 
 	now     Time
 	refused bool
 	reason  string
 
-	// Forward mode: Mono* calls consume the shared laneDelta positionally
-	// instead of sampling, and everything else is a no-op.
+	// Forward mode: Mono* calls add steps positionally (Forward has turned
+	// them into whole-period deltas) instead of sampling, and everything
+	// else is a no-op.
 	forward bool
 	laneIdx int
 
-	// in is working state shared by every FP in the owning detector's
-	// capture window: it is live only during one walk (a comparison needs
-	// just buf and lanes), so a single instance serves the whole window.
-	in *fpIntern
-}
-
-// fpIntern is the per-walk working state shared across a detector's capture
-// window. Interning labels objects in first-appearance order, so
-// structurally identical states hash identically regardless of which arena
-// slots or heap objects they occupy. Labels are assigned before contents
-// are walked, so mutually referential states (a counter whose waiter is a
-// process parked on that counter) terminate. There is no seen-table: each
-// walk draws a process-unique generation from fpGenSource and stamps it
-// onto every object it labels (Counter/Pipe/Proc fpGen+fpID fields),
-// so membership is two word reads and a rack-scale capture allocates
-// nothing per object — the map variant spent hundreds of megabytes (and
-// the GC scans of pointer-keyed tables) per million-rank detector.
-type fpIntern struct {
-	gen    uint64
-	nextID uint32
-
-	scratch   []qitem
-	laneDelta []int64
+	// Interning labels objects in first-appearance order, so structurally
+	// identical states hash identically regardless of which arena slots or
+	// heap objects they occupy. Labels are assigned before contents are
+	// walked, so mutually referential states (a counter whose waiter is a
+	// process parked on that counter) terminate. There is no seen-table:
+	// each walk draws a process-unique generation from fpGenSource and
+	// stamps it onto every object it labels (Counter/Pipe/Proc fpGen+fpID
+	// fields), so membership is two word reads and a rack-scale capture
+	// allocates nothing per object — the map variant spent hundreds of
+	// megabytes (and the GC scans of pointer-keyed tables) per million-rank
+	// detector.
+	gen     uint64
+	nextID  uint32
+	scratch []qitem
 }
 
 // fpGenSource hands out process-unique walk generations. A plain counter
 // per detector would collide across detectors sharing a kernel's objects;
 // a process-wide atomic never repeats within any realistic run.
 var fpGenSource atomic.Uint64
-
-func newFPIntern() *fpIntern {
-	return &fpIntern{}
-}
 
 // Stream-element markers. The walk's structure is deterministic, so these
 // exist only to keep reference and first-appearance encodings from aliasing.
@@ -125,20 +128,74 @@ const (
 	fpTrue  = 0x01
 )
 
-func newFP(in *fpIntern) *FP {
-	return &FP{in: in}
-}
-
+// reset starts a capture at now, over the previous one.
 func (f *FP) reset(now Time) {
-	f.buf = f.buf[:0]
-	f.lanes = f.lanes[:0]
-	f.in.gen = fpGenSource.Add(1)
-	f.in.nextID = 0
+	f.prevBuf, f.prevLanes, f.prevSteps = len(f.buf), len(f.lanes), len(f.steps)
+	f.buf, f.lanes, f.steps = f.buf[:0], f.lanes[:0], f.steps[:0]
+	f.gen = fpGenSource.Add(1)
+	f.nextID = 0
 	f.now = now
 	f.refused = false
 	f.reason = ""
 	f.forward = false
 	f.laneIdx = 0
+}
+
+// finish completes a capture that was not refused: a lane the previous
+// capture had and this one lacks steps to 0, and whatever the previous
+// stream and steps held past the new lengths is noted.
+func (f *FP) finish() {
+	if f.stepping {
+		prev := f.lanes[:f.prevLanes] // lanes shrank, so nothing was reallocated
+		for i := len(f.lanes); i < f.prevLanes; i++ {
+			f.step(-prev[i])
+		}
+	}
+	if u := f.stepUndo; u != nil {
+		prev := f.steps[:f.prevSteps]
+		for i := len(f.steps); i < f.prevSteps; i++ {
+			u.note(i, prev[i])
+		}
+		u.n = f.prevSteps
+	}
+	if u := f.bufUndo; u != nil {
+		prev := f.buf[:f.prevBuf]
+		for i := len(f.buf); i < f.prevBuf; i++ {
+			u.note(i, prev[i])
+		}
+		u.n = f.prevBuf
+	}
+	if len(f.buf) > f.prevBuf {
+		f.buf = fit(f.buf)
+	}
+	if len(f.lanes) > f.prevLanes {
+		f.lanes = fit(f.lanes)
+	}
+	if len(f.steps) > f.prevSteps {
+		f.steps = fit(f.steps)
+	}
+}
+
+// grow makes room for n more elements, doubling the capacity where append
+// would grow a large slice by a quarter: a first capture at rack scale grows
+// megabytes from nothing, and every step leaves its predecessor as garbage.
+// finish trims the spare.
+func grow[T byte | int64](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return slices.Grow(s, max(n, len(s)))
+}
+
+// fit returns s reallocated to its length plus a sixteenth when append
+// growth left it more spare capacity than that. Captures of one loop are
+// near-identical in length, so the spare would only ever hold junk, and at
+// rack scale it is megabytes.
+func fit[T byte | int64](s []T) []T {
+	if cap(s)-len(s) <= len(s)/16 {
+		return s
+	}
+	return append(make([]T, 0, len(s)+len(s)/16), s...)
 }
 
 // Refuse voids the capture: the walk hit state that cannot be canonicalized
@@ -155,10 +212,46 @@ func (f *FP) Refuse(reason string) {
 // Refused reports whether this capture was voided.
 func (f *FP) Refused() bool { return f.refused }
 
+// put1 appends one byte to the stream, over the previous capture's byte
+// there if it has one.
+func (f *FP) put1(b byte) {
+	n := len(f.buf)
+	if n >= f.prevBuf {
+		f.buf = append(grow(f.buf, 1), b)
+		return
+	}
+	f.buf = f.buf[:n+1]
+	if old := f.buf[n]; old != b {
+		if f.bufUndo != nil {
+			f.bufUndo.note(n, old)
+		}
+		f.buf[n] = b
+	}
+}
+
 func (f *FP) raw8(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	f.buf = append(f.buf, b[:]...)
+	n := len(f.buf)
+	switch {
+	case n >= f.prevBuf:
+		f.buf = binary.LittleEndian.AppendUint64(grow(f.buf, 8), v)
+	case n+8 <= f.prevBuf:
+		w := f.buf[n : n+8]
+		if old := binary.LittleEndian.Uint64(w); old != v {
+			if f.bufUndo != nil {
+				for i := range 8 {
+					if b := byte(v >> (8 * i)); w[i] != b {
+						f.bufUndo.note(n+i, w[i])
+					}
+				}
+			}
+			binary.LittleEndian.PutUint64(w, v)
+		}
+		f.buf = f.buf[:n+8]
+	default: // the previous stream ends inside this word
+		for i := range 8 {
+			f.put1(byte(v >> (8 * i)))
+		}
+	}
 }
 
 // I64 appends an absolute integer to the stream.
@@ -175,9 +268,9 @@ func (f *FP) Bool(v bool) {
 		return
 	}
 	if v {
-		f.buf = append(f.buf, fpTrue)
+		f.put1(fpTrue)
 	} else {
-		f.buf = append(f.buf, fpFalse)
+		f.put1(fpFalse)
 	}
 }
 
@@ -194,7 +287,41 @@ func (f *FP) Str(s string) {
 		return
 	}
 	f.raw8(uint64(len(s)))
-	f.buf = append(f.buf, s...)
+	for len(s) > 0 && len(f.buf) < f.prevBuf {
+		f.put1(s[0])
+		s = s[1:]
+	}
+	f.buf = append(grow(f.buf, len(s)), s...)
+}
+
+// sample appends a lane, over the previous capture's sample there, and
+// while stepping the lane's step.
+func (f *FP) sample(v int64) {
+	i := len(f.lanes)
+	var prev int64
+	if i < f.prevLanes {
+		prev = f.lanes[:i+1][i]
+	}
+	f.lanes = append(grow(f.lanes, 1), v)
+	if f.stepping {
+		f.step(v - prev)
+	}
+}
+
+// step appends a step, over the previous capture's step there.
+func (f *FP) step(d int64) {
+	i := len(f.steps)
+	if i >= f.prevSteps {
+		f.steps = append(grow(f.steps, 1), d)
+		return
+	}
+	f.steps = f.steps[:i+1]
+	if old := f.steps[i]; old != d {
+		if f.stepUndo != nil {
+			f.stepUndo.note(i, old)
+		}
+		f.steps[i] = d
+	}
 }
 
 // MonoI64 registers a monotone accumulator: in capture mode its value is
@@ -206,11 +333,11 @@ func (f *FP) MonoI64(p *int64) {
 		return
 	}
 	if f.forward {
-		*p += f.in.laneDelta[f.laneIdx]
+		*p += f.steps[f.laneIdx]
 		f.laneIdx++
 		return
 	}
-	f.lanes = append(f.lanes, *p)
+	f.sample(*p)
 }
 
 // MonoInt is MonoI64 for int accumulators.
@@ -219,11 +346,11 @@ func (f *FP) MonoInt(p *int) {
 		return
 	}
 	if f.forward {
-		*p += int(f.in.laneDelta[f.laneIdx])
+		*p += int(f.steps[f.laneIdx])
 		f.laneIdx++
 		return
 	}
-	f.lanes = append(f.lanes, int64(*p))
+	f.sample(int64(*p))
 }
 
 // MonoTime is MonoI64 for virtual-time accumulators.
@@ -232,11 +359,11 @@ func (f *FP) MonoTime(p *Time) {
 		return
 	}
 	if f.forward {
-		*p += Time(f.in.laneDelta[f.laneIdx])
+		*p += Time(f.steps[f.laneIdx])
 		f.laneIdx++
 		return
 	}
-	f.lanes = append(f.lanes, int64(*p))
+	f.sample(int64(*p))
 }
 
 // Counter interns c and, on first appearance, hashes its value and waiter
@@ -248,14 +375,14 @@ func (f *FP) Counter(c *Counter) {
 	if f.refused || f.forward {
 		return
 	}
-	if c.fpGen == f.in.gen {
-		f.buf = append(f.buf, fpRef)
+	if c.fpGen == f.gen {
+		f.put1(fpRef)
 		f.raw8(uint64(c.fpID))
 		return
 	}
-	c.fpGen, c.fpID = f.in.gen, f.in.nextID
-	f.in.nextID++
-	f.buf = append(f.buf, fpNew)
+	c.fpGen, c.fpID = f.gen, f.nextID
+	f.nextID++
+	f.put1(fpNew)
 	f.raw8(uint64(c.v))
 	f.raw8(uint64(len(c.waiters)))
 	for _, w := range c.waiters {
@@ -270,14 +397,14 @@ func (f *FP) PipeRef(p *Pipe) {
 	if f.refused || f.forward {
 		return
 	}
-	if p.fpGen == f.in.gen {
-		f.buf = append(f.buf, fpRef)
+	if p.fpGen == f.gen {
+		f.put1(fpRef)
 		f.raw8(uint64(p.fpID))
 		return
 	}
-	p.fpGen, p.fpID = f.in.gen, f.in.nextID
-	f.in.nextID++
-	f.buf = append(f.buf, fpNew)
+	p.fpGen, p.fpID = f.gen, f.nextID
+	f.nextID++
+	f.put1(fpNew)
 	f.raw8(math.Float64bits(p.ppb))
 	f.raw8(uint64(p.lat))
 	rel := p.free - f.now
@@ -303,22 +430,22 @@ func (f *FP) procRef(k *Kernel, pi uint32, queued bool) {
 		return
 	}
 	p := k.procAt(pi)
-	if p.fpGen == f.in.gen {
-		f.buf = append(f.buf, fpRef)
+	if p.fpGen == f.gen {
+		f.put1(fpRef)
 		f.raw8(uint64(p.fpID))
 		return
 	}
-	p.fpGen, p.fpID = f.in.gen, f.in.nextID
-	f.in.nextID++
-	f.buf = append(f.buf, fpNew)
+	p.fpGen, p.fpID = f.gen, f.nextID
+	f.nextID++
+	f.put1(fpNew)
 	f.Bool(p.inline)
 	f.Bool(p.armed)
 	if p.waitC != nil && !queued {
-		f.buf = append(f.buf, fpSome)
+		f.put1(fpSome)
 		f.Counter(p.waitC)
 		f.raw8(uint64(p.waitGE))
 	} else {
-		f.buf = append(f.buf, fpNil)
+		f.put1(fpNil)
 	}
 	// Only the table's un-run steps steer future execution: stepPlan resumes
 	// at plan.i, and RunThen resets it, so the operands a finished table
@@ -345,7 +472,8 @@ func (f *FP) procRef(k *Kernel, pi uint32, queued bool) {
 			f.Refuse("pending plan post step")
 			return
 		}
-		f.buf = append(f.buf, st.kind, st.bound)
+		f.put1(st.kind)
+		f.put1(st.bound)
 		f.raw8(uint64(st.d))
 		f.raw8(uint64(st.bytes))
 		f.raw8(uint64(st.n))
@@ -356,20 +484,20 @@ func (f *FP) procRef(k *Kernel, pi uint32, queued bool) {
 // optCounter hashes a counter operand that may be absent.
 func (f *FP) optCounter(c *Counter) {
 	if c == nil {
-		f.buf = append(f.buf, fpNil)
+		f.put1(fpNil)
 		return
 	}
-	f.buf = append(f.buf, fpSome)
+	f.put1(fpSome)
 	f.Counter(c)
 }
 
 // optPipe hashes a pipe operand that may be absent.
 func (f *FP) optPipe(p *Pipe) {
 	if p == nil {
-		f.buf = append(f.buf, fpNil)
+		f.put1(fpNil)
 		return
 	}
-	f.buf = append(f.buf, fpSome)
+	f.put1(fpSome)
 	f.PipeRef(p)
 }
 
@@ -383,7 +511,7 @@ func (f *FP) entryCanon(k *Kernel, e entry, queued bool) {
 	if f.refused || f.forward {
 		return
 	}
-	f.buf = append(f.buf, e.kind)
+	f.put1(e.kind)
 	switch e.kind {
 	case eProc:
 		f.procRef(k, e.idx, queued)
@@ -421,10 +549,10 @@ func (k *Kernel) steadyWalk(f *FP) {
 	// stream is independent of how items happen to be bucketed. Bucket 0 may
 	// be mid-drain (the boundary callback itself came out of it): its
 	// consumed prefix is gone from the observable state and is not listed.
-	f.in.scratch = k.queue.pending(f.in.scratch[:0])
-	slices.SortStableFunc(f.in.scratch, func(a, b qitem) int { return cmp.Compare(a.t, b.t) })
-	f.raw8(uint64(len(f.in.scratch)))
-	for _, it := range f.in.scratch {
+	f.scratch = k.queue.pending(f.scratch[:0])
+	slices.SortStableFunc(f.scratch, func(a, b qitem) int { return cmp.Compare(a.t, b.t) })
+	f.raw8(uint64(len(f.scratch)))
+	for _, it := range f.scratch {
 		f.Time(it.t)
 		f.entryCanon(k, it.e, true)
 		if f.refused {
@@ -484,22 +612,61 @@ func (k *Kernel) steadyPipes(f *FP) {
 // matches nothing counts as an attempt; after maxSteadyAttempts the detector
 // stops fingerprinting so a workload that never becomes periodic pays
 // nothing further.
+//
+// The capture window holds the newest capture in full (f: its stream, its
+// lanes and its steps, each lane's growth since the capture before) and
+// each older one as exact differences against the next newer one (past).
+// Consecutive captures of one loop are near-identical, so the differences
+// are small beside the stream, and the window costs one stream and two
+// lane arrays where whole captures cost one stream and one lane array each.
 type Steady struct {
 	k     *Kernel
 	extra func(*FP)
 
-	// hist is a rolling window of the most recent captures, newest first:
-	// hist[0] is the current capture, hist[p] the one p boundaries back.
-	// histN counts the valid older entries; a refused capture empties the
-	// window, since a comparison across it would span unobserved state.
-	hist  [maxSteadyPeriod + 1]*FP
-	histN int
+	f *FP
+	// past[j] describes the capture j+1 boundaries back. held counts the
+	// valid captures, f's included; a refused capture empties the window,
+	// since a comparison across it would span unobserved state.
+	past [maxSteadyPeriod]*pastCapture
+	held int
 
-	delta   Time // virtual time of one period (valid after a match)
-	period  int  // matched period in boundaries (valid after a match)
-	matched *FP  // the earlier capture the current one equals
+	delta  Time // virtual time of one period (valid after a match)
+	period int  // matched period in boundaries (valid after a match)
 
 	attempts int
+}
+
+// pastCapture is an older capture as the window keeps it: its boundary
+// instant and lane count, the undo that turns the next newer capture's
+// stream into its stream, and the undo that turns the next newer capture's
+// steps into its own steps.
+type pastCapture struct {
+	now   Time
+	lanes int
+	buf   undo[byte]
+	steps undo[int64]
+}
+
+// undo turns an array into the one it replaced: the replaced array's length
+// n, and its values at every index where the two differ, in increasing
+// index order. Indexes past the newer array's end are noted too, so an
+// undo alone says what the older array held wherever it differs.
+type undo[T byte | int64] struct {
+	n   int
+	at  []uint32
+	old []T
+}
+
+func (u *undo[T]) reset() {
+	u.n, u.at, u.old = 0, u.at[:0], u.old[:0]
+}
+
+func (u *undo[T]) note(i int, v T) {
+	if uint(i) > math.MaxUint32 {
+		panic("sim: steady-state capture past 4 GiB")
+	}
+	u.at = append(u.at, uint32(i))
+	u.old = append(u.old, v)
 }
 
 // maxSteadyPeriod bounds the cycle length the detector recognizes. Not
@@ -509,10 +676,8 @@ type Steady struct {
 // comparison would never match, and independent sub-cycles compose into
 // their LCM (the Fig. 10 FIFO broadcast at one size runs a 3-cycle of
 // rotating queue slots against a 2-cycle of alternating back-pressure
-// phases: period 6). A small window of retained fingerprints catches them;
-// a window slot only allocates its buffers if a capture actually reaches
-// it, so fast-settling runs pay for two or three slots regardless of the
-// bound.
+// phases: period 6). The window keeps differences, not copies, so the
+// bound costs memory only where captures actually differ.
 const maxSteadyPeriod = 6
 
 // maxSteadyAttempts bounds fingerprint work on never-periodic workloads.
@@ -524,10 +689,9 @@ const maxSteadyAttempts = 16
 // capture (and every forward replay) to walk layer state above the kernel —
 // per-rank residue, collective scratch, measure-loop accumulators.
 func NewSteady(k *Kernel, extra func(*FP)) *Steady {
-	s := &Steady{k: k, extra: extra}
-	in := newFPIntern()
-	for i := range s.hist {
-		s.hist[i] = newFP(in)
+	s := &Steady{k: k, extra: extra, f: &FP{}}
+	for i := range s.past {
+		s.past[i] = &pastCapture{}
 	}
 	return s
 }
@@ -537,8 +701,8 @@ func NewSteady(k *Kernel, extra func(*FP)) *Steady {
 // attempt budget refills. A pooled world re-arms one detector per
 // measurement instead of building a fresh one.
 func (s *Steady) Rearm() {
-	s.histN, s.attempts = 0, 0
-	s.delta, s.period, s.matched = 0, 0, nil
+	s.held, s.attempts = 0, 0
+	s.delta, s.period = 0, 0
 }
 
 // Capture fingerprints the current state and reports whether it matches a
@@ -549,50 +713,99 @@ func (s *Steady) Capture() bool {
 	if s.attempts >= maxSteadyAttempts {
 		return false
 	}
-	// Rotate: the oldest capture's FP is recycled as the new current, so
-	// buffer and interning-map capacity settle after the first few rounds.
-	last := len(s.hist) - 1
-	f := s.hist[last]
-	copy(s.hist[1:], s.hist[:last])
-	s.hist[0] = f
-	f.reset(s.k.now)
-	// Size this capture off the previous one: consecutive fingerprints of
-	// the same loop are near-identical in length, and growing a rack-scale
-	// buffer through append doublings would fault roughly twice the final
-	// footprint in throwaway pages.
-	if s.histN > 0 {
-		prev := s.hist[1]
-		if cap(f.buf) < len(prev.buf) {
-			f.buf = make([]byte, 0, len(prev.buf)+len(prev.buf)/16)
-		}
-		if cap(f.lanes) < len(prev.lanes) {
-			f.lanes = make([]int64, 0, len(prev.lanes))
-		}
+	f := s.f
+	older := min(s.held, maxSteadyPeriod)
+	// The capture about to be written over becomes past[0], in the slot of
+	// the oldest, whose buffers are recycled.
+	p0 := s.past[len(s.past)-1]
+	copy(s.past[1:], s.past[:len(s.past)-1])
+	s.past[0] = p0
+	p0.now, p0.lanes = f.now, len(f.lanes)
+	p0.buf.reset()
+	p0.steps.reset()
+	f.stepping, f.bufUndo, f.stepUndo = older > 0, nil, nil
+	if older > 0 {
+		f.bufUndo = &p0.buf
 	}
+	if older > 1 {
+		f.stepUndo = &p0.steps
+	}
+
+	f.reset(s.k.now)
 	s.k.steadyWalk(f)
 	if s.extra != nil && !f.refused {
 		s.extra(f)
 	}
 	if f.refused {
-		s.histN = 0
-		s.attempts++
+		s.held = 0
+		s.miss()
 		return false
 	}
-	valid := s.histN
-	if s.histN < last {
-		s.histN++
-	}
-	for p := 1; p <= valid; p++ {
-		prev := s.hist[p]
-		if f.now > prev.now && len(f.lanes) == len(prev.lanes) && bytes.Equal(f.buf, prev.buf) {
+	f.finish()
+	s.held = older + 1
+	for p := 1; p <= older; p++ {
+		prev := s.past[p-1]
+		if f.now > prev.now && len(f.lanes) == prev.lanes && s.streamMatches(p) {
 			s.delta = f.now - prev.now
 			s.period = p
-			s.matched = prev
 			return true
 		}
 	}
-	s.attempts++
+	s.miss()
 	return false
+}
+
+// miss counts a capture that matched nothing against the attempt budget.
+func (s *Steady) miss() {
+	s.attempts++
+	if s.GaveUp() {
+		s.spend()
+	}
+}
+
+// spend drops the undo records once the window is of no further use: a
+// replay consumed it, or the attempt budget ran out. They hold only what
+// differs between captures, mostly warm-up churn, so a pooled world regrows
+// them per measurement instead of keeping the largest window it ever saw.
+func (s *Steady) spend() {
+	for _, p := range s.past {
+		p.buf, p.steps = undo[byte]{}, undo[int64]{}
+	}
+}
+
+// streamMatches reports whether the capture p boundaries back has the
+// current stream. Its length must be the current one's, and wherever one of
+// the p undos between them notes an offset, the older value there — from
+// the oldest undo noting it, since each later undo only restates what the
+// one before it turned the byte into — must be the current byte. Every
+// other offset holds the same byte in every capture between.
+func (s *Steady) streamMatches(p int) bool {
+	buf := s.f.buf
+	if s.past[p-1].buf.n != len(buf) {
+		return false
+	}
+	var c [maxSteadyPeriod]int // per undo, its next noted offset
+	for {
+		at := math.MaxInt
+		for j := range p {
+			if u := &s.past[j].buf; c[j] < len(u.at) {
+				at = min(at, int(u.at[c[j]]))
+			}
+		}
+		if at >= len(buf) {
+			return true
+		}
+		var v byte
+		for j := range p {
+			if u := &s.past[j].buf; c[j] < len(u.at) && int(u.at[c[j]]) == at {
+				v = u.old[c[j]]
+				c[j]++
+			}
+		}
+		if v != buf[at] {
+			return false
+		}
+	}
 }
 
 // GaveUp reports that the detector exhausted its attempt budget without
@@ -601,7 +814,7 @@ func (s *Steady) GaveUp() bool { return s.attempts >= maxSteadyAttempts }
 
 // LastRefusal returns the most recent capture's refusal reason ("" if the
 // capture completed).
-func (s *Steady) LastRefusal() string { return s.hist[0].reason }
+func (s *Steady) LastRefusal() string { return s.f.reason }
 
 // Delta returns the detected period's virtual-time length (valid after
 // Capture returned true).
@@ -617,7 +830,8 @@ func (s *Steady) Period() int { return s.period }
 // reps × Delta, and every monotone accumulator registered by the walk grows
 // by reps × its per-period delta. The caller's in-flight iterations — fewer
 // than one period of them — then execute live, landing the run in the exact
-// observable state full execution would have reached.
+// observable state full execution would have reached. The replay spends the
+// capture window: the next Capture starts a new one.
 //
 // Forward runs inside a scheduled callback, which is safe precisely because
 // the shift is uniform: every pending entry moves with the clock, so no
@@ -637,16 +851,12 @@ func (s *Steady) Forward(reps int64) {
 	k.now += shift
 
 	// Replay the monotone accumulators through the same walk in forward
-	// mode: each lane grows by reps × (current − matched) — its growth
-	// across one full cycle of the detected period.
-	f := s.hist[0]
-	if len(f.in.laneDelta) < len(f.lanes) {
-		f.in.laneDelta = make([]int64, len(f.lanes))
-	}
-	f.in.laneDelta = f.in.laneDelta[:len(f.lanes)]
-	for i := range f.lanes {
-		f.in.laneDelta[i] = reps * (f.lanes[i] - s.matched.lanes[i])
-	}
+	// mode: each lane grows by reps × its growth across one full cycle of
+	// the detected period.
+	f := s.f
+	s.periodSteps(reps)
+	s.held = 0
+	s.spend()
 	f.forward = true
 	f.laneIdx = 0
 	k.steadyPipes(f)
@@ -654,7 +864,31 @@ func (s *Steady) Forward(reps int64) {
 		s.extra(f)
 	}
 	f.forward = false
-	if f.laneIdx != len(f.in.laneDelta) {
+	if f.laneIdx != len(f.lanes) {
 		panic("sim: steady forward walk visited a different lane count than capture")
+	}
+}
+
+// periodSteps overwrites each lane's step with reps × the lane's growth over
+// the matched period: the sum of its steps in the period's captures, each
+// older capture's steps read through the undos like streamMatches reads
+// bytes (a step past its array's end is 0).
+func (s *Steady) periodSteps(reps int64) {
+	f := s.f
+	var c [maxSteadyPeriod]int
+	for i := range f.lanes {
+		v := f.steps[i]
+		sum := v
+		for j := range s.period - 1 {
+			u := &s.past[j].steps
+			if c[j] < len(u.at) && int(u.at[c[j]]) == i {
+				v = u.old[c[j]]
+				c[j]++
+			}
+			if i < u.n {
+				sum += v
+			}
+		}
+		f.steps[i] = reps * sum
 	}
 }

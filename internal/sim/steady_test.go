@@ -339,12 +339,12 @@ func TestSteadyRearm(t *testing.T) {
 	}
 	k.NewPipe("adopted", 1e9, 0)
 	det.Rearm()
-	if det.GaveUp() || det.histN != 0 {
-		t.Fatalf("re-armed detector: gave up %v, %d captures in its window", det.GaveUp(), det.histN)
+	if det.GaveUp() || det.held != 0 {
+		t.Fatalf("re-armed detector: gave up %v, %d captures in its window", det.GaveUp(), det.held)
 	}
 	refuse = false
 	det.Capture()
-	if got := len(det.hist[0].lanes); got != 6 {
+	if got := len(det.f.lanes); got != 6 {
 		t.Fatalf("capture registered %d lanes, want 3 for each of 2 pipes", got)
 	}
 }
@@ -399,7 +399,7 @@ func planCapture(t *testing.T, ran, pending []Time) []byte {
 	})
 	var buf []byte
 	k.At(1000, func() {
-		f := newFP(newFPIntern())
+		f := &FP{}
 		f.reset(k.now)
 		k.steadyWalk(f)
 		if f.Refused() {

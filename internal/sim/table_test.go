@@ -248,7 +248,7 @@ func tableCapture(t *testing.T, bound int64, post bool) (capture []byte, reason 
 	b := Binding{Table: &tab, Counters: [2]*Counter{c}}
 	k.SpawnProgram("p", func(p *Proc) { p.RunThen(&b, nop) })
 	k.At(1000, func() {
-		f := newFP(newFPIntern())
+		f := &FP{}
 		f.reset(k.now)
 		k.steadyWalk(f)
 		capture, reason = append(capture, f.buf...), f.reason

@@ -151,7 +151,7 @@ func TestSmallCounterListsStayInSlot(t *testing.T) {
 func TestCounterRearm(t *testing.T) {
 	k := New()
 	fp := func(c *Counter) string {
-		f := newFP(newFPIntern())
+		f := &FP{}
 		f.reset(k.Now())
 		f.Counter(c)
 		return string(f.buf)
